@@ -7,6 +7,8 @@ package proximity_test
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -173,6 +175,43 @@ func BenchmarkVecKernels(b *testing.B) {
 		}
 		_ = sink
 	})
+
+	// The early-abandoning kernel over 64 keys under three bounds, next
+	// to the unbounded kernel over the same keys: never abandons (the
+	// price of the checks), abandons the farther half (sums of i.i.d.
+	// terms concentrate, so late), and abandons everything at the first
+	// check (a cache scan far from every key).
+	ys := make([]vec.Vector, 64)
+	d2 := make([]float32, len(ys))
+	for i := range ys {
+		ys[i] = vec.RandomGaussian(rng, 768)
+		d2[i] = vec.L2Squared(x, ys[i])
+	}
+	slices.Sort(d2)
+	b.Run("L2Squared-768/64keys", func(b *testing.B) {
+		var sink float32
+		for i := 0; i < b.N; i++ {
+			sink += vec.L2Squared(x, ys[i%len(ys)])
+		}
+		_ = sink
+	})
+	for _, c := range []struct {
+		name  string
+		bound float32
+	}{
+		{"inf", float32(math.Inf(1))},
+		{"median", d2[len(d2)/2]},
+		{"tau2", 1},
+	} {
+		b.Run("L2SquaredBounded-768/64keys/bound="+c.name, func(b *testing.B) {
+			var sink float32
+			for i := 0; i < b.N; i++ {
+				s, _ := vec.L2SquaredBounded(x, ys[i%len(ys)], c.bound)
+				sink += s
+			}
+			_ = sink
+		})
+	}
 }
 
 // BenchmarkCacheGet measures a single lookup in both cache variants at a

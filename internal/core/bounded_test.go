@@ -1,0 +1,337 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"proximity/internal/vec"
+	"proximity/internal/vectordb"
+)
+
+// unboundedFlat returns a FlatCache whose scans finish every key with
+// the plain L2 kernel: the metric field is moved off L2, which routes
+// scanAdmissible and scanClosest through their c.dist loops, and c.dist
+// stays vec.L2. Everything else — entry order, eviction, counters — is
+// the cache under test, so the pair differs in the kernel alone.
+func unboundedFlat(t *testing.T, dim int, opts Options) *FlatCache {
+	t.Helper()
+	c := mustFlat(t, dim, opts)
+	c.opts.Metric = vec.InnerProduct
+	c.dist = vec.L2
+	return c
+}
+
+// TestBoundedScanIsExact drives one op stream through a bounded and an
+// unbounded FlatCache and requires them to agree on every observable:
+// hit or miss, which entry served, every reported distance to the bit,
+// the order entries are evicted in, and the final contents. The stream
+// mixes random traffic with the cases an early-abandoning scan could get
+// wrong: queries one ulp either side of τ, per-entry tolerances equal to
+// (and one ulp below) the query's exact distance, exact ties between
+// duplicate keys, τ = 0, and tolerance 0 lines.
+func TestBoundedScanIsExact(t *testing.T) {
+	const (
+		dim      = 40 // two 16-float strides and an 8-float tail
+		capacity = 24
+		ops      = 6000
+	)
+	for _, policy := range []Policy{FIFO, LRU} {
+		for _, tau := range []float32{0, 1.5} {
+			t.Run(fmt.Sprintf("%v/tau=%v", policy, tau), func(t *testing.T) {
+				var evictedB, evictedU []int
+				bounded := mustFlat(t, dim, Options{
+					Capacity: capacity, Tolerance: tau, Policy: policy,
+					OnEvict: func(e Entry) { evictedB = append(evictedB, e.Docs[0]) },
+				})
+				unbounded := unboundedFlat(t, dim, Options{
+					Capacity: capacity, Tolerance: tau, Policy: policy,
+					OnEvict: func(e Entry) { evictedU = append(evictedU, e.Docs[0]) },
+				})
+				rng := vec.NewRand(uint64(policy)*100 + uint64(tau*10))
+				centres := make([]vec.Vector, 6)
+				for i := range centres {
+					centres[i] = vec.Scale(vec.RandomGaussian(rng, dim), 3)
+				}
+				var keys []vec.Vector // every key ever inserted
+				nextDoc := 0
+				put := func(q vec.Vector, tol float32) {
+					bounded.PutWithTolerance(q, []int{nextDoc}, tol)
+					unbounded.PutWithTolerance(q, []int{nextDoc}, tol)
+					keys = append(keys, vec.Clone(q))
+					nextDoc++
+				}
+				// at returns a point at distance ≈ r from key, in a
+				// random direction.
+				at := func(key vec.Vector, r float32) vec.Vector {
+					q := vec.Clone(key)
+					vec.AXPY(q, r, vec.RandomUnit(rng, dim))
+					return q
+				}
+				lookup := func(op int, q vec.Vector) {
+					t.Helper()
+					for name, peek := range map[string]func(*FlatCache) (float32, bool){
+						"Peek":           func(c *FlatCache) (float32, bool) { return c.Peek(q) },
+						"PeekAdmissible": func(c *FlatCache) (float32, bool) { return c.PeekAdmissible(q) },
+						"TierGet": func(c *FlatCache) (float32, bool) {
+							h, ok := c.TierGet(q)
+							return h.Dist, ok
+						},
+					} {
+						db, okB := peek(bounded)
+						du, okU := peek(unbounded)
+						if okB != okU || math.Float32bits(db) != math.Float32bits(du) {
+							t.Fatalf("op %d: %s = (%v, %v) bounded, (%v, %v) unbounded", op, name, db, okB, du, okU)
+						}
+					}
+					docsB, okB := bounded.Get(q)
+					docsU, okU := unbounded.Get(q)
+					if okB != okU || !slices.Equal(docsB, docsU) {
+						t.Fatalf("op %d: Get = (%v, %v) bounded, (%v, %v) unbounded", op, docsB, okB, docsU, okU)
+					}
+				}
+
+				for op := 0; op < ops; op++ {
+					var key vec.Vector
+					if len(keys) > 0 {
+						key = keys[rng.IntN(len(keys))] // possibly evicted by now: then a plain miss
+					}
+					switch r := rng.IntN(10); {
+					case key == nil || r == 0: // a fresh key near a centre
+						put(vec.GaussianAround(rng, centres[rng.IntN(len(centres))], 0.2), tau)
+					case r == 1: // a duplicate key: an exact tie for every later query
+						put(key, tau)
+					case r == 2: // a per-line tolerance, sometimes 0
+						put(at(key, 1), float32(rng.IntN(3)))
+					case r == 3: // a line that admits a chosen query exactly, and one that just does not
+						q := at(key, 2)
+						near := vec.GaussianAround(rng, q, 0.1)
+						put(near, vec.L2(q, near))
+						lookup(op, q)
+						near = vec.GaussianAround(rng, q, 0.1)
+						put(near, math.Nextafter32(vec.L2(q, near), 0))
+						lookup(op, q)
+					case r == 4: // the key itself: distance 0
+						lookup(op, key)
+					case r <= 7: // within a few ulps of τ, either side
+						lookup(op, at(key, tau*(1+float32(rng.IntN(9)-4)*0x1p-23)))
+					default: // anywhere around a centre
+						lookup(op, vec.GaussianAround(rng, centres[rng.IntN(len(centres))], 0.3))
+					}
+				}
+
+				if !slices.Equal(evictedB, evictedU) {
+					t.Fatalf("eviction order differs:\nbounded   %v\nunbounded %v", evictedB, evictedU)
+				}
+				eb, eu := bounded.Entries(), unbounded.Entries()
+				if len(eb) != len(eu) {
+					t.Fatalf("final size %d bounded, %d unbounded", len(eb), len(eu))
+				}
+				for i := range eb {
+					if eb[i].Docs[0] != eu[i].Docs[0] {
+						t.Fatalf("final eviction order differs at %d: %v vs %v", i, eb[i].Docs, eu[i].Docs)
+					}
+				}
+				sb, su := bounded.Stats(), unbounded.Stats()
+				if sb != su {
+					t.Fatalf("stats differ: bounded %+v, unbounded %+v", sb, su)
+				}
+				if sb.Hits == 0 || sb.Misses == 0 || sb.Evictions == 0 {
+					t.Fatalf("stream exercised too little: %+v", sb)
+				}
+			})
+		}
+	}
+}
+
+// dimsTouched reports how many leading floats vec.L2Bounded reads of
+// (q, v) under maxDist: the end of the first 16-float stride at which the
+// running sum trips the bound, or all of them. The kernel run on a
+// prefix uses the same accumulators, so it abandons exactly when the
+// full call abandons at or before that prefix's last stride — which
+// makes "abandons on the first j strides" monotone in j and lets a
+// binary search stand in for a counter inside the kernel.
+func dimsTouched(q, v vec.Vector, maxDist float32) int {
+	const stride = 16
+	lo, hi := 1, (len(q)-1)/stride+1 // hi: no stride short of the end trips
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if _, ok := vec.L2Bounded(q[:mid*stride], v[:mid*stride], maxDist); ok {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return min(lo*stride, len(q))
+}
+
+// geometry is one clustered data set: centres, a corpus of documents
+// around them, cache keys and queries drawn as perturbations of centres,
+// and the cache tolerance.
+type geometry struct {
+	name          string
+	tau           float32
+	keys, queries []vec.Vector
+	corpus        []vec.Vector
+}
+
+// benchGeometry is bench/gen.go's at reduced population: N(0, I) centres
+// √(2d) ≈ 39 apart, queries 0.03·N(0, I) around them, documents
+// 0.11·N(0, I), τ = 1.3 × the query–query distance within a centre — 25×
+// below the distance to any other centre.
+func benchGeometry(rng *rand.Rand, dim, centres, perCentre int) geometry {
+	const sigmaQ, sigmaD = 0.03, 0.11
+	g := geometry{name: "bench", tau: float32(1.3 * vec.ExpectedPairwiseL2(sigmaQ, dim))}
+	for c := 0; c < centres; c++ {
+		centre := vec.RandomGaussian(rng, dim)
+		for i := 0; i < perCentre; i++ {
+			g.corpus = append(g.corpus, vec.GaussianAround(rng, centre, sigmaD))
+			g.keys = append(g.keys, vec.GaussianAround(rng, centre, sigmaQ))
+		}
+		g.queries = append(g.queries, vec.GaussianAround(rng, centre, sigmaQ))
+	}
+	return g
+}
+
+// hardGeometry is unit-norm data crowded the way real sentence
+// embeddings are: every centre is one shared direction plus a
+// perturbation, so each centre's nearest foreign centre — in fact every
+// foreign centre — sits about 2.6 τ away (the test asserts ≤ 3 τ),
+// against 25 τ in the bench geometry. Query and document noise keep the
+// bench's proportions to τ.
+func hardGeometry(t *testing.T, rng *rand.Rand, dim, centres, perCentre int) geometry {
+	const (
+		within = 0.15 // query–query distance inside a centre
+		spread = 0.36 // centre perturbation; centres end up ≈ spread·√2 apart
+	)
+	sigmaQ := float32(within / math.Sqrt(2*float64(dim)))
+	sigmaD := sigmaQ * 0.11 / 0.03
+	g := geometry{name: "hard", tau: 1.3 * within}
+	topic := vec.RandomUnit(rng, dim)
+	cs := make([]vec.Vector, centres)
+	for c := range cs {
+		cs[c] = vec.Clone(topic)
+		vec.AXPY(cs[c], spread, vec.RandomUnit(rng, dim))
+		vec.Normalize(cs[c])
+	}
+	for c, centre := range cs {
+		nearest := float32(math.Inf(1))
+		for o, other := range cs {
+			if o != c {
+				nearest = min(nearest, vec.L2(centre, other))
+			}
+		}
+		if nearest > 3*g.tau {
+			t.Fatalf("hard geometry: centre %d's nearest foreign centre is %.3f away, above 3τ = %.3f", c, nearest, 3*g.tau)
+		}
+		for i := 0; i < perCentre; i++ {
+			g.corpus = append(g.corpus, vec.Normalize(vec.GaussianAround(rng, centre, sigmaD)))
+			g.keys = append(g.keys, vec.Normalize(vec.GaussianAround(rng, centre, sigmaQ)))
+		}
+		g.queries = append(g.queries, vec.Normalize(vec.GaussianAround(rng, centre, sigmaQ)))
+	}
+	return g
+}
+
+// TestDimensionsTouched measures what the benchmark's geometry hides:
+// the mean number of dimensions the early-abandoning kernel reads per
+// cached key (FlatCache's scan) and per index vector (FlatIndex.Search's
+// seeded scan), on the bench geometry and on a crowded unit-norm one.
+// The scans are replayed here with dimsTouched beside each kernel call;
+// the replay is held to the real code's answer, and that answer to an
+// unbounded brute force, so the numbers logged describe exact scans.
+func TestDimensionsTouched(t *testing.T) {
+	const (
+		dim       = 768
+		centres   = 48
+		perCentre = 6
+		k         = 4
+		prefix    = 32 // vectordb's seedPrefix
+	)
+	rng := vec.NewRand(23)
+	for _, g := range []geometry{
+		benchGeometry(rng, dim, centres, perCentre),
+		hardGeometry(t, rng, dim, centres, perCentre),
+	} {
+		cache := mustFlat(t, dim, Options{Capacity: len(g.keys), Tolerance: g.tau})
+		for i, key := range g.keys {
+			cache.Put(key, []int{i})
+		}
+		index, err := vectordb.NewFlatFromVectors(g.corpus, vec.L2Distance)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var keyDims, vecDims, hits int
+		for qi, q := range g.queries {
+			// FlatCache.scanAdmissible, replayed.
+			best, bestDist := -1, float32(0)
+			want, wantDist := -1, float32(0)
+			for i, key := range g.keys {
+				maxDist := g.tau
+				if best >= 0 && bestDist < maxDist {
+					maxDist = bestDist
+				}
+				keyDims += dimsTouched(q, key, maxDist)
+				if d, ok := vec.L2Bounded(q, key, maxDist); ok && d <= g.tau && (best < 0 || d < bestDist) {
+					best, bestDist = i, d
+				}
+				if d := vec.L2(q, key); d <= g.tau && (want < 0 || d < wantDist) {
+					want, wantDist = i, d
+				}
+			}
+			docs, ok := cache.Get(q)
+			got := -1
+			if ok {
+				got = docs[0]
+				hits++
+			}
+			if got != want || best != want || (want >= 0 && bestDist != wantDist) {
+				t.Fatalf("%s query %d: cache served %d, replay %d at %v, brute force %d at %v",
+					g.name, qi, got, best, bestDist, want, wantDist)
+			}
+
+			// FlatIndex.scanL2, replayed: seed on the prefix, then the
+			// bounded pass under min(seeded bound, k-th best so far).
+			var seed, top vec.TopKBuffer
+			seed.Reset(k)
+			for id, v := range g.corpus {
+				seed.Push(id, vec.L2Squared(q[:prefix], v[:prefix]))
+			}
+			maxDist := float32(0)
+			for _, s := range seed.Result() {
+				maxDist = max(maxDist, vec.L2(q, g.corpus[s.ID]))
+			}
+			top.Reset(k)
+			for id, v := range g.corpus {
+				bound := min(maxDist, top.Worst())
+				vecDims += prefix + dimsTouched(q, v, bound)
+				if d, ok := vec.L2Bounded(q, v, bound); ok {
+					top.Push(id, d)
+				}
+			}
+			found, err := index.Search(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			brute := vec.TopKByDistance(q, g.corpus, k, vec.L2)
+			if !slices.Equal(found, brute) || !slices.Equal(top.Result(), brute) {
+				t.Fatalf("%s query %d: Search %v, replay %v, brute force %v", g.name, qi, found, top.Result(), brute)
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("%s: %d of %d queries hit; the scan's winning path went unexercised", g.name, hits, len(g.queries))
+		}
+		perKey := float64(keyDims) / float64(len(g.queries)*len(g.keys))
+		perVec := float64(vecDims) / float64(len(g.queries)*len(g.corpus))
+		t.Logf("%s geometry (dim %d, τ %.3f, %d keys, %d vectors, k %d): %.1f dims per cached key, %.1f dims per index vector (of which %d in the seeding pass)",
+			g.name, dim, g.tau, len(g.keys), len(g.corpus), k, perKey, perVec, prefix)
+		// The unbounded kernel reads dim per key; a scan that read as
+		// much has lost its bound.
+		if perKey >= dim || perVec >= dim+prefix {
+			t.Errorf("%s: early abandon saved nothing (%.1f per key, %.1f per vector)", g.name, perKey, perVec)
+		}
+	}
+}

@@ -116,7 +116,11 @@ type Stats struct {
 	Misses    int64 // lookups that fell through to the database
 	Puts      int64 // insertions
 	Evictions int64 // entries displaced by capacity pressure
-	DistComps int64 // key distance computations across all lookups
+	// DistComps counts the keys lookups examined: one per key a scan
+	// visits, whether its distance was finished or abandoned early once
+	// it provably exceeded the scan's threshold. It measures how many
+	// keys a lookup touches, not how many floats.
+	DistComps int64
 	HashOps   int64 // LSH hyperplane projections (LSHCache only)
 }
 

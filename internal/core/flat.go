@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -71,18 +72,18 @@ func (c *FlatCache) Get(q vec.Vector) ([]int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	scan := c.scanLocked(q)
-	if scan.admissible == nil {
+	e, _ := c.scanAdmissible(q)
+	if e == nil {
 		c.stats.Misses++
 		return nil, false
 	}
 	c.stats.Hits++
 	if c.opts.Policy == LRU {
-		c.order.MoveToBack(scan.admissible.elem)
+		c.order.MoveToBack(e.elem)
 	}
 	//proximity:allow hotpathalloc the budgeted caller-owned docs copy (Get's one allocation)
-	out := make([]int, len(scan.admissible.docs))
-	copy(out, scan.admissible.docs)
+	out := make([]int, len(e.docs))
+	copy(out, e.docs)
 	return out, true
 }
 
@@ -94,11 +95,8 @@ func (c *FlatCache) Get(q vec.Vector) ([]int, bool) {
 func (c *FlatCache) Peek(q vec.Vector) (dist float32, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	scan := c.scanLocked(q)
-	if scan.closest == nil {
-		return 0, false
-	}
-	return scan.closestDist, true
+	e, d := c.scanClosest(q)
+	return d, e != nil
 }
 
 // PeekAdmissible reports the distance to the closest cached key whose own
@@ -108,11 +106,8 @@ func (c *FlatCache) Peek(q vec.Vector) (dist float32, ok bool) {
 func (c *FlatCache) PeekAdmissible(q vec.Vector) (dist float32, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	scan := c.scanLocked(q)
-	if scan.admissible == nil {
-		return 0, false
-	}
-	return scan.admissibleDist, true
+	e, d := c.scanAdmissible(q)
+	return d, e != nil
 }
 
 // TierGet is the two-phase hot-tier lookup (see TierCache): it returns
@@ -127,16 +122,16 @@ func (c *FlatCache) TierGet(q vec.Vector) (TierHit, bool) {
 		return TierHit{}, false
 	}
 	c.mu.RLock()
-	scan := c.scanLocked(q)
-	if scan.admissible == nil {
+	e, d := c.scanAdmissible(q)
+	if e == nil {
 		c.mu.RUnlock()
 		return TierHit{}, false
 	}
 	//proximity:allow hotpathalloc the budgeted caller-owned docs copy (TierGet's one allocation)
-	docs := append([]int(nil), scan.admissible.docs...)
-	elem := scan.admissible.elem
+	docs := append([]int(nil), e.docs...)
+	elem := e.elem
 	c.mu.RUnlock()
-	return TierHit{Docs: docs, Dist: scan.admissibleDist, src: c, elem: elem}, true
+	return TierHit{Docs: docs, Dist: d, src: c, elem: elem}, true
 }
 
 // commitTierHit applies a won TierGet's deferred side effects: the hit
@@ -152,32 +147,58 @@ func (c *FlatCache) commitTierHit(elem *list.Element) {
 	}
 }
 
-// scanResult carries both views of a linear scan: the globally closest
-// entry (diagnostics, Peek) and the closest entry whose own tolerance
-// admits the query (the Algorithm 1 match).
-type scanResult struct {
-	closest        *flatEntry
-	closestDist    float32
-	admissible     *flatEntry
-	admissibleDist float32
-}
-
-// scanLocked performs the linear scan, charging one distance computation
-// per cached key. Ties keep the first-scanned entry, matching the paper's
-// min_by_dist. Callers hold mu at least for reading.
-func (c *FlatCache) scanLocked(q vec.Vector) scanResult {
-	var res scanResult
-	for _, e := range c.entries {
-		d := c.dist(q, e.key)
-		if res.closest == nil || d < res.closestDist {
-			res.closest, res.closestDist = e, d
+// scanAdmissible is the Algorithm 1 match: the closest entry whose own
+// tolerance admits q, found by a linear scan that charges one distance
+// computation per cached key. Ties keep the first-scanned entry, matching
+// the paper's min_by_dist. Callers hold mu at least for reading.
+//
+// Under L2 a key wins only with d ≤ its tolerance and d < the best so
+// far, so the kernel abandons it once its partial sum passes the smaller
+// of the two; a key that survives gets the distance the full kernel
+// gives, so the outcome is the unbounded scan's, bit for bit. Cosine and
+// inner product have no monotone partial sum and finish every key.
+func (c *FlatCache) scanAdmissible(q vec.Vector) (best *flatEntry, bestDist float32) {
+	if c.opts.Metric == vec.L2Distance {
+		for _, e := range c.entries {
+			maxDist := e.tol
+			if best != nil && bestDist < maxDist {
+				maxDist = bestDist
+			}
+			if d, ok := vec.L2Bounded(q, e.key, maxDist); ok && d <= e.tol && (best == nil || d < bestDist) {
+				best, bestDist = e, d
+			}
 		}
-		if d <= e.tol && (res.admissible == nil || d < res.admissibleDist) {
-			res.admissible, res.admissibleDist = e, d
+	} else {
+		for _, e := range c.entries {
+			if d := c.dist(q, e.key); d <= e.tol && (best == nil || d < bestDist) {
+				best, bestDist = e, d
+			}
 		}
 	}
 	c.distComps.Add(int64(len(c.entries)))
-	return res
+	return best, bestDist
+}
+
+// scanClosest is the diagnostic scan behind Peek: the closest entry
+// whatever its tolerance, with scanAdmissible's charging, tie-break and
+// locking. Under L2 the bound is the best distance so far.
+func (c *FlatCache) scanClosest(q vec.Vector) (best *flatEntry, bestDist float32) {
+	if c.opts.Metric == vec.L2Distance {
+		bestDist = float32(math.Inf(1))
+		for _, e := range c.entries {
+			if d, ok := vec.L2Bounded(q, e.key, bestDist); ok && (best == nil || d < bestDist) {
+				best, bestDist = e, d
+			}
+		}
+	} else {
+		for _, e := range c.entries {
+			if d := c.dist(q, e.key); best == nil || d < bestDist {
+				best, bestDist = e, d
+			}
+		}
+	}
+	c.distComps.Add(int64(len(c.entries)))
+	return best, bestDist
 }
 
 // Put inserts the query/documents pair under the cache-wide tolerance,

@@ -301,13 +301,31 @@ func (c *IndexedCache) scanExact(q vec.Vector) *indexedEntry {
 		if e == nil {
 			continue
 		}
-		d := c.dist(q, e.key)
-		if d <= e.tol && (best == nil || d < bestDist) {
+		d, ok := c.admissibleDist(q, e, best, bestDist)
+		if ok && (best == nil || d < bestDist) {
 			best, bestDist = e, d
 		}
 	}
 	c.stats.DistComps += int64(c.live)
 	return best
+}
+
+// admissibleDist is the exact distance from q to e's key, with ok=false
+// when e's tolerance does not admit q. Under L2 it also returns false,
+// without finishing the sum, once e is provably farther than the best
+// candidate so far; a candidate exactly as far still gets its distance,
+// so the callers' tie-breaks decide as they always did.
+func (c *IndexedCache) admissibleDist(q vec.Vector, e, best *indexedEntry, bestDist float32) (float32, bool) {
+	if c.opts.Metric != vec.L2Distance {
+		d := c.dist(q, e.key)
+		return d, d <= e.tol
+	}
+	maxDist := e.tol
+	if best != nil && bestDist < maxDist {
+		maxDist = bestDist
+	}
+	d, ok := vec.L2Bounded(q, e.key, maxDist)
+	return d, ok && d <= e.tol
 }
 
 // searchGraph runs the quantized beam search and exactly re-ranks every
@@ -330,8 +348,8 @@ func (c *IndexedCache) searchGraph(q vec.Vector) *indexedEntry {
 		if e == nil {
 			continue // tombstones are excluded by the graph; belt and braces
 		}
-		d := c.dist(q, e.key)
-		if d > e.tol {
+		d, ok := c.admissibleDist(q, e, best, bestDist)
+		if !ok {
 			continue
 		}
 		if best == nil || d < bestDist || (d == bestDist && e.id < best.id) {

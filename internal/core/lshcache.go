@@ -27,7 +27,7 @@ type LSHCache struct {
 	mu            sync.RWMutex
 	buckets       map[uint32]*FlatCache
 	hashOps       int64
-	missesOnEmpty int64 // lookups that found no match in any probed bucket
+	missesOnEmpty int64 // lookups that ended without a counted bucket lookup
 }
 
 var _ Cache = (*LSHCache)(nil)
@@ -115,28 +115,37 @@ func (c *LSHCache) Get(q vec.Vector) ([]int, bool) {
 	if q == nil {
 		return nil, false
 	}
+	b := c.winningBucket(q)
+	if b == nil {
+		// Count the miss so hit-rate accounting stays exact even
+		// though no bucket ran a counted lookup.
+		c.mu.Lock()
+		c.missesOnEmpty++
+		c.mu.Unlock()
+		return nil, false
+	}
+	// The counted lookup (touches LRU). After a multi-bucket ranking a
+	// concurrent eviction may turn it into a miss, which the bucket
+	// then counts itself.
+	return b.Get(q)
+}
+
+// winningBucket hashes q and returns the bucket its lookup should run
+// on, or nil when there is none. When the probe sequence holds a single
+// allocated bucket — always, at the default single probe — that bucket
+// is returned unscanned: the caller's lookup is then the only scan, and
+// the bucket counts the outcome. With several, each is ranked by its
+// closest admissible key (a read-locked scan) and the bucket holding the
+// overall closest wins; nil then means no probed bucket admits q.
+func (c *LSHCache) winningBucket(q vec.Vector) *FlatCache {
 	if c.probes == 1 {
 		sig := c.hasher.Hash(q)
 		c.mu.Lock()
 		c.hashOps += int64(c.hasher.Bits())
 		b := c.buckets[sig]
 		c.mu.Unlock()
-		if b == nil {
-			// Count the miss so hit-rate accounting stays exact
-			// even though no bucket was scanned.
-			c.mu.Lock()
-			c.missesOnEmpty++
-			c.mu.Unlock()
-			return nil, false
-		}
-		return b.Get(q)
+		return b
 	}
-	return c.getMultiProbe(q)
-}
-
-// getMultiProbe scans the probe sequence, then performs the recorded Get
-// on the bucket holding the overall closest key.
-func (c *LSHCache) getMultiProbe(q vec.Vector) ([]int, bool) {
 	probeSigs := c.hasher.ProbeSequence(q)[:c.probes]
 	c.mu.Lock()
 	c.hashOps += int64(c.hasher.Bits())
@@ -147,7 +156,9 @@ func (c *LSHCache) getMultiProbe(q vec.Vector) ([]int, bool) {
 		}
 	}
 	c.mu.Unlock()
-
+	if len(candidates) == 1 {
+		return candidates[0]
+	}
 	var (
 		best     *FlatCache
 		bestDist float32
@@ -157,16 +168,7 @@ func (c *LSHCache) getMultiProbe(q vec.Vector) ([]int, bool) {
 			best, bestDist = b, d
 		}
 	}
-	if best == nil {
-		c.mu.Lock()
-		c.missesOnEmpty++
-		c.mu.Unlock()
-		return nil, false
-	}
-	// Re-run as a counted Get on the winning bucket (touches LRU). A
-	// concurrent eviction may turn this into a miss, which is then
-	// counted by the bucket itself.
-	return best.Get(q)
+	return best
 }
 
 // TierGet is the two-phase hot-tier lookup (see TierCache): the probe
@@ -177,29 +179,11 @@ func (c *LSHCache) TierGet(q vec.Vector) (TierHit, bool) {
 	if q == nil {
 		return TierHit{}, false
 	}
-	probeSigs := c.hasher.ProbeSequence(q)[:c.probes]
-	c.mu.Lock()
-	c.hashOps += int64(c.hasher.Bits())
-	candidates := make([]*FlatCache, 0, len(probeSigs))
-	for _, sig := range probeSigs {
-		if b := c.buckets[sig]; b != nil {
-			candidates = append(candidates, b)
-		}
-	}
-	c.mu.Unlock()
-	var (
-		best     *FlatCache
-		bestDist float32
-	)
-	for _, b := range candidates {
-		if d, ok := b.PeekAdmissible(q); ok && (best == nil || d < bestDist) {
-			best, bestDist = b, d
-		}
-	}
-	if best == nil {
+	b := c.winningBucket(q)
+	if b == nil {
 		return TierHit{}, false
 	}
-	return best.TierGet(q)
+	return b.TierGet(q)
 }
 
 // Put hashes the query and inserts into its bucket under the cache-wide

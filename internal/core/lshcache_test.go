@@ -254,3 +254,86 @@ func TestLSHConcurrentAccess(t *testing.T) {
 		t.Error("counters missing operations")
 	}
 }
+
+// TestLSHScansWinningBucketOnce pins the scan count of a lookup: with
+// one allocated bucket among the probed signatures — always, at a single
+// probe — the counted lookup is the only scan, hit or miss, and the
+// bucket books the outcome; with several, each is ranked once and the
+// winner scanned again for the counted lookup, as before.
+func TestLSHScansWinningBucketOnce(t *testing.T) {
+	const (
+		dim    = 16
+		copies = 7
+	)
+	rng := vec.NewRand(5)
+	base := vec.Scale(vec.RandomUnit(rng, dim), 10)
+	// Same direction, so the same signature, but 10 away: a miss inside
+	// base's own bucket.
+	far := vec.Scale(vec.Clone(base), 2)
+	distComps := func(c *LSHCache, lookup func()) int64 {
+		before := c.Stats().DistComps
+		lookup()
+		return c.Stats().DistComps - before
+	}
+
+	for _, probes := range []int{1, 3} {
+		c := mustLSH(t, dim, LSHOptions{Bits: 4, Tolerance: 1, Seed: 1, Probes: probes})
+		for i := 0; i < copies; i++ {
+			c.Put(base, []int{i})
+		}
+		if c.BucketsUsed() != 1 {
+			t.Fatalf("probes %d: copies of one key fill %d buckets, want 1", probes, c.BucketsUsed())
+		}
+		for _, tc := range []struct {
+			name string
+			q    vec.Vector
+			hit  bool
+		}{{"hit", base, true}, {"miss", far, false}} {
+			if n := distComps(c, func() {
+				if _, ok := c.Get(tc.q); ok != tc.hit {
+					t.Errorf("probes %d: Get %s = %v", probes, tc.name, ok)
+				}
+			}); n != copies {
+				t.Errorf("probes %d: Get %s cost %d distance computations, want %d", probes, tc.name, n, copies)
+			}
+			if n := distComps(c, func() {
+				if _, ok := c.TierGet(tc.q); ok != tc.hit {
+					t.Errorf("probes %d: TierGet %s = %v", probes, tc.name, ok)
+				}
+			}); n != copies {
+				t.Errorf("probes %d: TierGet %s cost %d distance computations, want %d", probes, tc.name, n, copies)
+			}
+		}
+		// TierGet counts nothing until committed; each Get counted once.
+		if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
+			t.Errorf("probes %d: stats %+v, want one hit and one miss", probes, s)
+		}
+	}
+
+	// Two allocated buckets in the probe sequence: both ranked, then the
+	// counted lookup on the winner.
+	c := mustLSH(t, dim, LSHOptions{Bits: 4, Tolerance: 1, Seed: 1, Probes: 5})
+	for i := 0; i < copies; i++ {
+		c.Put(base, []int{i})
+	}
+	neighbours := c.hasher.ProbeSequence(base)[1:c.probes]
+	for c.BucketsUsed() < 2 {
+		k := vec.Scale(vec.RandomUnit(rng, dim), 10)
+		sig := c.hasher.Hash(k)
+		for _, n := range neighbours {
+			if sig == n {
+				c.Put(k, []int{-1})
+				break
+			}
+		}
+	}
+	if n := distComps(c, func() { c.Get(base) }); n != copies+1+copies {
+		t.Errorf("two candidates: hit cost %d distance computations, want %d", n, copies+1+copies)
+	}
+	if n := distComps(c, func() { c.Get(far) }); n != copies+1 {
+		t.Errorf("two candidates: miss cost %d distance computations, want %d", n, copies+1)
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("two candidates: stats %+v, want one hit and one miss", s)
+	}
+}

@@ -147,6 +147,13 @@ func (r *CachedRetriever) RetrieveContext(ctx context.Context, q vec.Vector) (Re
 	if q == nil {
 		return Result{}, errNilQuery
 	}
+	// A query of the wrong length is the caller's malformed input: it is
+	// refused here, before the cache's kernels (which panic on a length
+	// mismatch) or the searcher see it.
+	if dim := r.db.Dim(); len(q) != dim {
+		return Result{}, fmt.Errorf("core: query has %d dimensions, database has %d: %w",
+			len(q), dim, vec.ErrDimensionMismatch)
+	}
 	var res Result
 	tel := r.opts.Telemetry
 	trace := telemetry.FromContext(ctx)

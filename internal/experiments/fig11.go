@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -75,6 +76,9 @@ func (z *zeroDB) Vector(id int) (vec.Vector, error) {
 	return z.vec, nil
 }
 
+// fig11Repeats is how many times each Fig. 11 cell is timed per seed.
+const fig11Repeats = 3
+
 // Fig11LookupParams runs both grids. Cells run sequentially: wall-clock
 // microbenchmarks must not share the CPU.
 func (s *Suite) Fig11LookupParams() (*Fig11Result, error) {
@@ -103,24 +107,31 @@ func (s *Suite) Fig11LookupParams() (*Fig11Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			cache, err := s.newCache(spec, seed)
-			if err != nil {
-				return 0, err
+			// Host noise only ever inflates a wall-clock mean, so each
+			// cell is timed fig11Repeats times on a fresh cache and the
+			// minimum kept.
+			best := math.Inf(1)
+			for rep := 0; rep < fig11Repeats; rep++ {
+				cache, err := s.newCache(spec, seed)
+				if err != nil {
+					return 0, err
+				}
+				run, err := s.run(runSpec{
+					bench:      full,
+					db:         db,
+					w:          w,
+					cache:      cache,
+					k:          full.DefaultK,
+					rerank:     s.cfg.ZipfRerank,
+					source:     db,
+					answerSeed: seed,
+				})
+				if err != nil {
+					return 0, fmt.Errorf("experiments: fig11 cell %+v: %w", spec, err)
+				}
+				best = min(best, float64(run.MeanCacheLookup())/float64(time.Microsecond))
 			}
-			run, err := s.run(runSpec{
-				bench:      full,
-				db:         db,
-				w:          w,
-				cache:      cache,
-				k:          full.DefaultK,
-				rerank:     s.cfg.ZipfRerank,
-				source:     db,
-				answerSeed: seed,
-			})
-			if err != nil {
-				return 0, fmt.Errorf("experiments: fig11 cell %+v: %w", spec, err)
-			}
-			mean.Add(float64(run.MeanCacheLookup()) / float64(time.Microsecond))
+			mean.Add(best)
 		}
 		return mean.Mean(), nil
 	}

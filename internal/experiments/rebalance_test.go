@@ -41,8 +41,10 @@ func TestRebalanceABQuick(t *testing.T) {
 	if sa, aa := res.StaticPressure.Imbalance, res.AdaptivePressure.Imbalance; aa >= sa {
 		t.Errorf("adaptive imbalance %.2f not below static %.2f", aa, sa)
 	}
-	if res.Controller.LastOutcome.After >= res.Controller.LastOutcome.Before {
-		t.Errorf("migration did not improve imbalance: %+v", res.Controller.LastOutcome)
+	// LastActed, not LastOutcome: a later trigger that declines leaves
+	// After == Before by construction.
+	if acted := res.Controller.LastActed; acted.After >= acted.Before {
+		t.Errorf("migration did not improve imbalance: %+v", acted)
 	}
 	out := res.Render()
 	for _, want := range []string{

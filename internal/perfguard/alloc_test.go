@@ -7,7 +7,8 @@
 //
 // Budgets: hnsw.SearchInto is allocation-free in steady state;
 // FlatCache.Get, IndexedCache.Get, and the tiered hot-hit lookup are
-// allowed exactly their one documented caller-owned docs copy.
+// allowed exactly their one documented caller-owned docs copy, and
+// FlatIndex.Search — the miss path — its result slice.
 package perfguard
 
 import (
@@ -17,6 +18,7 @@ import (
 	"proximity/internal/hnsw"
 	"proximity/internal/tier"
 	"proximity/internal/vec"
+	"proximity/internal/vectordb"
 )
 
 const dim = 32
@@ -123,6 +125,29 @@ func TestTierHotHitBudget(t *testing.T) {
 	checkBudget(t, "TieredCache.Get (hot hit)", 1, func() {
 		if _, ok := tc.Get(q); !ok {
 			t.Fatal("expected a hot hit")
+		}
+	})
+}
+
+// TestFlatIndexSearchBudget pins the miss path's index scan: the result
+// slice is its only allocation — the selection heaps and the L2 seeding
+// scratch are pooled, and the final sort runs in place. The vectors are
+// wider than the seeding prefix so that pass runs too.
+func TestFlatIndexSearchBudget(t *testing.T) {
+	wide := func(i int) vec.Vector { return append(testVec(i), testVec(i+1)...) }
+	ix, err := vectordb.NewFlatIndex(2*dim, vec.L2Distance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		if err := ix.Add(wide(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := wide(17)
+	checkBudget(t, "FlatIndex.Search", 1, func() {
+		if _, err := ix.Search(q, 8); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

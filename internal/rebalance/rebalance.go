@@ -123,10 +123,13 @@ type Stats struct {
 	Declined   int64
 	Failures   int64
 	// LastSample is the most recent observation; LastOutcome the most
-	// recent actuator result (zero until the first trigger); LastError
-	// the most recent actuator failure message ("" if none).
+	// recent actuator result (zero until the first trigger); LastActed
+	// the most recent result that changed something, which a later
+	// declined trigger does not overwrite; LastError the most recent
+	// actuator failure message ("" if none).
 	LastSample  Sample
 	LastOutcome Outcome
+	LastActed   Outcome
 	LastError   string
 }
 
@@ -316,6 +319,7 @@ func (c *Controller) recordLocked(out Outcome, err error) {
 	case out.Acted:
 		c.stats.Rebalances++
 		c.stats.LastOutcome = out
+		c.stats.LastActed = out
 		c.stats.LastError = ""
 	default:
 		c.stats.Declined++

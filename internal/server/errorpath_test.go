@@ -10,6 +10,8 @@ import (
 	"proximity/internal/batch"
 	"proximity/internal/core"
 	"proximity/internal/embed"
+	"proximity/internal/shard"
+	"proximity/internal/tier"
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
 )
@@ -85,6 +87,81 @@ func TestRetrieveErrorStatus(t *testing.T) {
 	flaky.broken.Store(false)
 	if _, err := client.Retrieve(enc.Embed("aspirin dosage")); err != nil {
 		t.Fatalf("recovered backend: %v", err)
+	}
+}
+
+// TestWrongLengthQueryIs400: a query of the wrong dimensionality is
+// refused with 400 whatever cache sits in front of the database, on the
+// single and the batched endpoint, and the server keeps serving. With a
+// cache in place the query used to reach the cache's distance kernel (or
+// the LSH hasher), which panics on a length mismatch — on the batched
+// endpoint in a goroutine of its own, taking the process down.
+func TestWrongLengthQueryIs400(t *testing.T) {
+	const dim = 32
+	enc := embed.NewTokenHash(dim, 1)
+	good := enc.Embed("aspirin dosage")
+	caches := map[string]func() (core.Cache, error){
+		"flat": func() (core.Cache, error) {
+			return core.NewFlat(dim, core.Options{Capacity: 8, Tolerance: 1})
+		},
+		"lsh": func() (core.Cache, error) {
+			return core.NewLSH(dim, core.LSHOptions{Bits: 4, Tolerance: 1, Seed: 1})
+		},
+		"tiered": func() (core.Cache, error) {
+			return tier.New(dim, tier.Options{HotCapacity: 2, WarmCapacity: 8, Tolerance: 1, Dir: t.TempDir()})
+		},
+		"sharded-flat": func() (core.Cache, error) {
+			return shard.NewFlat(dim, 2, core.Options{Capacity: 8, Tolerance: 1}, 1)
+		},
+		"sharded-lsh": func() (core.Cache, error) {
+			return shard.NewLSH(dim, 2, core.LSHOptions{Bits: 4, Tolerance: 1, Seed: 1})
+		},
+	}
+	for name, newCache := range caches {
+		t.Run(name, func(t *testing.T) {
+			db, err := vectordb.NewFlatIndex(dim, vec.L2Distance)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Add(good); err != nil {
+				t.Fatal(err)
+			}
+			cache, err := newCache()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, ok := cache.(interface{ Close() error }); ok {
+				t.Cleanup(func() { c.Close() })
+			}
+			retr, err := core.NewCachedRetriever(cache, db, core.RetrieverOptions{K: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(Config{Retriever: retr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			client := NewClient(ts.URL)
+
+			// A resident entry, so a lookup has a key to measure against.
+			if _, err := client.Retrieve(good); err != nil {
+				t.Fatal(err)
+			}
+			var se *StatusError
+			for _, bad := range [][]float32{good[:dim-1], append(vec.Clone(good), 1)} {
+				if _, err := client.Retrieve(bad); !errors.As(err, &se) || se.Code != 400 {
+					t.Errorf("single, %d floats: got %v, want StatusError 400", len(bad), err)
+				}
+				if _, err := client.RetrieveBatch([][]float32{good, bad}); !errors.As(err, &se) || se.Code != 400 {
+					t.Errorf("batch, %d floats: got %v, want StatusError 400", len(bad), err)
+				}
+			}
+			if resp, err := client.Retrieve(good); err != nil || !resp.Hit {
+				t.Errorf("after the rejected queries: hit %v, err %v; want a hit", resp.Hit, err)
+			}
+		})
 	}
 }
 

@@ -409,14 +409,17 @@ func TestConcurrentMigration(t *testing.T) {
 		opsEach = 400
 	)
 	var gets, puts atomic.Int64
+	var migrated atomic.Bool // set once the first Reseed has returned
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := vec.NewRand(uint64(100 + g))
-			for i := 0; i < opsEach; i++ {
+			// Each worker issues at least opsEach ops and keeps going
+			// until one migration has completed, so a migration always
+			// overlaps traffic however fast the ops are.
+			for i := 0; i < opsEach || !migrated.Load(); i++ {
 				if i%3 == 0 {
 					c.Put(vec.RandomGaussian(rng, testDim), []int{i})
 					puts.Add(1)
@@ -428,13 +431,13 @@ func TestConcurrentMigration(t *testing.T) {
 		}(g)
 	}
 
-	// Migrations interleave with the traffic above.
-	wg.Add(1)
+	// Migrations interleave with the traffic above until it drains.
+	stop := make(chan struct{})
+	reseedDone := make(chan struct{})
 	var migrations int
 	go func() {
-		defer wg.Done()
-		seed := uint64(1000)
-		for {
+		defer close(reseedDone)
+		for seed := uint64(1000); ; seed++ {
 			select {
 			case <-stop:
 				return
@@ -442,28 +445,16 @@ func TestConcurrentMigration(t *testing.T) {
 			}
 			if _, err := c.Reseed(seed); err != nil {
 				t.Errorf("mid-traffic Reseed: %v", err)
+				migrated.Store(true) // release the workers
 				return
 			}
 			migrations++
-			seed++
+			migrated.Store(true)
 		}
 	}()
-
-	wgDone := make(chan struct{})
-	go func() {
-		// Close stop only after the traffic workers finish, so at least
-		// the migrations overlapping them count.
-		defer close(wgDone)
-		wg.Wait()
-	}()
-	// Let the traffic drain, then stop the migration loop.
-	for {
-		if gets.Load()+puts.Load() >= workers*opsEach {
-			break
-		}
-	}
+	wg.Wait()
 	close(stop)
-	<-wgDone
+	<-reseedDone
 
 	if migrations == 0 {
 		t.Fatal("no migration overlapped the traffic")

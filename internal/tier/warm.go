@@ -314,10 +314,16 @@ func (w *warmStore) lookup(q vec.Vector, bound float32) (best *warmEntry, bestD 
 			w.pruned++
 			continue
 		}
-		d := w.dist(q, w.slotView(e.slot))
+		// The same three limits bound the exact distance: the kernel
+		// abandons the record once its partial sum passes the smallest.
+		maxDist := min(e.tol, bound)
+		if best != nil {
+			maxDist = min(maxDist, bestD)
+		}
+		d, ok := vec.L2Bounded(q, w.slotView(e.slot), maxDist)
 		w.scanned++
 		w.comps++
-		if d <= e.tol && d < bound && (best == nil || d < bestD) {
+		if ok && d <= e.tol && d < bound && (best == nil || d < bestD) {
 			best, bestD = e, d
 		}
 	}

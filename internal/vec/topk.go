@@ -1,8 +1,8 @@
 package vec
 
 import (
-	"container/heap"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Scored pairs an item identifier with its distance to some query.
@@ -32,12 +32,9 @@ func TopK(items []Scored, k int) []Scored {
 	h := make(maxHeap, 0, k)
 	for _, it := range items {
 		if len(h) < k {
-			heap.Push(&h, it)
-			continue
-		}
-		if less(it, h[0]) {
-			h[0] = it
-			heap.Fix(&h, 0)
+			h.push(it)
+		} else if less(it, h[0]) {
+			h.replaceRoot(it)
 		}
 	}
 	out := []Scored(h)
@@ -69,23 +66,56 @@ func less(a, b Scored) bool {
 }
 
 func sortScored(s []Scored) {
-	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
+	slices.SortFunc(s, func(a, b Scored) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
-// maxHeap is a max-heap by (distance, ID) so the root is the worst
-// retained candidate.
+// maxHeap is a binary max-heap by (distance, ID), so the root is the
+// worst retained candidate. It is hand-rolled rather than container/heap
+// because heap.Push takes its item as an interface value: one boxing
+// allocation per retained candidate, on every search.
 type maxHeap []Scored
 
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return less(h[j], h[i]) }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(Scored)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push appends it and sifts it up to its place.
+func (h *maxHeap) push(it Scored) {
+	*h = append(*h, it)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !less(s[parent], s[i]) {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+// replaceRoot drops the root (the worst item) and inserts it in its
+// stead, sifting down.
+func (h maxHeap) replaceRoot(it Scored) {
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if child+1 < len(h) && less(h[child], h[child+1]) {
+			child++
+		}
+		if !less(it, h[child]) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = it
 }
 
 // TopKBuffer incrementally selects the k closest items from a stream of
@@ -139,12 +169,9 @@ func (b *TopKBuffer) Push(id int, dist float32) {
 	}
 	it := Scored{ID: id, Dist: dist}
 	if len(b.h) < b.k {
-		heap.Push(&b.h, it)
-		return
-	}
-	if less(it, b.h[0]) {
-		b.h[0] = it
-		heap.Fix(&b.h, 0)
+		b.h.push(it)
+	} else if less(it, b.h[0]) {
+		b.h.replaceRoot(it)
 	}
 }
 
@@ -154,6 +181,17 @@ func (b *TopKBuffer) PushDistances(query Vector, candidates []Vector, dist Dista
 	for i, c := range candidates {
 		b.Push(i, dist(query, c))
 	}
+}
+
+// Worst returns the distance a push must not exceed to be retained: the
+// current k-th smallest distance, or +Inf while fewer than k items are
+// held. A push at exactly Worst may still win its (distance, ID) tie, so
+// scans abandon a candidate only when it is strictly farther.
+func (b *TopKBuffer) Worst() float32 {
+	if len(b.h) < b.k || b.k == 0 {
+		return float32(math.Inf(1))
+	}
+	return b.h[0].Dist
 }
 
 // Len returns the number of retained items (≤ k).

@@ -4,10 +4,13 @@
 //
 // The paper's Rust implementation uses portable-simd for the Euclidean
 // distance computation on the cache's hot path (Algorithm 1, line 2). The
-// idiomatic Go equivalent is a 4-way unrolled scalar loop with
-// bounds-check elimination, which the compiler auto-vectorizes on amd64;
-// see BenchmarkVecKernels in the repository root for the measured gap
-// against the naive loop.
+// Go compiler does not auto-vectorize, so the kernels here are scalar: a
+// 4-way unrolled loop with bounds-check elimination, whose four
+// independent accumulators keep the floating-point add pipeline full.
+// Threshold scans (is some key within τ? is this vector among the k
+// nearest?) go through L2Bounded, which abandons a vector as soon as its
+// partial sum proves it out of range. See BenchmarkVecKernels in the
+// repository root for the measured gaps.
 package vec
 
 import (
@@ -54,9 +57,97 @@ func L2Squared(a, b Vector) float32 {
 	return s0 + s1 + s2 + s3
 }
 
+// boundStride is how many floats L2SquaredBounded accumulates between
+// two checks of the running sum against the bound.
+const boundStride = 16
+
+// L2SquaredBounded is L2Squared with early abandon: it returns ok=false
+// as soon as the running sum exceeds bound, checked every boundStride
+// floats and once at the end. The accumulators and the association of
+// their final sum are exactly L2Squared's, so with ok=true sum is
+// bit-identical to L2Squared(a, b). Every accumulator only ever grows
+// (a rounded add of a non-negative term never decreases it) and rounded
+// addition is monotone in each operand, so a checked partial sum never
+// exceeds the final one: ok=false proves L2Squared(a, b) > bound. A NaN
+// bound never abandons. It panics if the lengths differ.
+func L2SquaredBounded(a, b Vector, bound float32) (sum float32, ok bool) {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("vec: L2SquaredBounded dimension mismatch: %d vs %d", len(a), len(b)))
+	}
+	var s0, s1, s2, s3 float32
+	bb := b[:len(a)]
+	// One stride per iteration, written out: four rounds of the 4-way
+	// step with constant indices (no inner loop, no bounds checks), which
+	// keeps the never-abandoning case as fast as L2Squared.
+	for len(a) >= boundStride && len(bb) >= boundStride {
+		d0, d1, d2, d3 := a[0]-bb[0], a[1]-bb[1], a[2]-bb[2], a[3]-bb[3]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		d0, d1, d2, d3 = a[4]-bb[4], a[5]-bb[5], a[6]-bb[6], a[7]-bb[7]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		d0, d1, d2, d3 = a[8]-bb[8], a[9]-bb[9], a[10]-bb[10], a[11]-bb[11]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		d0, d1, d2, d3 = a[12]-bb[12], a[13]-bb[13], a[14]-bb[14], a[15]-bb[15]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		if sum = s0 + s1 + s2 + s3; sum > bound {
+			return sum, false
+		}
+		a, bb = a[boundStride:], bb[boundStride:]
+	}
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d0 := a[i] - bb[i]
+		d1 := a[i+1] - bb[i+1]
+		d2 := a[i+2] - bb[i+2]
+		d3 := a[i+3] - bb[i+3]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - bb[i]
+		s0 += d * d
+	}
+	sum = s0 + s1 + s2 + s3
+	return sum, !(sum > bound)
+}
+
 // L2 returns the Euclidean distance between a and b.
 func L2(a, b Vector) float32 {
 	return float32(math.Sqrt(float64(L2Squared(a, b))))
+}
+
+// L2Bounded is L2 for threshold scans: with ok=true, dist is
+// bit-identical to L2(a, b); ok=false proves L2(a, b) > maxDist, found
+// without finishing the sum. ok=true does not promise dist ≤ maxDist —
+// callers compare as they did with L2. A NaN maxDist never abandons.
+//
+// The kernel compares squared sums, so maxDist is squared in float64
+// and inflated by 2⁻²¹ (four float32 ulps). That covers the three
+// roundings between a sum s and the comparison it stands in for — the
+// float64 sqrt, its conversion to float32, and the bound's own
+// conversion: float32(sqrt(s)) ≤ maxDist implies s < next(maxDist)²
+// ≤ maxDist²·(1+2⁻²³)², and rounding is monotone. A subnormal or zero
+// maxDist yields bound 0, which only a zero sum meets, as required.
+func L2Bounded(a, b Vector, maxDist float32) (dist float32, ok bool) {
+	m := float64(maxDist)
+	sum, ok := L2SquaredBounded(a, b, float32(m*m*(1+0x1p-21)))
+	if !ok {
+		return 0, false
+	}
+	return float32(math.Sqrt(float64(sum))), true
 }
 
 // CheckedL2 is the error-returning variant of L2 for inputs that cross a

@@ -96,7 +96,7 @@ func (f *FlatIndex) SearchBatch(qs []vec.Vector, k int) ([][]vec.Scored, error) 
 	}
 	for id, v := range f.vectors {
 		for qi, q := range qs {
-			accs[qi].Push(id, f.dist(q, v))
+			offer(accs[qi], f.metric, f.dist, id, q, v)
 		}
 	}
 	out := make([][]vec.Scored, len(qs))

@@ -131,7 +131,7 @@ func (ix *IVFIndex) SearchProbe(q vec.Vector, k, nprobe int) ([]vec.Scored, erro
 	b.Reset(k)
 	for _, c := range ix.probeSet(q, nprobe) {
 		for _, id := range ix.lists[c] {
-			b.Push(id, ix.dist(q, ix.vectors[id]))
+			offer(b, ix.metric, ix.dist, id, q, ix.vectors[id])
 		}
 	}
 	out := b.Result()
@@ -208,7 +208,7 @@ func (ix *IVFIndex) SearchBatchProbe(qs []vec.Vector, k, nprobe int) ([][]vec.Sc
 		for _, id := range ix.lists[c] {
 			v := ix.vectors[id]
 			for _, qi := range qids {
-				accs[qi].Push(id, ix.dist(qs[qi], v))
+				offer(accs[qi], ix.metric, ix.dist, id, qs[qi], v)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ package vectordb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"proximity/internal/vec"
@@ -63,7 +64,32 @@ type FlatIndex struct {
 	dim     int
 	metric  vec.Metric
 	dist    vec.DistanceFunc
-	topk    sync.Pool // *vec.TopKBuffer, reused across Search calls
+	scratch sync.Pool // *flatScratch, reused across Search calls
+}
+
+// flatScratch is one Search call's working memory, O(k) and pooled.
+type flatScratch struct {
+	top   vec.TopKBuffer // the result selection
+	seed  vec.TopKBuffer // the k smallest prefix distances (L2 seeding)
+	seeds []vec.Scored   // seed's contents, read back
+}
+
+// seedPrefix is how many leading dimensions the seeding pass of an L2
+// Search ranks the corpus on.
+const seedPrefix = 32
+
+// offer scores v against q and pushes it into b under id — the step of
+// every top-k scan in this package. Under L2 the early-abandoning kernel
+// runs against b's current k-th distance: a vector proved strictly
+// farther would have been dropped by Push anyway, and one exactly as far
+// still reaches Push, which settles the (distance, ID) tie. Cosine and
+// inner product have no monotone partial sum and are always finished.
+func offer(b *vec.TopKBuffer, metric vec.Metric, dist vec.DistanceFunc, id int, q, v vec.Vector) {
+	if metric != vec.L2Distance {
+		b.Push(id, dist(q, v))
+	} else if d, ok := vec.L2Bounded(q, v, b.Worst()); ok {
+		b.Push(id, d)
+	}
 }
 
 var (
@@ -123,15 +149,51 @@ func (f *FlatIndex) Search(q vec.Vector, k int) ([]vec.Scored, error) {
 		return nil, fmt.Errorf("vectordb: query dim %d, index dim %d: %w",
 			len(q), f.dim, vec.ErrDimensionMismatch)
 	}
-	b, ok := f.topk.Get().(*vec.TopKBuffer)
+	s, ok := f.scratch.Get().(*flatScratch)
 	if !ok {
-		b = &vec.TopKBuffer{}
+		s = &flatScratch{}
 	}
-	b.Reset(k)
-	b.PushDistances(q, f.vectors, f.dist)
-	out := b.Result()
-	f.topk.Put(b)
+	s.top.Reset(k)
+	if f.metric == vec.L2Distance {
+		f.scanL2(q, k, s)
+	} else {
+		s.top.PushDistances(q, f.vectors, f.dist)
+	}
+	out := s.top.Result()
+	f.scratch.Put(s)
 	return out, nil
+}
+
+// scanL2 fills s.top with q's k nearest vectors, abandoning each
+// distance once it provably exceeds the k-th best known. A scan that
+// learns that bound only from what it has pushed finishes almost every
+// vector until it happens upon q's neighbourhood, so the bound is seeded
+// first: a pass over the first seedPrefix dimensions keeps the k vectors
+// closest on that prefix, and the largest of their full distances is a
+// bound from the first vector on. The seeds are a guess — exactness does
+// not depend on them: k vectors are known to lie within the seeded
+// bound, so a vector strictly beyond it is not among the k nearest
+// whatever the ties, and every other vector is pushed with its exact
+// distance. An uninformative prefix costs seedPrefix/dim extra work.
+func (f *FlatIndex) scanL2(q vec.Vector, k int, s *flatScratch) {
+	maxDist := float32(math.Inf(1))
+	if f.dim > seedPrefix && k < len(f.vectors) {
+		s.seed.Reset(k)
+		prefix := q[:seedPrefix]
+		for id, v := range f.vectors {
+			s.seed.Push(id, vec.L2Squared(prefix, v[:seedPrefix]))
+		}
+		s.seeds = s.seed.AppendResult(s.seeds[:0])
+		maxDist = 0
+		for _, seed := range s.seeds {
+			maxDist = max(maxDist, vec.L2(q, f.vectors[seed.ID]))
+		}
+	}
+	for id, v := range f.vectors {
+		if d, ok := vec.L2Bounded(q, v, min(maxDist, s.top.Worst())); ok {
+			s.top.Push(id, d)
+		}
+	}
 }
 
 // Dim returns the indexed dimensionality.

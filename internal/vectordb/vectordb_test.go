@@ -2,6 +2,8 @@ package vectordb
 
 import (
 	"errors"
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -143,6 +145,97 @@ func TestFlatSearchIsExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// bruteForce is the reference ranking: every distance finished with the
+// plain kernel, sorted by (distance, ID), cut at k. It shares nothing
+// with the scans under test but vec.L2.
+func bruteForce(q vec.Vector, corpus []vec.Vector, k int) []vec.Scored {
+	all := make([]vec.Scored, len(corpus))
+	for id, v := range corpus {
+		all[id] = vec.Scored{ID: id, Dist: vec.L2(q, v)}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Dist < all[j].Dist })
+	return all[:min(k, len(all))]
+}
+
+func sameRanking(a, b []vec.Scored) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float32bits(a[i].Dist) != math.Float32bits(b[i].Dist) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestL2ScansMatchBruteForce holds every early-abandoning L2 scan —
+// Search with its seeded bound, SearchBatch, and an IVF index probing all
+// of its cells — to the reference ranking: same IDs, same distance bits,
+// same order. Dimensions run below, at and above the seeding prefix;
+// corpora include duplicated vectors and one whose every vector is
+// exactly as far from the query as every other, where any abandon on
+// "not strictly farther" or any lost (distance, ID) tie-break shows.
+func TestL2ScansMatchBruteForce(t *testing.T) {
+	rng := vec.NewRand(7)
+	for _, dim := range []int{5, seedPrefix, seedPrefix + 1, 40, 100} {
+		random := make([]vec.Vector, 60)
+		for i := range random {
+			random[i] = vec.RandomGaussian(rng, dim)
+		}
+		var duplicated, equidistant []vec.Vector
+		for i := 0; i < 50; i++ {
+			duplicated = append(duplicated, random[i%10])
+		}
+		for i := 0; i < dim; i++ { // ±3 along every axis: all 3 from the origin, exactly
+			for _, r := range []float32{3, -3} {
+				v := make(vec.Vector, dim)
+				v[i] = r
+				equidistant = append(equidistant, v)
+			}
+		}
+		for name, corpus := range map[string][]vec.Vector{
+			"random": random, "duplicated": duplicated, "equidistant": equidistant,
+		} {
+			n := len(corpus)
+			flat, err := NewFlatFromVectors(corpus, vec.L2Distance)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ivf, err := BuildIVF(corpus, vec.L2Distance, IVFConfig{NList: 4, NProbe: 4, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs := []vec.Vector{vec.RandomGaussian(rng, dim), corpus[n/2], make(vec.Vector, dim)}
+			for _, k := range []int{1, 4, n, n + 3} {
+				batch, err := flat.SearchBatch(qs, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi, q := range qs {
+					want := bruteForce(q, corpus, k)
+					single, err := flat.Search(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cells, err := ivf.SearchProbe(q, k, ivf.NList())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for scan, got := range map[string][]vec.Scored{
+						"Search": single, "SearchBatch": batch[qi], "IVF, all cells": cells,
+					} {
+						if !sameRanking(got, want) {
+							t.Fatalf("dim %d, %s corpus, k %d, query %d: %s\n got %v\nwant %v",
+								dim, name, k, qi, scan, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -150,7 +150,15 @@
 //   - FLAT: exact and allocation-light; the right default below a few
 //     thousand entries, where a scan beats every index's fixed
 //     overhead (the indexed cache itself falls back to a scan below
-//     IndexedOptions.Crossover, default 128).
+//     IndexedOptions.Crossover, default 128). Under L2 the scan stops
+//     each key's distance as soon as it provably exceeds τ, so its cost
+//     tracks how crowded the keys are around τ rather than c·d: on
+//     BenchmarkIndexedCache's spread-out keys (d=128) the scan's
+//     break-even against the graph moved from about 1k to about 8k
+//     entries. The Crossover default stays at 128 — a floor that also
+//     holds for cosine and inner product, which cannot stop early, and
+//     for key sets crowded within a few τ, where the scan saves several
+//     times less; raise it when the keys are spread.
 //   - LSH: constant-time lookups at any capacity, but hit quality
 //     depends on bucket geometry — near-τ pairs can land in different
 //     buckets, and fixed-capacity buckets evict under skew.
