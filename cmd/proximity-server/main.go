@@ -16,7 +16,9 @@
 //	                 [-rebalance-threshold T]
 //
 // Endpoints: POST /v1/query {"text": ...}, POST /v1/retrieve
-// {"embedding": [...]}, POST /v1/retrieve/batch {"embeddings": [[...]]},
+// {"embedding": [...]}, POST /v1/retrieve/batch {"embeddings": [[...]]}
+// (both also as raw little-endian float32 under Content-Type
+// application/x-proximity-f32 — see "Wire format" in package proximity),
 // GET /v1/stats, POST /v1/flush, POST /v1/rebalance, GET /healthz,
 // GET /v1/healthz (build info), GET /metrics (Prometheus text),
 // GET /v1/traces (recent sampled traces), and — with -pprof —

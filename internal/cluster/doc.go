@@ -45,10 +45,28 @@
 // batch.Collector (the generic gather/flush engine extracted from the
 // miss-coalescing pipeline), which gathers concurrent requests for up to
 // MaxBatch/BatchTimeout and flushes them as ONE /v1/retrieve/batch call.
-// This amortizes the HTTP round trip and JSON codec the same way the
-// in-process pipeline amortizes index traversals, and it composes with
-// the node-side pipeline: a batched arrival burst reaches the node's own
+// This amortizes the HTTP round trip the same way the in-process
+// pipeline amortizes index traversals, and it composes with the
+// node-side pipeline: a batched arrival burst reaches the node's own
 // coalescer/queues intact.
+//
+// # Wire format
+//
+// Both hops to a node — the batched flush and the direct, traced
+// /v1/retrieve — carry embeddings as Content-Type
+// application/x-proximity-f32: little-endian float32 components with no
+// framing, the batch's vectors back to back. The node frames by length
+// (exactly 4·dim bytes for one vector, a non-zero multiple of 4·dim and
+// at most 256 vectors for a batch; anything else is a 400 dimension
+// mismatch) and refuses NaN and ±Inf components with a 400, so a router
+// bug cannot plant an unmatchable key in a node's cache; both are 4xx
+// and therefore not retried on the next replica. Replies are JSON. Nodes
+// still accept JSON requests, so a node can be probed by hand with
+// either:
+//
+//	curl --data-binary @query.f32 -H 'Content-Type: application/x-proximity-f32' \
+//		http://node:8081/v1/retrieve
+//	curl -d '{"embedding":[0.12,-0.5,...]}' http://node:8081/v1/retrieve
 //
 // # Dropping into the retrieval path
 //

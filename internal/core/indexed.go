@@ -159,7 +159,11 @@ type IndexedCache struct {
 	reranks     int64 // exact re-rank distance computations (graph path)
 	bruteScans  int64 // lookups served by the sub-crossover linear scan
 	repairNanos int64 // cumulative time spent in scheduled maintenance passes
-	candBuf     []vec.Scored
+	// cleared carries the counters owned by the graphs Clear has dropped
+	// (hops, searches, slot-reuse and repair work), so IndexStats never
+	// runs backwards; only those fields of it are read.
+	cleared IndexStats
+	candBuf []vec.Scored
 }
 
 type indexedEntry struct {
@@ -580,28 +584,33 @@ var _ IndexStatser = (*IndexedCache)(nil)
 func (c *IndexedCache) IndexStats() IndexStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.indexStatsLocked()
+}
+
+func (c *IndexedCache) indexStatsLocked() IndexStats {
 	m := c.graph.Maintenance()
 	return IndexStats{
 		Nodes:           c.live,
 		Slots:           c.graph.Slots(),
 		Tombstones:      c.graph.Tombstones(),
-		GraphHops:       c.graph.Hops(),
+		GraphHops:       c.cleared.GraphHops + c.graph.Hops(),
 		Reranks:         c.reranks,
 		BruteScans:      c.bruteScans,
-		Searches:        c.graph.Searches(),
-		ReusedSlots:     m.ReusedSlots,
-		SeveredInEdges:  m.SeveredInEdges,
-		ReroutedInEdges: m.ReroutedInEdges,
-		DroppedInRefs:   m.DroppedInRefs,
-		RepairPasses:    m.RepairPasses,
-		RepairedNodes:   m.RepairedNodes,
+		Searches:        c.cleared.Searches + c.graph.Searches(),
+		ReusedSlots:     c.cleared.ReusedSlots + m.ReusedSlots,
+		SeveredInEdges:  c.cleared.SeveredInEdges + m.SeveredInEdges,
+		ReroutedInEdges: c.cleared.ReroutedInEdges + m.ReroutedInEdges,
+		DroppedInRefs:   c.cleared.DroppedInRefs + m.DroppedInRefs,
+		RepairPasses:    c.cleared.RepairPasses + m.RepairPasses,
+		RepairedNodes:   c.cleared.RepairedNodes + m.RepairedNodes,
 		PendingRepair:   m.PendingRepair,
 		RepairNanos:     c.repairNanos,
 	}
 }
 
 // Clear drops all entries and rebuilds an empty graph (same seed and
-// parameters), preserving counters.
+// parameters), preserving counters: the old graph's are folded into
+// cleared before it goes.
 func (c *IndexedCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -609,6 +618,7 @@ func (c *IndexedCache) Clear() {
 	if err != nil {
 		panic(fmt.Sprintf("core: rebuilding graph with validated config: %v", err))
 	}
+	c.cleared = c.indexStatsLocked()
 	c.graph = graph
 	c.entries = nil
 	c.live = 0

@@ -28,6 +28,7 @@ type LSHCache struct {
 	buckets       map[uint32]*FlatCache
 	hashOps       int64
 	missesOnEmpty int64 // lookups that ended without a counted bucket lookup
+	cleared       Stats // counters of the buckets Clear has dropped
 }
 
 var _ Cache = (*LSHCache)(nil)
@@ -265,7 +266,16 @@ func (c *LSHCache) RelativeOccupancy() float64 {
 func (c *LSHCache) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var agg Stats
+	agg := c.bucketStatsLocked()
+	agg.Misses += c.missesOnEmpty
+	agg.HashOps = c.hashOps
+	return agg
+}
+
+// bucketStatsLocked sums the per-bucket counters, of the live buckets
+// and of those Clear dropped.
+func (c *LSHCache) bucketStatsLocked() Stats {
+	agg := c.cleared
 	for _, b := range c.buckets {
 		s := b.Stats()
 		agg.Hits += s.Hits
@@ -274,8 +284,6 @@ func (c *LSHCache) Stats() Stats {
 		agg.Evictions += s.Evictions
 		agg.DistComps += s.DistComps
 	}
-	agg.Misses += c.missesOnEmpty
-	agg.HashOps = c.hashOps
 	return agg
 }
 
@@ -313,10 +321,11 @@ func (c *LSHCache) Keys() []vec.Vector {
 	return out
 }
 
-// Clear drops all buckets (counters for per-bucket stats are dropped with
-// them; the empty-bucket miss counter is preserved).
+// Clear drops all buckets, folding their counters into cleared first so
+// that Stats survives as the Cache contract promises.
 func (c *LSHCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.cleared = c.bucketStatsLocked()
 	c.buckets = make(map[uint32]*FlatCache)
 }

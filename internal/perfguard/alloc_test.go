@@ -7,15 +7,21 @@
 //
 // Budgets: hnsw.SearchInto is allocation-free in steady state;
 // FlatCache.Get, IndexedCache.Get, and the tiered hot-hit lookup are
-// allowed exactly their one documented caller-owned docs copy, and
-// FlatIndex.Search — the miss path — its result slice.
+// allowed exactly their one documented caller-owned docs copy,
+// FlatIndex.Search — the miss path — its result slice, and
+// server.DecodeF32 — every HTTP request — the embedding it returns.
 package perfguard
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
 	"testing"
 
 	"proximity/internal/core"
 	"proximity/internal/hnsw"
+	"proximity/internal/server"
 	"proximity/internal/tier"
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
@@ -148,6 +154,26 @@ func TestFlatIndexSearchBudget(t *testing.T) {
 	checkBudget(t, "FlatIndex.Search", 1, func() {
 		if _, err := ix.Search(q, 8); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestDecodeF32Budget pins the wire decoder at the benchmark's width: a
+// 768-d body costs the returned embedding and nothing else — the byte
+// buffer is pooled and the http.MaxBytesReader in front of it stays on
+// the stack.
+func TestDecodeF32Budget(t *testing.T) {
+	const wireDim = 768
+	wire := make([]byte, 0, 4*wireDim)
+	for i := 0; i < wireDim; i++ {
+		wire = binary.LittleEndian.AppendUint32(wire, math.Float32bits(float32(i)/wireDim))
+	}
+	r := bytes.NewReader(wire)
+	body := io.NopCloser(r)
+	checkBudget(t, "server.DecodeF32", 1, func() {
+		r.Reset(wire)
+		if q, err := server.DecodeF32(nil, body, wireDim, 1); err != nil || len(q) != wireDim {
+			t.Fatalf("%d floats, err %v", len(q), err)
 		}
 	})
 }

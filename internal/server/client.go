@@ -51,10 +51,11 @@ func NewClientWithTimeout(base string, timeout time.Duration) *Client {
 	}
 }
 
-// Retrieve fetches documents for a pre-computed embedding.
+// Retrieve fetches documents for a pre-computed embedding, which travels
+// as a ContentTypeF32 body.
 func (c *Client) Retrieve(embedding []float32) (RetrieveResponse, error) {
 	var out RetrieveResponse
-	err := c.post("/v1/retrieve", RetrieveRequest{Embedding: embedding}, &out)
+	_, err := c.do("/v1/retrieve", ContentTypeF32, encodeF32(embedding), 0, &out)
 	return out, err
 }
 
@@ -65,38 +66,11 @@ func (c *Client) Retrieve(embedding []float32) (RetrieveResponse, error) {
 // degrades to a plain Retrieve.
 func (c *Client) RetrieveTraced(embedding []float32, traceID uint64) (RetrieveResponse, []telemetry.Span, error) {
 	var out RetrieveResponse
-	body, err := json.Marshal(RetrieveRequest{Embedding: embedding})
-	if err != nil {
-		return out, nil, fmt.Errorf("client: marshal: %w", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, c.base+"/v1/retrieve", bytes.NewReader(body))
-	if err != nil {
-		return out, nil, fmt.Errorf("client: request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceID != 0 {
-		req.Header.Set(telemetry.TraceHeader, telemetry.FormatTraceID(traceID))
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return out, nil, fmt.Errorf("client: /v1/retrieve: %w", err)
-	}
-	defer drainClose(resp.Body)
+	hdr, err := c.do("/v1/retrieve", ContentTypeF32, encodeF32(embedding), traceID, &out)
 	// Span decode failures are dropped, not fatal: the retrieval result
 	// matters more than its timeline.
-	spans, _ := telemetry.UnmarshalSpans(resp.Header.Get(telemetry.TraceSpanHeader))
-	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{Code: resp.StatusCode, Path: "/v1/retrieve"}
-		var e errorResponse
-		if decodeErr := json.NewDecoder(resp.Body).Decode(&e); decodeErr == nil {
-			se.Msg = e.Error
-		}
-		return out, spans, se
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, spans, fmt.Errorf("client: /v1/retrieve decode: %w", err)
-	}
-	return out, spans, nil
+	spans, _ := telemetry.UnmarshalSpans(hdr)
+	return out, spans, err
 }
 
 // Traces fetches up to n recent sampled traces (n <= 0: all buffered).
@@ -156,10 +130,17 @@ func (c *Client) Metrics() (string, error) {
 
 // RetrieveBatch fetches documents for several embeddings in one call; the
 // results are parallel to embeddings. A failure of any element fails the
-// whole batch.
+// whole batch. The embeddings travel as one ContentTypeF32 body; a batch
+// that format cannot frame (see sameLength) goes as JSON, so that the
+// server can name the element it refuses.
 func (c *Client) RetrieveBatch(embeddings [][]float32) (BatchRetrieveResponse, error) {
 	var out BatchRetrieveResponse
-	err := c.post("/v1/retrieve/batch", BatchRetrieveRequest{Embeddings: embeddings}, &out)
+	var err error
+	if sameLength(embeddings) {
+		_, err = c.do("/v1/retrieve/batch", ContentTypeF32, encodeF32(embeddings...), 0, &out)
+	} else {
+		err = c.post("/v1/retrieve/batch", BatchRetrieveRequest{Embeddings: embeddings}, &out)
+	}
 	if err == nil && len(out.Results) != len(embeddings) {
 		return out, fmt.Errorf("client: /v1/retrieve/batch: %d results for %d embeddings",
 			len(out.Results), len(embeddings))
@@ -227,23 +208,41 @@ func (c *Client) post(path string, in, out interface{}) error {
 	if err != nil {
 		return fmt.Errorf("client: marshal: %w", err)
 	}
-	resp, err := c.http.Post(c.base+path, "application/json", bytes.NewReader(body))
+	_, err = c.do(path, "application/json", body, 0, out)
+	return err
+}
+
+// do posts body and decodes a 200 reply into out; any other status is a
+// *StatusError. A non-zero traceID rides the propagation header. The
+// node's span header comes back raw, beside an error too (a failed
+// attempt belongs on the timeline); only RetrieveTraced decodes it.
+func (c *Client) do(path, contentType string, body []byte, traceID uint64, out interface{}) (string, error) {
+	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
+		return "", fmt.Errorf("client: request: %w", err)
+	}
+	req.Header.Set("Content-Type", contentType)
+	if traceID != 0 {
+		req.Header.Set(telemetry.TraceHeader, telemetry.FormatTraceID(traceID))
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return "", fmt.Errorf("client: %s: %w", path, err)
 	}
 	defer drainClose(resp.Body)
+	spanHeader := resp.Header.Get(telemetry.TraceSpanHeader)
 	if resp.StatusCode != http.StatusOK {
 		se := &StatusError{Code: resp.StatusCode, Path: path}
 		var e errorResponse
 		if decodeErr := json.NewDecoder(resp.Body).Decode(&e); decodeErr == nil {
 			se.Msg = e.Error
 		}
-		return se
+		return spanHeader, se
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("client: %s decode: %w", path, err)
+		return spanHeader, fmt.Errorf("client: %s decode: %w", path, err)
 	}
-	return nil
+	return spanHeader, nil
 }
 
 // drainMax bounds how much of an unread body drainClose will consume

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"mime"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -73,6 +74,7 @@ type Server struct {
 	mux *http.ServeMux
 	tel *telemetry.Telemetry
 	log *slog.Logger
+	dim int // the database's; sizes body limits and frames binary bodies
 }
 
 // New validates the config and builds the routes.
@@ -80,7 +82,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Retriever == nil {
 		return nil, errors.New("server: retriever is required")
 	}
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), tel: cfg.Telemetry, log: cfg.Logger}
+	s := &Server{cfg: cfg, mux: http.NewServeMux(), tel: cfg.Telemetry, log: cfg.Logger,
+		dim: cfg.Retriever.DB().Dim()}
+	if s.dim <= 0 {
+		return nil, fmt.Errorf("server: database reports dimension %d", s.dim)
+	}
 	if s.tel == nil {
 		s.tel = cfg.Retriever.Telemetry()
 	}
@@ -222,6 +228,23 @@ func (s *Server) registerMetrics() {
 // Handler returns the HTTP handler for mounting into a custom server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// newHTTPServer is the one place the edge's time limits are set. A peer
+// gets 5 s to send its headers and 30 s for the whole request (the
+// largest batch body is under 1 MB); a reply gets 90 s, which leaves
+// room for a full batch of misses and for pprof's 30 s default profile;
+// an idle keep-alive connection is dropped after 120 s, later than the
+// 90 s at which net/http clients drop theirs, so a client never reuses a
+// connection this side has just closed.
+func (s *Server) newHTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      90 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+}
+
 // ListenAndServe starts serving on addr, returning the bound listener
 // address through the ready callback (useful with addr ":0").
 func (s *Server) ListenAndServe(addr string, ready func(boundAddr string)) error {
@@ -232,8 +255,7 @@ func (s *Server) ListenAndServe(addr string, ready func(boundAddr string)) error
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
-	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
-	return srv.Serve(ln)
+	return s.newHTTPServer().Serve(ln)
 }
 
 // Listen binds addr (use "127.0.0.1:0" for an ephemeral loopback port)
@@ -246,12 +268,14 @@ func (s *Server) Listen(addr string) (bound string, stop func() error, err error
 	if err != nil {
 		return "", nil, fmt.Errorf("server: listen: %w", err)
 	}
-	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := s.newHTTPServer()
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Close, nil
 }
 
-// RetrieveRequest asks for the nearest documents to an embedding.
+// RetrieveRequest asks for the nearest documents to an embedding. It is
+// the JSON encoding of a /v1/retrieve body; the ContentTypeF32 encoding
+// is the same embedding as 4·dim raw bytes.
 type RetrieveRequest struct {
 	Embedding []float32 `json:"embedding"`
 }
@@ -276,7 +300,8 @@ type RetrieveResponse struct {
 // gathered batch. Elements are served concurrently (so they reach a
 // node-side miss-coalescing pipeline together); results stay parallel to
 // the request, but elements of one batch observe no ordering among
-// themselves.
+// themselves. This is the JSON encoding of a /v1/retrieve/batch body;
+// under ContentTypeF32 the embeddings follow each other with no framing.
 type BatchRetrieveRequest struct {
 	Embeddings [][]float32 `json:"embeddings"`
 }
@@ -448,15 +473,18 @@ type statsSnapshotter interface {
 
 func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
 	var req RetrieveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	embedding, ok := s.readEmbeddings(w, r, 1, &req)
+	if !ok {
 		return
 	}
-	if len(req.Embedding) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("embedding is required"))
-		return
+	if embedding == nil {
+		if len(req.Embedding) == 0 {
+			httpError(w, http.StatusBadRequest, errors.New("embedding is required"))
+			return
+		}
+		embedding = req.Embedding
 	}
-	s.retrieve(w, r, req.Embedding)
+	s.retrieve(w, r, embedding)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -465,8 +493,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeJSON(w, r, jsonBodyLimit(s.dim, 1), &req); err != nil {
+		httpError(w, bodyStatus(err), err)
 		return
 	}
 	if req.Text == "" {
@@ -478,9 +506,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRetrieveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	flat, ok := s.readEmbeddings(w, r, MaxBatchElements, &req)
+	if !ok {
 		return
+	}
+	if flat != nil {
+		// Full slice expressions: an append by a later stage must not run
+		// into the next element.
+		req.Embeddings = make([][]float32, len(flat)/s.dim)
+		for i := range req.Embeddings {
+			req.Embeddings[i] = flat[i*s.dim : (i+1)*s.dim : (i+1)*s.dim]
+		}
 	}
 	if len(req.Embeddings) == 0 {
 		httpError(w, http.StatusBadRequest, errors.New("at least one embedding is required"))
@@ -531,6 +567,60 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// readEmbeddings decodes the body of a retrieve request in the encoding
+// its Content-Type names. A ContentTypeF32 body comes back as the flat
+// result of DecodeF32; a JSON body (application/json, no Content-Type, or
+// the form type `curl -d` sends unasked) is decoded into jsonReq and the
+// result is nil. On failure the error response is already written: 415
+// for any other Content-Type, 413 for a body over the limit, 400 for
+// the rest.
+func (s *Server) readEmbeddings(w http.ResponseWriter, r *http.Request, maxVecs int, jsonReq any) ([]float32, bool) {
+	ct := r.Header.Get("Content-Type")
+	if ct == ContentTypeF32 {
+		flat, err := DecodeF32(w, r.Body, s.dim, maxVecs)
+		if err != nil {
+			httpError(w, bodyStatus(err), err)
+		}
+		return flat, err == nil
+	}
+	if ct != "" {
+		switch mt, _, _ := mime.ParseMediaType(ct); mt {
+		case "application/json", "application/x-www-form-urlencoded":
+		default:
+			httpError(w, http.StatusUnsupportedMediaType,
+				fmt.Errorf("content type %q: want %s or application/json", ct, ContentTypeF32))
+			return nil, false
+		}
+	}
+	if err := decodeJSON(w, r, jsonBodyLimit(s.dim, maxVecs), jsonReq); err != nil {
+		httpError(w, bodyStatus(err), err)
+		return nil, false
+	}
+	return nil, true
+}
+
+// jsonBodyLimit bounds a JSON request of n embeddings: 32 bytes per
+// component (a float64 printed in full is 25) plus slack for the
+// envelope, and for the text of a /v1/query.
+func jsonBodyLimit(dim, n int) int { return 32*dim*n + 4096 }
+
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(limit))).Decode(v); err != nil {
+		return fmt.Errorf("decode request: %w", err)
+	}
+	return nil
+}
+
+// bodyStatus classifies a request-body error: over the size limit is
+// 413, anything else the caller's malformed input.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // retrieveStatus classifies a Retriever.Retrieve error: only failures the

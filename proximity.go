@@ -102,6 +102,34 @@
 // `proximity-bench -experiment loadtest -cluster N` for the loopback
 // A/B against single-process sharding.
 //
+// # Wire format
+//
+// The LSH cache answers in microseconds, so what a hit costs over HTTP
+// is the embedding's trip through the request body. POST /v1/retrieve
+// and POST /v1/retrieve/batch therefore take two request encodings,
+// chosen by Content-Type; the response is JSON either way.
+//
+//   - application/x-proximity-f32: the components as little-endian
+//     float32, nothing else — 3 072 bytes at dim 768 where the JSON
+//     array is about 8.4 KB. The server knows dim from its database, so
+//     length is the framing: a single request is exactly 4·dim bytes, a
+//     batch a non-zero multiple of 4·dim (at most 256 vectors, back to
+//     back). Any other length is a 400 (dimension mismatch), a NaN or
+//     ±Inf component is a 400 — a NaN distance would silently fail every
+//     d ≤ τ test — and a body more than one vector over the largest
+//     valid one is a 413. The bundled HTTP client, and through it the
+//     cluster router, always sends this.
+//   - application/json (also no Content-Type, or what a bare `curl -d`
+//     sends): {"embedding": [...]} / {"embeddings": [[...], ...]} as
+//     before, now read through a size limit derived from dim (413 beyond
+//     it). Any other Content-Type is a 415.
+//
+// By hand, for a server on :8080 (query.f32 holding dim float32s):
+//
+//	curl --data-binary @query.f32 -H 'Content-Type: application/x-proximity-f32' \
+//		http://127.0.0.1:8080/v1/retrieve
+//	curl -d '{"embedding":[0.12,-0.5,...]}' http://127.0.0.1:8080/v1/retrieve
+//
 // # Adaptive shard rebalancing
 //
 // A skewed (Zipf-like) query stream can concentrate LSH signatures on a
