@@ -444,6 +444,45 @@ func BenchmarkIndexSearch(b *testing.B) {
 			}
 		}
 	})
+	// Gaussian vectors have no neighbourhood for the flat scan's seeding
+	// pass to find; the repo benchmark's geometry (bench/gen.go) does.
+	// Here at reduced size: N(0, I) centres, documents at σ 0.11 and
+	// queries at σ 0.03 around them, dim 768, and its k, which is below
+	// the documents per centre. The queries' centres are spread over
+	// the corpus: a scan that finds its bound only on reaching the
+	// query's neighbourhood would look fast on early ones.
+	b.Run("flat-clustered", func(b *testing.B) {
+		const (
+			dim       = 768
+			centres   = 512
+			perCentre = 8
+			k         = 4
+			queries   = 64
+		)
+		rng := vec.NewRand(8)
+		corpus := make([]vec.Vector, 0, centres*perCentre)
+		qs := make([]vec.Vector, 0, queries)
+		for c := 0; c < centres; c++ {
+			centre := vec.RandomGaussian(rng, dim)
+			for i := 0; i < perCentre; i++ {
+				corpus = append(corpus, vec.GaussianAround(rng, centre, 0.11))
+			}
+			if c%(centres/queries) == 0 {
+				qs = append(qs, vec.GaussianAround(rng, centre, 0.03))
+			}
+		}
+		ix, err := vectordb.NewFlatFromVectors(corpus, vec.L2Distance)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ix.Search(qs[i%len(qs)], k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("hnsw", func(b *testing.B) {
 		ix, err := hnsw.New(dim, vec.L2Distance, hnsw.Config{Seed: 6})
 		if err != nil {

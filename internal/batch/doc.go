@@ -15,7 +15,7 @@
 //     queue gather until the batch reaches MaxBatch or a
 //     microsecond-scale timeout elapses, then flush as one
 //     vectordb.SearchBatch call — the IVF index probes each coarse cell
-//     once per batch, the flat index walks the corpus once per batch.
+//     once per batch.
 //
 // Pipeline composes both behind the same Search signature the retriever
 // already uses, so it drops into core.CachedRetriever via the Searcher

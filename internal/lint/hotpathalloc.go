@@ -136,6 +136,9 @@ func (p *Pass) checkBoxing(call *ast.CallExpr) {
 		default:
 			continue
 		}
+		if _, isTypeParam := paramType.(*types.TypeParam); isTypeParam {
+			continue // instantiated at the argument's own type: nothing is boxed
+		}
 		if _, isIface := paramType.Underlying().(*types.Interface); !isIface {
 			continue
 		}

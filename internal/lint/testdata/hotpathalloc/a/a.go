@@ -44,7 +44,8 @@ func (c *cache) lookupBudgeted(docs []int) []int {
 }
 
 // lookupClean allocates nothing: appends into pooled and caller-owned
-// buffers, non-capturing closure, struct literal on the stack.
+// buffers, non-capturing closure, struct literal on the stack, a
+// generic call (a type parameter is not an interface).
 //
 //proximity:hotpath
 func (c *cache) lookupClean(dst []int, docs []int) []int {
@@ -52,6 +53,7 @@ func (c *cache) lookupClean(dst []int, docs []int) []int {
 	dst = append(dst, c.out...)
 	cmp := func(a, b int) int { return a - b }
 	_ = cmp
+	_ = largest(docs, 0)
 	if len(dst) == 0 {
 		panic(fmt.Sprintf("corrupt cache %d", len(docs))) // corruption path: exempt
 	}
@@ -69,3 +71,10 @@ func (c *cache) slowPath(q []float32, docs []int) []int {
 }
 
 func box(v any) { _ = v }
+
+func largest[T int | float32](xs []T, floor T) T {
+	for _, x := range xs {
+		floor = max(floor, x)
+	}
+	return floor
+}

@@ -137,20 +137,20 @@ func TestTierHotHitBudget(t *testing.T) {
 
 // TestFlatIndexSearchBudget pins the miss path's index scan: the result
 // slice is its only allocation — the selection heaps and the L2 seeding
-// scratch are pooled, and the final sort runs in place. The vectors are
-// wider than the seeding prefix so that pass runs too.
+// scratch, seedsPerK·k seeds wide, are pooled, and both sorts run in
+// place. The vectors span at least vec.HeadLen floats and the corpus
+// more than seedsPerK·k rows, so the seeding pass runs.
 func TestFlatIndexSearchBudget(t *testing.T) {
-	wide := func(i int) vec.Vector { return append(testVec(i), testVec(i+1)...) }
-	ix, err := vectordb.NewFlatIndex(2*dim, vec.L2Distance)
+	ix, err := vectordb.NewFlatIndex(dim, vec.L2Distance)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 256; i++ {
-		if err := ix.Add(wide(i)); err != nil {
+		if err := ix.Add(testVec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	q := wide(17)
+	q := testVec(17)
 	checkBudget(t, "FlatIndex.Search", 1, func() {
 		if _, err := ix.Search(q, 8); err != nil {
 			t.Fatal(err)

@@ -37,9 +37,12 @@ func fuzzVectors(data []byte, n int, raw bool) (a, b Vector) {
 // FuzzL2SquaredBounded pins the kernel's contract against L2Squared over
 // lengths 0–1100 (so every remainder mod 16 and mod 4) and arbitrary
 // bounds: a sum that is returned is the sum L2Squared returns, and an
-// abandoned pair is one no threshold test would have admitted. The
-// second half holds L2Bounded, the distance-unit wrapper every scan
-// calls, to the same contract against L2.
+// abandoned pair is one no threshold test would have admitted. From
+// HeadLen floats on it holds L2SquaredHead to being the kernel's first
+// check: L2Squared's sum over the head, never above the full sum, and
+// above the bound exactly when the kernel abandons there. The last part
+// holds L2Bounded, the distance-unit wrapper every scan calls, to the
+// same contract against L2.
 func FuzzL2SquaredBounded(f *testing.F) {
 	inf := math.Float32bits(float32(math.Inf(1)))
 	f.Add([]byte{}, uint16(0), uint32(0), false)
@@ -66,6 +69,24 @@ func FuzzL2SquaredBounded(f *testing.F) {
 			t.Fatalf("len %d: abandoned at partial %v, not above bound %v", len(a), sum, bound)
 		case !ok && sum > full:
 			t.Fatalf("len %d: partial %v above the full sum %v", len(a), sum, full)
+		}
+
+		if len(a) >= HeadLen {
+			head := L2SquaredHead(a, b)
+			if want := L2Squared(a[:HeadLen], b[:HeadLen]); !sameFloat(head, want) {
+				t.Fatalf("len %d: head %v (%#x), L2Squared of the first %d floats %v (%#x)",
+					len(a), head, math.Float32bits(head), HeadLen, want, math.Float32bits(want))
+			}
+			if head > full {
+				t.Fatalf("len %d: head %v above the full sum %v", len(a), head, full)
+			}
+			// A later check abandons only on a sum above bound, hence
+			// above a head that was not, so it never matches this.
+			firstCheck := !ok && sameFloat(sum, head)
+			if skip := head > bound; skip != firstCheck {
+				t.Fatalf("len %d bound %v: head %v skips %v, but kernel returned (%v, %v)",
+					len(a), bound, head, skip, sum, ok)
+			}
 		}
 
 		dist := L2(a, b)

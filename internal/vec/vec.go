@@ -9,7 +9,9 @@
 // independent accumulators keep the floating-point add pipeline full.
 // Threshold scans (is some key within τ? is this vector among the k
 // nearest?) go through L2Bounded, which abandons a vector as soon as its
-// partial sum proves it out of range. See BenchmarkVecKernels in the
+// partial sum proves it out of range; L2SquaredHead is that partial sum
+// at its first check, for scans that rank or skip rows on their first
+// cache line alone. See BenchmarkVecKernels in the
 // repository root for the measured gaps.
 package vec
 
@@ -57,12 +59,13 @@ func L2Squared(a, b Vector) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// boundStride is how many floats L2SquaredBounded accumulates between
-// two checks of the running sum against the bound.
-const boundStride = 16
+// HeadLen is how many floats L2SquaredBounded accumulates between two
+// checks of the running sum against the bound, and so how many it has
+// read at its first check: 64 bytes, one cache line of an aligned row.
+const HeadLen = 16
 
 // L2SquaredBounded is L2Squared with early abandon: it returns ok=false
-// as soon as the running sum exceeds bound, checked every boundStride
+// as soon as the running sum exceeds bound, checked every HeadLen
 // floats and once at the end. The accumulators and the association of
 // their final sum are exactly L2Squared's, so with ok=true sum is
 // bit-identical to L2Squared(a, b). Every accumulator only ever grows
@@ -79,7 +82,7 @@ func L2SquaredBounded(a, b Vector, bound float32) (sum float32, ok bool) {
 	// One stride per iteration, written out: four rounds of the 4-way
 	// step with constant indices (no inner loop, no bounds checks), which
 	// keeps the never-abandoning case as fast as L2Squared.
-	for len(a) >= boundStride && len(bb) >= boundStride {
+	for len(a) >= HeadLen && len(bb) >= HeadLen {
 		d0, d1, d2, d3 := a[0]-bb[0], a[1]-bb[1], a[2]-bb[2], a[3]-bb[3]
 		s0 += d0 * d0
 		s1 += d1 * d1
@@ -103,7 +106,7 @@ func L2SquaredBounded(a, b Vector, bound float32) (sum float32, ok bool) {
 		if sum = s0 + s1 + s2 + s3; sum > bound {
 			return sum, false
 		}
-		a, bb = a[boundStride:], bb[boundStride:]
+		a, bb = a[HeadLen:], bb[HeadLen:]
 	}
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -124,26 +127,72 @@ func L2SquaredBounded(a, b Vector, bound float32) (sum float32, ok bool) {
 	return sum, !(sum > bound)
 }
 
+// L2SquaredHead returns the running sum L2SquaredBounded checks first:
+// the first HeadLen floats through the same four accumulators in the
+// same order, summed the same way. So it is bit-identical to
+// L2Squared(a[:HeadLen], b[:HeadLen]), never above L2Squared(a, b),
+// and for equal lengths of at least HeadLen, L2SquaredHead(a, b) > bound
+// exactly when L2SquaredBounded(a, b, bound) abandons at its first
+// check. A scan can therefore rank or skip rows on one cache line each
+// without changing any result. It panics if a or b is shorter than
+// HeadLen.
+func L2SquaredHead(a, b Vector) float32 {
+	a, b = a[:HeadLen], b[:HeadLen]
+	var s0, s1, s2, s3 float32
+	d0, d1, d2, d3 := a[0]-b[0], a[1]-b[1], a[2]-b[2], a[3]-b[3]
+	s0 += d0 * d0
+	s1 += d1 * d1
+	s2 += d2 * d2
+	s3 += d3 * d3
+	d0, d1, d2, d3 = a[4]-b[4], a[5]-b[5], a[6]-b[6], a[7]-b[7]
+	s0 += d0 * d0
+	s1 += d1 * d1
+	s2 += d2 * d2
+	s3 += d3 * d3
+	d0, d1, d2, d3 = a[8]-b[8], a[9]-b[9], a[10]-b[10], a[11]-b[11]
+	s0 += d0 * d0
+	s1 += d1 * d1
+	s2 += d2 * d2
+	s3 += d3 * d3
+	d0, d1, d2, d3 = a[12]-b[12], a[13]-b[13], a[14]-b[14], a[15]-b[15]
+	s0 += d0 * d0
+	s1 += d1 * d1
+	s2 += d2 * d2
+	s3 += d3 * d3
+	return s0 + s1 + s2 + s3
+}
+
 // L2 returns the Euclidean distance between a and b.
 func L2(a, b Vector) float32 {
 	return float32(math.Sqrt(float64(L2Squared(a, b))))
 }
 
+// SquaredBound returns the squared-sum bound that stands in for the
+// distance threshold maxDist: a sum s > SquaredBound(maxDist) proves
+// float32(sqrt(s)) > maxDist. It is the bound L2Bounded passes to
+// L2SquaredBounded, so a scan that tests L2SquaredHead against it
+// reproduces L2Bounded's first check exactly. A NaN maxDist yields NaN,
+// which no sum exceeds.
+//
+// maxDist is squared in float64 and inflated by 2⁻²¹ (four float32
+// ulps). That covers the three roundings between a sum s and the
+// comparison it stands in for — the float64 sqrt, its conversion to
+// float32, and the bound's own conversion: float32(sqrt(s)) ≤ maxDist
+// implies s < next(maxDist)² ≤ maxDist²·(1+2⁻²³)², and rounding is
+// monotone. A subnormal or zero maxDist yields 0, which only a zero sum
+// meets, as required.
+func SquaredBound(maxDist float32) float32 {
+	m := float64(maxDist)
+	return float32(m * m * (1 + 0x1p-21))
+}
+
 // L2Bounded is L2 for threshold scans: with ok=true, dist is
 // bit-identical to L2(a, b); ok=false proves L2(a, b) > maxDist, found
-// without finishing the sum. ok=true does not promise dist ≤ maxDist —
-// callers compare as they did with L2. A NaN maxDist never abandons.
-//
-// The kernel compares squared sums, so maxDist is squared in float64
-// and inflated by 2⁻²¹ (four float32 ulps). That covers the three
-// roundings between a sum s and the comparison it stands in for — the
-// float64 sqrt, its conversion to float32, and the bound's own
-// conversion: float32(sqrt(s)) ≤ maxDist implies s < next(maxDist)²
-// ≤ maxDist²·(1+2⁻²³)², and rounding is monotone. A subnormal or zero
-// maxDist yields bound 0, which only a zero sum meets, as required.
+// without finishing the sum (see SquaredBound for the margin). ok=true
+// does not promise dist ≤ maxDist — callers compare as they did with
+// L2. A NaN maxDist never abandons.
 func L2Bounded(a, b Vector, maxDist float32) (dist float32, ok bool) {
-	m := float64(maxDist)
-	sum, ok := L2SquaredBounded(a, b, float32(m*m*(1+0x1p-21)))
+	sum, ok := L2SquaredBounded(a, b, SquaredBound(maxDist))
 	if !ok {
 		return 0, false
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 // BatchDB extends DB with a batched search entry point. Batch-aware
-// indexes amortize per-query overheads — the flat index walks the stored
-// vectors once per batch, the IVF index probes each coarse cell once per
-// batch — which is what makes miss coalescing (internal/batch) pay off
-// under concurrent load.
+// indexes amortize per-query overheads — the IVF index probes each
+// coarse cell once per batch, the flat index validates once and reuses
+// one scratch — which is what makes miss coalescing (internal/batch) pay
+// off under concurrent load.
 //
 // Implementations must return results identical to issuing Search per
 // query: same IDs, same distances, same (distance, ID) ordering. The
@@ -72,11 +72,13 @@ func searchLoop(db DB, qs []vec.Vector, k int) ([][]vec.Scored, error) {
 
 var _ BatchDB = (*FlatIndex)(nil)
 
-// SearchBatch returns the exact k nearest neighbors of every query in one
-// pass over the stored vectors. The per-vector memory traversal — the
-// dominant cost of a flat scan — is paid once for the whole batch instead
-// of once per query; distance arithmetic is unchanged, so results match
-// per-query Search exactly.
+// SearchBatch returns the exact k nearest neighbors of every query: the
+// whole batch is validated first, then Search's scan runs once per query
+// over one pooled scratch, so results are Search's exactly. Interleaving
+// the queries in one pass over the stored vectors would visit each row
+// once per batch, but with no seeded bound, finishing most rows for
+// every query; the seeded scan reads about two cache lines per row and
+// query.
 func (f *FlatIndex) SearchBatch(qs []vec.Vector, k int) ([][]vec.Scored, error) {
 	if k <= 0 {
 		return nil, ErrBadK
@@ -90,18 +92,11 @@ func (f *FlatIndex) SearchBatch(qs []vec.Vector, k int) ([][]vec.Scored, error) 
 				i, len(q), f.dim, vec.ErrDimensionMismatch)
 		}
 	}
-	accs := make([]*vec.TopKAcc, len(qs))
-	for i := range accs {
-		accs[i] = vec.NewTopKAcc(k)
-	}
-	for id, v := range f.vectors {
-		for qi, q := range qs {
-			offer(accs[qi], f.metric, f.dist, id, q, v)
-		}
-	}
+	s := f.getScratch()
 	out := make([][]vec.Scored, len(qs))
-	for i, a := range accs {
-		out[i] = a.Result()
+	for i, q := range qs {
+		out[i] = f.search(q, k, s)
 	}
+	f.scratch.Put(s)
 	return out, nil
 }

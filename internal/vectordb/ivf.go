@@ -139,6 +139,20 @@ func (ix *IVFIndex) SearchProbe(q vec.Vector, k, nprobe int) ([]vec.Scored, erro
 	return out, nil
 }
 
+// offer scores v against q and pushes it into b under id — the step of
+// both IVF scans. Under L2 the early-abandoning kernel runs against b's
+// current k-th distance: a vector proved strictly farther would have
+// been dropped by Push anyway, and one exactly as far still reaches
+// Push, which settles the (distance, ID) tie. Cosine and inner product
+// have no monotone partial sum and are always finished.
+func offer(b *vec.TopKBuffer, metric vec.Metric, dist vec.DistanceFunc, id int, q, v vec.Vector) {
+	if metric != vec.L2Distance {
+		b.Push(id, dist(q, v))
+	} else if d, ok := vec.L2Bounded(q, v, b.Worst()); ok {
+		b.Push(id, d)
+	}
+}
+
 // probeSet ranks the coarse centroids by distance to q and returns the
 // IDs of the nprobe closest (ties broken by centroid ID), the cells both
 // the single-query and the batched search scan.

@@ -7,9 +7,10 @@
 package vectordb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 
 	"proximity/internal/vec"
@@ -67,30 +68,16 @@ type FlatIndex struct {
 	scratch sync.Pool // *flatScratch, reused across Search calls
 }
 
-// flatScratch is one Search call's working memory, O(k) and pooled.
+// flatScratch is one search's working memory, O(k) and pooled.
 type flatScratch struct {
 	top   vec.TopKBuffer // the result selection
-	seed  vec.TopKBuffer // the k smallest prefix distances (L2 seeding)
-	seeds []vec.Scored   // seed's contents, read back
+	seed  vec.TopKBuffer // the seedsPerK·k smallest heads (L2 seeding)
+	seeds []vec.Scored   // seed's contents, read back and then put in ID order
 }
 
-// seedPrefix is how many leading dimensions the seeding pass of an L2
-// Search ranks the corpus on.
-const seedPrefix = 32
-
-// offer scores v against q and pushes it into b under id — the step of
-// every top-k scan in this package. Under L2 the early-abandoning kernel
-// runs against b's current k-th distance: a vector proved strictly
-// farther would have been dropped by Push anyway, and one exactly as far
-// still reaches Push, which settles the (distance, ID) tie. Cosine and
-// inner product have no monotone partial sum and are always finished.
-func offer(b *vec.TopKBuffer, metric vec.Metric, dist vec.DistanceFunc, id int, q, v vec.Vector) {
-	if metric != vec.L2Distance {
-		b.Push(id, dist(q, v))
-	} else if d, ok := vec.L2Bounded(q, v, b.Worst()); ok {
-		b.Push(id, d)
-	}
-}
+// seedsPerK is how many rows per requested neighbour the seeding pass of
+// an L2 search finishes to prove its bound.
+const seedsPerK = 4
 
 var (
 	_ DB           = (*FlatIndex)(nil)
@@ -149,49 +136,87 @@ func (f *FlatIndex) Search(q vec.Vector, k int) ([]vec.Scored, error) {
 		return nil, fmt.Errorf("vectordb: query dim %d, index dim %d: %w",
 			len(q), f.dim, vec.ErrDimensionMismatch)
 	}
-	s, ok := f.scratch.Get().(*flatScratch)
-	if !ok {
-		s = &flatScratch{}
+	s := f.getScratch()
+	out := f.search(q, k, s)
+	f.scratch.Put(s)
+	return out, nil
+}
+
+// getScratch takes a scratch from the pool, or makes the first one.
+func (f *FlatIndex) getScratch() *flatScratch {
+	if s, ok := f.scratch.Get().(*flatScratch); ok {
+		return s
 	}
+	return &flatScratch{}
+}
+
+// search returns q's k nearest vectors, closest first; q and k are
+// already validated.
+func (f *FlatIndex) search(q vec.Vector, k int, s *flatScratch) []vec.Scored {
 	s.top.Reset(k)
 	if f.metric == vec.L2Distance {
 		f.scanL2(q, k, s)
 	} else {
 		s.top.PushDistances(q, f.vectors, f.dist)
 	}
-	out := s.top.Result()
-	f.scratch.Put(s)
-	return out, nil
+	return s.top.Result()
 }
 
 // scanL2 fills s.top with q's k nearest vectors, abandoning each
 // distance once it provably exceeds the k-th best known. A scan that
 // learns that bound only from what it has pushed finishes almost every
 // vector until it happens upon q's neighbourhood, so the bound is seeded
-// first: a pass over the first seedPrefix dimensions keeps the k vectors
-// closest on that prefix, and the largest of their full distances is a
-// bound from the first vector on. The seeds are a guess — exactness does
-// not depend on them: k vectors are known to lie within the seeded
-// bound, so a vector strictly beyond it is not among the k nearest
-// whatever the ties, and every other vector is pushed with its exact
-// distance. An uninformative prefix costs seedPrefix/dim extra work.
+// first, and both passes read one cache line per row — the scan waits on
+// memory, not arithmetic. Pass 1 keeps the seedsPerK·k rows with the
+// smallest heads (vec.L2SquaredHead) and finishes only those, so s.top
+// holds the k nearest seeds and its k-th distance bounds pass 2 from its
+// first row. Pass 2 visits every other row, skips it when its head alone
+// exceeds the bound — exactly when vec.L2Bounded would abandon it at its
+// first check — and hands the rest to vec.L2Bounded. The seeds are a
+// guess and exactness does not depend on them: every row is offered
+// once, under the k-th best known, and each one kept is pushed with its
+// exact distance. Below HeadLen dimensions, or when every row is wanted,
+// there is no head to seed on and no row to skip, and the scan is one
+// bounded loop.
+//
+//proximity:hotpath
 func (f *FlatIndex) scanL2(q vec.Vector, k int, s *flatScratch) {
-	maxDist := float32(math.Inf(1))
-	if f.dim > seedPrefix && k < len(f.vectors) {
-		s.seed.Reset(k)
-		prefix := q[:seedPrefix]
+	if f.dim < vec.HeadLen || k >= len(f.vectors) {
 		for id, v := range f.vectors {
-			s.seed.Push(id, vec.L2Squared(prefix, v[:seedPrefix]))
+			if d, ok := vec.L2Bounded(q, v, s.top.Worst()); ok {
+				s.top.Push(id, d)
+			}
 		}
-		s.seeds = s.seed.AppendResult(s.seeds[:0])
-		maxDist = 0
-		for _, seed := range s.seeds {
-			maxDist = max(maxDist, vec.L2(q, f.vectors[seed.ID]))
+		return
+	}
+	s.seed.Reset(seedsPerK * k)
+	for id, v := range f.vectors {
+		s.seed.Push(id, vec.L2SquaredHead(q, v))
+	}
+	// Nearest heads first, so the bound tightens as early as it can.
+	s.seeds = s.seed.AppendResult(s.seeds[:0])
+	for _, seed := range s.seeds {
+		if d, ok := vec.L2Bounded(q, f.vectors[seed.ID], s.top.Worst()); ok {
+			s.top.Push(seed.ID, d)
 		}
 	}
+	slices.SortFunc(s.seeds, func(a, b vec.Scored) int { return cmp.Compare(a.ID, b.ID) })
+
+	maxDist := s.top.Worst()
+	headBound := vec.SquaredBound(maxDist)
+	next := 0 // the first seed not yet passed, in ID order
 	for id, v := range f.vectors {
-		if d, ok := vec.L2Bounded(q, v, min(maxDist, s.top.Worst())); ok {
+		if next < len(s.seeds) && s.seeds[next].ID == id {
+			next++
+			continue
+		}
+		if vec.L2SquaredHead(q, v) > headBound {
+			continue
+		}
+		if d, ok := vec.L2Bounded(q, v, maxDist); ok {
 			s.top.Push(id, d)
+			maxDist = s.top.Worst()
+			headBound = vec.SquaredBound(maxDist)
 		}
 	}
 }

@@ -173,15 +173,17 @@ func sameRanking(a, b []vec.Scored) bool {
 }
 
 // TestL2ScansMatchBruteForce holds every early-abandoning L2 scan —
-// Search with its seeded bound, SearchBatch, and an IVF index probing all
-// of its cells — to the reference ranking: same IDs, same distance bits,
-// same order. Dimensions run below, at and above the seeding prefix;
-// corpora include duplicated vectors and one whose every vector is
-// exactly as far from the query as every other, where any abandon on
-// "not strictly farther" or any lost (distance, ID) tie-break shows.
+// Search with its head-seeded bound and head skips, SearchBatch, and an
+// IVF index probing all of its cells — to the reference ranking: same
+// IDs, same distance bits, same order. Dimensions run below, at and
+// above vec.HeadLen; k runs from 1 past the corpus size, and one corpus
+// has fewer rows than the seeding pass would keep. Corpora include
+// duplicated vectors and one whose every vector is exactly as far from
+// the query as every other (and whose heads tie too), where any abandon
+// on "not strictly farther" or any lost (distance, ID) tie-break shows.
 func TestL2ScansMatchBruteForce(t *testing.T) {
 	rng := vec.NewRand(7)
-	for _, dim := range []int{5, seedPrefix, seedPrefix + 1, 40, 100} {
+	for _, dim := range []int{5, vec.HeadLen - 1, vec.HeadLen, vec.HeadLen + 1, 33, 100} {
 		random := make([]vec.Vector, 60)
 		for i := range random {
 			random[i] = vec.RandomGaussian(rng, dim)
@@ -199,6 +201,7 @@ func TestL2ScansMatchBruteForce(t *testing.T) {
 		}
 		for name, corpus := range map[string][]vec.Vector{
 			"random": random, "duplicated": duplicated, "equidistant": equidistant,
+			"fewer than seedsPerK·k": random[:seedsPerK*4-1],
 		} {
 			n := len(corpus)
 			flat, err := NewFlatFromVectors(corpus, vec.L2Distance)
@@ -210,7 +213,7 @@ func TestL2ScansMatchBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			qs := []vec.Vector{vec.RandomGaussian(rng, dim), corpus[n/2], make(vec.Vector, dim)}
-			for _, k := range []int{1, 4, n, n + 3} {
+			for _, k := range []int{1, 4, n - 1, n, n + 3} {
 				batch, err := flat.SearchBatch(qs, k)
 				if err != nil {
 					t.Fatal(err)
