@@ -3,8 +3,6 @@
 // Usage:
 //
 //	proximity-bench [-quick] [-seeds N] [-experiment LIST]
-//	proximity-bench -experiment loadtest [-shards N] [-concurrency K] [-qps Q]
-//	    [-batch] [-batch-size B] [-batch-timeout D] [-cluster N]
 //	proximity-bench -experiment rebalance [-shards N] [-concurrency K]
 //	    [-rebalance-threshold T]
 //	proximity-bench -experiment annindex [-entries N,M] [-ann-queries Q]
@@ -18,20 +16,11 @@
 //
 // where LIST is a comma-separated subset of
 // fig2,fig3,fig6-mmlu,fig6-medrag,fig7,fig8,fig9,fig10,fig11,fig12,opcount,
-// loadtest,rebalance,annindex,overhead,churn,tiered or "all" (default:
-// every figure; loadtest, rebalance, annindex, overhead, churn, and
-// tiered run only when named).
+// rebalance,annindex,overhead,churn,tiered or "all" (default: every
+// figure; rebalance, annindex, overhead, churn, and tiered run only when
+// named).
 // Results print to stdout; redirect to a file to keep them. The -quick
 // flag switches to the CI-sized configuration.
-//
-// The loadtest experiment replays the MedRAG-Zipf workload against a
-// sharded cache under concurrent load: a closed-loop throughput probe at
-// -concurrency workers, plus an open-loop latency probe when -qps is set.
-// With -batch it additionally A/B-tests the miss path — direct searches
-// vs. the miss-coalescing batched pipeline — over the same IVF index.
-// With -cluster N it A/B-tests distribution: the in-process sharded
-// cache vs. N loopback HTTP shard nodes behind the consistent-hash
-// router, reporting per-node hit/miss and batch-submitter stats.
 //
 // The rebalance experiment A/B-tests adaptive shard rebalancing: the
 // same Zipf-skewed stream against the same sharded cache starting from
@@ -118,18 +107,13 @@ func run(args []string) error {
 		parallel     = fs.Int("parallel", 0, "override grid-cell parallelism")
 		which        = fs.String("experiment", "all", "comma-separated figures to run, or 'all'")
 		list         = fs.Bool("list", false, "list available experiments and exit")
-		shards       = fs.Int("shards", 0, "loadtest: cache shard count (0 = one per CPU)")
-		concurrency  = fs.Int("concurrency", 0, "loadtest: closed-loop workers (0 = one per CPU)")
-		qps          = fs.Float64("qps", 0, "loadtest: add an open-loop pass at this offered load (with -batch, also overrides the A/B's self-calibrated rate)")
-		batchOn      = fs.Bool("batch", false, "loadtest: add the batched-vs-unbatched miss-path comparison")
-		clusterN     = fs.Int("cluster", 0, "loadtest: add the distributed A/B against this many loopback HTTP shard nodes")
-		batchSize    = fs.Int("batch-size", 0, "loadtest: batch pipeline flush size (0 = default)")
-		batchTimeout = fs.Duration("batch-timeout", 0, "loadtest: batch pipeline flush deadline (0 = default)")
+		shards       = fs.Int("shards", 0, "rebalance: cache shard count (0 = one per CPU)")
+		concurrency  = fs.Int("concurrency", 0, "rebalance: closed-loop workers (0 = one per CPU)")
 		rebThresh    = fs.Float64("rebalance-threshold", 0, "rebalance: controller imbalance trigger (0 = default)")
 		entries      = fs.String("entries", "", "annindex: comma-separated resident-entry counts (default 100000)")
 		annQueries   = fs.Int("ann-queries", 0, "annindex: lookups per variant (0 = default)")
 		annEf        = fs.String("ann-ef", "", "annindex: comma-separated beam widths to sweep (default 64,128,256)")
-		benchOut     = fs.String("bench-out", "", "output path for the machine-readable JSON result (annindex defaults to BENCH_annindex.json, overhead to BENCH_telemetry.json; loadtest writes only when set)")
+		benchOut     = fs.String("bench-out", "", "output path for the machine-readable JSON result (annindex defaults to BENCH_annindex.json, overhead to BENCH_telemetry.json, churn to BENCH_churn.json, tiered to BENCH_tiered.json)")
 		ovIters      = fs.Int("overhead-iters", 0, "overhead: cached-hit retrievals per timed round (0 = default)")
 		ovRounds     = fs.Int("overhead-rounds", 0, "overhead: timed rounds per configuration (0 = default)")
 		churnCap     = fs.Int("churn-capacity", 0, "churn: cache capacity under eviction churn (0 = default 2000)")
@@ -144,27 +128,6 @@ func run(args []string) error {
 		return err
 	}
 	available := append([]figure{}, figures...)
-	available = append(available, figure{"loadtest", func(s *experiments.Suite) (renderer, error) {
-		res, err := s.LoadTest(experiments.LoadTestOptions{
-			Shards:       *shards,
-			Concurrency:  *concurrency,
-			QPS:          *qps,
-			Batch:        *batchOn,
-			Cluster:      *clusterN,
-			MaxBatch:     *batchSize,
-			BatchTimeout: *batchTimeout,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if *benchOut != "" {
-			if err := writeBenchJSON(*benchOut, res); err != nil {
-				return nil, err
-			}
-			fmt.Printf("wrote %s\n", *benchOut)
-		}
-		return res, nil
-	}})
 	available = append(available, figure{"overhead", func(s *experiments.Suite) (renderer, error) {
 		res, err := experiments.TelemetryOverhead(experiments.TelemetryOverheadOptions{
 			Iters:  *ovIters,
@@ -191,9 +154,9 @@ func run(args []string) error {
 		})
 	}})
 	available = append(available, figure{"churn", func(s *experiments.Suite) (renderer, error) {
-		mults, err := parseEntryCounts(*churnMults)
+		mults, err := parseEntryCounts("churn-mults", *churnMults)
 		if err != nil {
-			return nil, fmt.Errorf("bad -churn-mults: %w", err)
+			return nil, err
 		}
 		res, err := experiments.Churn(experiments.ChurnOptions{
 			Capacity: *churnCap,
@@ -214,9 +177,9 @@ func run(args []string) error {
 		return res, nil
 	}})
 	available = append(available, figure{"tiered", func(s *experiments.Suite) (renderer, error) {
-		ratios, err := parseEntryCounts(*tierRatios)
+		ratios, err := parseEntryCounts("tier-ratios", *tierRatios)
 		if err != nil {
-			return nil, fmt.Errorf("bad -tier-ratios: %w", err)
+			return nil, err
 		}
 		res, err := experiments.Tiered(experiments.TieredOptions{
 			Hot:     *tierHot,
@@ -238,16 +201,16 @@ func run(args []string) error {
 		return res, nil
 	}})
 	available = append(available, figure{"annindex", func(s *experiments.Suite) (renderer, error) {
-		counts, err := parseEntryCounts(*entries)
+		counts, err := parseEntryCounts("entries", *entries)
 		if err != nil {
 			return nil, err
 		}
 		if *quick && counts == nil {
 			counts = []int{5000}
 		}
-		sweep, err := parseEntryCounts(*annEf)
+		sweep, err := parseEntryCounts("ann-ef", *annEf)
 		if err != nil {
-			return nil, fmt.Errorf("bad -ann-ef: %w", err)
+			return nil, err
 		}
 		res, err := experiments.ANNIndex(experiments.ANNIndexOptions{
 			Entries: counts,
@@ -309,9 +272,9 @@ func run(args []string) error {
 	return nil
 }
 
-// parseEntryCounts turns "100000,1000000" into entry counts; an empty
-// string defers to the experiment's default.
-func parseEntryCounts(s string) ([]int, error) {
+// parseEntryCounts turns "100000,1000000", the value of flag -name, into
+// positive counts; an empty string defers to the experiment's default.
+func parseEntryCounts(name, s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
@@ -319,7 +282,7 @@ func parseEntryCounts(s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -entries value %q", part)
+			return nil, fmt.Errorf("bad -%s value %q", name, part)
 		}
 		out = append(out, n)
 	}
@@ -334,9 +297,9 @@ func writeBenchJSON(path string, res interface{ WriteJSON(io.Writer) error }) er
 }
 
 // selectFigures resolves the -experiment list against the available set.
-// "all" covers every paper figure; loadtest and rebalance run only when
-// named, since their runtime depends on the concurrency flags rather
-// than the suite.
+// "all" covers every paper figure; the other experiments (rebalance,
+// annindex, overhead, churn, tiered) run only when named, since their
+// runtime depends on their own flags rather than the suite.
 func selectFigures(which string, available []figure) ([]figure, error) {
 	if which == "all" {
 		return figures, nil

@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestSelectFigures(t *testing.T) {
 	available := append([]figure{}, figures...)
-	available = append(available, figure{name: "loadtest"})
+	available = append(available, figure{name: "rebalance"})
 
 	all, err := selectFigures("all", available)
 	if err != nil {
@@ -19,8 +20,8 @@ func TestSelectFigures(t *testing.T) {
 		t.Errorf("all selected %d figures, want %d", len(all), len(figures))
 	}
 	for _, f := range all {
-		if f.name == "loadtest" {
-			t.Error("'all' should not include loadtest")
+		if f.name == "rebalance" {
+			t.Error("'all' should not include rebalance")
 		}
 	}
 
@@ -32,12 +33,12 @@ func TestSelectFigures(t *testing.T) {
 		t.Errorf("selection = %v", some)
 	}
 
-	lt, err := selectFigures("loadtest", available)
+	rb, err := selectFigures("rebalance", available)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lt) != 1 || lt[0].name != "loadtest" {
-		t.Errorf("loadtest selection = %v", lt)
+	if len(rb) != 1 || rb[0].name != "rebalance" {
+		t.Errorf("rebalance selection = %v", rb)
 	}
 
 	if _, err := selectFigures("fig99", available); err == nil {
@@ -55,6 +56,9 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-experiment", "nope"}); err == nil {
 		t.Error("unknown experiment should error")
 	}
+	if err := run([]string{"-experiment", "loadtest"}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("loadtest is not an experiment: err = %v, want unknown experiment", err)
+	}
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag should error")
 	}
@@ -71,16 +75,34 @@ func TestRunSingleQuickExperiment(t *testing.T) {
 }
 
 func TestParseEntryCounts(t *testing.T) {
-	got, err := parseEntryCounts("100000, 1000000")
+	got, err := parseEntryCounts("entries", "100000, 1000000")
 	if err != nil || len(got) != 2 || got[0] != 100000 || got[1] != 1000000 {
 		t.Fatalf("parseEntryCounts = %v, %v", got, err)
 	}
-	if got, err := parseEntryCounts(""); got != nil || err != nil {
+	if got, err := parseEntryCounts("entries", ""); got != nil || err != nil {
 		t.Fatalf("empty should defer to defaults, got %v, %v", got, err)
 	}
 	for _, bad := range []string{"abc", "0", "-5", "10,"} {
-		if _, err := parseEntryCounts(bad); err == nil {
+		if _, err := parseEntryCounts("entries", bad); err == nil {
 			t.Errorf("parseEntryCounts(%q) should error", bad)
+		}
+	}
+
+	// A bad value is reported under the flag that carried it.
+	for _, tc := range []struct{ experiment, flag string }{
+		{"annindex", "entries"},
+		{"annindex", "ann-ef"},
+		{"churn", "churn-mults"},
+		{"tiered", "tier-ratios"},
+	} {
+		err := run([]string{"-experiment", tc.experiment, "-" + tc.flag, "0"})
+		if err == nil {
+			t.Errorf("-%s 0 should error", tc.flag)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "-"+tc.flag+" ") ||
+			(tc.flag != "entries" && strings.Contains(msg, "-entries")) {
+			t.Errorf("-%s 0: error %q should name -%s only", tc.flag, msg, tc.flag)
 		}
 	}
 }
@@ -123,18 +145,5 @@ func TestRunANNIndexWritesJSON(t *testing.T) {
 	}
 	if res.Points[0].Flat.HitRate == 0 || res.Points[0].Indexed.HitRate == 0 {
 		t.Errorf("hit rates missing: %+v", res.Points[0])
-	}
-}
-
-func TestRunQuickLoadTest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping CLI smoke test in -short mode")
-	}
-	err := run([]string{
-		"-quick", "-experiment", "loadtest",
-		"-shards", "4", "-concurrency", "8", "-qps", "5000",
-	})
-	if err != nil {
-		t.Errorf("quick loadtest run failed: %v", err)
 	}
 }

@@ -5,7 +5,8 @@
 // stream in closed loop (every worker issues back-to-back, measuring
 // peak throughput), then in open loop (Poisson arrivals at a target
 // QPS, measuring latency under offered load), and prints the load
-// reports plus the shard pressure table.
+// reports plus the shard pressure table. It exits non-zero if any query
+// fails.
 //
 // Run with: go run ./examples/loadtest
 package main
@@ -103,6 +104,9 @@ func run() error {
 			return err
 		}
 		fmt.Print(closed.Render())
+		if err := failed(closed); err != nil {
+			return err
+		}
 
 		cache.Clear()
 		open, err := proximity.RunLoad(target, wl, proximity.LoadOptions{
@@ -114,10 +118,22 @@ func run() error {
 			return err
 		}
 		fmt.Print(open.Render())
+		if err := failed(open); err != nil {
+			return err
+		}
 		// Clear drops entries but keeps counters, so this table's
 		// hit/miss/put columns are cumulative across both passes.
 		fmt.Print(cache.Report().Render())
 		fmt.Println()
+	}
+	return nil
+}
+
+// failed reports a run's query failures as an error.
+func failed(rep *proximity.LoadReport) error {
+	if rep.Errors > 0 {
+		return fmt.Errorf("%s loop: %d of %d queries failed, first: %v",
+			rep.Mode, rep.Errors, rep.Queries, rep.FirstError)
 	}
 	return nil
 }

@@ -84,8 +84,6 @@
 //     keeps its own front cache, with positional (order-faithful, not
 //     metric-faithful) distances.
 //
-// See cmd/proximity-server (-node / -peers) for the deployment shape,
-// examples/cluster for a complete program, and `proximity-bench
-// -experiment loadtest -cluster N` for the loopback A/B against
-// single-process sharding.
+// See cmd/proximity-server (-node / -peers) for the deployment shape and
+// examples/cluster for a complete program.
 package cluster

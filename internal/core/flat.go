@@ -314,19 +314,3 @@ func (c *FlatCache) Entries() []Entry {
 	}
 	return out
 }
-
-// Keys returns copies of the cached key embeddings in eviction order
-// (front first). Diagnostic; O(c·d).
-func (c *FlatCache) Keys() []vec.Vector {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]vec.Vector, 0, len(c.entries))
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		entry, ok := el.Value.(*flatEntry)
-		if !ok {
-			panic(fmt.Sprintf("core: unexpected eviction list element %T", el.Value))
-		}
-		out = append(out, vec.Clone(entry.key))
-	}
-	return out
-}

@@ -225,12 +225,12 @@ func TestFlatKeysOrder(t *testing.T) {
 	if _, ok := c.Get(vec.Vector{0}); !ok { // refresh {0} to the back
 		t.Fatal("warmup hit failed")
 	}
-	keys := c.Keys()
-	if len(keys) != 3 {
-		t.Fatalf("Keys len = %d", len(keys))
+	entries := c.Entries()
+	if len(entries) != 3 {
+		t.Fatalf("Entries len = %d", len(entries))
 	}
-	if keys[0][0] != 1 || keys[2][0] != 0 {
-		t.Errorf("eviction order = %v, want front=1 back=0", keys)
+	if entries[0].Key[0] != 1 || entries[2].Key[0] != 0 {
+		t.Errorf("eviction order = %v, want front=1 back=0", entries)
 	}
 }
 

@@ -645,19 +645,3 @@ func (c *IndexedCache) Entries() []Entry {
 	}
 	return out
 }
-
-// Keys returns copies of the cached key embeddings in eviction order
-// (front first). Diagnostic; O(c·d).
-func (c *IndexedCache) Keys() []vec.Vector {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]vec.Vector, 0, c.live)
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e, ok := el.Value.(*indexedEntry)
-		if !ok {
-			panic(fmt.Sprintf("core: unexpected eviction list element %T", el.Value))
-		}
-		out = append(out, vec.Clone(e.key))
-	}
-	return out
-}

@@ -304,23 +304,6 @@ func (c *LSHCache) Entries() []Entry {
 	return out
 }
 
-// Keys returns copies of the cached key embeddings (bucket order
-// immaterial). Cheaper than Entries when only the keys matter, e.g. the
-// shard migrator's seed previews.
-func (c *LSHCache) Keys() []vec.Vector {
-	c.mu.RLock()
-	buckets := make([]*FlatCache, 0, len(c.buckets))
-	for _, b := range c.buckets {
-		buckets = append(buckets, b)
-	}
-	c.mu.RUnlock()
-	var out []vec.Vector
-	for _, b := range buckets {
-		out = append(out, b.Keys()...)
-	}
-	return out
-}
-
 // Clear drops all buckets, folding their counters into cleared first so
 // that Stats survives as the Cache contract promises.
 func (c *LSHCache) Clear() {

@@ -26,7 +26,6 @@ import (
 
 	"proximity/internal/core"
 	"proximity/internal/server"
-	"proximity/internal/telemetry"
 	"proximity/internal/vec"
 	"proximity/internal/workload"
 )
@@ -125,14 +124,6 @@ type Options struct {
 	QPS float64
 	// Seed drives the Poisson arrival draw.
 	Seed uint64
-	// HistogramBuckets sizes the latency histogram. Defaults to 32.
-	HistogramBuckets int
-	// Telemetry, when non-nil, is the hub the target's retrieval path
-	// observes stages into; Run snapshots its per-stage histograms before
-	// and after the replay and reports the delta as the stage_breakdown
-	// block, attributing end-to-end latency to cache lookup, batching,
-	// database search, and node RPC time.
-	Telemetry *telemetry.Telemetry
 }
 
 func (o *Options) fillDefaults() {
@@ -141,9 +132,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.HistogramBuckets <= 0 {
-		o.HistogramBuckets = 32
 	}
 }
 
@@ -208,7 +196,6 @@ func Run(target Target, w workload.Workload, opts Options) (*Report, error) {
 		offsets = Schedule(n, opts.QPS, opts.Seed)
 	}
 	assign := Assignment(n, workers)
-	stagesBefore := opts.Telemetry.StageSnapshot()
 
 	type workerResult struct {
 		latencies []time.Duration // from the intended issue time
@@ -294,31 +281,6 @@ func Run(target Target, w workload.Workload, opts Options) (*Report, error) {
 		}
 	}
 	rep.FirstError = firstErr
-	rep.summarize(all, svc, opts.HistogramBuckets)
-	if opts.Telemetry != nil {
-		rep.Stages = stageBreakdown(opts.Telemetry.StageSnapshot().Sub(stagesBefore))
-	}
+	rep.summarize(all, svc)
 	return rep, nil
-}
-
-// stageBreakdown summarizes a run's stage-histogram delta, dropping
-// stages with no observations.
-func stageBreakdown(delta telemetry.StageSnapshot) []StageLatency {
-	var out []StageLatency
-	for _, stage := range telemetry.Stages() {
-		snap := delta[stage]
-		if snap.N == 0 {
-			continue
-		}
-		out = append(out, StageLatency{
-			Stage: stage.String(),
-			Count: snap.N,
-			Total: time.Duration(snap.SumNs),
-			Mean:  snap.Mean(),
-			P50:   snap.Quantile(0.50),
-			P95:   snap.Quantile(0.95),
-			P99:   snap.Quantile(0.99),
-		})
-	}
-	return out
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // Report summarizes one load-generation run: throughput, cache
-// effectiveness, and the latency distribution (p50/p95/p99/max plus a
-// fixed-bucket histogram).
+// effectiveness, and the latency distribution (mean, p50/p95/p99, max).
 type Report struct {
 	Mode     Mode
 	Workers  int
@@ -46,31 +45,9 @@ type Report struct {
 	SvcP99  time.Duration
 	SvcMax  time.Duration
 
-	// Histogram of latencies over [HistLo, HistHi), linear buckets.
-	HistLo     time.Duration
-	HistHi     time.Duration
-	HistCounts []int64
-	// Stages attributes time inside the target to retrieval stages
-	// (cache lookup, batch queue dwell, database search, node RPC, ...)
-	// over exactly this run: the delta of the telemetry hub's per-stage
-	// histograms across the replay. Empty without Options.Telemetry.
-	Stages []StageLatency
 	// FirstError carries the first failure observed (nil if none);
 	// Errors counts all of them.
 	FirstError error
-}
-
-// StageLatency is one stage's latency summary within a run. Counts need
-// not sum to the query count: a cache hit observes only the lookup
-// stage, and one batched flush serves many queries.
-type StageLatency struct {
-	Stage string        `json:"stage"`
-	Count int64         `json:"count"`
-	Total time.Duration `json:"total_ns"`
-	Mean  time.Duration `json:"mean_ns"`
-	P50   time.Duration `json:"p50_ns"`
-	P95   time.Duration `json:"p95_ns"`
-	P99   time.Duration `json:"p99_ns"`
 }
 
 // HitRate returns Hits over successful queries, or 0 with none.
@@ -81,8 +58,8 @@ func (r *Report) HitRate() float64 {
 	return 0
 }
 
-// summarize fills the latency summaries and histogram from raw samples.
-func (r *Report) summarize(samples, services []time.Duration, buckets int) {
+// summarize fills the latency summaries from raw samples.
+func (r *Report) summarize(samples, services []time.Duration) {
 	if r.Elapsed > 0 {
 		r.AchievedQPS = float64(len(samples)) / r.Elapsed.Seconds()
 	}
@@ -114,22 +91,9 @@ func (r *Report) summarize(samples, services []time.Duration, buckets int) {
 		r.SvcP99 = svc.Percentile(99)
 		r.SvcMax = svc.Max()
 	}
-
-	r.HistLo, r.HistHi = 0, r.Max+1
-	h, err := stats.NewHistogram(float64(r.HistLo), float64(r.HistHi), buckets)
-	if err != nil {
-		// Bucket count and bounds are validated by construction;
-		// failure here is unreachable.
-		panic(fmt.Sprintf("loadgen: histogram construction failed: %v", err))
-	}
-	for _, s := range samples {
-		h.Add(float64(s))
-	}
-	r.HistCounts = h.Buckets()
 }
 
-// Render formats the report: a summary table, the latency quantiles, and
-// an ASCII histogram of the latency distribution.
+// Render formats the report: a summary table and the latency quantiles.
 func (r *Report) Render() string {
 	title := fmt.Sprintf("Load test (%s loop, %d workers", r.Mode, r.Workers)
 	if r.Mode == OpenLoop {
@@ -161,54 +125,8 @@ func (r *Report) Render() string {
 			r.SvcP95.Round(time.Microsecond), r.SvcP99.Round(time.Microsecond),
 			r.SvcMax.Round(time.Microsecond))
 	}
-	b.WriteString(r.renderHistogram())
-	if len(r.Stages) > 0 {
-		st := report.NewTable("stage breakdown",
-			"stage", "count", "total", "mean", "p50", "p95", "p99")
-		for _, s := range r.Stages {
-			st.AddRow(
-				s.Stage,
-				fmt.Sprintf("%d", s.Count),
-				s.Total.Round(time.Microsecond).String(),
-				s.Mean.Round(time.Microsecond).String(),
-				s.P50.Round(time.Microsecond).String(),
-				s.P95.Round(time.Microsecond).String(),
-				s.P99.Round(time.Microsecond).String(),
-			)
-		}
-		b.WriteString(st.String())
-	}
 	if r.FirstError != nil {
 		fmt.Fprintf(&b, "first error: %v\n", r.FirstError)
-	}
-	return b.String()
-}
-
-// renderHistogram draws one bar per non-empty bucket, scaled to the
-// largest count.
-func (r *Report) renderHistogram() string {
-	if len(r.HistCounts) == 0 {
-		return ""
-	}
-	var peak int64
-	for _, c := range r.HistCounts {
-		if c > peak {
-			peak = c
-		}
-	}
-	if peak == 0 {
-		return ""
-	}
-	const width = 40
-	var b strings.Builder
-	step := (r.HistHi - r.HistLo) / time.Duration(len(r.HistCounts))
-	for i, c := range r.HistCounts {
-		if c == 0 {
-			continue
-		}
-		lo := r.HistLo + time.Duration(i)*step
-		bar := strings.Repeat("#", int(max(1, c*width/peak)))
-		fmt.Fprintf(&b, "%12v %6d %s\n", lo.Round(time.Microsecond), c, bar)
 	}
 	return b.String()
 }

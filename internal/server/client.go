@@ -253,7 +253,7 @@ const drainMax = 1 << 20
 // drainClose reads the remaining response body before closing it. An
 // http.Response body closed with bytes still buffered forces the
 // transport to drop the underlying connection instead of returning it to
-// the keep-alive pool — under the cluster loadtest that turned every
+// the keep-alive pool — under sustained cluster load that turned every
 // error reply (and every JSON decode that stopped at the value, leaving
 // the trailing newline unread) into a fresh TCP connection.
 func drainClose(body io.ReadCloser) {

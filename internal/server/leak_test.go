@@ -11,7 +11,7 @@ import (
 // TestClientReusesConnectionsOnErrorPaths: a response body closed before
 // it is fully read forces the transport to drop the TCP connection, so a
 // client that never drains error replies opens a fresh connection per
-// failed request — the connection-churn leak the cluster loadtest
+// failed request — the connection-churn leak sustained cluster load
 // surfaces when a node is degraded. Every client path (success, 4xx, 5xx,
 // stats, flush, health) must leave the connection reusable: the whole
 // sequence below should ride a single keep-alive connection.

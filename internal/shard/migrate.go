@@ -116,19 +116,10 @@ func (c *ShardedCache) PreviewSeeds(seeds []uint64) ([]float64, error) {
 	return out, nil
 }
 
-// keyser is the keys-only enumeration fast path (FlatCache and LSHCache
-// both provide it); entry docs are irrelevant to a preview.
-type keyser interface {
-	Keys() []vec.Vector
-}
-
 // keys copies the slot's key embeddings out under the shared lock.
 func (s *slot) keys() ([]vec.Vector, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if ks, ok := s.cache.(keyser); ok {
-		return ks.Keys(), nil
-	}
 	src, ok := s.cache.(core.EntrySource)
 	if !ok {
 		//proximity:allow lockdiscipline cold error path; the shared slot lock guards the cache swap itself

@@ -1,14 +1,22 @@
 // Package stats provides the small statistical toolkit behind the
-// evaluation harness: streaming mean/variance (Welford), percentiles,
-// histograms, and least-squares fits. The paper reports averages over five
-// seeded runs (§4.2.4) and fits a Zipf exponent by regression on the
-// log-log rank-frequency curve (Fig. 2); both are built on this package.
+// evaluation harness: streaming mean/variance (Welford), exact
+// percentiles, latency summaries, and least-squares fits. The paper
+// reports averages over five seeded runs (§4.2.4) and fits a Zipf exponent
+// by regression on the log-log rank-frequency curve (Fig. 2); both are
+// built on this package.
+//
+// Percentile is exact: it sorts the retained samples, which suits offline
+// summaries of a finished run. Live latency for /metrics goes through
+// telemetry.LatencyHistogram instead, a log-bucketed streaming histogram
+// that observes lock-free, keeps no samples, and bounds quantile error
+// relative to the value.
 package stats
 
 import (
 	"errors"
 	"math"
 	"sort"
+	"time"
 )
 
 // ErrEmpty is returned when a computation needs at least one sample.
@@ -90,6 +98,85 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+}
+
+// Median is a convenience wrapper for the 50th percentile.
+func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
+
+// LatencyRecorder accumulates durations and reports summary statistics.
+// The evaluation reports retrieval latency means (Fig. 6c, 7d) and the
+// cache-lookup distributions (Fig. 10, 11) through this type.
+type LatencyRecorder struct {
+	samples []time.Duration
+}
+
+// Record appends one latency sample.
+func (r *LatencyRecorder) Record(d time.Duration) {
+	r.samples = append(r.samples, d)
+}
+
+// N returns the number of recorded samples.
+func (r *LatencyRecorder) N() int { return len(r.samples) }
+
+// Mean returns the mean latency, or 0 with no samples.
+func (r *LatencyRecorder) Mean() time.Duration {
+	if len(r.samples) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, s := range r.samples {
+		sum += s
+	}
+	return sum / time.Duration(len(r.samples))
+}
+
+// Merge appends other's samples into r — combining per-worker recorders
+// into one distribution after a run. Exact (no binning): percentiles of
+// the merged recorder equal percentiles over the concatenated samples.
+func (r *LatencyRecorder) Merge(other *LatencyRecorder) {
+	if other == nil {
+		return
+	}
+	r.samples = append(r.samples, other.samples...)
+}
+
+// Percentile returns the p-th percentile latency, or 0 with no samples.
+// The estimator is Percentile's linear interpolation between closest
+// ranks (R-7), NOT nearest-rank: with few samples the result may fall
+// between two observed latencies. See Percentile for the exact contract.
+func (r *LatencyRecorder) Percentile(p float64) time.Duration {
+	if len(r.samples) == 0 {
+		return 0
+	}
+	xs := make([]float64, len(r.samples))
+	for i, s := range r.samples {
+		xs[i] = float64(s)
+	}
+	v, err := Percentile(xs, p)
+	if err != nil {
+		return 0
+	}
+	return time.Duration(v)
+}
+
+// Max returns the largest recorded latency.
+func (r *LatencyRecorder) Max() time.Duration {
+	var m time.Duration
+	for _, s := range r.samples {
+		if s > m {
+			m = s
+		}
+	}
+	return m
+}
+
+// Total returns the sum of all recorded latencies.
+func (r *LatencyRecorder) Total() time.Duration {
+	var sum time.Duration
+	for _, s := range r.samples {
+		sum += s
+	}
+	return sum
 }
 
 // LinearFit fits y = intercept + slope*x by ordinary least squares.

@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -147,41 +148,6 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -3, 42} {
-		h.Add(x)
-	}
-	if h.Count() != 7 {
-		t.Errorf("Count = %d, want 7", h.Count())
-	}
-	want := []int64{3, 1, 1, 0, 2} // -3 clamps into bucket 0, 42 into bucket 4
-	got := h.Buckets()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d (all: %v)", i, got[i], want[i], got)
-		}
-	}
-	if h.Bucket(0) != 3 {
-		t.Errorf("Bucket(0) = %d", h.Bucket(0))
-	}
-}
-
-func TestNewHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("0 buckets should error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("lo == hi should error")
-	}
-	if _, err := NewHistogram(6, 5, 3); err == nil {
-		t.Error("lo > hi should error")
-	}
-}
-
 func TestLatencyRecorder(t *testing.T) {
 	var r LatencyRecorder
 	if r.Mean() != 0 || r.Percentile(99) != 0 || r.Max() != 0 || r.N() != 0 {
@@ -207,27 +173,121 @@ func TestLatencyRecorder(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	got, err := GeometricMean([]float64{1, 100})
-	if err != nil || math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeometricMean = %v, %v", got, err)
-	}
-	if _, err := GeometricMean(nil); !errors.Is(err, ErrEmpty) {
-		t.Error("empty should return ErrEmpty")
-	}
-	if _, err := GeometricMean([]float64{1, -1}); err == nil {
-		t.Error("negative sample should error")
-	}
-}
-
-func TestMedianAndSorted(t *testing.T) {
-	m, err := Median([]float64{5, 1, 3})
+func TestMedian(t *testing.T) {
+	in := []float64{5, 1, 3}
+	m, err := Median(in)
 	if err != nil || m != 3 {
 		t.Errorf("Median = %v, %v", m, err)
 	}
-	in := []float64{3, 1, 2}
-	out := Sorted(in)
-	if out[0] != 1 || out[2] != 3 || in[0] != 3 {
-		t.Errorf("Sorted mutated input or wrong order: in=%v out=%v", in, out)
+	if in[0] != 5 || in[1] != 1 || in[2] != 3 {
+		t.Errorf("Median mutated its input: %v", in)
+	}
+}
+
+// TestPercentileEstimatorTable pins the interpolating estimator (R-7)
+// against hand-computed values, including the cases where it diverges
+// from nearest-rank.
+func TestPercentileEstimatorTable(t *testing.T) {
+	cases := []struct {
+		name string
+		xs   []float64
+		p    float64
+		want float64
+	}{
+		{"single", []float64{7}, 50, 7},
+		{"min", []float64{1, 2, 3, 4}, 0, 1},
+		{"max", []float64{1, 2, 3, 4}, 100, 4},
+		// R-7 median of an even count is the midpoint; nearest-rank
+		// would return 20.
+		{"median-even", []float64{10, 20, 30, 40}, 50, 25},
+		{"median-odd", []float64{10, 20, 30}, 50, 20},
+		// rank = 0.75*(5-1) = 3.0 exactly -> sorted[3].
+		{"exact-rank", []float64{1, 2, 3, 4, 5}, 75, 4},
+		// rank = 0.9*(5-1) = 3.6 -> 4*(0.4) + 5*(0.6) = 4.6.
+		{"interpolated", []float64{1, 2, 3, 4, 5}, 90, 4.6},
+		{"unsorted-input", []float64{40, 10, 30, 20}, 50, 25},
+		{"clamp-low", []float64{5, 6}, -10, 5},
+		{"clamp-high", []float64{5, 6}, 200, 6},
+	}
+	for _, tc := range cases {
+		got, err := Percentile(tc.xs, tc.p)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("%s: Percentile(%v, %v) = %v, want %v", tc.name, tc.xs, tc.p, got, tc.want)
+		}
+	}
+	if _, err := Percentile(nil, 50); err == nil {
+		t.Error("empty input should error")
+	}
+}
+
+// TestPercentileKnownDistributions checks quantile estimates against the
+// analytic quantiles of sampled distributions.
+func TestPercentileKnownDistributions(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 50000
+
+	// Uniform [0, 1): quantile q is q.
+	uni := make([]float64, n)
+	for i := range uni {
+		uni[i] = rng.Float64()
+	}
+	for _, p := range []float64{10, 50, 90, 99} {
+		got, err := Percentile(uni, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-p/100) > 0.01 {
+			t.Errorf("uniform P(%v) = %v, want %v", p, got, p/100)
+		}
+	}
+
+	// Exponential(λ=1): quantile q is -ln(1-q).
+	exp := make([]float64, n)
+	for i := range exp {
+		exp[i] = rng.ExpFloat64()
+	}
+	for _, p := range []float64{50, 90, 99} {
+		got, err := Percentile(exp, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := -math.Log(1 - p/100)
+		if math.Abs(got-want)/want > 0.05 {
+			t.Errorf("exponential P(%v) = %v, want %v", p, got, want)
+		}
+	}
+}
+
+// TestLatencyRecorderMerge verifies the merged recorder matches a
+// recorder fed the concatenated stream exactly.
+func TestLatencyRecorderMerge(t *testing.T) {
+	var a, b, all LatencyRecorder
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		d := time.Duration(rng.Int63n(1_000_000))
+		a.Record(d)
+		all.Record(d)
+	}
+	for i := 0; i < 700; i++ {
+		d := time.Duration(rng.Int63n(10_000_000))
+		b.Record(d)
+		all.Record(d)
+	}
+	a.Merge(&b)
+	a.Merge(nil)
+	if a.N() != all.N() {
+		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
+	}
+	for _, p := range []float64{50, 95, 99} {
+		if got, want := a.Percentile(p), all.Percentile(p); got != want {
+			t.Errorf("P(%v): merged %v != concatenated %v", p, got, want)
+		}
+	}
+	if a.Mean() != all.Mean() || a.Max() != all.Max() || a.Total() != all.Total() {
+		t.Error("merged summary stats diverge from concatenated")
 	}
 }

@@ -144,18 +144,6 @@ func (h *LatencyHistogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Sub returns the delta snapshot s minus prev — the observations that
-// arrived between two snapshots of the same histogram.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	var out HistogramSnapshot
-	for i := range s.Buckets {
-		out.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
-	}
-	out.N = s.N - prev.N
-	out.SumNs = s.SumNs - prev.SumNs
-	return out
-}
-
 // Mean returns the snapshot's mean observation.
 func (s HistogramSnapshot) Mean() time.Duration {
 	if s.N == 0 {

@@ -103,6 +103,10 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	if got := h.Mean(); got != 0 {
 		t.Fatalf("empty mean = %v, want 0", got)
 	}
+	var empty HistogramSnapshot
+	if empty.Mean() != 0 || empty.Quantile(0.5) != 0 {
+		t.Fatal("empty snapshot should report zeros")
+	}
 	h.Observe(100 * time.Nanosecond)
 	lo, hi := h.Quantile(-1), h.Quantile(2)
 	if lo <= 0 || hi <= 0 {
@@ -137,26 +141,6 @@ func TestHistogramMerge(t *testing.T) {
 		if got, want := a.Quantile(q), union.Quantile(q); got != want {
 			t.Errorf("q=%.2f merged %v != union %v", q, got, want)
 		}
-	}
-}
-
-// TestSnapshotSub verifies delta snapshots isolate an interval.
-func TestSnapshotSub(t *testing.T) {
-	h := NewLatencyHistogram()
-	h.Observe(time.Millisecond)
-	before := h.Snapshot()
-	h.Observe(2 * time.Millisecond)
-	h.Observe(3 * time.Millisecond)
-	delta := h.Snapshot().Sub(before)
-	if delta.N != 2 {
-		t.Fatalf("delta N = %d, want 2", delta.N)
-	}
-	if got := delta.Mean(); got < 2*time.Millisecond || got > 3*time.Millisecond {
-		t.Errorf("delta mean = %v, want ~2.5ms", got)
-	}
-	var empty HistogramSnapshot
-	if empty.Mean() != 0 || empty.Quantile(0.5) != 0 {
-		t.Error("empty snapshot should report zeros")
 	}
 }
 

@@ -146,15 +146,6 @@ func (s *StageSet) Snapshot() StageSnapshot {
 	return out
 }
 
-// Sub returns the per-stage delta s minus prev.
-func (s StageSnapshot) Sub(prev StageSnapshot) StageSnapshot {
-	var out StageSnapshot
-	for i := range s {
-		out[i] = s[i].Sub(prev[i])
-	}
-	return out
-}
-
 // Options configures a Telemetry hub.
 type Options struct {
 	// SampleEvery traces 1 in this many requests; <= 0 disables tracing.

@@ -63,9 +63,8 @@ func TestStageSet(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	s.Observe(StageDBSearch, time.Millisecond)
-	delta := s.Snapshot().Sub(snap)
-	if delta[StageDBSearch].N != 1 || delta[StageCacheLookup].N != 0 {
-		t.Fatalf("delta = %+v", delta)
+	if snap[StageDBSearch].N != 1 {
+		t.Fatalf("snapshot changed after a later observe: %+v", snap[StageDBSearch])
 	}
 
 	// nil set is inert.

@@ -54,9 +54,7 @@
 //	})
 //	fmt.Print(rep.Render())
 //
-// See examples/loadtest for a complete program and `proximity-bench
-// -experiment loadtest -shards N -concurrency K -qps Q` for the CLI
-// harness.
+// See examples/loadtest for a complete program.
 //
 // # Miss coalescing and batched database search
 //
@@ -75,8 +73,7 @@
 //		K: 4, Searcher: pipe,
 //	})
 //
-// See examples/batched for the measured comparison and `proximity-bench
-// -experiment loadtest -batch` for the harness.
+// See examples/batched for the measured comparison.
 //
 // # Distributed shard routing
 //
@@ -98,9 +95,7 @@
 //
 // See internal/cluster for the design note, examples/cluster for a
 // complete program (including a node kill absorbed by replica retry),
-// `proximity-server -node` / `-peers` for the deployment shape, and
-// `proximity-bench -experiment loadtest -cluster N` for the loopback
-// A/B against single-process sharding.
+// and `proximity-server -node` / `-peers` for the deployment shape.
 //
 // # Wire format
 //
@@ -307,8 +302,6 @@
 // trace ID spans the client's node_rpc attempts and every node-side
 // stage, surviving replica retries.
 //
-// Passing the hub to RunLoad via LoadOptions.Telemetry adds a per-stage
-// latency breakdown (LoadReport.Stages) to the report, and
 // `proximity-bench -experiment overhead` measures the layer's cost on
 // the cached-hit path (committed in BENCH_telemetry.json: indistinguish-
 // able from zero with sampling off). Sampling is off by default
@@ -505,8 +498,6 @@ type (
 	TraceSpan = telemetry.Span
 	// TraceRecord is a completed sampled trace as served at /v1/traces.
 	TraceRecord = telemetry.TraceRecord
-	// StageLatency is one stage's latency summary in LoadReport.Stages.
-	StageLatency = loadgen.StageLatency
 )
 
 // Eviction policies.
