@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure of the paper's evaluation (one
-// testing.B per table/figure; see DESIGN.md §2 for the mapping) plus the
+// testing.B per table/figure, named after it) plus the
 // hot-path kernel microbenchmarks. Figure benches run the CI-sized
 // configuration so `go test -bench=.` stays tractable; the full
 // paper-shaped sweep is `go run ./cmd/proximity-bench`.

@@ -5,17 +5,21 @@
 // the incoming query, in which case the cached documents are reused and
 // the expensive database nearest-neighbor search is skipped (Algorithm 1).
 //
-// Two variants are provided, matching §3 of the paper:
+// Three of the four cache variants live here, the first two from §3 of
+// the paper:
 //
 //   - FlatCache (Proximity-FLAT): a single pool scanned linearly on every
 //     lookup — exact with respect to the cached set, but O(c·d) per query.
 //   - LSHCache (Proximity-LSH): 2^L lazily-allocated buckets selected by a
 //     random-hyperplane signature, each a small fixed-capacity flat pool —
 //     O((L+b)·d) per query, independent of total capacity.
+//   - IndexedCache (Proximity-INDEXED): FLAT's admission rule with the
+//     lookup served by an HNSW graph over the keys.
 //
-// Both variants support FIFO and LRU eviction and the re-ranking factor ρ
-// (§3.3.4) via CachedRetriever. All cache types are safe for concurrent
-// use.
+// The fourth, internal/tier's TieredCache, puts one of these as a small
+// hot tier over a file-backed warm tier. All four support FIFO and LRU
+// eviction and the re-ranking factor ρ (§3.3.4) via CachedRetriever. All
+// cache types are safe for concurrent use.
 package core
 
 import (
@@ -135,9 +139,10 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// Cache is the approximate key-value store interface shared by
-// Proximity-FLAT and Proximity-LSH. Implementations are safe for
-// concurrent use.
+// Cache is the approximate key-value store interface shared by the four
+// variants (FLAT, LSH, Indexed and Tiered), by the sharded cache that
+// partitions any of them, and by the cluster client. Implementations are
+// safe for concurrent use.
 type Cache interface {
 	// Get returns the documents cached for the closest key within
 	// tolerance, or ok=false on a miss. The returned slice is a copy.
@@ -171,7 +176,8 @@ type Entry struct {
 }
 
 // EntrySource is implemented by caches that can enumerate their contents
-// (FlatCache and LSHCache both qualify). The shard migrator depends on
+// (FlatCache, LSHCache, IndexedCache and tier.TieredCache all qualify,
+// and a ShardedCache of any of them). The shard migrator depends on
 // it: re-drawing the partitioner moves entries between shards, which
 // requires reading them out of the sub-caches first. Enumeration order is
 // eviction order where the cache defines one, so re-inserting entries in

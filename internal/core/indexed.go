@@ -65,12 +65,6 @@ type MaintenanceOptions struct {
 	// Budget caps the nodes re-linked per pass — the Put-path latency
 	// bound. Default 16.
 	Budget int
-	// TombstoneRatio additionally triggers a pass when the graph's
-	// tombstone fraction reaches this value and repair work is pending.
-	// 0 disables the ratio trigger (the evict-then-insert cache keeps
-	// the ratio near zero in steady state; the trigger matters for
-	// delete-heavy external drivers).
-	TombstoneRatio float64
 }
 
 func (m *MaintenanceOptions) fillDefaults() {
@@ -121,9 +115,6 @@ func (o IndexedOptions) validate() error {
 		}
 		if m.Budget < 1 {
 			return fmt.Errorf("core: maintenance Budget must be positive, got %d", m.Budget)
-		}
-		if m.TombstoneRatio < 0 || m.TombstoneRatio > 1 {
-			return fmt.Errorf("core: maintenance TombstoneRatio must be in [0,1], got %v", m.TombstoneRatio)
 		}
 	}
 	return nil
@@ -403,20 +394,13 @@ func (c *IndexedCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
 	c.maybeMaintainLocked()
 }
 
-// maybeMaintainLocked runs one budgeted repair pass when churn pressure
-// crosses the configured trigger. Called with c.mu held, so the pass is
+// maybeMaintainLocked runs one budgeted repair pass once Every slots have
+// been reused since the last one. Called with c.mu held, so the pass is
 // serialized against every other graph mutation for free; the Budget cap
 // bounds how long this Put holds the lock.
 func (c *IndexedCache) maybeMaintainLocked() {
 	m := c.opts.Maintenance
-	if m == nil {
-		return
-	}
-	due := c.graph.ReusedSinceRepair() >= m.Every
-	if !due && m.TombstoneRatio > 0 {
-		due = c.graph.TombstoneRatio() >= m.TombstoneRatio && c.graph.PendingRepair() > 0
-	}
-	if !due {
+	if m == nil || c.graph.ReusedSinceRepair() < m.Every {
 		return
 	}
 	start := time.Now()
@@ -515,7 +499,8 @@ func (c *IndexedCache) Stats() Stats {
 	return c.stats
 }
 
-// IndexStats describes the graph behind an indexed cache.
+// IndexStats describes the graph behind an indexed cache. The server
+// renders it as the index block of /v1/stats: the tags are wire names.
 type IndexStats struct {
 	// Nodes is the live graph node count (== cache Len).
 	Nodes int `json:"nodes"`
@@ -524,33 +509,33 @@ type IndexStats struct {
 	// Tombstones is the deleted-awaiting-reuse slot count.
 	Tombstones int `json:"tombstones"`
 	// GraphHops is the cumulative traversal distance evaluations.
-	GraphHops int64 `json:"graph_hops"`
+	GraphHops int64 `json:"graphHops"`
 	// Reranks is the cumulative exact re-rank distance evaluations.
 	Reranks int64 `json:"reranks"`
 	// BruteScans is the number of lookups served by the sub-crossover
 	// exact scan instead of the graph.
-	BruteScans int64 `json:"brute_scans"`
+	BruteScans int64 `json:"bruteScans"`
 	// Searches is the number of graph traversals performed.
 	Searches int64 `json:"searches"`
 
 	// ReusedSlots counts evicted slots recycled for new entries.
-	ReusedSlots int64 `json:"reused_slots,omitempty"`
+	ReusedSlots int64 `json:"reusedSlots"`
 	// SeveredInEdges counts stale incoming edges cut at slot reuse.
-	SeveredInEdges int64 `json:"severed_in_edges,omitempty"`
+	SeveredInEdges int64 `json:"severedInEdges"`
 	// ReroutedInEdges counts severed edges replaced in place with an
 	// edge to the evictee's nearest surviving neighbor.
-	ReroutedInEdges int64 `json:"rerouted_in_edges,omitempty"`
+	ReroutedInEdges int64 `json:"reroutedInEdges"`
 	// DroppedInRefs counts reverse refs lost to the per-slot bound;
 	// those edges survive the slot's next reuse untracked.
-	DroppedInRefs int64 `json:"dropped_in_refs,omitempty"`
+	DroppedInRefs int64 `json:"droppedInRefs"`
 	// RepairPasses / RepairedNodes count incremental maintenance passes
 	// and the neighborhoods they re-linked.
-	RepairPasses  int64 `json:"repair_passes,omitempty"`
-	RepairedNodes int64 `json:"repaired_nodes,omitempty"`
+	RepairPasses  int64 `json:"repairPasses"`
+	RepairedNodes int64 `json:"repairedNodes"`
 	// PendingRepair is the current depth of the repair queue.
-	PendingRepair int `json:"pending_repair,omitempty"`
+	PendingRepair int `json:"pendingRepair"`
 	// RepairNanos is the cumulative wall time spent in maintenance.
-	RepairNanos int64 `json:"repair_nanos,omitempty"`
+	RepairNanos int64 `json:"repairNanos"`
 }
 
 // Merge accumulates other into s (used by sharded aggregation).
@@ -573,7 +558,7 @@ func (s *IndexStats) Merge(other IndexStats) {
 }
 
 // IndexStatser is implemented by caches backed by a graph index; the
-// server surfaces these in /v1/stats.
+// server surfaces these in /v1/stats and /metrics.
 type IndexStatser interface {
 	IndexStats() IndexStats
 }

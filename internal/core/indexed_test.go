@@ -355,7 +355,7 @@ func TestIndexedIgnoresBadInput(t *testing.T) {
 // validation, and the graph_repair stage observation.
 func TestIndexedMaintain(t *testing.T) {
 	for _, bad := range []MaintenanceOptions{
-		{Every: -1}, {Budget: -1}, {TombstoneRatio: 1.5}, {TombstoneRatio: -0.1},
+		{Every: -1}, {Budget: -1},
 	} {
 		bad := bad
 		if _, err := NewIndexed(4, IndexedOptions{Capacity: 10, Tolerance: 0.1, Maintenance: &bad}); err == nil {

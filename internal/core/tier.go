@@ -64,7 +64,8 @@ type TierCache interface {
 
 // TierStats describes a tiered cache's per-tier occupancy and traffic.
 // Entries/Capacity/Bytes fields are gauges of the live structure; the
-// rest are cumulative counters.
+// rest are cumulative counters. The server renders it as the tiers block
+// of /v1/stats: the tags are wire names.
 type TierStats struct {
 	// HotEntries/HotCapacity describe the in-memory hot tier.
 	HotEntries  int `json:"hotEntries"`

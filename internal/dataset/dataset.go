@@ -4,7 +4,7 @@
 // TripClick (a skewed health-search query log). All three are synthetic
 // stand-ins generated around topic-clustered corpora; token counts are
 // chosen so the embedding geometry reproduces the matching regimes of the
-// paper's tolerance grid (see DESIGN.md §3):
+// paper's tolerance grid:
 //
 //   - rephrased variants of one question embed within τ ≈ 1-3 of each
 //     other (cache hits at moderate tolerance);

@@ -25,7 +25,7 @@ type Topic struct {
 // Config parameterizes corpus generation. The token-count knobs control
 // the embedding geometry: passages of the same topic differ in
 // SpecificPerDoc tokens, passages of different topics additionally differ
-// in their share of topic keywords (see DESIGN.md §3).
+// in their share of topic keywords.
 type Config struct {
 	NumTopics        int    // number of topic clusters
 	DocsPerTopic     int    // passages generated per topic

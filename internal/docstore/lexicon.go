@@ -7,7 +7,7 @@
 // exactly the cluster structure Fig. 3 of the paper observes in real query
 // embeddings. Corpora are scaled down (thousands instead of millions of
 // passages); the vectordb.LatencyModel restores production-scale service
-// times. See DESIGN.md §3.
+// times.
 package docstore
 
 import (

@@ -19,7 +19,7 @@
 // calibrated by the dataset generators (token counts per question) so that
 // the paper's tolerance grid τ ∈ {0.5 … 10} spans the same regimes:
 // exact-only matching, variant matching, and false-positive-prone
-// matching. See DESIGN.md §3 for the substitution rationale.
+// matching.
 package embed
 
 import (

@@ -10,8 +10,8 @@ import (
 	"proximity/internal/vectordb"
 )
 
-// AblationResult compares the design choices DESIGN.md §5 calls out, all
-// on the MedRAG-Zipf workload:
+// AblationResult compares three of the paper's design extensions, all on
+// the MedRAG-Zipf workload:
 //
 //   - single-probe vs multi-probe LSH lookups (the §3.2 extension:
 //     probing Hamming-adjacent buckets recovers rephrasings that fell on

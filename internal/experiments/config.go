@@ -1,13 +1,12 @@
 // Package experiments reproduces every figure of the paper's evaluation
 // (§4): one harness function per figure, each returning a typed result
 // with a Render method that prints the same rows the paper reports.
-// DESIGN.md §2 maps each figure to its harness and parameters.
 package experiments
 
 import "fmt"
 
 // Config sizes the experiment suite. Default() follows the paper's
-// parameters (scaled corpora, see DESIGN.md §3); Quick() shrinks
+// parameters (with scaled-down corpora); Quick() shrinks
 // everything for CI and unit tests.
 type Config struct {
 	// Dim is the embedding dimensionality (768 in the paper).

@@ -631,16 +631,6 @@ func (ix *Index) PendingRepair() int { return len(ix.dirty) }
 // the churn-pressure signal maintenance schedules on.
 func (ix *Index) ReusedSinceRepair() int { return ix.reusedSinceRepair }
 
-// TombstoneRatio returns the deleted-awaiting-reuse fraction of all
-// slots (0 for an empty graph) — the second churn-pressure signal, for
-// delete-heavy workloads whose slots are not being recycled.
-func (ix *Index) TombstoneRatio() float64 {
-	if len(ix.vectors) == 0 {
-		return 0
-	}
-	return float64(ix.numDel) / float64(len(ix.vectors))
-}
-
 // Repair is the incremental background maintenance pass: it dequeues up
 // to budget nodes whose neighborhoods degraded (an in-edge severed at
 // slot reuse with no re-route available) and rebuilds each one's

@@ -293,27 +293,6 @@ func TestDisableInEdgeRepair(t *testing.T) {
 	}
 }
 
-// TestTombstoneRatio covers the second churn-pressure signal.
-func TestTombstoneRatio(t *testing.T) {
-	ix, err := New(2, vec.L2Distance, Config{Seed: 39})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := ix.TombstoneRatio(); r != 0 {
-		t.Fatalf("empty ratio = %v", r)
-	}
-	a, _ := ix.Insert(vec.Vector{0, 0})
-	ix.Insert(vec.Vector{1, 1})
-	ix.Insert(vec.Vector{2, 2})
-	ix.Insert(vec.Vector{3, 3})
-	if err := ix.Delete(a); err != nil {
-		t.Fatal(err)
-	}
-	if r := ix.TombstoneRatio(); r != 0.25 {
-		t.Fatalf("ratio = %v, want 0.25", r)
-	}
-}
-
 // TestResetEntryFallbackScan forces the slow path: when every neighbor
 // of the deleted entry is already tombstoned, re-election must fall back
 // to the full scan and still find the surviving node.

@@ -9,7 +9,7 @@
 // Fig. 6a). The simulator reproduces exactly this causal structure with
 // per-question deterministic difficulty draws, making accuracy a pure
 // measurement of retrieval quality — the role it plays in the paper —
-// while remaining reproducible across runs. See DESIGN.md §3.
+// while remaining reproducible across runs.
 package llm
 
 import (

@@ -16,6 +16,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"proximity/internal/batch"
@@ -75,6 +76,11 @@ type Server struct {
 	tel *telemetry.Telemetry
 	log *slog.Logger
 	dim int // the database's; sizes body limits and frames binary bodies
+
+	// scraped is the snapshot the cache series of /metrics render; each
+	// scrape stores a fresh one before rendering. Overlapping scrapes may
+	// render some series from each other's snapshot.
+	scraped atomic.Pointer[cacheSnapshot]
 }
 
 // New validates the config and builds the routes.
@@ -118,9 +124,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // registerMetrics wires the process's operational counters into the
-// telemetry registry. Collectors read live values at scrape time; caches
-// whose Stats fan out over the network (statsSnapshotter — the cluster
-// client) are skipped so a scrape never triggers remote calls.
+// telemetry registry. Each cache series is declared once, below, and
+// reads its field of the snapshot handleMetrics takes per scrape; the
+// blocks the cache reports decide which exist. A remote cache (see
+// readCache) exports none, so a scrape never makes a remote call.
 func (s *Server) registerMetrics() {
 	reg := s.tel.Registry
 	if reg == nil {
@@ -128,80 +135,67 @@ func (s *Server) registerMetrics() {
 	}
 	telemetry.RegisterRuntimeMetrics(reg)
 	ret := s.cfg.Retriever
-	if cache := ret.Cache(); cache != nil {
-		if _, remote := cache.(statsSnapshotter); !remote {
-			reg.CounterFunc(telemetry.MetricCacheHitsTotal, "Cache hits.",
-				func() float64 { return float64(cache.Stats().Hits) })
-			reg.CounterFunc(telemetry.MetricCacheMissesTotal, "Cache misses.",
-				func() float64 { return float64(cache.Stats().Misses) })
-			reg.CounterFunc(telemetry.MetricCacheEvictionsTotal, "Cache evictions.",
-				func() float64 { return float64(cache.Stats().Evictions) })
-			reg.CounterFunc(telemetry.MetricCachePutsTotal, "Cache fills.",
-				func() float64 { return float64(cache.Stats().Puts) })
-			reg.CounterFunc(telemetry.MetricCacheDistCompsTotal,
-				"Exact distance computations performed by cache lookups.",
-				func() float64 { return float64(cache.Stats().DistComps) })
-			reg.GaugeFunc(telemetry.MetricCacheEntries, "Resident cache entries.",
-				func() float64 { return float64(cache.Len()) })
-			reg.GaugeFunc(telemetry.MetricCacheCapacity, "Configured cache capacity.",
-				func() float64 { return float64(cache.Capacity()) })
+	if snap := readCache(ret.Cache(), false); snap != nil {
+		s.scraped.Store(snap)
+		scraped := s.scraped.Load
+		reg.CounterFunc(telemetry.MetricCacheHitsTotal, "Cache hits.",
+			func() float64 { return float64(scraped().stats.Hits) })
+		reg.CounterFunc(telemetry.MetricCacheMissesTotal, "Cache misses.",
+			func() float64 { return float64(scraped().stats.Misses) })
+		reg.CounterFunc(telemetry.MetricCacheEvictionsTotal, "Cache evictions.",
+			func() float64 { return float64(scraped().stats.Evictions) })
+		reg.CounterFunc(telemetry.MetricCachePutsTotal, "Cache fills.",
+			func() float64 { return float64(scraped().stats.Puts) })
+		reg.CounterFunc(telemetry.MetricCacheDistCompsTotal, "Exact distance computations performed by cache lookups.",
+			func() float64 { return float64(scraped().stats.DistComps) })
+		reg.GaugeFunc(telemetry.MetricCacheEntries, "Resident cache entries.",
+			func() float64 { return float64(scraped().entries) })
+		reg.GaugeFunc(telemetry.MetricCacheCapacity, "Configured cache capacity.",
+			func() float64 { return float64(scraped().capacity) })
+		if snap.index != nil {
+			reg.CounterFunc(telemetry.MetricIndexGraphHopsTotal, "Graph-index traversal hops.",
+				func() float64 { return float64(scraped().index.GraphHops) })
+			reg.CounterFunc(telemetry.MetricIndexReranksTotal, "Exact re-rank passes after graph traversal.",
+				func() float64 { return float64(scraped().index.Reranks) })
+			reg.GaugeFunc(telemetry.MetricIndexTombstones, "Tombstoned (deleted, not yet reused) graph slots.",
+				func() float64 { return float64(scraped().index.Tombstones) })
+			reg.CounterFunc(telemetry.MetricIndexReusedSlotsTotal, "Evicted graph slots recycled for new entries.",
+				func() float64 { return float64(scraped().index.ReusedSlots) })
+			reg.CounterFunc(telemetry.MetricIndexSeveredInEdgesTotal, "Stale incoming edges cut at slot reuse.",
+				func() float64 { return float64(scraped().index.SeveredInEdges) })
+			reg.CounterFunc(telemetry.MetricIndexRepairPassesTotal, "Incremental graph-maintenance passes.",
+				func() float64 { return float64(scraped().index.RepairPasses) })
+			reg.CounterFunc(telemetry.MetricIndexRepairedNodesTotal, "Degraded neighborhoods re-linked by maintenance.",
+				func() float64 { return float64(scraped().index.RepairedNodes) })
+			reg.GaugeFunc(telemetry.MetricIndexRepairPending, "Graph nodes queued for repair.",
+				func() float64 { return float64(scraped().index.PendingRepair) })
 		}
-		if is, ok := cache.(core.IndexStatser); ok {
-			reg.CounterFunc(telemetry.MetricIndexGraphHopsTotal,
-				"Graph-index traversal hops.",
-				func() float64 { return float64(is.IndexStats().GraphHops) })
-			reg.CounterFunc(telemetry.MetricIndexReranksTotal,
-				"Exact re-rank passes after graph traversal.",
-				func() float64 { return float64(is.IndexStats().Reranks) })
-			reg.GaugeFunc(telemetry.MetricIndexTombstones,
-				"Tombstoned (deleted, not yet reused) graph slots.",
-				func() float64 { return float64(is.IndexStats().Tombstones) })
-			reg.CounterFunc(telemetry.MetricIndexReusedSlotsTotal,
-				"Evicted graph slots recycled for new entries.",
-				func() float64 { return float64(is.IndexStats().ReusedSlots) })
-			reg.CounterFunc(telemetry.MetricIndexSeveredInEdgesTotal,
-				"Stale incoming edges cut at slot reuse.",
-				func() float64 { return float64(is.IndexStats().SeveredInEdges) })
-			reg.CounterFunc(telemetry.MetricIndexRepairPassesTotal,
-				"Incremental graph-maintenance passes.",
-				func() float64 { return float64(is.IndexStats().RepairPasses) })
-			reg.CounterFunc(telemetry.MetricIndexRepairedNodesTotal,
-				"Degraded neighborhoods re-linked by maintenance.",
-				func() float64 { return float64(is.IndexStats().RepairedNodes) })
-			reg.GaugeFunc(telemetry.MetricIndexRepairPending,
-				"Graph nodes queued for repair.",
-				func() float64 { return float64(is.IndexStats().PendingRepair) })
-		}
-		if ts, ok := cache.(core.TierStatser); ok {
+		if snap.tiers != nil {
 			reg.GaugeFunc(telemetry.MetricTierHotEntries, "Resident hot-tier entries.",
-				func() float64 { return float64(ts.TierStats().HotEntries) })
+				func() float64 { return float64(scraped().tiers.HotEntries) })
 			reg.GaugeFunc(telemetry.MetricTierHotCapacity, "Configured hot-tier capacity.",
-				func() float64 { return float64(ts.TierStats().HotCapacity) })
+				func() float64 { return float64(scraped().tiers.HotCapacity) })
 			reg.GaugeFunc(telemetry.MetricTierWarmEntries, "Resident warm-tier entries.",
-				func() float64 { return float64(ts.TierStats().WarmEntries) })
+				func() float64 { return float64(scraped().tiers.WarmEntries) })
 			reg.GaugeFunc(telemetry.MetricTierWarmCapacity, "Configured warm-tier capacity.",
-				func() float64 { return float64(ts.TierStats().WarmCapacity) })
+				func() float64 { return float64(scraped().tiers.WarmCapacity) })
 			reg.GaugeFunc(telemetry.MetricTierWarmBytes, "Vector bytes resident in warm record files.",
-				func() float64 { return float64(ts.TierStats().WarmBytes) })
+				func() float64 { return float64(scraped().tiers.WarmBytes) })
 			reg.CounterFunc(telemetry.MetricTierHotHitsTotal, "Lookups served by the hot tier.",
-				func() float64 { return float64(ts.TierStats().HotHits) })
+				func() float64 { return float64(scraped().tiers.HotHits) })
 			reg.CounterFunc(telemetry.MetricTierWarmHitsTotal, "Lookups served by the warm tier.",
-				func() float64 { return float64(ts.TierStats().WarmHits) })
-			reg.CounterFunc(telemetry.MetricTierPromotionsTotal,
-				"Warm entries moved back into the hot tier on a hit.",
-				func() float64 { return float64(ts.TierStats().Promotions) })
-			reg.CounterFunc(telemetry.MetricTierDemotionsTotal,
-				"Hot-tier evictions absorbed into the warm tier.",
-				func() float64 { return float64(ts.TierStats().Demotions) })
-			reg.CounterFunc(telemetry.MetricTierWarmDiscardsTotal,
-				"Entries aged out of the warm tier (true evictions).",
-				func() float64 { return float64(ts.TierStats().WarmDiscards) })
-			reg.CounterFunc(telemetry.MetricTierWarmScannedTotal,
-				"Warm vectors read and exactly compared during lookups.",
-				func() float64 { return float64(ts.TierStats().WarmScanned) })
+				func() float64 { return float64(scraped().tiers.WarmHits) })
+			reg.CounterFunc(telemetry.MetricTierPromotionsTotal, "Warm entries moved back into the hot tier on a hit.",
+				func() float64 { return float64(scraped().tiers.Promotions) })
+			reg.CounterFunc(telemetry.MetricTierDemotionsTotal, "Hot-tier evictions absorbed into the warm tier.",
+				func() float64 { return float64(scraped().tiers.Demotions) })
+			reg.CounterFunc(telemetry.MetricTierWarmDiscardsTotal, "Entries aged out of the warm tier (true evictions).",
+				func() float64 { return float64(scraped().tiers.WarmDiscards) })
+			reg.CounterFunc(telemetry.MetricTierWarmScannedTotal, "Warm vectors read and exactly compared during lookups.",
+				func() float64 { return float64(scraped().tiers.WarmScanned) })
 			reg.CounterFunc(telemetry.MetricTierWarmPrunedTotal,
 				"Warm entries skipped by pivot lower bounds without a record read.",
-				func() float64 { return float64(ts.TierStats().WarmPruned) })
+				func() float64 { return float64(scraped().tiers.WarmPruned) })
 		}
 	}
 	if bs, ok := ret.Searcher().(batchStatser); ok {
@@ -351,54 +345,14 @@ type StatsResponse struct {
 	Rebalance *RebalanceStats `json:"rebalance,omitempty"`
 
 	// Index holds graph-index counters (node/tombstone counts, traversal
-	// hops, exact re-ranks), present only when the cache is backed by a
-	// graph index (core.IndexedCache, possibly sharded).
-	Index *IndexStats `json:"index,omitempty"`
+	// hops, exact re-ranks, churn repair), present only when the cache is
+	// backed by a graph index (core.IndexedCache, possibly sharded).
+	Index *core.IndexStats `json:"index,omitempty"`
 
 	// Tiers holds the hot/warm tier breakdown (per-tier occupancy, hit
 	// split, promotion/demotion traffic), present only when the cache is
 	// tiered (tier.TieredCache, possibly sharded).
-	Tiers *TierStats `json:"tiers,omitempty"`
-}
-
-// IndexStats is the graph-index slice of the stats payload. The repair
-// fields describe churn maintenance: slot-reuse in-edge severing plus
-// the incremental background re-link pass.
-type IndexStats struct {
-	Nodes           int   `json:"nodes"`
-	Slots           int   `json:"slots"`
-	Tombstones      int   `json:"tombstones"`
-	GraphHops       int64 `json:"graphHops"`
-	Reranks         int64 `json:"reranks"`
-	BruteScans      int64 `json:"bruteScans"`
-	Searches        int64 `json:"searches"`
-	ReusedSlots     int64 `json:"reusedSlots"`
-	SeveredInEdges  int64 `json:"severedInEdges"`
-	ReroutedInEdges int64 `json:"reroutedInEdges"`
-	DroppedInRefs   int64 `json:"droppedInRefs"`
-	RepairPasses    int64 `json:"repairPasses"`
-	RepairedNodes   int64 `json:"repairedNodes"`
-	PendingRepair   int   `json:"pendingRepair"`
-	RepairNanos     int64 `json:"repairNanos"`
-}
-
-// TierStats is the tiered-cache slice of the stats payload: occupancy
-// gauges per tier, the hit split by serving tier, and the
-// demotion/promotion flow between them.
-type TierStats struct {
-	HotEntries   int   `json:"hotEntries"`
-	HotCapacity  int   `json:"hotCapacity"`
-	WarmEntries  int   `json:"warmEntries"`
-	WarmCapacity int   `json:"warmCapacity"`
-	WarmBytes    int64 `json:"warmBytes"`
-	HotHits      int64 `json:"hotHits"`
-	WarmHits     int64 `json:"warmHits"`
-	Promotions   int64 `json:"promotions"`
-	Demotions    int64 `json:"demotions"`
-	WarmDiscards int64 `json:"warmDiscards"`
-	WarmLookups  int64 `json:"warmLookups"`
-	WarmScanned  int64 `json:"warmScanned"`
-	WarmPruned   int64 `json:"warmPruned"`
+	Tiers *core.TierStats `json:"tiers,omitempty"`
 }
 
 // RebalanceStats is the adaptive-rebalancing slice of the stats payload.
@@ -469,6 +423,45 @@ type batchStatser interface {
 // every node.
 type statsSnapshotter interface {
 	StatsSnapshot() (stats core.Stats, entries, capacity int)
+}
+
+// cacheSnapshot is what one /v1/stats response or one /metrics scrape
+// reads from the cache: each number is read once per request, not once
+// per series that shows it.
+type cacheSnapshot struct {
+	stats             core.Stats
+	entries, capacity int
+	// index and tiers are nil unless the cache reports them. A sharded
+	// cache reports both, all zeros where no shard is indexed or tiered.
+	index *core.IndexStats
+	tiers *core.TierStats
+}
+
+// readCache takes one snapshot of cache, or returns nil without a cache.
+// A remote cache (statsSnapshotter), whose every read is a fan-out to
+// its nodes, is read in one call, and only when remote is set.
+func readCache(cache core.Cache, remote bool) *cacheSnapshot {
+	if cache == nil {
+		return nil
+	}
+	snap := new(cacheSnapshot)
+	if r, ok := cache.(statsSnapshotter); ok {
+		if !remote {
+			return nil
+		}
+		snap.stats, snap.entries, snap.capacity = r.StatsSnapshot()
+		return snap
+	}
+	snap.stats, snap.entries, snap.capacity = cache.Stats(), cache.Len(), cache.Capacity()
+	if is, ok := cache.(core.IndexStatser); ok {
+		st := is.IndexStats()
+		snap.index = &st
+	}
+	if ts, ok := cache.(core.TierStatser); ok {
+		st := ts.TierStats()
+		snap.tiers = &st
+	}
+	return snap
 }
 
 func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
@@ -695,8 +688,12 @@ func (s *Server) fail(w http.ResponseWriter, path string, code int, err error) {
 
 // handleMetrics serves the Prometheus text exposition of every
 // registered series: cache counters, batch/queue gauges, per-stage
-// latency histograms, and runtime self-sampling.
+// latency histograms, and runtime self-sampling. The cache is read once,
+// before rendering, and every cache series renders that one snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	if snap := readCache(s.cfg.Retriever.Cache(), false); snap != nil {
+		s.scraped.Store(snap)
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.tel.Registry.WritePrometheus(w)
 }
@@ -748,10 +745,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	var batchStats *BatchStats
+	var resp StatsResponse
 	if bs, ok := s.cfg.Retriever.Searcher().(batchStatser); ok {
 		st := bs.Stats()
-		batchStats = &BatchStats{
+		resp.Batch = &BatchStats{
 			Searches:       st.Searches,
 			Coalesced:      st.Coalesced,
 			CoalesceRate:   st.CoalesceRate(),
@@ -763,10 +760,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Errors:         st.Errors,
 		}
 	}
-	var rebStats *RebalanceStats
 	if s.cfg.Rebalancer != nil {
 		st := s.cfg.Rebalancer.Stats()
-		rebStats = &RebalanceStats{
+		resp.Rebalance = &RebalanceStats{
 			Samples:       st.Samples,
 			Breaches:      st.Breaches,
 			Triggers:      st.Triggers,
@@ -782,75 +778,16 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	cache := s.cfg.Retriever.Cache()
-	if cache == nil {
-		writeJSON(w, http.StatusOK, StatsResponse{Batch: batchStats, Rebalance: rebStats})
-		return
-	}
-	// Caches whose counters are expensive to assemble (the cluster
-	// client fans a remote fetch out per node) provide all three
-	// aggregates in one snapshot; plain caches answer the three cheap
-	// calls directly.
-	var st core.Stats
-	var entries, capacity int
-	if snap, ok := cache.(statsSnapshotter); ok {
-		st, entries, capacity = snap.StatsSnapshot()
-	} else {
-		st, entries, capacity = cache.Stats(), cache.Len(), cache.Capacity()
-	}
-	resp := StatsResponse{
-		Batch:     batchStats,
-		Rebalance: rebStats,
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		HitRate:   st.HitRate(),
-		Entries:   entries,
-		Capacity:  capacity,
-		Evictions: st.Evictions,
-	}
-	// A sharded flat/LSH cache also satisfies core.IndexStatser (its
-	// aggregation just finds no indexed sub-caches), so gate the block
-	// on the stats being non-zero rather than on the type alone.
-	if is, ok := cache.(core.IndexStatser); ok {
-		if st := is.IndexStats(); st != (core.IndexStats{}) {
-			resp.Index = &IndexStats{
-				Nodes:           st.Nodes,
-				Slots:           st.Slots,
-				Tombstones:      st.Tombstones,
-				GraphHops:       st.GraphHops,
-				Reranks:         st.Reranks,
-				BruteScans:      st.BruteScans,
-				Searches:        st.Searches,
-				ReusedSlots:     st.ReusedSlots,
-				SeveredInEdges:  st.SeveredInEdges,
-				ReroutedInEdges: st.ReroutedInEdges,
-				DroppedInRefs:   st.DroppedInRefs,
-				RepairPasses:    st.RepairPasses,
-				RepairedNodes:   st.RepairedNodes,
-				PendingRepair:   st.PendingRepair,
-				RepairNanos:     st.RepairNanos,
-			}
+	if snap := readCache(cache, true); snap != nil {
+		resp.Hits, resp.Misses, resp.Evictions = snap.stats.Hits, snap.stats.Misses, snap.stats.Evictions
+		resp.HitRate, resp.Entries, resp.Capacity = snap.stats.HitRate(), snap.entries, snap.capacity
+		// A sharded FLAT or LSH cache reports index and tier blocks that
+		// no shard fills: the response leaves out a block of zeros.
+		if snap.index != nil && *snap.index != (core.IndexStats{}) {
+			resp.Index = snap.index
 		}
-	}
-	// Same non-zero gating as Index: a sharded flat/LSH cache satisfies
-	// core.TierStatser through aggregation that finds no tiered
-	// sub-caches.
-	if ts, ok := cache.(core.TierStatser); ok {
-		if st := ts.TierStats(); st != (core.TierStats{}) {
-			resp.Tiers = &TierStats{
-				HotEntries:   st.HotEntries,
-				HotCapacity:  st.HotCapacity,
-				WarmEntries:  st.WarmEntries,
-				WarmCapacity: st.WarmCapacity,
-				WarmBytes:    st.WarmBytes,
-				HotHits:      st.HotHits,
-				WarmHits:     st.WarmHits,
-				Promotions:   st.Promotions,
-				Demotions:    st.Demotions,
-				WarmDiscards: st.WarmDiscards,
-				WarmLookups:  st.WarmLookups,
-				WarmScanned:  st.WarmScanned,
-				WarmPruned:   st.WarmPruned,
-			}
+		if snap.tiers != nil && *snap.tiers != (core.TierStats{}) {
+			resp.Tiers = snap.tiers
 		}
 	}
 	if pr, ok := cache.(pressureReporter); ok {

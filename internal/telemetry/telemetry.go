@@ -72,15 +72,6 @@ func (s *Stage) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Stages returns every defined stage in order.
-func Stages() []Stage {
-	out := make([]Stage, numStages)
-	for i := range out {
-		out[i] = Stage(i)
-	}
-	return out
-}
-
 // StageSet holds one latency histogram per stage. A nil *StageSet is a
 // valid no-op receiver.
 type StageSet struct {

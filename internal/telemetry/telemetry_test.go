@@ -10,13 +10,12 @@ import (
 
 func TestStageNames(t *testing.T) {
 	want := []string{"cache_lookup", "cache_fill", "coalesce_wait", "batch_queue", "db_search", "node_rpc", "graph_repair", "tier_warm_lookup", "tier_promote", "tier_demote"}
-	stages := Stages()
-	if len(stages) != len(want) {
-		t.Fatalf("Stages() = %d entries, want %d", len(stages), len(want))
+	if int(numStages) != len(want) {
+		t.Fatalf("%d stages, want %d", numStages, len(want))
 	}
-	for i, s := range stages {
-		if s.String() != want[i] {
-			t.Errorf("stage %d = %q, want %q", i, s.String(), want[i])
+	for s := Stage(0); s < numStages; s++ {
+		if s.String() != want[s] {
+			t.Errorf("stage %d = %q, want %q", s, s.String(), want[s])
 		}
 	}
 	if Stage(200).String() != "unknown" {

@@ -21,15 +21,16 @@
 //	// result.Docs feed the LLM prompt; result.Hit tells whether the
 //	// database was bypassed.
 //
-// Two cache variants are provided: the FLAT cache scans all entries
-// (exact, O(c·d) per lookup) and the LSH cache scans one random-
-// hyperplane bucket (O((L+b)·d), independent of capacity). See the
-// examples directory for complete programs and DESIGN.md for the paper
-// mapping.
+// Four cache variants are provided: the FLAT cache scans all entries
+// (exact, O(c·d) per lookup), the LSH cache scans one random-hyperplane
+// bucket (O((L+b)·d), independent of capacity), the INDEXED cache walks
+// an HNSW graph over its keys, and the TIERED cache puts a small
+// in-memory tier over a file-backed one; "Choosing a cache variant"
+// below compares them. See the examples directory for complete programs.
 //
 // # Serving at scale: sharding and load generation
 //
-// Both cache variants serialize every operation behind one mutex, which
+// Every cache variant serializes its operations behind one mutex, which
 // is fine for single-stream experiments but becomes the bottleneck when
 // the middleware serves many clients at once. NewShardedFlatCache and
 // NewShardedLSHCache hash-partition keys across N independently-locked
@@ -213,14 +214,13 @@
 // The zero value schedules a repair pass every Every=64 reused slots,
 // re-linking up to Budget=16 queued nodes per pass (each pass runs
 // inline under the cache lock, so Budget bounds the pause an unlucky
-// Put absorbs); TombstoneRatio (default off) additionally triggers when
-// deleted-but-unlinked slots exceed that fraction of the graph. With
-// maintenance on, post-churn self-recall stays within 2% of a freshly
-// rebuilt graph even after churning 5x the capacity (see the committed
-// BENCH_churn.json), at a few percent of Put throughput. Workloads that
-// churn the whole cache many times over between lookups amortize the
-// graph poorly regardless — prefer FLAT (or LSH at scale) when writes
-// dominate reads.
+// Put absorbs). Every eviction frees a slot that the next insert reuses,
+// so reuse is the one churn signal the cache needs. With maintenance on,
+// post-churn self-recall stays within 2% of a freshly rebuilt graph even
+// after churning 5x the capacity (see the committed BENCH_churn.json),
+// at a few percent of Put throughput. Workloads that churn the whole
+// cache many times over between lookups amortize the graph poorly
+// regardless — prefer FLAT (or LSH at scale) when writes dominate reads.
 //
 // `proximity-bench -experiment annindex` measures the three variants
 // head-to-head, `-experiment churn` measures recall decay and repair
