@@ -13,7 +13,7 @@ import (
 
 // unboundedFlat returns a FlatCache whose scans finish every key with
 // the plain L2 kernel: the metric field is moved off L2, which routes
-// scanAdmissible and scanClosest through their c.dist loops, and c.dist
+// scanAdmissible through its c.dist loop (no heads, no bound), and c.dist
 // stays vec.L2. Everything else — entry order, eviction, counters — is
 // the cache under test, so the pair differs in the kernel alone.
 func unboundedFlat(t *testing.T, dim int, opts Options) *FlatCache {
@@ -73,7 +73,6 @@ func TestBoundedScanIsExact(t *testing.T) {
 				lookup := func(op int, q vec.Vector) {
 					t.Helper()
 					for name, peek := range map[string]func(*FlatCache) (float32, bool){
-						"Peek":           func(c *FlatCache) (float32, bool) { return c.Peek(q) },
 						"PeekAdmissible": func(c *FlatCache) (float32, bool) { return c.PeekAdmissible(q) },
 						"TierGet": func(c *FlatCache) (float32, bool) {
 							h, ok := c.TierGet(q)

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,28 +16,49 @@ import (
 // respect to the cached set but costs O(c·d) per query, which Fig. 10 of
 // the paper shows becoming prohibitive beyond a few thousand entries —
 // the motivation for LSHCache.
+//
+// The lines live in parallel arrays indexed by slot, slots 0..Len()-1
+// live: each key's first vec.HeadLen floats in one contiguous heads
+// array (64 B per line, 64 KB at c = 1 000), the tolerances, insertion
+// stamps, and the rest of each line (key, documents, eviction-order
+// links) in slots. An L2 scan streams heads and tolerances and reads a
+// key only when its head alone does not rule it out, so a lookup reads
+// dense arrays instead of chasing a pointer per key. Each key is its own
+// allocation, reused by an evicting Put: one slab of whole keys would be
+// a large object, rounded up to whole pages, which costs a 20-line LSH
+// bucket of 768-d keys 4 KB. Eviction moves the last slot into the
+// victim's, so the slots stay dense. The arrays grow by doubling up to
+// Capacity slots.
 type FlatCache struct {
-	dim  int
-	opts Options
-	dist vec.DistanceFunc
+	dim     int
+	opts    Options
+	dist    vec.DistanceFunc
+	headLen int // vec.HeadLen under L2 at dim ≥ HeadLen; else 0, and heads stays nil
 
-	mu      sync.RWMutex
-	entries []*flatEntry
-	order   *list.List // eviction order; front = next to evict
-	stats   Stats
+	mu          sync.RWMutex
+	heads       []float32 // slot i's first headLen floats
+	tols        []float32 // slot i's tolerance, the match threshold for its line
+	slots       []flatSlot
+	stamps      []uint32   // slot i's insertion stamp, so a TierHit can tell its line still holds the slot
+	front, back int32      // ends of the eviction order: front is next to evict
+	spare       vec.Vector // the last victim's key, when no OnEvict took it
+	stamp       uint32     // the last insertion stamp handed out; wrapping needs 2³² Puts before a Commit
+	stats       Stats
 	// distComps is accounted atomically (not under mu) so read-only
-	// scans — Peek/PeekAdmissible under RLock — can run concurrently
-	// while still charging their distance computations.
+	// scans — PeekAdmissible and TierGet under RLock — can run
+	// concurrently while still charging their distance computations.
 	distComps atomic.Int64
 }
 
-type flatEntry struct {
-	key  vec.Vector
-	docs []int
-	tol  float32       // per-entry tolerance; the match threshold for this line
-	elem *list.Element // position in eviction order; Value is *flatEntry
-	idx  int           // position in entries (for O(1) removal)
+// flatSlot is the part of a line a scan reads only for a key its head
+// did not rule out, or to serve, move or enumerate the line.
+type flatSlot struct {
+	key        vec.Vector
+	docs       []int
+	prev, next int32 // neighbours in eviction order; noSlot past either end
 }
+
+const noSlot int32 = -1
 
 var _ Cache = (*FlatCache)(nil)
 
@@ -51,63 +72,58 @@ func NewFlat(dim int, opts Options) (*FlatCache, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("core: dimension must be positive, got %d", dim)
 	}
-	return &FlatCache{
-		dim:   dim,
-		opts:  opts,
-		dist:  opts.Metric.Func(),
-		order: list.New(),
-	}, nil
+	if opts.Capacity > math.MaxInt32 {
+		return nil, fmt.Errorf("core: capacity %d exceeds the int32 slot index", opts.Capacity)
+	}
+	c := &FlatCache{dim: dim, opts: opts, dist: opts.Metric.Func(), front: noSlot, back: noSlot}
+	if opts.Metric == vec.L2Distance && dim >= vec.HeadLen {
+		c.headLen = vec.HeadLen
+	}
+	return c, nil
 }
 
 // Get scans all cached keys and returns the documents of the closest one
 // within its tolerance (lines 2-5 of Algorithm 1). Entries inserted with
 // Put use the cache-wide τ; PutWithTolerance entries use their own. Under
-// LRU the matched entry's recency is refreshed.
+// LRU the matched entry's recency is refreshed. A nil or wrong-length
+// query is an uncounted miss.
 //
 //proximity:hotpath
 func (c *FlatCache) Get(q vec.Vector) ([]int, bool) {
-	if q == nil {
+	if len(q) != c.dim {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	e, _ := c.scanAdmissible(q)
-	if e == nil {
+	i, _ := c.scanAdmissible(q)
+	if i < 0 {
 		c.stats.Misses++
 		return nil, false
 	}
 	c.stats.Hits++
 	if c.opts.Policy == LRU {
-		c.order.MoveToBack(e.elem)
+		c.moveToBack(int32(i))
 	}
 	//proximity:allow hotpathalloc the budgeted caller-owned docs copy (Get's one allocation)
-	out := make([]int, len(e.docs))
-	copy(out, e.docs)
+	out := make([]int, len(c.slots[i].docs))
+	copy(out, c.slots[i].docs)
 	return out, true
-}
-
-// Peek reports the distance to the closest cached key without affecting
-// recency or hit/miss counters (the scan's distance computations are
-// still charged). Used by multi-probe lookups, diagnostics, and tests.
-// Peek mutates nothing, so it takes only a read lock: concurrent
-// multi-probe bucket rankings scan in parallel instead of serializing.
-func (c *FlatCache) Peek(q vec.Vector) (dist float32, ok bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, d := c.scanClosest(q)
-	return d, e != nil
 }
 
 // PeekAdmissible reports the distance to the closest cached key whose own
 // tolerance admits the query, without affecting recency or hit/miss
-// counters. Multi-probe lookups use it to rank candidate buckets; like
-// Peek it holds only a read lock, so concurrent rankings don't serialize.
+// counters (the scan's distance computations are still charged).
+// Multi-probe lookups use it to rank candidate buckets; it holds only a
+// read lock, so concurrent rankings don't serialize.
 func (c *FlatCache) PeekAdmissible(q vec.Vector) (dist float32, ok bool) {
+	if len(q) != c.dim {
+		return 0, false
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	e, d := c.scanAdmissible(q)
-	return d, e != nil
+	i, d := c.scanAdmissible(q)
+	return d, i >= 0
 }
 
 // TierGet is the two-phase hot-tier lookup (see TierCache): it returns
@@ -118,86 +134,74 @@ func (c *FlatCache) PeekAdmissible(q vec.Vector) (dist float32, ok bool) {
 //
 //proximity:hotpath
 func (c *FlatCache) TierGet(q vec.Vector) (TierHit, bool) {
-	if q == nil {
+	if len(q) != c.dim {
 		return TierHit{}, false
 	}
 	c.mu.RLock()
-	e, d := c.scanAdmissible(q)
-	if e == nil {
-		c.mu.RUnlock()
+	defer c.mu.RUnlock()
+	i, d := c.scanAdmissible(q)
+	if i < 0 {
 		return TierHit{}, false
 	}
 	//proximity:allow hotpathalloc the budgeted caller-owned docs copy (TierGet's one allocation)
-	docs := append([]int(nil), e.docs...)
-	elem := e.elem
-	c.mu.RUnlock()
-	return TierHit{Docs: docs, Dist: d, src: c, elem: elem}, true
+	docs := append([]int(nil), c.slots[i].docs...)
+	return TierHit{Docs: docs, Dist: d, src: c, slot: i, stamp: c.stamps[i]}, true
 }
 
 // commitTierHit applies a won TierGet's deferred side effects: the hit
-// count and, under LRU, the recency refresh. MoveToBack no-ops if the
-// entry was evicted between the lookup and the commit (its element left
-// the list).
-func (c *FlatCache) commitTierHit(elem *list.Element) {
+// count and, under LRU, the recency refresh. The refresh no-ops if the
+// hit's slot no longer holds the line it was taken from.
+func (c *FlatCache) commitTierHit(h TierHit) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Hits++
-	if c.opts.Policy == LRU {
-		c.order.MoveToBack(elem)
+	if c.opts.Policy == LRU && h.slot < len(c.stamps) && c.stamps[h.slot] == h.stamp {
+		c.moveToBack(int32(h.slot))
 	}
 }
 
-// scanAdmissible is the Algorithm 1 match: the closest entry whose own
-// tolerance admits q, found by a linear scan that charges one distance
-// computation per cached key. Ties keep the first-scanned entry, matching
-// the paper's min_by_dist. Callers hold mu at least for reading.
+// scanAdmissible is the Algorithm 1 match: the slot of the closest entry
+// whose own tolerance admits q (-1 if none), found by a linear scan in
+// slot order that charges one distance computation per cached key. Ties
+// keep the first-scanned entry, matching the paper's min_by_dist.
+// Callers hold mu at least for reading.
 //
 // Under L2 a key wins only with d ≤ its tolerance and d < the best so
 // far, so the kernel abandons it once its partial sum passes the smaller
 // of the two; a key that survives gets the distance the full kernel
-// gives, so the outcome is the unbounded scan's, bit for bit. Cosine and
-// inner product have no monotone partial sum and finish every key.
-func (c *FlatCache) scanAdmissible(q vec.Vector) (best *flatEntry, bestDist float32) {
+// gives, so the outcome is the unbounded scan's, bit for bit. With heads
+// stored, a key whose head alone exceeds that bound is skipped without
+// reading its row: vec.L2SquaredHead exceeds vec.SquaredBound exactly
+// when vec.L2Bounded would abandon at its first check. Cosine and inner
+// product have no monotone partial sum and finish every key.
+func (c *FlatCache) scanAdmissible(q vec.Vector) (best int, bestDist float32) {
+	best = -1
 	if c.opts.Metric == vec.L2Distance {
-		for _, e := range c.entries {
-			maxDist := e.tol
-			if best != nil && bestDist < maxDist {
+		heads := c.heads
+		for i, tol := range c.tols {
+			maxDist := tol
+			if best >= 0 && bestDist < maxDist {
 				maxDist = bestDist
 			}
-			if d, ok := vec.L2Bounded(q, e.key, maxDist); ok && d <= e.tol && (best == nil || d < bestDist) {
-				best, bestDist = e, d
+			if heads != nil {
+				head := heads[:vec.HeadLen]
+				heads = heads[vec.HeadLen:]
+				if vec.L2SquaredHead(q, head) > vec.SquaredBound(maxDist) {
+					continue
+				}
+			}
+			if d, ok := vec.L2Bounded(q, c.slots[i].key, maxDist); ok && d <= tol && (best < 0 || d < bestDist) {
+				best, bestDist = i, d
 			}
 		}
 	} else {
-		for _, e := range c.entries {
-			if d := c.dist(q, e.key); d <= e.tol && (best == nil || d < bestDist) {
-				best, bestDist = e, d
+		for i, tol := range c.tols {
+			if d := c.dist(q, c.slots[i].key); d <= tol && (best < 0 || d < bestDist) {
+				best, bestDist = i, d
 			}
 		}
 	}
-	c.distComps.Add(int64(len(c.entries)))
-	return best, bestDist
-}
-
-// scanClosest is the diagnostic scan behind Peek: the closest entry
-// whatever its tolerance, with scanAdmissible's charging, tie-break and
-// locking. Under L2 the bound is the best distance so far.
-func (c *FlatCache) scanClosest(q vec.Vector) (best *flatEntry, bestDist float32) {
-	if c.opts.Metric == vec.L2Distance {
-		bestDist = float32(math.Inf(1))
-		for _, e := range c.entries {
-			if d, ok := vec.L2Bounded(q, e.key, bestDist); ok && (best == nil || d < bestDist) {
-				best, bestDist = e, d
-			}
-		}
-	} else {
-		for _, e := range c.entries {
-			if d := c.dist(q, e.key); best == nil || d < bestDist {
-				best, bestDist = e, d
-			}
-		}
-	}
-	c.distComps.Add(int64(len(c.entries)))
+	c.distComps.Add(int64(len(c.tols)))
 	return best, bestDist
 }
 
@@ -212,52 +216,94 @@ func (c *FlatCache) Put(q vec.Vector, docs []int) {
 // discusses: a line whose original query had tightly-packed neighbors
 // should only serve queries very close to it. Callers normally derive
 // tol from the retrieved-neighbor distances (see RetrieverOptions.
-// DynamicTolerance).
+// DynamicTolerance). A nil or wrong-length key is ignored.
 func (c *FlatCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if q == nil || tol < 0 {
+	if len(q) != c.dim || tol < 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	if len(c.entries) >= c.opts.Capacity {
+	if len(c.tols) >= c.opts.Capacity {
 		c.evictLocked()
 	}
-	e := &flatEntry{
-		key:  vec.Clone(q),
-		docs: append([]int(nil), docs...),
-		tol:  tol,
-		idx:  len(c.entries),
-	}
-	e.elem = c.order.PushBack(e)
-	c.entries = append(c.entries, e)
+	key := append(c.spare[:0], q...) // the victim's key, when there was one
+	c.spare = nil
+	limit := c.opts.Capacity
+	c.heads = appendSlot(c.heads, limit, q[:c.headLen]...)
+	c.tols = appendSlot(c.tols, limit, tol)
+	c.slots = appendSlot(c.slots, limit, flatSlot{key: key, docs: append([]int(nil), docs...)})
+	c.stamp++
+	c.stamps = appendSlot(c.stamps, limit, c.stamp)
+	i := int32(len(c.slots) - 1)
+	c.link(c.back, i)
+	c.link(i, noSlot)
 	c.stats.Puts++
 }
 
-// evictLocked removes the front of the eviction order: the oldest insert
-// under FIFO, the least recently used entry under LRU.
+// appendSlot appends one slot's worth of elements to s, growing its
+// backing array by doubling but never past limit slots, so a full cache
+// holds exactly Capacity slots and an empty one nothing.
+func appendSlot[T any](s []T, limit int, slot ...T) []T {
+	if len(s)+len(slot) > cap(s) {
+		w := len(slot)
+		grown := make([]T, len(s), min(max(2*cap(s), w), limit*w))
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, slot...)
+}
+
+// evictLocked removes the front of the eviction order — the oldest
+// insert under FIFO, the least recently used entry under LRU — and moves
+// the last slot into its place.
 func (c *FlatCache) evictLocked() {
-	front := c.order.Front()
-	if front == nil {
+	v := c.front
+	if v == noSlot {
 		return
 	}
-	victim, ok := front.Value.(*flatEntry)
-	if !ok {
-		// The order list only ever holds *flatEntry; reaching here
-		// means internal corruption, so fail loudly.
-		panic(fmt.Sprintf("core: unexpected eviction list element %T", front.Value))
+	victim, tol := c.slots[v], c.tols[v]
+	c.link(victim.prev, victim.next)
+	n := len(c.slots) - 1 // the last slot, which moves into v
+	if int(v) != n {
+		c.slots[v], c.tols[v], c.stamps[v] = c.slots[n], c.tols[n], c.stamps[n]
+		copy(c.heads[int(v)*c.headLen:], c.heads[n*c.headLen:])
+		c.link(c.slots[v].prev, v)
+		c.link(v, c.slots[v].next)
 	}
-	c.order.Remove(front)
-	// Swap-remove from the scan slice.
-	last := len(c.entries) - 1
-	c.entries[victim.idx] = c.entries[last]
-	c.entries[victim.idx].idx = victim.idx
-	c.entries = c.entries[:last]
+	c.slots[n] = flatSlot{}
+	c.slots, c.tols, c.stamps, c.heads = c.slots[:n], c.tols[:n], c.stamps[:n], c.heads[:n*c.headLen]
 	c.stats.Evictions++
 	if c.opts.OnEvict != nil {
 		// Ownership transfer: the victim's slices are unreachable from
 		// the cache now, so the hook keeps them without copying.
-		c.opts.OnEvict(Entry{Key: victim.key, Docs: victim.docs, Tol: victim.tol})
+		c.opts.OnEvict(Entry{Key: victim.key, Docs: victim.docs, Tol: tol})
+	} else {
+		c.spare = victim.key
+	}
+}
+
+// link makes slot n follow slot p in the eviction order; noSlot for p or
+// n stands for the front or the back end.
+func (c *FlatCache) link(p, n int32) {
+	if p == noSlot {
+		c.front = n
+	} else {
+		c.slots[p].next = n
+	}
+	if n == noSlot {
+		c.back = p
+	} else {
+		c.slots[n].prev = p
+	}
+}
+
+// moveToBack refreshes slot i to the back of the eviction order.
+func (c *FlatCache) moveToBack(i int32) {
+	if i != c.back {
+		c.link(c.slots[i].prev, c.slots[i].next)
+		c.link(c.back, i)
+		c.link(i, noSlot)
 	}
 }
 
@@ -265,7 +311,7 @@ func (c *FlatCache) evictLocked() {
 func (c *FlatCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.entries)
+	return len(c.tols)
 }
 
 // Capacity returns the configured capacity c.
@@ -286,31 +332,27 @@ func (c *FlatCache) Stats() Stats {
 	return s
 }
 
-// Clear drops all entries, preserving counters.
+// Clear drops all entries and their storage, preserving counters.
 func (c *FlatCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = nil
-	c.order.Init()
+	c.heads, c.tols, c.slots, c.stamps, c.spare = nil, nil, nil, nil, nil
+	c.front, c.back = noSlot, noSlot
 }
 
 // Entries returns copies of the cached lines in eviction order (front,
 // i.e. next to evict, first), so re-inserting them in order reproduces
 // the same eviction sequence. Implements EntrySource; O(c·d).
-func (c *FlatCache) Entries() []Entry {
+func (c *FlatCache) Entries() []Entry { return c.appendEntries(nil) }
+
+// appendEntries appends copies of the cached lines to out in eviction
+// order: the one walk over the slot links, behind Entries and the
+// snapshot writers.
+func (c *FlatCache) appendEntries(out []Entry) []Entry {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]Entry, 0, len(c.entries))
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e, ok := el.Value.(*flatEntry)
-		if !ok {
-			panic(fmt.Sprintf("core: unexpected eviction list element %T", el.Value))
-		}
-		out = append(out, Entry{
-			Key:  vec.Clone(e.key),
-			Docs: append([]int(nil), e.docs...),
-			Tol:  e.tol,
-		})
+	for i := c.front; i != noSlot; i = c.slots[i].next {
+		out = append(out, Entry{Key: vec.Clone(c.slots[i].key), Docs: slices.Clone(c.slots[i].docs), Tol: c.tols[i]})
 	}
 	return out
 }

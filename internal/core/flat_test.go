@@ -144,6 +144,59 @@ func TestFlatNilQuery(t *testing.T) {
 	}
 }
 
+// TestFlatWrongLengthInput: a key or query whose length is not the
+// cache's dimension is ignored like nil, in both directions. A stored
+// wrong-length key used to make every later well-formed lookup panic.
+func TestFlatWrongLengthInput(t *testing.T) {
+	for _, bad := range []vec.Vector{{1, 2}, {1, 2, 3, 4, 5}} {
+		c := mustFlat(t, 4, Options{Capacity: 2, Tolerance: 100})
+		c.Put(bad, []int{1})
+		c.PutWithTolerance(bad, []int{1}, 100)
+		if c.Len() != 0 {
+			t.Fatalf("a %d-float key was stored in a 4-float cache", len(bad))
+		}
+		good := vec.Vector{1, 2, 3, 4}
+		if _, ok := c.Get(good); ok {
+			t.Error("empty cache hit")
+		}
+		c.Put(good, []int{2})
+		if _, ok := c.Get(bad); ok {
+			t.Errorf("a %d-float query hit", len(bad))
+		}
+		if _, ok := c.TierGet(bad); ok {
+			t.Errorf("TierGet of a %d-float query hit", len(bad))
+		}
+		if _, ok := c.PeekAdmissible(bad); ok {
+			t.Errorf("PeekAdmissible of a %d-float query hit", len(bad))
+		}
+		if s := c.Stats(); s.Hits != 0 || s.Misses != 1 || s.Puts != 1 || s.DistComps != 0 {
+			t.Errorf("stats = %+v, want 1 put and the one well-formed miss", s)
+		}
+	}
+}
+
+// TestFlatStaleCommitIsNoOp: a TierHit whose line was evicted before
+// its Commit counts the hit but refreshes nothing, even though another
+// line has since moved into its slot.
+func TestFlatStaleCommitIsNoOp(t *testing.T) {
+	c := mustFlat(t, 1, Options{Capacity: 2, Tolerance: 0.1, Policy: LRU})
+	c.Put(vec.Vector{0}, []int{0})
+	c.Put(vec.Vector{10}, []int{1})
+	h, ok := c.TierGet(vec.Vector{0})
+	if !ok {
+		t.Fatal("expected a hot candidate")
+	}
+	c.Put(vec.Vector{20}, []int{2}) // evicts {0}; {10} takes over its slot
+	h.Commit()
+	entries := c.Entries()
+	if len(entries) != 2 || entries[0].Docs[0] != 1 || entries[1].Docs[0] != 2 {
+		t.Errorf("eviction order = %v, want docs 1 then 2", entries)
+	}
+	if s := c.Stats(); s.Hits != 1 {
+		t.Errorf("Hits = %d, want 1", s.Hits)
+	}
+}
+
 func TestFlatFIFOEviction(t *testing.T) {
 	c := mustFlat(t, 1, Options{Capacity: 2, Tolerance: 0.1, Policy: FIFO})
 	c.Put(vec.Vector{0}, []int{0})
@@ -234,19 +287,26 @@ func TestFlatKeysOrder(t *testing.T) {
 	}
 }
 
+// TestFlatPeek pins PeekAdmissible: the distance to the closest key
+// whose own tolerance admits the query, with no effect on the hit and
+// miss counters.
 func TestFlatPeek(t *testing.T) {
 	c := mustFlat(t, 1, Options{Capacity: 2, Tolerance: 0})
-	if _, ok := c.Peek(vec.Vector{0}); ok {
-		t.Error("Peek on empty cache should report not-ok")
+	if _, ok := c.PeekAdmissible(vec.Vector{0}); ok {
+		t.Error("PeekAdmissible on empty cache should report not-ok")
 	}
 	c.Put(vec.Vector{3}, nil)
-	d, ok := c.Peek(vec.Vector{0})
+	if d, ok := c.PeekAdmissible(vec.Vector{0}); ok {
+		t.Errorf("PeekAdmissible = %v, true; a τ = 0 line must not admit a query 3 away", d)
+	}
+	c.PutWithTolerance(vec.Vector{3}, nil, 5)
+	d, ok := c.PeekAdmissible(vec.Vector{0})
 	if !ok || d != 3 {
-		t.Errorf("Peek = %v, %v; want 3, true", d, ok)
+		t.Errorf("PeekAdmissible = %v, %v; want 3, true", d, ok)
 	}
 	s := c.Stats()
 	if s.Hits != 0 || s.Misses != 0 {
-		t.Error("Peek must not affect hit/miss counters")
+		t.Error("PeekAdmissible must not affect hit/miss counters")
 	}
 }
 
@@ -302,7 +362,8 @@ func TestFlatCapacityInvariant(t *testing.T) {
 }
 
 // Property: every hit returns the value of a key within tolerance — the
-// approximate-cache contract. Verified by re-checking with Peek.
+// approximate-cache contract. Verified against a brute-force scan of the
+// cached lines.
 func TestFlatHitImpliesWithinTolerance(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := vec.NewRand(seed)
@@ -314,14 +375,18 @@ func TestFlatHitImpliesWithinTolerance(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			c.Put(vec.RandomGaussian(r, 3), []int{i})
 		}
+		lines := c.Entries()
 		for i := 0; i < 30; i++ {
 			q := vec.RandomGaussian(r, 3)
-			d, any := c.Peek(q)
-			_, hit := c.Get(q)
-			if !any {
-				return !hit
+			nearest := -1
+			for j, e := range lines {
+				if nearest < 0 || vec.L2(q, e.Key) < vec.L2(q, lines[nearest].Key) {
+					nearest = j
+				}
 			}
-			if hit != (d <= tol) {
+			// Every line has tolerance τ, so a hit must serve the nearest.
+			docs, hit := c.Get(q)
+			if hit != (vec.L2(q, lines[nearest].Key) <= tol) || hit && docs[0] != lines[nearest].Docs[0] {
 				return false
 			}
 		}

@@ -278,12 +278,12 @@ func (c *IndexedCache) TierGet(q vec.Vector) (TierHit, bool) {
 // commitTierHit applies a won TierGet's deferred side effects: the hit
 // count and, under LRU, the recency refresh. MoveToBack no-ops if the
 // entry was evicted between the lookup and the commit.
-func (c *IndexedCache) commitTierHit(elem *list.Element) {
+func (c *IndexedCache) commitTierHit(h TierHit) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Hits++
 	if c.opts.Policy == LRU {
-		c.order.MoveToBack(elem)
+		c.order.MoveToBack(h.elem)
 	}
 }
 

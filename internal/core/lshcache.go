@@ -299,7 +299,7 @@ func (c *LSHCache) Entries() []Entry {
 	c.mu.RUnlock()
 	var out []Entry
 	for _, b := range buckets {
-		out = append(out, b.Entries()...)
+		out = b.appendEntries(out)
 	}
 	return out
 }

@@ -136,7 +136,6 @@ type flatSnapshot struct {
 
 // WriteSnapshot serializes the cache contents to w.
 func (c *FlatCache) WriteSnapshot(w io.Writer) error {
-	c.mu.Lock()
 	snap := flatSnapshot{
 		Version:   snapshotVersion,
 		Dim:       c.dim,
@@ -145,25 +144,8 @@ func (c *FlatCache) WriteSnapshot(w io.Writer) error {
 		Metric:    int(c.opts.Metric),
 		Policy:    int(c.opts.Policy),
 	}
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e, ok := el.Value.(*flatEntry)
-		if !ok {
-			c.mu.Unlock()
-			return fmt.Errorf("core: corrupt eviction list element %T", el.Value)
-		}
-		snap.Keys = append(snap.Keys, vec.Clone(e.key))
-		snap.Docs = append(snap.Docs, append([]int(nil), e.docs...))
-		snap.Tols = append(snap.Tols, e.tol)
-	}
-	c.mu.Unlock()
-
-	if err := writeSnapshotHeader(w); err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("core: encode snapshot: %w", err)
-	}
-	return nil
+	snap.Keys, snap.Docs, snap.Tols = entryColumns(c.Entries())
+	return encodeSnapshot(w, snap)
 }
 
 // ReadFlatSnapshot reconstructs a FlatCache from a snapshot. Both the
@@ -171,20 +153,13 @@ func (c *FlatCache) WriteSnapshot(w io.Writer) error {
 // accepted; a snapshot from a newer format generation returns an error
 // wrapping ErrSnapshotVersion.
 func ReadFlatSnapshot(r io.Reader) (*FlatCache, error) {
-	br := bufio.NewReader(r)
-	if err := consumeSnapshotHeader(br); err != nil {
+	var snap flatSnapshot
+	if err := decodeSnapshot(r, &snap); err != nil {
 		return nil, err
 	}
-	var snap flatSnapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("core: decode snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("%w: payload version %d", ErrSnapshotVersion, snap.Version)
-	}
-	if len(snap.Keys) != len(snap.Docs) || len(snap.Keys) != len(snap.Tols) {
-		return nil, fmt.Errorf("core: corrupt snapshot: %d keys, %d docs, %d tolerances",
-			len(snap.Keys), len(snap.Docs), len(snap.Tols))
+	entries, err := snapshotEntries(snap.Version, snap.Dim, snap.Keys, snap.Docs, snap.Tols)
+	if err != nil {
+		return nil, err
 	}
 	c, err := NewFlat(snap.Dim, Options{
 		Capacity:  snap.Capacity,
@@ -195,18 +170,12 @@ func ReadFlatSnapshot(r io.Reader) (*FlatCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild cache: %w", err)
 	}
-	for i, k := range snap.Keys {
-		if len(k) != snap.Dim {
-			return nil, fmt.Errorf("core: corrupt snapshot: key %d has dim %d, expected %d",
-				i, len(k), snap.Dim)
-		}
-		c.PutWithTolerance(k, snap.Docs[i], snap.Tols[i])
+	for _, e := range entries {
+		c.PutWithTolerance(e.Key, e.Docs, e.Tol)
 	}
 	// Reloading counted one Put per entry; restart the counters so the
-	// new process observes a clean lifetime.
-	c.mu.Lock()
+	// new process observes a clean lifetime. Nothing else holds c yet.
 	c.stats = Stats{}
-	c.mu.Unlock()
 	return c, nil
 }
 
@@ -242,33 +211,8 @@ func (c *LSHCache) WriteSnapshot(w io.Writer) error {
 		Seed:           c.seed,
 		Probes:         c.probes,
 	}
-	c.mu.RLock()
-	buckets := make([]*FlatCache, 0, len(c.buckets))
-	for _, b := range c.buckets {
-		buckets = append(buckets, b)
-	}
-	c.mu.RUnlock()
-	for _, b := range buckets {
-		b.mu.Lock()
-		for el := b.order.Front(); el != nil; el = el.Next() {
-			e, ok := el.Value.(*flatEntry)
-			if !ok {
-				b.mu.Unlock()
-				return fmt.Errorf("core: corrupt eviction list element %T", el.Value)
-			}
-			snap.Keys = append(snap.Keys, vec.Clone(e.key))
-			snap.Docs = append(snap.Docs, append([]int(nil), e.docs...))
-			snap.Tols = append(snap.Tols, e.tol)
-		}
-		b.mu.Unlock()
-	}
-	if err := writeSnapshotHeader(w); err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("core: encode snapshot: %w", err)
-	}
-	return nil
+	snap.Keys, snap.Docs, snap.Tols = entryColumns(c.Entries())
+	return encodeSnapshot(w, snap)
 }
 
 // ReadLSHSnapshot reconstructs an LSHCache from a snapshot. Both the
@@ -276,20 +220,13 @@ func (c *LSHCache) WriteSnapshot(w io.Writer) error {
 // accepted; a snapshot from a newer format generation returns an error
 // wrapping ErrSnapshotVersion.
 func ReadLSHSnapshot(r io.Reader) (*LSHCache, error) {
-	br := bufio.NewReader(r)
-	if err := consumeSnapshotHeader(br); err != nil {
+	var snap lshSnapshot
+	if err := decodeSnapshot(r, &snap); err != nil {
 		return nil, err
 	}
-	var snap lshSnapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("core: decode snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("%w: payload version %d", ErrSnapshotVersion, snap.Version)
-	}
-	if len(snap.Keys) != len(snap.Docs) || len(snap.Keys) != len(snap.Tols) {
-		return nil, fmt.Errorf("core: corrupt snapshot: %d keys, %d docs, %d tolerances",
-			len(snap.Keys), len(snap.Docs), len(snap.Tols))
+	entries, err := snapshotEntries(snap.Version, snap.Dim, snap.Keys, snap.Docs, snap.Tols)
+	if err != nil {
+		return nil, err
 	}
 	c, err := NewLSH(snap.Dim, LSHOptions{
 		Bits:           snap.Bits,
@@ -303,25 +240,13 @@ func ReadLSHSnapshot(r io.Reader) (*LSHCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild cache: %w", err)
 	}
-	for i, k := range snap.Keys {
-		if len(k) != snap.Dim {
-			return nil, fmt.Errorf("core: corrupt snapshot: key %d has dim %d, expected %d",
-				i, len(k), snap.Dim)
-		}
-		c.PutWithTolerance(k, snap.Docs[i], snap.Tols[i])
+	for _, e := range entries {
+		c.PutWithTolerance(e.Key, e.Docs, e.Tol)
 	}
-	c.mu.Lock()
-	c.hashOps = 0
-	c.missesOnEmpty = 0
-	buckets := make([]*FlatCache, 0, len(c.buckets))
+	// As in ReadFlatSnapshot: fresh counters, and nothing else holds c.
+	c.hashOps, c.missesOnEmpty = 0, 0
 	for _, b := range c.buckets {
-		buckets = append(buckets, b)
-	}
-	c.mu.Unlock()
-	for _, b := range buckets {
-		b.mu.Lock()
 		b.stats = Stats{}
-		b.mu.Unlock()
 	}
 	return c, nil
 }
@@ -344,16 +269,27 @@ type entrySnapshot struct {
 // order, which is eviction order where the source defines one) to w.
 func WriteEntrySnapshot(w io.Writer, dim int, src EntrySource) error {
 	snap := entrySnapshot{Version: snapshotVersion, Dim: dim}
-	for _, e := range src.Entries() {
-		snap.Keys = append(snap.Keys, e.Key)
-		snap.Docs = append(snap.Docs, e.Docs)
-		snap.Tols = append(snap.Tols, e.Tol)
+	snap.Keys, snap.Docs, snap.Tols = entryColumns(src.Entries())
+	return encodeSnapshot(w, snap)
+}
+
+// entryColumns splits entries into a snapshot's parallel columns.
+func entryColumns(entries []Entry) (keys []vec.Vector, docs [][]int, tols []float32) {
+	for _, e := range entries {
+		keys = append(keys, e.Key)
+		docs = append(docs, e.Docs)
+		tols = append(tols, e.Tol)
 	}
+	return keys, docs, tols
+}
+
+// encodeSnapshot writes the header and then snap as gob.
+func encodeSnapshot(w io.Writer, snap any) error {
 	if err := writeSnapshotHeader(w); err != nil {
 		return err
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("core: encode entry snapshot: %w", err)
+		return fmt.Errorf("core: encode snapshot: %w", err)
 	}
 	return nil
 }
@@ -363,28 +299,45 @@ func WriteEntrySnapshot(w io.Writer, dim int, src EntrySource) error {
 // that order through PutWithTolerance reproduces the snapshotted
 // contents and eviction sequence in any cache variant.
 func ReadEntrySnapshot(r io.Reader) (dim int, entries []Entry, err error) {
-	br := bufio.NewReader(r)
-	if err := consumeSnapshotHeader(br); err != nil {
+	var snap entrySnapshot
+	if err := decodeSnapshot(r, &snap); err != nil {
 		return 0, nil, err
 	}
-	var snap entrySnapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		return 0, nil, fmt.Errorf("core: decode entry snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return 0, nil, fmt.Errorf("%w: payload version %d", ErrSnapshotVersion, snap.Version)
-	}
-	if len(snap.Keys) != len(snap.Docs) || len(snap.Keys) != len(snap.Tols) {
-		return 0, nil, fmt.Errorf("core: corrupt snapshot: %d keys, %d docs, %d tolerances",
-			len(snap.Keys), len(snap.Docs), len(snap.Tols))
-	}
-	entries = make([]Entry, len(snap.Keys))
-	for i, k := range snap.Keys {
-		if len(k) != snap.Dim {
-			return 0, nil, fmt.Errorf("core: corrupt snapshot: key %d has dim %d, expected %d",
-				i, len(k), snap.Dim)
-		}
-		entries[i] = Entry{Key: k, Docs: snap.Docs[i], Tol: snap.Tols[i]}
+	if entries, err = snapshotEntries(snap.Version, snap.Dim, snap.Keys, snap.Docs, snap.Tols); err != nil {
+		return 0, nil, err
 	}
 	return snap.Dim, entries, nil
+}
+
+// decodeSnapshot reads the optional header and then the gob payload into
+// snap.
+func decodeSnapshot(r io.Reader, snap any) error {
+	br := bufio.NewReader(r)
+	if err := consumeSnapshotHeader(br); err != nil {
+		return err
+	}
+	if err := gob.NewDecoder(br).Decode(snap); err != nil {
+		return fmt.Errorf("core: decode snapshot: %w", err)
+	}
+	return nil
+}
+
+// snapshotEntries checks a decoded payload's version and columns and
+// zips the columns back into entries, in their serialized order.
+func snapshotEntries(version, dim int, keys []vec.Vector, docs [][]int, tols []float32) ([]Entry, error) {
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("%w: payload version %d", ErrSnapshotVersion, version)
+	}
+	if len(keys) != len(docs) || len(keys) != len(tols) {
+		return nil, fmt.Errorf("core: corrupt snapshot: %d keys, %d docs, %d tolerances",
+			len(keys), len(docs), len(tols))
+	}
+	entries := make([]Entry, len(keys))
+	for i, k := range keys {
+		if len(k) != dim {
+			return nil, fmt.Errorf("core: corrupt snapshot: key %d has dim %d, expected %d", i, len(k), dim)
+		}
+		entries[i] = Entry{Key: k, Docs: docs[i], Tol: tols[i]}
+	}
+	return entries, nil
 }

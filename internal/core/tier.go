@@ -23,29 +23,34 @@ import (
 // warm entry is simply dropped. Commit must be called before any other
 // mutation of the producing cache.
 //
-// The producing cache and the winning entry's list element ride along
-// as plain fields rather than a captured closure: TierGet sits on the
+// The producing cache and the winning entry's position ride along as
+// plain fields rather than a captured closure: TierGet sits on the
 // tiered lookup's hot path, and a closure capturing the cache and
-// element would cost one heap allocation per hot hit.
+// position would cost one heap allocation per hot hit. IndexedCache
+// records the entry's list element; FlatCache its slot and the slot's
+// insertion stamp.
 type TierHit struct {
 	Docs []int
 	Dist float32
 
-	src  tierCommitter
-	elem *list.Element
+	src   tierCommitter
+	elem  *list.Element
+	slot  int
+	stamp uint32
 }
 
 // tierCommitter is the cache-side half of the two-phase lookup: apply
 // the deferred hit bookkeeping (hit counter, LRU refresh) for the entry
-// at elem. Implemented by the cache variants that serve as hot tiers.
+// h was taken from. Implemented by the cache variants that serve as hot
+// tiers.
 type tierCommitter interface {
-	commitTierHit(elem *list.Element)
+	commitTierHit(h TierHit)
 }
 
 // Commit applies the deferred hit bookkeeping. Safe on the zero value.
 func (h TierHit) Commit() {
 	if h.src != nil {
-		h.src.commitTierHit(h.elem)
+		h.src.commitTierHit(h)
 	}
 }
 

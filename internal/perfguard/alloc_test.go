@@ -7,7 +7,8 @@
 //
 // Budgets: hnsw.SearchInto is allocation-free in steady state;
 // FlatCache.Get, IndexedCache.Get, and the tiered hot-hit lookup are
-// allowed exactly their one documented caller-owned docs copy,
+// allowed exactly their one documented caller-owned docs copy, as is an
+// evicting FlatCache.Put (its copy of the caller's docs),
 // FlatIndex.Search — the miss path — its result slice, and
 // server.DecodeF32 — every HTTP request — the embedding it returns.
 package perfguard
@@ -85,6 +86,31 @@ func TestFlatGetBudget(t *testing.T) {
 			t.Fatal("expected a hit")
 		}
 	})
+}
+
+// TestFlatPutBudget pins a Put into a full cache, which evicts: the
+// caller's docs copy is its only allocation — the key goes into the
+// slab row the victim vacated.
+func TestFlatPutBudget(t *testing.T) {
+	const capacity = 64
+	c, err := core.NewFlat(dim, core.Options{Capacity: capacity, Tolerance: 10, Policy: core.LRU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]vec.Vector, 2*capacity)
+	for i := range keys {
+		keys[i] = testVec(i)
+		c.Put(keys[i], []int{i, i + 1})
+	}
+	docs := []int{1, 2}
+	i := 0
+	checkBudget(t, "FlatCache.Put", 1, func() {
+		c.Put(keys[i%len(keys)], docs)
+		i++
+	})
+	if s := c.Stats(); s.Evictions < 200 {
+		t.Errorf("%d evictions: the budgeted Puts did not all evict", s.Evictions)
+	}
 }
 
 // TestIndexedGetBudget pins both lookup regimes: the sub-crossover
