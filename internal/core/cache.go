@@ -114,7 +114,10 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Stats are cumulative cache counters. HitRate is derived.
+// Stats is one snapshot of a cache's cumulative counters. One Stats()
+// call reads a cache at one instant — a sharded cache at one instant per
+// shard — so relations between its fields hold within a snapshot: hits
+// from the hot and the warm tier add up to Hits. HitRate is derived.
 type Stats struct {
 	Hits      int64 // lookups answered from the cache
 	Misses    int64 // lookups that fell through to the database
@@ -126,6 +129,60 @@ type Stats struct {
 	// keys a lookup touches, not how many floats.
 	DistComps int64
 	HashOps   int64 // LSH hyperplane projections (LSHCache only)
+
+	// Index describes the graph behind an IndexedCache and Tier the
+	// tiers of a tier.TieredCache. A nil block means the cache has no
+	// graph or no tiers; a sharded cache always fills both, zero-valued
+	// where no shard has one.
+	Index *IndexStats
+	Tier  *TierStats
+}
+
+// Merge adds o's counters into s, and o's blocks into s's (a block s
+// lacks starts from zero). Merge never writes through a block pointer:
+// each merged block is a fresh copy, so merging into a copy of a Stats
+// leaves the original's blocks, and o's, as they were.
+func (s *Stats) Merge(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Puts += o.Puts
+	s.Evictions += o.Evictions
+	s.DistComps += o.DistComps
+	s.HashOps += o.HashOps
+	if o.Index != nil {
+		var idx IndexStats
+		if s.Index != nil {
+			idx = *s.Index
+		}
+		idx.Merge(*o.Index)
+		s.Index = &idx
+	}
+	if o.Tier != nil {
+		var ts TierStats
+		if s.Tier != nil {
+			ts = *s.Tier
+		}
+		ts.Merge(*o.Tier)
+		s.Tier = &ts
+	}
+}
+
+// Counters returns a copy of s with its blocks' gauges zeroed: what is
+// still true of a cache once it has been replaced. A shard folds a
+// retired sub-cache into its baseline this way; the gauges (entries,
+// slots, bytes) belong to the replacement.
+func (s Stats) Counters() Stats {
+	if s.Index != nil {
+		idx := *s.Index
+		idx.Nodes, idx.Slots, idx.Tombstones, idx.PendingRepair = 0, 0, 0, 0
+		s.Index = &idx
+	}
+	if s.Tier != nil {
+		ts := *s.Tier
+		ts.HotEntries, ts.HotCapacity, ts.WarmEntries, ts.WarmCapacity, ts.WarmBytes = 0, 0, 0, 0, 0
+		s.Tier = &ts
+	}
+	return s
 }
 
 // Lookups returns the total number of Get calls.
@@ -160,7 +217,8 @@ type Cache interface {
 	// Capacity returns the maximum number of entries (for LSHCache,
 	// the theoretical maximum 2^L·b).
 	Capacity() int
-	// Stats returns a snapshot of the cumulative counters.
+	// Stats returns one snapshot of the cumulative counters, with the
+	// index and tier blocks the cache has.
 	Stats() Stats
 	// Clear removes all entries (counters are preserved).
 	Clear()

@@ -151,8 +151,8 @@ type IndexedCache struct {
 	bruteScans  int64 // lookups served by the sub-crossover linear scan
 	repairNanos int64 // cumulative time spent in scheduled maintenance passes
 	// cleared carries the counters owned by the graphs Clear has dropped
-	// (hops, searches, slot-reuse and repair work), so IndexStats never
-	// runs backwards; only those fields of it are read.
+	// (hops, searches, slot-reuse and repair work), so the Index block
+	// never runs backwards; only those fields of it are read.
 	cleared IndexStats
 	candBuf []vec.Scored
 }
@@ -238,53 +238,6 @@ func (c *IndexedCache) Get(q vec.Vector) ([]int, bool) {
 	out := make([]int, len(best.docs))
 	copy(out, best.docs)
 	return out, true
-}
-
-// TierGet is the two-phase hot-tier lookup (see TierCache): the Get
-// candidate search without hit/miss counting or LRU refresh, plus a
-// deferred Commit applying those side effects. The graph path's recall
-// caveat carries over: a candidate the beam misses is a miss here too.
-//
-//proximity:hotpath
-func (c *IndexedCache) TierGet(q vec.Vector) (TierHit, bool) {
-	if q == nil || len(q) != c.dim {
-		return TierHit{}, false
-	}
-	c.mu.Lock()
-	var best *indexedEntry
-	switch {
-	case c.live == 0:
-		// nothing cached
-	case c.live < c.opts.Crossover:
-		c.bruteScans++
-		best = c.scanExact(q)
-	default:
-		best = c.searchGraph(q)
-	}
-	if best == nil {
-		c.mu.Unlock()
-		return TierHit{}, false
-	}
-	// Re-derive the winning exact distance (the scans don't return it);
-	// one uncharged computation against the already-chosen entry.
-	d := c.dist(q, best.key)
-	//proximity:allow hotpathalloc the budgeted caller-owned docs copy (TierGet's one allocation)
-	docs := append([]int(nil), best.docs...)
-	elem := best.elem
-	c.mu.Unlock()
-	return TierHit{Docs: docs, Dist: d, src: c, elem: elem}, true
-}
-
-// commitTierHit applies a won TierGet's deferred side effects: the hit
-// count and, under LRU, the recency refresh. MoveToBack no-ops if the
-// entry was evicted between the lookup and the commit.
-func (c *IndexedCache) commitTierHit(h TierHit) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Hits++
-	if c.opts.Policy == LRU {
-		c.order.MoveToBack(h.elem)
-	}
 }
 
 // scanExact is the sub-crossover fallback: an exact scan over live slots
@@ -490,17 +443,22 @@ func (c *IndexedCache) EfSearch() int {
 	return c.opts.EfSearch
 }
 
-// Stats returns a snapshot of the counters. DistComps counts graph hops
-// plus exact re-ranks plus fallback scans — the all-in distance work of
-// lookups, comparable to the flat scan's counter.
+// Stats returns a snapshot of the counters, with the graph's in the
+// Index block. DistComps counts graph hops plus exact re-ranks plus
+// fallback scans — the all-in distance work of lookups, comparable to
+// the flat scan's counter.
 func (c *IndexedCache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	s := c.stats
+	idx := c.indexStatsLocked()
+	s.Index = &idx
+	return s
 }
 
-// IndexStats describes the graph behind an indexed cache. The server
-// renders it as the index block of /v1/stats: the tags are wire names.
+// IndexStats describes the graph behind an indexed cache, as the Index
+// block of its Stats. The server renders it as the index block of
+// /v1/stats: the tags are wire names.
 type IndexStats struct {
 	// Nodes is the live graph node count (== cache Len).
 	Nodes int `json:"nodes"`
@@ -555,21 +513,6 @@ func (s *IndexStats) Merge(other IndexStats) {
 	s.RepairedNodes += other.RepairedNodes
 	s.PendingRepair += other.PendingRepair
 	s.RepairNanos += other.RepairNanos
-}
-
-// IndexStatser is implemented by caches backed by a graph index; the
-// server surfaces these in /v1/stats and /metrics.
-type IndexStatser interface {
-	IndexStats() IndexStats
-}
-
-var _ IndexStatser = (*IndexedCache)(nil)
-
-// IndexStats returns a snapshot of the graph-side counters.
-func (c *IndexedCache) IndexStats() IndexStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.indexStatsLocked()
 }
 
 func (c *IndexedCache) indexStatsLocked() IndexStats {

@@ -101,7 +101,7 @@ func TestIndexedMatchesFlatProperty(t *testing.T) {
 		check(perturb(rng, k, tols[i]*0.99), fmt.Sprintf("inside entry %d", i))
 		check(perturb(rng, k, tols[i]*1.01), fmt.Sprintf("outside entry %d", i))
 	}
-	s := idx.IndexStats()
+	s := *idx.Stats().Index
 	if s.Searches == 0 || s.Reranks == 0 {
 		t.Fatalf("graph path not exercised: %+v", s)
 	}
@@ -180,7 +180,7 @@ func TestIndexedChurn(t *testing.T) {
 	if idx.Len() != capacity {
 		t.Fatalf("len=%d, want %d", idx.Len(), capacity)
 	}
-	s := idx.IndexStats()
+	s := *idx.Stats().Index
 	if s.Nodes != capacity {
 		t.Fatalf("graph nodes=%d, want %d", s.Nodes, capacity)
 	}
@@ -256,14 +256,14 @@ func TestIndexedCrossoverPaths(t *testing.T) {
 		idx.Put(vec.RandomGaussian(rng, 4), []int{i})
 	}
 	idx.Get(vec.RandomGaussian(rng, 4))
-	if s := idx.IndexStats(); s.BruteScans != 1 || s.Searches != 0 {
+	if s := *idx.Stats().Index; s.BruteScans != 1 || s.Searches != 0 {
 		t.Fatalf("below crossover: bruteScans=%d searches=%d", s.BruteScans, s.Searches)
 	}
 	for i := 5; i < 20; i++ {
 		idx.Put(vec.RandomGaussian(rng, 4), []int{i})
 	}
 	idx.Get(vec.RandomGaussian(rng, 4))
-	if s := idx.IndexStats(); s.BruteScans != 1 || s.Searches != 1 {
+	if s := *idx.Stats().Index; s.BruteScans != 1 || s.Searches != 1 {
 		t.Fatalf("above crossover: bruteScans=%d searches=%d", s.BruteScans, s.Searches)
 	}
 	if st := idx.Stats(); st.DistComps == 0 {
@@ -378,7 +378,7 @@ func TestIndexedMaintain(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		idx.Put(vec.Scale(vec.RandomGaussian(rng, 4), 2), []int{i})
 	}
-	s := idx.IndexStats()
+	s := *idx.Stats().Index
 	if s.ReusedSlots == 0 {
 		t.Fatal("churn did not reuse slots")
 	}
@@ -386,10 +386,10 @@ func TestIndexedMaintain(t *testing.T) {
 		t.Fatalf("scheduled pass fired despite Every=1<<30: %+v", s)
 	}
 	st := idx.Maintain(0) // full drain
-	if idx.IndexStats().PendingRepair != 0 {
-		t.Fatalf("Maintain(0) left %d pending", idx.IndexStats().PendingRepair)
+	if idx.Stats().Index.PendingRepair != 0 {
+		t.Fatalf("Maintain(0) left %d pending", idx.Stats().Index.PendingRepair)
 	}
-	after := idx.IndexStats()
+	after := *idx.Stats().Index
 	if after.RepairPasses == 0 || int64(st.Relinked) != after.RepairedNodes {
 		t.Fatalf("drain counters off: stats=%+v pass=%+v", after, st)
 	}

@@ -111,9 +111,10 @@ func NewLSH(dim int, opts LSHOptions) (*LSHCache, error) {
 // O(b·d)); with multi-probe enabled, up to Probes buckets in increasing
 // Hamming distance are scanned and the globally closest match wins. An
 // unallocated bucket costs nothing — the false-positive containment
-// property §3.2 highlights.
+// property §3.2 highlights. A nil or wrong-length query is an uncounted
+// miss.
 func (c *LSHCache) Get(q vec.Vector) ([]int, bool) {
-	if q == nil {
+	if len(q) != c.hasher.Dim() {
 		return nil, false
 	}
 	b := c.winningBucket(q)
@@ -177,7 +178,7 @@ func (c *LSHCache) winningBucket(q vec.Vector) *FlatCache {
 // bookkeeping (hit counter, LRU refresh) is deferred to Commit. Lookups
 // that find no admissible entry return false without counting a miss.
 func (c *LSHCache) TierGet(q vec.Vector) (TierHit, bool) {
-	if q == nil {
+	if len(q) != c.hasher.Dim() {
 		return TierHit{}, false
 	}
 	b := c.winningBucket(q)
@@ -194,9 +195,9 @@ func (c *LSHCache) Put(q vec.Vector, docs []int) {
 }
 
 // PutWithTolerance inserts an entry with its own match threshold (see
-// FlatCache.PutWithTolerance).
+// FlatCache.PutWithTolerance). A nil or wrong-length key is ignored.
 func (c *LSHCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if q == nil {
+	if len(q) != c.hasher.Dim() {
 		return
 	}
 	sig := c.hasher.Hash(q)
@@ -277,12 +278,7 @@ func (c *LSHCache) Stats() Stats {
 func (c *LSHCache) bucketStatsLocked() Stats {
 	agg := c.cleared
 	for _, b := range c.buckets {
-		s := b.Stats()
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-		agg.Puts += s.Puts
-		agg.Evictions += s.Evictions
-		agg.DistComps += s.DistComps
+		agg.Merge(b.Stats())
 	}
 	return agg
 }

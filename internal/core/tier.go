@@ -1,20 +1,15 @@
 package core
 
-import (
-	"container/list"
+import "proximity/internal/vec"
 
-	"proximity/internal/vec"
-)
-
-// Tiering contracts: internal/tier composes a small hot cache (any
-// variant in this package) over a larger file-backed warm tier. The hot
-// tier cannot answer a lookup on its own — a warm entry may be strictly
-// closer — so the tiered Get needs the hot tier's best admissible
-// candidate WITHOUT the side effects of a normal Get (hit counting, LRU
-// refresh): if the warm tier wins, the hot candidate was not hit and
-// must not be refreshed. TierGet returns that candidate plus a deferred
-// Commit that applies the side effects only once the tiered cache
-// decides the hot tier actually won.
+// Tiering contracts: internal/tier composes a small hot cache (FLAT or
+// LSH) over a larger file-backed warm tier. The hot tier cannot answer a
+// lookup on its own — a warm entry may be strictly closer — so the tiered
+// Get needs the hot tier's best admissible candidate WITHOUT the side
+// effects of a normal Get (hit counting, LRU refresh): if the warm tier
+// wins, the hot candidate was not hit and must not be refreshed. TierGet
+// returns that candidate plus a deferred Commit that applies the side
+// effects only once the tiered cache decides the hot tier actually won.
 
 // TierHit is the uncommitted result of a TierGet: the candidate's
 // documents (already copied) and its exact distance to the query.
@@ -23,28 +18,18 @@ import (
 // warm entry is simply dropped. Commit must be called before any other
 // mutation of the producing cache.
 //
-// The producing cache and the winning entry's position ride along as
-// plain fields rather than a captured closure: TierGet sits on the
-// tiered lookup's hot path, and a closure capturing the cache and
-// position would cost one heap allocation per hot hit. IndexedCache
-// records the entry's list element; FlatCache its slot and the slot's
-// insertion stamp.
+// The producing FlatCache and the winning entry's slot and insertion
+// stamp ride along as plain fields rather than a captured closure:
+// TierGet sits on the tiered lookup's hot path, and a closure capturing
+// the cache and position would cost one heap allocation per hot hit.
+// LSHCache hands out its winning bucket's TierHit.
 type TierHit struct {
 	Docs []int
 	Dist float32
 
-	src   tierCommitter
-	elem  *list.Element
+	src   *FlatCache
 	slot  int
 	stamp uint32
-}
-
-// tierCommitter is the cache-side half of the two-phase lookup: apply
-// the deferred hit bookkeeping (hit counter, LRU refresh) for the entry
-// h was taken from. Implemented by the cache variants that serve as hot
-// tiers.
-type tierCommitter interface {
-	commitTierHit(h TierHit)
 }
 
 // Commit applies the deferred hit bookkeeping. Safe on the zero value.
@@ -57,7 +42,7 @@ func (h TierHit) Commit() {
 // TierCache is the contract a cache variant must satisfy to serve as
 // the hot tier of a tier.TieredCache: the plain Cache surface, entry
 // enumeration (demotion-order handoff and snapshots), and the two-phase
-// lookup. FlatCache, LSHCache, and IndexedCache all qualify.
+// lookup. FlatCache and LSHCache qualify.
 type TierCache interface {
 	Cache
 	EntrySource
@@ -67,10 +52,11 @@ type TierCache interface {
 	TierGet(q vec.Vector) (TierHit, bool)
 }
 
-// TierStats describes a tiered cache's per-tier occupancy and traffic.
-// Entries/Capacity/Bytes fields are gauges of the live structure; the
-// rest are cumulative counters. The server renders it as the tiers block
-// of /v1/stats: the tags are wire names.
+// TierStats describes a tiered cache's per-tier occupancy and traffic,
+// as the Tier block of its Stats. Entries/Capacity/Bytes fields are
+// gauges of the live structure; the rest are cumulative counters. The
+// server renders it as the tiers block of /v1/stats: the tags are wire
+// names.
 type TierStats struct {
 	// HotEntries/HotCapacity describe the in-memory hot tier.
 	HotEntries  int `json:"hotEntries"`
@@ -122,9 +108,8 @@ func (s *TierStats) Merge(other TierStats) {
 	s.WarmPruned += other.WarmPruned
 }
 
-// TierStatser is implemented by tiered caches (tier.TieredCache,
-// possibly sharded); the server surfaces these in /v1/stats and
-// /metrics.
+// TierStatser is implemented by tier.TieredCache, whose TierStats is
+// its Stats().Tier.
 type TierStatser interface {
 	TierStats() TierStats
 }

@@ -208,7 +208,7 @@ func annIndexPoint(n int, opts ANNIndexOptions) (*ANNIndexPoint, error) {
 		idx.SetEfSearch(ef)
 		row := queryVariant(fmt.Sprintf("indexed-ef%d", ef), idx, queries)
 		row.FillMillis = fillMs
-		is := idx.IndexStats()
+		is := idx.Stats().Index
 		row.GraphHops = is.GraphHops - prevHops
 		row.Reranks = is.Reranks - prevReranks
 		prevHops, prevReranks = is.GraphHops, is.Reranks

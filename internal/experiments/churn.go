@@ -247,7 +247,7 @@ func churnVariant(name string, cacheOpts core.IndexedOptions, stream, resident, 
 			hits++
 		}
 	}
-	is := c.IndexStats()
+	is := c.Stats().Index
 	return &ChurnVariant{
 		Name:            name,
 		SelfRecall:      float64(selfHits) / float64(len(resident)),

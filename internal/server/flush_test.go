@@ -19,8 +19,7 @@ func cacheCounters(c core.Cache) map[string]int64 {
 		"hits": st.Hits, "misses": st.Misses, "puts": st.Puts,
 		"evictions": st.Evictions, "distComps": st.DistComps, "hashOps": st.HashOps,
 	}
-	if is, ok := c.(core.IndexStatser); ok {
-		s := is.IndexStats()
+	if s := st.Index; s != nil {
 		out["index.graphHops"], out["index.searches"] = s.GraphHops, s.Searches
 		out["index.reranks"], out["index.bruteScans"] = s.Reranks, s.BruteScans
 		out["index.reusedSlots"], out["index.severedInEdges"] = s.ReusedSlots, s.SeveredInEdges
@@ -28,8 +27,7 @@ func cacheCounters(c core.Cache) map[string]int64 {
 		out["index.repairPasses"], out["index.repairedNodes"] = s.RepairPasses, s.RepairedNodes
 		out["index.repairNanos"] = s.RepairNanos
 	}
-	if ts, ok := c.(core.TierStatser); ok {
-		s := ts.TierStats()
+	if s := st.Tier; s != nil {
 		out["tier.hotHits"], out["tier.warmHits"] = s.HotHits, s.WarmHits
 		out["tier.promotions"], out["tier.demotions"] = s.Promotions, s.Demotions
 		out["tier.warmDiscards"], out["tier.warmLookups"] = s.WarmDiscards, s.WarmLookups

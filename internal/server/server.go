@@ -152,50 +152,52 @@ func (s *Server) registerMetrics() {
 			func() float64 { return float64(scraped().entries) })
 		reg.GaugeFunc(telemetry.MetricCacheCapacity, "Configured cache capacity.",
 			func() float64 { return float64(scraped().capacity) })
-		if snap.index != nil {
+		if snap.stats.Index != nil {
+			index := func() *core.IndexStats { return scraped().stats.Index }
 			reg.CounterFunc(telemetry.MetricIndexGraphHopsTotal, "Graph-index traversal hops.",
-				func() float64 { return float64(scraped().index.GraphHops) })
+				func() float64 { return float64(index().GraphHops) })
 			reg.CounterFunc(telemetry.MetricIndexReranksTotal, "Exact re-rank passes after graph traversal.",
-				func() float64 { return float64(scraped().index.Reranks) })
+				func() float64 { return float64(index().Reranks) })
 			reg.GaugeFunc(telemetry.MetricIndexTombstones, "Tombstoned (deleted, not yet reused) graph slots.",
-				func() float64 { return float64(scraped().index.Tombstones) })
+				func() float64 { return float64(index().Tombstones) })
 			reg.CounterFunc(telemetry.MetricIndexReusedSlotsTotal, "Evicted graph slots recycled for new entries.",
-				func() float64 { return float64(scraped().index.ReusedSlots) })
+				func() float64 { return float64(index().ReusedSlots) })
 			reg.CounterFunc(telemetry.MetricIndexSeveredInEdgesTotal, "Stale incoming edges cut at slot reuse.",
-				func() float64 { return float64(scraped().index.SeveredInEdges) })
+				func() float64 { return float64(index().SeveredInEdges) })
 			reg.CounterFunc(telemetry.MetricIndexRepairPassesTotal, "Incremental graph-maintenance passes.",
-				func() float64 { return float64(scraped().index.RepairPasses) })
+				func() float64 { return float64(index().RepairPasses) })
 			reg.CounterFunc(telemetry.MetricIndexRepairedNodesTotal, "Degraded neighborhoods re-linked by maintenance.",
-				func() float64 { return float64(scraped().index.RepairedNodes) })
+				func() float64 { return float64(index().RepairedNodes) })
 			reg.GaugeFunc(telemetry.MetricIndexRepairPending, "Graph nodes queued for repair.",
-				func() float64 { return float64(scraped().index.PendingRepair) })
+				func() float64 { return float64(index().PendingRepair) })
 		}
-		if snap.tiers != nil {
+		if snap.stats.Tier != nil {
+			tiers := func() *core.TierStats { return scraped().stats.Tier }
 			reg.GaugeFunc(telemetry.MetricTierHotEntries, "Resident hot-tier entries.",
-				func() float64 { return float64(scraped().tiers.HotEntries) })
+				func() float64 { return float64(tiers().HotEntries) })
 			reg.GaugeFunc(telemetry.MetricTierHotCapacity, "Configured hot-tier capacity.",
-				func() float64 { return float64(scraped().tiers.HotCapacity) })
+				func() float64 { return float64(tiers().HotCapacity) })
 			reg.GaugeFunc(telemetry.MetricTierWarmEntries, "Resident warm-tier entries.",
-				func() float64 { return float64(scraped().tiers.WarmEntries) })
+				func() float64 { return float64(tiers().WarmEntries) })
 			reg.GaugeFunc(telemetry.MetricTierWarmCapacity, "Configured warm-tier capacity.",
-				func() float64 { return float64(scraped().tiers.WarmCapacity) })
+				func() float64 { return float64(tiers().WarmCapacity) })
 			reg.GaugeFunc(telemetry.MetricTierWarmBytes, "Vector bytes resident in warm record files.",
-				func() float64 { return float64(scraped().tiers.WarmBytes) })
+				func() float64 { return float64(tiers().WarmBytes) })
 			reg.CounterFunc(telemetry.MetricTierHotHitsTotal, "Lookups served by the hot tier.",
-				func() float64 { return float64(scraped().tiers.HotHits) })
+				func() float64 { return float64(tiers().HotHits) })
 			reg.CounterFunc(telemetry.MetricTierWarmHitsTotal, "Lookups served by the warm tier.",
-				func() float64 { return float64(scraped().tiers.WarmHits) })
+				func() float64 { return float64(tiers().WarmHits) })
 			reg.CounterFunc(telemetry.MetricTierPromotionsTotal, "Warm entries moved back into the hot tier on a hit.",
-				func() float64 { return float64(scraped().tiers.Promotions) })
+				func() float64 { return float64(tiers().Promotions) })
 			reg.CounterFunc(telemetry.MetricTierDemotionsTotal, "Hot-tier evictions absorbed into the warm tier.",
-				func() float64 { return float64(scraped().tiers.Demotions) })
+				func() float64 { return float64(tiers().Demotions) })
 			reg.CounterFunc(telemetry.MetricTierWarmDiscardsTotal, "Entries aged out of the warm tier (true evictions).",
-				func() float64 { return float64(scraped().tiers.WarmDiscards) })
+				func() float64 { return float64(tiers().WarmDiscards) })
 			reg.CounterFunc(telemetry.MetricTierWarmScannedTotal, "Warm vectors read and exactly compared during lookups.",
-				func() float64 { return float64(scraped().tiers.WarmScanned) })
+				func() float64 { return float64(tiers().WarmScanned) })
 			reg.CounterFunc(telemetry.MetricTierWarmPrunedTotal,
 				"Warm entries skipped by pivot lower bounds without a record read.",
-				func() float64 { return float64(scraped().tiers.WarmPruned) })
+				func() float64 { return float64(tiers().WarmPruned) })
 		}
 	}
 	if bs, ok := ret.Searcher().(batchStatser); ok {
@@ -429,12 +431,11 @@ type statsSnapshotter interface {
 // reads from the cache: each number is read once per request, not once
 // per series that shows it.
 type cacheSnapshot struct {
+	// stats.Index and stats.Tier are nil unless the cache has them. A
+	// sharded cache has both, all zeros where no shard is indexed or
+	// tiered.
 	stats             core.Stats
 	entries, capacity int
-	// index and tiers are nil unless the cache reports them. A sharded
-	// cache reports both, all zeros where no shard is indexed or tiered.
-	index *core.IndexStats
-	tiers *core.TierStats
 }
 
 // readCache takes one snapshot of cache, or returns nil without a cache.
@@ -453,14 +454,6 @@ func readCache(cache core.Cache, remote bool) *cacheSnapshot {
 		return snap
 	}
 	snap.stats, snap.entries, snap.capacity = cache.Stats(), cache.Len(), cache.Capacity()
-	if is, ok := cache.(core.IndexStatser); ok {
-		st := is.IndexStats()
-		snap.index = &st
-	}
-	if ts, ok := cache.(core.TierStatser); ok {
-		st := ts.TierStats()
-		snap.tiers = &st
-	}
 	return snap
 }
 
@@ -783,11 +776,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.HitRate, resp.Entries, resp.Capacity = snap.stats.HitRate(), snap.entries, snap.capacity
 		// A sharded FLAT or LSH cache reports index and tier blocks that
 		// no shard fills: the response leaves out a block of zeros.
-		if snap.index != nil && *snap.index != (core.IndexStats{}) {
-			resp.Index = snap.index
+		if idx := snap.stats.Index; idx != nil && *idx != (core.IndexStats{}) {
+			resp.Index = idx
 		}
-		if snap.tiers != nil && *snap.tiers != (core.TierStats{}) {
-			resp.Tiers = snap.tiers
+		if ts := snap.stats.Tier; ts != nil && *ts != (core.TierStats{}) {
+			resp.Tiers = ts
 		}
 	}
 	if pr, ok := cache.(pressureReporter); ok {

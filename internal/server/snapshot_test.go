@@ -11,43 +11,25 @@ import (
 	"proximity/internal/core"
 )
 
-// countingCache counts the server's reads of the cache it wraps. It
-// reports index and tier blocks whether or not the wrapped cache has
-// them, so every read the server could make is counted.
+// countingCache counts the server's reads of the cache it wraps.
 type countingCache struct {
 	core.Cache
-	stats, len, capacity, index, tiers atomic.Int64
+	stats, len, capacity atomic.Int64
 }
 
 func (c *countingCache) Stats() core.Stats { c.stats.Add(1); return c.Cache.Stats() }
 func (c *countingCache) Len() int          { c.len.Add(1); return c.Cache.Len() }
 func (c *countingCache) Capacity() int     { c.capacity.Add(1); return c.Cache.Capacity() }
 
-func (c *countingCache) IndexStats() core.IndexStats {
-	c.index.Add(1)
-	if is, ok := c.Cache.(core.IndexStatser); ok {
-		return is.IndexStats()
-	}
-	return core.IndexStats{}
-}
-
-func (c *countingCache) TierStats() core.TierStats {
-	c.tiers.Add(1)
-	if ts, ok := c.Cache.(core.TierStatser); ok {
-		return ts.TierStats()
-	}
-	return core.TierStats{}
-}
-
 // reads returns the counts since the last call and zeroes them.
-func (c *countingCache) reads() [5]int64 {
-	return [5]int64{c.stats.Swap(0), c.len.Swap(0), c.capacity.Swap(0), c.index.Swap(0), c.tiers.Swap(0)}
+func (c *countingCache) reads() [3]int64 {
+	return [3]int64{c.stats.Swap(0), c.len.Swap(0), c.capacity.Swap(0)}
 }
 
 // TestOneCacheReadPerRequest: one /metrics scrape and one /v1/stats
-// request each read the cache once — one Stats, Len and Capacity, and
-// at most one IndexStats and TierStats — on every cache shape, so that
-// the numbers one response shows come from one pass over the cache.
+// request each read the cache once — one Stats, Len and Capacity — on
+// every cache shape, so that the numbers one response shows, the index
+// and tier blocks included, come from one pass over the cache.
 func TestOneCacheReadPerRequest(t *testing.T) {
 	const dim = 16
 	for name, newCache := range cacheShapes(t, dim) {
@@ -77,13 +59,57 @@ func TestOneCacheReadPerRequest(t *testing.T) {
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("%s: status %d", path, resp.StatusCode)
 				}
-				got := counted.reads()
-				if got[0] != 1 || got[1] != 1 || got[2] != 1 || got[3] > 1 || got[4] > 1 {
-					t.Errorf("%s read the cache %d Stats, %d Len, %d Capacity, %d IndexStats, %d TierStats; want 1, 1, 1, ≤1, ≤1",
-						path, got[0], got[1], got[2], got[3], got[4])
+				if got := counted.reads(); got != [3]int64{1, 1, 1} {
+					t.Errorf("%s read the cache %d Stats, %d Len, %d Capacity; want 1 each",
+						path, got[0], got[1], got[2])
 				}
 			}
 		})
+	}
+}
+
+// TestStatsHitsAddUp: while two clients hit, miss and fill a sharded
+// tiered cache, every /v1/stats response has hits == tiers.hotHits +
+// tiers.warmHits, because the response renders one Stats() snapshot.
+func TestStatsHitsAddUp(t *testing.T) {
+	const dim = 16
+	ts, _, docs := serveCache(t, dim, 12, cacheShapes(t, dim)["sharded-tiered"])
+	client := NewClient(ts.URL)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() { close(stop); wg.Wait() }()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; ; i += 7 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := client.Retrieve(docs[i%len(docs)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var st StatsResponse
+	for i := 0; i < 200; i++ {
+		var err error
+		if st, err = client.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		if st.Tiers == nil {
+			t.Fatalf("response %d has no tiers block", i)
+		}
+		if st.Hits != st.Tiers.HotHits+st.Tiers.WarmHits {
+			t.Fatalf("response %d: hits %d != hotHits %d + warmHits %d", i, st.Hits, st.Tiers.HotHits, st.Tiers.WarmHits)
+		}
+	}
+	if st.Hits == 0 {
+		t.Error("the traffic never hit")
 	}
 }
 

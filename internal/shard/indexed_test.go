@@ -45,7 +45,7 @@ func TestShardedIndexedGetPut(t *testing.T) {
 	if st.Hits != 100 || st.Puts != 100 {
 		t.Fatalf("stats=%+v", st)
 	}
-	is := c.IndexStats()
+	is := *c.Stats().Index
 	if is.Nodes != 100 {
 		t.Fatalf("aggregated index nodes=%d, want 100", is.Nodes)
 	}
@@ -86,7 +86,7 @@ func TestShardedFlatIndexStatsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Put(vec.Vector{1, 2, 3, 4}, []int{1})
-	if is := c.IndexStats(); is != (core.IndexStats{}) {
+	if is := *c.Stats().Index; is != (core.IndexStats{}) {
 		t.Fatalf("flat shards reported index stats: %+v", is)
 	}
 }
@@ -109,7 +109,7 @@ func TestShardedIndexedRepairStatsAcrossReseed(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		c.Put(vec.Scale(vec.RandomGaussian(rng, 8), 2), []int{i})
 	}
-	before := c.IndexStats()
+	before := *c.Stats().Index
 	if before.ReusedSlots == 0 || before.SeveredInEdges == 0 {
 		t.Fatalf("churn did not drive slot reuse across shards: %+v", before)
 	}
@@ -123,7 +123,7 @@ func TestShardedIndexedRepairStatsAcrossReseed(t *testing.T) {
 	if mig.Moved == 0 {
 		t.Fatal("reseed moved nothing; migration not exercised")
 	}
-	after := c.IndexStats()
+	after := *c.Stats().Index
 	if after.ReusedSlots < before.ReusedSlots || after.SeveredInEdges < before.SeveredInEdges ||
 		after.RepairPasses < before.RepairPasses || after.RepairedNodes < before.RepairedNodes {
 		t.Fatalf("repair counters regressed across Reseed:\nbefore %+v\nafter  %+v", before, after)

@@ -244,15 +244,9 @@ func (c *ShardedCache) Reseed(seed uint64) (Migration, error) {
 			for _, e := range stay {
 				fresh[i].PutWithTolerance(e.Key, e.Docs, e.Tol)
 			}
-			retired := s.cache.Stats()
+			retired := s.cache.Stats().Counters()
 			retired.Puts -= int64(len(stay)) // re-inserts are not client traffic
-			s.base = addStats(s.base, retired)
-			if is, ok := s.cache.(core.IndexStatser); ok {
-				s.indexBase.Merge(retireIndexStats(is.IndexStats()))
-			}
-			if ts, ok := s.cache.(core.TierStatser); ok {
-				s.tierBase.Merge(retireTierStats(ts.TierStats()))
-			}
+			s.base.Merge(retired)
 			old := s.cache
 			s.cache = fresh[i]
 			swapped[i] = true

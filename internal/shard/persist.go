@@ -75,7 +75,7 @@ func (c *ShardedCache) LoadSnapshots(dir string) error {
 	for i := range c.slots {
 		s := &c.slots[i]
 		s.mu.Lock()
-		replayed := addStats(s.base, s.cache.Stats()).Puts - before[i]
+		replayed := s.statsLocked().Puts - before[i]
 		s.base.Puts -= replayed
 		s.mu.Unlock()
 	}

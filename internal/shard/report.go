@@ -64,7 +64,7 @@ func (c *ShardedCache) Report() PressureReport {
 	for i := range c.slots {
 		s := &c.slots[i]
 		s.mu.RLock()
-		st := addStats(s.base, s.cache.Stats())
+		st := s.statsLocked()
 		load := ShardLoad{
 			Shard:     i,
 			Entries:   s.cache.Len(),

@@ -115,39 +115,27 @@ type Options struct {
 type slot struct {
 	mu    sync.RWMutex
 	cache core.Cache
-	// base folds in the counters of retired sub-cache generations and
-	// the corrections that keep migration re-inserts out of the Puts
-	// totals; a slot's externally visible counters are always
-	// base + cache.Stats().
+	// base folds in the counters of retired sub-cache generations —
+	// their index and tier blocks included, gauges zeroed — and the
+	// corrections that keep migration re-inserts out of the Puts totals;
+	// a slot's externally visible counters are always base +
+	// cache.Stats().
 	base core.Stats
-	// indexBase folds in the cumulative graph counters (traversal work,
-	// slot-reuse repair, maintenance passes) of retired graph-indexed
-	// sub-cache generations; gauges (Nodes, Slots, Tombstones,
-	// PendingRepair) describe only the live generation and are never
-	// folded.
-	indexBase core.IndexStats
-	// tierBase does the same for retired tiered sub-cache generations:
-	// cumulative tier counters (hits by tier, promotions, demotions,
-	// discards) survive a migration, occupancy gauges do not.
-	tierBase core.TierStats
 }
 
-// stats returns the slot's externally visible counters.
+// statsLocked returns the slot's externally visible counters; the caller
+// holds mu.
+func (s *slot) statsLocked() core.Stats {
+	st := s.base
+	st.Merge(s.cache.Stats())
+	return st
+}
+
+// stats is statsLocked under the shared lock.
 func (s *slot) stats() core.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return addStats(s.base, s.cache.Stats())
-}
-
-// addStats sums two counter snapshots field-wise.
-func addStats(a, b core.Stats) core.Stats {
-	a.Hits += b.Hits
-	a.Misses += b.Misses
-	a.Puts += b.Puts
-	a.Evictions += b.Evictions
-	a.DistComps += b.DistComps
-	a.HashOps += b.HashOps
-	return a
+	return s.statsLocked()
 }
 
 // ShardedCache hash-partitions keys across independently-locked
@@ -435,9 +423,10 @@ func (c *ShardedCache) slotFor(q vec.Vector) *slot {
 // Get routes the query to its shard and looks it up there. Only that
 // shard's lock is shared-held for the duration, so distinct shards never
 // contend and a concurrent migration of this shard delays the lookup by
-// at most one slot rebuild.
+// at most one slot rebuild. A nil or wrong-length query is an uncounted
+// miss.
 func (c *ShardedCache) Get(q vec.Vector) ([]int, bool) {
-	if q == nil {
+	if len(q) != c.dim {
 		return nil, false
 	}
 	s := c.slotFor(q)
@@ -446,9 +435,9 @@ func (c *ShardedCache) Get(q vec.Vector) ([]int, bool) {
 }
 
 // Put routes the entry to its shard and inserts it under the sub-cache's
-// configured tolerance.
+// configured tolerance. A nil or wrong-length key is ignored.
 func (c *ShardedCache) Put(q vec.Vector, docs []int) {
-	if q == nil {
+	if len(q) != c.dim {
 		return
 	}
 	s := c.slotFor(q)
@@ -457,9 +446,10 @@ func (c *ShardedCache) Put(q vec.Vector, docs []int) {
 }
 
 // PutWithTolerance routes the entry to its shard and inserts it with its
-// own match threshold (§3.3.3's per-line dynamic tolerance).
+// own match threshold (§3.3.3's per-line dynamic tolerance). A nil or
+// wrong-length key is ignored.
 func (c *ShardedCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if q == nil {
+	if len(q) != c.dim {
 		return
 	}
 	s := c.slotFor(q)
@@ -519,65 +509,23 @@ func (c *ShardedCache) ShardStats() []core.Stats {
 	return out
 }
 
-// Stats aggregates counters across shards. HashOps includes both the
-// partitioner's routing projections and any hashing the sub-caches do;
-// the routing share is derived from the operation counts (every Get and
-// Put hashes once) rather than tracked on the hot path, so lookups on
-// distinct shards share no mutable state at all.
+// Stats aggregates counters across shards in one pass, one sub-cache
+// Stats() per shard, so each shard's part of the snapshot — its index
+// and tier blocks included — is read at one instant. Both blocks are
+// always present, zero-valued where no shard has them. HashOps includes
+// both the partitioner's routing projections and any hashing the
+// sub-caches do; the routing share is derived from the operation counts
+// (every Get and Put hashes once) rather than tracked on the hot path,
+// so lookups on distinct shards share no mutable state at all.
 func (c *ShardedCache) Stats() core.Stats {
-	var agg core.Stats
+	agg := core.Stats{Index: &core.IndexStats{}, Tier: &core.TierStats{}}
 	for i := range c.slots {
-		agg = addStats(agg, c.slots[i].stats())
+		agg.Merge(c.slots[i].stats())
 	}
 	if c.part == LSHSignature {
 		agg.HashOps += (agg.Hits + agg.Misses + agg.Puts) * int64(c.bits)
 	}
 	return agg
-}
-
-// IndexStats aggregates graph-index counters across shards. Shards whose
-// sub-caches are not graph-indexed contribute nothing, so a sharded flat
-// or LSH cache reports the zero value. Implements core.IndexStatser.
-func (c *ShardedCache) IndexStats() core.IndexStats {
-	var agg core.IndexStats
-	for i := range c.slots {
-		s := &c.slots[i]
-		s.mu.RLock()
-		agg.Merge(s.indexBase)
-		if is, ok := s.cache.(core.IndexStatser); ok {
-			agg.Merge(is.IndexStats())
-		}
-		s.mu.RUnlock()
-	}
-	return agg
-}
-
-// TierStats aggregates tier counters across shards, including retired
-// generations' baselines. Shards whose sub-caches are not tiered
-// contribute nothing. Implements core.TierStatser.
-func (c *ShardedCache) TierStats() core.TierStats {
-	var agg core.TierStats
-	for i := range c.slots {
-		s := &c.slots[i]
-		s.mu.RLock()
-		agg.Merge(s.tierBase)
-		if ts, ok := s.cache.(core.TierStatser); ok {
-			agg.Merge(ts.TierStats())
-		}
-		s.mu.RUnlock()
-	}
-	return agg
-}
-
-// retireTierStats reduces a retired tiered generation's TierStats to its
-// cumulative counters; the occupancy gauges belong to the replacement.
-func retireTierStats(ts core.TierStats) core.TierStats {
-	ts.HotEntries = 0
-	ts.HotCapacity = 0
-	ts.WarmEntries = 0
-	ts.WarmCapacity = 0
-	ts.WarmBytes = 0
-	return ts
 }
 
 // Entries enumerates the combined contents of all shards (per-shard
@@ -612,17 +560,6 @@ func (c *ShardedCache) Close() error {
 		s.mu.Unlock()
 	}
 	return first
-}
-
-// retireIndexStats reduces a retired sub-cache generation's IndexStats to
-// its cumulative counters: the gauges describe state that the replacement
-// generation owns now, so carrying them forward would double-count.
-func retireIndexStats(is core.IndexStats) core.IndexStats {
-	is.Nodes = 0
-	is.Slots = 0
-	is.Tombstones = 0
-	is.PendingRepair = 0
-	return is
 }
 
 // Clear removes all entries from every shard (counters are preserved by

@@ -48,7 +48,7 @@ func TestTieredShardsBasic(t *testing.T) {
 	if hits < 90 {
 		t.Fatalf("recent-key hits = %d/100", hits)
 	}
-	st := c.TierStats()
+	st := *c.Stats().Tier
 	if st.HotEntries == 0 || st.WarmEntries == 0 || st.Demotions == 0 {
 		t.Fatalf("tier stats not flowing: %+v", st)
 	}
@@ -56,7 +56,7 @@ func TestTieredShardsBasic(t *testing.T) {
 		t.Fatalf("gauge sum %d != Len %d", st.HotEntries+st.WarmEntries, c.Len())
 	}
 	// A sharded flat cache reports the zero value.
-	if flat := newFlatShards(t, 2, 100); (flat.TierStats() != core.TierStats{}) {
+	if flat := newFlatShards(t, 2, 100); *flat.Stats().Tier != (core.TierStats{}) {
 		t.Fatal("flat shards should report zero tier stats")
 	}
 }
@@ -146,7 +146,7 @@ func TestTieredShardsReseed(t *testing.T) {
 	}
 	lenBefore := c.Len()
 	putsBefore := c.Stats().Puts
-	demosBefore := c.TierStats().Demotions
+	demosBefore := c.Stats().Tier.Demotions
 	if demosBefore == 0 {
 		t.Fatal("expected demotions before reseed")
 	}
@@ -166,7 +166,7 @@ func TestTieredShardsReseed(t *testing.T) {
 	}
 	// Cumulative tier counters survive the generation swap (re-homing
 	// causes fresh demotions on top of the folded baseline).
-	if got := c.TierStats().Demotions; got < demosBefore {
+	if got := c.Stats().Tier.Demotions; got < demosBefore {
 		t.Fatalf("Demotions after reseed = %d, want >= %d", got, demosBefore)
 	}
 	// Entries still reachable by exact repeat.

@@ -1,11 +1,11 @@
 // Package tier implements a hot/warm/cold cache hierarchy over the
 // Proximity variants in internal/core.
 //
-// The hot tier is a small in-memory cache (flat, LSH, or graph-indexed —
-// anything satisfying core.TierCache). The warm tier is a larger
-// file-backed store that absorbs hot-tier evictions instead of letting
-// them be discarded (demotion), and hands entries back on a warm hit
-// (promotion, LRU only). The cold tier is the on-disk snapshot format of
+// The hot tier is a small in-memory cache (FLAT or LSH — anything
+// satisfying core.TierCache). The warm tier is a larger file-backed store
+// that absorbs hot-tier evictions instead of letting them be discarded
+// (demotion), and hands entries back on a warm hit (promotion, LRU
+// only). The cold tier is the on-disk snapshot format of
 // internal/core: a tiered cache serializes its combined contents in
 // eviction order and refills by replay, so a restart resumes with the
 // whole hierarchy warm.
@@ -56,8 +56,8 @@ type Options struct {
 	// metric, policy, and the demotion hook the tiered cache needs wired
 	// in; implementations must honor all of them (passing base through to
 	// core.NewFlat, or copying its fields into a variant's options — see
-	// IndexedHot and LSHHot). Nil means a flat hot tier, the only variant
-	// for which the flat-equivalence property holds exactly.
+	// LSHHot). Nil means a flat hot tier, the only variant for which the
+	// flat-equivalence property holds exactly.
 	NewHot func(dim int, base core.Options) (core.TierCache, error)
 	// Dir is where the warm tier's record file is created (os.TempDir()
 	// when empty). The file is scratch, not persistence — cold restarts
@@ -153,21 +153,6 @@ func New(dim int, opts Options) (*TieredCache, error) {
 	return t, nil
 }
 
-// IndexedHot returns a NewHot factory building a graph-indexed hot tier.
-// The capacity, tolerance, metric, policy, and demotion hook come from
-// the tiered cache; the remaining IndexedOptions fields (graph degree,
-// efSearch, crossover, maintenance cadence, seed) come from opts.
-func IndexedHot(opts core.IndexedOptions) func(dim int, base core.Options) (core.TierCache, error) {
-	return func(dim int, base core.Options) (core.TierCache, error) {
-		opts.Capacity = base.Capacity
-		opts.Tolerance = base.Tolerance
-		opts.Metric = base.Metric
-		opts.Policy = base.Policy
-		opts.OnEvict = base.OnEvict
-		return core.NewIndexed(dim, opts)
-	}
-}
-
 // LSHHot returns a NewHot factory building an LSH hot tier. LSH capacity
 // is per-bucket (total 2^L·b), so opts.BucketCapacity is kept as given
 // rather than overwritten with the tiered hot capacity; the
@@ -187,11 +172,12 @@ func LSHHot(opts core.LSHOptions) func(dim int, base core.Options) (core.TierCac
 // entry: the hot candidate is fetched without side effects (TierGet),
 // the warm tier is probed with the hot distance as the beat-this bound,
 // and only the winner's bookkeeping runs. A warm win under LRU promotes
-// the entry back into the hot tier, demoting the hot front if full.
+// the entry back into the hot tier, demoting the hot front if full. A
+// nil or wrong-length query is an uncounted miss.
 //
 //proximity:hotpath
 func (t *TieredCache) Get(q vec.Vector) ([]int, bool) {
-	if q == nil {
+	if len(q) != t.dim {
 		return nil, false
 	}
 	t.mu.Lock()
@@ -259,9 +245,10 @@ func (t *TieredCache) Put(q vec.Vector, docs []int) {
 }
 
 // PutWithTolerance inserts into the hot tier; a displaced hot entry
-// demotes to the warm tier rather than being discarded.
+// demotes to the warm tier rather than being discarded. A nil or
+// wrong-length key is ignored.
 func (t *TieredCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if q == nil || tol < 0 {
+	if len(q) != t.dim || tol < 0 {
 		return
 	}
 	t.mu.Lock()
@@ -291,7 +278,8 @@ func (t *TieredCache) Policy() core.Policy { return t.opts.Policy }
 // Stats assembles combined counters so the tiered cache reads like the
 // single cache it emulates: hits from either tier count as hits, only
 // warm discards count as evictions (demotions are internal movement),
-// and promotion re-inserts are subtracted from Puts.
+// and promotion re-inserts are subtracted from Puts. The Tier block
+// breaks the same snapshot down by tier, so HotHits + WarmHits == Hits.
 func (t *TieredCache) Stats() core.Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -303,30 +291,26 @@ func (t *TieredCache) Stats() core.Stats {
 		Evictions: t.discards,
 		DistComps: hs.DistComps + t.warm.comps,
 		HashOps:   hs.HashOps,
+		Tier: &core.TierStats{
+			HotEntries:   t.hot.Len(),
+			HotCapacity:  t.hot.Capacity(),
+			WarmEntries:  t.warm.len(),
+			WarmCapacity: t.opts.WarmCapacity,
+			WarmBytes:    t.warm.bytes(),
+			HotHits:      hs.Hits,
+			WarmHits:     t.warmHits,
+			Promotions:   t.promotions,
+			Demotions:    t.demotions,
+			WarmDiscards: t.discards,
+			WarmLookups:  t.warm.lookups,
+			WarmScanned:  t.warm.scanned,
+			WarmPruned:   t.warm.pruned,
+		},
 	}
 }
 
-// TierStats reports the per-tier breakdown.
-func (t *TieredCache) TierStats() core.TierStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	hs := subStats(t.hot.Stats(), t.hotBase)
-	return core.TierStats{
-		HotEntries:   t.hot.Len(),
-		HotCapacity:  t.hot.Capacity(),
-		WarmEntries:  t.warm.len(),
-		WarmCapacity: t.opts.WarmCapacity,
-		WarmBytes:    t.warm.bytes(),
-		HotHits:      hs.Hits,
-		WarmHits:     t.warmHits,
-		Promotions:   t.promotions,
-		Demotions:    t.demotions,
-		WarmDiscards: t.discards,
-		WarmLookups:  t.warm.lookups,
-		WarmScanned:  t.warm.scanned,
-		WarmPruned:   t.warm.pruned,
-	}
-}
+// TierStats returns the Tier block of Stats.
+func (t *TieredCache) TierStats() core.TierStats { return *t.Stats().Tier }
 
 func subStats(a, b core.Stats) core.Stats {
 	return core.Stats{

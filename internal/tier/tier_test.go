@@ -372,40 +372,8 @@ func TestTieredLoadSnapshotVersionError(t *testing.T) {
 	}
 }
 
-// An indexed hot tier composes: demotions flow from the graph-indexed
-// cache's evictions into the warm tier and near-duplicate lookups hit.
-func TestIndexedHotSmoke(t *testing.T) {
-	const dim = 8
-	tc := mustTiered(t, dim, Options{
-		HotCapacity: 16, WarmCapacity: 64, Tolerance: 1.5, Policy: core.LRU,
-		NewHot: IndexedHot(core.IndexedOptions{Seed: 3}),
-	})
-	rng := vec.NewRand(13)
-	var keys []vec.Vector
-	for i := 0; i < 120; i++ {
-		k := vec.Scale(vec.RandomGaussian(rng, dim), 2)
-		tc.Put(k, []int{i})
-		keys = append(keys, k)
-	}
-	st := tc.TierStats()
-	if st.Demotions == 0 || st.WarmEntries == 0 {
-		t.Fatalf("indexed hot tier did not demote: %+v", st)
-	}
-	hits := 0
-	for i := 0; i < 60; i++ {
-		base := keys[len(keys)-1-i]
-		d := vec.RandomGaussian(rng, dim)
-		q := vec.Add(base, vec.Scale(d, 0.5/vec.Norm(d)))
-		if _, ok := tc.Get(q); ok {
-			hits++
-		}
-	}
-	if hits < 50 {
-		t.Fatalf("near-duplicate hits = %d/60", hits)
-	}
-}
-
-// An LSH hot tier composes the same way.
+// An LSH hot tier composes: demotions flow from its bucket evictions
+// into the warm tier.
 func TestLSHHotSmoke(t *testing.T) {
 	const dim = 8
 	tc := mustTiered(t, dim, Options{

@@ -257,9 +257,11 @@
 //
 // NewShardedTieredCache partitions the hierarchy across
 // independently-locked shards (per-shard warm files and snapshots,
-// Reseed-safe). TierStats (via the TierStatser interface, the server's
-// /v1/stats tiers block, and the proximity_tier_* Prometheus series)
-// reports per-tier occupancy and the demotion/promotion/discard flows.
+// Reseed-safe). The Tier block of a tiered cache's Stats (sharded or
+// not; rendered as the server's /v1/stats tiers block and the
+// proximity_tier_* Prometheus series) reports per-tier occupancy and the
+// demotion/promotion/discard flows, read in the same snapshot as the
+// cache-wide counters, so hot plus warm hits equal Hits.
 // `proximity-server -tier-warm N -tier-dir PATH -snapshot PATH` deploys
 // it with snapshot-on-shutdown and load-on-start, and `proximity-bench
 // -experiment tiered` measures the hierarchy against a hot-sized FLAT
