@@ -18,6 +18,7 @@ import (
 	"proximity/internal/experiments"
 	"proximity/internal/hnsw"
 	"proximity/internal/shard"
+	"proximity/internal/tier"
 	"proximity/internal/vamana"
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
@@ -214,11 +215,13 @@ func BenchmarkVecKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheGet measures a single lookup in both cache variants at a
+// BenchmarkCacheGet measures a single lookup in the cache variants at a
 // paper-scale occupancy (c=1000, d=768). The plain cases miss every key;
 // flat-1000-hit asks for a σ-perturbed copy of a mid-scan key, so the
 // scan runs under the tolerance until it meets the key and under that
-// key's distance after.
+// key's distance after. tiered-40+960-warm-hit asks the same of a FIFO
+// tiered cache of the same 1 000 keys, where that key is warm: the hot
+// tier misses, and the warm scan streams its heads and reads the record.
 func BenchmarkCacheGet(b *testing.B) {
 	const (
 		dim = 768
@@ -258,6 +261,23 @@ func BenchmarkCacheGet(b *testing.B) {
 			}
 		})
 	}
+	b.Run("tiered-40+960-warm-hit", func(b *testing.B) {
+		cache, err := tier.New(dim, tier.Options{
+			HotCapacity: 40, WarmCapacity: n - 40, Tolerance: 1, Policy: core.FIFO, Dir: b.TempDir(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cache.Close()
+		fill(cache)
+		if _, ok := cache.Get(near); !ok || cache.TierStats().WarmHits != 1 {
+			b.Fatalf("hit = %v with %d warm hits, want one warm hit", ok, cache.TierStats().WarmHits)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cache.Get(near)
+		}
+	})
 	b.Run("lsh-1000", func(b *testing.B) {
 		cache, err := core.NewLSH(dim, core.LSHOptions{Bits: 8, Tolerance: 1, Policy: core.LRU, Seed: 4})
 		if err != nil {

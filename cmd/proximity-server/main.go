@@ -202,7 +202,6 @@ func run(args []string) error {
 		Tolerance:    float32(*tau),
 		Policy:       policy,
 		Dir:          *tierDir,
-		Seed:         *seed,
 		Telemetry:    tel.Stages,
 	}
 	if *cacheKind == "lsh" {

@@ -82,9 +82,10 @@ type TierStats struct {
 	WarmDiscards int64 `json:"warmDiscards"`
 
 	// WarmLookups counts lookups that consulted a non-empty warm tier;
-	// WarmScanned counts warm entries whose vectors were read and
-	// exactly compared; WarmPruned counts entries skipped by the pivot
-	// lower bounds without touching the record file.
+	// WarmScanned counts warm records read and compared; WarmPruned
+	// counts entries ruled out on their in-memory key head without
+	// touching the record file. Each lookup adds its warm entry count
+	// to their sum.
 	WarmLookups int64 `json:"warmLookups"`
 	WarmScanned int64 `json:"warmScanned"`
 	WarmPruned  int64 `json:"warmPruned"`

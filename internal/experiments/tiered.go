@@ -92,8 +92,8 @@ type TieredPoint struct {
 	// HitRateUplift is the tiered hit rate minus the single-tier hit
 	// rate — the recall the retained history buys.
 	HitRateUplift float64 `json:"hitRateUplift"`
-	// WarmScanFrac is the fraction of warm-resident vectors the pivot
-	// pruning actually read per warm lookup.
+	// WarmScanFrac is the fraction of warm-resident records a warm
+	// lookup actually read: the rest were ruled out on their heads.
 	WarmScanFrac float64 `json:"warmScanFrac"`
 	// HitRateBefore / HitRateAfter bracket a snapshot-restore restart of
 	// the tiered cache under an LRU mixed workload; RestartRecovery is
@@ -161,8 +161,8 @@ func tieredPoint(ratio int, opts TieredOptions) (*TieredPoint, error) {
 	}
 	// Hot-path queries are tight repeats (0.1τ): repeat traffic — the
 	// reason the entry is hot — lands close to its key, and the tight
-	// hot-hit distance is what lets the warm tier's pivot window collapse
-	// to (near) nothing on the path that must stay fast. Deep queries get
+	// hot-hit distance is what lets the warm tier rule (near) every key
+	// out on its head on the path that must stay fast. Deep queries get
 	// the full approximate-hit radius (0.8τ): they bound the warm tier's
 	// own lookup cost in its worst admissible case.
 	hotQueries := make([]vec.Vector, opts.Queries)
@@ -187,7 +187,6 @@ func tieredPoint(ratio int, opts TieredOptions) (*TieredPoint, error) {
 		WarmCapacity: warm,
 		Tolerance:    opts.Tolerance,
 		Policy:       core.FIFO,
-		Seed:         opts.Seed + 2,
 	})
 	if err != nil {
 		return nil, err
@@ -291,7 +290,6 @@ func tieredRestart(keys []vec.Vector, hot, warm int, opts TieredOptions) (before
 			WarmCapacity: warm,
 			Tolerance:    opts.Tolerance,
 			Policy:       core.LRU,
-			Seed:         opts.Seed + 3,
 		})
 	}
 	c, err := build()

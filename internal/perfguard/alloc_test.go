@@ -6,11 +6,13 @@
 // escape-analysis change) still fails CI.
 //
 // Budgets: hnsw.SearchInto is allocation-free in steady state;
-// FlatCache.Get, IndexedCache.Get, and the tiered hot-hit lookup are
-// allowed exactly their one documented caller-owned docs copy, as is an
-// evicting FlatCache.Put (its copy of the caller's docs),
-// FlatIndex.Search — the miss path — its result slice, and
-// server.DecodeF32 — every HTTP request — the embedding it returns.
+// FlatCache.Get, IndexedCache.Get, and the tiered hot-hit and FIFO
+// warm-hit lookups are allowed exactly their one documented caller-owned
+// docs copy, as is an evicting FlatCache.Put (its copy of the caller's
+// docs); an LRU warm hit three (the docs copy and the hot tier's copies
+// of the promoted key and docs); FlatIndex.Search — the miss path — its
+// result slice; and server.DecodeF32 — every HTTP request — the
+// embedding it returns.
 package perfguard
 
 import (
@@ -144,7 +146,7 @@ func TestIndexedGetBudget(t *testing.T) {
 func TestTierHotHitBudget(t *testing.T) {
 	tc, err := tier.New(dim, tier.Options{
 		HotCapacity: 64, WarmCapacity: 128, Tolerance: 10,
-		Policy: core.FIFO, Dir: t.TempDir(), Seed: 1,
+		Policy: core.FIFO, Dir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +161,50 @@ func TestTierHotHitBudget(t *testing.T) {
 			t.Fatal("expected a hot hit")
 		}
 	})
+}
+
+// TestTierWarmHitBudget pins the tiered lookup's warm-hit path, on keys
+// the hot tier cannot admit. A FIFO warm hit is served in place: the docs
+// copy is its only allocation — the warm scan reads records in place. An
+// LRU warm hit also promotes the entry: the hot tier copies its key and
+// docs straight out of the warm slot, with no intermediate clone, and
+// the demoted hot entry moves into the warm tier without allocating.
+func TestTierWarmHitBudget(t *testing.T) {
+	for _, c := range []struct {
+		policy core.Policy
+		budget float64
+	}{{core.FIFO, 1}, {core.LRU, 3}} {
+		t.Run(c.policy.String(), func(t *testing.T) {
+			const hot, n = 4, 32
+			tc, err := tier.New(dim, tier.Options{
+				HotCapacity: hot, WarmCapacity: 64, Tolerance: 1,
+				Policy: c.policy, Dir: t.TempDir(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tc.Close()
+			keys := make([]vec.Vector, n)
+			for i := range keys {
+				keys[i] = testVec(i)
+				keys[i][0] += float32(10 * i) // 10 apart: no key admits another's query
+				tc.Put(keys[i], []int{i, i + 1})
+			}
+			// Cycling through the n−hot keys that start warm asks for each
+			// again only after n−hot other lookups, by when an LRU
+			// promotion has been demoted again.
+			i := 0
+			checkBudget(t, "TieredCache.Get (warm hit, "+c.policy.String()+")", c.budget, func() {
+				if _, ok := tc.Get(keys[i%(n-hot)]); !ok {
+					t.Fatal("expected a warm hit")
+				}
+				i++
+			})
+			if st := tc.TierStats(); st.HotHits != 0 || st.WarmHits < 200 {
+				t.Errorf("%d hot and %d warm hits: the budgeted lookups were not all warm", st.HotHits, st.WarmHits)
+			}
+		})
+	}
 }
 
 // TestFlatIndexSearchBudget pins the miss path's index scan: the result

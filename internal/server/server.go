@@ -196,7 +196,7 @@ func (s *Server) registerMetrics() {
 			reg.CounterFunc(telemetry.MetricTierWarmScannedTotal, "Warm vectors read and exactly compared during lookups.",
 				func() float64 { return float64(tiers().WarmScanned) })
 			reg.CounterFunc(telemetry.MetricTierWarmPrunedTotal,
-				"Warm entries skipped by pivot lower bounds without a record read.",
+				"Warm entries ruled out on their in-memory key head without a record read.",
 				func() float64 { return float64(tiers().WarmPruned) })
 		}
 	}

@@ -282,11 +282,9 @@ func NewIndexed(dim, shards int, opts core.IndexedOptions, seed uint64) (*Sharde
 // own file-backed warm tier, and the per-shard cold snapshots
 // (WriteSnapshots/LoadSnapshots) make the whole structure warm-
 // restartable. The configured hot and warm capacities are TOTALS across
-// shards (split evenly, rounded up). Each shard's warm tier draws its
-// own pivot seed (seed + 1 + shard index); the partitioner uses seed
-// directly. Tiered sub-caches enumerate entries, so Reseed migration
-// works unchanged; retired generations release their warm record files
-// on swap.
+// shards (split evenly, rounded up). The partitioner uses seed. Tiered
+// sub-caches enumerate entries, so Reseed migration works unchanged;
+// retired generations release their warm record files on swap.
 func NewTiered(dim, shards int, opts tier.Options, seed uint64) (*ShardedCache, error) {
 	n := shards
 	if n <= 0 {
@@ -307,7 +305,6 @@ func NewTiered(dim, shards int, opts tier.Options, seed uint64) (*ShardedCache, 
 			sub := opts
 			sub.HotCapacity = hot
 			sub.WarmCapacity = warm
-			sub.Seed = seed + 1 + uint64(i)
 			return tier.New(dim, sub)
 		},
 	})

@@ -44,9 +44,10 @@ type Options struct {
 	// Tolerance is the cache-wide similarity threshold τ (per-entry
 	// tolerances from PutWithTolerance override it per line).
 	Tolerance float32
-	// Metric is the distance function. The warm tier's pivot pruning
-	// needs the triangle inequality, so only L2 gets sub-linear warm
-	// lookups; cosine and inner-product fall back to an exact warm scan.
+	// Metric is the distance function. Under L2 a warm lookup skips an
+	// entry on its in-memory key head and reads the entry's record only
+	// when the head does not rule it out; cosine and inner product (and
+	// L2 below 16 dimensions) read every warm record.
 	Metric vec.Metric
 	// Policy is the eviction strategy. Under LRU a warm hit promotes the
 	// entry back into the hot tier; under FIFO warm hits are served in
@@ -63,7 +64,9 @@ type Options struct {
 	// when empty). The file is scratch, not persistence — cold restarts
 	// go through snapshots.
 	Dir string
-	// Seed drives the warm tier's pivot draw.
+	// Seed is ignored: the warm tier draws nothing at random, and an LSH
+	// hot tier takes its seed from its own LSHOptions. It is kept so
+	// callers that set it still compile.
 	Seed uint64
 	// Telemetry, when set, records tier_warm_lookup / tier_promote /
 	// tier_demote stage latencies.
@@ -141,7 +144,7 @@ func New(dim int, opts Options) (*TieredCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tier: build hot tier: %w", err)
 	}
-	warm, err := newWarmStore(dim, opts.WarmCapacity, opts.Metric, opts.Dir, opts.Seed)
+	warm, err := newWarmStore(dim, opts.WarmCapacity, opts.Metric, opts.Dir)
 	if err != nil {
 		if closer, ok := hot.(interface{ Close() error }); ok {
 			closer.Close()
@@ -189,14 +192,14 @@ func (t *TieredCache) Get(q vec.Vector) ([]int, bool) {
 		bound = hit.Dist
 	}
 	start := time.Now()
-	we, _, warmOK := t.warm.lookup(q, bound)
+	s, _ := t.warm.lookup(q, bound)
 	t.telem.Observe(telemetry.StageTierWarmLookup, time.Since(start))
-	if warmOK {
+	if s >= 0 {
 		t.warmHits++
 		//proximity:allow hotpathalloc warm-hit docs copy; the warm path already paid a file read
-		docs := append([]int(nil), we.docs...)
+		docs := append([]int(nil), t.warm.lines[s].docs...)
 		if t.opts.Policy == core.LRU {
-			t.promoteLocked(we)
+			t.promoteLocked(s)
 		}
 		return docs, true
 	}
@@ -208,16 +211,17 @@ func (t *TieredCache) Get(q vec.Vector) ([]int, bool) {
 	return nil, false
 }
 
-// promoteLocked moves a warm entry into the hot tier: clone the key out
-// of the record file, detach the warm entry, insert hot. If the hot tier
-// is full its front demotes onto the warm back — the last-of-warm and
-// first-of-hot positions are adjacent in the combined order, so the swap
-// preserves it exactly as a flat LRU's MoveToBack would.
-func (t *TieredCache) promoteLocked(we *warmEntry) {
+// promoteLocked moves warm slot s into the hot tier: insert hot, which
+// copies the key out of the slot's record view, then detach the slot —
+// in that order, because remove overwrites the slot with the last
+// record. If the hot tier is full its front demotes onto the warm back —
+// the last-of-warm and first-of-hot positions are adjacent in the
+// combined order, so the swap preserves it exactly as a flat LRU's
+// MoveToBack would.
+func (t *TieredCache) promoteLocked(s int) {
 	start := time.Now()
-	key := t.warm.readKey(we)
-	t.warm.remove(we)
-	t.hot.PutWithTolerance(key, we.docs, we.tol)
+	t.hot.PutWithTolerance(t.warm.slotView(s), t.warm.lines[s].docs, t.warm.tols[s])
+	t.warm.remove(s)
 	t.drainPendingLocked()
 	t.promotions++
 	t.telem.Observe(telemetry.StageTierPromote, time.Since(start))

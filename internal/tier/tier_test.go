@@ -2,6 +2,9 @@ package tier
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,7 +55,8 @@ func checkGet(t *testing.T, tc *TieredCache, ref *core.FlatCache, q vec.Vector, 
 
 // compareState asserts the tiered cache and the flat reference hold the
 // same entries in the same eviction order and agree on the externally
-// visible counters.
+// visible counters, distance computations included: a warm lookup
+// charges one per live entry, as the flat scan does.
 func compareState(t *testing.T, tc *TieredCache, ref *core.FlatCache) {
 	t.Helper()
 	if tc.Len() != ref.Len() {
@@ -76,7 +80,7 @@ func compareState(t *testing.T, tc *TieredCache, ref *core.FlatCache) {
 		}
 	}
 	gs, ws := tc.Stats(), ref.Stats()
-	if gs.Hits != ws.Hits || gs.Misses != ws.Misses || gs.Puts != ws.Puts || gs.Evictions != ws.Evictions {
+	if gs.Hits != ws.Hits || gs.Misses != ws.Misses || gs.Puts != ws.Puts || gs.Evictions != ws.Evictions || gs.DistComps != ws.DistComps {
 		t.Fatalf("stats diverged: tiered %+v, flat %+v", gs, ws)
 	}
 }
@@ -85,10 +89,10 @@ func compareState(t *testing.T, tc *TieredCache, ref *core.FlatCache) {
 // cache and a flat cache of the combined capacity, checking every lookup
 // and the final state. The workload mixes inserts with near-duplicate
 // queries (radius 0.5–1.5× the entry tolerance, so admission decisions
-// sit on both sides of τ) and cold random queries.
-func runEquivalence(t *testing.T, tc *TieredCache, ref *core.FlatCache, dim, ops int, tol float32, seed uint64) {
+// sit on both sides of τ) and cold queries; draw makes keys and cold
+// queries.
+func runEquivalence(t *testing.T, tc *TieredCache, ref *core.FlatCache, dim, ops int, tol float32, rng *rand.Rand, draw func() vec.Vector) {
 	t.Helper()
-	rng := vec.NewRand(seed)
 	var keys []vec.Vector
 	for i := 0; i < ops; i++ {
 		r := rng.Float64()
@@ -100,10 +104,9 @@ func runEquivalence(t *testing.T, tc *TieredCache, ref *core.FlatCache, dim, ops
 			q := vec.Add(base, vec.Scale(d, radius/vec.Norm(d)))
 			checkGet(t, tc, ref, q, i)
 		case r < 0.6:
-			q := vec.Scale(vec.RandomGaussian(rng, dim), 2)
-			checkGet(t, tc, ref, q, i)
+			checkGet(t, tc, ref, draw(), i)
 		default:
-			k := vec.Scale(vec.RandomGaussian(rng, dim), 2)
+			k := draw()
 			docs := []int{i, int(rng.IntN(1000))}
 			etol := tol * float32(0.5+rng.Float64())
 			tc.PutWithTolerance(k, docs, etol)
@@ -125,19 +128,20 @@ func testEquivalence(t *testing.T, policy core.Policy, metric vec.Metric, seed u
 	)
 	tc := mustTiered(t, dim, Options{
 		HotCapacity: H, WarmCapacity: W,
-		Tolerance: tol, Metric: metric, Policy: policy, Seed: seed,
+		Tolerance: tol, Metric: metric, Policy: policy,
 	})
 	ref := mustFlat(t, dim, core.Options{
 		Capacity: H + W, Tolerance: tol, Metric: metric, Policy: policy,
 	})
-	runEquivalence(t, tc, ref, dim, ops, tol, seed)
+	rng := vec.NewRand(seed)
+	runEquivalence(t, tc, ref, dim, ops, tol, rng, func() vec.Vector { return vec.Scale(vec.RandomGaussian(rng, dim), 2) })
 }
 
 func TestTieredEquivalenceFIFO(t *testing.T) { testEquivalence(t, core.FIFO, vec.L2Distance, 1) }
 func TestTieredEquivalenceLRU(t *testing.T)  { testEquivalence(t, core.LRU, vec.L2Distance, 2) }
 
-// Cosine has no triangle inequality, so the warm tier falls back to an
-// exact scan — the equivalence property must still hold.
+// Cosine has no monotone partial sum, so the warm tier reads every
+// record — the equivalence property must still hold.
 func TestTieredEquivalenceCosine(t *testing.T) { testEquivalence(t, core.LRU, vec.CosineDistance, 3) }
 
 // The fallback IO path (ReadAt/WriteAt instead of mmap) must behave
@@ -146,6 +150,43 @@ func TestTieredEquivalenceNoMmap(t *testing.T) {
 	forceNoMmap = true
 	defer func() { forceNoMmap = false }()
 	testEquivalence(t, core.LRU, vec.L2Distance, 4)
+}
+
+// On crowded unit-norm keys at dim 40 (two head blocks and an 8-float
+// tail) — one cluster, every key about spread from every other — with τ
+// near that spread, heads rule out at most a third of the warm keys, so
+// the equivalence runs mostly through record reads and the bounded
+// kernel's later checks, under mmap and under fallback IO.
+func TestTieredEquivalenceCrowded(t *testing.T) {
+	const (
+		dim    = 40
+		H      = 16
+		W      = 96
+		spread = 0.15 // key–key distance
+		tol    = 1.5 * spread
+		ops    = 3000
+	)
+	for _, noMmap := range []bool{false, true} {
+		for _, policy := range []core.Policy{core.FIFO, core.LRU} {
+			t.Run(fmt.Sprintf("noMmap=%v/%v", noMmap, policy), func(t *testing.T) {
+				forceNoMmap = noMmap
+				defer func() { forceNoMmap = false }()
+				tc := mustTiered(t, dim, Options{HotCapacity: H, WarmCapacity: W, Tolerance: tol, Policy: policy})
+				ref := mustFlat(t, dim, core.Options{Capacity: H + W, Tolerance: tol, Policy: policy})
+				rng := vec.NewRand(41)
+				centre := vec.RandomUnit(rng, dim)
+				sigma := float32(spread / math.Sqrt(2*dim))
+				runEquivalence(t, tc, ref, dim, ops, tol, rng, func() vec.Vector {
+					return vec.Normalize(vec.GaussianAround(rng, centre, sigma))
+				})
+				st := tc.TierStats()
+				if st.WarmHits == 0 || st.WarmScanned < 2*st.WarmPruned {
+					t.Fatalf("record path barely ran: %d warm hits, %d records read, %d ruled out on the head",
+						st.WarmHits, st.WarmScanned, st.WarmPruned)
+				}
+			})
+		}
+	}
 }
 
 // Adversarial near-τ placement: every query sits at a controlled radius
@@ -163,7 +204,7 @@ func TestTieredEquivalenceAdversarialNearTau(t *testing.T) {
 			)
 			tc := mustTiered(t, dim, Options{
 				HotCapacity: H, WarmCapacity: W,
-				Tolerance: tol, Policy: policy, Seed: 7,
+				Tolerance: tol, Policy: policy,
 			})
 			ref := mustFlat(t, dim, core.Options{
 				Capacity: H + W, Tolerance: tol, Policy: policy,
@@ -279,7 +320,7 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 		tol = 1.2
 	)
 	dir := t.TempDir()
-	opts := Options{HotCapacity: H, WarmCapacity: W, Tolerance: tol, Policy: core.LRU, Seed: 5, Dir: dir}
+	opts := Options{HotCapacity: H, WarmCapacity: W, Tolerance: tol, Policy: core.LRU, Dir: dir}
 	tc := mustTiered(t, dim, opts)
 	rng := vec.NewRand(9)
 	var keys []vec.Vector
@@ -393,31 +434,75 @@ func TestLSHHotSmoke(t *testing.T) {
 	}
 }
 
+// The warm slots stay dense and within capacity: a discard or a removal
+// moves the last slot's record, head, tolerance and documents into the
+// hole, and the age order survives the move.
 func TestWarmSlotReuse(t *testing.T) {
-	w, err := newWarmStore(4, 4, vec.L2Distance, t.TempDir(), 1)
-	if err != nil {
-		t.Fatal(err)
+	const (
+		dim      = 20 // one head block and a 4-float tail
+		capacity = 4
+	)
+	for _, noMmap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("noMmap=%v", noMmap), func(t *testing.T) {
+			forceNoMmap = noMmap
+			defer func() { forceNoMmap = false }()
+			w, err := newWarmStore(dim, capacity, vec.L2Distance, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.close()
+			rng := vec.NewRand(21)
+			var want []core.Entry
+			discards := 0
+			for i := 0; i < 10; i++ {
+				e := core.Entry{Key: vec.RandomGaussian(rng, dim), Docs: []int{i}, Tol: float32(i)}
+				want = append(want, core.Entry{Key: vec.Clone(e.Key), Docs: []int{i}, Tol: e.Tol})
+				if w.insert(e) {
+					discards++
+				}
+				if w.len() > capacity || cap(w.tols) > capacity || cap(w.lines) > capacity || cap(w.heads) > capacity*vec.HeadLen {
+					t.Fatalf("insert %d: %d slots (capacity %d/%d/%d) despite capacity %d",
+						i, w.len(), cap(w.tols), cap(w.lines), cap(w.heads)/vec.HeadLen, capacity)
+				}
+			}
+			want = want[len(want)-capacity:]
+			if discards != 6 {
+				t.Fatalf("discards = %d, want 6", discards)
+			}
+			if got := w.bytes(); got != capacity*dim*4 {
+				t.Fatalf("bytes = %d", got)
+			}
+			checkWarm(t, w, want)
+
+			// Remove a middle slot, as a promotion does: the last slot
+			// moves into it.
+			s, _ := w.lookup(want[1].Key, float32(math.Inf(1)))
+			if s < 0 || s == w.len()-1 {
+				t.Fatalf("entry 1 sits in slot %d; the test needs a middle slot", s)
+			}
+			w.remove(s)
+			want = append(want[:1], want[2:]...)
+			checkWarm(t, w, want)
+		})
 	}
-	defer w.close()
-	rng := vec.NewRand(21)
-	discards := 0
-	for i := 0; i < 10; i++ {
-		if w.insert(core.Entry{Key: vec.RandomGaussian(rng, 4), Docs: []int{i}, Tol: 1}) {
-			discards++
+}
+
+// checkWarm asserts w holds want in age order, and that each entry's
+// head and record agree: a lookup of its key finds it at distance 0.
+func checkWarm(t *testing.T, w *warmStore, want []core.Entry) {
+	t.Helper()
+	got := w.entries()
+	if len(got) != len(want) {
+		t.Fatalf("%d entries, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !vec.Equal(got[i].Key, want[i].Key) || got[i].Tol != want[i].Tol || got[i].Docs[0] != want[i].Docs[0] {
+			t.Fatalf("entry %d: docs %v tol %v, want docs %v tol %v", i, got[i].Docs, got[i].Tol, want[i].Docs, want[i].Tol)
 		}
-	}
-	if w.len() != 4 {
-		t.Fatalf("len = %d, want 4", w.len())
-	}
-	if discards != 6 {
-		t.Fatalf("discards = %d, want 6", discards)
-	}
-	// Record slots are recycled, never grown past capacity.
-	if w.next > 4 {
-		t.Fatalf("slots grew to %d despite capacity 4", w.next)
-	}
-	if got := w.bytes(); got != 4*4*4 {
-		t.Fatalf("bytes = %d", got)
+		s, d := w.lookup(want[i].Key, float32(math.Inf(1)))
+		if s < 0 || d != 0 || !vec.Equal(w.heads[s*vec.HeadLen:(s+1)*vec.HeadLen], want[i].Key[:vec.HeadLen]) {
+			t.Fatalf("entry %d: lookup of its own key gave slot %d at %v", i, s, d)
+		}
 	}
 }
 
@@ -439,8 +524,9 @@ func TestTieredClear(t *testing.T) {
 	}
 }
 
-// The warm tier's pivot pruning must actually engage on near-duplicate
-// traffic: a hot-path lookup should not read every warm vector.
+// The warm tier's head pruning must actually engage on near-duplicate
+// traffic: a hot-path lookup rules warm keys out on their in-memory heads
+// instead of reading their records.
 func TestWarmPruningEngages(t *testing.T) {
 	const (
 		dim = 32
@@ -448,7 +534,7 @@ func TestWarmPruningEngages(t *testing.T) {
 		W   = 400
 		tol = 0.8
 	)
-	tc := mustTiered(t, dim, Options{HotCapacity: H, WarmCapacity: W, Tolerance: tol, Policy: core.LRU, Seed: 2})
+	tc := mustTiered(t, dim, Options{HotCapacity: H, WarmCapacity: W, Tolerance: tol, Policy: core.LRU})
 	rng := vec.NewRand(31)
 	var keys []vec.Vector
 	for i := 0; i < H+W; i++ {
@@ -469,6 +555,10 @@ func TestWarmPruningEngages(t *testing.T) {
 	st := tc.TierStats()
 	if st.WarmLookups == 0 {
 		t.Fatal("warm tier never consulted")
+	}
+	if st.WarmScanned+st.WarmPruned != st.WarmLookups*W {
+		t.Fatalf("%d read + %d ruled out on the head over %d lookups of %d warm entries",
+			st.WarmScanned, st.WarmPruned, st.WarmLookups, W)
 	}
 	scannedPerLookup := float64(st.WarmScanned) / float64(st.WarmLookups)
 	if scannedPerLookup > float64(W)/4 {

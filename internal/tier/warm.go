@@ -1,10 +1,9 @@
 package tier
 
 import (
-	"container/list"
 	"fmt"
+	"math"
 	"os"
-	"sort"
 	"unsafe"
 
 	"proximity/internal/core"
@@ -13,85 +12,69 @@ import (
 
 // The warm tier holds demoted entries without keeping their vectors on
 // the heap: keys live in a fixed-record scratch file (one dim·4-byte
-// record per entry) that is memory-mapped where the platform allows it,
-// while only the small per-entry directory — documents, tolerance, slot
-// number, and a handful of pivot distances — stays in memory. At dim 768
-// that is ~3 KB of vector per entry moved out of the Go heap, which is
-// what lets the warm tier be 16× the hot tier without 16× the memory.
+// record per entry) that is memory-mapped where the platform allows it.
+// At dim 768 that is ~3 KB of vector per entry moved out of the Go heap,
+// which is what lets the warm tier be 16× the hot tier without 16× the
+// memory.
 //
-// Lookups must stay cheap even though the vectors are out of reach: the
-// directory is kept sorted by each key's distance to the origin (its
-// norm, pivot 0), so a query with admissibility threshold t only needs
-// the window of entries whose norm lies within t of the query's norm —
-// everything outside the window is skipped by binary search without
-// touching the record file. Entries inside the window are then tested
-// against three more fixed random pivots: by the triangle inequality
-// |d(q,p) − d(key,p)| lower-bounds d(q,key), so a window survivor whose
-// bound already exceeds its tolerance (or the best distance so far) is
-// pruned before its vector is read. Only the handful of survivors cost a
-// record read and an exact distance. This pruning is valid for L2 only;
-// other metrics fall back to an exact scan of the warm set.
-
-// numPivots is the number of reference points per entry: the origin
-// (whose distance doubles as the sort key) plus three seeded Gaussian
-// pivots.
-const numPivots = 4
+// What stays in memory is laid out as FlatCache's lines are: parallel
+// arrays indexed by slot, slots 0..len()-1 live, and record s of the file
+// is slot s's key. Each key's first vec.HeadLen floats sit in one
+// contiguous heads array (64 B per entry, 60 KB at W = 960), beside the
+// tolerances and the rest of each line (documents and age-order links).
+// An L2 lookup streams heads and tolerances in slot order and reads a
+// record only when its head alone does not rule the key out, so a lookup
+// costs one dense scan plus a record read per close key. Removing an
+// entry moves the last slot, record and head included, into its place,
+// so the slots and the file stay dense. Cosine and inner product, and
+// L2 below vec.HeadLen dimensions, read every record.
 
 // forceNoMmap routes vector IO through ReadAt/WriteAt even where mmap is
 // available; tests use it to cover the fallback path on unix.
 var forceNoMmap = false
 
-// warmEntry is one directory record. The key vector itself lives in the
-// record file at slot; pd caches its distance to each pivot.
-type warmEntry struct {
-	docs []int
-	tol  float32
-	slot int
-	pd   [numPivots]float32
-	elem *list.Element // position in age order; Value is *warmEntry
+// warmLine is the part of a warm entry a lookup reads only to serve,
+// move or enumerate it.
+type warmLine struct {
+	docs       []int
+	prev, next int32 // neighbours in age order; noSlot past either end
 }
+
+const noSlot int32 = -1
 
 type warmStore struct {
 	dim      int
 	capacity int
 	metric   vec.Metric
 	dist     vec.DistanceFunc
-
-	origin vec.Vector                // all-zero reference for pd[0]
-	pivots [numPivots - 1]vec.Vector // seeded Gaussian references
+	headLen  int // vec.HeadLen under L2 at dim ≥ HeadLen; else 0, and heads stays nil
 
 	f        *os.File
 	data     []byte // mmap view of the record file; nil under fallback IO
 	scratchB []byte // fallback byte buffer, one record
 	scratchF []float32
 
-	dir []*warmEntry // sorted ascending by pd[0]
-	// pds mirrors dir's pivot distances in one contiguous block: the
-	// lookup window walks pds and only dereferences a dir entry once a
-	// candidate survives the cheap bounds, so a pruned candidate costs a
-	// few sequential float reads instead of a pointer chase per entry.
-	pds    [][numPivots]float32
-	age    *list.List // front = oldest = next to discard
-	free   []int      // recycled record slots
-	next   int        // next never-used slot
-	maxTol float32    // monotone upper bound over inserted tolerances
+	heads       []float32 // slot s's first headLen floats
+	tols        []float32 // slot s's tolerance
+	lines       []warmLine
+	front, back int32 // ends of the age order: front is the oldest, next to discard
 
 	// Counters (reported through TierStats).
 	lookups int64 // lookups that consulted a non-empty warm tier
-	scanned int64 // vectors read and exactly compared
-	pruned  int64 // entries skipped by the norm window or pivot bounds
-	comps   int64 // distance computations (pivot projections + exact reads)
+	scanned int64 // records read and compared
+	pruned  int64 // entries ruled out on their head, without a record read
+	comps   int64 // distance computations: one per live entry per lookup, as a FLAT scan charges
 }
 
 // newWarmStore creates the record file (capacity·dim·4 bytes, sparse
 // until written) in dir, or os.TempDir() when dir is empty. On unix the
 // file is unlinked immediately so a crash cannot leak it.
-func newWarmStore(dim, capacity int, metric vec.Metric, dir string, seed uint64) (*warmStore, error) {
+func newWarmStore(dim, capacity int, metric vec.Metric, dir string) (*warmStore, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("tier: dimension must be positive, got %d", dim)
 	}
-	if capacity <= 0 {
-		return nil, fmt.Errorf("tier: warm capacity must be positive, got %d", capacity)
+	if capacity <= 0 || capacity > math.MaxInt32 {
+		return nil, fmt.Errorf("tier: warm capacity must be in [1, 2³¹), got %d", capacity)
 	}
 	if dir == "" {
 		dir = os.TempDir()
@@ -113,9 +96,12 @@ func newWarmStore(dim, capacity int, metric vec.Metric, dir string, seed uint64)
 		capacity: capacity,
 		metric:   metric,
 		dist:     metric.Func(),
-		origin:   make(vec.Vector, dim),
 		f:        f,
-		age:      list.New(),
+		front:    noSlot,
+		back:     noSlot,
+	}
+	if metric == vec.L2Distance && dim >= vec.HeadLen {
+		w.headLen = vec.HeadLen
 	}
 	if mmapSupported && !forceNoMmap {
 		data, err := mmapFile(f, size)
@@ -129,12 +115,6 @@ func newWarmStore(dim, capacity int, metric vec.Metric, dir string, seed uint64)
 		w.scratchB = make([]byte, dim*4)
 		w.scratchF = floatView(w.scratchB, dim)
 	}
-	if metric == vec.L2Distance {
-		rng := vec.NewRand(seed)
-		for i := range w.pivots {
-			w.pivots[i] = vec.RandomGaussian(rng, dim)
-		}
-	}
 	return w, nil
 }
 
@@ -146,10 +126,10 @@ func floatView(b []byte, n int) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
 }
 
-func (w *warmStore) len() int { return len(w.dir) }
+func (w *warmStore) len() int { return len(w.tols) }
 
 // bytes reports the vector bytes resident in the record file.
-func (w *warmStore) bytes() int64 { return int64(len(w.dir)) * int64(w.dim) * 4 }
+func (w *warmStore) bytes() int64 { return int64(len(w.tols)) * int64(w.dim) * 4 }
 
 // writeSlot stores key into the record file at slot.
 func (w *warmStore) writeSlot(slot int, key vec.Vector) {
@@ -179,184 +159,146 @@ func (w *warmStore) slotView(slot int) vec.Vector {
 	return w.scratchF
 }
 
-// readKey returns a caller-owned copy of e's vector.
-func (w *warmStore) readKey(e *warmEntry) vec.Vector {
-	return vec.Clone(w.slotView(e.slot))
-}
-
-// pdOf computes v's distance to each pivot (L2 only).
-func (w *warmStore) pdOf(v vec.Vector) [numPivots]float32 {
-	var pd [numPivots]float32
-	pd[0] = w.dist(v, w.origin)
-	for i, p := range w.pivots {
-		pd[i+1] = w.dist(v, p)
-	}
-	return pd
-}
-
 // insert appends e as the youngest warm entry, discarding the oldest
 // first when full (reported via the return so the caller can count it as
-// the tiered cache's true eviction). The entry's slices are retained
+// the tiered cache's true eviction). The entry's documents are retained
 // without copying — insert is the receiving end of the demotion hook's
-// ownership transfer.
+// ownership transfer — and its key is copied into the record file.
 func (w *warmStore) insert(e core.Entry) (discarded bool) {
-	if len(w.dir) >= w.capacity {
-		oldest, ok := w.age.Front().Value.(*warmEntry)
-		if !ok {
-			panic(fmt.Sprintf("tier: unexpected age list element %T", w.age.Front().Value))
-		}
-		w.remove(oldest)
+	if len(w.tols) >= w.capacity {
+		w.remove(int(w.front))
 		discarded = true
 	}
-	var slot int
-	if n := len(w.free); n > 0 {
-		slot = w.free[n-1]
-		w.free = w.free[:n-1]
-	} else {
-		slot = w.next
-		w.next++
-	}
-	w.writeSlot(slot, e.Key)
-	we := &warmEntry{docs: e.Docs, tol: e.Tol, slot: slot}
-	if w.metric == vec.L2Distance {
-		we.pd = w.pdOf(e.Key)
-	}
-	i := sort.Search(len(w.dir), func(i int) bool { return w.pds[i][0] > we.pd[0] })
-	w.dir = append(w.dir, nil)
-	copy(w.dir[i+1:], w.dir[i:])
-	w.dir[i] = we
-	w.pds = append(w.pds, [numPivots]float32{})
-	copy(w.pds[i+1:], w.pds[i:])
-	w.pds[i] = we.pd
-	we.elem = w.age.PushBack(we)
-	if e.Tol > w.maxTol {
-		// Monotone: removals never lower it. Only ever too wide, which
-		// keeps the lookup window conservative but always correct.
-		w.maxTol = e.Tol
-	}
+	s := len(w.tols)
+	w.writeSlot(s, e.Key)
+	w.heads = appendSlot(w.heads, w.capacity, e.Key[:w.headLen]...)
+	w.tols = appendSlot(w.tols, w.capacity, e.Tol)
+	w.lines = appendSlot(w.lines, w.capacity, warmLine{docs: e.Docs})
+	w.link(w.back, int32(s))
+	w.link(int32(s), noSlot)
 	return discarded
 }
 
-// remove detaches e from the directory, the age order, and recycles its
-// record slot. The slot's bytes stay until reused, which is fine: only
-// directory entries are ever read.
-func (w *warmStore) remove(e *warmEntry) {
-	w.age.Remove(e.elem)
-	i := sort.Search(len(w.dir), func(i int) bool { return w.pds[i][0] >= e.pd[0] })
-	for ; i < len(w.dir) && w.dir[i] != e; i++ {
+// appendSlot appends one slot's worth of elements to s, growing its
+// backing array by doubling but never past limit slots, so a full warm
+// tier holds exactly its capacity and an empty one nothing.
+func appendSlot[T any](s []T, limit int, slot ...T) []T {
+	if len(s)+len(slot) > cap(s) {
+		n := len(slot)
+		grown := make([]T, len(s), min(max(2*cap(s), n), limit*n))
+		copy(grown, s)
+		s = grown
 	}
-	if i == len(w.dir) {
-		panic("tier: warm entry missing from directory")
-	}
-	w.dir = append(w.dir[:i], w.dir[i+1:]...)
-	w.pds = append(w.pds[:i], w.pds[i+1:]...)
-	w.free = append(w.free, e.slot)
+	return append(s, slot...)
 }
 
-// lookup returns the warm entry closest to q among those admissible
-// (d ≤ entry tolerance) and strictly better than bound — the hot tier's
-// best distance, or +Inf when the hot tier missed. Equal distances lose
-// to the hot tier, mirroring a flat scan's first-seen tie-break.
-func (w *warmStore) lookup(q vec.Vector, bound float32) (best *warmEntry, bestD float32, ok bool) {
-	if len(w.dir) == 0 {
-		return nil, 0, false
+// remove detaches slot s from the age order and moves the last slot —
+// record, head, tolerance and line — into its place.
+func (w *warmStore) remove(s int) {
+	ln := w.lines[s]
+	w.link(ln.prev, ln.next)
+	n := len(w.tols) - 1
+	if s != n {
+		w.writeSlot(s, w.slotView(n))
+		copy(w.heads[s*w.headLen:], w.heads[n*w.headLen:(n+1)*w.headLen])
+		w.tols[s], w.lines[s] = w.tols[n], w.lines[n]
+		w.link(w.lines[s].prev, int32(s))
+		w.link(int32(s), w.lines[s].next)
+	}
+	w.lines[n] = warmLine{}
+	w.heads, w.tols, w.lines = w.heads[:n*w.headLen], w.tols[:n], w.lines[:n]
+}
+
+// link makes slot n follow slot p in the age order; noSlot for p or n
+// stands for the front or the back end.
+func (w *warmStore) link(p, n int32) {
+	if p == noSlot {
+		w.front = n
+	} else {
+		w.lines[p].next = n
+	}
+	if n == noSlot {
+		w.back = p
+	} else {
+		w.lines[n].prev = p
+	}
+}
+
+// lookup returns the slot of the warm entry closest to q among those
+// admissible (d ≤ entry tolerance) and strictly better than bound — the
+// hot tier's best distance, or +Inf when the hot tier missed — or -1.
+// Equal distances lose to the hot tier, mirroring a flat scan's
+// first-seen tie-break; among warm entries the first in slot order wins.
+//
+// Under L2 an entry wins only with d below all three of its tolerance,
+// bound and the best so far, so the kernel abandons its record once the
+// partial sum passes the smallest; with heads stored, an entry whose head
+// alone exceeds that limit is skipped without reading its record
+// (vec.L2SquaredHead exceeds vec.SquaredBound exactly when vec.L2Bounded
+// would abandon at its first check). The result is the unbounded scan's,
+// bit for bit.
+//
+//proximity:hotpath
+func (w *warmStore) lookup(q vec.Vector, bound float32) (best int, bestD float32) {
+	best = -1
+	n := len(w.tols)
+	if n == 0 {
+		return best, 0
 	}
 	w.lookups++
-	if w.metric != vec.L2Distance {
-		// No triangle inequality to prune with: exact scan.
-		for _, e := range w.dir {
-			d := w.dist(q, w.slotView(e.slot))
-			w.scanned++
-			w.comps++
-			if d <= e.tol && d < bound && (best == nil || d < bestD) {
-				best, bestD = e, d
+	w.comps += int64(n)
+	read := n
+	if w.metric == vec.L2Distance {
+		read = 0
+		heads := w.heads
+		for s, tol := range w.tols {
+			maxDist := min(tol, bound)
+			if best >= 0 {
+				maxDist = min(maxDist, bestD)
+			}
+			if heads != nil {
+				head := heads[:vec.HeadLen]
+				heads = heads[vec.HeadLen:]
+				if vec.L2SquaredHead(q, head) > vec.SquaredBound(maxDist) {
+					continue
+				}
+			}
+			read++
+			if d, ok := vec.L2Bounded(q, w.slotView(s), maxDist); ok && d <= tol && d < bound && (best < 0 || d < bestD) {
+				best, bestD = s, d
 			}
 		}
-		return best, bestD, best != nil
-	}
-	qpd := w.pdOf(q)
-	w.comps += numPivots
-	// A winning entry must satisfy d ≤ min(maxTol, bound), and d is at
-	// least the norm gap |qpd[0] − pd[0]|, so only the sorted window
-	// within thr of the query's norm can contain one.
-	thr := w.maxTol
-	if bound < thr {
-		thr = bound
-	}
-	lo := sort.Search(len(w.dir), func(i int) bool { return w.pds[i][0] >= qpd[0]-thr })
-	hi := sort.Search(len(w.dir), func(i int) bool { return w.pds[i][0] > qpd[0]+thr })
-	w.pruned += int64(len(w.dir) - (hi - lo))
-	for i := lo; i < hi; i++ {
-		pd := &w.pds[i]
-		lb := qpd[0] - pd[0]
-		if lb < 0 {
-			lb = -lb
-		}
-		for p := 1; p < numPivots && lb < thr; p++ {
-			g := qpd[p] - pd[p]
-			if g < 0 {
-				g = -g
-			}
-			if g > lb {
-				lb = g
+	} else {
+		for s, tol := range w.tols {
+			if d := w.dist(q, w.slotView(s)); d <= tol && d < bound && (best < 0 || d < bestD) {
+				best, bestD = s, d
 			}
 		}
-		// d ≥ lb, so the entry cannot win if the bound already rules out
-		// beating the hot tier (lb ≥ bound), the best warm candidate so
-		// far (lb ≥ bestD), or admissibility (lb > tol; lb ≥ thr ≥ maxTol
-		// covers it when the pivot loop exited early).
-		if lb >= bound || (best != nil && lb >= bestD) {
-			w.pruned++
-			continue
-		}
-		e := w.dir[i]
-		if lb > e.tol {
-			w.pruned++
-			continue
-		}
-		// The same three limits bound the exact distance: the kernel
-		// abandons the record once its partial sum passes the smallest.
-		maxDist := min(e.tol, bound)
-		if best != nil {
-			maxDist = min(maxDist, bestD)
-		}
-		d, ok := vec.L2Bounded(q, w.slotView(e.slot), maxDist)
-		w.scanned++
-		w.comps++
-		if ok && d <= e.tol && d < bound && (best == nil || d < bestD) {
-			best, bestD = e, d
-		}
 	}
-	return best, bestD, best != nil
+	w.scanned += int64(read)
+	w.pruned += int64(n - read)
+	return best, bestD
 }
 
 // entries returns caller-owned copies of the warm contents in eviction
 // order (oldest first). O(W·d).
 func (w *warmStore) entries() []core.Entry {
-	out := make([]core.Entry, 0, len(w.dir))
-	for el := w.age.Front(); el != nil; el = el.Next() {
-		e, ok := el.Value.(*warmEntry)
-		if !ok {
-			panic(fmt.Sprintf("tier: unexpected age list element %T", el.Value))
-		}
+	out := make([]core.Entry, 0, len(w.tols))
+	for s := w.front; s != noSlot; s = w.lines[s].next {
 		out = append(out, core.Entry{
-			Key:  w.readKey(e),
-			Docs: append([]int(nil), e.docs...),
-			Tol:  e.tol,
+			Key:  vec.Clone(w.slotView(int(s))),
+			Docs: append([]int(nil), w.lines[s].docs...),
+			Tol:  w.tols[s],
 		})
 	}
 	return out
 }
 
-// clear drops all entries. Counters and the record file are preserved;
-// slots restart from zero.
+// clear drops all entries and their in-memory storage. Counters and the
+// record file are preserved; slots restart from zero.
 func (w *warmStore) clear() {
-	w.dir = nil
-	w.pds = nil
-	w.age.Init()
-	w.free = nil
-	w.next = 0
-	w.maxTol = 0
+	w.heads, w.tols, w.lines = nil, nil, nil
+	w.front, w.back = noSlot, noSlot
 }
 
 // close releases the mapping and the record file. On platforms where the

@@ -235,10 +235,11 @@
 //
 //   - HOT: a full in-memory cache (FLAT by default, LSH via
 //     TieredOptions.NewHot) sized to the traffic's head.
-//   - WARM: a memory-mapped fixed-record vector file with an in-memory
-//     directory — entries the hot tier would have evicted are demoted
-//     here instead, searchable via norm-windowed, pivot-pruned scans,
-//     at file-cache cost rather than heap cost.
+//   - WARM: a memory-mapped fixed-record vector file with each key's
+//     first 16 floats kept in memory — entries the hot tier would have
+//     evicted are demoted here instead, searched by a scan that rules
+//     most keys out on those heads and reads a record only for the
+//     rest, at file-cache cost rather than heap cost.
 //   - COLD: a versioned on-disk snapshot (WriteSnapshot/SaveSnapshotFile)
 //     that brings both tiers back after a restart, so a redeployed or
 //     newly joined node starts warm instead of hammering the database.
