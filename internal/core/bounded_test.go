@@ -11,27 +11,15 @@ import (
 	"proximity/internal/vectordb"
 )
 
-// unboundedFlat returns a FlatCache whose scans finish every key with
-// the plain L2 kernel: the metric field is moved off L2, which routes
-// scanAdmissible through its c.dist loop (no heads, no bound), and c.dist
-// stays vec.L2. Everything else — entry order, eviction, counters — is
-// the cache under test, so the pair differs in the kernel alone.
-func unboundedFlat(t *testing.T, dim int, opts Options) *FlatCache {
-	t.Helper()
-	c := mustFlat(t, dim, opts)
-	c.opts.Metric = vec.InnerProduct
-	c.dist = vec.L2
-	return c
-}
-
-// TestBoundedScanIsExact drives one op stream through a bounded and an
-// unbounded FlatCache and requires them to agree on every observable:
-// hit or miss, which entry served, every reported distance to the bit,
-// the order entries are evicted in, and the final contents. The stream
-// mixes random traffic with the cases an early-abandoning scan could get
-// wrong: queries one ulp either side of τ, per-entry tolerances equal to
-// (and one ulp below) the query's exact distance, exact ties between
-// duplicate keys, τ = 0, and tolerance 0 lines.
+// TestBoundedScanIsExact drives one op stream through a FlatCache and
+// the Algorithm 1 oracle (oracle_test.go), whose scan finishes every key
+// with the plain L2 kernel, and requires them to agree on every
+// observable: hit or miss, which entry served, every reported distance to
+// the bit, the order entries are evicted in, and the final contents. The
+// stream mixes random traffic with the cases an early-abandoning scan
+// could get wrong: queries one ulp either side of τ, per-entry tolerances
+// equal to (and one ulp below) the query's exact distance, exact ties
+// between duplicate keys, τ = 0, and tolerance 0 lines.
 func TestBoundedScanIsExact(t *testing.T) {
 	const (
 		dim      = 40 // two 16-float strides and an 8-float tail
@@ -41,15 +29,12 @@ func TestBoundedScanIsExact(t *testing.T) {
 	for _, policy := range []Policy{FIFO, LRU} {
 		for _, tau := range []float32{0, 1.5} {
 			t.Run(fmt.Sprintf("%v/tau=%v", policy, tau), func(t *testing.T) {
-				var evictedB, evictedU []int
-				bounded := mustFlat(t, dim, Options{
+				var evicted []Entry
+				c := mustFlat(t, dim, Options{
 					Capacity: capacity, Tolerance: tau, Policy: policy,
-					OnEvict: func(e Entry) { evictedB = append(evictedB, e.Docs[0]) },
+					OnEvict: func(e Entry) { evicted = append(evicted, e) },
 				})
-				unbounded := unboundedFlat(t, dim, Options{
-					Capacity: capacity, Tolerance: tau, Policy: policy,
-					OnEvict: func(e Entry) { evictedU = append(evictedU, e.Docs[0]) },
-				})
+				o := &flatOracle{dim: dim, capacity: capacity, lru: policy == LRU}
 				rng := vec.NewRand(uint64(policy)*100 + uint64(tau*10))
 				centres := make([]vec.Vector, 6)
 				for i := range centres {
@@ -58,8 +43,8 @@ func TestBoundedScanIsExact(t *testing.T) {
 				var keys []vec.Vector // every key ever inserted
 				nextDoc := 0
 				put := func(q vec.Vector, tol float32) {
-					bounded.PutWithTolerance(q, []int{nextDoc}, tol)
-					unbounded.PutWithTolerance(q, []int{nextDoc}, tol)
+					c.PutWithTolerance(q, []int{nextDoc}, tol)
+					o.put(q, []int{nextDoc}, tol)
 					keys = append(keys, vec.Clone(q))
 					nextDoc++
 				}
@@ -70,26 +55,28 @@ func TestBoundedScanIsExact(t *testing.T) {
 					vec.AXPY(q, r, vec.RandomUnit(rng, dim))
 					return q
 				}
+				// lookup runs each of the cache's scans once, and the
+				// oracle's once per scan, so DistComps stays comparable.
 				lookup := func(op int, q vec.Vector) {
 					t.Helper()
-					for name, peek := range map[string]func(*FlatCache) (float32, bool){
-						"PeekAdmissible": func(c *FlatCache) (float32, bool) { return c.PeekAdmissible(q) },
-						"TierGet": func(c *FlatCache) (float32, bool) {
+					for name, peek := range map[string]func() (float32, bool){
+						"PeekAdmissible": func() (float32, bool) { return c.PeekAdmissible(q) },
+						"TierGet": func() (float32, bool) {
 							h, ok := c.TierGet(q)
 							return h.Dist, ok
 						},
 					} {
-						db, okB := peek(bounded)
-						du, okU := peek(unbounded)
-						if okB != okU || math.Float32bits(db) != math.Float32bits(du) {
-							t.Fatalf("op %d: %s = (%v, %v) bounded, (%v, %v) unbounded", op, name, db, okB, du, okU)
+						_, want, found := o.lookup(q)
+						if d, ok := peek(); ok != found || math.Float32bits(d) != math.Float32bits(want) {
+							t.Fatalf("op %d: %s = (%v, %v), oracle (%v, %v)", op, name, d, ok, want, found)
 						}
 					}
-					docsB, okB := bounded.Get(q)
-					docsU, okU := unbounded.Get(q)
-					if okB != okU || !slices.Equal(docsB, docsU) {
-						t.Fatalf("op %d: Get = (%v, %v) bounded, (%v, %v) unbounded", op, docsB, okB, docsU, okU)
+					i, _, found := o.lookup(q)
+					docs, ok := c.Get(q)
+					if ok != found || found && !slices.Equal(docs, o.lines[i].Docs) {
+						t.Fatalf("op %d: Get = (%v, %v), oracle found %v", op, docs, ok, found)
 					}
+					o.serve(i)
 				}
 
 				for op := 0; op < ops; op++ {
@@ -121,24 +108,18 @@ func TestBoundedScanIsExact(t *testing.T) {
 					}
 				}
 
-				if !slices.Equal(evictedB, evictedU) {
-					t.Fatalf("eviction order differs:\nbounded   %v\nunbounded %v", evictedB, evictedU)
+				if !sameEntries(evicted, o.evicted) {
+					t.Fatalf("eviction order differs: %d victims, the oracle %d, or other ones", len(evicted), len(o.evicted))
 				}
-				eb, eu := bounded.Entries(), unbounded.Entries()
-				if len(eb) != len(eu) {
-					t.Fatalf("final size %d bounded, %d unbounded", len(eb), len(eu))
+				if !sameEntries(c.Entries(), o.entries()) {
+					t.Fatalf("final contents differ from the oracle's (%d vs %d lines)", c.Len(), len(o.lines))
 				}
-				for i := range eb {
-					if eb[i].Docs[0] != eu[i].Docs[0] {
-						t.Fatalf("final eviction order differs at %d: %v vs %v", i, eb[i].Docs, eu[i].Docs)
-					}
+				s := c.Stats()
+				if s != o.stats {
+					t.Fatalf("stats differ: cache %+v, oracle %+v", s, o.stats)
 				}
-				sb, su := bounded.Stats(), unbounded.Stats()
-				if sb != su {
-					t.Fatalf("stats differ: bounded %+v, unbounded %+v", sb, su)
-				}
-				if sb.Hits == 0 || sb.Misses == 0 || sb.Evictions == 0 {
-					t.Fatalf("stream exercised too little: %+v", sb)
+				if s.Hits == 0 || s.Misses == 0 || s.Evictions == 0 {
+					t.Fatalf("stream exercised too little: %+v", s)
 				}
 			})
 		}

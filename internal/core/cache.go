@@ -5,6 +5,11 @@
 // the incoming query, in which case the cached documents are reused and
 // the expensive database nearest-neighbor search is skipped (Algorithm 1).
 //
+// Every variant compares keys by L2, the paper's evaluation metric, so a
+// scan can abandon a key once its partial sum passes the bound. In front
+// of a cosine database (§3.1) the cache takes unit-normalized embeddings,
+// where 1 − cos(a, b) = ‖a − b‖²/2, and τ = √(2·τ_cos).
+//
 // Three of the four cache variants live here, the first two from §3 of
 // the paper:
 //
@@ -25,6 +30,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"proximity/internal/vec"
 )
@@ -68,16 +74,13 @@ func ParsePolicy(s string) (Policy, error) {
 // Options configures a cache variant.
 type Options struct {
 	// Capacity is the maximum number of cached entries c (per bucket
-	// for LSHCache, where it is the per-bucket capacity b). Must be
-	// positive.
+	// for LSHCache, where it is the per-bucket capacity b). Must be in
+	// [1, 2³¹).
 	Capacity int
 	// Tolerance is the similarity threshold τ: a lookup hits when the
-	// closest cached key is at distance ≤ τ. τ = 0 degenerates to
-	// exact matching (§3.3.3). Must be non-negative.
+	// closest cached key is at L2 distance ≤ τ. τ = 0 degenerates to
+	// exact matching (§3.3.3). Must be non-negative (NaN is refused).
 	Tolerance float32
-	// Metric is the distance function, which must match the backing
-	// vector database (§3.1). Defaults to L2.
-	Metric vec.Metric
 	// Policy is the eviction strategy. Defaults to FIFO, the paper's
 	// default for the uniform benchmarks (§4.3).
 	Policy Policy
@@ -93,19 +96,16 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
-	if o.Metric == 0 {
-		o.Metric = vec.L2Distance
-	}
 	if o.Policy == 0 {
 		o.Policy = FIFO
 	}
 }
 
 func (o Options) validate() error {
-	if o.Capacity <= 0 {
-		return fmt.Errorf("core: capacity must be positive, got %d", o.Capacity)
+	if o.Capacity <= 0 || o.Capacity > math.MaxInt32 {
+		return fmt.Errorf("core: capacity must be in [1, 2³¹), got %d", o.Capacity)
 	}
-	if o.Tolerance < 0 {
+	if !(o.Tolerance >= 0) {
 		return fmt.Errorf("core: tolerance must be non-negative, got %v", o.Tolerance)
 	}
 	if o.Policy != FIFO && o.Policy != LRU {
@@ -209,8 +209,8 @@ type Cache interface {
 	// value are copied.
 	Put(q vec.Vector, docs []int)
 	// PutWithTolerance caches an entry with its own match threshold,
-	// the per-line dynamic tolerance extension (§3.3.3). Negative
-	// tolerances are ignored.
+	// the per-line dynamic tolerance extension (§3.3.3). Negative and
+	// NaN tolerances are ignored.
 	PutWithTolerance(q vec.Vector, docs []int, tol float32)
 	// Len returns the current number of cached entries.
 	Len() int

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -21,7 +20,7 @@ import (
 // live: each key's first vec.HeadLen floats in one contiguous heads
 // array (64 B per line, 64 KB at c = 1 000), the tolerances, insertion
 // stamps, and the rest of each line (key, documents, eviction-order
-// links) in slots. An L2 scan streams heads and tolerances and reads a
+// links) in slots. A scan streams heads and tolerances and reads a
 // key only when its head alone does not rule it out, so a lookup reads
 // dense arrays instead of chasing a pointer per key. Each key is its own
 // allocation, reused by an evicting Put: one slab of whole keys would be
@@ -32,8 +31,7 @@ import (
 type FlatCache struct {
 	dim     int
 	opts    Options
-	dist    vec.DistanceFunc
-	headLen int // vec.HeadLen under L2 at dim ≥ HeadLen; else 0, and heads stays nil
+	headLen int // vec.HeadLen at dim ≥ HeadLen; else 0, and heads stays nil
 
 	mu          sync.RWMutex
 	heads       []float32 // slot i's first headLen floats
@@ -72,11 +70,8 @@ func NewFlat(dim int, opts Options) (*FlatCache, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("core: dimension must be positive, got %d", dim)
 	}
-	if opts.Capacity > math.MaxInt32 {
-		return nil, fmt.Errorf("core: capacity %d exceeds the int32 slot index", opts.Capacity)
-	}
-	c := &FlatCache{dim: dim, opts: opts, dist: opts.Metric.Func(), front: noSlot, back: noSlot}
-	if opts.Metric == vec.L2Distance && dim >= vec.HeadLen {
+	c := &FlatCache{dim: dim, opts: opts, front: noSlot, back: noSlot}
+	if dim >= vec.HeadLen {
 		c.headLen = vec.HeadLen
 	}
 	return c, nil
@@ -166,39 +161,30 @@ func (c *FlatCache) commitTierHit(h TierHit) {
 // keep the first-scanned entry, matching the paper's min_by_dist.
 // Callers hold mu at least for reading.
 //
-// Under L2 a key wins only with d ≤ its tolerance and d < the best so
-// far, so the kernel abandons it once its partial sum passes the smaller
-// of the two; a key that survives gets the distance the full kernel
-// gives, so the outcome is the unbounded scan's, bit for bit. With heads
-// stored, a key whose head alone exceeds that bound is skipped without
-// reading its row: vec.L2SquaredHead exceeds vec.SquaredBound exactly
-// when vec.L2Bounded would abandon at its first check. Cosine and inner
-// product have no monotone partial sum and finish every key.
+// A key wins only with d ≤ its tolerance and d < the best so far, so the
+// L2 kernel abandons it once its partial sum passes the smaller of the
+// two; a key that survives gets the distance the full kernel gives, so
+// the outcome is the unbounded scan's, bit for bit. With heads stored, a
+// key whose head alone exceeds that bound is skipped without reading its
+// row: vec.L2SquaredHead exceeds vec.SquaredBound exactly when
+// vec.L2Bounded would abandon at its first check.
 func (c *FlatCache) scanAdmissible(q vec.Vector) (best int, bestDist float32) {
 	best = -1
-	if c.opts.Metric == vec.L2Distance {
-		heads := c.heads
-		for i, tol := range c.tols {
-			maxDist := tol
-			if best >= 0 && bestDist < maxDist {
-				maxDist = bestDist
-			}
-			if heads != nil {
-				head := heads[:vec.HeadLen]
-				heads = heads[vec.HeadLen:]
-				if vec.L2SquaredHead(q, head) > vec.SquaredBound(maxDist) {
-					continue
-				}
-			}
-			if d, ok := vec.L2Bounded(q, c.slots[i].key, maxDist); ok && d <= tol && (best < 0 || d < bestDist) {
-				best, bestDist = i, d
+	heads := c.heads
+	for i, tol := range c.tols {
+		maxDist := tol
+		if best >= 0 && bestDist < maxDist {
+			maxDist = bestDist
+		}
+		if heads != nil {
+			head := heads[:vec.HeadLen]
+			heads = heads[vec.HeadLen:]
+			if vec.L2SquaredHead(q, head) > vec.SquaredBound(maxDist) {
+				continue
 			}
 		}
-	} else {
-		for i, tol := range c.tols {
-			if d := c.dist(q, c.slots[i].key); d <= tol && (best < 0 || d < bestDist) {
-				best, bestDist = i, d
-			}
+		if d, ok := vec.L2Bounded(q, c.slots[i].key, maxDist); ok && d <= tol && (best < 0 || d < bestDist) {
+			best, bestDist = i, d
 		}
 	}
 	c.distComps.Add(int64(len(c.tols)))
@@ -216,9 +202,10 @@ func (c *FlatCache) Put(q vec.Vector, docs []int) {
 // discusses: a line whose original query had tightly-packed neighbors
 // should only serve queries very close to it. Callers normally derive
 // tol from the retrieved-neighbor distances (see RetrieverOptions.
-// DynamicTolerance). A nil or wrong-length key is ignored.
+// DynamicTolerance). A nil or wrong-length key, and a negative or NaN
+// tol, is ignored.
 func (c *FlatCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if len(q) != c.dim || tol < 0 {
+	if len(q) != c.dim || !(tol >= 0) {
 		return
 	}
 	c.mu.Lock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,7 @@ func TestNewFlatValidation(t *testing.T) {
 		{name: "zero capacity", dim: 4, opts: Options{Capacity: 0}},
 		{name: "negative capacity", dim: 4, opts: Options{Capacity: -1}},
 		{name: "negative tolerance", dim: 4, opts: Options{Capacity: 1, Tolerance: -0.1}},
+		{name: "NaN tolerance", dim: 4, opts: Options{Capacity: 1, Tolerance: float32(math.NaN())}},
 		{name: "zero dim", dim: 0, opts: Options{Capacity: 1}},
 		{name: "bad policy", dim: 4, opts: Options{Capacity: 1, Policy: Policy(9)}},
 	}
@@ -141,6 +143,10 @@ func TestFlatNilQuery(t *testing.T) {
 	c.Put(nil, []int{1}) // must not panic or insert
 	if c.Len() != 0 {
 		t.Error("nil Put should be ignored")
+	}
+	c.PutWithTolerance(vec.Vector{1, 2}, []int{1}, float32(math.NaN()))
+	if c.Len() != 0 {
+		t.Error("a NaN tolerance should be ignored like a negative one")
 	}
 }
 

@@ -14,10 +14,9 @@ import (
 // IndexedOptions configures Proximity-INDEXED: the cache options shared
 // with the flat variant plus the graph-index knobs.
 type IndexedOptions struct {
-	// Capacity, Tolerance, Metric, Policy mirror Options.
+	// Capacity, Tolerance, Policy mirror Options.
 	Capacity  int
 	Tolerance float32
-	Metric    vec.Metric
 	Policy    Policy
 
 	// Crossover is the resident-entry count below which Get falls back
@@ -77,9 +76,6 @@ func (m *MaintenanceOptions) fillDefaults() {
 }
 
 func (o *IndexedOptions) fillDefaults() {
-	if o.Metric == 0 {
-		o.Metric = vec.L2Distance
-	}
 	if o.Policy == 0 {
 		o.Policy = FIFO
 	}
@@ -98,7 +94,6 @@ func (o IndexedOptions) validate() error {
 	if err := (Options{
 		Capacity:  o.Capacity,
 		Tolerance: o.Tolerance,
-		Metric:    o.Metric,
 		Policy:    o.Policy,
 	}).validate(); err != nil {
 		return err
@@ -125,7 +120,7 @@ func (o IndexedOptions) validate() error {
 // of a linear scan. The graph stores int8 scalar-quantized copies of the
 // keys and ranks traversal with asymmetric quantized kernels (vec.
 // Quantized); the EfSearch candidates it returns are then re-ranked with
-// the exact float32 metric, and ONLY exact distances are compared against
+// exact float32 L2 distances, and ONLY exact distances are compared against
 // per-entry tolerances — so a hit here admits exactly the entries a flat
 // scan would, the approximation affecting recall (which candidates are
 // seen), never admission correctness.
@@ -138,7 +133,6 @@ func (o IndexedOptions) validate() error {
 type IndexedCache struct {
 	dim  int
 	opts IndexedOptions
-	dist vec.DistanceFunc
 
 	mu      sync.Mutex
 	graph   *hnsw.Index
@@ -183,7 +177,6 @@ func NewIndexed(dim int, opts IndexedOptions) (*IndexedCache, error) {
 	c := &IndexedCache{
 		dim:   dim,
 		opts:  opts,
-		dist:  opts.Metric.Func(),
 		order: list.New(),
 	}
 	var err error
@@ -194,7 +187,7 @@ func NewIndexed(dim int, opts IndexedOptions) (*IndexedCache, error) {
 }
 
 func (c *IndexedCache) newGraph() (*hnsw.Index, error) {
-	return hnsw.New(c.dim, c.opts.Metric, hnsw.Config{
+	return hnsw.New(c.dim, vec.L2Distance, hnsw.Config{
 		M:                   c.opts.M,
 		EfConstruction:      c.opts.EfConstruction,
 		EfSearch:            c.opts.EfSearch,
@@ -259,15 +252,11 @@ func (c *IndexedCache) scanExact(q vec.Vector) *indexedEntry {
 }
 
 // admissibleDist is the exact distance from q to e's key, with ok=false
-// when e's tolerance does not admit q. Under L2 it also returns false,
-// without finishing the sum, once e is provably farther than the best
-// candidate so far; a candidate exactly as far still gets its distance,
-// so the callers' tie-breaks decide as they always did.
+// when e's tolerance does not admit q. It also returns false, without
+// finishing the sum, once e is provably farther than the best candidate
+// so far; a candidate exactly as far still gets its distance, so the
+// callers' tie-breaks decide as they always did.
 func (c *IndexedCache) admissibleDist(q vec.Vector, e, best *indexedEntry, bestDist float32) (float32, bool) {
-	if c.opts.Metric != vec.L2Distance {
-		d := c.dist(q, e.key)
-		return d, d <= e.tol
-	}
 	maxDist := e.tol
 	if best != nil && bestDist < maxDist {
 		maxDist = bestDist
@@ -315,9 +304,10 @@ func (c *IndexedCache) Put(q vec.Vector, docs []int) {
 }
 
 // PutWithTolerance inserts an entry with its own match threshold. The key
-// is cloned once; the graph and the cache line share the clone.
+// is cloned once; the graph and the cache line share the clone. A nil or
+// wrong-length key, and a negative or NaN tol, is ignored.
 func (c *IndexedCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if q == nil || len(q) != c.dim || tol < 0 {
+	if q == nil || len(q) != c.dim || !(tol >= 0) {
 		return
 	}
 	c.mu.Lock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -18,6 +19,9 @@ func TestNewIndexedValidation(t *testing.T) {
 	}
 	if _, err := NewIndexed(4, IndexedOptions{Capacity: 10, Tolerance: -1}); err == nil {
 		t.Fatal("expected error for negative tolerance")
+	}
+	if _, err := NewIndexed(4, IndexedOptions{Capacity: 10, Tolerance: float32(math.NaN())}); err == nil {
+		t.Fatal("expected error for NaN tolerance")
 	}
 	if _, err := NewIndexed(4, IndexedOptions{Capacity: 10, Crossover: -1}); err == nil {
 		t.Fatal("expected error for negative crossover")
@@ -335,8 +339,9 @@ func TestIndexedIgnoresBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx.Put(nil, []int{1})
-	idx.Put(vec.Vector{1, 2}, []int{1})                // wrong dim
-	idx.PutWithTolerance(vec.Vector{1, 2, 3}, nil, -1) // negative tol
+	idx.Put(vec.Vector{1, 2}, []int{1})                                 // wrong dim
+	idx.PutWithTolerance(vec.Vector{1, 2, 3}, nil, -1)                  // negative tol
+	idx.PutWithTolerance(vec.Vector{1, 2, 3}, nil, float32(math.NaN())) // NaN tol
 	if idx.Len() != 0 {
 		t.Fatalf("bad puts were accepted: len=%d", idx.Len())
 	}

@@ -44,8 +44,6 @@ type LSHOptions struct {
 	// Tolerance is the similarity threshold τ applied within the
 	// selected bucket.
 	Tolerance float32
-	// Metric is the distance function (must match the database).
-	Metric vec.Metric
 	// Policy is the per-bucket eviction strategy.
 	Policy Policy
 	// Seed drives the hyperplane draw.
@@ -80,7 +78,6 @@ func NewLSH(dim int, opts LSHOptions) (*LSHCache, error) {
 	bucket := Options{
 		Capacity:  opts.BucketCapacity,
 		Tolerance: opts.Tolerance,
-		Metric:    opts.Metric,
 		Policy:    opts.Policy,
 		OnEvict:   opts.OnEvict,
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,7 @@ func TestNewLSHValidation(t *testing.T) {
 		{name: "zero dim", dim: 0, opts: LSHOptions{Bits: 4}},
 		{name: "negative bucket capacity", dim: 4, opts: LSHOptions{Bits: 4, BucketCapacity: -1}},
 		{name: "negative tolerance", dim: 4, opts: LSHOptions{Bits: 4, Tolerance: -1}},
+		{name: "NaN tolerance", dim: 4, opts: LSHOptions{Bits: 4, Tolerance: float32(math.NaN())}},
 		{name: "bad policy", dim: 4, opts: LSHOptions{Bits: 4, Policy: Policy(9)}},
 	}
 	for _, tt := range tests {

@@ -44,6 +44,10 @@ const snapshotFormatVersion = 1
 // expected across upgrades and warrants a cold start, not an alert.
 var ErrSnapshotVersion = errors.New("core: unsupported snapshot version")
 
+// maxSnapshotDim bounds a snapshot's Dim, which sizes allocations before
+// any key is checked (an LSH cache draws Bits·Dim hyperplane floats).
+const maxSnapshotDim = 1 << 16
+
 // writeSnapshotHeader emits the magic/version prefix.
 func writeSnapshotHeader(w io.Writer) error {
 	if _, err := w.Write(snapshotMagic); err != nil {
@@ -141,7 +145,7 @@ func (c *FlatCache) WriteSnapshot(w io.Writer) error {
 		Dim:       c.dim,
 		Capacity:  c.opts.Capacity,
 		Tolerance: c.opts.Tolerance,
-		Metric:    int(c.opts.Metric),
+		Metric:    int(vec.L2Distance),
 		Policy:    int(c.opts.Policy),
 	}
 	snap.Keys, snap.Docs, snap.Tols = entryColumns(c.Entries())
@@ -150,21 +154,21 @@ func (c *FlatCache) WriteSnapshot(w io.Writer) error {
 
 // ReadFlatSnapshot reconstructs a FlatCache from a snapshot. Both the
 // current headered format and legacy headerless (v0) snapshots are
-// accepted; a snapshot from a newer format generation returns an error
-// wrapping ErrSnapshotVersion.
+// accepted; a snapshot from a newer format generation, or of a cache that
+// compared keys by another metric than L2, returns an error wrapping
+// ErrSnapshotVersion.
 func ReadFlatSnapshot(r io.Reader) (*FlatCache, error) {
 	var snap flatSnapshot
 	if err := decodeSnapshot(r, &snap); err != nil {
 		return nil, err
 	}
-	entries, err := snapshotEntries(snap.Version, snap.Dim, snap.Keys, snap.Docs, snap.Tols)
+	entries, err := snapshotEntries(snap.Version, snap.Metric, snap.Dim, snap.Keys, snap.Docs, snap.Tols)
 	if err != nil {
 		return nil, err
 	}
 	c, err := NewFlat(snap.Dim, Options{
 		Capacity:  snap.Capacity,
 		Tolerance: snap.Tolerance,
-		Metric:    vec.Metric(snap.Metric),
 		Policy:    Policy(snap.Policy),
 	})
 	if err != nil {
@@ -206,7 +210,7 @@ func (c *LSHCache) WriteSnapshot(w io.Writer) error {
 		Bits:           c.hasher.Bits(),
 		BucketCapacity: c.bucket.Capacity,
 		Tolerance:      c.bucket.Tolerance,
-		Metric:         int(c.bucket.Metric),
+		Metric:         int(vec.L2Distance),
 		Policy:         int(c.bucket.Policy),
 		Seed:           c.seed,
 		Probes:         c.probes,
@@ -217,14 +221,15 @@ func (c *LSHCache) WriteSnapshot(w io.Writer) error {
 
 // ReadLSHSnapshot reconstructs an LSHCache from a snapshot. Both the
 // current headered format and legacy headerless (v0) snapshots are
-// accepted; a snapshot from a newer format generation returns an error
-// wrapping ErrSnapshotVersion.
+// accepted; a snapshot from a newer format generation, or of a cache that
+// compared keys by another metric than L2, returns an error wrapping
+// ErrSnapshotVersion.
 func ReadLSHSnapshot(r io.Reader) (*LSHCache, error) {
 	var snap lshSnapshot
 	if err := decodeSnapshot(r, &snap); err != nil {
 		return nil, err
 	}
-	entries, err := snapshotEntries(snap.Version, snap.Dim, snap.Keys, snap.Docs, snap.Tols)
+	entries, err := snapshotEntries(snap.Version, snap.Metric, snap.Dim, snap.Keys, snap.Docs, snap.Tols)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +237,6 @@ func ReadLSHSnapshot(r io.Reader) (*LSHCache, error) {
 		Bits:           snap.Bits,
 		BucketCapacity: snap.BucketCapacity,
 		Tolerance:      snap.Tolerance,
-		Metric:         vec.Metric(snap.Metric),
 		Policy:         Policy(snap.Policy),
 		Seed:           snap.Seed,
 		Probes:         snap.Probes,
@@ -303,7 +307,7 @@ func ReadEntrySnapshot(r io.Reader) (dim int, entries []Entry, err error) {
 	if err := decodeSnapshot(r, &snap); err != nil {
 		return 0, nil, err
 	}
-	if entries, err = snapshotEntries(snap.Version, snap.Dim, snap.Keys, snap.Docs, snap.Tols); err != nil {
+	if entries, err = snapshotEntries(snap.Version, 0 /* not recorded */, snap.Dim, snap.Keys, snap.Docs, snap.Tols); err != nil {
 		return 0, nil, err
 	}
 	return snap.Dim, entries, nil
@@ -322,11 +326,19 @@ func decodeSnapshot(r io.Reader, snap any) error {
 	return nil
 }
 
-// snapshotEntries checks a decoded payload's version and columns and
-// zips the columns back into entries, in their serialized order.
-func snapshotEntries(version, dim int, keys []vec.Vector, docs [][]int, tols []float32) ([]Entry, error) {
+// snapshotEntries checks a decoded payload's version, metric, dimension
+// and columns and zips the columns back into entries, in their serialized
+// order. Caches compare by L2 only: a metric other than 1 (L2) or 0 (not
+// recorded) calls for a cold start, not a reinterpretation.
+func snapshotEntries(version, metric, dim int, keys []vec.Vector, docs [][]int, tols []float32) ([]Entry, error) {
 	if version != snapshotVersion {
 		return nil, fmt.Errorf("%w: payload version %d", ErrSnapshotVersion, version)
+	}
+	if metric != 0 && metric != int(vec.L2Distance) {
+		return nil, fmt.Errorf("%w: distance metric %d (caches compare by L2 only)", ErrSnapshotVersion, metric)
+	}
+	if dim > maxSnapshotDim {
+		return nil, fmt.Errorf("core: corrupt snapshot: dim %d exceeds %d", dim, maxSnapshotDim)
 	}
 	if len(keys) != len(docs) || len(keys) != len(tols) {
 		return nil, fmt.Errorf("core: corrupt snapshot: %d keys, %d docs, %d tolerances",

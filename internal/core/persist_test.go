@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -189,6 +190,110 @@ func TestSnapshotFutureFormatVersion(t *testing.T) {
 	if _, _, err := ReadEntrySnapshot(bytes.NewReader(future)); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("entry err = %v, want ErrSnapshotVersion", err)
 	}
+}
+
+// A snapshot records the metric its cache compared keys by. Caches compare
+// by L2 only, so 0 (not recorded) and 1 (L2) load, and a cosine (2) or
+// inner-product (3) snapshot is refused as an incompatible version. The
+// writers keep recording 1, which older builds read as L2.
+func TestSnapshotMetric(t *testing.T) {
+	for _, tt := range []struct {
+		metric int
+		ok     bool
+	}{{0, true}, {1, true}, {2, false}, {3, false}} {
+		t.Run(fmt.Sprint(tt.metric), func(t *testing.T) {
+			keys, docs, tols := []vec.Vector{{1, 2}}, [][]int{{7}}, []float32{1}
+			var flat, lsh bytes.Buffer
+			if err := encodeSnapshot(&flat, flatSnapshot{
+				Version: snapshotVersion, Dim: 2, Capacity: 2, Tolerance: 1, Metric: tt.metric, Policy: int(FIFO),
+				Keys: keys, Docs: docs, Tols: tols,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := encodeSnapshot(&lsh, lshSnapshot{
+				Version: snapshotVersion, Dim: 2, Bits: 2, BucketCapacity: 2, Tolerance: 1, Metric: tt.metric, Policy: int(FIFO),
+				Keys: keys, Docs: docs, Tols: tols,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			_, flatErr := ReadFlatSnapshot(&flat)
+			_, lshErr := ReadLSHSnapshot(&lsh)
+			for name, err := range map[string]error{"flat": flatErr, "lsh": lshErr} {
+				if tt.ok && err != nil || !tt.ok && !errors.Is(err, ErrSnapshotVersion) {
+					t.Errorf("%s snapshot with metric %d: err = %v", name, tt.metric, err)
+				}
+			}
+		})
+	}
+	var buf bytes.Buffer
+	if err := mustFlat(t, 2, Options{Capacity: 2}).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap flatSnapshot
+	if err := decodeSnapshot(&buf, &snap); err != nil || snap.Metric != 1 {
+		t.Fatalf("written metric = %d, %v; want 1 (L2)", snap.Metric, err)
+	}
+}
+
+// A Dim above maxSnapshotDim is corruption, refused before anything is
+// sized by it: an LSH snapshot of a few hundred bytes declaring Dim 2²⁶
+// would otherwise draw a 256 MB hyperplane.
+func TestSnapshotHugeDimIsCorrupt(t *testing.T) {
+	var buf bytes.Buffer
+	if err := encodeSnapshot(&buf, lshSnapshot{
+		Version: snapshotVersion, Dim: 1 << 26, Bits: 1, BucketCapacity: 1, Tolerance: 1, Metric: 1, Policy: int(FIFO),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadLSHSnapshot(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("an LSH snapshot declaring dim 2²⁶ loaded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("refusing a %d-byte snapshot allocated %d bytes", len(data), n)
+	}
+	if _, err := ReadFlatSnapshot(bytes.NewReader(data)); err == nil {
+		t.Error("the same header loaded as a flat snapshot")
+	}
+	if _, _, err := ReadEntrySnapshot(bytes.NewReader(data)); err == nil {
+		t.Error("the same header loaded as an entry snapshot")
+	}
+}
+
+// FuzzReadSnapshot feeds arbitrary bytes to the three snapshot readers.
+// None may panic, and a snapshot one of them accepts must describe a
+// consistent cache: every key Dim floats long, no more entries than the
+// capacity.
+func FuzzReadSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(name string, c Cache, dim int) {
+			for i, e := range c.(EntrySource).Entries() {
+				if len(e.Key) != dim {
+					t.Fatalf("%s: entry %d has %d floats in a dim-%d cache", name, i, len(e.Key), dim)
+				}
+			}
+			if c.Len() > c.Capacity() {
+				t.Fatalf("%s: %d entries over capacity %d", name, c.Len(), c.Capacity())
+			}
+		}
+		if c, err := ReadFlatSnapshot(bytes.NewReader(data)); err == nil {
+			check("flat", c, c.dim)
+		}
+		if c, err := ReadLSHSnapshot(bytes.NewReader(data)); err == nil {
+			check("lsh", c, c.hasher.Dim())
+		}
+		if dim, entries, err := ReadEntrySnapshot(bytes.NewReader(data)); err == nil {
+			for i, e := range entries {
+				if len(e.Key) != dim {
+					t.Fatalf("entry: entry %d has %d floats in a dim-%d snapshot", i, len(e.Key), dim)
+				}
+			}
+		}
+	})
 }
 
 func TestWriteFileAtomic(t *testing.T) {

@@ -41,20 +41,18 @@ type Options struct {
 	// WarmCapacity is the file-backed warm tier's entry limit. Must be
 	// positive; typical deployments size it 4–16× the hot tier.
 	WarmCapacity int
-	// Tolerance is the cache-wide similarity threshold τ (per-entry
-	// tolerances from PutWithTolerance override it per line).
+	// Tolerance is the cache-wide similarity threshold τ on L2 distance
+	// (per-entry tolerances from PutWithTolerance override it per line).
+	// A warm lookup skips an entry on its in-memory key head and reads
+	// the entry's record only when the head does not rule it out; below
+	// 16 dimensions it reads every warm record.
 	Tolerance float32
-	// Metric is the distance function. Under L2 a warm lookup skips an
-	// entry on its in-memory key head and reads the entry's record only
-	// when the head does not rule it out; cosine and inner product (and
-	// L2 below 16 dimensions) read every warm record.
-	Metric vec.Metric
 	// Policy is the eviction strategy. Under LRU a warm hit promotes the
 	// entry back into the hot tier; under FIFO warm hits are served in
 	// place (promotion would reorder the combined eviction sequence).
 	Policy core.Policy
 	// NewHot builds the hot tier. base carries the capacity, tolerance,
-	// metric, policy, and the demotion hook the tiered cache needs wired
+	// policy, and the demotion hook the tiered cache needs wired
 	// in; implementations must honor all of them (passing base through to
 	// core.NewFlat, or copying its fields into a variant's options — see
 	// LSHHot). Nil means a flat hot tier, the only variant for which the
@@ -112,9 +110,6 @@ func New(dim int, opts Options) (*TieredCache, error) {
 	if opts.WarmCapacity <= 0 {
 		return nil, fmt.Errorf("tier: warm capacity must be positive, got %d", opts.WarmCapacity)
 	}
-	if opts.Metric == 0 {
-		opts.Metric = vec.L2Distance
-	}
 	if opts.Policy == 0 {
 		opts.Policy = core.FIFO
 	}
@@ -122,7 +117,6 @@ func New(dim int, opts Options) (*TieredCache, error) {
 	base := core.Options{
 		Capacity:  opts.HotCapacity,
 		Tolerance: opts.Tolerance,
-		Metric:    opts.Metric,
 		Policy:    opts.Policy,
 		OnEvict: func(e core.Entry) {
 			// Runs under the hot tier's lock, which is only ever taken
@@ -144,7 +138,7 @@ func New(dim int, opts Options) (*TieredCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tier: build hot tier: %w", err)
 	}
-	warm, err := newWarmStore(dim, opts.WarmCapacity, opts.Metric, opts.Dir)
+	warm, err := newWarmStore(dim, opts.WarmCapacity, opts.Dir)
 	if err != nil {
 		if closer, ok := hot.(interface{ Close() error }); ok {
 			closer.Close()
@@ -164,7 +158,6 @@ func New(dim int, opts Options) (*TieredCache, error) {
 func LSHHot(opts core.LSHOptions) func(dim int, base core.Options) (core.TierCache, error) {
 	return func(dim int, base core.Options) (core.TierCache, error) {
 		opts.Tolerance = base.Tolerance
-		opts.Metric = base.Metric
 		opts.Policy = base.Policy
 		opts.OnEvict = base.OnEvict
 		return core.NewLSH(dim, opts)
@@ -250,9 +243,9 @@ func (t *TieredCache) Put(q vec.Vector, docs []int) {
 
 // PutWithTolerance inserts into the hot tier; a displaced hot entry
 // demotes to the warm tier rather than being discarded. A nil or
-// wrong-length key is ignored.
+// wrong-length key, and a negative or NaN tol, is ignored.
 func (t *TieredCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if len(q) != t.dim || tol < 0 {
+	if len(q) != t.dim || !(tol >= 0) {
 		return
 	}
 	t.mu.Lock()

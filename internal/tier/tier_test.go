@@ -117,7 +117,7 @@ func runEquivalence(t *testing.T, tc *TieredCache, ref *core.FlatCache, dim, ops
 	compareState(t, tc, ref)
 }
 
-func testEquivalence(t *testing.T, policy core.Policy, metric vec.Metric, seed uint64) {
+func testEquivalence(t *testing.T, policy core.Policy, seed uint64) {
 	t.Helper()
 	const (
 		dim = 16
@@ -128,28 +128,24 @@ func testEquivalence(t *testing.T, policy core.Policy, metric vec.Metric, seed u
 	)
 	tc := mustTiered(t, dim, Options{
 		HotCapacity: H, WarmCapacity: W,
-		Tolerance: tol, Metric: metric, Policy: policy,
+		Tolerance: tol, Policy: policy,
 	})
 	ref := mustFlat(t, dim, core.Options{
-		Capacity: H + W, Tolerance: tol, Metric: metric, Policy: policy,
+		Capacity: H + W, Tolerance: tol, Policy: policy,
 	})
 	rng := vec.NewRand(seed)
 	runEquivalence(t, tc, ref, dim, ops, tol, rng, func() vec.Vector { return vec.Scale(vec.RandomGaussian(rng, dim), 2) })
 }
 
-func TestTieredEquivalenceFIFO(t *testing.T) { testEquivalence(t, core.FIFO, vec.L2Distance, 1) }
-func TestTieredEquivalenceLRU(t *testing.T)  { testEquivalence(t, core.LRU, vec.L2Distance, 2) }
-
-// Cosine has no monotone partial sum, so the warm tier reads every
-// record — the equivalence property must still hold.
-func TestTieredEquivalenceCosine(t *testing.T) { testEquivalence(t, core.LRU, vec.CosineDistance, 3) }
+func TestTieredEquivalenceFIFO(t *testing.T) { testEquivalence(t, core.FIFO, 1) }
+func TestTieredEquivalenceLRU(t *testing.T)  { testEquivalence(t, core.LRU, 2) }
 
 // The fallback IO path (ReadAt/WriteAt instead of mmap) must behave
 // identically.
 func TestTieredEquivalenceNoMmap(t *testing.T) {
 	forceNoMmap = true
 	defer func() { forceNoMmap = false }()
-	testEquivalence(t, core.LRU, vec.L2Distance, 4)
+	testEquivalence(t, core.LRU, 4)
 }
 
 // On crowded unit-norm keys at dim 40 (two head blocks and an 8-float
@@ -446,7 +442,7 @@ func TestWarmSlotReuse(t *testing.T) {
 		t.Run(fmt.Sprintf("noMmap=%v", noMmap), func(t *testing.T) {
 			forceNoMmap = noMmap
 			defer func() { forceNoMmap = false }()
-			w, err := newWarmStore(dim, capacity, vec.L2Distance, t.TempDir())
+			w, err := newWarmStore(dim, capacity, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -503,6 +499,21 @@ func checkWarm(t *testing.T, w *warmStore, want []core.Entry) {
 		if s < 0 || d != 0 || !vec.Equal(w.heads[s*vec.HeadLen:(s+1)*vec.HeadLen], want[i].Key[:vec.HeadLen]) {
 			t.Fatalf("entry %d: lookup of its own key gave slot %d at %v", i, s, d)
 		}
+	}
+}
+
+// A NaN τ is refused at construction, and a NaN per-line tolerance is
+// ignored like a negative one.
+func TestTieredRefusesNaNTolerance(t *testing.T) {
+	nan := float32(math.NaN())
+	if _, err := New(2, Options{HotCapacity: 2, WarmCapacity: 2, Tolerance: nan, Dir: t.TempDir()}); err == nil {
+		t.Fatal("a NaN τ was accepted")
+	}
+	tc := mustTiered(t, 2, Options{HotCapacity: 2, WarmCapacity: 2, Tolerance: 1})
+	tc.PutWithTolerance(vec.Vector{1, 1}, []int{1}, nan)
+	tc.PutWithTolerance(vec.Vector{1, 1}, []int{1}, -1)
+	if tc.Len() != 0 {
+		t.Fatalf("Len = %d after puts with NaN and negative tolerances", tc.Len())
 	}
 }
 

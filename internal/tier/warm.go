@@ -22,12 +22,12 @@ import (
 // is slot s's key. Each key's first vec.HeadLen floats sit in one
 // contiguous heads array (64 B per entry, 60 KB at W = 960), beside the
 // tolerances and the rest of each line (documents and age-order links).
-// An L2 lookup streams heads and tolerances in slot order and reads a
-// record only when its head alone does not rule the key out, so a lookup
-// costs one dense scan plus a record read per close key. Removing an
-// entry moves the last slot, record and head included, into its place,
-// so the slots and the file stay dense. Cosine and inner product, and
-// L2 below vec.HeadLen dimensions, read every record.
+// A lookup streams heads and tolerances in slot order and reads a record
+// only when its head alone does not rule the key out, so a lookup costs
+// one dense scan plus a record read per close key. Removing an entry
+// moves the last slot, record and head included, into its place, so the
+// slots and the file stay dense. Below vec.HeadLen dimensions a lookup
+// reads every record.
 
 // forceNoMmap routes vector IO through ReadAt/WriteAt even where mmap is
 // available; tests use it to cover the fallback path on unix.
@@ -45,9 +45,7 @@ const noSlot int32 = -1
 type warmStore struct {
 	dim      int
 	capacity int
-	metric   vec.Metric
-	dist     vec.DistanceFunc
-	headLen  int // vec.HeadLen under L2 at dim ≥ HeadLen; else 0, and heads stays nil
+	headLen  int // vec.HeadLen at dim ≥ HeadLen; else 0, and heads stays nil
 
 	f        *os.File
 	data     []byte // mmap view of the record file; nil under fallback IO
@@ -69,7 +67,7 @@ type warmStore struct {
 // newWarmStore creates the record file (capacity·dim·4 bytes, sparse
 // until written) in dir, or os.TempDir() when dir is empty. On unix the
 // file is unlinked immediately so a crash cannot leak it.
-func newWarmStore(dim, capacity int, metric vec.Metric, dir string) (*warmStore, error) {
+func newWarmStore(dim, capacity int, dir string) (*warmStore, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("tier: dimension must be positive, got %d", dim)
 	}
@@ -94,13 +92,11 @@ func newWarmStore(dim, capacity int, metric vec.Metric, dir string) (*warmStore,
 	w := &warmStore{
 		dim:      dim,
 		capacity: capacity,
-		metric:   metric,
-		dist:     metric.Func(),
 		f:        f,
 		front:    noSlot,
 		back:     noSlot,
 	}
-	if metric == vec.L2Distance && dim >= vec.HeadLen {
+	if dim >= vec.HeadLen {
 		w.headLen = vec.HeadLen
 	}
 	if mmapSupported && !forceNoMmap {
@@ -230,9 +226,9 @@ func (w *warmStore) link(p, n int32) {
 // Equal distances lose to the hot tier, mirroring a flat scan's
 // first-seen tie-break; among warm entries the first in slot order wins.
 //
-// Under L2 an entry wins only with d below all three of its tolerance,
-// bound and the best so far, so the kernel abandons its record once the
-// partial sum passes the smallest; with heads stored, an entry whose head
+// An entry wins only with d below all three of its tolerance, bound and
+// the best so far, so the kernel abandons its record once the partial
+// sum passes the smallest; with heads stored, an entry whose head
 // alone exceeds that limit is skipped without reading its record
 // (vec.L2SquaredHead exceeds vec.SquaredBound exactly when vec.L2Bounded
 // would abandon at its first check). The result is the unbounded scan's,
@@ -247,32 +243,23 @@ func (w *warmStore) lookup(q vec.Vector, bound float32) (best int, bestD float32
 	}
 	w.lookups++
 	w.comps += int64(n)
-	read := n
-	if w.metric == vec.L2Distance {
-		read = 0
-		heads := w.heads
-		for s, tol := range w.tols {
-			maxDist := min(tol, bound)
-			if best >= 0 {
-				maxDist = min(maxDist, bestD)
-			}
-			if heads != nil {
-				head := heads[:vec.HeadLen]
-				heads = heads[vec.HeadLen:]
-				if vec.L2SquaredHead(q, head) > vec.SquaredBound(maxDist) {
-					continue
-				}
-			}
-			read++
-			if d, ok := vec.L2Bounded(q, w.slotView(s), maxDist); ok && d <= tol && d < bound && (best < 0 || d < bestD) {
-				best, bestD = s, d
+	read := 0
+	heads := w.heads
+	for s, tol := range w.tols {
+		maxDist := min(tol, bound)
+		if best >= 0 {
+			maxDist = min(maxDist, bestD)
+		}
+		if heads != nil {
+			head := heads[:vec.HeadLen]
+			heads = heads[vec.HeadLen:]
+			if vec.L2SquaredHead(q, head) > vec.SquaredBound(maxDist) {
+				continue
 			}
 		}
-	} else {
-		for s, tol := range w.tols {
-			if d := w.dist(q, w.slotView(s)); d <= tol && d < bound && (best < 0 || d < bestD) {
-				best, bestD = s, d
-			}
+		read++
+		if d, ok := vec.L2Bounded(q, w.slotView(s), maxDist); ok && d <= tol && d < bound && (best < 0 || d < bestD) {
+			best, bestD = s, d
 		}
 	}
 	w.scanned += int64(read)

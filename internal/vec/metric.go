@@ -2,11 +2,11 @@ package vec
 
 import "fmt"
 
-// Metric identifies a distance function. All metrics are normalized to the
-// "smaller is closer" convention so that cache tolerance comparisons and
-// top-k selection are metric-agnostic, mirroring the paper's requirement
-// that the cache adopt the same distance function as the underlying vector
-// database (§3.1).
+// Metric identifies a distance function of the vector-database stand-ins
+// (vectordb, hnsw, vamana), normalized to "smaller is closer" so top-k
+// selection is metric-agnostic. Caches compare keys by L2 only; in front
+// of a cosine database they take unit-normalized embeddings and
+// τ = √(2·τ_cos), since 1 − cos(a, b) = ‖a − b‖²/2 for unit vectors.
 type Metric int
 
 const (
@@ -31,20 +31,6 @@ func (m Metric) String() string {
 		return "ip"
 	default:
 		return fmt.Sprintf("metric(%d)", int(m))
-	}
-}
-
-// ParseMetric converts a CLI/string representation into a Metric.
-func ParseMetric(s string) (Metric, error) {
-	switch s {
-	case "l2", "euclidean":
-		return L2Distance, nil
-	case "cosine":
-		return CosineDistance, nil
-	case "ip", "dot", "inner":
-		return InnerProduct, nil
-	default:
-		return 0, fmt.Errorf("vec: unknown metric %q", s)
 	}
 }
 

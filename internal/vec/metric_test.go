@@ -2,40 +2,6 @@ package vec
 
 import "testing"
 
-func TestParseMetric(t *testing.T) {
-	tests := []struct {
-		give    string
-		want    Metric
-		wantErr bool
-	}{
-		{give: "l2", want: L2Distance},
-		{give: "euclidean", want: L2Distance},
-		{give: "cosine", want: CosineDistance},
-		{give: "ip", want: InnerProduct},
-		{give: "dot", want: InnerProduct},
-		{give: "inner", want: InnerProduct},
-		{give: "manhattan", wantErr: true},
-		{give: "", wantErr: true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.give, func(t *testing.T) {
-			got, err := ParseMetric(tt.give)
-			if tt.wantErr {
-				if err == nil {
-					t.Fatalf("ParseMetric(%q) expected error", tt.give)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("ParseMetric(%q): %v", tt.give, err)
-			}
-			if got != tt.want {
-				t.Errorf("ParseMetric(%q) = %v, want %v", tt.give, got, tt.want)
-			}
-		})
-	}
-}
-
 func TestMetricString(t *testing.T) {
 	tests := []struct {
 		give Metric

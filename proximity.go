@@ -174,13 +174,12 @@
 //   - FLAT: exact and allocation-light; the right default below a few
 //     thousand entries, where a scan beats every index's fixed
 //     overhead (the indexed cache itself falls back to a scan below
-//     IndexedOptions.Crossover, default 128). Under L2 the scan stops
-//     each key's distance as soon as it provably exceeds τ, so its cost
-//     tracks how crowded the keys are around τ rather than c·d: on
+//     IndexedOptions.Crossover, default 128). The scan stops each key's
+//     distance as soon as it provably exceeds τ, so its cost tracks how
+//     crowded the keys are around τ rather than c·d: on
 //     BenchmarkIndexedCache's spread-out keys (d=128) the scan's
 //     break-even against the graph moved from about 1k to about 8k
-//     entries. The Crossover default stays at 128 — a floor that also
-//     holds for cosine and inner product, which cannot stop early, and
+//     entries. The Crossover default stays at 128 — a floor that holds
 //     for key sets crowded within a few τ, where the scan saves several
 //     times less; raise it when the keys are spread.
 //   - LSH: constant-time lookups at any capacity, but hit quality
@@ -363,7 +362,7 @@ type (
 	Vector = vec.Vector
 	// Scored pairs a document ID with its distance to a query.
 	Scored = vec.Scored
-	// Metric identifies a distance function.
+	// Metric identifies a database distance function; caches use L2.
 	Metric = vec.Metric
 
 	// Cache is the approximate key-value cache interface.
@@ -541,7 +540,15 @@ const (
 	OpenLoop = loadgen.OpenLoop
 )
 
-// Distance metrics.
+// Distance metrics. Every cache compares keys by L2, the metric of the
+// paper's evaluation; CosineDistance and InnerProduct are database
+// metrics only (NewFlatIndex, NewIVFIndex). The paper's cache adopts the
+// database's metric (§3.1), so in front of a cosine database normalize
+// every embedding to unit length before it reaches the cache or the
+// database — for unit vectors 1 − cos(a, b) = ‖a − b‖²/2 — and give the
+// cache τ = √(2·τ_cos). It then hits, misses and serves as a cosine cache
+// at τ_cos would, but for float rounding on queries within about 1e-5 of
+// τ_cos.
 const (
 	// L2Distance is the Euclidean distance (the paper's metric).
 	L2Distance = vec.L2Distance

@@ -1,6 +1,12 @@
 package proximity
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"proximity/internal/vec"
+)
 
 // TestPublicAPISurface exercises the facade end to end the way the
 // package documentation advertises it.
@@ -51,6 +57,84 @@ func TestPublicAPISurface(t *testing.T) {
 	}
 	if got := cache.Stats(); got.Hits != 1 || got.Misses != 1 {
 		t.Errorf("stats = %+v", got)
+	}
+}
+
+// TestCosineRecipe checks the recipe the package documents for a cosine
+// database: on unit-normalized embeddings, an L2 cache at τ = √(2·τ_cos)
+// decides every lookup as a cosine Algorithm 1 cache at τ_cos does. The
+// model scans its lines with vec.Cosine; on the model's misses both are
+// filled, FIFO, from a cosine FlatIndex. A query whose cosine distance to
+// some cached key lies within 1e-5 of τ_cos is left to float rounding
+// and only counted.
+func TestCosineRecipe(t *testing.T) {
+	const (
+		dim, centres, docsPerCentre = 64, 40, 5
+		capacity, queries           = 64, 3000
+		tauCos, margin              = 0.05, 1e-5
+	)
+	rng := vec.NewRand(7)
+	cs := make([]Vector, centres)
+	db, err := NewFlatIndex(dim, CosineDistance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cs {
+		cs[i] = vec.RandomUnit(rng, dim)
+		for j := 0; j < docsPerCentre; j++ {
+			if err := db.Add(vec.Normalize(vec.GaussianAround(rng, cs[i], 0.05))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cache, err := NewFlatCache(dim, Options{Capacity: capacity, Tolerance: float32(math.Sqrt(2 * tauCos)), Policy: FIFO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type line struct {
+		key  Vector
+		docs []int
+	}
+	var model []line // oldest first
+	hits, near, differ := 0, 0, 0
+	for i := 0; i < queries; i++ {
+		q := vec.Normalize(vec.GaussianAround(rng, cs[rng.IntN(centres)], float32(0.01+0.03*rng.Float64())))
+		best, bestDist, close := -1, float32(0), false
+		for j, l := range model {
+			d := vec.Cosine(q, l.key)
+			close = close || math.Abs(float64(d)-tauCos) <= margin
+			if d <= tauCos && (best < 0 || d < bestDist) {
+				best, bestDist = j, d
+			}
+		}
+		docs, ok := cache.Get(q)
+		same := ok == (best >= 0) && (!ok || slices.Equal(docs, model[best].docs))
+		if close {
+			near++
+			if !same {
+				differ++
+			}
+		} else if !same {
+			t.Fatalf("query %d: L2 cache served %v, %v; cosine model line %d at %v", i, docs, ok, best, bestDist)
+		}
+		if best >= 0 {
+			hits++
+			continue
+		}
+		found, err := db.Search(q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := []int{found[0].ID, found[1].ID}
+		cache.Put(q, ids)
+		if model = append(model, line{vec.Clone(q), ids}); len(model) > capacity {
+			model = model[1:]
+		}
+	}
+	t.Logf("%d of %d queries hit at τ_cos %g (L2 τ %.4f); %d within %g of τ_cos, %d of them decided differently",
+		hits, queries, tauCos, math.Sqrt(2*tauCos), near, margin, differ)
+	if hits < queries/10 || hits > queries*9/10 {
+		t.Fatalf("%d of %d queries hit: the stream does not exercise both outcomes", hits, queries)
 	}
 }
 
