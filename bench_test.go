@@ -213,6 +213,36 @@ func BenchmarkVecKernels(b *testing.B) {
 			_ = sink
 		})
 	}
+
+	// The head test of a FLAT scan over 1 000 cached keys at τ = 1,
+	// every key ruled out on its head: the per-head loop the caches ran
+	// before, and one NextHead pass (SSE2 blocks of four on amd64).
+	const rows = 1000
+	heads := make([]float32, 0, rows*vec.HeadLen)
+	bounds := make([]float32, rows)
+	for i := range bounds {
+		heads = append(heads, vec.RandomGaussian(rng, vec.HeadLen)...)
+		bounds[i] = vec.SquaredBound(1)
+	}
+	b.Run("L2SquaredHead/1000", func(b *testing.B) {
+		var sink int
+		for i := 0; i < b.N; i++ {
+			for r, bound := range bounds {
+				if !(vec.L2SquaredHead(x, heads[r*vec.HeadLen:]) > bound) {
+					sink++
+				}
+			}
+		}
+		_ = sink
+	})
+	b.Run("NextHead/1000", func(b *testing.B) {
+		inf := float32(math.Inf(1))
+		var sink int
+		for i := 0; i < b.N; i++ {
+			sink += vec.NextHead(x, heads, bounds, inf)
+		}
+		_ = sink
+	})
 }
 
 // BenchmarkCacheGet measures a single lookup in the cache variants at a

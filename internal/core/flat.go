@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -18,16 +19,17 @@ import (
 //
 // The lines live in parallel arrays indexed by slot, slots 0..Len()-1
 // live: each key's first vec.HeadLen floats in one contiguous heads
-// array (64 B per line, 64 KB at c = 1 000), the tolerances, insertion
-// stamps, and the rest of each line (key, documents, eviction-order
-// links) in slots. A scan streams heads and tolerances and reads a
-// key only when its head alone does not rule it out, so a lookup reads
-// dense arrays instead of chasing a pointer per key. Each key is its own
-// allocation, reused by an evicting Put: one slab of whole keys would be
-// a large object, rounded up to whole pages, which costs a 20-line LSH
-// bucket of 768-d keys 4 KB. Eviction moves the last slot into the
-// victim's, so the slots stay dense. The arrays grow by doubling up to
-// Capacity slots.
+// array (64 B per line, 64 KB at c = 1 000), the tolerances, each
+// tolerance's vec.SquaredBound, insertion stamps, and the rest of each
+// line (key, documents, eviction-order links) in slots. A scan hands
+// heads and bounds to vec.NextHead, which tests four heads at a time,
+// and reads a key only when its head alone does not rule it out, so a
+// lookup streams dense arrays instead of chasing a pointer per key.
+// Each key is its own allocation, reused by an evicting Put: one slab of
+// whole keys would be a large object, rounded up to whole pages, which
+// costs a 20-line LSH bucket of 768-d keys 4 KB. Eviction moves the last
+// slot into the victim's, so the slots stay dense. The arrays grow by
+// doubling up to Capacity slots.
 type FlatCache struct {
 	dim     int
 	opts    Options
@@ -36,6 +38,7 @@ type FlatCache struct {
 	mu          sync.RWMutex
 	heads       []float32 // slot i's first headLen floats
 	tols        []float32 // slot i's tolerance, the match threshold for its line
+	bounds      []float32 // vec.SquaredBound(tols[i]), what slot i's head is tested against
 	slots       []flatSlot
 	stamps      []uint32   // slot i's insertion stamp, so a TierHit can tell its line still holds the slot
 	front, back int32      // ends of the eviction order: front is next to evict
@@ -164,30 +167,33 @@ func (c *FlatCache) commitTierHit(h TierHit) {
 // A key wins only with d ≤ its tolerance and d < the best so far, so the
 // L2 kernel abandons it once its partial sum passes the smaller of the
 // two; a key that survives gets the distance the full kernel gives, so
-// the outcome is the unbounded scan's, bit for bit. With heads stored, a
-// key whose head alone exceeds that bound is skipped without reading its
-// row: vec.L2SquaredHead exceeds vec.SquaredBound exactly when
-// vec.L2Bounded would abandon at its first check.
+// the outcome is the unbounded scan's, bit for bit. With heads stored,
+// vec.NextHead skips every key whose head sum exceeds its bound or
+// limit = vec.SquaredBound(best so far) without reading its row. As
+// SquaredBound is monotone, that is a head sum above SquaredBound of the
+// smaller distance, exactly where vec.L2Bounded would abandon at its
+// first check.
 func (c *FlatCache) scanAdmissible(q vec.Vector) (best int, bestDist float32) {
 	best = -1
-	heads := c.heads
-	for i, tol := range c.tols {
+	n := len(c.tols)
+	c.distComps.Add(int64(n))
+	limit := float32(math.Inf(1))
+	for i := 0; i < n; i++ {
+		if c.headLen != 0 {
+			if i += vec.NextHead(q, c.heads[i*vec.HeadLen:], c.bounds[i:], limit); i == n {
+				break
+			}
+		}
+		tol := c.tols[i]
 		maxDist := tol
 		if best >= 0 && bestDist < maxDist {
 			maxDist = bestDist
 		}
-		if heads != nil {
-			head := heads[:vec.HeadLen]
-			heads = heads[vec.HeadLen:]
-			if vec.L2SquaredHead(q, head) > vec.SquaredBound(maxDist) {
-				continue
-			}
-		}
 		if d, ok := vec.L2Bounded(q, c.slots[i].key, maxDist); ok && d <= tol && (best < 0 || d < bestDist) {
 			best, bestDist = i, d
+			limit = vec.SquaredBound(d)
 		}
 	}
-	c.distComps.Add(int64(len(c.tols)))
 	return best, bestDist
 }
 
@@ -219,6 +225,7 @@ func (c *FlatCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
 	limit := c.opts.Capacity
 	c.heads = appendSlot(c.heads, limit, q[:c.headLen]...)
 	c.tols = appendSlot(c.tols, limit, tol)
+	c.bounds = appendSlot(c.bounds, limit, vec.SquaredBound(tol))
 	c.slots = appendSlot(c.slots, limit, flatSlot{key: key, docs: append([]int(nil), docs...)})
 	c.stamp++
 	c.stamps = appendSlot(c.stamps, limit, c.stamp)
@@ -253,13 +260,13 @@ func (c *FlatCache) evictLocked() {
 	c.link(victim.prev, victim.next)
 	n := len(c.slots) - 1 // the last slot, which moves into v
 	if int(v) != n {
-		c.slots[v], c.tols[v], c.stamps[v] = c.slots[n], c.tols[n], c.stamps[n]
+		c.slots[v], c.tols[v], c.bounds[v], c.stamps[v] = c.slots[n], c.tols[n], c.bounds[n], c.stamps[n]
 		copy(c.heads[int(v)*c.headLen:], c.heads[n*c.headLen:])
 		c.link(c.slots[v].prev, v)
 		c.link(v, c.slots[v].next)
 	}
 	c.slots[n] = flatSlot{}
-	c.slots, c.tols, c.stamps, c.heads = c.slots[:n], c.tols[:n], c.stamps[:n], c.heads[:n*c.headLen]
+	c.slots, c.tols, c.bounds, c.stamps, c.heads = c.slots[:n], c.tols[:n], c.bounds[:n], c.stamps[:n], c.heads[:n*c.headLen]
 	c.stats.Evictions++
 	if c.opts.OnEvict != nil {
 		// Ownership transfer: the victim's slices are unreachable from
@@ -323,7 +330,7 @@ func (c *FlatCache) Stats() Stats {
 func (c *FlatCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.heads, c.tols, c.slots, c.stamps, c.spare = nil, nil, nil, nil, nil
+	c.heads, c.tols, c.bounds, c.slots, c.stamps, c.spare = nil, nil, nil, nil, nil, nil
 	c.front, c.back = noSlot, noSlot
 }
 

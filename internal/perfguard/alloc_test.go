@@ -5,14 +5,14 @@
 // that slips past the analyzer (an allocation inside a callee, an
 // escape-analysis change) still fails CI.
 //
-// Budgets: hnsw.SearchInto is allocation-free in steady state;
-// FlatCache.Get, IndexedCache.Get, and the tiered hot-hit and FIFO
-// warm-hit lookups are allowed exactly their one documented caller-owned
-// docs copy, as is an evicting FlatCache.Put (its copy of the caller's
-// docs); an LRU warm hit three (the docs copy and the hot tier's copies
-// of the promoted key and docs); FlatIndex.Search — the miss path — its
-// result slice; and server.DecodeF32 — every HTTP request — the
-// embedding it returns.
+// Budgets: hnsw.SearchInto and vec.NextHead are allocation-free in
+// steady state; FlatCache.Get, IndexedCache.Get, and the tiered hot-hit
+// and FIFO warm-hit lookups are allowed exactly their one documented
+// caller-owned docs copy, as is an evicting FlatCache.Put (its copy of
+// the caller's docs); an LRU warm hit three (the docs copy and the hot
+// tier's copies of the promoted key and docs); FlatIndex.Search — the
+// miss path — its result slice; and server.DecodeF32 — every HTTP
+// request — the embedding it returns.
 package perfguard
 
 import (
@@ -205,6 +205,34 @@ func TestTierWarmHitBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNextHeadAllocFree pins the dense head scan under both caches'
+// hits: a pass over 63 rows (whole blocks of four and a tail) that
+// resumes after every survivor allocates nothing.
+func TestNextHeadAllocFree(t *testing.T) {
+	const rows = 63
+	q := testVec(0)
+	heads := make([]float32, 0, rows*vec.HeadLen)
+	bounds := make([]float32, rows)
+	for i := range bounds {
+		heads = append(heads, testVec(i)[:vec.HeadLen]...)
+		bounds[i] = float32(i % 3) // some rows survive, most do not
+	}
+	limit := float32(math.Inf(1))
+	survivors := 0
+	scan := func() {
+		survivors = 0
+		for i := 0; i < rows; i++ {
+			if i += vec.NextHead(q, heads[i*vec.HeadLen:], bounds[i:], limit); i < rows {
+				survivors++
+			}
+		}
+	}
+	if scan(); survivors == 0 || survivors == rows {
+		t.Fatalf("%d of %d rows survive: the pass does not both skip and resume", survivors, rows)
+	}
+	checkBudget(t, "vec.NextHead", 0, scan)
 }
 
 // TestFlatIndexSearchBudget pins the miss path's index scan: the result

@@ -75,6 +75,17 @@ func TestStatsHitsAddUp(t *testing.T) {
 	const dim = 16
 	ts, _, docs := serveCache(t, dim, 12, cacheShapes(t, dim)["sharded-tiered"])
 	client := NewClient(ts.URL)
+	// One miss and then a hit of the same query before any concurrency,
+	// so that the final Hits ≥ 1 does not depend on scheduling.
+	for i, wantHit := range []bool{false, true} {
+		res, err := client.Retrieve(docs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Hit != wantHit {
+			t.Fatalf("warm-up retrieve %d: hit %v, want %v", i, res.Hit, wantHit)
+		}
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	defer func() { close(stop); wg.Wait() }()

@@ -152,12 +152,14 @@ func TestTieredEquivalenceNoMmap(t *testing.T) {
 // tail) — one cluster, every key about spread from every other — with τ
 // near that spread, heads rule out at most a third of the warm keys, so
 // the equivalence runs mostly through record reads and the bounded
-// kernel's later checks, under mmap and under fallback IO.
+// kernel's later checks, under mmap and under fallback IO. W = 99 ends
+// a full warm tier in a three-head tail past vec.NextHead's blocks of
+// four.
 func TestTieredEquivalenceCrowded(t *testing.T) {
 	const (
 		dim    = 40
 		H      = 16
-		W      = 96
+		W      = 99
 		spread = 0.15 // key–key distance
 		tol    = 1.5 * spread
 		ops    = 3000

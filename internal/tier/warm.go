@@ -21,13 +21,14 @@ import (
 // arrays indexed by slot, slots 0..len()-1 live, and record s of the file
 // is slot s's key. Each key's first vec.HeadLen floats sit in one
 // contiguous heads array (64 B per entry, 60 KB at W = 960), beside the
-// tolerances and the rest of each line (documents and age-order links).
-// A lookup streams heads and tolerances in slot order and reads a record
-// only when its head alone does not rule the key out, so a lookup costs
-// one dense scan plus a record read per close key. Removing an entry
-// moves the last slot, record and head included, into its place, so the
-// slots and the file stay dense. Below vec.HeadLen dimensions a lookup
-// reads every record.
+// tolerances, each tolerance's vec.SquaredBound, and the rest of each
+// line (documents and age-order links). A lookup hands heads and bounds
+// to vec.NextHead, which tests four heads at a time in slot order, and
+// reads a record only when its head alone does not rule the key out, so
+// a lookup costs one dense scan plus a record read per close key.
+// Removing an entry moves the last slot, record and head included, into
+// its place, so the slots and the file stay dense. Below vec.HeadLen
+// dimensions a lookup reads every record.
 
 // forceNoMmap routes vector IO through ReadAt/WriteAt even where mmap is
 // available; tests use it to cover the fallback path on unix.
@@ -54,6 +55,7 @@ type warmStore struct {
 
 	heads       []float32 // slot s's first headLen floats
 	tols        []float32 // slot s's tolerance
+	bounds      []float32 // vec.SquaredBound(tols[s]), what slot s's head is tested against
 	lines       []warmLine
 	front, back int32 // ends of the age order: front is the oldest, next to discard
 
@@ -169,6 +171,7 @@ func (w *warmStore) insert(e core.Entry) (discarded bool) {
 	w.writeSlot(s, e.Key)
 	w.heads = appendSlot(w.heads, w.capacity, e.Key[:w.headLen]...)
 	w.tols = appendSlot(w.tols, w.capacity, e.Tol)
+	w.bounds = appendSlot(w.bounds, w.capacity, vec.SquaredBound(e.Tol))
 	w.lines = appendSlot(w.lines, w.capacity, warmLine{docs: e.Docs})
 	w.link(w.back, int32(s))
 	w.link(int32(s), noSlot)
@@ -189,7 +192,7 @@ func appendSlot[T any](s []T, limit int, slot ...T) []T {
 }
 
 // remove detaches slot s from the age order and moves the last slot —
-// record, head, tolerance and line — into its place.
+// record, head, tolerance, bound and line — into its place.
 func (w *warmStore) remove(s int) {
 	ln := w.lines[s]
 	w.link(ln.prev, ln.next)
@@ -197,12 +200,12 @@ func (w *warmStore) remove(s int) {
 	if s != n {
 		w.writeSlot(s, w.slotView(n))
 		copy(w.heads[s*w.headLen:], w.heads[n*w.headLen:(n+1)*w.headLen])
-		w.tols[s], w.lines[s] = w.tols[n], w.lines[n]
+		w.tols[s], w.bounds[s], w.lines[s] = w.tols[n], w.bounds[n], w.lines[n]
 		w.link(w.lines[s].prev, int32(s))
 		w.link(int32(s), w.lines[s].next)
 	}
 	w.lines[n] = warmLine{}
-	w.heads, w.tols, w.lines = w.heads[:n*w.headLen], w.tols[:n], w.lines[:n]
+	w.heads, w.tols, w.bounds, w.lines = w.heads[:n*w.headLen], w.tols[:n], w.bounds[:n], w.lines[:n]
 }
 
 // link makes slot n follow slot p in the age order; noSlot for p or n
@@ -228,11 +231,12 @@ func (w *warmStore) link(p, n int32) {
 //
 // An entry wins only with d below all three of its tolerance, bound and
 // the best so far, so the kernel abandons its record once the partial
-// sum passes the smallest; with heads stored, an entry whose head
-// alone exceeds that limit is skipped without reading its record
-// (vec.L2SquaredHead exceeds vec.SquaredBound exactly when vec.L2Bounded
-// would abandon at its first check). The result is the unbounded scan's,
-// bit for bit.
+// sum passes the smallest. With heads stored, vec.NextHead skips every
+// entry whose head sum exceeds its own bound or limit — SquaredBound of
+// the best so far, or of bound before any — without reading its record;
+// SquaredBound being monotone, that is exactly where vec.L2Bounded would
+// abandon at its first check. The result is the unbounded scan's, bit
+// for bit.
 //
 //proximity:hotpath
 func (w *warmStore) lookup(q vec.Vector, bound float32) (best int, bestD float32) {
@@ -244,22 +248,22 @@ func (w *warmStore) lookup(q vec.Vector, bound float32) (best int, bestD float32
 	w.lookups++
 	w.comps += int64(n)
 	read := 0
-	heads := w.heads
-	for s, tol := range w.tols {
+	limit := vec.SquaredBound(bound)
+	for s := 0; s < n; s++ {
+		if w.headLen != 0 {
+			if s += vec.NextHead(q, w.heads[s*vec.HeadLen:], w.bounds[s:], limit); s == n {
+				break
+			}
+		}
+		tol := w.tols[s]
 		maxDist := min(tol, bound)
 		if best >= 0 {
 			maxDist = min(maxDist, bestD)
 		}
-		if heads != nil {
-			head := heads[:vec.HeadLen]
-			heads = heads[vec.HeadLen:]
-			if vec.L2SquaredHead(q, head) > vec.SquaredBound(maxDist) {
-				continue
-			}
-		}
 		read++
 		if d, ok := vec.L2Bounded(q, w.slotView(s), maxDist); ok && d <= tol && d < bound && (best < 0 || d < bestD) {
 			best, bestD = s, d
+			limit = vec.SquaredBound(d)
 		}
 	}
 	w.scanned += int64(read)
@@ -284,7 +288,7 @@ func (w *warmStore) entries() []core.Entry {
 // clear drops all entries and their in-memory storage. Counters and the
 // record file are preserved; slots restart from zero.
 func (w *warmStore) clear() {
-	w.heads, w.tols, w.lines = nil, nil, nil
+	w.heads, w.tols, w.bounds, w.lines = nil, nil, nil, nil
 	w.front, w.back = noSlot, noSlot
 }
 

@@ -11,8 +11,16 @@
 // nearest?) go through L2Bounded, which abandons a vector as soon as its
 // partial sum proves it out of range; L2SquaredHead is that partial sum
 // at its first check, for scans that rank or skip rows on their first
-// cache line alone. See BenchmarkVecKernels in the
-// repository root for the measured gaps.
+// cache line alone.
+//
+// The package's one assembly kernel is NextHead's amd64 body
+// (nexthead_amd64.s): L2SquaredHead for four rows at a time in SSE2,
+// bit-identical to the scalar sums. It serves the caches' dense head
+// arrays, which a scan streams from contiguous memory, so its cost is
+// the arithmetic. Scans over scattered rows, as the vector database's
+// are, wait on memory instead, and a SIMD kernel measured there gained
+// nothing; they stay scalar. See BenchmarkVecKernels in the repository
+// root for the measured gaps.
 package vec
 
 import (
@@ -181,6 +189,12 @@ func L2(a, b Vector) float32 {
 // implies s < next(maxDist)² ≤ maxDist²·(1+2⁻²³)², and rounding is
 // monotone. A subnormal or zero maxDist yields 0, which only a zero sum
 // meets, as required.
+//
+// It is monotone on non-negative maxDist: SquaredBound(min(a, b)) =
+// min(SquaredBound(a), SquaredBound(b)), bit for bit, every step being a
+// non-decreasing rounding. So a scan may test a head against a row's own
+// bound and a running limit separately, as NextHead does, where
+// L2Bounded would test it against the bound of the smaller distance.
 func SquaredBound(maxDist float32) float32 {
 	m := float64(maxDist)
 	return float32(m * m * (1 + 0x1p-21))
