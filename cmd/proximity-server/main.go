@@ -27,7 +27,7 @@
 // # Observability
 //
 // -trace-sample N samples 1 in N requests into a per-stage trace (cache
-// lookup, batch queue, database search, node RPC); sampled traces are
+// lookup, coalesce wait, database search, node RPC); sampled traces are
 // buffered and served at /v1/traces. In router mode the trace crosses the
 // wire: the router sends its trace ID in the X-Proximity-Trace request
 // header, the owning node records its stages under that ID, and the spans

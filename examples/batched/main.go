@@ -1,4 +1,4 @@
-// Batched: measure the miss-coalescing batched retrieval pipeline.
+// Batched: measure the miss-coalescing pipeline.
 //
 // The program builds an IVF index over a synthetic corpus and replays a
 // thundering-herd stream — every novel query arrives as a burst of
@@ -6,10 +6,10 @@
 // bare miss path (no cache, so the comparison isolates what the pipeline
 // optimizes). It first measures each configuration's closed-loop
 // capacity, then replays in open loop at a fixed rate between the two
-// capacities: above what the unbatched path sustains, below what the
-// batched path sustains. In-flight duplicates share one index search
-// (singleflight) and unique misses gather into batched SearchBatch
-// passes that probe each IVF cell once per batch.
+// capacities: above what the direct path sustains, below what the
+// coalesced path sustains. In-flight duplicates share one index search
+// (singleflight); every other miss searches directly. The program exits
+// non-zero on any failed query.
 //
 // Run with: go run ./examples/batched
 package main
@@ -38,7 +38,7 @@ func run() error {
 	enc := proximity.NewEmbedder(dim, 42, proximity.MedicalThesaurus())
 
 	// A synthetic corpus clustered around topic words, served by an IVF
-	// index (the batch-aware substrate).
+	// index.
 	var corpus []proximity.Vector
 	for t := 0; t < topics; t++ {
 		for d := 0; d < 12; d++ {
@@ -85,63 +85,61 @@ func run() error {
 		if err != nil {
 			return nil, err
 		}
-		return proximity.RunLoad(target, wl, opts)
+		rep, err := proximity.RunLoad(target, wl, opts)
+		if err == nil && rep.Errors > 0 {
+			err = fmt.Errorf("%s loop: %d of %d queries failed, first: %v",
+				rep.Mode, rep.Errors, rep.Queries, rep.FirstError)
+		}
+		return rep, err
 	}
 
 	// Phase 1: closed-loop capacity probes.
 	closed := proximity.LoadOptions{Mode: proximity.ClosedLoop, Workers: 24}
-	unCap, err := replay(nil, closed)
+	dCap, err := replay(nil, closed)
 	if err != nil {
 		return err
 	}
-	pipe, err := proximity.NewBatchPipeline(db, proximity.BatchOptions{Seed: 3})
+	pipe, err := proximity.NewBatchPipeline(db, proximity.BatchOptions{})
 	if err != nil {
 		return err
 	}
-	bCap, err := replay(pipe, closed)
+	cCap, err := replay(pipe, closed)
 	if err != nil {
 		return err
 	}
-	if err := pipe.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("closed-loop capacity: unbatched %.0f qps, batched %.0f qps (%+.0f%%)\n\n",
-		unCap.AchievedQPS, bCap.AchievedQPS,
-		100*(bCap.AchievedQPS-unCap.AchievedQPS)/unCap.AchievedQPS)
+	fmt.Printf("closed-loop capacity: direct %.0f qps, coalesced %.0f qps (%+.0f%%)\n\n",
+		dCap.AchievedQPS, cCap.AchievedQPS,
+		100*(cCap.AchievedQPS-dCap.AchievedQPS)/dCap.AchievedQPS)
 
-	// Phase 2: open loop at the capacity midpoint — a load the
-	// unbatched miss path cannot sustain but the pipeline can.
+	// Phase 2: open loop at the capacity midpoint — a load the direct
+	// miss path cannot sustain but the coalesced one can.
 	open := proximity.LoadOptions{
 		Mode:    proximity.OpenLoop,
-		QPS:     math.Sqrt(unCap.AchievedQPS * bCap.AchievedQPS),
+		QPS:     math.Sqrt(dCap.AchievedQPS * cCap.AchievedQPS),
 		Workers: 24,
 		Seed:    11,
 	}
-	fmt.Printf("=== unbatched miss path (open loop @ %.0f qps) ===\n", open.QPS)
-	unbatched, err := replay(nil, open)
+	fmt.Printf("=== direct miss path (open loop @ %.0f qps) ===\n", open.QPS)
+	direct, err := replay(nil, open)
 	if err != nil {
 		return err
 	}
-	fmt.Print(unbatched.Render())
+	fmt.Print(direct.Render())
 
-	fmt.Printf("=== batched miss path (open loop @ %.0f qps) ===\n", open.QPS)
-	pipe, err = proximity.NewBatchPipeline(db, proximity.BatchOptions{Seed: 3})
+	fmt.Printf("=== coalesced miss path (open loop @ %.0f qps) ===\n", open.QPS)
+	pipe, err = proximity.NewBatchPipeline(db, proximity.BatchOptions{})
 	if err != nil {
 		return err
 	}
-	batched, err := replay(pipe, open)
+	coalesced, err := replay(pipe, open)
 	if err != nil {
 		return err
 	}
-	if err := pipe.Close(); err != nil {
-		return err
-	}
-	fmt.Print(batched.Render())
+	fmt.Print(coalesced.Render())
 
 	st := pipe.Stats()
-	fmt.Printf("pipeline: %d searches, %d coalesced (%.1f%%), %d flushes (mean batch %.2f; %d size / %d timeout / %d drain)\n",
-		st.Searches, st.Coalesced, 100*st.CoalesceRate(),
-		st.Flushes, st.MeanBatch(), st.SizeFlushes, st.TimeoutFlushes, st.DrainFlushes)
-	fmt.Printf("p95: unbatched %v -> batched %v\n", unbatched.P95, batched.P95)
+	fmt.Printf("pipeline: %d searches, %d coalesced (%.1f%%)\n",
+		st.Searches, st.Coalesced, 100*st.CoalesceRate())
+	fmt.Printf("p95: direct %v -> coalesced %v\n", direct.P95, coalesced.P95)
 	return nil
 }

@@ -2,7 +2,7 @@ package batch
 
 import "time"
 
-// Clock abstracts the queue's flush timer so tests can drive timeout
+// Clock abstracts the collector's flush timer so tests can drive timeout
 // semantics deterministically (see the fake clock in
 // internal/experiments/clock.go); production code uses SystemClock.
 type Clock interface {

@@ -13,7 +13,7 @@ import (
 )
 
 // Searcher is the minimal search surface the coalescer fronts — satisfied
-// by a Queue, a Pipeline, or any vectordb.DB.
+// by a Pipeline or any vectordb.DB.
 type Searcher interface {
 	Search(q vec.Vector, k int) ([]vec.Scored, error)
 }

@@ -1,14 +1,77 @@
 package batch
 
 import (
+	"errors"
 	"sync"
 	"time"
 )
 
+// ErrClosed is returned by Do calls issued after Close.
+var ErrClosed = errors.New("batch: queue closed")
+
+// errNilFlush guards NewCollector.
+var errNilFlush = errors.New("batch: collector requires a flush function")
+
+// DefaultMaxBatch is the flush size when QueueOptions.MaxBatch is zero.
+const DefaultMaxBatch = 16
+
+// DefaultTimeout is the flush deadline when QueueOptions.Timeout is zero:
+// long enough for a concurrent burst to gather, short enough to be
+// invisible next to a remote retrieval.
+const DefaultTimeout = 200 * time.Microsecond
+
+// QueueOptions configures a Collector.
+type QueueOptions struct {
+	// MaxBatch flushes the pending batch as soon as it reaches this
+	// size. Defaults to DefaultMaxBatch.
+	MaxBatch int
+	// Timeout flushes whatever has gathered once this much time has
+	// passed since the first request of the batch arrived. Defaults to
+	// DefaultTimeout.
+	Timeout time.Duration
+	// Clock supplies the flush timer. Defaults to SystemClock.
+	Clock Clock
+}
+
+func (o *QueueOptions) fillDefaults() {
+	if o.MaxBatch <= 0 {
+		o.MaxBatch = DefaultMaxBatch
+	}
+	if o.Timeout <= 0 {
+		o.Timeout = DefaultTimeout
+	}
+	if o.Clock == nil {
+		o.Clock = SystemClock{}
+	}
+}
+
+// QueueStats are cumulative collector counters.
+type QueueStats struct {
+	// Enqueued is the number of Do calls accepted.
+	Enqueued int64
+	// Flushes is the number of batch flushes issued.
+	Flushes int64
+	// SizeFlushes counts flushes triggered by reaching MaxBatch.
+	SizeFlushes int64
+	// TimeoutFlushes counts flushes triggered by the batch timer.
+	TimeoutFlushes int64
+	// DrainFlushes counts flushes forced by Close or FlushNow.
+	DrainFlushes int64
+	// Errors counts Do calls that returned an error outcome.
+	Errors int64
+}
+
+// MeanBatch returns the average flush size, or 0 before any flush.
+func (s QueueStats) MeanBatch() float64 {
+	if s.Flushes == 0 {
+		return 0
+	}
+	return float64(s.Enqueued) / float64(s.Flushes)
+}
+
 // Outcome is one request's share of a batched flush: its result or its
 // error. FlushFuncs return one Outcome per request so a partially-failing
-// batch (e.g. one sub-group of a grouped flush erroring) does not force
-// every waiter to fail.
+// batch does not force every waiter to fail.
 type Outcome[Res any] struct {
 	Res Res
 	Err error
@@ -22,12 +85,11 @@ type Outcome[Res any] struct {
 // extra entries are ignored.
 type FlushFunc[Req, Res any] func(reqs []Req) []Outcome[Res]
 
-// Collector is the generic gather/flush engine behind the batch queue:
-// concurrent Do calls gather until the batch reaches MaxBatch or Timeout
-// elapses after its first request, then the whole batch is handed to one
-// FlushFunc call. Queue specializes it to vector searches; the cluster
-// router (internal/cluster) specializes it to per-node batched HTTP
-// retrievals. All methods are safe for concurrent use.
+// Collector is a generic gather/flush engine: concurrent Do calls gather
+// until the batch reaches MaxBatch or Timeout elapses after its first
+// request, then the whole batch is handed to one FlushFunc call. The
+// cluster router (internal/cluster) specializes it to per-node batched
+// HTTP retrievals. All methods are safe for concurrent use.
 type Collector[Req, Res any] struct {
 	flushFn FlushFunc[Req, Res]
 	opts    QueueOptions
@@ -39,12 +101,10 @@ type Collector[Req, Res any] struct {
 	stats   QueueStats
 }
 
-// collectorWaiter is one pending Do call. at is stamped only when the
-// collector has an OnDwell observer; otherwise no clocks are read.
+// collectorWaiter is one pending Do call.
 type collectorWaiter[Req, Res any] struct {
 	req Req
 	ch  chan Outcome[Res]
-	at  time.Time
 }
 
 // NewCollector creates a collector that serves gathered batches through
@@ -62,9 +122,6 @@ func NewCollector[Req, Res any](flush FlushFunc[Req, Res], opts QueueOptions) (*
 func (c *Collector[Req, Res]) Do(req Req) (Res, error) {
 	ch := make(chan Outcome[Res], 1)
 	w := collectorWaiter[Req, Res]{req: req, ch: ch}
-	if c.opts.OnDwell != nil {
-		w.at = time.Now()
-	}
 
 	c.mu.Lock()
 	if c.closed {
@@ -116,7 +173,6 @@ func (c *Collector[Req, Res]) Close() error {
 
 // FlushNow flushes whatever has gathered without waiting for the size or
 // timeout trigger (counted as a drain flush). The collector stays open.
-// Used by Pipeline.Reset so a cache flush leaves no stale batch behind.
 func (c *Collector[Req, Res]) FlushNow() {
 	c.mu.Lock()
 	ws := c.take()
@@ -184,12 +240,6 @@ func (c *Collector[Req, Res]) awaitTimer(gen uint64, timer <-chan time.Time) {
 // flush hands one gathered batch to the FlushFunc and fans each outcome
 // out to its waiter, counting errors.
 func (c *Collector[Req, Res]) flush(ws []collectorWaiter[Req, Res]) {
-	if c.opts.OnDwell != nil {
-		now := time.Now()
-		for _, w := range ws {
-			c.opts.OnDwell(now.Sub(w.at))
-		}
-	}
 	reqs := make([]Req, len(ws))
 	for i, w := range ws {
 		reqs[i] = w.req

@@ -3,18 +3,13 @@ package batch_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"proximity/internal/batch"
 	"proximity/internal/vec"
-	"proximity/internal/vectordb"
 )
 
 func TestConstructorValidation(t *testing.T) {
 	ix := buildIVF(t, 20, 4, 1)
-	if _, err := batch.NewQueue(nil, batch.QueueOptions{}); err == nil {
-		t.Error("NewQueue(nil) should fail")
-	}
 	if _, err := batch.NewCoalescer(nil, func(vec.Vector) uint32 { return 0 }); err == nil {
 		t.Error("NewCoalescer(nil inner) should fail")
 	}
@@ -24,20 +19,8 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := batch.New(nil, batch.Options{}); err == nil {
 		t.Error("New(nil db) should fail")
 	}
-	if _, err := batch.New(ix, batch.Options{Queues: -1}); err == nil {
-		t.Error("negative queue count should fail")
-	}
 	if _, err := batch.New(ix, batch.Options{Coalesce: batch.CoalesceMode(99)}); err == nil {
 		t.Error("unknown coalesce mode should fail")
-	}
-
-	q, err := batch.NewQueue(ix, batch.QueueOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	if _, err := q.Search(vec.Vector{1, 2, 3, 4}, 0); err != vectordb.ErrBadK {
-		t.Errorf("k=0 error = %v, want ErrBadK", err)
 	}
 }
 
@@ -45,7 +28,6 @@ func TestCoalesceModeString(t *testing.T) {
 	cases := map[batch.CoalesceMode]string{
 		batch.CoalesceExact: "exact",
 		batch.CoalesceLSH:   "lsh",
-		batch.CoalesceOff:   "off",
 	}
 	for mode, want := range cases {
 		if got := mode.String(); got != want {
@@ -54,35 +36,6 @@ func TestCoalesceModeString(t *testing.T) {
 	}
 	if got := batch.CoalesceMode(42).String(); !strings.Contains(got, "42") {
 		t.Errorf("unknown mode string %q should carry the value", got)
-	}
-}
-
-func TestCoalesceOffPipeline(t *testing.T) {
-	ix := buildIVF(t, 30, 4, 2)
-	counting := vectordb.NewInstrumented(ix, nil)
-	pipe, err := batch.New(counting, batch.Options{
-		Queues:   1,
-		Coalesce: batch.CoalesceOff,
-		Timeout:  20 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := vec.RandomGaussian(vec.NewRand(3), 4)
-	for i := 0; i < 3; i++ {
-		if _, err := pipe.Search(q, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := pipe.Stats()
-	if st.Coalesced != 0 || st.Searches != 3 || st.Enqueued != 3 {
-		t.Errorf("CoalesceOff stats = %+v, want 3 searches, 0 coalesced", st)
-	}
-	if st.CoalesceRate() != 0 {
-		t.Errorf("CoalesceRate = %v, want 0", st.CoalesceRate())
 	}
 }
 
@@ -96,7 +49,7 @@ func TestQueueStatsMeanBatch(t *testing.T) {
 		t.Errorf("MeanBatch = %v, want 4", got)
 	}
 	var p batch.Stats
-	if p.MeanBatch() != 0 || p.CoalesceRate() != 0 {
+	if p.CoalesceRate() != 0 {
 		t.Error("empty pipeline stats should report zeros")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"proximity/internal/lsh"
@@ -27,8 +28,6 @@ const (
 	// path for fewer index traversals — sound for the same reason the
 	// approximate cache is.
 	CoalesceLSH
-	// CoalesceOff disables singleflight; only batching applies.
-	CoalesceOff
 )
 
 // String implements fmt.Stringer.
@@ -38,8 +37,6 @@ func (m CoalesceMode) String() string {
 		return "exact"
 	case CoalesceLSH:
 		return "lsh"
-	case CoalesceOff:
-		return "off"
 	default:
 		return fmt.Sprintf("coalesce(%d)", int(m))
 	}
@@ -47,15 +44,6 @@ func (m CoalesceMode) String() string {
 
 // Options configures a Pipeline.
 type Options struct {
-	// Queues is the number of independently-locked batch queues misses
-	// are spread over (fingerprint-routed). Defaults to
-	// runtime.GOMAXPROCS(0).
-	Queues int
-	// MaxBatch is the per-queue flush size. Defaults to DefaultMaxBatch.
-	MaxBatch int
-	// Timeout is the per-queue flush deadline. Defaults to
-	// DefaultTimeout.
-	Timeout time.Duration
 	// Coalesce selects duplicate detection. Defaults to CoalesceExact.
 	Coalesce CoalesceMode
 	// SignatureBits is the hyperplane count under CoalesceLSH. Defaults
@@ -63,17 +51,14 @@ type Options struct {
 	SignatureBits int
 	// Seed drives the CoalesceLSH hyperplane draw.
 	Seed uint64
-	// Clock supplies the queue flush timers. Defaults to SystemClock.
-	Clock Clock
 	// Telemetry, when non-nil, receives per-stage observations from the
-	// pipeline: coalesce_wait (follower flight waits), batch_queue
-	// (enqueue-to-flush dwell), and db_search (backend SearchBatch
-	// latency). Nil disables all timestamping beyond what the queues
-	// already do.
+	// pipeline: coalesce_wait (follower flight waits) and db_search (one
+	// observation per database search a leader or a fingerprint
+	// collision makes; followers make none).
 	Telemetry *telemetry.Telemetry
 }
 
-// Stats aggregates pipeline counters across the coalescer and all queues.
+// Stats are cumulative pipeline counters.
 type Stats struct {
 	// Searches is the number of Search calls into the pipeline.
 	Searches int64
@@ -82,16 +67,9 @@ type Stats struct {
 	// Collisions counts fingerprint collisions between distinct
 	// embeddings (exact mode only); such requests search independently.
 	Collisions int64
-	// Enqueued is the number of searches that reached a batch queue.
-	Enqueued int64
-	// Flushes is the number of SearchBatch calls issued to the index.
-	Flushes int64
-	// SizeFlushes, TimeoutFlushes, and DrainFlushes break Flushes down
-	// by trigger.
-	SizeFlushes    int64
-	TimeoutFlushes int64
-	DrainFlushes   int64
-	// Errors counts searches that returned a database error.
+	// Errors counts database searches that failed. Followers of a failed
+	// flight receive its error but searched nothing, so they are not
+	// counted.
 	Errors int64
 }
 
@@ -103,25 +81,16 @@ func (s Stats) CoalesceRate() float64 {
 	return 0
 }
 
-// MeanBatch returns the average flush size, or 0 before any flush.
-func (s Stats) MeanBatch() float64 {
-	if s.Flushes == 0 {
-		return 0
-	}
-	return float64(s.Enqueued) / float64(s.Flushes)
-}
-
-// Pipeline is the full miss-coalescing batched retrieval path: a
-// singleflight coalescer in front of fingerprint-routed batch queues in
-// front of a (batch-aware) vector database. It satisfies vectordb.DB and
-// core.Searcher, so it drops into core.CachedRetriever either as the
+// Pipeline is the miss path's singleflight front: a Coalescer, exact or
+// LSH-keyed, directly over a vector database. It satisfies vectordb.DB
+// and core.Searcher, so it drops into core.CachedRetriever either as the
 // database itself or as the miss-path Searcher option. Safe for
-// concurrent use; Close drains the queues.
+// concurrent use.
 type Pipeline struct {
 	db     vectordb.DB
-	queues []*Queue
-	co     *Coalescer // nil under CoalesceOff
+	co     *Coalescer
 	opts   Options
+	errors atomic.Int64
 }
 
 var _ vectordb.DB = (*Pipeline)(nil)
@@ -132,35 +101,10 @@ func New(db vectordb.DB, opts Options) (*Pipeline, error) {
 	if db == nil {
 		return nil, fmt.Errorf("batch: pipeline requires a database")
 	}
-	if opts.Queues < 0 {
-		return nil, fmt.Errorf("batch: queue count must be non-negative, got %d", opts.Queues)
-	}
-	if opts.Queues == 0 {
-		opts.Queues = runtime.GOMAXPROCS(0)
-	}
 	if opts.Coalesce == 0 {
 		opts.Coalesce = CoalesceExact
 	}
 	p := &Pipeline{db: db, opts: opts}
-	p.queues = make([]*Queue, opts.Queues)
-	var onDwell func(time.Duration)
-	if opts.Telemetry != nil {
-		tel := opts.Telemetry
-		onDwell = func(d time.Duration) { tel.ObserveStage(telemetry.StageBatchQueue, d) }
-	}
-	for i := range p.queues {
-		q, err := NewQueue(db, QueueOptions{
-			MaxBatch:  opts.MaxBatch,
-			Timeout:   opts.Timeout,
-			Clock:     opts.Clock,
-			OnDwell:   onDwell,
-			Telemetry: opts.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.queues[i] = q
-	}
 
 	var key KeyFunc
 	verified := false
@@ -186,8 +130,6 @@ func New(db vectordb.DB, opts Options) (*Pipeline, error) {
 		}
 		p.opts.SignatureBits = bits // resolved width, for Reseed
 		key = hasher.Hash
-	case CoalesceOff:
-		return p, nil
 	default:
 		return nil, fmt.Errorf("batch: unknown coalesce mode %d", int(opts.Coalesce))
 	}
@@ -195,7 +137,7 @@ func New(db vectordb.DB, opts Options) (*Pipeline, error) {
 	if verified {
 		newCo = NewVerifiedCoalescer
 	}
-	co, err := newCo(searcherFunc(p.enqueue), key)
+	co, err := newCo(searcherFunc(p.search), key)
 	if err != nil {
 		return nil, err
 	}
@@ -210,61 +152,44 @@ type searcherFunc func(q vec.Vector, k int) ([]vec.Scored, error)
 // Search implements Searcher.
 func (f searcherFunc) Search(q vec.Vector, k int) ([]vec.Scored, error) { return f(q, k) }
 
-// Search runs one retrieval through the pipeline: duplicate in-flight
-// misses coalesce, unique ones gather into per-queue batches.
-func (p *Pipeline) Search(q vec.Vector, k int) ([]vec.Scored, error) {
-	if p.co != nil {
-		return p.co.Search(q, k)
+// search is the coalescer's inner searcher: one database search, timed
+// under db_search and counted in Errors when it fails. A leader's flight
+// is already registered when it gets here, so it yields first: on a
+// saturated host a duplicate that has arrived but not yet run would
+// otherwise reach the coalescer only after a CPU-bound search finished,
+// and search again.
+func (p *Pipeline) search(q vec.Vector, k int) ([]vec.Scored, error) {
+	runtime.Gosched()
+	start := time.Now()
+	res, err := p.db.Search(q, k)
+	p.opts.Telemetry.ObserveStage(telemetry.StageDBSearch, time.Since(start))
+	if err != nil {
+		p.errors.Add(1)
 	}
-	return p.enqueue(q, k)
-}
-
-// SearchContext is Search with trace propagation: a sampled trace in ctx
-// records coalesce_wait / db_search spans as the request moves through
-// the pipeline (the db_search span on the batched path covers queue
-// dwell plus the shared backend call — the request's view of the miss;
-// the stage histograms attribute the components separately). Implements
-// core.ContextSearcher.
-func (p *Pipeline) SearchContext(ctx context.Context, q vec.Vector, k int) ([]vec.Scored, error) {
-	if p.co != nil {
-		return p.co.SearchContext(ctx, q, k)
-	}
-	finish := telemetry.FromContext(ctx).StartSpan(telemetry.StageDBSearch)
-	res, err := p.enqueue(q, k)
-	finish(err)
 	return res, err
 }
 
-// enqueue routes a unique search to its fingerprint-assigned queue.
-func (p *Pipeline) enqueue(q vec.Vector, k int) ([]vec.Scored, error) {
-	return p.queues[int(shard.FingerprintOf(q)%uint32(len(p.queues)))].Search(q, k)
+// Search runs one retrieval through the pipeline: duplicate in-flight
+// misses share one database search.
+func (p *Pipeline) Search(q vec.Vector, k int) ([]vec.Scored, error) {
+	return p.co.Search(q, k)
 }
 
-// Close drains every queue; in-flight waiters receive their results and
-// later Search calls fail with ErrClosed.
-func (p *Pipeline) Close() error {
-	for _, q := range p.queues {
-		_ = q.Close()
-	}
-	return nil
+// SearchContext is Search with trace propagation: a sampled trace in ctx
+// records a coalesce_wait span for a follower and a db_search span for a
+// leader. Implements core.ContextSearcher.
+func (p *Pipeline) SearchContext(ctx context.Context, q vec.Vector, k int) ([]vec.Scored, error) {
+	return p.co.SearchContext(ctx, q, k)
 }
 
-// Reset flushes every queue's gathered batch immediately and zeroes all
-// pipeline counters (queues and coalescer). The pipeline stays open.
-// The server's cache-flush endpoint calls this so a flushed deployment
-// reports a clean slate: without it, /v1/stats would keep pre-flush batch
-// counters and pending pre-flush waiters alive across the flush.
-// Coalescer flights already in progress complete normally — their
-// waiters still receive results — but no longer count toward the zeroed
-// statistics.
+// Reset zeroes the pipeline counters, Errors included. The server's
+// cache-flush endpoint calls this so a flushed deployment reports a
+// clean slate in /v1/stats. Flights already in progress complete
+// normally — their waiters still receive results — but no longer count
+// toward the zeroed statistics.
 func (p *Pipeline) Reset() {
-	for _, q := range p.queues {
-		q.FlushNow()
-		q.ResetStats()
-	}
-	if p.co != nil {
-		p.co.ResetStats()
-	}
+	p.co.ResetStats()
+	p.errors.Store(0)
 }
 
 // Reseed re-draws the CoalesceLSH duplicate-detection hyperplanes from
@@ -272,11 +197,10 @@ func (p *Pipeline) Reset() {
 // signature, a pipeline coalescing by the old draw would dedup a
 // different notion of "near-identical" than the cache routes by; the
 // rebalance actuator calls this (via its OnReseed hook) so both draws
-// stay in step. Under CoalesceExact and CoalesceOff it is a no-op —
-// byte fingerprints are content hashes, seed-independent — as is queue
-// routing, which also keys on the content fingerprint.
+// stay in step. Under CoalesceExact it is a no-op: byte fingerprints are
+// content hashes, seed-independent.
 func (p *Pipeline) Reseed(seed uint64) error {
-	if p.opts.Coalesce != CoalesceLSH || p.co == nil {
+	if p.opts.Coalesce != CoalesceLSH {
 		return nil
 	}
 	hasher, err := lsh.NewHasher(p.db.Dim(), p.opts.SignatureBits, seed)
@@ -293,40 +217,13 @@ func (p *Pipeline) Dim() int { return p.db.Dim() }
 // Len implements vectordb.DB.
 func (p *Pipeline) Len() int { return p.db.Len() }
 
-// DB returns the wrapped database.
-func (p *Pipeline) DB() vectordb.DB { return p.db }
-
-// NumQueues returns the batch-queue count.
-func (p *Pipeline) NumQueues() int { return len(p.queues) }
-
-// Pending returns the total gathered-but-unflushed searches across all
-// queues — the queue-depth gauge the metrics endpoint exports.
-func (p *Pipeline) Pending() int {
-	n := 0
-	for _, q := range p.queues {
-		n += q.Pending()
-	}
-	return n
-}
-
-// Stats returns a snapshot of the aggregated counters.
+// Stats returns a snapshot of the counters.
 func (p *Pipeline) Stats() Stats {
-	var s Stats
-	for _, q := range p.queues {
-		qs := q.Stats()
-		s.Enqueued += qs.Enqueued
-		s.Flushes += qs.Flushes
-		s.SizeFlushes += qs.SizeFlushes
-		s.TimeoutFlushes += qs.TimeoutFlushes
-		s.DrainFlushes += qs.DrainFlushes
-		s.Errors += qs.Errors
+	cs := p.co.Stats()
+	return Stats{
+		Searches:   cs.Leads + cs.Coalesced + cs.Collisions,
+		Coalesced:  cs.Coalesced,
+		Collisions: cs.Collisions,
+		Errors:     p.errors.Load(),
 	}
-	s.Searches = s.Enqueued
-	if p.co != nil {
-		cs := p.co.Stats()
-		s.Coalesced = cs.Coalesced
-		s.Collisions = cs.Collisions
-		s.Searches = cs.Leads + cs.Coalesced + cs.Collisions
-	}
-	return s
 }

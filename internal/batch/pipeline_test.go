@@ -2,12 +2,17 @@ package batch_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"proximity/internal/batch"
 	"proximity/internal/core"
+	"proximity/internal/shard"
+	"proximity/internal/telemetry"
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
 )
@@ -27,17 +32,16 @@ func buildIVF(t *testing.T, n, dim int, seed uint64) *vectordb.IVFIndex {
 	return ix
 }
 
-// TestPipelineMatchesDirectSearch replays a query stream through the full
-// pipeline (coalescer + queues + SearchBatch) under concurrency and
-// checks every result against a direct db.Search — the pipeline must be
-// an invisible performance layer.
+// TestPipelineMatchesDirectSearch replays a query stream through the
+// pipeline under concurrency and checks every result against a direct
+// db.Search — the pipeline must be an invisible performance layer.
 func TestPipelineMatchesDirectSearch(t *testing.T) {
 	ix := buildIVF(t, 120, 8, 3)
-	pipe, err := batch.New(ix, batch.Options{Queues: 2, MaxBatch: 4})
+	counting := vectordb.NewInstrumented(ix, nil)
+	pipe, err := batch.New(counting, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pipe.Close()
 
 	const n = 64
 	rng := vec.NewRand(21)
@@ -79,15 +83,9 @@ func TestPipelineMatchesDirectSearch(t *testing.T) {
 	if st.Searches != n {
 		t.Errorf("Searches = %d, want %d", st.Searches, n)
 	}
-	if st.Searches != st.Coalesced+st.Enqueued {
-		t.Errorf("counter mismatch: searches=%d coalesced=%d enqueued=%d",
-			st.Searches, st.Coalesced, st.Enqueued)
-	}
-	if st.Flushes != st.SizeFlushes+st.TimeoutFlushes+st.DrainFlushes {
-		t.Errorf("flush trigger breakdown %+v does not sum to Flushes", st)
-	}
-	if st.Flushes == 0 || st.MeanBatch() < 1 {
-		t.Errorf("no batching observed: %+v", st)
+	if calls := int64(counting.Calls()); st.Searches != st.Coalesced+calls {
+		t.Errorf("counter mismatch: searches=%d coalesced=%d database calls=%d",
+			st.Searches, st.Coalesced, calls)
 	}
 }
 
@@ -96,11 +94,10 @@ func TestPipelineMatchesDirectSearch(t *testing.T) {
 // unbatched retriever query-for-query, hits and misses alike.
 func TestPipelineThroughRetriever(t *testing.T) {
 	ix := buildIVF(t, 80, 8, 7)
-	pipe, err := batch.New(ix, batch.Options{Queues: 1, MaxBatch: 4})
+	pipe, err := batch.New(ix, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pipe.Close()
 
 	newCache := func() core.Cache {
 		c, err := core.NewFlat(8, core.Options{Capacity: 64, Tolerance: 0.5, Policy: core.LRU})
@@ -149,9 +146,8 @@ func TestPipelineThroughRetriever(t *testing.T) {
 func TestPipelineLSHCoalescing(t *testing.T) {
 	ix := buildIVF(t, 60, 8, 11)
 	counting := vectordb.NewInstrumented(ix, nil)
-	pipe, err := batch.New(counting, batch.Options{
-		Queues:   1,
-		MaxBatch: 64, // force timeout/drain flushes, not size
+	gate := &gatedDB{DB: counting, release: make(chan struct{})}
+	pipe, err := batch.New(gate, batch.Options{
 		Coalesce: batch.CoalesceLSH,
 		Seed:     5,
 	})
@@ -176,10 +172,14 @@ func TestPipelineLSHCoalescing(t *testing.T) {
 			}(q)
 		}
 	}
-	wg.Wait()
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
+	// Hold the database until every request has entered the pipeline,
+	// so the requests overlap in flight however fast the index is.
+	deadline := time.Now().Add(10 * time.Second)
+	for pipe.Stats().Searches != 2*pairs && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
 	}
+	close(gate.release)
+	wg.Wait()
 
 	st := pipe.Stats()
 	if st.Searches != 2*pairs {
@@ -191,26 +191,8 @@ func TestPipelineLSHCoalescing(t *testing.T) {
 	if st.Coalesced == 0 {
 		t.Error("no LSH coalescing observed across 32 near-identical concurrent misses")
 	}
-	if got := int64(counting.Calls()); got != st.Enqueued {
-		t.Errorf("database calls = %d, enqueued = %d (should match)", got, st.Enqueued)
-	}
-}
-
-// TestPipelineClose verifies drain-on-close and rejection afterwards.
-func TestPipelineClose(t *testing.T) {
-	ix := buildIVF(t, 40, 8, 13)
-	pipe, err := batch.New(ix, batch.Options{Queues: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.Search(vec.RandomGaussian(vec.NewRand(1), 8), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.Search(vec.RandomGaussian(vec.NewRand(2), 8), 2); !errors.Is(err, batch.ErrClosed) {
-		t.Errorf("Search after Close = %v, want ErrClosed", err)
+	if got := int64(counting.Calls()); got != st.Searches-st.Coalesced {
+		t.Errorf("database calls = %d, uncoalesced searches = %d (should match)", got, st.Searches-st.Coalesced)
 	}
 }
 
@@ -221,15 +203,150 @@ func TestPipelineIsADB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pipe.Close()
 	var db vectordb.DB = pipe
 	if db.Dim() != ix.Dim() || db.Len() != ix.Len() {
 		t.Errorf("passthrough Dim/Len = %d/%d, want %d/%d", db.Dim(), db.Len(), ix.Dim(), ix.Len())
 	}
-	if pipe.NumQueues() < 1 {
-		t.Error("pipeline built no queues")
+}
+
+// gatedDB holds every search until release closes.
+type gatedDB struct {
+	vectordb.DB
+	release chan struct{}
+}
+
+func (g *gatedDB) Search(q vec.Vector, k int) ([]vec.Scored, error) {
+	<-g.release
+	return g.DB.Search(q, k)
+}
+
+// failingDB holds every search until release closes, then fails it with
+// an error naming the query. entered receives one value per search that
+// reaches it.
+type failingDB struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+var errBackend = errors.New("backend down")
+
+func (d *failingDB) Search(q vec.Vector, k int) ([]vec.Scored, error) {
+	d.entered <- struct{}{}
+	<-d.release
+	return nil, fmt.Errorf("search %v: %w", q, errBackend)
+}
+func (d *failingDB) Dim() int { return 2 }
+func (d *failingDB) Len() int { return 1 }
+
+// fingerprintCollision returns two distinct vectors whose
+// shard.FingerprintOf values are equal (the first pair a search over
+// {i, 1}, i = 0, 1, 2, ... meets), so exact-mode coalescing meets a real
+// collision.
+func fingerprintCollision(t *testing.T) (vec.Vector, vec.Vector) {
+	t.Helper()
+	a, b := vec.Vector{110909, 1}, vec.Vector{1048599, 1}
+	if shard.FingerprintOf(a) != shard.FingerprintOf(b) {
+		t.Fatal("the pair's fingerprints do not collide")
 	}
-	if pipe.DB() != vectordb.DB(ix) {
-		t.Error("DB() does not return the wrapped database")
+	return a, b
+}
+
+// TestPipelineCounters pins what the counters mean over a failing
+// database: n concurrent duplicates of one query plus one fingerprint
+// collision are n+1 searches, of which only the leader's and the
+// collision's reach the database. Both fail, so Errors and the db_search
+// histogram count those two; followers receive the leader's error
+// without searching. Reset zeroes every counter, Errors included.
+func TestPipelineCounters(t *testing.T) {
+	const n = 8
+	q, collider := fingerprintCollision(t)
+	db := &failingDB{entered: make(chan struct{}, n+1), release: make(chan struct{})}
+	tel := telemetry.New(telemetry.Options{})
+	pipe, err := batch.New(db, batch.Options{Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	errs := make([]error, n+1)
+	var wg sync.WaitGroup
+	search := func(i int, q vec.Vector) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = pipe.Search(q, 3)
+		}()
+	}
+	search(0, q)
+	<-db.entered // request 0 leads the flight
+	for i := 1; i < n; i++ {
+		search(i, vec.Clone(q))
+	}
+	search(n, collider)
+	<-db.entered // the collision searches on its own
+	deadline := time.Now().Add(10 * time.Second)
+	for pipe.Stats().Coalesced != n-1 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(db.release)
+	wg.Wait()
+
+	st := pipe.Stats()
+	searched := st.Searches - st.Coalesced // leads + collisions
+	if st.Searches != n+1 || st.Coalesced != n-1 || st.Collisions != 1 || searched != 2 {
+		t.Fatalf("stats = %+v, want %d searches, %d coalesced, 1 collision", st, n+1, n-1)
+	}
+	if st.Errors != searched {
+		t.Errorf("Errors = %d, want leads + collisions = %d", st.Errors, searched)
+	}
+	if got := tel.Stages.Histogram(telemetry.StageDBSearch).Count(); got != searched {
+		t.Errorf("db_search observations = %d, want leads + collisions = %d", got, searched)
+	}
+	if !errors.Is(errs[0], errBackend) {
+		t.Fatalf("leader error = %v, want %v", errs[0], errBackend)
+	}
+	for i := 1; i < n; i++ {
+		if errs[i] != errs[0] {
+			t.Errorf("follower %d error = %v, want the leader's %v", i, errs[i], errs[0])
+		}
+	}
+	if !errors.Is(errs[n], errBackend) || errs[n] == errs[0] {
+		t.Errorf("collision error = %v, want its own search's failure", errs[n])
+	}
+
+	pipe.Reset()
+	if st := pipe.Stats(); st != (batch.Stats{}) {
+		t.Errorf("stats after Reset = %+v, want zero", st)
+	}
+}
+
+// TestLeaderYieldsToDuplicates: with one P, a leader that searched a
+// CPU-bound index without yielding would finish before a duplicate
+// already waiting to run reached the coalescer, so no duplicate would
+// ever share its flight. The leader yields before searching, and the
+// duplicate joins.
+func TestLeaderYieldsToDuplicates(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ix := buildIVF(t, 60, 8, 19)
+	pipe, err := batch.New(ix, batch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := vec.RandomGaussian(vec.NewRand(23), 8)
+	const pairs = 10
+	for i := 0; i < pairs; i++ {
+		var wg sync.WaitGroup
+		for j := 0; j < 2; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := pipe.Search(q, 3); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if st := pipe.Stats(); st.Coalesced == 0 {
+		t.Errorf("stats = %+v: no duplicate joined a flight in %d concurrent pairs", st, pairs)
 	}
 }

@@ -54,7 +54,6 @@ func (f searcherFunc) Search(q vec.Vector, k int) ([]vec.Scored, error) { return
 func TestPipelineReseed(t *testing.T) {
 	ix := buildIVF(t, 100, 8, 5)
 	pipe, err := batch.New(ix, batch.Options{
-		Queues:        2,
 		Coalesce:      batch.CoalesceLSH,
 		SignatureBits: 6,
 		Seed:          1,
@@ -62,7 +61,6 @@ func TestPipelineReseed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pipe.Close()
 
 	q := vec.RandomGaussian(vec.NewRand(9), 8)
 	want, err := ix.Search(q, 3)
@@ -80,11 +78,10 @@ func TestPipelineReseed(t *testing.T) {
 		t.Errorf("post-reseed search = %v, want %v", got, want)
 	}
 
-	exact, err := batch.New(ix, batch.Options{Queues: 1})
+	exact, err := batch.New(ix, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exact.Close()
 	if err := exact.Reseed(42); err != nil {
 		t.Errorf("Reseed on an exact-mode pipeline should be a no-op, got %v", err)
 	}

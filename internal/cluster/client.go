@@ -25,9 +25,8 @@ import (
 const DefaultReplicas = 2
 
 // DefaultBatchTimeout is the per-node submitter flush deadline when
-// Options.BatchTimeout is zero. Wider than the in-process pipeline's
-// default because the cost being amortized is an HTTP round trip, not an
-// index traversal.
+// Options.BatchTimeout is zero. Wider than batch.DefaultTimeout because
+// the cost being amortized is an HTTP round trip.
 const DefaultBatchTimeout = time.Millisecond
 
 // DefaultProbeCooldown is how long a node marked down stays sidelined

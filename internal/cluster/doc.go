@@ -42,13 +42,12 @@
 // # Per-node batch submitters
 //
 // Queries bound for the same node coalesce: each node sits behind a
-// batch.Collector (the generic gather/flush engine extracted from the
-// miss-coalescing pipeline), which gathers concurrent requests for up to
-// MaxBatch/BatchTimeout and flushes them as ONE /v1/retrieve/batch call.
-// This amortizes the HTTP round trip the same way the in-process
-// pipeline amortizes index traversals, and it composes with the
-// node-side pipeline: a batched arrival burst reaches the node's own
-// coalescer/queues intact.
+// batch.Collector (a generic gather/flush engine), which gathers
+// concurrent requests for up to MaxBatch/BatchTimeout and flushes them
+// as ONE /v1/retrieve/batch call. This amortizes the HTTP round trip,
+// which the requests of one batch do share, and it composes with the
+// node-side pipeline: the node serves a batch's elements concurrently,
+// so duplicates in one burst reach its coalescer together.
 //
 // # Wire format
 //

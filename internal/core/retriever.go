@@ -27,7 +27,7 @@ type ContextCache interface {
 
 // ContextSearcher is the analogous optional extension of Searcher; the
 // batch pipeline and cluster client implement it so a sampled trace
-// follows the miss path across coalescing, queueing, and node hops.
+// follows the miss path across coalescing and node hops.
 type ContextSearcher interface {
 	SearchContext(ctx context.Context, q vec.Vector, k int) ([]vec.Scored, error)
 }
@@ -52,10 +52,10 @@ type RetrieverOptions struct {
 	Latency vectordb.LatencyModel
 	// Searcher, when non-nil, serves the miss-path database search
 	// instead of calling db.Search directly. This is the hook the
-	// miss-coalescing batch pipeline (internal/batch) plugs into:
-	// concurrent misses are deduplicated and gathered into batched
-	// index passes without the retriever knowing. The database is still
-	// consulted for Dim/Len and (via Source) re-ranking vectors.
+	// miss-coalescing pipeline (internal/batch) plugs into: concurrent
+	// duplicate misses share one search without the retriever knowing.
+	// The database is still consulted for Dim/Len and (via Source)
+	// re-ranking vectors.
 	Searcher Searcher
 	// DynamicTolerance, when positive, derives each cache line's match
 	// threshold from its own retrieval instead of the global τ:
@@ -184,9 +184,9 @@ func (r *CachedRetriever) RetrieveContext(ctx context.Context, q vec.Vector) (Re
 	}
 
 	// Cache miss (or no cache): over-fetch ρ·K from the database,
-	// through the batching/coalescing searcher when one is configured.
-	// A context-aware searcher attributes its own stages (coalesce wait,
-	// queue dwell, node RPC); a plain one is timed here as db_search.
+	// through the coalescing searcher when one is configured. A
+	// context-aware searcher attributes its own stages (coalesce wait,
+	// node RPC); a plain one is timed here as db_search.
 	search := Searcher(r.db)
 	if r.opts.Searcher != nil {
 		search = r.opts.Searcher

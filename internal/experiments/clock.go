@@ -10,7 +10,7 @@ func nowNanos() int64 { return time.Now().UnixNano() }
 
 // FakeClock is a manually-advanced clock satisfying batch.Clock. Timers
 // created with After fire when Advance moves the clock past their
-// deadline, so tests of timeout-driven code (the batch queue's flush
+// deadline, so tests of timeout-driven code (the batch collector's flush
 // timer) are deterministic: no sleeps, no scheduler races.
 type FakeClock struct {
 	mu     sync.Mutex

@@ -12,8 +12,8 @@ import (
 )
 
 // TestStatsBatchFields: a retriever whose miss path runs through the
-// batch pipeline surfaces coalescing/batch counters on /v1/stats; a
-// plain retriever omits the block entirely.
+// miss-coalescing pipeline surfaces its counters on /v1/stats; a plain
+// retriever omits the block entirely.
 func TestStatsBatchFields(t *testing.T) {
 	const dim = 32
 	enc := embed.NewTokenHash(dim, 1)
@@ -31,11 +31,10 @@ func TestStatsBatchFields(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pipe, err := batch.New(db, batch.Options{Queues: 1, MaxBatch: 4})
+	pipe, err := batch.New(db, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pipe.Close()
 	cache, err := core.NewFlat(dim, core.Options{Capacity: 8, Tolerance: 1, Policy: core.LRU})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +51,7 @@ func TestStatsBatchFields(t *testing.T) {
 	defer ts.Close()
 	client := NewClient(ts.URL)
 
-	for _, p := range texts { // all distinct → all misses → all batched
+	for _, p := range texts { // all distinct → all misses → all searched
 		if _, err := client.Query(p); err != nil {
 			t.Fatal(err)
 		}
@@ -66,9 +65,6 @@ func TestStatsBatchFields(t *testing.T) {
 	}
 	if st.Batch.Searches != int64(len(texts)) {
 		t.Errorf("batch.searches = %d, want %d", st.Batch.Searches, len(texts))
-	}
-	if st.Batch.Flushes == 0 || st.Batch.MeanBatchSize < 1 {
-		t.Errorf("batch counters show no flushing: %+v", st.Batch)
 	}
 	if st.Batch.Errors != 0 {
 		t.Errorf("batch.errors = %d, want 0", st.Batch.Errors)

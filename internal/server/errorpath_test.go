@@ -236,7 +236,7 @@ func TestRetrieveBatchErrorStatus(t *testing.T) {
 }
 
 // TestFlushResetsBatchPipeline: /v1/flush must leave the batch pipeline
-// as clean as the cache — before the fix the coalescer/queue counters
+// as clean as the cache — before the fix the pipeline counters
 // survived the flush and post-flush /v1/stats misreported pre-flush
 // traffic.
 func TestFlushResetsBatchPipeline(t *testing.T) {
@@ -252,11 +252,10 @@ func TestFlushResetsBatchPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pipe, err := batch.New(db, batch.Options{Queues: 1, MaxBatch: 4})
+	pipe, err := batch.New(db, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pipe.Close()
 	cache, err := core.NewFlat(dim, core.Options{Capacity: 8, Tolerance: 1, Policy: core.LRU})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +298,7 @@ func TestFlushResetsBatchPipeline(t *testing.T) {
 	if st.Batch == nil {
 		t.Fatal("batch block should survive the flush (zeroed, not dropped)")
 	}
-	if st.Batch.Searches != 0 || st.Batch.Flushes != 0 || st.Batch.Coalesced != 0 {
+	if st.Batch.Searches != 0 || st.Batch.Errors != 0 || st.Batch.Coalesced != 0 {
 		t.Errorf("post-flush batch counters not reset: %+v", st.Batch)
 	}
 

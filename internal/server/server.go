@@ -207,17 +207,9 @@ func (s *Server) registerMetrics() {
 		reg.CounterFunc(telemetry.MetricBatchCoalescedTotal,
 			"Searches served from another request's flight.",
 			func() float64 { return float64(bs.Stats().Coalesced) })
-		reg.CounterFunc(telemetry.MetricBatchFlushesTotal,
-			"Batched SearchBatch calls issued to the index.",
-			func() float64 { return float64(bs.Stats().Flushes) })
 		reg.CounterFunc(telemetry.MetricBatchErrorsTotal,
-			"Pipeline searches that returned a backend error.",
+			"Database searches by the pipeline that returned an error.",
 			func() float64 { return float64(bs.Stats().Errors) })
-	}
-	if pd, ok := ret.Searcher().(interface{ Pending() int }); ok {
-		reg.GaugeFunc(telemetry.MetricBatchQueueDepth,
-			"Gathered-but-unflushed searches across batch queues.",
-			func() float64 { return float64(pd.Pending()) })
 	}
 }
 
@@ -338,8 +330,8 @@ type StatsResponse struct {
 	// Shards holds per-shard occupancy and eviction counters.
 	Shards []ShardStat `json:"shards,omitempty"`
 
-	// Batch holds miss-coalescing/batching counters, present only when
-	// the retriever's miss path runs through a batch.Pipeline.
+	// Batch holds miss-coalescing counters, present only when the
+	// retriever's miss path runs through a batch.Pipeline.
 	Batch *BatchStats `json:"batch,omitempty"`
 
 	// Rebalance holds adaptive-rebalancing counters, present only when
@@ -382,18 +374,12 @@ type RebalanceResponse struct {
 	Detail string  `json:"detail,omitempty"`
 }
 
-// BatchStats is the miss-path coalescing/batching slice of the stats
-// payload.
+// BatchStats is the miss-path coalescing slice of the stats payload.
 type BatchStats struct {
-	Searches       int64   `json:"searches"`
-	Coalesced      int64   `json:"coalesced"`
-	CoalesceRate   float64 `json:"coalesceRate"`
-	Flushes        int64   `json:"flushes"`
-	SizeFlushes    int64   `json:"sizeFlushes"`
-	TimeoutFlushes int64   `json:"timeoutFlushes"`
-	DrainFlushes   int64   `json:"drainFlushes"`
-	MeanBatchSize  float64 `json:"meanBatchSize"`
-	Errors         int64   `json:"errors"`
+	Searches     int64   `json:"searches"`
+	Coalesced    int64   `json:"coalesced"`
+	CoalesceRate float64 `json:"coalesceRate"`
+	Errors       int64   `json:"errors"`
 }
 
 // ShardStat is one shard's slice of the stats payload.
@@ -526,10 +512,11 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 	// Serve the elements concurrently: the batched endpoint exists so a
 	// gathered burst arrives at this node's miss-coalescing pipeline
 	// TOGETHER — a sequential loop would feed the coalescer one query at
-	// a time, each gathering alone and paying the full flush timeout
-	// with zero SearchBatch amortization. Fan-in keeps the wire
-	// contract: results parallel to the request, and the first failure
-	// fails the whole batch (the cluster client's retry unit).
+	// a time, so no two duplicates in the burst could ever share a
+	// flight, and the burst would take the sum of its searches. Fan-in
+	// keeps the wire contract: results parallel to the request, and the
+	// first failure fails the whole batch (the cluster client's retry
+	// unit).
 	resp := BatchRetrieveResponse{Results: make([]BatchItem, len(req.Embeddings))}
 	errs := make([]error, len(req.Embeddings))
 	var wg sync.WaitGroup
@@ -742,15 +729,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if bs, ok := s.cfg.Retriever.Searcher().(batchStatser); ok {
 		st := bs.Stats()
 		resp.Batch = &BatchStats{
-			Searches:       st.Searches,
-			Coalesced:      st.Coalesced,
-			CoalesceRate:   st.CoalesceRate(),
-			Flushes:        st.Flushes,
-			SizeFlushes:    st.SizeFlushes,
-			TimeoutFlushes: st.TimeoutFlushes,
-			DrainFlushes:   st.DrainFlushes,
-			MeanBatchSize:  st.MeanBatch(),
-			Errors:         st.Errors,
+			Searches:     st.Searches,
+			Coalesced:    st.Coalesced,
+			CoalesceRate: st.CoalesceRate(),
+			Errors:       st.Errors,
 		}
 	}
 	if s.cfg.Rebalancer != nil {
@@ -813,10 +795,10 @@ func (s *Server) handleFlush(w http.ResponseWriter, _ *http.Request) {
 	if cache := s.cfg.Retriever.Cache(); cache != nil {
 		cache.Clear()
 	}
-	// A flush promises a clean slate, and the batch pipeline holds state
-	// the cache Clear does not reach: gathered-but-unflushed waiters and
-	// the /v1/stats batch counters. Drain and zero them too, or
-	// post-flush stats would misreport pre-flush traffic.
+	// A flush promises a clean slate, and the /v1/stats batch counters
+	// live in the miss-coalescing pipeline, which the cache Clear does
+	// not reach. Zero them too, or post-flush stats would misreport
+	// pre-flush traffic.
 	if rs, ok := s.cfg.Retriever.Searcher().(pipelineResetter); ok {
 		rs.Reset()
 	}

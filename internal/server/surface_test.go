@@ -128,11 +128,10 @@ func readSurface(t *testing.T, dim int, newCache func() (core.Cache, error), pip
 	}
 	opts := core.RetrieverOptions{K: 2}
 	if pipeline {
-		pipe, err := batch.New(db, batch.Options{Queues: 1, MaxBatch: 4})
+		pipe, err := batch.New(db, batch.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { pipe.Close() })
 		opts.Searcher = pipe
 	}
 	retr, err := core.NewCachedRetriever(cache, db, opts)

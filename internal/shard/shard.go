@@ -372,8 +372,7 @@ func (c *ShardedCache) SignatureBits() int { return c.bits }
 
 // FingerprintOf is FNV-1a over the embedding's float bits — the exact-
 // match routing key. Shared with the batch pipeline (internal/batch),
-// which uses it both to spread misses across its queues and to detect
-// byte-identical in-flight duplicates.
+// which uses it to detect byte-identical in-flight duplicates.
 func FingerprintOf(q vec.Vector) uint32 {
 	const (
 		offset32 = 2166136261

@@ -48,12 +48,10 @@ const (
 	MetricTierWarmScannedTotal  = "proximity_tier_warm_scanned_total"
 	MetricTierWarmPrunedTotal   = "proximity_tier_warm_pruned_total"
 
-	// Miss-coalescing batch pipeline (internal/batch).
+	// Miss-coalescing pipeline (internal/batch).
 	MetricBatchSearchesTotal  = "proximity_batch_searches_total"
 	MetricBatchCoalescedTotal = "proximity_batch_coalesced_total"
-	MetricBatchFlushesTotal   = "proximity_batch_flushes_total"
 	MetricBatchErrorsTotal    = "proximity_batch_errors_total"
-	MetricBatchQueueDepth     = "proximity_batch_queue_depth"
 
 	// Go runtime gauges (RegisterRuntimeMetrics).
 	MetricGoroutines         = "proximity_goroutines"

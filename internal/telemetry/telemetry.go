@@ -18,8 +18,7 @@ const (
 	StageCacheLookup    Stage = iota // similarity search over resident entries
 	StageCacheFill                   // Put of a fresh result after a miss
 	StageCoalesceWait                // follower blocked on an in-flight duplicate
-	StageBatchQueue                  // dwell in the batch collector before flush
-	StageDBSearch                    // vector DB search (single or batched)
+	StageDBSearch                    // vector DB search
 	StageNodeRPC                     // HTTP round trip to a cluster shard node
 	StageGraphRepair                 // incremental HNSW maintenance pass (hnsw.Repair)
 	StageTierWarmLookup              // warm-tier directory probe + vector reads (internal/tier)
@@ -33,7 +32,6 @@ var stageNames = [numStages]string{
 	"cache_lookup",
 	"cache_fill",
 	"coalesce_wait",
-	"batch_queue",
 	"db_search",
 	"node_rpc",
 	"graph_repair",

@@ -127,24 +127,11 @@ func (h maxHeap) replaceRoot(it Scored) {
 // TopKBuffer is reusable scratch: Reset rewinds it for the next query
 // while keeping the backing array, so a pooled buffer makes repeated
 // top-k selection allocation-free except for the returned result slice
-// (and even that is avoidable via AppendResult). The flat index, the IVF
-// batched scan, and the indexed cache's re-rank all select through this
-// type.
+// (and even that is avoidable via AppendResult). The flat and IVF
+// indexes and the indexed cache's re-rank all select through this type.
 type TopKBuffer struct {
 	h maxHeap
 	k int
-}
-
-// TopKAcc is the streaming accumulator the batched scans were built on;
-// it is the same type as TopKBuffer and remains as the per-batch
-// (non-reused) spelling.
-type TopKAcc = TopKBuffer
-
-// NewTopKAcc creates an accumulator retaining the k closest pushes.
-func NewTopKAcc(k int) *TopKAcc {
-	b := &TopKBuffer{}
-	b.Reset(k)
-	return b
 }
 
 // Reset discards any retained items and re-arms the buffer to keep the k

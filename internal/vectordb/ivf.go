@@ -139,8 +139,8 @@ func (ix *IVFIndex) SearchProbe(q vec.Vector, k, nprobe int) ([]vec.Scored, erro
 	return out, nil
 }
 
-// offer scores v against q and pushes it into b under id — the step of
-// both IVF scans. Under L2 the early-abandoning kernel runs against b's
+// offer scores v against q and pushes it into b under id, the inner
+// step of the IVF scan. Under L2 the early-abandoning kernel runs against b's
 // current k-th distance: a vector proved strictly farther would have
 // been dropped by Push anyway, and one exactly as far still reaches
 // Push, which settles the (distance, ID) tie. Cosine and inner product
@@ -154,8 +154,8 @@ func offer(b *vec.TopKBuffer, metric vec.Metric, dist vec.DistanceFunc, id int, 
 }
 
 // probeSet ranks the coarse centroids by distance to q and returns the
-// IDs of the nprobe closest (ties broken by centroid ID), the cells both
-// the single-query and the batched search scan.
+// IDs of the nprobe closest (ties broken by centroid ID), the cells
+// Search scans.
 func (ix *IVFIndex) probeSet(q vec.Vector, nprobe int) []int {
 	if nprobe < 1 {
 		nprobe = 1
@@ -178,59 +178,6 @@ func (ix *IVFIndex) probeSet(q vec.Vector, nprobe int) []int {
 		out[i] = cents[i].ID
 	}
 	return out
-}
-
-var _ BatchDB = (*IVFIndex)(nil)
-
-// SearchBatch serves every query with the default probe count in one pass
-// over the probed inverted lists: each coarse cell that any query in the
-// batch probes is visited exactly once, and its vectors are scored
-// against all queries probing it while they are hot in cache. Per-query
-// probe sets and distances are identical to Search, and the (distance,
-// ID) total order makes the top-k selection insertion-order independent,
-// so results match per-query Search exactly.
-func (ix *IVFIndex) SearchBatch(qs []vec.Vector, k int) ([][]vec.Scored, error) {
-	return ix.SearchBatchProbe(qs, k, ix.nprobe)
-}
-
-// SearchBatchProbe is SearchBatch with an explicit probe count.
-func (ix *IVFIndex) SearchBatchProbe(qs []vec.Vector, k, nprobe int) ([][]vec.Scored, error) {
-	if k <= 0 {
-		return nil, ErrBadK
-	}
-	for i, q := range qs {
-		if len(q) != ix.dim {
-			return nil, fmt.Errorf("vectordb: ivf batch query %d dim %d, index dim %d: %w",
-				i, len(q), ix.dim, vec.ErrDimensionMismatch)
-		}
-	}
-	// Invert the per-query probe sets into cell -> probing queries.
-	cellQueries := make([][]int, len(ix.centroid))
-	for qi, q := range qs {
-		for _, c := range ix.probeSet(q, nprobe) {
-			cellQueries[c] = append(cellQueries[c], qi)
-		}
-	}
-	accs := make([]*vec.TopKAcc, len(qs))
-	for i := range accs {
-		accs[i] = vec.NewTopKAcc(k)
-	}
-	for c, qids := range cellQueries {
-		if len(qids) == 0 {
-			continue
-		}
-		for _, id := range ix.lists[c] {
-			v := ix.vectors[id]
-			for _, qi := range qids {
-				offer(accs[qi], ix.metric, ix.dist, id, qs[qi], v)
-			}
-		}
-	}
-	out := make([][]vec.Scored, len(qs))
-	for i, a := range accs {
-		out[i] = a.Result()
-	}
-	return out, nil
 }
 
 // Dim returns the indexed dimensionality.

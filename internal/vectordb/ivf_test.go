@@ -2,6 +2,7 @@ package vectordb
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"proximity/internal/vec"
@@ -194,6 +195,36 @@ func TestIntSqrt(t *testing.T) {
 	for _, tt := range tests {
 		if got := intSqrt(tt.give); got != tt.want {
 			t.Errorf("intSqrt(%d) = %d, want %d", tt.give, got, tt.want)
+		}
+	}
+}
+
+// TestTopKPrefixConsistency pins IVF search's prefix contract: searching
+// with a larger k and keeping the first k' results equals searching with
+// k' directly.
+func TestTopKPrefixConsistency(t *testing.T) {
+	rng := vec.NewRand(9)
+	corpus := ivfRandomVectors(150, 8, 42)
+	// Probe every list so the candidate pool always exceeds the largest
+	// k under test.
+	ix, err := BuildIVF(corpus, vec.L2Distance, IVFConfig{NList: 12, NProbe: 12, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		q := vec.RandomGaussian(rng, 8)
+		big, err := ix.Search(q, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 5, 12} {
+			small, err := ix.Search(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(big[:k], small) {
+				t.Fatalf("query %d: Search(12)[:%d] = %v, Search(%d) = %v", i, k, big[:k], k, small)
+			}
 		}
 	}
 }

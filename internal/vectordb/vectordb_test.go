@@ -173,8 +173,8 @@ func sameRanking(a, b []vec.Scored) bool {
 }
 
 // TestL2ScansMatchBruteForce holds every early-abandoning L2 scan —
-// Search with its head-seeded bound and head skips, SearchBatch, and an
-// IVF index probing all of its cells — to the reference ranking: same
+// Search with its head-seeded bound and head skips, and an IVF index
+// probing all of its cells — to the reference ranking: same
 // IDs, same distance bits, same order. Dimensions run below, at and
 // above vec.HeadLen; k runs from 1 past the corpus size, and one corpus
 // has fewer rows than the seeding pass would keep. Corpora include
@@ -214,10 +214,6 @@ func TestL2ScansMatchBruteForce(t *testing.T) {
 			}
 			qs := []vec.Vector{vec.RandomGaussian(rng, dim), corpus[n/2], make(vec.Vector, dim)}
 			for _, k := range []int{1, 4, n - 1, n, n + 3} {
-				batch, err := flat.SearchBatch(qs, k)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for qi, q := range qs {
 					want := bruteForce(q, corpus, k)
 					single, err := flat.Search(q, k)
@@ -229,7 +225,7 @@ func TestL2ScansMatchBruteForce(t *testing.T) {
 						t.Fatal(err)
 					}
 					for scan, got := range map[string][]vec.Scored{
-						"Search": single, "SearchBatch": batch[qi], "IVF, all cells": cells,
+						"Search": single, "IVF, all cells": cells,
 					} {
 						if !sameRanking(got, want) {
 							t.Fatalf("dim %d, %s corpus, k %d, query %d: %s\n got %v\nwant %v",

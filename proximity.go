@@ -57,19 +57,18 @@
 //
 // See examples/loadtest for a complete program.
 //
-// # Miss coalescing and batched database search
+// # Miss coalescing
 //
 // Under concurrent traffic every cache miss still pays a full database
 // search, and overlapping misses for the same (or a near-identical) query
-// race duplicate searches. NewBatchPipeline wires the two-layer remedy:
-// per-fingerprint singleflight (duplicate in-flight misses share one
-// search) over per-shard batch queues (concurrent unique misses gather
-// for up to a microsecond-scale deadline and flush as one SearchBatch
-// pass, amortizing index traversal). Plug it into a retriever through the
-// Searcher option:
+// race duplicate searches. NewBatchPipeline puts per-fingerprint
+// singleflight in front of the database: duplicate in-flight misses
+// share one search, and each follower gets a copy of the leader's
+// result. It does not batch distinct misses: a batch of database
+// searches shares no computation, so gathering one only adds its wait.
+// Plug it into a retriever through the Searcher option:
 //
 //	pipe, _ := proximity.NewBatchPipeline(db, proximity.BatchOptions{})
-//	defer pipe.Close()
 //	retriever, _ := proximity.NewRetriever(cache, db, proximity.RetrieverOptions{
 //		K: 4, Searcher: pipe,
 //	})
@@ -273,9 +272,9 @@
 //
 // NewTelemetry creates the zero-dependency observability hub the whole
 // stack shares: lock-free per-stage latency histograms (cache lookup,
-// cache fill, coalesce wait, batch queue dwell, database search, node
-// RPC), a pooled 1-in-N request tracer, and a metrics registry. Wire one
-// hub through RetrieverOptions.Telemetry, BatchOptions.Telemetry,
+// cache fill, coalesce wait, database search, node RPC), a pooled 1-in-N
+// request tracer, and a metrics registry. Wire one hub through
+// RetrieverOptions.Telemetry, BatchOptions.Telemetry,
 // ClusterOptions.Telemetry, and the server's Config.Telemetry and every
 // layer reports into the same place:
 //
@@ -288,7 +287,7 @@
 //
 //   - GET /metrics — Prometheus text exposition (0.0.4): cache
 //     hit/miss/eviction counters, graph-index and batch-pipeline
-//     counters, queue-depth and occupancy gauges, runtime gauges, and
+//     counters, occupancy gauges, runtime gauges, and
 //     one proximity_stage_latency_seconds histogram per stage.
 //   - GET /v1/traces — the most recent sampled traces as JSON, each a
 //     span timeline attributing one request's latency to stages.
@@ -444,7 +443,7 @@ type (
 
 	// Searcher is the miss-path search hook of RetrieverOptions.
 	Searcher = core.Searcher
-	// BatchPipeline is the miss-coalescing batched retrieval path.
+	// BatchPipeline is the miss-coalescing search path.
 	BatchPipeline = batch.Pipeline
 	// BatchOptions configures a BatchPipeline.
 	BatchOptions = batch.Options
@@ -452,9 +451,7 @@ type (
 	BatchStats = batch.Stats
 	// CoalesceMode selects duplicate-miss detection.
 	CoalesceMode = batch.CoalesceMode
-	// BatchDB is a vector database with a native batched search.
-	BatchDB = vectordb.BatchDB
-	// IVFIndex is the inverted-file ANN index (batch-aware).
+	// IVFIndex is the inverted-file ANN index.
 	IVFIndex = vectordb.IVFIndex
 	// IVFConfig parameterizes IVF construction.
 	IVFConfig = vectordb.IVFConfig
@@ -494,7 +491,7 @@ type (
 	// ring size).
 	TelemetryOptions = telemetry.Options
 	// TraceStage identifies one pipeline stage within a trace or
-	// histogram (cache lookup, batch queue, database search, ...).
+	// histogram (cache lookup, coalesce wait, database search, ...).
 	TraceStage = telemetry.Stage
 	// TraceSpan is one timed stage within a trace.
 	TraceSpan = telemetry.Span
@@ -528,8 +525,6 @@ const (
 	// CoalesceLSH deduplicates misses with equal LSH signatures, so
 	// near-identical rephrasings share one search.
 	CoalesceLSH = batch.CoalesceLSH
-	// CoalesceOff disables singleflight; only batching applies.
-	CoalesceOff = batch.CoalesceOff
 )
 
 // Load-generation traffic modes.
@@ -697,10 +692,10 @@ func (a *AdaptiveShardedCache) Controller() *RebalanceController { return a.ctrl
 // usable; only the adaptive loop ends.
 func (a *AdaptiveShardedCache) Close() error { return a.ctrl.Close() }
 
-// NewBatchPipeline creates the miss-coalescing batched search path over a
-// database. Wire it into NewRetriever through RetrieverOptions.Searcher
-// (it also satisfies DB directly). Call Close when done to drain the
-// queues.
+// NewBatchPipeline creates the miss-coalescing search path over a
+// database: concurrent duplicate misses share one search. Wire it into
+// NewRetriever through RetrieverOptions.Searcher (it also satisfies DB
+// directly).
 func NewBatchPipeline(db DB, opts BatchOptions) (*BatchPipeline, error) {
 	return batch.New(db, opts)
 }
@@ -715,17 +710,10 @@ func NewClusterCache(dim int, nodes []string, opts ClusterOptions) (*ClusterCach
 	return cluster.New(dim, nodes, opts)
 }
 
-// NewIVFIndex clusters a vector corpus into an inverted-file index — the
-// batch-aware substrate whose SearchBatch probes each coarse cell once
-// per batch.
+// NewIVFIndex clusters a vector corpus into an inverted-file index whose
+// Search scans only the coarse cells nearest the query.
 func NewIVFIndex(vectors []Vector, metric Metric, cfg IVFConfig) (*IVFIndex, error) {
 	return vectordb.BuildIVF(vectors, metric, cfg)
-}
-
-// BatchedDB adapts any DB to BatchDB, using the native batched path when
-// present and a per-query loop otherwise.
-func BatchedDB(db DB) BatchDB {
-	return vectordb.Batched(db)
 }
 
 // NewRetrieverTarget adapts a Retriever for the load generator.
