@@ -61,10 +61,13 @@
 // -snapshot PATH arms warm restarts: the cache contents load from PATH at
 // startup (a missing snapshot is fine) and are written back crash-safely
 // on SIGTERM/SIGINT, so a restarted server resumes near its previous hit
-// rate instead of cold. With -shards, PATH is a directory holding one
-// snapshot file per shard; otherwise it is a single file. Snapshots are
+// rate instead of cold. PATH is one file for every local cache — flat or
+// lsh, sharded or tiered; a per-shard snapshot directory written by older
+// builds is refused with an error naming it. Snapshots are
 // variant-agnostic — they replay through the live cache configuration, so
 // the cache kind, tiering, or shard count may change across the restart.
+// A restore of N entries is N PutWithTolerance calls and is counted as
+// such: /v1/stats starts at N puts, plus any evictions the replay caused.
 //
 // # Cluster deployment
 //
@@ -80,11 +83,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"log"
 	"log/slog"
 	"os"
@@ -138,7 +139,7 @@ func run(args []string) error {
 			"layer a memory-mapped warm tier of N entries under the hot cache (0 = single tier)")
 		tierDir  = fs.String("tier-dir", "", "directory for warm-tier record files (default: system temp)")
 		snapPath = fs.String("snapshot", "",
-			"cache snapshot loaded at startup and written on SIGTERM/SIGINT (a file, or a directory with -shards)")
+			"cache snapshot file loaded at startup and written on SIGTERM/SIGINT")
 		traceSample = fs.Int("trace-sample", 0, "sample 1 in N requests into a per-stage trace served at /v1/traces (0 = off)")
 		traceRing   = fs.Int("trace-ring", 0, "sampled traces kept for /v1/traces (0 = default 64)")
 		pprofOn     = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
@@ -315,7 +316,7 @@ func run(args []string) error {
 		return err
 	}
 	if *snapPath != "" {
-		n, err := loadSnapshot(cache, *snapPath, *dim)
+		n, err := core.LoadSnapshot(*snapPath, *dim, cache)
 		if err != nil {
 			return fmt.Errorf("loading snapshot: %w", err)
 		}
@@ -379,7 +380,9 @@ func run(args []string) error {
 	}
 	if *snapPath != "" {
 		n := cache.Len()
-		if err := saveSnapshot(cache, *snapPath, *dim); err != nil {
+		// Every local cache enumerates its entries; -snapshot refuses
+		// the router and -cache none above.
+		if err := core.SaveSnapshot(*snapPath, *dim, cache.(core.EntrySource)); err != nil {
 			return fmt.Errorf("saving snapshot: %w", err)
 		}
 		log.Printf("snapshot: %d cache entries written to %s", n, *snapPath)
@@ -389,64 +392,6 @@ func run(args []string) error {
 	}
 	log.Printf("proximity %s stopped", role)
 	return nil
-}
-
-// loadSnapshot refills the cache from path, reporting how many entries
-// were restored. A missing snapshot (first boot) loads nothing. Sharded
-// caches read a directory of per-shard files; everything else reads one
-// variant-agnostic entry snapshot and replays it.
-func loadSnapshot(cache core.Cache, path string, dim int) (int, error) {
-	switch c := cache.(type) {
-	case *shard.ShardedCache:
-		err := c.LoadSnapshots(path)
-		return c.Len(), err
-	case *tier.TieredCache:
-		err := c.LoadSnapshotFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			return 0, nil
-		}
-		return c.Len(), err
-	default:
-		f, err := os.Open(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			return 0, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		snapDim, entries, err := core.ReadEntrySnapshot(f)
-		if err != nil {
-			return 0, err
-		}
-		if snapDim != dim {
-			return 0, fmt.Errorf("snapshot dimension %d does not match -dim %d", snapDim, dim)
-		}
-		for _, e := range entries {
-			cache.PutWithTolerance(e.Key, e.Docs, e.Tol)
-		}
-		return len(entries), nil
-	}
-}
-
-// saveSnapshot persists the cache contents to path crash-safely. Sharded
-// caches write a directory of per-shard files; everything else needs
-// core.EntrySource and writes one file.
-func saveSnapshot(cache core.Cache, path string, dim int) error {
-	switch c := cache.(type) {
-	case *shard.ShardedCache:
-		return c.WriteSnapshots(path)
-	case *tier.TieredCache:
-		return c.SaveSnapshotFile(path)
-	default:
-		src, ok := cache.(core.EntrySource)
-		if !ok {
-			return fmt.Errorf("cache %T cannot enumerate entries for a snapshot", cache)
-		}
-		return core.WriteFileAtomic(path, func(w io.Writer) error {
-			return core.WriteEntrySnapshot(w, dim, src)
-		})
-	}
 }
 
 // parseLogLevel maps the -log-level flag onto slog levels.

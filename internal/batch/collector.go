@@ -55,7 +55,7 @@ type QueueStats struct {
 	SizeFlushes int64
 	// TimeoutFlushes counts flushes triggered by the batch timer.
 	TimeoutFlushes int64
-	// DrainFlushes counts flushes forced by Close or FlushNow.
+	// DrainFlushes counts flushes forced by Close.
 	DrainFlushes int64
 	// Errors counts Do calls that returned an error outcome.
 	Errors int64
@@ -171,33 +171,11 @@ func (c *Collector[Req, Res]) Close() error {
 	return nil
 }
 
-// FlushNow flushes whatever has gathered without waiting for the size or
-// timeout trigger (counted as a drain flush). The collector stays open.
-func (c *Collector[Req, Res]) FlushNow() {
-	c.mu.Lock()
-	ws := c.take()
-	if len(ws) > 0 {
-		c.stats.DrainFlushes++
-	}
-	c.mu.Unlock()
-	if len(ws) > 0 {
-		c.flush(ws)
-	}
-}
-
 // Stats returns a snapshot of the cumulative counters.
 func (c *Collector[Req, Res]) Stats() QueueStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// ResetStats zeroes the cumulative counters (pending requests are
-// unaffected and flush normally).
-func (c *Collector[Req, Res]) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = QueueStats{}
 }
 
 // Pending returns the current batch occupancy, for diagnostics and tests.
@@ -222,8 +200,8 @@ func (c *Collector[Req, Res]) take() []collectorWaiter[Req, Res] {
 }
 
 // awaitTimer flushes the batch of generation gen when its timer fires; if
-// that batch already flushed (by size, FlushNow, or drain), the
-// generation moved on and the timer is stale.
+// that batch already flushed (by size or drain), the generation moved on
+// and the timer is stale.
 func (c *Collector[Req, Res]) awaitTimer(gen uint64, timer <-chan time.Time) {
 	<-timer
 	c.mu.Lock()

@@ -87,39 +87,6 @@ func TestCollectorPartialFailure(t *testing.T) {
 	}
 }
 
-func TestCollectorFlushNowAndResetStats(t *testing.T) {
-	c, err := NewCollector(echoFlush(-1), QueueOptions{MaxBatch: 100, Timeout: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	done := make(chan int, 1)
-	go func() {
-		res, err := c.Do(21)
-		if err != nil {
-			t.Errorf("Do: %v", err)
-		}
-		done <- res
-	}()
-	// Wait for the request to gather, then force the flush.
-	for c.Pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	c.FlushNow()
-	if res := <-done; res != 42 {
-		t.Errorf("FlushNow result = %d, want 42", res)
-	}
-	if st := c.Stats(); st.DrainFlushes != 1 {
-		t.Errorf("drain flushes = %d, want 1", st.DrainFlushes)
-	}
-
-	c.ResetStats()
-	if st := c.Stats(); st != (QueueStats{}) {
-		t.Errorf("stats after reset = %+v, want zero", st)
-	}
-}
-
 // TestCollectorShortFlushResult: a misbehaving FlushFunc that returns too
 // few outcomes fails the unmatched waiters instead of hanging them.
 func TestCollectorShortFlushResult(t *testing.T) {

@@ -110,7 +110,7 @@ func sameEntries(a, b []Entry) bool {
 // PutWithTolerance (tolerance 0 and lines that admit a chosen query
 // exactly, duplicate keys for exact ties), Get, TierGet with and
 // without Commit, PeekAdmissible, wrong-length input, Clear, and
-// WriteSnapshot → ReadFlatSnapshot.
+// WriteEntrySnapshot → replay into a fresh NewFlat.
 func TestFlatMatchesAlgorithm1(t *testing.T) {
 	const ops = 2000
 	for _, dim := range []int{8, 40, 768} {
@@ -262,25 +262,26 @@ func TestFlatMatchesAlgorithm1(t *testing.T) {
 								c.Clear()
 								o.lines = nil
 							case r < 38:
-								what = "WriteSnapshot, ReadFlatSnapshot"
+								what = "WriteEntrySnapshot, replay into NewFlat"
 								var buf bytes.Buffer
-								if err := c.WriteSnapshot(&buf); err != nil {
+								if err := WriteEntrySnapshot(&buf, dim, c); err != nil {
 									t.Fatal(err)
 								}
-								restored, err := ReadFlatSnapshot(&buf)
+								_, restored, err := ReadEntrySnapshot(&buf)
 								if err != nil {
 									t.Fatal(err)
 								}
-								restored.opts.OnEvict = onEvict // hooks are not persisted
-								c = restored
+								c = mustFlat(t, dim, Options{Capacity: capacity, Tolerance: g.tau, Policy: policy, OnEvict: onEvict})
+								for _, e := range restored {
+									c.PutWithTolerance(e.Key, e.Docs, e.Tol)
+								}
 								// The restore replays the lines in eviction order
-								// into a cache with fresh counters.
+								// into a fresh cache, which counts one Put each.
 								entries := o.entries()
-								o.lines = nil
+								o.lines, o.stats = nil, Stats{}
 								for _, e := range entries {
 									o.put(e.Key, e.Docs, e.Tol)
 								}
-								o.stats = Stats{}
 							default:
 								what = "Get near a centre"
 								get(op, g.queries[rng.IntN(len(g.queries))])

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -14,15 +15,21 @@ import (
 )
 
 // Snapshot persistence: a production middleware restarts without losing
-// its warm cache. Snapshots preserve entries, per-line tolerances, and
-// eviction order; cumulative counters restart at zero (they describe a
-// process lifetime, not the cached state).
+// its warm cache. A cache's whole state is its list of (key, documents,
+// τ) lines, so there is one snapshot format for every variant — the
+// entries in eviction order, as Entries() enumerates them — and one
+// restore path: replaying them through PutWithTolerance into whatever
+// cache the new process built. SaveSnapshot and LoadSnapshot are that
+// pair at file level. A restore of N entries is N PutWithTolerance
+// calls and is counted as such.
 //
 // The format is a magic/version header followed by an encoding/gob
 // payload; it is an internal format, not a cross-version interchange
-// contract. Readers also accept headerless v0 snapshots (written before
-// the header existed): the magic bytes cannot begin a valid gob stream,
-// so the two formats are unambiguous.
+// contract. The reader also accepts headerless v0 snapshots (written
+// before the header existed): the magic bytes cannot begin a valid gob
+// stream, so the two formats are unambiguous. Gob matches fields by
+// name, so the per-variant FLAT and LSH payloads older builds wrote
+// decode as entry snapshots too; their construction options are ignored.
 
 const snapshotVersion = 1
 
@@ -44,8 +51,8 @@ const snapshotFormatVersion = 1
 // expected across upgrades and warrants a cold start, not an alert.
 var ErrSnapshotVersion = errors.New("core: unsupported snapshot version")
 
-// maxSnapshotDim bounds a snapshot's Dim, which sizes allocations before
-// any key is checked (an LSH cache draws Bits·Dim hyperplane floats).
+// maxSnapshotDim bounds a snapshot's Dim: a header declaring more is
+// corruption, refused before any key is checked against it.
 const maxSnapshotDim = 1 << 16
 
 // writeSnapshotHeader emits the magic/version prefix.
@@ -124,146 +131,16 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// flatSnapshot is the serialized form of a FlatCache.
-type flatSnapshot struct {
-	Version   int
-	Dim       int
-	Capacity  int
-	Tolerance float32
-	Metric    int
-	Policy    int
-	// Entries in eviction order, front (next to evict) first.
-	Keys []vec.Vector
-	Docs [][]int
-	Tols []float32
-}
-
-// WriteSnapshot serializes the cache contents to w.
-func (c *FlatCache) WriteSnapshot(w io.Writer) error {
-	snap := flatSnapshot{
-		Version:   snapshotVersion,
-		Dim:       c.dim,
-		Capacity:  c.opts.Capacity,
-		Tolerance: c.opts.Tolerance,
-		Metric:    int(vec.L2Distance),
-		Policy:    int(c.opts.Policy),
-	}
-	snap.Keys, snap.Docs, snap.Tols = entryColumns(c.Entries())
-	return encodeSnapshot(w, snap)
-}
-
-// ReadFlatSnapshot reconstructs a FlatCache from a snapshot. Both the
-// current headered format and legacy headerless (v0) snapshots are
-// accepted; a snapshot from a newer format generation, or of a cache that
-// compared keys by another metric than L2, returns an error wrapping
-// ErrSnapshotVersion.
-func ReadFlatSnapshot(r io.Reader) (*FlatCache, error) {
-	var snap flatSnapshot
-	if err := decodeSnapshot(r, &snap); err != nil {
-		return nil, err
-	}
-	entries, err := snapshotEntries(snap.Version, snap.Metric, snap.Dim, snap.Keys, snap.Docs, snap.Tols)
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewFlat(snap.Dim, Options{
-		Capacity:  snap.Capacity,
-		Tolerance: snap.Tolerance,
-		Policy:    Policy(snap.Policy),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuild cache: %w", err)
-	}
-	for _, e := range entries {
-		c.PutWithTolerance(e.Key, e.Docs, e.Tol)
-	}
-	// Reloading counted one Put per entry; restart the counters so the
-	// new process observes a clean lifetime. Nothing else holds c yet.
-	c.stats = Stats{}
-	return c, nil
-}
-
-// lshSnapshot is the serialized form of an LSHCache. Bucket assignment is
-// not stored: keys re-hash into the same buckets because the hyperplane
-// seed is preserved.
-type lshSnapshot struct {
-	Version        int
-	Dim            int
-	Bits           int
-	BucketCapacity int
-	Tolerance      float32
-	Metric         int
-	Policy         int
-	Seed           uint64
-	Probes         int
-	Keys           []vec.Vector
-	Docs           [][]int
-	Tols           []float32
-}
-
-// WriteSnapshot serializes the cache contents to w. Within each bucket,
-// eviction order is preserved; ordering across buckets is immaterial.
-func (c *LSHCache) WriteSnapshot(w io.Writer) error {
-	snap := lshSnapshot{
-		Version:        snapshotVersion,
-		Dim:            c.hasher.Dim(),
-		Bits:           c.hasher.Bits(),
-		BucketCapacity: c.bucket.Capacity,
-		Tolerance:      c.bucket.Tolerance,
-		Metric:         int(vec.L2Distance),
-		Policy:         int(c.bucket.Policy),
-		Seed:           c.seed,
-		Probes:         c.probes,
-	}
-	snap.Keys, snap.Docs, snap.Tols = entryColumns(c.Entries())
-	return encodeSnapshot(w, snap)
-}
-
-// ReadLSHSnapshot reconstructs an LSHCache from a snapshot. Both the
-// current headered format and legacy headerless (v0) snapshots are
-// accepted; a snapshot from a newer format generation, or of a cache that
-// compared keys by another metric than L2, returns an error wrapping
-// ErrSnapshotVersion.
-func ReadLSHSnapshot(r io.Reader) (*LSHCache, error) {
-	var snap lshSnapshot
-	if err := decodeSnapshot(r, &snap); err != nil {
-		return nil, err
-	}
-	entries, err := snapshotEntries(snap.Version, snap.Metric, snap.Dim, snap.Keys, snap.Docs, snap.Tols)
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewLSH(snap.Dim, LSHOptions{
-		Bits:           snap.Bits,
-		BucketCapacity: snap.BucketCapacity,
-		Tolerance:      snap.Tolerance,
-		Policy:         Policy(snap.Policy),
-		Seed:           snap.Seed,
-		Probes:         snap.Probes,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuild cache: %w", err)
-	}
-	for _, e := range entries {
-		c.PutWithTolerance(e.Key, e.Docs, e.Tol)
-	}
-	// As in ReadFlatSnapshot: fresh counters, and nothing else holds c.
-	c.hashOps, c.missesOnEmpty = 0, 0
-	for _, b := range c.buckets {
-		b.stats = Stats{}
-	}
-	return c, nil
-}
-
-// entrySnapshot is the variant-agnostic serialized form of a cache's
-// contents: just the entries in eviction order, without the construction
-// options. Any EntrySource can write one, and any cache can be refilled
-// from one by replaying PutWithTolerance — the cold-tier format of the
-// tiered hierarchy, and the interchange format for moving contents
-// between cache variants.
+// entrySnapshot is the one serialized form of a cache's contents: the
+// entries in eviction order, without the construction options. Any
+// EntrySource can write one, and any cache can be refilled from one by
+// replaying PutWithTolerance. Metric records the distance the writer
+// compared keys by (1, L2); older FLAT and LSH payloads carry the field
+// too, and 0 means not recorded.
 type entrySnapshot struct {
 	Version int
 	Dim     int
+	Metric  int
 	Keys    []vec.Vector
 	Docs    [][]int
 	Tols    []float32
@@ -272,23 +149,12 @@ type entrySnapshot struct {
 // WriteEntrySnapshot serializes src's entries (in src's enumeration
 // order, which is eviction order where the source defines one) to w.
 func WriteEntrySnapshot(w io.Writer, dim int, src EntrySource) error {
-	snap := entrySnapshot{Version: snapshotVersion, Dim: dim}
-	snap.Keys, snap.Docs, snap.Tols = entryColumns(src.Entries())
-	return encodeSnapshot(w, snap)
-}
-
-// entryColumns splits entries into a snapshot's parallel columns.
-func entryColumns(entries []Entry) (keys []vec.Vector, docs [][]int, tols []float32) {
-	for _, e := range entries {
-		keys = append(keys, e.Key)
-		docs = append(docs, e.Docs)
-		tols = append(tols, e.Tol)
+	snap := entrySnapshot{Version: snapshotVersion, Dim: dim, Metric: int(vec.L2Distance)}
+	for _, e := range src.Entries() {
+		snap.Keys = append(snap.Keys, e.Key)
+		snap.Docs = append(snap.Docs, e.Docs)
+		snap.Tols = append(snap.Tols, e.Tol)
 	}
-	return keys, docs, tols
-}
-
-// encodeSnapshot writes the header and then snap as gob.
-func encodeSnapshot(w io.Writer, snap any) error {
 	if err := writeSnapshotHeader(w); err != nil {
 		return err
 	}
@@ -301,55 +167,79 @@ func encodeSnapshot(w io.Writer, snap any) error {
 // ReadEntrySnapshot decodes an entry snapshot, returning the embedding
 // dimension and the entries in their serialized order. Replaying them in
 // that order through PutWithTolerance reproduces the snapshotted
-// contents and eviction sequence in any cache variant.
+// contents and eviction sequence in any cache variant. A snapshot from a
+// newer format generation, or of a cache that compared keys by another
+// metric than L2, returns an error wrapping ErrSnapshotVersion.
 func ReadEntrySnapshot(r io.Reader) (dim int, entries []Entry, err error) {
-	var snap entrySnapshot
-	if err := decodeSnapshot(r, &snap); err != nil {
+	br := bufio.NewReader(r)
+	if err := consumeSnapshotHeader(br); err != nil {
 		return 0, nil, err
 	}
-	if entries, err = snapshotEntries(snap.Version, 0 /* not recorded */, snap.Dim, snap.Keys, snap.Docs, snap.Tols); err != nil {
-		return 0, nil, err
+	var snap entrySnapshot
+	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
+		return 0, nil, fmt.Errorf("core: decode snapshot: %w", err)
+	}
+	if snap.Version != snapshotVersion {
+		return 0, nil, fmt.Errorf("%w: payload version %d", ErrSnapshotVersion, snap.Version)
+	}
+	// Caches compare by L2 only: a metric other than 1 (L2) or 0 (not
+	// recorded) calls for a cold start, not a reinterpretation.
+	if snap.Metric != 0 && snap.Metric != int(vec.L2Distance) {
+		return 0, nil, fmt.Errorf("%w: distance metric %d (caches compare by L2 only)", ErrSnapshotVersion, snap.Metric)
+	}
+	if snap.Dim > maxSnapshotDim {
+		return 0, nil, fmt.Errorf("core: corrupt snapshot: dim %d exceeds %d", snap.Dim, maxSnapshotDim)
+	}
+	if len(snap.Keys) != len(snap.Docs) || len(snap.Keys) != len(snap.Tols) {
+		return 0, nil, fmt.Errorf("core: corrupt snapshot: %d keys, %d docs, %d tolerances",
+			len(snap.Keys), len(snap.Docs), len(snap.Tols))
+	}
+	entries = make([]Entry, len(snap.Keys))
+	for i, k := range snap.Keys {
+		if len(k) != snap.Dim {
+			return 0, nil, fmt.Errorf("core: corrupt snapshot: key %d has dim %d, expected %d", i, len(k), snap.Dim)
+		}
+		entries[i] = Entry{Key: k, Docs: snap.Docs[i], Tol: snap.Tols[i]}
 	}
 	return snap.Dim, entries, nil
 }
 
-// decodeSnapshot reads the optional header and then the gob payload into
-// snap.
-func decodeSnapshot(r io.Reader, snap any) error {
-	br := bufio.NewReader(r)
-	if err := consumeSnapshotHeader(br); err != nil {
-		return err
-	}
-	if err := gob.NewDecoder(br).Decode(snap); err != nil {
-		return fmt.Errorf("core: decode snapshot: %w", err)
-	}
-	return nil
+// SaveSnapshot writes src's entries to path as one entry snapshot,
+// crash-safely through WriteFileAtomic: a crash mid-write leaves the
+// previous snapshot intact. A sharded cache is one EntrySource, so it
+// saves as one file too.
+func SaveSnapshot(path string, dim int, src EntrySource) error {
+	return WriteFileAtomic(path, func(w io.Writer) error {
+		return WriteEntrySnapshot(w, dim, src)
+	})
 }
 
-// snapshotEntries checks a decoded payload's version, metric, dimension
-// and columns and zips the columns back into entries, in their serialized
-// order. Caches compare by L2 only: a metric other than 1 (L2) or 0 (not
-// recorded) calls for a cold start, not a reinterpretation.
-func snapshotEntries(version, metric, dim int, keys []vec.Vector, docs [][]int, tols []float32) ([]Entry, error) {
-	if version != snapshotVersion {
-		return nil, fmt.Errorf("%w: payload version %d", ErrSnapshotVersion, version)
+// LoadSnapshot replays the entry snapshot at path into c, in the order it
+// was written, and returns how many entries it replayed. A missing file
+// is a first boot: 0 entries and no error. The snapshot's dimension must
+// equal dim. The replay is N PutWithTolerance calls and is counted as
+// such — N Puts, plus whatever evictions the live cache's capacity
+// causes — and each entry lands where c routes it now, so the variant,
+// shard count or tiering may differ from the writer's. Any other
+// failure, a directory at path included, is an error naming path.
+func LoadSnapshot(path string, dim int, c Cache) (int, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
 	}
-	if metric != 0 && metric != int(vec.L2Distance) {
-		return nil, fmt.Errorf("%w: distance metric %d (caches compare by L2 only)", ErrSnapshotVersion, metric)
+	if err != nil {
+		return 0, err
 	}
-	if dim > maxSnapshotDim {
-		return nil, fmt.Errorf("core: corrupt snapshot: dim %d exceeds %d", dim, maxSnapshotDim)
+	defer f.Close()
+	snapDim, entries, err := ReadEntrySnapshot(f)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(keys) != len(docs) || len(keys) != len(tols) {
-		return nil, fmt.Errorf("core: corrupt snapshot: %d keys, %d docs, %d tolerances",
-			len(keys), len(docs), len(tols))
+	if snapDim != dim {
+		return 0, fmt.Errorf("%s: snapshot dimension %d does not match cache dimension %d", path, snapDim, dim)
 	}
-	entries := make([]Entry, len(keys))
-	for i, k := range keys {
-		if len(k) != dim {
-			return nil, fmt.Errorf("core: corrupt snapshot: key %d has dim %d, expected %d", i, len(k), dim)
-		}
-		entries[i] = Entry{Key: k, Docs: docs[i], Tol: tols[i]}
+	for _, e := range entries {
+		c.PutWithTolerance(e.Key, e.Docs, e.Tol)
 	}
-	return entries, nil
+	return len(entries), nil
 }

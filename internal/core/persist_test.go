@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -9,31 +10,69 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"proximity/internal/vec"
 )
 
+// saveAndLoad writes src's entries to a file through SaveSnapshot and
+// replays them into dst through LoadSnapshot, returning the replay count.
+func saveAndLoad(t *testing.T, dim int, src EntrySource, dst Cache) int {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cache.snap")
+	if err := SaveSnapshot(path, dim, src); err != nil {
+		t.Fatal(err)
+	}
+	n, err := LoadSnapshot(path, dim, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// encodeEntrySnapshot writes snap with the current header, as
+// WriteEntrySnapshot would, so tests can forge payload fields.
+func encodeEntrySnapshot(t *testing.T, snap entrySnapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeSnapshotHeader(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// corpusInput returns the bytes of a committed FuzzReadSnapshot corpus
+// file. Several were written by the per-variant FLAT and LSH writers
+// older builds had, so they pin that those files stay readable.
+func corpusInput(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReadSnapshot", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(s)
+}
+
 func TestFlatSnapshotRoundTrip(t *testing.T) {
-	orig := mustFlat(t, 2, Options{Capacity: 4, Tolerance: 1.5, Policy: LRU})
+	opts := Options{Capacity: 4, Tolerance: 1.5, Policy: LRU}
+	orig := mustFlat(t, 2, opts)
 	orig.Put(vec.Vector{0, 0}, []int{1, 2})
 	orig.Put(vec.Vector{10, 0}, []int{3})
 	orig.PutWithTolerance(vec.Vector{20, 0}, []int{4}, 0.25)
 
-	var buf bytes.Buffer
-	if err := orig.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadFlatSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 3 {
-		t.Fatalf("restored Len = %d", restored.Len())
-	}
-	if restored.Capacity() != 4 || restored.Tolerance() != 1.5 || restored.Policy() != LRU {
-		t.Error("options not preserved")
+	restored := mustFlat(t, 2, opts)
+	if n := saveAndLoad(t, 2, orig, restored); n != 3 || restored.Len() != 3 {
+		t.Fatalf("restored %d entries, Len = %d", n, restored.Len())
 	}
 	// Content behaves identically.
 	if docs, ok := restored.Get(vec.Vector{0.5, 0}); !ok || docs[0] != 1 {
@@ -46,26 +85,21 @@ func TestFlatSnapshotRoundTrip(t *testing.T) {
 	if docs, ok := restored.Get(vec.Vector{20.1, 0}); !ok || docs[0] != 4 {
 		t.Errorf("tight line should still serve close queries: %v %v", docs, ok)
 	}
-	// Counters restart.
-	if s := restored.Stats(); s.Puts != 0 {
-		t.Errorf("restored counters = %+v, want clean", s)
+	// The replay is counted as the Puts it made.
+	if s := restored.Stats(); s.Puts != 3 || s.Evictions != 0 {
+		t.Errorf("restored counters = %+v, want 3 Puts", s)
 	}
 }
 
 func TestFlatSnapshotPreservesEvictionOrder(t *testing.T) {
-	orig := mustFlat(t, 1, Options{Capacity: 3, Tolerance: 0.1, Policy: FIFO})
+	opts := Options{Capacity: 3, Tolerance: 0.1, Policy: FIFO}
+	orig := mustFlat(t, 1, opts)
 	orig.Put(vec.Vector{0}, []int{0})
 	orig.Put(vec.Vector{10}, []int{1})
 	orig.Put(vec.Vector{20}, []int{2})
 
-	var buf bytes.Buffer
-	if err := orig.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadFlatSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := mustFlat(t, 1, opts)
+	saveAndLoad(t, 1, orig, restored)
 	// Next insert must evict {0}, the original front.
 	restored.Put(vec.Vector{30}, []int{3})
 	if _, ok := restored.Get(vec.Vector{0}); ok {
@@ -77,9 +111,8 @@ func TestFlatSnapshotPreservesEvictionOrder(t *testing.T) {
 }
 
 func TestLSHSnapshotRoundTrip(t *testing.T) {
-	orig := mustLSH(t, 16, LSHOptions{
-		Bits: 6, BucketCapacity: 4, Tolerance: 1, Policy: LRU, Seed: 77, Probes: 3,
-	})
+	opts := LSHOptions{Bits: 6, BucketCapacity: 4, Tolerance: 1, Policy: LRU, Seed: 77, Probes: 3}
+	orig := mustLSH(t, 16, opts)
 	rng := vec.NewRand(5)
 	keys := make([]vec.Vector, 30)
 	for i := range keys {
@@ -87,19 +120,9 @@ func TestLSHSnapshotRoundTrip(t *testing.T) {
 		orig.Put(keys[i], []int{i})
 	}
 
-	var buf bytes.Buffer
-	if err := orig.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadLSHSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != orig.Len() {
-		t.Fatalf("restored Len = %d, want %d", restored.Len(), orig.Len())
-	}
-	if restored.Bits() != 6 || restored.BucketCapacity() != 4 || restored.Probes() != 3 {
-		t.Error("options not preserved")
+	restored := mustLSH(t, 16, opts)
+	if n := saveAndLoad(t, 16, orig, restored); n != orig.Len() || restored.Len() != orig.Len() {
+		t.Fatalf("restored %d entries, Len = %d, want %d", n, restored.Len(), orig.Len())
 	}
 	// Same seed → same buckets → identical behavior on every key.
 	if restored.BucketsUsed() != orig.BucketsUsed() {
@@ -118,37 +141,35 @@ func TestLSHSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotDecodeErrors(t *testing.T) {
-	if _, err := ReadFlatSnapshot(strings.NewReader("not gob")); err == nil {
-		t.Error("garbage flat snapshot should error")
+	if _, _, err := ReadEntrySnapshot(strings.NewReader("not gob")); err == nil {
+		t.Error("a garbage snapshot should error")
 	}
-	if _, err := ReadLSHSnapshot(strings.NewReader("not gob")); err == nil {
-		t.Error("garbage lsh snapshot should error")
-	}
-	// A flat snapshot is not an LSH snapshot: it decodes (gob matches
-	// by field name) but rebuilding fails on the zero Bits field.
-	flat := mustFlat(t, 2, Options{Capacity: 2, Tolerance: 1})
-	flat.Put(vec.Vector{1, 1}, []int{1})
-	var buf bytes.Buffer
-	if err := flat.WriteSnapshot(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "garbage.snap")
+	if err := os.WriteFile(path, []byte("not gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadLSHSnapshot(&buf); err == nil {
-		t.Error("flat snapshot should not load as an LSH cache")
+	c := mustFlat(t, 2, Options{Capacity: 2, Tolerance: 1})
+	if n, err := LoadSnapshot(path, 2, c); err == nil || !strings.Contains(err.Error(), path) || n != 0 || c.Len() != 0 {
+		t.Errorf("LoadSnapshot of garbage = %d, %v; want an error naming %s and nothing replayed", n, err, path)
+	}
+	// The format carries no variant: a FLAT cache's snapshot restores
+	// into an LSH cache.
+	flat := mustFlat(t, 2, Options{Capacity: 2, Tolerance: 1})
+	flat.Put(vec.Vector{1, 1}, []int{1})
+	lsh := mustLSH(t, 2, LSHOptions{Bits: 2, BucketCapacity: 2, Tolerance: 1})
+	if n := saveAndLoad(t, 2, flat, lsh); n != 1 {
+		t.Fatalf("restored %d entries into an LSH cache, want 1", n)
+	}
+	if docs, ok := lsh.Get(vec.Vector{1, 1}); !ok || docs[0] != 1 {
+		t.Errorf("LSH Get after a FLAT restore = %v %v", docs, ok)
 	}
 }
 
 func TestSnapshotEmptyCache(t *testing.T) {
 	orig := mustFlat(t, 3, Options{Capacity: 2, Tolerance: 1})
-	var buf bytes.Buffer
-	if err := orig.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadFlatSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 0 {
-		t.Errorf("empty snapshot restored %d entries", restored.Len())
+	restored := mustFlat(t, 3, Options{Capacity: 2, Tolerance: 1})
+	if n := saveAndLoad(t, 3, orig, restored); n != 0 || restored.Len() != 0 {
+		t.Errorf("empty snapshot restored %d entries, Len %d", n, restored.Len())
 	}
 	// Still usable.
 	restored.Put(vec.Vector{1, 2, 3}, []int{9})
@@ -163,17 +184,47 @@ func TestSnapshotLegacyHeaderlessRead(t *testing.T) {
 	orig := mustFlat(t, 2, Options{Capacity: 4, Tolerance: 1})
 	orig.Put(vec.Vector{1, 2}, []int{7})
 	var headered bytes.Buffer
-	if err := orig.WriteSnapshot(&headered); err != nil {
+	if err := WriteEntrySnapshot(&headered, 2, orig); err != nil {
 		t.Fatal(err)
 	}
 	// Strip the header to reconstruct what a v0 writer produced.
 	legacy := bytes.NewReader(headered.Bytes()[len(snapshotMagic)+1:])
-	restored, err := ReadFlatSnapshot(legacy)
+	dim, entries, err := ReadEntrySnapshot(legacy)
 	if err != nil {
 		t.Fatalf("legacy read: %v", err)
 	}
-	if docs, ok := restored.Get(vec.Vector{1, 2}); !ok || docs[0] != 7 {
-		t.Fatalf("legacy restore Get = %v %v", docs, ok)
+	if dim != 2 || len(entries) != 1 || entries[0].Docs[0] != 7 {
+		t.Fatalf("legacy read = dim %d, %+v", dim, entries)
+	}
+}
+
+// Files written by the per-variant FLAT (headerless v0) and LSH writers
+// of older builds restore their entries, in the order written, through
+// the one restore path; their construction options are ignored.
+func TestOldSnapshotsStayReadable(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		want []Entry
+	}{
+		{"v0-flat", []Entry{{vec.Vector{1, 2, 3}, []int{1, 2}, 1}, {vec.Vector{4, 5, 6}, []int{3}, 0.5}}},
+		{"v1-lsh", []Entry{{vec.Vector{1, 0, 0, 0}, []int{1}, 1}, {vec.Vector{0, 1, 0, 0}, []int{2}, 1}, {vec.Vector{-1, 0, 0, 0}, []int{3}, 1}}},
+		{"v1-entry", []Entry{{vec.Vector{1, 2, 3}, []int{1, 2}, 1}, {vec.Vector{4, 5, 6}, []int{3}, 0.5}}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), tt.name)
+			if err := os.WriteFile(path, corpusInput(t, tt.name), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			dim := len(tt.want[0].Key)
+			c := mustFlat(t, dim, Options{Capacity: 8, Tolerance: 1})
+			n, err := LoadSnapshot(path, dim, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Entries(); n != len(tt.want) || !sameEntries(got, tt.want) {
+				t.Fatalf("restored %d entries %+v, want %+v", n, got, tt.want)
+			}
+		})
 	}
 }
 
@@ -181,116 +232,85 @@ func TestSnapshotLegacyHeaderlessRead(t *testing.T) {
 // error, not fed to gob.
 func TestSnapshotFutureFormatVersion(t *testing.T) {
 	future := append(append([]byte(nil), snapshotMagic...), 0xFF, 1, 2, 3)
-	if _, err := ReadFlatSnapshot(bytes.NewReader(future)); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("flat err = %v, want ErrSnapshotVersion", err)
-	}
-	if _, err := ReadLSHSnapshot(bytes.NewReader(future)); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("lsh err = %v, want ErrSnapshotVersion", err)
-	}
 	if _, _, err := ReadEntrySnapshot(bytes.NewReader(future)); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("entry err = %v, want ErrSnapshotVersion", err)
+		t.Fatalf("err = %v, want ErrSnapshotVersion", err)
+	}
+	path := filepath.Join(t.TempDir(), "future.snap")
+	if err := os.WriteFile(path, future, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(path, 2, mustFlat(t, 2, Options{Capacity: 2, Tolerance: 1})); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("LoadSnapshot err = %v, want ErrSnapshotVersion", err)
 	}
 }
 
 // A snapshot records the metric its cache compared keys by. Caches compare
 // by L2 only, so 0 (not recorded) and 1 (L2) load, and a cosine (2) or
 // inner-product (3) snapshot is refused as an incompatible version. The
-// writers keep recording 1, which older builds read as L2.
+// writer keeps recording 1, which older builds read as L2.
 func TestSnapshotMetric(t *testing.T) {
 	for _, tt := range []struct {
 		metric int
 		ok     bool
 	}{{0, true}, {1, true}, {2, false}, {3, false}} {
 		t.Run(fmt.Sprint(tt.metric), func(t *testing.T) {
-			keys, docs, tols := []vec.Vector{{1, 2}}, [][]int{{7}}, []float32{1}
-			var flat, lsh bytes.Buffer
-			if err := encodeSnapshot(&flat, flatSnapshot{
-				Version: snapshotVersion, Dim: 2, Capacity: 2, Tolerance: 1, Metric: tt.metric, Policy: int(FIFO),
-				Keys: keys, Docs: docs, Tols: tols,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := encodeSnapshot(&lsh, lshSnapshot{
-				Version: snapshotVersion, Dim: 2, Bits: 2, BucketCapacity: 2, Tolerance: 1, Metric: tt.metric, Policy: int(FIFO),
-				Keys: keys, Docs: docs, Tols: tols,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			_, flatErr := ReadFlatSnapshot(&flat)
-			_, lshErr := ReadLSHSnapshot(&lsh)
-			for name, err := range map[string]error{"flat": flatErr, "lsh": lshErr} {
-				if tt.ok && err != nil || !tt.ok && !errors.Is(err, ErrSnapshotVersion) {
-					t.Errorf("%s snapshot with metric %d: err = %v", name, tt.metric, err)
-				}
+			data := encodeEntrySnapshot(t, entrySnapshot{
+				Version: snapshotVersion, Dim: 2, Metric: tt.metric,
+				Keys: []vec.Vector{{1, 2}}, Docs: [][]int{{7}}, Tols: []float32{1},
+			})
+			_, entries, err := ReadEntrySnapshot(bytes.NewReader(data))
+			if tt.ok && (err != nil || len(entries) != 1) || !tt.ok && !errors.Is(err, ErrSnapshotVersion) {
+				t.Errorf("snapshot with metric %d: %d entries, err = %v", tt.metric, len(entries), err)
 			}
 		})
 	}
 	var buf bytes.Buffer
-	if err := mustFlat(t, 2, Options{Capacity: 2}).WriteSnapshot(&buf); err != nil {
+	if err := WriteEntrySnapshot(&buf, 2, mustFlat(t, 2, Options{Capacity: 2})); err != nil {
 		t.Fatal(err)
 	}
-	var snap flatSnapshot
-	if err := decodeSnapshot(&buf, &snap); err != nil || snap.Metric != 1 {
+	var snap entrySnapshot
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[len(snapshotMagic)+1:])).Decode(&snap); err != nil || snap.Metric != 1 {
 		t.Fatalf("written metric = %d, %v; want 1 (L2)", snap.Metric, err)
+	}
+	// The committed cosine FLAT snapshot of an older build is refused too.
+	if _, _, err := ReadEntrySnapshot(bytes.NewReader(corpusInput(t, "cosine-flat"))); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("cosine-flat: err = %v, want ErrSnapshotVersion", err)
 	}
 }
 
 // A Dim above maxSnapshotDim is corruption, refused before anything is
-// sized by it: an LSH snapshot of a few hundred bytes declaring Dim 2²⁶
-// would otherwise draw a 256 MB hyperplane.
+// sized by it: the committed LSH snapshot of an older build is a few
+// hundred bytes declaring Dim 2²⁶, which once drew a 256 MB hyperplane.
 func TestSnapshotHugeDimIsCorrupt(t *testing.T) {
-	var buf bytes.Buffer
-	if err := encodeSnapshot(&buf, lshSnapshot{
-		Version: snapshotVersion, Dim: 1 << 26, Bits: 1, BucketCapacity: 1, Tolerance: 1, Metric: 1, Policy: int(FIFO),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := ReadLSHSnapshot(bytes.NewReader(data))
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("an LSH snapshot declaring dim 2²⁶ loaded")
-	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Fatalf("refusing a %d-byte snapshot allocated %d bytes", len(data), n)
-	}
-	if _, err := ReadFlatSnapshot(bytes.NewReader(data)); err == nil {
-		t.Error("the same header loaded as a flat snapshot")
-	}
-	if _, _, err := ReadEntrySnapshot(bytes.NewReader(data)); err == nil {
-		t.Error("the same header loaded as an entry snapshot")
+	for name, data := range map[string][]byte{
+		"huge-dim-lsh": corpusInput(t, "huge-dim-lsh"),
+		"entry":        encodeEntrySnapshot(t, entrySnapshot{Version: snapshotVersion, Dim: 1 << 26, Metric: 1}),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadEntrySnapshot(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a snapshot declaring dim 2²⁶ loaded", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("%s: refusing a %d-byte snapshot allocated %d bytes", name, len(data), n)
+		}
 	}
 }
 
-// FuzzReadSnapshot feeds arbitrary bytes to the three snapshot readers.
-// None may panic, and a snapshot one of them accepts must describe a
-// consistent cache: every key Dim floats long, no more entries than the
-// capacity.
+// FuzzReadSnapshot feeds arbitrary bytes to the snapshot reader. It may
+// not panic, and a snapshot it accepts must be consistent: every key Dim
+// floats long.
 func FuzzReadSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check := func(name string, c Cache, dim int) {
-			for i, e := range c.(EntrySource).Entries() {
-				if len(e.Key) != dim {
-					t.Fatalf("%s: entry %d has %d floats in a dim-%d cache", name, i, len(e.Key), dim)
-				}
-			}
-			if c.Len() > c.Capacity() {
-				t.Fatalf("%s: %d entries over capacity %d", name, c.Len(), c.Capacity())
-			}
+		dim, entries, err := ReadEntrySnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
 		}
-		if c, err := ReadFlatSnapshot(bytes.NewReader(data)); err == nil {
-			check("flat", c, c.dim)
-		}
-		if c, err := ReadLSHSnapshot(bytes.NewReader(data)); err == nil {
-			check("lsh", c, c.hasher.Dim())
-		}
-		if dim, entries, err := ReadEntrySnapshot(bytes.NewReader(data)); err == nil {
-			for i, e := range entries {
-				if len(e.Key) != dim {
-					t.Fatalf("entry: entry %d has %d floats in a dim-%d snapshot", i, len(e.Key), dim)
-				}
+		for i, e := range entries {
+			if len(e.Key) != dim {
+				t.Fatalf("entry %d has %d floats in a dim-%d snapshot", i, len(e.Key), dim)
 			}
 		}
 	})

@@ -1,10 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -317,8 +318,13 @@ func tieredRestart(keys []vec.Vector, hot, warm int, opts TieredOptions) (before
 	}
 	before = measure(c)
 
-	var buf bytes.Buffer
-	if err := c.WriteSnapshot(&buf); err != nil {
+	dir, err := os.MkdirTemp("", "proximity-restart-*")
+	if err != nil {
+		return 0, 0, err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "cache.snap")
+	if err := core.SaveSnapshot(path, opts.Dim, c); err != nil {
 		return 0, 0, err
 	}
 	restored, err := build()
@@ -326,7 +332,7 @@ func tieredRestart(keys []vec.Vector, hot, warm int, opts TieredOptions) (before
 		return 0, 0, err
 	}
 	defer restored.Close()
-	if err := restored.LoadSnapshot(&buf); err != nil {
+	if _, err := core.LoadSnapshot(path, opts.Dim, restored); err != nil {
 		return 0, 0, err
 	}
 	after = measure(restored)

@@ -23,9 +23,10 @@ var (
 	// migration or a Clear; at most one structural operation runs at a
 	// time.
 	ErrMigrationInProgress = errors.New("shard: a migration or clear is already in progress")
-	// ErrNotMigratable reports sub-caches that cannot enumerate their
-	// entries (they do not implement core.EntrySource), so a re-draw
-	// could not carry their contents over.
+	// ErrNotMigratable reports a factory whose sub-cache cannot
+	// enumerate its entries (it does not implement core.EntrySource), so
+	// neither a re-draw nor a snapshot could carry its contents over. New
+	// refuses such a factory.
 	ErrNotMigratable = errors.New("shard: sub-cache does not support entry enumeration")
 )
 
@@ -92,11 +93,7 @@ func (c *ShardedCache) PreviewSeeds(seeds []uint64) ([]float64, error) {
 	}
 	total := 0
 	for i := range c.slots {
-		keys, err := c.slots[i].keys()
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range keys {
+		for _, k := range c.slots[i].keys() {
 			total++
 			for j, cand := range cands {
 				counts[j][shardIndex(cand.Hash(k), n)]++
@@ -117,20 +114,15 @@ func (c *ShardedCache) PreviewSeeds(seeds []uint64) ([]float64, error) {
 }
 
 // keys copies the slot's key embeddings out under the shared lock.
-func (s *slot) keys() ([]vec.Vector, error) {
+func (s *slot) keys() []vec.Vector {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	src, ok := s.cache.(core.EntrySource)
-	if !ok {
-		//proximity:allow lockdiscipline cold error path; the shared slot lock guards the cache swap itself
-		return nil, fmt.Errorf("%w (%T)", ErrNotMigratable, s.cache)
-	}
-	entries := src.Entries()
+	entries := s.cache.Entries()
 	out := make([]vec.Vector, len(entries))
 	for i, e := range entries {
 		out[i] = e.Key
 	}
-	return out, nil
+	return out
 }
 
 // Reseed re-draws the LSH partitioner from the given seed and migrates
@@ -151,9 +143,8 @@ func (s *slot) keys() ([]vec.Vector, error) {
 // and stay counted).
 //
 // Only LSH-signature routing is re-drawable (ErrFingerprintPartition
-// otherwise), at most one migration runs at a time
-// (ErrMigrationInProgress), and every sub-cache must implement
-// core.EntrySource (ErrNotMigratable — checked before any state changes).
+// otherwise), and at most one migration runs at a time
+// (ErrMigrationInProgress).
 func (c *ShardedCache) Reseed(seed uint64) (Migration, error) {
 	if c.part != LSHSignature {
 		return Migration{}, ErrFingerprintPartition
@@ -163,26 +154,26 @@ func (c *ShardedCache) Reseed(seed uint64) (Migration, error) {
 	}
 	defer c.migrateMu.Unlock()
 
-	// Fail before touching routing state: a half-migratable cache must
-	// not be left half-migrated. That covers BOTH failure sources — sub-
-	// caches that cannot enumerate entries, and factory errors — so the
-	// replacement sub-caches are all built up front (empty caches are
-	// cheap; unused ones are garbage-collected) and the sweep below
-	// cannot fail after the hasher swap.
-	for i := range c.slots {
-		s := &c.slots[i]
-		s.mu.RLock()
-		_, ok := s.cache.(core.EntrySource)
-		s.mu.RUnlock()
-		if !ok {
-			return Migration{}, fmt.Errorf("shard %d: %w", i, ErrNotMigratable)
+	// Fail before touching routing state: a factory error must not
+	// leave the cache half-migrated, so the replacement sub-caches are
+	// all built up front (empty caches are cheap) and the sweep cannot
+	// fail after the hasher swap. swapped marks slots whose pre-built
+	// replacement was installed; the others — all of them when a build
+	// fails — are closed on return (a fresh tiered cache already holds
+	// an open warm file).
+	fresh := make([]subCache, len(c.slots))
+	swapped := make([]bool, len(c.slots))
+	defer func() {
+		for i, used := range swapped {
+			if closer, ok := fresh[i].(io.Closer); ok && !used {
+				closer.Close()
+			}
 		}
-	}
-	fresh := make([]core.Cache, len(c.slots))
+	}()
 	for i := range fresh {
-		sub, err := c.factory(i)
-		if err != nil || sub == nil {
-			return Migration{}, fmt.Errorf("shard: rebuilding shard %d: %w", i, err)
+		sub, err := c.build(i)
+		if err != nil {
+			return Migration{}, err
 		}
 		fresh[i] = sub
 	}
@@ -206,29 +197,10 @@ func (c *ShardedCache) Reseed(seed uint64) (Migration, error) {
 	// slot j before j's own sweep; j's sweep re-enumerates them as
 	// "stay", so they must not count toward Stayed a second time.
 	delivered := make([]int, n)
-	// swapped marks slots whose pre-built replacement was installed;
-	// replacements for slots with no leavers are never used and must be
-	// closed (a fresh tiered cache already holds an open warm file).
-	swapped := make([]bool, n)
-	defer func() {
-		for i, used := range swapped {
-			if !used {
-				if closer, ok := fresh[i].(io.Closer); ok {
-					closer.Close()
-				}
-			}
-		}
-	}()
 	for i := range c.slots {
 		s := &c.slots[i]
 		s.mu.Lock()
-		src, ok := s.cache.(core.EntrySource)
-		if !ok {
-			// Unreachable after the pre-flight check; guard anyway.
-			s.mu.Unlock()
-			return m, fmt.Errorf("shard %d: %w", i, ErrNotMigratable)
-		}
-		entries := src.Entries()
+		entries := s.cache.Entries()
 		var stay []core.Entry
 		moves := make(map[int][]core.Entry)
 		for _, e := range entries {

@@ -205,7 +205,8 @@ func TestReseedCountersConserved(t *testing.T) {
 }
 
 // TestReseedTypedErrors covers the failure contract: fingerprint routing
-// has nothing to re-draw, and only one migration may run at a time.
+// has nothing to re-draw, only one migration may run at a time, and a
+// sub-cache that cannot enumerate its entries is refused up front.
 func TestReseedTypedErrors(t *testing.T) {
 	fp, err := New(testDim, Options{
 		Shards:    4,
@@ -231,24 +232,17 @@ func TestReseedTypedErrors(t *testing.T) {
 	}
 	c.migrateMu.Unlock()
 
-	// A sub-cache that cannot enumerate entries fails up front, before
-	// any routing state changes.
-	opaque, err := New(testDim, Options{
+	// A factory whose sub-cache cannot enumerate entries is refused at
+	// construction: such a cache could be neither re-drawn nor
+	// snapshotted.
+	if _, err := New(testDim, Options{
 		Shards: 2,
 		Seed:   3,
 		New: func(int) (core.Cache, error) {
 			return opaqueCache{}, nil
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldSeed := opaque.Seed()
-	if _, err := opaque.Reseed(4); !errors.Is(err, ErrNotMigratable) {
-		t.Errorf("opaque Reseed error = %v, want ErrNotMigratable", err)
-	}
-	if opaque.Seed() != oldSeed {
-		t.Error("failed pre-flight check must not change the routing seed")
+	}); !errors.Is(err, ErrNotMigratable) {
+		t.Errorf("opaque New error = %v, want ErrNotMigratable", err)
 	}
 }
 

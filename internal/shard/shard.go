@@ -78,8 +78,9 @@ func ParsePartition(s string) (Partition, error) {
 }
 
 // Factory builds the sub-cache for one shard index. Factories let any
-// core.Cache variant back a shard; the helpers in this package cover the
-// FLAT and LSH cases. The factory is retained for the lifetime of the
+// core.Cache variant that also implements core.EntrySource back a shard
+// (New refuses others with ErrNotMigratable); the helpers in this
+// package cover the FLAT, LSH, indexed and tiered cases. The factory is retained for the lifetime of the
 // ShardedCache: a re-draw migration (Reseed) rebuilds shards through it.
 type Factory func(shard int) (core.Cache, error)
 
@@ -114,13 +115,21 @@ type Options struct {
 // blocks one shard at a time — never the world.
 type slot struct {
 	mu    sync.RWMutex
-	cache core.Cache
+	cache subCache
 	// base folds in the counters of retired sub-cache generations —
 	// their index and tier blocks included, gauges zeroed — and the
 	// corrections that keep migration re-inserts out of the Puts totals;
 	// a slot's externally visible counters are always base +
 	// cache.Stats().
 	base core.Stats
+}
+
+// subCache is what a slot holds: a cache that also enumerates its
+// entries, which Reseed's migration and Entries (the one-file snapshot)
+// read. build checks it once per sub-cache.
+type subCache interface {
+	core.Cache
+	core.EntrySource
 }
 
 // statsLocked returns the slot's externally visible counters; the caller
@@ -214,16 +223,32 @@ func New(dim int, opts Options) (*ShardedCache, error) {
 		return nil, fmt.Errorf("shard: unknown partition strategy %d", int(opts.Partition))
 	}
 	for i := range c.slots {
-		sub, err := opts.New(i)
+		sub, err := c.build(i)
 		if err != nil {
-			return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
-		}
-		if sub == nil {
-			return nil, fmt.Errorf("shard: factory returned nil cache for shard %d", i)
+			return nil, err
 		}
 		c.slots[i].cache = sub
 	}
 	return c, nil
+}
+
+// build makes shard i's sub-cache through the factory, for New and for
+// Reseed's rebuild. A sub-cache that cannot enumerate its entries could
+// be neither migrated nor snapshotted, so it is refused here with
+// ErrNotMigratable.
+func (c *ShardedCache) build(i int) (subCache, error) {
+	sub, err := c.factory(i)
+	if err != nil {
+		return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
+	}
+	if sub == nil {
+		return nil, fmt.Errorf("shard: factory returned nil cache for shard %d", i)
+	}
+	src, ok := sub.(subCache)
+	if !ok {
+		return nil, fmt.Errorf("shard %d: %w (%T)", i, ErrNotMigratable, sub)
+	}
+	return src, nil
 }
 
 // NewFlat creates a ShardedCache of FLAT sub-caches. The configured
@@ -254,8 +279,7 @@ func NewFlat(dim, shards int, opts core.Options, seed uint64) (*ShardedCache, er
 // (core.IndexedCache). Like NewFlat, the configured capacity is the TOTAL
 // across shards (split evenly, rounded up). Each shard's graph draws its
 // own layer-assignment seed (seed + 1 + shard index); the partitioner
-// uses seed directly. Sub-caches implement core.EntrySource, so Reseed
-// migration works unchanged.
+// uses seed directly.
 func NewIndexed(dim, shards int, opts core.IndexedOptions, seed uint64) (*ShardedCache, error) {
 	n := shards
 	if n <= 0 {
@@ -279,12 +303,10 @@ func NewIndexed(dim, shards int, opts core.IndexedOptions, seed uint64) (*Sharde
 
 // NewTiered creates a ShardedCache of tiered sub-caches (tier.
 // TieredCache): each shard composes its own hot in-memory cache over its
-// own file-backed warm tier, and the per-shard cold snapshots
-// (WriteSnapshots/LoadSnapshots) make the whole structure warm-
-// restartable. The configured hot and warm capacities are TOTALS across
-// shards (split evenly, rounded up). The partitioner uses seed. Tiered
-// sub-caches enumerate entries, so Reseed migration works unchanged;
-// retired generations release their warm record files on swap.
+// own file-backed warm tier. The configured hot and warm capacities are
+// TOTALS across shards (split evenly, rounded up). The partitioner uses
+// seed. Reseed's retired generations release their warm record files on
+// swap.
 func NewTiered(dim, shards int, opts tier.Options, seed uint64) (*ShardedCache, error) {
 	n := shards
 	if n <= 0 {
@@ -525,16 +547,15 @@ func (c *ShardedCache) Stats() core.Stats {
 }
 
 // Entries enumerates the combined contents of all shards (per-shard
-// eviction order, shard order by index). Shards whose sub-caches cannot
-// enumerate are skipped. Implements core.EntrySource.
+// eviction order, shard order by index). Implements core.EntrySource, so
+// a sharded cache snapshots as one file through core.SaveSnapshot;
+// replaying it routes each entry through the live partitioner.
 func (c *ShardedCache) Entries() []core.Entry {
 	var out []core.Entry
 	for i := range c.slots {
 		s := &c.slots[i]
 		s.mu.RLock()
-		if src, ok := s.cache.(core.EntrySource); ok {
-			out = append(out, src.Entries()...)
-		}
+		out = append(out, s.cache.Entries()...)
 		s.mu.RUnlock()
 	}
 	return out

@@ -62,7 +62,7 @@ func TestTieredShardsBasic(t *testing.T) {
 }
 
 func TestTieredShardsSnapshotRestart(t *testing.T) {
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "cache.snap")
 	c := newTieredShards(t, 4, 40, 160)
 	rng := vec.NewRand(3)
 	var keys []vec.Vector
@@ -72,21 +72,21 @@ func TestTieredShardsSnapshotRestart(t *testing.T) {
 		keys = append(keys, k)
 	}
 	lenBefore := c.Len()
-	if err := c.WriteSnapshots(dir); err != nil {
+	if err := core.SaveSnapshot(path, testDim, c); err != nil {
 		t.Fatal(err)
 	}
 
 	restored := newTieredShards(t, 4, 40, 160)
-	if err := restored.LoadSnapshots(dir); err != nil {
+	n, err := core.LoadSnapshot(path, testDim, restored)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != lenBefore {
-		t.Fatalf("restored Len = %d, want %d", restored.Len(), lenBefore)
+	if n != lenBefore || restored.Len() != lenBefore {
+		t.Fatalf("restored %d entries, Len = %d, want %d", n, restored.Len(), lenBefore)
 	}
-	// Replay puts are subtracted: a restarted process reports no client
-	// traffic yet.
-	if s := restored.Stats(); s.Puts != 0 {
-		t.Fatalf("restored Puts = %d, want 0", s.Puts)
+	// The replay is counted as the Puts it made.
+	if s := restored.Stats(); s.Puts != int64(n) {
+		t.Fatalf("restored Puts = %d, want %d", s.Puts, n)
 	}
 	// Both caches answer recent exact repeats identically.
 	for i := 0; i < 80; i++ {
@@ -100,20 +100,20 @@ func TestTieredShardsSnapshotRestart(t *testing.T) {
 }
 
 // Snapshots survive a shard-count change: replay routes by the live
-// partitioner, not the one that wrote the files.
+// partitioner, not the one that wrote the file.
 func TestTieredShardsSnapshotReshard(t *testing.T) {
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "cache.snap")
 	c := newTieredShards(t, 4, 40, 160)
 	rng := vec.NewRand(5)
 	for i := 0; i < 200; i++ {
 		c.Put(vec.Scale(vec.RandomGaussian(rng, testDim), 2), []int{i})
 	}
 	lenBefore := c.Len()
-	if err := c.WriteSnapshots(dir); err != nil {
+	if err := core.SaveSnapshot(path, testDim, c); err != nil {
 		t.Fatal(err)
 	}
 	restored := newTieredShards(t, 2, 40, 160)
-	if err := restored.LoadSnapshots(dir); err != nil {
+	if _, err := core.LoadSnapshot(path, testDim, restored); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != lenBefore {
@@ -121,10 +121,11 @@ func TestTieredShardsSnapshotReshard(t *testing.T) {
 	}
 }
 
-func TestTieredShardsLoadSnapshotsMissingDir(t *testing.T) {
+func TestTieredShardsLoadSnapshotMissingFile(t *testing.T) {
 	c := newTieredShards(t, 2, 8, 16)
-	if err := c.LoadSnapshots(filepath.Join(t.TempDir(), "nope")); err != nil {
-		t.Fatalf("missing dir should load nothing, got %v", err)
+	n, err := core.LoadSnapshot(filepath.Join(t.TempDir(), "nope"), testDim, c)
+	if err != nil || n != 0 {
+		t.Fatalf("a missing snapshot should load nothing, got %d, %v", n, err)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d", c.Len())

@@ -5,10 +5,13 @@
 // satisfying core.TierCache). The warm tier is a larger file-backed store
 // that absorbs hot-tier evictions instead of letting them be discarded
 // (demotion), and hands entries back on a warm hit (promotion, LRU
-// only). The cold tier is the on-disk snapshot format of
-// internal/core: a tiered cache serializes its combined contents in
-// eviction order and refills by replay, so a restart resumes with the
-// whole hierarchy warm.
+// only). The cold tier is internal/core's one snapshot format:
+// core.SaveSnapshot writes the combined contents in eviction order
+// (Entries: warm, then hot), and core.LoadSnapshot replays them through
+// PutWithTolerance, which re-layers the hierarchy exactly — the oldest
+// entries fill the hot tier first and cascade into the warm tier as
+// younger ones displace them — so a restart resumes with the whole
+// hierarchy warm.
 //
 // The composition is semantically conservative: a TieredCache with hot
 // capacity H and warm capacity W admits, hits, and evicts exactly like a
@@ -85,7 +88,6 @@ type TieredCache struct {
 	hot     core.TierCache
 	warm    *warmStore
 	pending []core.Entry // demotions handed over by the hot tier's OnEvict
-	hotBase core.Stats   // hot counters at the last reset (snapshot load)
 
 	misses     int64
 	warmHits   int64
@@ -280,7 +282,7 @@ func (t *TieredCache) Policy() core.Policy { return t.opts.Policy }
 func (t *TieredCache) Stats() core.Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	hs := subStats(t.hot.Stats(), t.hotBase)
+	hs := t.hot.Stats()
 	return core.Stats{
 		Hits:      hs.Hits + t.warmHits,
 		Misses:    t.misses,
@@ -308,17 +310,6 @@ func (t *TieredCache) Stats() core.Stats {
 
 // TierStats returns the Tier block of Stats.
 func (t *TieredCache) TierStats() core.TierStats { return *t.Stats().Tier }
-
-func subStats(a, b core.Stats) core.Stats {
-	return core.Stats{
-		Hits:      a.Hits - b.Hits,
-		Misses:    a.Misses - b.Misses,
-		Puts:      a.Puts - b.Puts,
-		Evictions: a.Evictions - b.Evictions,
-		DistComps: a.DistComps - b.DistComps,
-		HashOps:   a.HashOps - b.HashOps,
-	}
-}
 
 // Entries returns the combined contents in eviction order: warm (oldest)
 // first, then hot — re-inserting them in order through an empty cache of

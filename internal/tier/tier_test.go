@@ -330,29 +330,30 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 	before := tc.Entries()
 
 	path := filepath.Join(dir, "tiered.snap")
-	if err := tc.SaveSnapshotFile(path); err != nil {
+	if err := core.SaveSnapshot(path, dim, tc); err != nil {
 		t.Fatal(err)
 	}
 	restored := mustTiered(t, dim, opts)
-	if err := restored.LoadSnapshotFile(path); err != nil {
+	n, err := core.LoadSnapshot(path, dim, restored)
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := restored.Entries()
-	if len(after) != len(before) {
-		t.Fatalf("restored %d entries, want %d", len(after), len(before))
+	if n != len(before) || len(after) != len(before) {
+		t.Fatalf("restored %d entries (%d replayed), want %d", len(after), n, len(before))
 	}
 	for i := range before {
 		if !vec.Equal(before[i].Key, after[i].Key) || before[i].Tol != after[i].Tol {
 			t.Fatalf("entry %d diverged after restart", i)
 		}
 	}
-	// Counters restart clean (the replay's puts and demotions are not a
-	// process lifetime).
-	if s := restored.Stats(); s.Puts != 0 || s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("restored stats = %+v, want clean", s)
+	// The replay is counted as the Puts it made, and as the demotions
+	// that re-layered it: all but the youngest H entries moved down once.
+	if s := restored.Stats(); s.Puts != int64(n) || s.Hits != 0 || s.Misses != 0 {
+		t.Fatalf("restored stats = %+v, want %d Puts", s, n)
 	}
-	if st := restored.TierStats(); st.Demotions != 0 || st.HotHits != 0 {
-		t.Fatalf("restored tier stats = %+v, want clean", st)
+	if st := restored.TierStats(); st.Demotions != int64(n-H) || st.HotHits != 0 {
+		t.Fatalf("restored tier stats = %+v, want %d demotions", st, n-H)
 	}
 	// Both caches answer identically post-restart.
 	for i := 0; i < 100; i++ {
@@ -374,11 +375,11 @@ func TestTieredSnapshotAtomicOverwrite(t *testing.T) {
 	path := filepath.Join(dir, "cache.snap")
 	tc := mustTiered(t, 4, Options{HotCapacity: 4, WarmCapacity: 4, Tolerance: 1})
 	tc.Put(vec.Vector{1, 2, 3, 4}, []int{1})
-	if err := tc.SaveSnapshotFile(path); err != nil {
+	if err := core.SaveSnapshot(path, 4, tc); err != nil {
 		t.Fatal(err)
 	}
 	tc.Put(vec.Vector{5, 6, 7, 8}, []int{2})
-	if err := tc.SaveSnapshotFile(path); err != nil {
+	if err := core.SaveSnapshot(path, 4, tc); err != nil {
 		t.Fatal(err)
 	}
 	files, err := os.ReadDir(dir)
@@ -391,7 +392,7 @@ func TestTieredSnapshotAtomicOverwrite(t *testing.T) {
 		}
 	}
 	restored := mustTiered(t, 4, Options{HotCapacity: 4, WarmCapacity: 4, Tolerance: 1})
-	if err := restored.LoadSnapshotFile(path); err != nil {
+	if _, err := core.LoadSnapshot(path, 4, restored); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != 2 {
@@ -406,7 +407,7 @@ func TestTieredLoadSnapshotVersionError(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := mustTiered(t, 4, Options{HotCapacity: 2, WarmCapacity: 2, Tolerance: 1})
-	if err := tc.LoadSnapshotFile(path); !errors.Is(err, core.ErrSnapshotVersion) {
+	if _, err := core.LoadSnapshot(path, 4, tc); !errors.Is(err, core.ErrSnapshotVersion) {
 		t.Fatalf("err = %v, want ErrSnapshotVersion", err)
 	}
 }

@@ -238,9 +238,10 @@
 //     evicted are demoted here instead, searched by a scan that rules
 //     most keys out on those heads and reads a record only for the
 //     rest, at file-cache cost rather than heap cost.
-//   - COLD: a versioned on-disk snapshot (WriteSnapshot/SaveSnapshotFile)
-//     that brings both tiers back after a restart, so a redeployed or
-//     newly joined node starts warm instead of hammering the database.
+//   - COLD: a versioned on-disk snapshot (SaveSnapshot/LoadSnapshot, the
+//     one format every cache variant writes) that brings both tiers back
+//     after a restart, so a redeployed or newly joined node starts warm
+//     instead of hammering the database.
 //
 // Eviction demotes instead of discarding; a warm hit under the LRU
 // policy promotes the entry back into the hot tier. The combined
@@ -255,12 +256,13 @@
 //	defer cache.Close()
 //
 // NewShardedTieredCache partitions the hierarchy across
-// independently-locked shards (per-shard warm files and snapshots,
-// Reseed-safe). The Tier block of a tiered cache's Stats (sharded or
-// not; rendered as the server's /v1/stats tiers block and the
-// proximity_tier_* Prometheus series) reports per-tier occupancy and the
-// demotion/promotion/discard flows, read in the same snapshot as the
-// cache-wide counters, so hot plus warm hits equal Hits.
+// independently-locked shards (per-shard warm files, Reseed-safe; one
+// snapshot file for the whole cache). The Tier block of a tiered
+// cache's Stats (sharded or not; rendered as the server's /v1/stats
+// tiers block and the proximity_tier_* Prometheus series) reports
+// per-tier occupancy and the demotion/promotion/discard flows, read in
+// the same snapshot as the cache-wide counters, so hot plus warm hits
+// equal Hits.
 // `proximity-server -tier-warm N -tier-dir PATH -snapshot PATH` deploys
 // it with snapshot-on-shutdown and load-on-start, and `proximity-bench
 // -experiment tiered` measures the hierarchy against a hot-sized FLAT
@@ -338,8 +340,6 @@
 package proximity
 
 import (
-	"io"
-
 	"proximity/internal/batch"
 	"proximity/internal/cluster"
 	"proximity/internal/core"
@@ -374,6 +374,10 @@ type (
 	Policy = core.Policy
 	// Stats are cumulative cache counters.
 	Stats = core.Stats
+	// EntrySource is a cache that enumerates its (key, documents, τ)
+	// lines in eviction order — every cache variant here. SaveSnapshot
+	// writes one.
+	EntrySource = core.EntrySource
 	// IndexedCache is the graph-indexed cache variant (HNSW lookup,
 	// quantized traversal, exact re-rank).
 	IndexedCache = core.IndexedCache
@@ -595,8 +599,8 @@ func NewShardedIndexedCache(dim, shards int, opts IndexedOptions, seed uint64) (
 // eviction demoting to warm instead of discarding and — under the LRU
 // policy — warm hits promoting back to hot. Admission and eviction are
 // bit-identical to a single FLAT cache of the combined capacity. Close
-// releases the warm mapping; SaveSnapshotFile/LoadSnapshotFile persist
-// and restore both tiers for warm restart. See the package doc's tiered
+// releases the warm mapping; SaveSnapshot/LoadSnapshot persist and
+// restore both tiers for warm restart. See the package doc's tiered
 // section for sizing guidance.
 func NewTieredCache(dim int, opts TieredOptions) (*TieredCache, error) {
 	return tier.New(dim, opts)
@@ -605,9 +609,9 @@ func NewTieredCache(dim int, opts TieredOptions) (*TieredCache, error) {
 // NewShardedTieredCache partitions a tiered hierarchy across `shards`
 // independently-locked sub-caches (0 = one per CPU). Hot and warm
 // capacities are totals across shards; each shard keeps its own warm
-// file under TieredOptions.Dir, and WriteSnapshots/LoadSnapshots on the
-// result persist per-shard cold snapshots. seed fixes the shard
-// routing.
+// file under TieredOptions.Dir. SaveSnapshot writes the whole result as
+// one file, and LoadSnapshot routes each entry through the live
+// partitioner. seed fixes the shard routing.
 func NewShardedTieredCache(dim, shards int, opts TieredOptions, seed uint64) (*ShardedCache, error) {
 	return shard.NewTiered(dim, shards, opts, seed)
 }
@@ -618,20 +622,27 @@ func NewRetriever(cache Cache, db DB, opts RetrieverOptions) (*Retriever, error)
 	return core.NewCachedRetriever(cache, db, opts)
 }
 
-// LoadFlatCache restores a FLAT cache from a snapshot previously written
-// with its WriteSnapshot method (warm-restart support).
-func LoadFlatCache(r io.Reader) (*core.FlatCache, error) {
-	return core.ReadFlatSnapshot(r)
+// SaveSnapshot writes cache's entries to path as one snapshot file, in
+// eviction order, crash-safely (temp file and rename). Every cache
+// variant — sharded and tiered included — saves the same format.
+func SaveSnapshot(path string, dim int, cache EntrySource) error {
+	return core.SaveSnapshot(path, dim, cache)
 }
 
-// LoadLSHCache restores an LSH cache from a snapshot previously written
-// with its WriteSnapshot method.
-func LoadLSHCache(r io.Reader) (*core.LSHCache, error) {
-	return core.ReadLSHSnapshot(r)
+// LoadSnapshot replays the snapshot at path into cache and returns how
+// many entries it replayed (warm restart). The cache may be of another
+// variant, shard count or tiering than the one that wrote the file. A
+// missing file restores 0 entries with no error; a snapshot of another
+// dimension is refused. A restore of N entries is N PutWithTolerance
+// calls and is counted as such in Stats.
+func LoadSnapshot(path string, dim int, cache Cache) (int, error) {
+	return core.LoadSnapshot(path, dim, cache)
 }
 
 // NewShardedCache creates a hash-partitioned cache from an explicit
-// per-shard factory (any Cache variant may back a shard).
+// per-shard factory. Any Cache variant here may back a shard; a
+// sub-cache that does not enumerate its entries (EntrySource) is refused,
+// since it could be neither rebalanced nor snapshotted.
 func NewShardedCache(dim int, opts ShardOptions) (*ShardedCache, error) {
 	return shard.New(dim, opts)
 }

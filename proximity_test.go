@@ -2,7 +2,10 @@ package proximity
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"proximity/internal/vec"
@@ -135,6 +138,119 @@ func TestCosineRecipe(t *testing.T) {
 		hits, queries, tauCos, math.Sqrt(2*tauCos), near, margin, differ)
 	if hits < queries/10 || hits > queries*9/10 {
 		t.Fatalf("%d of %d queries hit: the stream does not exercise both outcomes", hits, queries)
+	}
+}
+
+// TestSnapshotRestorePath drives the one restore path over every cache
+// shape: SaveSnapshot, then LoadSnapshot into a fresh cache built with
+// the same options, which must hold as many lines, answer the last 50
+// keys identically and count the replay as its Puts. A missing file
+// restores nothing, and a wrong dimension or a directory at the path
+// (the per-shard layout of older builds) is refused.
+func TestSnapshotRestorePath(t *testing.T) {
+	const (
+		dim  = 32
+		n    = 150 // more than any capacity below: the caches evict
+		last = 50
+	)
+	type snapCache interface {
+		Cache
+		EntrySource
+	}
+	must := func(c snapCache, err error) snapCache {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if closer, ok := c.(interface{ Close() error }); ok {
+			t.Cleanup(func() { closer.Close() })
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		make func() snapCache
+	}{
+		{"flat", func() snapCache {
+			return must(NewFlatCache(dim, Options{Capacity: 100, Tolerance: 1, Policy: LRU}))
+		}},
+		{"lsh", func() snapCache {
+			return must(NewLSHCache(dim, LSHOptions{Bits: 4, BucketCapacity: 8, Tolerance: 1, Policy: LRU, Seed: 3}))
+		}},
+		{"indexed", func() snapCache {
+			return must(NewIndexedCache(dim, IndexedOptions{Capacity: 100, Tolerance: 1, Policy: LRU, Seed: 3}))
+		}},
+		{"sharded-flat", func() snapCache {
+			return must(NewShardedFlatCache(dim, 2, Options{Capacity: 100, Tolerance: 1, Policy: LRU}, 7))
+		}},
+		{"tiered", func() snapCache {
+			return must(NewTieredCache(dim, TieredOptions{
+				HotCapacity: 20, WarmCapacity: 80, Tolerance: 1, Policy: LRU, Dir: t.TempDir(),
+			}))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := vec.NewRand(11)
+			keys := make([]Vector, n)
+			orig := tc.make()
+			for i := range keys {
+				keys[i] = vec.Scale(vec.RandomGaussian(rng, dim), 4)
+				orig.PutWithTolerance(keys[i], []int{i, -i}, 0.5+float32(rng.Float64()))
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "cache.snap")
+			if err := SaveSnapshot(path, dim, orig); err != nil {
+				t.Fatal(err)
+			}
+
+			restored := tc.make()
+			got, err := LoadSnapshot(path, dim, restored)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != orig.Len() || restored.Len() != orig.Len() {
+				t.Fatalf("restored %d entries, Len %d; original Len %d", got, restored.Len(), orig.Len())
+			}
+			if puts := restored.Stats().Puts; puts != int64(got) {
+				t.Errorf("restored Puts = %d, want the %d replayed", puts, got)
+			}
+			hits := 0
+			for i := n - last; i < n; i++ {
+				q := vec.Add(keys[i], vec.Scale(vec.RandomUnit(rng, dim), 0.3))
+				want, wantOK := orig.Get(q)
+				docs, ok := restored.Get(q)
+				if ok != wantOK || !slices.Equal(docs, want) {
+					t.Fatalf("key %d: restored Get = %v, %v; original %v, %v", i, docs, ok, want, wantOK)
+				}
+				if ok {
+					hits++
+				}
+			}
+			if hits < last*9/10 {
+				t.Fatalf("only %d of the last %d keys hit: the comparison proves little", hits, last)
+			}
+
+			fresh := tc.make()
+			if got, err := LoadSnapshot(filepath.Join(dir, "absent.snap"), dim, fresh); got != 0 || err != nil {
+				t.Errorf("a missing snapshot restored %d entries, err %v; want 0, nil", got, err)
+			}
+			if _, err := LoadSnapshot(path, dim+1, fresh); err == nil || fresh.Len() != 0 {
+				t.Errorf("a dim-%d snapshot loaded as dim %d (err %v, Len %d)", dim, dim+1, err, fresh.Len())
+			}
+			old := filepath.Join(dir, "shards")
+			if err := os.Mkdir(old, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(old, "shard-000.snap"), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadSnapshot(old, dim, fresh); err == nil || !strings.Contains(err.Error(), old) {
+				t.Errorf("loading the directory %s: err = %v, want one naming it", old, err)
+			}
+			if err := SaveSnapshot(old, dim, orig); err == nil {
+				t.Errorf("saving over the directory %s succeeded", old)
+			}
+		})
 	}
 }
 
