@@ -224,15 +224,6 @@ func (c *Coalescer) Stats() CoalesceStats {
 	return c.stats
 }
 
-// ResetStats zeroes the cumulative counters. In-flight searches are
-// unaffected: they complete and fan out normally, but no longer count
-// toward the zeroed statistics.
-func (c *Coalescer) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = CoalesceStats{}
-}
-
 // Inflight returns the number of searches currently in flight, for
 // diagnostics and tests.
 func (c *Coalescer) Inflight() int {

@@ -182,16 +182,6 @@ func (p *Pipeline) SearchContext(ctx context.Context, q vec.Vector, k int) ([]ve
 	return p.co.SearchContext(ctx, q, k)
 }
 
-// Reset zeroes the pipeline counters, Errors included. The server's
-// cache-flush endpoint calls this so a flushed deployment reports a
-// clean slate in /v1/stats. Flights already in progress complete
-// normally — their waiters still receive results — but no longer count
-// toward the zeroed statistics.
-func (p *Pipeline) Reset() {
-	p.co.ResetStats()
-	p.errors.Store(0)
-}
-
 // Reseed re-draws the CoalesceLSH duplicate-detection hyperplanes from
 // seed. When a re-drawn shard partitioner changes which queries share a
 // signature, a pipeline coalescing by the old draw would dedup a

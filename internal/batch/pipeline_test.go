@@ -312,11 +312,6 @@ func TestPipelineCounters(t *testing.T) {
 	if !errors.Is(errs[n], errBackend) || errs[n] == errs[0] {
 		t.Errorf("collision error = %v, want its own search's failure", errs[n])
 	}
-
-	pipe.Reset()
-	if st := pipe.Stats(); st != (batch.Stats{}) {
-		t.Errorf("stats after Reset = %+v, want zero", st)
-	}
 }
 
 // TestLeaderYieldsToDuplicates: with one P, a leader that searched a

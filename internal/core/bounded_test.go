@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestBoundedScanIsExact(t *testing.T) {
 					t.Fatalf("final contents differ from the oracle's (%d vs %d lines)", c.Len(), len(o.lines))
 				}
 				s := c.Stats()
-				if s != o.stats {
+				if !reflect.DeepEqual(s, o.stats) {
 					t.Fatalf("stats differ: cache %+v, oracle %+v", s, o.stats)
 				}
 				if s.Hits == 0 || s.Misses == 0 || s.Evictions == 0 {

@@ -117,7 +117,8 @@ func (o Options) validate() error {
 // Stats is one snapshot of a cache's cumulative counters. One Stats()
 // call reads a cache at one instant — a sharded cache at one instant per
 // shard — so relations between its fields hold within a snapshot: hits
-// from the hot and the warm tier add up to Hits. HitRate is derived.
+// from the hot and the warm tier add up to Hits, and a sharded cache's
+// Shards rows add up to its totals. HitRate is derived.
 type Stats struct {
 	Hits      int64 // lookups answered from the cache
 	Misses    int64 // lookups that fell through to the database
@@ -136,12 +137,36 @@ type Stats struct {
 	// where no shard has one.
 	Index *IndexStats
 	Tier  *TierStats
+	// Shards holds one row per shard of a sharded cache, in shard order;
+	// nil for a cache that is not sharded.
+	Shards []ShardStats
 }
 
-// Merge adds o's counters into s, and o's blocks into s's (a block s
-// lacks starts from zero). Merge never writes through a block pointer:
-// each merged block is a fresh copy, so merging into a copy of a Stats
-// leaves the original's blocks, and o's, as they were.
+// ShardStats is one shard's row of a sharded cache's Stats: its
+// occupancy and counters, read under the same lock at one instant.
+type ShardStats struct {
+	Entries   int
+	Capacity  int
+	Hits      int64
+	Misses    int64
+	Puts      int64
+	Evictions int64
+}
+
+// Occupancy returns Entries / Capacity, or 0 without capacity.
+func (s ShardStats) Occupancy() float64 {
+	if s.Capacity > 0 {
+		return float64(s.Entries) / float64(s.Capacity)
+	}
+	return 0
+}
+
+// Merge adds o's counters into s, and o's Index and Tier blocks into s's
+// (a block s lacks starts from zero). Merge never writes through a block
+// pointer: each merged block is a fresh copy, so merging into a copy of
+// a Stats leaves the original's blocks, and o's, as they were. Merge
+// leaves s.Shards as it is and ignores o's: the rows describe the shards
+// of one cache, and the sub-caches a sharded cache merges carry none.
 func (s *Stats) Merge(o Stats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -135,7 +136,7 @@ func TestFlatMatchesAlgorithm1(t *testing.T) {
 						checked := 0 // victims already compared
 						check := func(op int, what string) {
 							t.Helper()
-							if got := c.Stats(); got != o.stats {
+							if got := c.Stats(); !reflect.DeepEqual(got, o.stats) {
 								t.Fatalf("op %d (%s): Stats %+v, oracle %+v", op, what, got, o.stats)
 							}
 							if c.Len() != len(o.lines) || !sameEntries(c.Entries(), o.entries()) {

@@ -273,8 +273,8 @@ func (r *CachedRetriever) Cache() Cache { return r.cache }
 func (r *CachedRetriever) DB() vectordb.DB { return r.db }
 
 // Searcher returns the configured miss-path searcher (nil when misses go
-// straight to the database). The stats endpoint uses this to surface
-// batch-pipeline counters.
+// straight to the database). The server looks up its batch pipeline
+// here once, when it is built, to export the pipeline's counters.
 func (r *CachedRetriever) Searcher() Searcher { return r.opts.Searcher }
 
 // Telemetry returns the configured telemetry hub (nil when unset). The

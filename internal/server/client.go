@@ -172,7 +172,7 @@ func (c *Client) Stats() (StatsResponse, error) {
 	return out, nil
 }
 
-// Flush clears the cache (and drains/zeroes the server's batch pipeline).
+// Flush clears the cache; the server's counters are untouched.
 func (c *Client) Flush() error {
 	resp, err := c.http.Post(c.base+"/v1/flush", "application/json", nil)
 	if err != nil {

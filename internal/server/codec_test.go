@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"proximity/internal/batch"
 	"proximity/internal/core"
 	"proximity/internal/shard"
 	"proximity/internal/tier"
@@ -151,8 +152,9 @@ func cacheShapes(t *testing.T, dim int) map[string]func() (core.Cache, error) {
 }
 
 // serveCache puts newCache's cache in front of a database of n random
-// documents and serves it; the documents double as queries.
-func serveCache(t *testing.T, dim, n int, newCache func() (core.Cache, error)) (*httptest.Server, core.Cache, []vec.Vector) {
+// documents and serves it, with the misses going through a batch
+// pipeline when pipeline is set; the documents double as queries.
+func serveCache(t *testing.T, dim, n int, newCache func() (core.Cache, error), pipeline bool) (*httptest.Server, core.Cache, []vec.Vector) {
 	t.Helper()
 	db, err := vectordb.NewFlatIndex(dim, vec.L2Distance)
 	if err != nil {
@@ -173,7 +175,15 @@ func serveCache(t *testing.T, dim, n int, newCache func() (core.Cache, error)) (
 	if c, ok := cache.(io.Closer); ok {
 		t.Cleanup(func() { c.Close() })
 	}
-	retr, err := core.NewCachedRetriever(cache, db, core.RetrieverOptions{K: 2})
+	opts := core.RetrieverOptions{K: 2}
+	if pipeline {
+		pipe, err := batch.New(db, batch.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Searcher = pipe
+	}
+	retr, err := core.NewCachedRetriever(cache, db, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +231,7 @@ func TestEncodingsAgree(t *testing.T) {
 			var ts [2]*httptest.Server
 			var docs []vec.Vector
 			for i := range ts {
-				ts[i], _, docs = serveCache(t, dim, 12, newCache)
+				ts[i], _, docs = serveCache(t, dim, 12, newCache, false)
 			}
 			queries := append(append([]vec.Vector{}, docs...), docs[8:]...) // misses, then hits
 			hits := 0
@@ -284,7 +294,7 @@ func TestEncodingsAgree(t *testing.T) {
 // both endpoints, and the server keeps serving.
 func TestBadBodiesAreTyped4xx(t *testing.T) {
 	const dim = 8
-	ts, _, docs := serveCache(t, dim, 4, cacheShapes(t, dim)["lsh"])
+	ts, _, docs := serveCache(t, dim, 4, cacheShapes(t, dim)["lsh"], false)
 	good := docs[0]
 	with := func(i int, x float32) []float32 {
 		v := vec.Clone(good)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"proximity/internal/batch"
 	"proximity/internal/core"
 	"proximity/internal/embed"
 	"proximity/internal/shard"
@@ -232,84 +231,5 @@ func TestRetrieveBatchErrorStatus(t *testing.T) {
 	flaky.broken.Store(true)
 	if _, err := client.RetrieveBatch([][]float32{good}); !errors.As(err, &se) || se.Code != 500 {
 		t.Fatalf("backend failure: got %v, want StatusError 500", err)
-	}
-}
-
-// TestFlushResetsBatchPipeline: /v1/flush must leave the batch pipeline
-// as clean as the cache — before the fix the pipeline counters
-// survived the flush and post-flush /v1/stats misreported pre-flush
-// traffic.
-func TestFlushResetsBatchPipeline(t *testing.T) {
-	const dim = 32
-	enc := embed.NewTokenHash(dim, 1)
-	db, err := vectordb.NewFlatIndex(dim, vec.L2Distance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	texts := []string{"aspirin dosage", "ibuprofen pain", "melatonin sleep"}
-	for _, p := range texts {
-		if err := db.Add(enc.Embed(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pipe, err := batch.New(db, batch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := core.NewFlat(dim, core.Options{Capacity: 8, Tolerance: 1, Policy: core.LRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	retr, err := core.NewCachedRetriever(cache, db, core.RetrieverOptions{K: 2, Searcher: pipe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Retriever: retr, Embedder: enc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := NewClient(ts.URL)
-
-	for _, p := range texts {
-		if _, err := client.Query(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Batch == nil || st.Batch.Searches == 0 {
-		t.Fatalf("pre-flush stats should show batch traffic, got %+v", st.Batch)
-	}
-
-	if err := client.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Entries != 0 {
-		t.Errorf("post-flush entries = %d, want 0", st.Entries)
-	}
-	if st.Batch == nil {
-		t.Fatal("batch block should survive the flush (zeroed, not dropped)")
-	}
-	if st.Batch.Searches != 0 || st.Batch.Errors != 0 || st.Batch.Coalesced != 0 {
-		t.Errorf("post-flush batch counters not reset: %+v", st.Batch)
-	}
-
-	// The pipeline must stay serviceable after the reset.
-	if _, err := client.Query(texts[0]); err != nil {
-		t.Fatal(err)
-	}
-	if st, err = client.Stats(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Batch.Searches != 1 {
-		t.Errorf("post-flush traffic not counted from zero: searches = %d, want 1", st.Batch.Searches)
 	}
 }

@@ -76,11 +76,15 @@ type Server struct {
 	tel *telemetry.Telemetry
 	log *slog.Logger
 	dim int // the database's; sizes body limits and frames binary bodies
+	// pipe is the retriever's miss-coalescing pipeline, nil when misses
+	// go to the database some other way.
+	pipe *batch.Pipeline
 
-	// scraped is the snapshot the cache series of /metrics render; each
-	// scrape stores a fresh one before rendering. Overlapping scrapes may
-	// render some series from each other's snapshot.
-	scraped atomic.Pointer[cacheSnapshot]
+	// scraped is the snapshot the cache and batch series of /metrics
+	// render; each scrape stores a fresh one before rendering.
+	// Overlapping scrapes may render some series from each other's
+	// snapshot.
+	scraped atomic.Pointer[scrape]
 }
 
 // New validates the config and builds the routes.
@@ -102,6 +106,7 @@ func New(cfg Config) (*Server, error) {
 	if s.log == nil {
 		s.log = slog.Default()
 	}
+	s.pipe, _ = cfg.Retriever.Searcher().(*batch.Pipeline)
 	s.registerMetrics()
 	s.mux.HandleFunc("POST /v1/retrieve", s.handleRetrieve)
 	s.mux.HandleFunc("POST /v1/retrieve/batch", s.handleRetrieveBatch)
@@ -124,20 +129,21 @@ func New(cfg Config) (*Server, error) {
 }
 
 // registerMetrics wires the process's operational counters into the
-// telemetry registry. Each cache series is declared once, below, and
-// reads its field of the snapshot handleMetrics takes per scrape; the
-// blocks the cache reports decide which exist. A remote cache (see
-// readCache) exports none, so a scrape never makes a remote call.
+// telemetry registry. Each cache and batch series is declared once,
+// below, and reads its field of the snapshot handleMetrics takes per
+// scrape; the blocks the cache reports, and the pipeline, decide which
+// exist. A remote cache (see readCache) exports none, so a scrape never
+// makes a remote call.
 func (s *Server) registerMetrics() {
 	reg := s.tel.Registry
 	if reg == nil {
 		return
 	}
 	telemetry.RegisterRuntimeMetrics(reg)
-	ret := s.cfg.Retriever
-	if snap := readCache(ret.Cache(), false); snap != nil {
-		s.scraped.Store(snap)
-		scraped := s.scraped.Load
+	first := s.readScrape()
+	s.scraped.Store(first)
+	if snap := first.cache; snap != nil {
+		scraped := func() *cacheSnapshot { return s.scraped.Load().cache }
 		reg.CounterFunc(telemetry.MetricCacheHitsTotal, "Cache hits.",
 			func() float64 { return float64(scraped().stats.Hits) })
 		reg.CounterFunc(telemetry.MetricCacheMissesTotal, "Cache misses.",
@@ -200,16 +206,17 @@ func (s *Server) registerMetrics() {
 				func() float64 { return float64(tiers().WarmPruned) })
 		}
 	}
-	if bs, ok := ret.Searcher().(batchStatser); ok {
+	if s.pipe != nil {
+		batched := func() *batch.Stats { return &s.scraped.Load().batch }
 		reg.CounterFunc(telemetry.MetricBatchSearchesTotal,
 			"Searches entering the miss-coalescing pipeline.",
-			func() float64 { return float64(bs.Stats().Searches) })
+			func() float64 { return float64(batched().Searches) })
 		reg.CounterFunc(telemetry.MetricBatchCoalescedTotal,
 			"Searches served from another request's flight.",
-			func() float64 { return float64(bs.Stats().Coalesced) })
+			func() float64 { return float64(batched().Coalesced) })
 		reg.CounterFunc(telemetry.MetricBatchErrorsTotal,
 			"Database searches by the pipeline that returned an error.",
-			func() float64 { return float64(bs.Stats().Errors) })
+			func() float64 { return float64(batched().Errors) })
 	}
 }
 
@@ -312,8 +319,8 @@ type BatchRetrieveResponse struct {
 const MaxBatchElements = 256
 
 // StatsResponse is the /v1/stats payload. The shard fields are present
-// only when the cache is a shard.ShardedCache (or anything else exposing
-// a pressure report).
+// only when the cache's Stats carry a Shards block (a
+// shard.ShardedCache).
 type StatsResponse struct {
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`
@@ -393,18 +400,6 @@ type ShardStat struct {
 	Evictions int64   `json:"evictions"`
 }
 
-// pressureReporter is the shard-occupancy view a sharded cache exposes;
-// satisfied by shard.ShardedCache.
-type pressureReporter interface {
-	Report() shard.PressureReport
-}
-
-// batchStatser is the counter view the miss-coalescing pipeline exposes;
-// satisfied by batch.Pipeline.
-type batchStatser interface {
-	Stats() batch.Stats
-}
-
 // statsSnapshotter lets a cache deliver its counters, entry count, and
 // capacity in one call; satisfied by cluster.Client, where the three
 // separate Cache methods would each fan a remote stats fetch out to
@@ -419,9 +414,26 @@ type statsSnapshotter interface {
 type cacheSnapshot struct {
 	// stats.Index and stats.Tier are nil unless the cache has them. A
 	// sharded cache has both, all zeros where no shard is indexed or
-	// tiered.
+	// tiered, and its Shards rows.
 	stats             core.Stats
 	entries, capacity int
+}
+
+// scrape is what one /metrics scrape renders: the cache's snapshot (nil
+// without a local cache) and the pipeline's counters (zero without a
+// pipeline), each read once.
+type scrape struct {
+	cache *cacheSnapshot
+	batch batch.Stats
+}
+
+// readScrape takes one scrape's snapshot.
+func (s *Server) readScrape() *scrape {
+	sc := &scrape{cache: readCache(s.cfg.Retriever.Cache(), false)}
+	if s.pipe != nil {
+		sc.batch = s.pipe.Stats()
+	}
+	return sc
 }
 
 // readCache takes one snapshot of cache, or returns nil without a cache.
@@ -667,13 +679,12 @@ func (s *Server) fail(w http.ResponseWriter, path string, code int, err error) {
 }
 
 // handleMetrics serves the Prometheus text exposition of every
-// registered series: cache counters, batch/queue gauges, per-stage
-// latency histograms, and runtime self-sampling. The cache is read once,
-// before rendering, and every cache series renders that one snapshot.
+// registered series: cache and batch counters, per-stage latency
+// histograms, and runtime self-sampling. The cache and the pipeline are
+// each read once, before rendering, and every cache and batch series
+// renders that one snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	if snap := readCache(s.cfg.Retriever.Cache(), false); snap != nil {
-		s.scraped.Store(snap)
-	}
+	s.scraped.Store(s.readScrape())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.tel.Registry.WritePrometheus(w)
 }
@@ -726,8 +737,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	var resp StatsResponse
-	if bs, ok := s.cfg.Retriever.Searcher().(batchStatser); ok {
-		st := bs.Stats()
+	if s.pipe != nil {
+		st := s.pipe.Stats()
 		resp.Batch = &BatchStats{
 			Searches:     st.Searches,
 			Coalesced:    st.Coalesced,
@@ -752,8 +763,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			LastError:     st.LastError,
 		}
 	}
-	cache := s.cfg.Retriever.Cache()
-	if snap := readCache(cache, true); snap != nil {
+	if snap := readCache(s.cfg.Retriever.Cache(), true); snap != nil {
 		resp.Hits, resp.Misses, resp.Evictions = snap.stats.Hits, snap.stats.Misses, snap.stats.Evictions
 		resp.HitRate, resp.Entries, resp.Capacity = snap.stats.HitRate(), snap.entries, snap.capacity
 		// A sharded FLAT or LSH cache reports index and tier blocks that
@@ -764,43 +774,32 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		if ts := snap.stats.Tier; ts != nil && *ts != (core.TierStats{}) {
 			resp.Tiers = ts
 		}
-	}
-	if pr, ok := cache.(pressureReporter); ok {
-		rep := pr.Report()
-		resp.ShardCount = len(rep.Shards)
-		resp.ShardImbalance = rep.Imbalance
-		resp.Shards = make([]ShardStat, len(rep.Shards))
-		for i, s := range rep.Shards {
-			resp.Shards[i] = ShardStat{
-				Shard:     s.Shard,
-				Entries:   s.Entries,
-				Capacity:  s.Capacity,
-				Occupancy: s.Occupancy,
-				Hits:      s.Hits,
-				Misses:    s.Misses,
-				Evictions: s.Evictions,
+		if rows := snap.stats.Shards; len(rows) > 0 {
+			resp.ShardCount = len(rows)
+			resp.ShardImbalance = shard.Pressure(rows).Imbalance
+			resp.Shards = make([]ShardStat, len(rows))
+			for i, row := range rows {
+				resp.Shards[i] = ShardStat{
+					Shard:     i,
+					Entries:   row.Entries,
+					Capacity:  row.Capacity,
+					Occupancy: row.Occupancy(),
+					Hits:      row.Hits,
+					Misses:    row.Misses,
+					Evictions: row.Evictions,
+				}
 			}
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// pipelineResetter is the flush-time reset hook of the miss-coalescing
-// pipeline; satisfied by batch.Pipeline.
-type pipelineResetter interface {
-	Reset()
-}
-
+// handleFlush empties the cache and nothing else: every counter, the
+// cache's and the pipeline's, keeps counting across it, as a Prometheus
+// counter must, and resets only when the process restarts.
 func (s *Server) handleFlush(w http.ResponseWriter, _ *http.Request) {
 	if cache := s.cfg.Retriever.Cache(); cache != nil {
 		cache.Clear()
-	}
-	// A flush promises a clean slate, and the /v1/stats batch counters
-	// live in the miss-coalescing pipeline, which the cache Clear does
-	// not reach. Zero them too, or post-flush stats would misreport
-	// pre-flush traffic.
-	if rs, ok := s.cfg.Retriever.Searcher().(pipelineResetter); ok {
-		rs.Reset()
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -42,7 +42,7 @@ func TestOneCacheReadPerRequest(t *testing.T) {
 				}
 				counted = &countingCache{Cache: inner}
 				return counted, err
-			})
+			}, false)
 			client := NewClient(ts.URL)
 			for _, q := range append(docs, docs[:4]...) {
 				if _, err := client.Retrieve(q); err != nil {
@@ -73,7 +73,7 @@ func TestOneCacheReadPerRequest(t *testing.T) {
 // tiers.warmHits, because the response renders one Stats() snapshot.
 func TestStatsHitsAddUp(t *testing.T) {
 	const dim = 16
-	ts, _, docs := serveCache(t, dim, 12, cacheShapes(t, dim)["sharded-tiered"])
+	ts, _, docs := serveCache(t, dim, 12, cacheShapes(t, dim)["sharded-tiered"], false)
 	client := NewClient(ts.URL)
 	// One miss and then a hit of the same query before any concurrency,
 	// so that the final Hits ≥ 1 does not depend on scheduling.
@@ -128,7 +128,7 @@ func TestStatsHitsAddUp(t *testing.T) {
 // each render a complete exposition with the cache counters in it.
 func TestConcurrentScrapes(t *testing.T) {
 	const dim = 16
-	ts, _, docs := serveCache(t, dim, 12, cacheShapes(t, dim)["sharded-tiered"])
+	ts, _, docs := serveCache(t, dim, 12, cacheShapes(t, dim)["sharded-tiered"], false)
 	client := NewClient(ts.URL)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

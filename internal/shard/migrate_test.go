@@ -193,7 +193,7 @@ func TestReseedCountersConserved(t *testing.T) {
 	// Per-shard counters (with retired-generation baselines) still sum
 	// to the aggregate.
 	var sum core.Stats
-	for _, st := range c.ShardStats() {
+	for _, st := range after.Shards {
 		sum.Hits += st.Hits
 		sum.Misses += st.Misses
 		sum.Puts += st.Puts

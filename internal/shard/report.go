@@ -3,26 +3,15 @@ package shard
 import (
 	"fmt"
 
+	"proximity/internal/core"
 	"proximity/internal/report"
 )
-
-// ShardLoad is one shard's occupancy and pressure snapshot.
-type ShardLoad struct {
-	Shard     int
-	Entries   int
-	Capacity  int
-	Occupancy float64 // Entries / Capacity
-	Hits      int64
-	Misses    int64
-	Puts      int64
-	Evictions int64
-}
 
 // PressureReport summarizes occupancy and eviction pressure across
 // shards — the operational view a capacity planner needs: is the
 // partitioner spreading load, and which shards are thrashing?
 type PressureReport struct {
-	Shards []ShardLoad
+	Shards []core.ShardStats
 	// Entries and Capacity are cache-wide totals; Occupancy their
 	// ratio.
 	Entries   int
@@ -41,7 +30,7 @@ type PressureReport struct {
 	Imbalance float64
 }
 
-// imbalanceOf is the Imbalance definition shared by Report and
+// imbalanceOf is the Imbalance definition shared by Pressure and
 // PreviewSeed: max shard entries over mean shard entries, pinned to the
 // perfectly-balanced 1.0 when there are no entries to spread or no
 // alternative shard to spread them to. Threshold comparisons in the
@@ -54,40 +43,22 @@ func imbalanceOf(maxEntries, totalEntries, shards int) float64 {
 	return float64(maxEntries) / (float64(totalEntries) / float64(shards))
 }
 
-// Report takes a consistent-enough snapshot of every shard (each shard is
-// read atomically; cross-shard skew under concurrent writes is bounded by
-// one in-flight operation per shard) and derives the pressure summary.
+// Report derives the pressure summary from one Stats() snapshot: each
+// shard's row is read at one instant, and cross-shard skew under
+// concurrent writes is bounded by one in-flight operation per shard.
 // Counters include generations retired by re-draw migrations.
-func (c *ShardedCache) Report() PressureReport {
-	r := PressureReport{Shards: make([]ShardLoad, len(c.slots))}
+func (c *ShardedCache) Report() PressureReport { return Pressure(c.Stats().Shards) }
+
+// Pressure summarizes the Shards rows of one Stats() snapshot.
+func Pressure(rows []core.ShardStats) PressureReport {
+	r := PressureReport{Shards: rows}
 	maxEntries := 0
-	for i := range c.slots {
-		s := &c.slots[i]
-		s.mu.RLock()
-		st := s.statsLocked()
-		load := ShardLoad{
-			Shard:     i,
-			Entries:   s.cache.Len(),
-			Capacity:  s.cache.Capacity(),
-			Hits:      st.Hits,
-			Misses:    st.Misses,
-			Puts:      st.Puts,
-			Evictions: st.Evictions,
-		}
-		s.mu.RUnlock()
-		if load.Capacity > 0 {
-			load.Occupancy = float64(load.Entries) / float64(load.Capacity)
-		}
-		r.Shards[i] = load
-		r.Entries += load.Entries
-		r.Capacity += load.Capacity
-		r.Evictions += load.Evictions
-		if load.Occupancy > r.MaxOccupancy {
-			r.MaxOccupancy = load.Occupancy
-		}
-		if load.Entries > maxEntries {
-			maxEntries = load.Entries
-		}
+	for _, row := range r.Shards {
+		r.Entries += row.Entries
+		r.Capacity += row.Capacity
+		r.Evictions += row.Evictions
+		r.MaxOccupancy = max(r.MaxOccupancy, row.Occupancy())
+		maxEntries = max(maxEntries, row.Entries)
 	}
 	if r.Capacity > 0 {
 		r.Occupancy = float64(r.Entries) / float64(r.Capacity)
@@ -100,12 +71,12 @@ func (c *ShardedCache) Report() PressureReport {
 func (r PressureReport) Render() string {
 	t := report.NewTable("Shard pressure",
 		"shard", "entries", "capacity", "occupancy%", "hits", "misses", "puts", "evictions")
-	for _, s := range r.Shards {
+	for i, s := range r.Shards {
 		t.AddRow(
-			fmt.Sprintf("%d", s.Shard),
+			fmt.Sprintf("%d", i),
 			fmt.Sprintf("%d", s.Entries),
 			fmt.Sprintf("%d", s.Capacity),
-			report.Percent(s.Occupancy),
+			report.Percent(s.Occupancy()),
 			fmt.Sprintf("%d", s.Hits),
 			fmt.Sprintf("%d", s.Misses),
 			fmt.Sprintf("%d", s.Puts),

@@ -140,13 +140,6 @@ func (s *slot) statsLocked() core.Stats {
 	return st
 }
 
-// stats is statsLocked under the shared lock.
-func (s *slot) stats() core.Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.statsLocked()
-}
-
 // ShardedCache hash-partitions keys across independently-locked
 // sub-caches. It satisfies core.Cache, so it drops into
 // core.CachedRetriever wherever a FlatCache or LSHCache does. All methods
@@ -507,7 +500,7 @@ func (c *ShardedCache) Partition() Partition { return c.part }
 
 // Shard returns the i-th sub-cache, for diagnostics and tests. A
 // migration may retire the returned instance at any time; counters read
-// directly from it miss the slot baseline, so use ShardStats for
+// directly from it miss the slot baseline, so use Stats().Shards for
 // accounting.
 func (c *ShardedCache) Shard(i int) core.Cache {
 	s := &c.slots[i]
@@ -516,29 +509,26 @@ func (c *ShardedCache) Shard(i int) core.Cache {
 	return s.cache
 }
 
-// ShardStats returns a per-shard snapshot of the cumulative counters,
-// including counters carried over from sub-cache generations a migration
-// has retired.
-func (c *ShardedCache) ShardStats() []core.Stats {
-	out := make([]core.Stats, len(c.slots))
-	for i := range c.slots {
-		out[i] = c.slots[i].stats()
-	}
-	return out
-}
-
 // Stats aggregates counters across shards in one pass, one sub-cache
 // Stats() per shard, so each shard's part of the snapshot — its index
-// and tier blocks included — is read at one instant. Both blocks are
-// always present, zero-valued where no shard has them. HashOps includes
-// both the partitioner's routing projections and any hashing the
-// sub-caches do; the routing share is derived from the operation counts
-// (every Get and Put hashes once) rather than tracked on the hot path,
-// so lookups on distinct shards share no mutable state at all.
+// and tier blocks and its Shards row included — is read at one instant.
+// Both blocks are always present, zero-valued where no shard has them.
+// HashOps includes both the partitioner's routing projections and any
+// hashing the sub-caches do; the routing share is derived from the
+// operation counts (every Get and Put hashes once) rather than tracked
+// on the hot path, so lookups on distinct shards share no mutable state
+// at all.
 func (c *ShardedCache) Stats() core.Stats {
-	agg := core.Stats{Index: &core.IndexStats{}, Tier: &core.TierStats{}}
+	agg := core.Stats{Index: &core.IndexStats{}, Tier: &core.TierStats{},
+		Shards: make([]core.ShardStats, len(c.slots))}
 	for i := range c.slots {
-		agg.Merge(c.slots[i].stats())
+		s := &c.slots[i]
+		s.mu.RLock()
+		st := s.statsLocked()
+		agg.Shards[i] = core.ShardStats{Entries: s.cache.Len(), Capacity: s.cache.Capacity(),
+			Hits: st.Hits, Misses: st.Misses, Puts: st.Puts, Evictions: st.Evictions}
+		s.mu.RUnlock()
+		agg.Merge(st)
 	}
 	if c.part == LSHSignature {
 		agg.HashOps += (agg.Hits + agg.Misses + agg.Puts) * int64(c.bits)

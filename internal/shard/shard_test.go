@@ -244,15 +244,14 @@ func TestShardStatsAggregation(t *testing.T) {
 		c.Put(q, []int{i})
 		c.Get(q)
 	}
+	agg := c.Stats()
 	var sum core.Stats
-	for _, st := range c.ShardStats() {
+	for _, st := range agg.Shards {
 		sum.Hits += st.Hits
 		sum.Misses += st.Misses
 		sum.Puts += st.Puts
 		sum.Evictions += st.Evictions
-		sum.DistComps += st.DistComps
 	}
-	agg := c.Stats()
 	if agg.Hits != sum.Hits || agg.Misses != sum.Misses || agg.Puts != sum.Puts {
 		t.Errorf("aggregate %+v does not match per-shard sum %+v", agg, sum)
 	}

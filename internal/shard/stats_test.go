@@ -77,8 +77,9 @@ func TestWrongLengthInput(t *testing.T) {
 
 // TestStatsSnapshotConsistent: one Stats() of a sharded tiered cache is
 // one snapshot, so its hits and its tier block's hot and warm hits add
-// up even while other goroutines are hitting, missing and filling the
-// cache — which two separate passes over the shards could not promise.
+// up, and so do its Shards rows and its totals, even while other
+// goroutines are hitting, missing and filling the cache — which two
+// separate passes over the shards could not promise.
 func TestStatsSnapshotConsistent(t *testing.T) {
 	c := newTieredShards(t, 4, 16, 64)
 	rng := vec.NewRand(9)
@@ -114,6 +115,19 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 		}
 		if st.Hits != st.Tier.HotHits+st.Tier.WarmHits {
 			t.Fatalf("snapshot %d: Hits %d != HotHits %d + WarmHits %d", i, st.Hits, st.Tier.HotHits, st.Tier.WarmHits)
+		}
+		if len(st.Shards) != 4 {
+			t.Fatalf("snapshot %d: %d Shards rows, want 4", i, len(st.Shards))
+		}
+		var rows core.ShardStats
+		for _, row := range st.Shards {
+			rows.Hits += row.Hits
+			rows.Misses += row.Misses
+			rows.Puts += row.Puts
+			rows.Evictions += row.Evictions
+		}
+		if total := (core.ShardStats{Hits: st.Hits, Misses: st.Misses, Puts: st.Puts, Evictions: st.Evictions}); rows != total {
+			t.Fatalf("snapshot %d: Shards rows sum to %+v, the totals are %+v", i, rows, total)
 		}
 	}
 	if st := c.Stats(); st.Tier.HotHits == 0 || st.Tier.WarmHits == 0 {
