@@ -18,6 +18,7 @@ import (
 	"proximity/internal/core"
 	"proximity/internal/experiments"
 	"proximity/internal/hnsw"
+	"proximity/internal/server"
 	"proximity/internal/shard"
 	"proximity/internal/stats"
 	"proximity/internal/tier"
@@ -321,6 +322,59 @@ func BenchmarkCacheGet(b *testing.B) {
 			cache.Get(q)
 		}
 	})
+}
+
+// BenchmarkServerRoundTrip measures the HTTP rung of the request path:
+// one server.Client.Retrieve hit per op, over a loopback connection to
+// server.New's handler in front of a warmed FLAT cache of 1 000 keys
+// (d = 768, τ = 1). Its allocations count both ends of the connection.
+func BenchmarkServerRoundTrip(b *testing.B) {
+	const (
+		dim = 768
+		n   = 1000
+	)
+	r := vec.NewRand(3)
+	keys := make([]vec.Vector, n)
+	for i := range keys {
+		keys[i] = vec.Scale(vec.RandomUnit(r, dim), 10)
+	}
+	db, err := vectordb.NewFlatFromVectors(keys, vec.L2Distance)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache, err := core.NewFlat(dim, core.Options{Capacity: n, Tolerance: 1, Policy: core.LRU})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, k := range keys {
+		cache.Put(k, []int{i})
+	}
+	retr, err := core.NewCachedRetriever(cache, db, core.RetrieverOptions{K: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Retriever: retr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr, stop, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer stop()
+	client := server.NewClient("http://" + addr)
+	defer client.Close()
+	near := vec.GaussianAround(vec.NewRand(2), keys[n/2], 0.02) // ≈ 0.55 away
+	if resp, err := client.Retrieve(near); err != nil || !resp.Hit {
+		b.Fatalf("hit = %v, err %v; want a hit", resp.Hit, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Retrieve(near); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkShardedCache measures concurrent Get/Put throughput of the

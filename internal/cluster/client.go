@@ -219,7 +219,7 @@ func New(dim int, nodes []string, opts Options) (*Client, error) {
 	// per node per failed New.
 	closeNodes := func() {
 		for _, n := range c.nodes {
-			_ = n.sub.Close()
+			_ = n.close()
 		}
 	}
 	for _, base := range ring.Nodes() {
@@ -501,7 +501,8 @@ func (c *Client) AddNode(base string) error {
 	return nil
 }
 
-// RemoveNode leaves a node from the ring, draining its submitter.
+// RemoveNode leaves a node from the ring, draining its submitter and
+// closing the router's connections to it.
 // Requests in flight on the removed node fail over to the ring's
 // remaining replicas through the normal retry path.
 func (c *Client) RemoveNode(base string) error {
@@ -519,7 +520,7 @@ func (c *Client) RemoveNode(base string) error {
 	c.ring = ring
 	delete(c.nodes, base)
 	c.mu.Unlock()
-	return n.sub.Close()
+	return n.close()
 }
 
 // Rebalance swaps the ring for a re-weighted one over the same
@@ -665,8 +666,8 @@ func (c *Client) Clear() {
 	}
 }
 
-// Close drains every node submitter and fails subsequent operations with
-// ErrClosed.
+// Close drains every node submitter, closes the connections to every
+// node and fails subsequent operations with ErrClosed.
 func (c *Client) Close() error {
 	// Stop the adaptive loop FIRST, while the client is still open: an
 	// in-flight tick completes against a working client (no spurious
@@ -694,7 +695,7 @@ func (c *Client) Close() error {
 	}
 	c.mu.Unlock()
 	for _, n := range nodes {
-		_ = n.sub.Close()
+		_ = n.close()
 	}
 	return nil
 }

@@ -2,6 +2,10 @@ package cluster
 
 import (
 	"errors"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,6 +50,19 @@ func startNode(t *testing.T, db vectordb.DB) *testNode {
 // rebind a killed node's port).
 func startNodeOn(t *testing.T, db vectordb.DB, addr string) *testNode {
 	t.Helper()
+	bound, stop, err := nodeServer(t, db).Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &testNode{base: "http://" + bound, stop: stop}
+	t.Cleanup(func() { _ = n.stop() })
+	return n
+}
+
+// nodeServer is one shard node's middleware: its own FLAT cache over the
+// shared database.
+func nodeServer(t *testing.T, db vectordb.DB) *server.Server {
+	t.Helper()
 	cache, err := core.NewFlat(testDim, core.Options{Capacity: 256, Tolerance: 0.25, Policy: core.LRU})
 	if err != nil {
 		t.Fatal(err)
@@ -58,13 +75,7 @@ func startNodeOn(t *testing.T, db vectordb.DB, addr string) *testNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, stop, err := srv.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := &testNode{base: "http://" + bound, stop: stop}
-	t.Cleanup(func() { _ = n.stop() })
-	return n
+	return srv
 }
 
 // startCluster spins n nodes over one shared corpus and a client routing
@@ -367,6 +378,67 @@ func TestClusterRemoveNode(t *testing.T) {
 	}
 	if got := c.Nodes(); len(got) != 3 {
 		t.Fatalf("membership after re-add = %v", got)
+	}
+}
+
+// TestRemovedNodeConnectionsClose: removing a node closes the router's
+// connections to it, the data path's and the admin client's alike, so
+// the node sees every one of them reach StateClosed instead of holding
+// it open until its idle timeout.
+func TestRemovedNodeConnectionsClose(t *testing.T) {
+	db := newCorpus(t, 64, 1)
+	var mu sync.Mutex
+	opened, open := 0, map[net.Conn]bool{}
+	ts := httptest.NewUnstartedServer(nodeServer(t, db).Handler())
+	ts.Config.ConnState = func(conn net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch st {
+		case http.StateNew:
+			opened++
+			open[conn] = true
+		case http.StateClosed, http.StateHijacked:
+			delete(open, conn)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	watched := ts.URL
+	other := startNode(t, db)
+
+	c, err := New(testDim, []string{watched, other.base}, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, q := range queries(30, 9) {
+		if _, _, err := c.Retrieve(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Status() // the admin client's connection
+	mu.Lock()
+	before := opened
+	mu.Unlock()
+	if before == 0 {
+		t.Fatal("the watched node saw no connection")
+	}
+
+	if err := c.RemoveNode(watched); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		mu.Lock()
+		left := len(open)
+		mu.Unlock()
+		if left == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the removed node's %d connections still open 2 s after RemoveNode", left, before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

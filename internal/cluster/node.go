@@ -57,6 +57,16 @@ func newNode(base string, opts Options) (*node, error) {
 	return n, nil
 }
 
+// close drains the submitter, then closes both clients' idle
+// connections (a background health probe still in flight closes its own
+// when it ends).
+func (n *node) close() error {
+	err := n.sub.Close()
+	_ = n.client.Close()
+	_ = n.admin.Close()
+	return err
+}
+
 // do submits one query through the node's batch submitter and blocks for
 // its share of the flushed batch.
 func (n *node) do(q vec.Vector) (server.BatchItem, error) {

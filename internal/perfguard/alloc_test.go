@@ -11,8 +11,10 @@
 // caller-owned docs copy, as is an evicting FlatCache.Put (its copy of
 // the caller's docs); an LRU warm hit three (the docs copy and the hot
 // tier's copies of the promoted key and docs); FlatIndex.Search — the
-// miss path — its result slice; and server.DecodeF32 — every HTTP
-// request — the embedding it returns.
+// miss path — its result slice; server.DecodeF32 — every HTTP
+// request — the embedding it returns; and one loopback
+// server.Client.Retrieve hit, both ends of the connection counted,
+// clientRetrieveBudget.
 package perfguard
 
 import (
@@ -20,6 +22,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"net/http/httptest"
 	"testing"
 
 	"proximity/internal/core"
@@ -274,6 +277,53 @@ func TestDecodeF32Budget(t *testing.T) {
 		r.Reset(wire)
 		if q, err := server.DecodeF32(nil, body, wireDim, 1); err != nil || len(q) != wireDim {
 			t.Fatalf("%d floats, err %v", len(q), err)
+		}
+	})
+}
+
+// clientRetrieveBudget is what one loopback hit measured when the
+// client's round trip moved onto the calling goroutine (net/http's
+// client transport cost 112).
+const clientRetrieveBudget = 63
+
+// TestClientRetrieveBudget pins one loopback HTTP hit at the benchmark's
+// width: server.Client.Retrieve of a cached 768-d key against
+// server.New's handler, counted on both sides of the connection
+// (AllocsPerRun counts every goroutine's allocations) — the request
+// write and response parse, the handler's decode, cache hit and JSON
+// reply, and the client's decode.
+func TestClientRetrieveBudget(t *testing.T) {
+	const wireDim = 768
+	q := make(vec.Vector, wireDim)
+	for i := range q {
+		q[i] = float32(i%13) / 13
+	}
+	db, err := vectordb.NewFlatFromVectors([]vec.Vector{q}, vec.L2Distance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := core.NewFlat(wireDim, core.Options{Capacity: 8, Tolerance: 1, Policy: core.LRU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retr, err := core.NewCachedRetriever(cache, db, core.RetrieverOptions{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Retriever: retr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := server.NewClient(ts.URL)
+	defer client.Close()
+	if _, err := client.Retrieve(q); err != nil { // the miss that fills the cache
+		t.Fatal(err)
+	}
+	checkBudget(t, "server.Client.Retrieve (loopback hit)", clientRetrieveBudget, func() {
+		if resp, err := client.Retrieve(q); err != nil || !resp.Hit {
+			t.Fatalf("hit %v, err %v", resp.Hit, err)
 		}
 	})
 }

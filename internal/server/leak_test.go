@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -73,4 +74,11 @@ func newFlakyServerConnCounted(t *testing.T) (*connCountedServer, *flakyDB, inte
 	}
 	out.ts.Start()
 	return out, flaky, enc
+}
+
+// drainClose reads the rest of a net/http response body before closing
+// it, so the tests' own http.Get calls leave their connections reusable.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, body)
+	_ = body.Close()
 }
