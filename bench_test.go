@@ -218,20 +218,24 @@ func BenchmarkVecKernels(b *testing.B) {
 	}
 
 	// The head test of a FLAT scan over 1 000 cached keys at τ = 1,
-	// every key ruled out on its head: the per-head loop the caches ran
-	// before, and one NextHead pass (SSE2 blocks of four on amd64).
+	// every key ruled out on its head: the per-head loop over row-major
+	// heads, and one Heads.Next pass over the same heads block-major
+	// (AVX2 blocks of eight on amd64).
 	const rows = 1000
-	heads := make([]float32, 0, rows*vec.HeadLen)
+	flat := make([]float32, 0, rows*vec.HeadLen)
+	heads := vec.NewHeads(vec.HeadLen, rows)
 	bounds := make([]float32, rows)
 	for i := range bounds {
-		heads = append(heads, vec.RandomGaussian(rng, vec.HeadLen)...)
+		h := vec.RandomGaussian(rng, vec.HeadLen)
+		flat = append(flat, h...)
+		heads.Set(i, h)
 		bounds[i] = vec.SquaredBound(1)
 	}
 	b.Run("L2SquaredHead/1000", func(b *testing.B) {
 		var sink int
 		for i := 0; i < b.N; i++ {
 			for r, bound := range bounds {
-				if !(vec.L2SquaredHead(x, heads[r*vec.HeadLen:]) > bound) {
+				if !(vec.L2SquaredHead(x, flat[r*vec.HeadLen:]) > bound) {
 					sink++
 				}
 			}
@@ -242,7 +246,8 @@ func BenchmarkVecKernels(b *testing.B) {
 		inf := float32(math.Inf(1))
 		var sink int
 		for i := 0; i < b.N; i++ {
-			sink += vec.NextHead(x, heads, bounds, inf)
+			var cur vec.HeadCursor
+			sink += heads.Next(&cur, x, bounds, 0, inf)
 		}
 		_ = sink
 	})

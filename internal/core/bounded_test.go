@@ -182,7 +182,7 @@ func benchGeometry(rng *rand.Rand, dim, centres, perCentre int) geometry {
 // foreign centre — sits about 2.6 τ away (the test asserts ≤ 3 τ),
 // against 25 τ in the bench geometry. Query and document noise keep the
 // bench's proportions to τ.
-func hardGeometry(t *testing.T, rng *rand.Rand, dim, centres, perCentre int) geometry {
+func hardGeometry(t testing.TB, rng *rand.Rand, dim, centres, perCentre int) geometry {
 	const (
 		within = 0.15 // query–query distance inside a centre
 		spread = 0.36 // centre perturbation; centres end up ≈ spread·√2 apart

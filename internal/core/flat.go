@@ -18,25 +18,25 @@ import (
 // the motivation for LSHCache.
 //
 // The lines live in parallel arrays indexed by slot, slots 0..Len()-1
-// live: each key's first vec.HeadLen floats in one contiguous heads
-// array (64 B per line, 64 KB at c = 1 000), the tolerances, each
-// tolerance's vec.SquaredBound, insertion stamps, and the rest of each
-// line (key, documents, eviction-order links) in slots. A scan hands
-// heads and bounds to vec.NextHead, which tests four heads at a time,
-// and reads a key only when its head alone does not rule it out, so a
-// lookup streams dense arrays instead of chasing a pointer per key.
+// live: each key's first vec.HeadLen floats in a vec.Heads (64 B per
+// line, 64 KB at c = 1 000, block-major in blocks of eight lines), the
+// tolerances, each tolerance's vec.SquaredBound, insertion stamps, and
+// the rest of each line (key, documents, eviction-order links) in
+// slots. A scan hands the bounds to the heads' Next, which tests eight
+// heads at a time, and reads a key only when its head alone does not
+// rule it out, so a lookup streams dense arrays instead of chasing a
+// pointer per key.
 // Each key is its own allocation, reused by an evicting Put: one slab of
 // whole keys would be a large object, rounded up to whole pages, which
 // costs a 20-line LSH bucket of 768-d keys 4 KB. Eviction moves the last
 // slot into the victim's, so the slots stay dense. The arrays grow by
 // doubling up to Capacity slots.
 type FlatCache struct {
-	dim     int
-	opts    Options
-	headLen int // vec.HeadLen at dim ≥ HeadLen; else 0, and heads stays nil
+	dim  int
+	opts Options
 
 	mu          sync.RWMutex
-	heads       []float32 // slot i's first headLen floats
+	heads       vec.Heads // slot i's first vec.HeadLen floats; none below that dimension
 	tols        []float32 // slot i's tolerance, the match threshold for its line
 	bounds      []float32 // vec.SquaredBound(tols[i]), what slot i's head is tested against
 	slots       []flatSlot
@@ -73,11 +73,7 @@ func NewFlat(dim int, opts Options) (*FlatCache, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("core: dimension must be positive, got %d", dim)
 	}
-	c := &FlatCache{dim: dim, opts: opts, front: noSlot, back: noSlot}
-	if dim >= vec.HeadLen {
-		c.headLen = vec.HeadLen
-	}
-	return c, nil
+	return &FlatCache{dim: dim, opts: opts, heads: vec.NewHeads(dim, opts.Capacity), front: noSlot, back: noSlot}, nil
 }
 
 // Get scans all cached keys and returns the documents of the closest one
@@ -167,9 +163,9 @@ func (c *FlatCache) commitTierHit(h TierHit) {
 // A key wins only with d ≤ its tolerance and d < the best so far, so the
 // L2 kernel abandons it once its partial sum passes the smaller of the
 // two; a key that survives gets the distance the full kernel gives, so
-// the outcome is the unbounded scan's, bit for bit. With heads stored,
-// vec.NextHead skips every key whose head sum exceeds its bound or
-// limit = vec.SquaredBound(best so far) without reading its row. As
+// the outcome is the unbounded scan's, bit for bit. The heads' Next
+// skips every key whose head sum exceeds its bound or limit =
+// vec.SquaredBound(best so far) without reading its row. As
 // SquaredBound is monotone, that is a head sum above SquaredBound of the
 // smaller distance, exactly where vec.L2Bounded would abandon at its
 // first check.
@@ -178,11 +174,10 @@ func (c *FlatCache) scanAdmissible(q vec.Vector) (best int, bestDist float32) {
 	n := len(c.tols)
 	c.distComps.Add(int64(n))
 	limit := float32(math.Inf(1))
+	var cur vec.HeadCursor
 	for i := 0; i < n; i++ {
-		if c.headLen != 0 {
-			if i += vec.NextHead(q, c.heads[i*vec.HeadLen:], c.bounds[i:], limit); i == n {
-				break
-			}
+		if i = c.heads.Next(&cur, q, c.bounds, i, limit); i == n {
+			break
 		}
 		tol := c.tols[i]
 		maxDist := tol
@@ -208,10 +203,12 @@ func (c *FlatCache) Put(q vec.Vector, docs []int) {
 // discusses: a line whose original query had tightly-packed neighbors
 // should only serve queries very close to it. Callers normally derive
 // tol from the retrieved-neighbor distances (see RetrieverOptions.
-// DynamicTolerance). A nil or wrong-length key, and a negative or NaN
-// tol, is ignored.
+// DynamicTolerance). A nil or wrong-length key, a key with a NaN or
+// ±Inf component (its distance to every query is NaN or +Inf, so no
+// lookup could be served from it), and a negative or NaN tol, is
+// ignored.
 func (c *FlatCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if len(q) != c.dim || !(tol >= 0) {
+	if len(q) != c.dim || !(tol >= 0) || !vec.Finite(q) {
 		return
 	}
 	c.mu.Lock()
@@ -223,7 +220,7 @@ func (c *FlatCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
 	key := append(c.spare[:0], q...) // the victim's key, when there was one
 	c.spare = nil
 	limit := c.opts.Capacity
-	c.heads = appendSlot(c.heads, limit, q[:c.headLen]...)
+	c.heads.Set(len(c.tols), q)
 	c.tols = appendSlot(c.tols, limit, tol)
 	c.bounds = appendSlot(c.bounds, limit, vec.SquaredBound(tol))
 	c.slots = appendSlot(c.slots, limit, flatSlot{key: key, docs: append([]int(nil), docs...)})
@@ -235,17 +232,16 @@ func (c *FlatCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
 	c.stats.Puts++
 }
 
-// appendSlot appends one slot's worth of elements to s, growing its
-// backing array by doubling but never past limit slots, so a full cache
-// holds exactly Capacity slots and an empty one nothing.
-func appendSlot[T any](s []T, limit int, slot ...T) []T {
-	if len(s)+len(slot) > cap(s) {
-		w := len(slot)
-		grown := make([]T, len(s), min(max(2*cap(s), w), limit*w))
+// appendSlot appends one slot's element to s, growing its backing
+// array by doubling but never past limit slots, so a full cache holds
+// exactly Capacity slots and an empty one nothing.
+func appendSlot[T any](s []T, limit int, x T) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), min(max(2*cap(s), 1), limit))
 		copy(grown, s)
 		s = grown
 	}
-	return append(s, slot...)
+	return append(s, x)
 }
 
 // evictLocked removes the front of the eviction order — the oldest
@@ -261,12 +257,12 @@ func (c *FlatCache) evictLocked() {
 	n := len(c.slots) - 1 // the last slot, which moves into v
 	if int(v) != n {
 		c.slots[v], c.tols[v], c.bounds[v], c.stamps[v] = c.slots[n], c.tols[n], c.bounds[n], c.stamps[n]
-		copy(c.heads[int(v)*c.headLen:], c.heads[n*c.headLen:])
+		c.heads.Move(int(v), n)
 		c.link(c.slots[v].prev, v)
 		c.link(v, c.slots[v].next)
 	}
 	c.slots[n] = flatSlot{}
-	c.slots, c.tols, c.bounds, c.stamps, c.heads = c.slots[:n], c.tols[:n], c.bounds[:n], c.stamps[:n], c.heads[:n*c.headLen]
+	c.slots, c.tols, c.bounds, c.stamps = c.slots[:n], c.tols[:n], c.bounds[:n], c.stamps[:n]
 	c.stats.Evictions++
 	if c.opts.OnEvict != nil {
 		// Ownership transfer: the victim's slices are unreachable from
@@ -330,7 +326,8 @@ func (c *FlatCache) Stats() Stats {
 func (c *FlatCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.heads, c.tols, c.bounds, c.slots, c.stamps, c.spare = nil, nil, nil, nil, nil, nil
+	c.heads.Reset()
+	c.tols, c.bounds, c.slots, c.stamps, c.spare = nil, nil, nil, nil, nil
 	c.front, c.back = noSlot, noSlot
 }
 

@@ -9,7 +9,7 @@ import (
 	"proximity/internal/vec"
 )
 
-func mustFlat(t *testing.T, dim int, opts Options) *FlatCache {
+func mustFlat(t testing.TB, dim int, opts Options) *FlatCache {
 	t.Helper()
 	c, err := NewFlat(dim, opts)
 	if err != nil {
@@ -367,6 +367,29 @@ func TestFlatCapacityInvariant(t *testing.T) {
 	}
 }
 
+// The heads grow in whole blocks of vec.BlockRows lines and never past
+// the ⌈c/8⌉ blocks a full cache fills, through evictions and a Clear.
+func TestFlatHeadsStayWithinBlocks(t *testing.T) {
+	for _, capacity := range []int{19, 20, 1000} {
+		maxBlocks := (capacity + vec.BlockRows - 1) / vec.BlockRows
+		c := mustFlat(t, vec.HeadLen, Options{Capacity: capacity, Tolerance: 1})
+		rng := vec.NewRand(uint64(capacity))
+		for i := 0; i < 3*capacity; i++ {
+			if i == capacity+capacity/2 {
+				c.Clear()
+			}
+			c.Put(vec.RandomGaussian(rng, vec.HeadLen), []int{i})
+			if b := c.heads.Blocks(); b > maxBlocks || b*vec.BlockRows < c.Len() {
+				t.Fatalf("capacity %d, %d lines: %d head blocks, want at least %d and at most %d",
+					capacity, c.Len(), b, (c.Len()+vec.BlockRows-1)/vec.BlockRows, maxBlocks)
+			}
+		}
+		if b := c.heads.Blocks(); b != maxBlocks {
+			t.Fatalf("capacity %d full: %d head blocks, want %d", capacity, b, maxBlocks)
+		}
+	}
+}
+
 // Property: every hit returns the value of a key within tolerance — the
 // approximate-cache contract. Verified against a brute-force scan of the
 // cached lines.
@@ -459,5 +482,38 @@ func TestPolicyStringAndParse(t *testing.T) {
 	}
 	if _, err := ParsePolicy("mru"); err == nil {
 		t.Error("unknown policy should error")
+	}
+}
+
+// BenchmarkFlatGetCrowded is one FLAT hit per op on crowded keys
+// (hardGeometry: c = 1 024, d = 768, four keys a centre). No key is
+// ruled out on its head there, so every row survives the head test and
+// each resume of the scan starts mid-block: the case where testing
+// heads a block at a time does the most wasted work.
+func BenchmarkFlatGetCrowded(b *testing.B) {
+	const (
+		dim       = 768
+		centres   = 256
+		perCentre = 4
+	)
+	g := hardGeometry(b, vec.NewRand(29), dim, centres, perCentre)
+	c := mustFlat(b, dim, Options{Capacity: len(g.keys), Tolerance: g.tau})
+	for i, k := range g.keys {
+		c.Put(k, []int{i})
+	}
+	var hits []vec.Vector
+	for _, q := range g.queries {
+		if _, ok := c.Get(q); ok {
+			hits = append(hits, q)
+		}
+	}
+	if len(hits) < centres/2 {
+		b.Fatalf("%d of %d queries hit", len(hits), len(g.queries))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Get(hits[i%len(hits)]); !ok {
+			b.Fatal("a crowded query stopped hitting")
+		}
 	}
 }

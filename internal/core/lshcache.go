@@ -192,9 +192,11 @@ func (c *LSHCache) Put(q vec.Vector, docs []int) {
 }
 
 // PutWithTolerance inserts an entry with its own match threshold (see
-// FlatCache.PutWithTolerance). A nil or wrong-length key is ignored.
+// FlatCache.PutWithTolerance). A nil or wrong-length key, and one with
+// a NaN or ±Inf component, is ignored before it is hashed, so it
+// allocates no bucket.
 func (c *LSHCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if len(q) != c.hasher.Dim() {
+	if len(q) != c.hasher.Dim() || !vec.Finite(q) {
 		return
 	}
 	sig := c.hasher.Hash(q)

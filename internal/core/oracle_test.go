@@ -17,7 +17,8 @@ import (
 // or last served (LRU). A lookup is min-by-distance over every line,
 // ties to the first scanned; the victim is the line with the oldest
 // time, and the last line takes its place in the scan, as FlatCache's
-// swap-remove does. Nil and wrong-length input is ignored.
+// swap-remove does. A nil, wrong-length or non-finite key is ignored,
+// and so is a nil or wrong-length query.
 type flatOracle struct {
 	dim, capacity int
 	lru           bool
@@ -35,6 +36,11 @@ type oracleLine struct {
 func (o *flatOracle) put(key vec.Vector, docs []int, tol float32) {
 	if len(key) != o.dim {
 		return
+	}
+	for _, x := range key {
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return
+		}
 	}
 	if n := len(o.lines); n == o.capacity {
 		v := 0
@@ -104,13 +110,14 @@ func sameEntries(a, b []Entry) bool {
 // TestFlatMatchesAlgorithm1 drives one seeded op stream through a
 // FlatCache and the oracle, on both test geometries, at a width below
 // vec.HeadLen (no heads), one with a tail past its strides, and the
-// benchmark's, at capacity 16 (whole blocks of vec.NextHead's four
-// heads) and 19 (a full cache ends in a three-head tail), and requires
+// benchmark's, at capacity 16 (two whole blocks of eight heads) and 19
+// (a full cache ends in a partial block of three), and requires
 // them to agree after every op: served docs, reported distances to the
 // bit, Stats, Entries and the OnEvict stream. The stream mixes Put and
 // PutWithTolerance (tolerance 0 and lines that admit a chosen query
 // exactly, duplicate keys for exact ties), Get, TierGet with and
-// without Commit, PeekAdmissible, wrong-length input, Clear, and
+// without Commit, PeekAdmissible, bad input (wrong length, or a NaN or
+// ±Inf component), Clear, and
 // WriteEntrySnapshot → replay into a fresh NewFlat.
 func TestFlatMatchesAlgorithm1(t *testing.T) {
 	const ops = 2000
@@ -245,19 +252,27 @@ func TestFlatMatchesAlgorithm1(t *testing.T) {
 									t.Fatalf("op %d: PeekAdmissible = %v, %v; oracle %v, %v", op, got, ok, d, found)
 								}
 							case r < 36:
-								what = "wrong-length input"
-								bad := append(vec.Clone(query()), 1)
-								if rng.IntN(2) == 0 {
+								what = "bad input"
+								bad := vec.Clone(query())
+								switch rng.IntN(3) {
+								case 0:
+									bad = append(bad, 1)
+								case 1:
 									bad = bad[:dim-1]
+								default: // a key no query is within τ of
+									bad[rng.IntN(dim)] = []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}[rng.IntN(3)]
 								}
 								put(bad, g.tau)
 								get(op, bad)
+								// A full-width query is scanned, and charged, as any other.
 								if _, ok := c.TierGet(bad); ok {
-									t.Fatalf("op %d: TierGet of a %d-float query hit in a %d-float cache", op, len(bad), dim)
+									t.Fatalf("op %d: TierGet of a bad %d-float query hit in a %d-float cache", op, len(bad), dim)
 								}
+								o.lookup(bad)
 								if _, ok := c.PeekAdmissible(bad); ok {
-									t.Fatalf("op %d: PeekAdmissible of a %d-float query hit in a %d-float cache", op, len(bad), dim)
+									t.Fatalf("op %d: PeekAdmissible of a bad %d-float query hit in a %d-float cache", op, len(bad), dim)
 								}
+								o.lookup(bad)
 							case r == 36 && rng.IntN(8) == 0:
 								what = "Clear"
 								c.Clear()

@@ -133,7 +133,7 @@ func Quick() Config {
 		TSNEIterations: 80,
 		GridCells:      40,
 
-		Fig10Sizes:   []int{20, 200, 2000},
+		Fig10Sizes:   []int{20, 200, 2000, 20000},
 		Fig10Lookups: 10,
 	}
 }

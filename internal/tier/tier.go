@@ -245,7 +245,8 @@ func (t *TieredCache) Put(q vec.Vector, docs []int) {
 
 // PutWithTolerance inserts into the hot tier; a displaced hot entry
 // demotes to the warm tier rather than being discarded. A nil or
-// wrong-length key, and a negative or NaN tol, is ignored.
+// wrong-length key, and a negative or NaN tol, is ignored, and so is a
+// key with a NaN or ±Inf component, which the hot tier refuses.
 func (t *TieredCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
 	if len(q) != t.dim || !(tol >= 0) {
 		return

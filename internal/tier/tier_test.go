@@ -153,8 +153,8 @@ func TestTieredEquivalenceNoMmap(t *testing.T) {
 // near that spread, heads rule out at most a third of the warm keys, so
 // the equivalence runs mostly through record reads and the bounded
 // kernel's later checks, under mmap and under fallback IO. W = 99 ends
-// a full warm tier in a three-head tail past vec.NextHead's blocks of
-// four.
+// a full warm tier in a three-head partial block past the heads' whole
+// blocks of eight.
 func TestTieredEquivalenceCrowded(t *testing.T) {
 	const (
 		dim    = 40
@@ -438,8 +438,9 @@ func TestLSHHotSmoke(t *testing.T) {
 // hole, and the age order survives the move.
 func TestWarmSlotReuse(t *testing.T) {
 	const (
-		dim      = 20 // one head block and a 4-float tail
-		capacity = 4
+		dim       = 20 // a 16-float head and a 4-float tail
+		capacity  = 4
+		maxBlocks = (capacity + vec.BlockRows - 1) / vec.BlockRows
 	)
 	for _, noMmap := range []bool{false, true} {
 		t.Run(fmt.Sprintf("noMmap=%v", noMmap), func(t *testing.T) {
@@ -459,9 +460,9 @@ func TestWarmSlotReuse(t *testing.T) {
 				if w.insert(e) {
 					discards++
 				}
-				if w.len() > capacity || cap(w.tols) > capacity || cap(w.lines) > capacity || cap(w.heads) > capacity*vec.HeadLen {
-					t.Fatalf("insert %d: %d slots (capacity %d/%d/%d) despite capacity %d",
-						i, w.len(), cap(w.tols), cap(w.lines), cap(w.heads)/vec.HeadLen, capacity)
+				if w.len() > capacity || cap(w.tols) > capacity || cap(w.lines) > capacity || w.heads.Blocks() > maxBlocks {
+					t.Fatalf("insert %d: %d slots (capacity %d/%d, %d head blocks) despite capacity %d (%d blocks)",
+						i, w.len(), cap(w.tols), cap(w.lines), w.heads.Blocks(), capacity, maxBlocks)
 				}
 			}
 			want = want[len(want)-capacity:]
@@ -499,7 +500,7 @@ func checkWarm(t *testing.T, w *warmStore, want []core.Entry) {
 			t.Fatalf("entry %d: docs %v tol %v, want docs %v tol %v", i, got[i].Docs, got[i].Tol, want[i].Docs, want[i].Tol)
 		}
 		s, d := w.lookup(want[i].Key, float32(math.Inf(1)))
-		if s < 0 || d != 0 || !vec.Equal(w.heads[s*vec.HeadLen:(s+1)*vec.HeadLen], want[i].Key[:vec.HeadLen]) {
+		if s < 0 || d != 0 || w.heads.Row(s) != [vec.HeadLen]float32(want[i].Key) {
 			t.Fatalf("entry %d: lookup of its own key gave slot %d at %v", i, s, d)
 		}
 	}

@@ -19,16 +19,17 @@ import (
 //
 // What stays in memory is laid out as FlatCache's lines are: parallel
 // arrays indexed by slot, slots 0..len()-1 live, and record s of the file
-// is slot s's key. Each key's first vec.HeadLen floats sit in one
-// contiguous heads array (64 B per entry, 60 KB at W = 960), beside the
-// tolerances, each tolerance's vec.SquaredBound, and the rest of each
-// line (documents and age-order links). A lookup hands heads and bounds
-// to vec.NextHead, which tests four heads at a time in slot order, and
-// reads a record only when its head alone does not rule the key out, so
-// a lookup costs one dense scan plus a record read per close key.
-// Removing an entry moves the last slot, record and head included, into
-// its place, so the slots and the file stay dense. Below vec.HeadLen
-// dimensions a lookup reads every record.
+// is slot s's key. Each key's first vec.HeadLen floats sit in a
+// vec.Heads (64 B per entry, 60 KB at W = 960, block-major in blocks of
+// eight entries), beside the tolerances, each tolerance's
+// vec.SquaredBound, and the rest of each line (documents and age-order
+// links). A lookup hands the bounds to the heads' Next, which tests
+// eight heads at a time in slot order, and reads a record only when its
+// head alone does not rule the key out, so a lookup costs one dense scan
+// plus a record read per close key. Removing an entry moves the last
+// slot, record and head included, into its place, so the slots and the
+// file stay dense. Below vec.HeadLen dimensions a lookup reads every
+// record.
 
 // forceNoMmap routes vector IO through ReadAt/WriteAt even where mmap is
 // available; tests use it to cover the fallback path on unix.
@@ -46,14 +47,13 @@ const noSlot int32 = -1
 type warmStore struct {
 	dim      int
 	capacity int
-	headLen  int // vec.HeadLen at dim ≥ HeadLen; else 0, and heads stays nil
 
 	f        *os.File
 	data     []byte // mmap view of the record file; nil under fallback IO
 	scratchB []byte // fallback byte buffer, one record
 	scratchF []float32
 
-	heads       []float32 // slot s's first headLen floats
+	heads       vec.Heads // slot s's first vec.HeadLen floats; none below that dimension
 	tols        []float32 // slot s's tolerance
 	bounds      []float32 // vec.SquaredBound(tols[s]), what slot s's head is tested against
 	lines       []warmLine
@@ -95,11 +95,9 @@ func newWarmStore(dim, capacity int, dir string) (*warmStore, error) {
 		dim:      dim,
 		capacity: capacity,
 		f:        f,
+		heads:    vec.NewHeads(dim, capacity),
 		front:    noSlot,
 		back:     noSlot,
-	}
-	if dim >= vec.HeadLen {
-		w.headLen = vec.HeadLen
 	}
 	if mmapSupported && !forceNoMmap {
 		data, err := mmapFile(f, size)
@@ -169,7 +167,7 @@ func (w *warmStore) insert(e core.Entry) (discarded bool) {
 	}
 	s := len(w.tols)
 	w.writeSlot(s, e.Key)
-	w.heads = appendSlot(w.heads, w.capacity, e.Key[:w.headLen]...)
+	w.heads.Set(s, e.Key)
 	w.tols = appendSlot(w.tols, w.capacity, e.Tol)
 	w.bounds = appendSlot(w.bounds, w.capacity, vec.SquaredBound(e.Tol))
 	w.lines = appendSlot(w.lines, w.capacity, warmLine{docs: e.Docs})
@@ -178,17 +176,16 @@ func (w *warmStore) insert(e core.Entry) (discarded bool) {
 	return discarded
 }
 
-// appendSlot appends one slot's worth of elements to s, growing its
-// backing array by doubling but never past limit slots, so a full warm
-// tier holds exactly its capacity and an empty one nothing.
-func appendSlot[T any](s []T, limit int, slot ...T) []T {
-	if len(s)+len(slot) > cap(s) {
-		n := len(slot)
-		grown := make([]T, len(s), min(max(2*cap(s), n), limit*n))
+// appendSlot appends one slot's element to s, growing its backing
+// array by doubling but never past limit slots, so a full warm tier
+// holds exactly its capacity and an empty one nothing.
+func appendSlot[T any](s []T, limit int, x T) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), min(max(2*cap(s), 1), limit))
 		copy(grown, s)
 		s = grown
 	}
-	return append(s, slot...)
+	return append(s, x)
 }
 
 // remove detaches slot s from the age order and moves the last slot —
@@ -199,13 +196,13 @@ func (w *warmStore) remove(s int) {
 	n := len(w.tols) - 1
 	if s != n {
 		w.writeSlot(s, w.slotView(n))
-		copy(w.heads[s*w.headLen:], w.heads[n*w.headLen:(n+1)*w.headLen])
+		w.heads.Move(s, n)
 		w.tols[s], w.bounds[s], w.lines[s] = w.tols[n], w.bounds[n], w.lines[n]
 		w.link(w.lines[s].prev, int32(s))
 		w.link(int32(s), w.lines[s].next)
 	}
 	w.lines[n] = warmLine{}
-	w.heads, w.tols, w.bounds, w.lines = w.heads[:n*w.headLen], w.tols[:n], w.bounds[:n], w.lines[:n]
+	w.tols, w.bounds, w.lines = w.tols[:n], w.bounds[:n], w.lines[:n]
 }
 
 // link makes slot n follow slot p in the age order; noSlot for p or n
@@ -231,12 +228,11 @@ func (w *warmStore) link(p, n int32) {
 //
 // An entry wins only with d below all three of its tolerance, bound and
 // the best so far, so the kernel abandons its record once the partial
-// sum passes the smallest. With heads stored, vec.NextHead skips every
-// entry whose head sum exceeds its own bound or limit — SquaredBound of
-// the best so far, or of bound before any — without reading its record;
-// SquaredBound being monotone, that is exactly where vec.L2Bounded would
-// abandon at its first check. The result is the unbounded scan's, bit
-// for bit.
+// sum passes the smallest. The heads' Next skips every entry whose head
+// sum exceeds its own bound or limit — SquaredBound of the best so far,
+// or of bound before any — without reading its record; SquaredBound
+// being monotone, that is exactly where vec.L2Bounded would abandon at
+// its first check. The result is the unbounded scan's, bit for bit.
 //
 //proximity:hotpath
 func (w *warmStore) lookup(q vec.Vector, bound float32) (best int, bestD float32) {
@@ -249,11 +245,10 @@ func (w *warmStore) lookup(q vec.Vector, bound float32) (best int, bestD float32
 	w.comps += int64(n)
 	read := 0
 	limit := vec.SquaredBound(bound)
+	var cur vec.HeadCursor
 	for s := 0; s < n; s++ {
-		if w.headLen != 0 {
-			if s += vec.NextHead(q, w.heads[s*vec.HeadLen:], w.bounds[s:], limit); s == n {
-				break
-			}
+		if s = w.heads.Next(&cur, q, w.bounds, s, limit); s == n {
+			break
 		}
 		tol := w.tols[s]
 		maxDist := min(tol, bound)
@@ -288,7 +283,8 @@ func (w *warmStore) entries() []core.Entry {
 // clear drops all entries and their in-memory storage. Counters and the
 // record file are preserved; slots restart from zero.
 func (w *warmStore) clear() {
-	w.heads, w.tols, w.bounds, w.lines = nil, nil, nil, nil
+	w.heads.Reset()
+	w.tols, w.bounds, w.lines = nil, nil, nil
 	w.front, w.back = noSlot, noSlot
 }
 

@@ -13,14 +13,17 @@
 // at its first check, for scans that rank or skip rows on their first
 // cache line alone.
 //
-// The package's one assembly kernel is NextHead's amd64 body
-// (nexthead_amd64.s): L2SquaredHead for four rows at a time in SSE2,
-// bit-identical to the scalar sums. It serves the caches' dense head
-// arrays, which a scan streams from contiguous memory, so its cost is
-// the arithmetic. Scans over scattered rows, as the vector database's
-// are, wait on memory instead, and a SIMD kernel measured there gained
-// nothing; they stay scalar. See BenchmarkVecKernels in the repository
-// root for the measured gaps.
+// The package's assembly (simd_amd64.s) is AVX2, chosen once at
+// start-up by CPUID; other CPUs run portable bodies, which the tests
+// also hold it to. Its main kernel is Heads.Next's head test:
+// L2SquaredHead for eight rows at a time over heads stored block-major,
+// so that one load reads one float of eight rows, with sums
+// bit-identical to the scalar ones. The other is Finite, the caches'
+// check on every key they store. Both stream contiguous memory, so
+// their cost is the arithmetic. Scans over scattered rows, as the
+// vector database's are, wait on memory instead, and a SIMD kernel
+// measured there gained nothing; they stay scalar. See
+// BenchmarkVecKernels in the repository root for the measured gaps.
 package vec
 
 import (
@@ -170,6 +173,21 @@ func L2SquaredHead(a, b Vector) float32 {
 	return s0 + s1 + s2 + s3
 }
 
+// Finite reports whether every component of v is finite: no NaN and no
+// ±Inf. On amd64 it tests eight components a step in AVX2
+// (simd_amd64.s).
+func Finite(v Vector) bool { return finite(v) }
+
+// finiteGeneric is Finite's portable body and its reference.
+func finiteGeneric(v []float32) bool {
+	for _, x := range v {
+		if math.Float32bits(x)&0x7f800000 == 0x7f800000 {
+			return false
+		}
+	}
+	return true
+}
+
 // L2 returns the Euclidean distance between a and b.
 func L2(a, b Vector) float32 {
 	return float32(math.Sqrt(float64(L2Squared(a, b))))
@@ -193,7 +211,7 @@ func L2(a, b Vector) float32 {
 // It is monotone on non-negative maxDist: SquaredBound(min(a, b)) =
 // min(SquaredBound(a), SquaredBound(b)), bit for bit, every step being a
 // non-decreasing rounding. So a scan may test a head against a row's own
-// bound and a running limit separately, as NextHead does, where
+// bound and a running limit separately, as Heads.Next does, where
 // L2Bounded would test it against the bound of the smaller distance.
 func SquaredBound(maxDist float32) float32 {
 	m := float64(maxDist)

@@ -213,3 +213,32 @@ func TestL2ScaleInvariance(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFinite puts one NaN or ±Inf at every position of every length up
+// to 40, so every remainder mod 8 and every lane, and checks Finite —
+// on amd64 its AVX2 body — and the portable body against each other
+// and the answer.
+func TestFinite(t *testing.T) {
+	bad := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for n := 0; n <= 40; n++ {
+		v := make(Vector, n)
+		for i := range v {
+			v[i] = float32(i) - 20 + math.SmallestNonzeroFloat32
+		}
+		if n > 0 {
+			v[n-1] = math.MaxFloat32
+		}
+		if !Finite(v) || !finiteGeneric(v) {
+			t.Fatalf("len %d: finite vector %v reported non-finite (%v, %v)", n, v, Finite(v), finiteGeneric(v))
+		}
+		for i := range v {
+			for _, x := range bad {
+				w := Clone(v)
+				w[i] = x
+				if Finite(w) || finiteGeneric(w) {
+					t.Fatalf("len %d: %v at %d reported finite (%v, %v)", n, x, i, Finite(w), finiteGeneric(w))
+				}
+			}
+		}
+	}
+}
