@@ -18,8 +18,9 @@
 //   - LSHCache (Proximity-LSH): 2^L lazily-allocated buckets selected by a
 //     random-hyperplane signature, each a small fixed-capacity flat pool —
 //     O((L+b)·d) per query, independent of total capacity.
-//   - IndexedCache (Proximity-INDEXED): FLAT's admission rule with the
-//     lookup served by an HNSW graph over the keys.
+//   - IndexedCache (Proximity-INDEXED): a FlatCache whose lookup, from
+//     a crossover size up, is an HNSW graph over its slots; below that
+//     size a lookup is FLAT's own head scan.
 //
 // The fourth, internal/tier's TieredCache, puts one of these as a small
 // hot tier over a file-backed warm tier. All four support FIFO and LRU

@@ -89,8 +89,16 @@ func (c *FlatCache) Get(q vec.Vector) ([]int, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
 	i, _ := c.scanAdmissible(q)
+	return c.serveLocked(i)
+}
+
+// serveLocked is a Get's bookkeeping once its lookup chose slot i (-1 for
+// none): it counts the hit or miss, refreshes slot i under LRU, and
+// returns a copy of its documents. Callers hold mu for writing.
+//
+//proximity:hotpath
+func (c *FlatCache) serveLocked(i int) ([]int, bool) {
 	if i < 0 {
 		c.stats.Misses++
 		return nil, false
@@ -208,7 +216,7 @@ func (c *FlatCache) Put(q vec.Vector, docs []int) {
 // lookup could be served from it), and a negative or NaN tol, is
 // ignored.
 func (c *FlatCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if len(q) != c.dim || !(tol >= 0) || !vec.Finite(q) {
+	if !c.storable(q, tol) {
 		return
 	}
 	c.mu.Lock()
@@ -219,8 +227,22 @@ func (c *FlatCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
 	}
 	key := append(c.spare[:0], q...) // the victim's key, when there was one
 	c.spare = nil
+	c.appendLocked(key, docs, tol)
+}
+
+// storable reports whether a Put of q under tol stores a line: q has the
+// cache's width and no NaN or ±Inf component, and tol is neither
+// negative nor NaN.
+func (c *FlatCache) storable(q vec.Vector, tol float32) bool {
+	return len(q) == c.dim && tol >= 0 && vec.Finite(q)
+}
+
+// appendLocked stores a line at the back of the eviction order, in slot
+// Len(), keeping key itself and a copy of docs. The cache must have room.
+// Callers hold mu for writing.
+func (c *FlatCache) appendLocked(key vec.Vector, docs []int, tol float32) {
 	limit := c.opts.Capacity
-	c.heads.Set(len(c.tols), q)
+	c.heads.Set(len(c.tols), key)
 	c.tols = appendSlot(c.tols, limit, tol)
 	c.bounds = appendSlot(c.bounds, limit, vec.SquaredBound(tol))
 	c.slots = appendSlot(c.slots, limit, flatSlot{key: key, docs: append([]int(nil), docs...)})
@@ -326,6 +348,11 @@ func (c *FlatCache) Stats() Stats {
 func (c *FlatCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.clearLocked()
+}
+
+// clearLocked is Clear for a caller holding mu for writing.
+func (c *FlatCache) clearLocked() {
 	c.heads.Reset()
 	c.tols, c.bounds, c.slots, c.stamps, c.spare = nil, nil, nil, nil, nil
 	c.front, c.back = noSlot, noSlot

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
 	"time"
 
 	"proximity/internal/hnsw"
@@ -49,10 +47,6 @@ type IndexedOptions struct {
 	// in-edges survive slot recycling). Benchmark baseline only — it
 	// re-introduces the churn recall decay this option exists to fix.
 	DisableInEdgeRepair bool
-	// OnEvict observes capacity evictions (see Options.OnEvict): the
-	// victim's key/docs slices are handed over instead of discarded.
-	// Runs under the cache lock; must not call back into the cache.
-	OnEvict func(Entry)
 }
 
 // MaintenanceOptions tunes the incremental repair schedule. Zero values
@@ -76,9 +70,6 @@ func (m *MaintenanceOptions) fillDefaults() {
 }
 
 func (o *IndexedOptions) fillDefaults() {
-	if o.Policy == 0 {
-		o.Policy = FIFO
-	}
 	if o.Crossover == 0 {
 		o.Crossover = 128
 	}
@@ -90,14 +81,8 @@ func (o *IndexedOptions) fillDefaults() {
 	}
 }
 
+// validate checks the graph's options; NewFlat checks the rest.
 func (o IndexedOptions) validate() error {
-	if err := (Options{
-		Capacity:  o.Capacity,
-		Tolerance: o.Tolerance,
-		Policy:    o.Policy,
-	}).validate(); err != nil {
-		return err
-	}
 	if o.Crossover < 0 {
 		return fmt.Errorf("core: crossover must be non-negative, got %d", o.Crossover)
 	}
@@ -115,31 +100,32 @@ func (o IndexedOptions) validate() error {
 	return nil
 }
 
-// IndexedCache is Proximity-INDEXED: the Algorithm 1 cache with its
-// similarity lookup served by an HNSW graph over the cached keys instead
-// of a linear scan. The graph stores int8 scalar-quantized copies of the
-// keys and ranks traversal with asymmetric quantized kernels (vec.
-// Quantized); the EfSearch candidates it returns are then re-ranked with
-// exact float32 L2 distances, and ONLY exact distances are compared against
-// per-entry tolerances — so a hit here admits exactly the entries a flat
-// scan would, the approximation affecting recall (which candidates are
-// seen), never admission correctness.
+// IndexedCache is Proximity-INDEXED: a FlatCache whose lookup, once the
+// cache holds Crossover lines, is served by an HNSW graph over its keys
+// instead of the linear scan. The FlatCache holds the lines, their
+// eviction order, the counters and the lock; the graph is an index over
+// its slots, with one node per line that shares the line's key. Below
+// Crossover lines a Get is FLAT's own head scan: the graph's fixed
+// traversal overhead only pays off once the scan is longer than the beam.
+//
+// Above it, the graph ranks traversal with int8 scalar-quantized copies
+// of the keys and asymmetric quantized kernels (vec.Quantized); the
+// EfSearch candidates it returns are then re-ranked with exact float32
+// L2 distances, and ONLY exact distances are compared against per-entry
+// tolerances — so a hit here admits exactly the entries a flat scan
+// would, the approximation affecting recall (which candidates are seen),
+// never admission correctness.
 //
 // Eviction (FIFO or LRU) tombstones the victim's graph node; tombstoned
-// slots are reused by later inserts, so steady-state churn keeps the
-// graph at capacity size without rebuilds. Below Crossover resident
-// entries, lookups use an exact linear scan — the graph's fixed traversal
-// overhead only pays off once the scan is longer than the beam.
+// nodes are reused by later inserts, so steady-state churn keeps the
+// graph at capacity size without rebuilds.
 type IndexedCache struct {
-	dim  int
+	flat *FlatCache // the lines, their eviction order, the counters, and mu, the one lock
 	opts IndexedOptions
 
-	mu      sync.Mutex
-	graph   *hnsw.Index
-	entries []*indexedEntry // by graph slot id; nil = tombstoned slot
-	live    int
-	order   *list.List // eviction order; front = next to evict
-	stats   Stats
+	graph  *hnsw.Index
+	nodeOf []int32 // slot i's graph node
+	slotOf []int32 // graph node n's slot; noSlot for a tombstone
 
 	reranks     int64 // exact re-rank distance computations (graph path)
 	bruteScans  int64 // lookups served by the sub-crossover linear scan
@@ -151,14 +137,6 @@ type IndexedCache struct {
 	candBuf []vec.Scored
 }
 
-type indexedEntry struct {
-	id   int // graph slot id
-	key  vec.Vector
-	docs []int
-	tol  float32
-	elem *list.Element // position in eviction order; Value is *indexedEntry
-}
-
 var (
 	_ Cache       = (*IndexedCache)(nil)
 	_ EntrySource = (*IndexedCache)(nil)
@@ -167,19 +145,15 @@ var (
 // NewIndexed creates a Proximity-INDEXED cache for dim-dimensional query
 // embeddings.
 func NewIndexed(dim int, opts IndexedOptions) (*IndexedCache, error) {
+	flat, err := NewFlat(dim, Options{Capacity: opts.Capacity, Tolerance: opts.Tolerance, Policy: opts.Policy})
+	if err != nil {
+		return nil, err
+	}
 	opts.fillDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if dim <= 0 {
-		return nil, fmt.Errorf("core: dimension must be positive, got %d", dim)
-	}
-	c := &IndexedCache{
-		dim:   dim,
-		opts:  opts,
-		order: list.New(),
-	}
-	var err error
+	c := &IndexedCache{flat: flat, opts: opts}
 	if c.graph, err = c.newGraph(); err != nil {
 		return nil, err
 	}
@@ -187,7 +161,7 @@ func NewIndexed(dim int, opts IndexedOptions) (*IndexedCache, error) {
 }
 
 func (c *IndexedCache) newGraph() (*hnsw.Index, error) {
-	return hnsw.New(c.dim, vec.L2Distance, hnsw.Config{
+	return hnsw.New(c.flat.dim, vec.L2Distance, hnsw.Config{
 		M:                   c.opts.M,
 		EfConstruction:      c.opts.EfConstruction,
 		EfSearch:            c.opts.EfSearch,
@@ -198,159 +172,131 @@ func (c *IndexedCache) newGraph() (*hnsw.Index, error) {
 }
 
 // Get returns the documents of the closest cached entry whose tolerance
-// admits q. Large caches route through the graph; below the crossover an
-// exact linear scan is cheaper.
+// admits q. Large caches route through the graph; below the crossover
+// FLAT's scan is cheaper.
 //
 //proximity:hotpath
 func (c *IndexedCache) Get(q vec.Vector) ([]int, bool) {
-	if q == nil || len(q) != c.dim {
+	f := c.flat
+	if len(q) != f.dim {
 		return nil, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	var best *indexedEntry
-	switch {
-	case c.live == 0:
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	i := -1
+	switch n := len(f.tols); {
+	case n == 0:
 		// nothing cached
-	case c.live < c.opts.Crossover:
+	case n < c.opts.Crossover:
 		c.bruteScans++
-		best = c.scanExact(q)
+		i, _ = f.scanAdmissible(q)
 	default:
-		best = c.searchGraph(q)
+		i = c.searchGraph(q)
 	}
-	if best == nil {
-		c.stats.Misses++
-		return nil, false
-	}
-	c.stats.Hits++
-	if c.opts.Policy == LRU {
-		c.order.MoveToBack(best.elem)
-	}
-	//proximity:allow hotpathalloc the budgeted caller-owned docs copy (Get's one allocation)
-	out := make([]int, len(best.docs))
-	copy(out, best.docs)
-	return out, true
-}
-
-// scanExact is the sub-crossover fallback: an exact scan over live slots
-// in ascending slot order (ties keep the lowest slot, deterministic).
-func (c *IndexedCache) scanExact(q vec.Vector) *indexedEntry {
-	var best *indexedEntry
-	var bestDist float32
-	for _, e := range c.entries {
-		if e == nil {
-			continue
-		}
-		d, ok := c.admissibleDist(q, e, best, bestDist)
-		if ok && (best == nil || d < bestDist) {
-			best, bestDist = e, d
-		}
-	}
-	c.stats.DistComps += int64(c.live)
-	return best
-}
-
-// admissibleDist is the exact distance from q to e's key, with ok=false
-// when e's tolerance does not admit q. It also returns false, without
-// finishing the sum, once e is provably farther than the best candidate
-// so far; a candidate exactly as far still gets its distance, so the
-// callers' tie-breaks decide as they always did.
-func (c *IndexedCache) admissibleDist(q vec.Vector, e, best *indexedEntry, bestDist float32) (float32, bool) {
-	maxDist := e.tol
-	if best != nil && bestDist < maxDist {
-		maxDist = bestDist
-	}
-	d, ok := vec.L2Bounded(q, e.key, maxDist)
-	return d, ok && d <= e.tol
+	return f.serveLocked(i)
 }
 
 // searchGraph runs the quantized beam search and exactly re-ranks every
-// returned candidate. Admission (d ≤ tol) is decided on exact distances
-// only; quantized distances merely chose which candidates to look at.
-func (c *IndexedCache) searchGraph(q vec.Vector) *indexedEntry {
+// returned candidate, returning the winner's slot (-1 if none). Admission
+// (d ≤ tol) is decided on exact distances only; quantized distances
+// merely chose which candidates to look at. A candidate is abandoned once
+// it is provably farther than the best so far; on an exact tie the lower
+// graph node wins.
+func (c *IndexedCache) searchGraph(q vec.Vector) int {
+	f := c.flat
 	hopsBefore := c.graph.Hops()
 	ef := c.opts.EfSearch
 	found, err := c.graph.SearchInto(c.candBuf[:0], q, ef, ef)
 	if err != nil {
 		// Len()>0 and dim was checked; unreachable, but fail safe
 		// toward a miss rather than a panic.
-		return nil
+		return -1
 	}
 	c.candBuf = found[:0]
-	var best *indexedEntry
+	best, bestNode := -1, 0
 	var bestDist float32
 	for _, cand := range found {
-		e := c.entries[cand.ID]
-		if e == nil {
+		i := c.slotOf[cand.ID]
+		if i == noSlot {
 			continue // tombstones are excluded by the graph; belt and braces
 		}
-		d, ok := c.admissibleDist(q, e, best, bestDist)
-		if !ok {
-			continue
+		tol := f.tols[i]
+		maxDist := tol
+		if best >= 0 && bestDist < maxDist {
+			maxDist = bestDist
 		}
-		if best == nil || d < bestDist || (d == bestDist && e.id < best.id) {
-			best, bestDist = e, d
+		d, ok := vec.L2Bounded(q, f.slots[i].key, maxDist)
+		if ok && d <= tol && (best < 0 || d < bestDist || d == bestDist && cand.ID < bestNode) {
+			best, bestNode, bestDist = int(i), cand.ID, d
 		}
 	}
 	c.reranks += int64(len(found))
-	c.stats.DistComps += c.graph.Hops() - hopsBefore + int64(len(found))
+	f.distComps.Add(c.graph.Hops() - hopsBefore + int64(len(found)))
 	return best
 }
 
 // Put inserts under the cache-wide tolerance, evicting if necessary.
 func (c *IndexedCache) Put(q vec.Vector, docs []int) {
-	c.PutWithTolerance(q, docs, c.opts.Tolerance)
+	c.PutWithTolerance(q, docs, c.flat.opts.Tolerance)
 }
 
-// PutWithTolerance inserts an entry with its own match threshold. The key
-// is cloned once; the graph and the cache line share the clone. A nil or
-// wrong-length key, and a negative or NaN tol, is ignored.
+// PutWithTolerance inserts an entry with its own match threshold. What
+// FlatCache ignores, this ignores too. The key is cloned once; the graph
+// node and the line share the clone.
 func (c *IndexedCache) PutWithTolerance(q vec.Vector, docs []int, tol float32) {
-	if q == nil || len(q) != c.dim || !(tol >= 0) {
+	f := c.flat
+	if !f.storable(q, tol) {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 
-	if c.live >= c.opts.Capacity {
+	if len(f.tols) >= f.opts.Capacity {
 		c.evictLocked()
 	}
 	key := vec.Clone(q)
-	id, err := c.graph.Insert(key)
+	node, err := c.graph.Insert(key)
 	if err != nil {
 		return // dim checked above; unreachable
 	}
-	for len(c.entries) <= id {
-		c.entries = append(c.entries, nil)
+	for len(c.slotOf) <= node {
+		c.slotOf = append(c.slotOf, noSlot)
 	}
-	e := &indexedEntry{
-		id:   id,
-		key:  key,
-		docs: append([]int(nil), docs...),
-		tol:  tol,
-	}
-	e.elem = c.order.PushBack(e)
-	c.entries[id] = e
-	c.live++
-	c.stats.Puts++
+	c.slotOf[node] = int32(len(f.tols))
+	c.nodeOf = append(c.nodeOf, int32(node))
+	f.appendLocked(key, docs, tol)
 	c.maybeMaintainLocked()
 }
 
-// maybeMaintainLocked runs one budgeted repair pass once Every slots have
-// been reused since the last one. Called with c.mu held, so the pass is
-// serialized against every other graph mutation for free; the Budget cap
-// bounds how long this Put holds the lock.
-func (c *IndexedCache) maybeMaintainLocked() {
-	m := c.opts.Maintenance
-	if m == nil || c.graph.ReusedSinceRepair() < m.Every {
-		return
+// evictLocked tombstones the graph node of FlatCache's next victim, then
+// evicts it. FlatCache moves its last line into the victim's slot, and
+// the moved line's node moves with it.
+func (c *IndexedCache) evictLocked() {
+	f := c.flat
+	v, last := f.front, int32(len(f.tols)-1)
+	node := c.nodeOf[v]
+	if err := c.graph.Delete(int(node)); err != nil {
+		panic(fmt.Sprintf("core: graph/cache desync on evict: %v", err))
 	}
-	start := time.Now()
-	c.graph.Repair(m.Budget)
-	d := time.Since(start)
-	c.repairNanos += int64(d)
-	c.opts.Telemetry.ObserveStage(telemetry.StageGraphRepair, d)
+	c.nodeOf[v] = c.nodeOf[last]
+	c.slotOf[c.nodeOf[v]] = v
+	c.slotOf[node] = noSlot
+	c.nodeOf = c.nodeOf[:last]
+	f.evictLocked()
+	// The graph reads a tombstone's key until it reuses the node (its
+	// in-edges are re-routed by distance to it), so FlatCache must not
+	// recycle the victim's key for the next line.
+	f.spare = nil
+}
+
+// maybeMaintainLocked runs one budgeted repair pass once Every slots have
+// been reused since the last one. Called with the cache lock held, so the
+// pass is serialized against every other graph mutation for free; the
+// Budget cap bounds how long this Put holds the lock.
+func (c *IndexedCache) maybeMaintainLocked() {
+	if m := c.opts.Maintenance; m != nil && c.graph.ReusedSinceRepair() >= m.Every {
+		c.repairLocked(m.Budget)
+	}
 }
 
 // Maintain runs repair passes until the graph's pending-repair queue is
@@ -358,14 +304,19 @@ func (c *IndexedCache) maybeMaintainLocked() {
 // Useful before a latency-sensitive phase or in tests; the scheduled
 // path (IndexedOptions.Maintenance) normally makes this unnecessary.
 func (c *IndexedCache) Maintain(budget int) hnsw.RepairStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.flat.mu.Lock()
+	defer c.flat.mu.Unlock()
 	if budget <= 0 {
 		budget = c.graph.PendingRepair()
 	}
 	if budget == 0 {
 		return hnsw.RepairStats{}
 	}
+	return c.repairLocked(budget)
+}
+
+// repairLocked runs one repair pass of at most budget nodes, timing it.
+func (c *IndexedCache) repairLocked(budget int) hnsw.RepairStats {
 	start := time.Now()
 	st := c.graph.Repair(budget)
 	d := time.Since(start)
@@ -374,44 +325,17 @@ func (c *IndexedCache) Maintain(budget int) hnsw.RepairStats {
 	return st
 }
 
-func (c *IndexedCache) evictLocked() {
-	front := c.order.Front()
-	if front == nil {
-		return
-	}
-	victim, ok := front.Value.(*indexedEntry)
-	if !ok {
-		panic(fmt.Sprintf("core: unexpected eviction list element %T", front.Value))
-	}
-	c.order.Remove(front)
-	if err := c.graph.Delete(victim.id); err != nil {
-		panic(fmt.Sprintf("core: graph/cache desync on evict: %v", err))
-	}
-	c.entries[victim.id] = nil
-	c.live--
-	c.stats.Evictions++
-	if c.opts.OnEvict != nil {
-		// The graph holds a quantized copy of the key, not the victim's
-		// float32 slice, so handing the slices over transfers ownership.
-		c.opts.OnEvict(Entry{Key: victim.key, Docs: victim.docs, Tol: victim.tol})
-	}
-}
-
 // Len returns the number of cached entries.
-func (c *IndexedCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.live
-}
+func (c *IndexedCache) Len() int { return c.flat.Len() }
 
 // Capacity returns the configured capacity.
-func (c *IndexedCache) Capacity() int { return c.opts.Capacity }
+func (c *IndexedCache) Capacity() int { return c.flat.Capacity() }
 
 // Tolerance returns the cache-wide similarity threshold τ.
-func (c *IndexedCache) Tolerance() float32 { return c.opts.Tolerance }
+func (c *IndexedCache) Tolerance() float32 { return c.flat.Tolerance() }
 
 // Policy returns the eviction policy.
-func (c *IndexedCache) Policy() Policy { return c.opts.Policy }
+func (c *IndexedCache) Policy() Policy { return c.flat.Policy() }
 
 // SetEfSearch retunes the lookup beam width at runtime — the
 // recall-vs-latency knob. Wider beams recover graph recall on hard
@@ -421,15 +345,15 @@ func (c *IndexedCache) SetEfSearch(ef int) {
 	if ef < 1 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.flat.mu.Lock()
+	defer c.flat.mu.Unlock()
 	c.opts.EfSearch = ef
 }
 
 // EfSearch returns the current lookup beam width.
 func (c *IndexedCache) EfSearch() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.flat.mu.RLock()
+	defer c.flat.mu.RUnlock()
 	return c.opts.EfSearch
 }
 
@@ -438,9 +362,10 @@ func (c *IndexedCache) EfSearch() int {
 // fallback scans — the all-in distance work of lookups, comparable to
 // the flat scan's counter.
 func (c *IndexedCache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
+	c.flat.mu.RLock()
+	defer c.flat.mu.RUnlock()
+	s := c.flat.stats
+	s.DistComps = c.flat.distComps.Load()
 	idx := c.indexStatsLocked()
 	s.Index = &idx
 	return s
@@ -508,7 +433,7 @@ func (s *IndexStats) Merge(other IndexStats) {
 func (c *IndexedCache) indexStatsLocked() IndexStats {
 	m := c.graph.Maintenance()
 	return IndexStats{
-		Nodes:           c.live,
+		Nodes:           len(c.flat.tols),
 		Slots:           c.graph.Slots(),
 		Tombstones:      c.graph.Tombstones(),
 		GraphHops:       c.cleared.GraphHops + c.graph.Hops(),
@@ -530,36 +455,19 @@ func (c *IndexedCache) indexStatsLocked() IndexStats {
 // parameters), preserving counters: the old graph's are folded into
 // cleared before it goes.
 func (c *IndexedCache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.flat.mu.Lock()
+	defer c.flat.mu.Unlock()
 	graph, err := c.newGraph()
 	if err != nil {
 		panic(fmt.Sprintf("core: rebuilding graph with validated config: %v", err))
 	}
 	c.cleared = c.indexStatsLocked()
 	c.graph = graph
-	c.entries = nil
-	c.live = 0
-	c.order.Init()
+	c.nodeOf, c.slotOf = nil, nil
+	c.flat.clearLocked()
 }
 
 // Entries returns copies of the cached lines in eviction order (front
 // first). Implements EntrySource so the shard migrator can move lines
 // between indexed sub-caches.
-func (c *IndexedCache) Entries() []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Entry, 0, c.live)
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e, ok := el.Value.(*indexedEntry)
-		if !ok {
-			panic(fmt.Sprintf("core: unexpected eviction list element %T", el.Value))
-		}
-		out = append(out, Entry{
-			Key:  vec.Clone(e.key),
-			Docs: append([]int(nil), e.docs...),
-			Tol:  e.tol,
-		})
-	}
-	return out
-}
+func (c *IndexedCache) Entries() []Entry { return c.flat.Entries() }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"sync"
 	"testing"
 
 	"proximity/internal/telemetry"
@@ -227,6 +230,26 @@ func TestIndexedChurn(t *testing.T) {
 	}
 }
 
+// TestIndexedMatchesAlgorithm1 drives the oracle's op stream through an
+// IndexedCache whose crossover is above its capacity, so that every
+// lookup is FLAT's scan while every Put and eviction still maintains the
+// graph.
+func TestIndexedMatchesAlgorithm1(t *testing.T) {
+	matchAlgorithm1(t, func(t testing.TB, dim int, opts Options) algorithm1Cache {
+		c, err := NewIndexed(dim, IndexedOptions{
+			Capacity:    opts.Capacity,
+			Tolerance:   opts.Tolerance,
+			Policy:      opts.Policy,
+			Crossover:   opts.Capacity + 1,
+			Maintenance: &MaintenanceOptions{Every: 4, Budget: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	})
+}
+
 func TestIndexedLRU(t *testing.T) {
 	idx, err := NewIndexed(2, IndexedOptions{Capacity: 2, Tolerance: 0.1, Policy: LRU, Seed: 13})
 	if err != nil {
@@ -342,8 +365,11 @@ func TestIndexedIgnoresBadInput(t *testing.T) {
 	idx.Put(vec.Vector{1, 2}, []int{1})                                 // wrong dim
 	idx.PutWithTolerance(vec.Vector{1, 2, 3}, nil, -1)                  // negative tol
 	idx.PutWithTolerance(vec.Vector{1, 2, 3}, nil, float32(math.NaN())) // NaN tol
-	if idx.Len() != 0 {
-		t.Fatalf("bad puts were accepted: len=%d", idx.Len())
+	for _, x := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		idx.Put(vec.Vector{1, x, 3}, []int{1}) // no query is within τ of it
+	}
+	if idx.Len() != 0 || idx.Stats().Puts != 0 {
+		t.Fatalf("bad puts were accepted: len=%d, puts=%d", idx.Len(), idx.Stats().Puts)
 	}
 	if _, ok := idx.Get(nil); ok {
 		t.Fatal("nil query hit")
@@ -408,5 +434,204 @@ func TestIndexedMaintain(t *testing.T) {
 	// Draining an already-clean queue is a no-op.
 	if st := idx.Maintain(0); st.Examined != 0 || st.Relinked != 0 {
 		t.Fatalf("clean-queue Maintain did work: %+v", st)
+	}
+}
+
+// indexedPin is what TestIndexedGraphEvolutionPinned records per cell:
+// the counters (Index block apart), the Index block without its wall
+// time, and an FNV-64a hash of every Get result and the final Entries.
+type indexedPin struct {
+	stats Stats
+	index IndexStats
+	hash  uint64
+}
+
+// TestIndexedGraphEvolutionPinned replays one fixed-seed churn stream
+// (puts with the cache-wide and per-line tolerances, lookups near
+// resident and evicted keys, manual repair passes and one Clear) over
+// FIFO and LRU at three crossovers: the graph on every lookup, the
+// default, and the scan on every lookup. Scheduled maintenance is on.
+// The graph's evolution — which node each Put reuses, which in-edges
+// eviction severs, what each repair pass re-links — is a function of
+// the keys it is handed and the order of deletions, so any change to
+// what the cache hands the graph moves these constants.
+func TestIndexedGraphEvolutionPinned(t *testing.T) {
+	const (
+		dim      = 8
+		capacity = 200
+		ops      = 3000
+		tau      = 0.5
+	)
+	// Recorded from the IndexedCache that kept its own list, key copies
+	// and scan; rebuilding it over a FlatCache moved none of them.
+	want := map[string]indexedPin{
+		"fifo/crossover=1": {
+			Stats{Hits: 1217, Misses: 551, Puts: 1101, Evictions: 701, DistComps: 373188},
+			IndexStats{Nodes: 200, Slots: 200, GraphHops: 291739, Reranks: 81449, Searches: 1765, ReusedSlots: 701, SeveredInEdges: 18230, ReroutedInEdges: 17616, DroppedInRefs: 1555, RepairPasses: 145, RepairedNodes: 371, PendingRepair: 14},
+			0x7166c8a0bdc0d560,
+		},
+		"fifo/crossover=0": {
+			Stats{Hits: 1217, Misses: 551, Puts: 1101, Evictions: 701, DistComps: 355327},
+			IndexStats{Nodes: 200, Slots: 200, GraphHops: 264095, Reranks: 65616, BruteScans: 398, Searches: 1367, ReusedSlots: 701, SeveredInEdges: 18230, ReroutedInEdges: 17616, DroppedInRefs: 1555, RepairPasses: 145, RepairedNodes: 371, PendingRepair: 14},
+			0x7166c8a0bdc0d560,
+		},
+		"fifo/crossover=1048576": {
+			Stats{Hits: 1218, Misses: 550, Puts: 1101, Evictions: 701, DistComps: 289865},
+			IndexStats{Nodes: 200, Slots: 200, BruteScans: 1765, ReusedSlots: 701, SeveredInEdges: 18230, ReroutedInEdges: 17616, DroppedInRefs: 1555, RepairPasses: 145, RepairedNodes: 371, PendingRepair: 14},
+			0x6f8a76e2711bc56,
+		},
+		"lru/crossover=1": {
+			Stats{Hits: 1136, Misses: 632, Puts: 1101, Evictions: 701, DistComps: 372825},
+			IndexStats{Nodes: 200, Slots: 200, GraphHops: 291376, Reranks: 81449, Searches: 1765, ReusedSlots: 701, SeveredInEdges: 17861, ReroutedInEdges: 17276, DroppedInRefs: 1361, RepairPasses: 145, RepairedNodes: 294, PendingRepair: 6},
+			0x6cf98429a7acbaf,
+		},
+		"lru/crossover=0": {
+			Stats{Hits: 1136, Misses: 632, Puts: 1101, Evictions: 701, DistComps: 354964},
+			IndexStats{Nodes: 200, Slots: 200, GraphHops: 263732, Reranks: 65616, BruteScans: 398, Searches: 1367, ReusedSlots: 701, SeveredInEdges: 17861, ReroutedInEdges: 17276, DroppedInRefs: 1361, RepairPasses: 145, RepairedNodes: 294, PendingRepair: 6},
+			0x6cf98429a7acbaf,
+		},
+		"lru/crossover=1048576": {
+			Stats{Hits: 1136, Misses: 632, Puts: 1101, Evictions: 701, DistComps: 289865},
+			IndexStats{Nodes: 200, Slots: 200, BruteScans: 1765, ReusedSlots: 701, SeveredInEdges: 17861, ReroutedInEdges: 17276, DroppedInRefs: 1361, RepairPasses: 145, RepairedNodes: 294, PendingRepair: 6},
+			0x6cf98429a7acbaf,
+		},
+	}
+	for _, policy := range []Policy{FIFO, LRU} {
+		for _, crossover := range []int{1, 0, 1 << 20} {
+			name := fmt.Sprintf("%v/crossover=%d", policy, crossover)
+			t.Run(name, func(t *testing.T) {
+				c, err := NewIndexed(dim, IndexedOptions{
+					Capacity:    capacity,
+					Tolerance:   tau,
+					Policy:      policy,
+					Crossover:   crossover,
+					Seed:        3,
+					Maintenance: &MaintenanceOptions{Every: 16, Budget: 8},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := vec.NewRand(41)
+				h := fnv.New64a()
+				var keys []vec.Vector // every key put, resident or not
+				for op := 0; op < ops; op++ {
+					switch r := rng.IntN(20); {
+					case op == ops/2:
+						c.Clear()
+					case r < 7 || len(keys) == 0:
+						k := vec.Scale(vec.RandomGaussian(rng, dim), 2)
+						keys = append(keys, k)
+						if r == 0 {
+							c.PutWithTolerance(k, []int{op}, tau*float32(rng.Float64()))
+						} else {
+							c.Put(k, []int{op})
+						}
+					case r < 19:
+						var q vec.Vector
+						if r < 17 { // near a recent key, usually still resident
+							q = perturb(rng, keys[max(0, len(keys)-capacity-20+rng.IntN(capacity+20))], tau*float32(rng.Float64()))
+						} else {
+							q = vec.Scale(vec.RandomGaussian(rng, dim), 2)
+						}
+						docs, ok := c.Get(q)
+						fmt.Fprintln(h, op, docs, ok)
+					default:
+						c.Maintain(4)
+					}
+				}
+				for _, e := range c.Entries() {
+					fmt.Fprintln(h, e.Key, e.Docs, e.Tol)
+				}
+				s := c.Stats()
+				got := indexedPin{stats: s, index: *s.Index, hash: h.Sum64()}
+				got.stats.Index, got.index.RepairNanos = nil, 0
+				if got.index.RepairPasses == 0 || got.stats.Evictions == 0 || got.stats.Hits == 0 {
+					t.Fatalf("stream exercised too little: %+v %+v", got.stats, got.index)
+				}
+				if w, ok := want[name]; !ok || !reflect.DeepEqual(got, w) {
+					t.Errorf("got  %#v\nwant %#v", got, w)
+				}
+			})
+		}
+	}
+}
+
+// TestIndexedConcurrentAccess runs Get, Put, Stats, Entries, Maintain
+// and Clear from four goroutines on both lookup paths; under -race it
+// checks that every one of them holds the one lock. Afterwards every Get
+// and Put must be counted once, and the graph must hold one node per
+// line.
+func TestIndexedConcurrentAccess(t *testing.T) {
+	const (
+		dim        = 8
+		workers    = 4
+		perWorker  = 400
+		capacity   = 64
+		tolerance  = 0.5
+		everyClear = 97
+	)
+	for _, crossover := range []int{1, 1 << 20} {
+		t.Run(fmt.Sprintf("crossover=%d", crossover), func(t *testing.T) {
+			c, err := NewIndexed(dim, IndexedOptions{
+				Capacity:    capacity,
+				Tolerance:   tolerance,
+				Policy:      LRU,
+				Crossover:   crossover,
+				Seed:        5,
+				Maintenance: &MaintenanceOptions{Every: 8, Budget: 4},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gets, puts [workers]int64
+			var wg sync.WaitGroup
+			for w := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := vec.NewRand(uint64(w) + 1)
+					var keys []vec.Vector
+					for i := range perWorker {
+						switch r := rng.IntN(10); {
+						case r < 3 || len(keys) == 0:
+							k := vec.Scale(vec.RandomGaussian(rng, dim), 2)
+							keys = append(keys, k)
+							c.Put(k, []int{w, i})
+							puts[w]++
+						case r < 7:
+							if docs, ok := c.Get(perturb(rng, keys[rng.IntN(len(keys))], tolerance/2)); ok && len(docs) != 2 {
+								t.Errorf("Get served %v", docs)
+							}
+							gets[w]++
+						case r == 7:
+							if s := c.Stats(); s.Index == nil || s.Index.Nodes > capacity {
+								t.Errorf("Stats %+v", s)
+							}
+						case r == 8:
+							if n := len(c.Entries()); n > capacity {
+								t.Errorf("%d entries in a cache of %d", n, capacity)
+							}
+						case i%everyClear == 0:
+							c.Clear()
+						default:
+							c.Maintain(2)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			var wantGets, wantPuts int64
+			for w := range workers {
+				wantGets += gets[w]
+				wantPuts += puts[w]
+			}
+			s := c.Stats()
+			if s.Hits+s.Misses != wantGets || s.Puts != wantPuts || s.Hits == 0 {
+				t.Fatalf("Stats %+v after %d gets and %d puts", s, wantGets, wantPuts)
+			}
+			if s.Index.Nodes != c.Len() || s.Index.Slots-s.Index.Tombstones != c.Len() {
+				t.Fatalf("graph %+v over %d lines", *s.Index, c.Len())
+			}
+		})
 	}
 }

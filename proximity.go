@@ -172,8 +172,8 @@
 //
 //   - FLAT: exact and allocation-light; the right default below a few
 //     thousand entries, where a scan beats every index's fixed
-//     overhead (the indexed cache itself falls back to a scan below
-//     IndexedOptions.Crossover, default 128). The scan stops each key's
+//     overhead (below IndexedOptions.Crossover lines, default 128,
+//     INDEXED's lookup is this same scan). The scan stops each key's
 //     distance as soon as it provably exceeds τ, so its cost tracks how
 //     crowded the keys are around τ rather than c·d: on
 //     BenchmarkIndexedCache's spread-out keys (d=128) the scan's
@@ -578,9 +578,9 @@ func NewLSHCache(dim int, opts LSHOptions) (*core.LSHCache, error) {
 
 // NewIndexedCache creates a Proximity-INDEXED cache: lookups served by
 // an HNSW graph over the cached keys with int8-quantized traversal and
-// exact re-ranking, falling back to a linear scan below the crossover
-// size. Admission semantics match the FLAT cache; see the package doc
-// for variant guidance.
+// exact re-ranking; below the crossover size a lookup is the FLAT
+// cache's own scan. Admission semantics match the FLAT cache; see the
+// package doc for variant guidance.
 func NewIndexedCache(dim int, opts IndexedOptions) (*IndexedCache, error) {
 	return core.NewIndexed(dim, opts)
 }
