@@ -5,7 +5,6 @@ import (
 	"errors"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"proximity/internal/telemetry"
@@ -19,7 +18,8 @@ type Searcher interface {
 }
 
 // KeyFunc maps a query to its coalescing fingerprint. Requests with equal
-// (fingerprint, k) that overlap in time share one inner search.
+// embeddings and k that overlap in time share one inner search; the
+// fingerprint only finds the flight to compare against.
 type KeyFunc func(q vec.Vector) uint32
 
 // CoalesceStats are cumulative coalescer counters.
@@ -29,18 +29,9 @@ type CoalesceStats struct {
 	// Coalesced counts requests served from another request's flight.
 	Coalesced int64
 	// Collisions counts requests whose fingerprint matched an in-flight
-	// search but whose embedding did not (verified mode only); they
-	// searched independently rather than receive another query's
-	// documents.
+	// search but whose embedding did not; they searched independently
+	// rather than receive another query's documents.
 	Collisions int64
-}
-
-// Rate returns the fraction of requests served without an inner search.
-func (s CoalesceStats) Rate() float64 {
-	if n := s.Leads + s.Coalesced; n > 0 {
-		return float64(s.Coalesced) / float64(n)
-	}
-	return 0
 }
 
 // flight is one in-progress inner search shared by duplicate requests.
@@ -52,37 +43,26 @@ type flight struct {
 	err     error
 }
 
-// Coalescer deduplicates concurrent identical (or, with an LSH-signature
-// key, near-identical) searches: the first request with a given
-// (fingerprint, k) becomes the leader and performs the inner search;
-// requests arriving while it is in flight wait and receive a private copy
-// of its results. Sequential duplicates are NOT deduplicated — that is
-// the cache's job; the coalescer only collapses races between concurrent
-// misses. Safe for concurrent use.
-// flightKey identifies one joinable flight. The generation changes on
-// every SetKey, so flights filed under a retired key function are never
-// joined by requests hashed with the new one — numeric key equality
-// across two different draws carries no similarity guarantee at all.
+// flightKey identifies one joinable flight.
 type flightKey struct {
-	gen uint32
 	key uint32
 	k   int
 }
 
-// keyState pairs the key function with its generation in one value, so
-// a reader can never observe a new function with an old generation (or
-// vice versa) — either tear would reopen the cross-draw join window.
-type keyState struct {
-	fn  KeyFunc
-	gen uint32
-}
-
+// Coalescer deduplicates concurrent identical searches: the first
+// request with a given (fingerprint, k) becomes the leader and performs
+// the inner search; a request arriving while it is in flight joins only
+// if its embedding equals the leader's, then waits and receives a
+// private copy of its results. A fingerprint collision between distinct
+// embeddings searches independently, so no request is ever served (and
+// no retriever ever caches) another query's documents. Sequential
+// duplicates are NOT deduplicated — that is the cache's job; the
+// coalescer only collapses races between concurrent misses. Safe for
+// concurrent use.
 type Coalescer struct {
-	inner  Searcher
-	key    atomic.Pointer[keyState] // swapped whole by SetKey; read lock-free
-	genCtr atomic.Uint32            // mints a unique generation per SetKey
-	verify bool                     // require embedding equality, not just key equality
-	tel    *telemetry.Telemetry     // optional: coalesce_wait stage observations
+	inner Searcher
+	key   KeyFunc
+	tel   *telemetry.Telemetry // optional: coalesce_wait stage observations
 
 	mu       sync.Mutex
 	inflight map[flightKey]*flight
@@ -90,36 +70,20 @@ type Coalescer struct {
 }
 
 // NewCoalescer creates a singleflight front for inner, keyed by key.
-// Requests whose keys match are assumed to be interchangeable — the
-// right semantics for a locality-sensitive key such as an LSH signature,
-// where near-identical queries are meant to share a flight.
+// The key only narrows the candidates: a request joins a flight with an
+// equal key and k only if its embedding equals the leader's.
 func NewCoalescer(inner Searcher, key KeyFunc) (*Coalescer, error) {
-	return newCoalescer(inner, key, false)
-}
-
-// NewVerifiedCoalescer is NewCoalescer for keys that promise exact
-// deduplication (e.g. a byte fingerprint): a request joins a flight only
-// if its embedding equals the leader's, so a hash collision degrades to
-// an independent search instead of silently serving — and then caching —
-// another query's documents.
-func NewVerifiedCoalescer(inner Searcher, key KeyFunc) (*Coalescer, error) {
-	return newCoalescer(inner, key, true)
-}
-
-func newCoalescer(inner Searcher, key KeyFunc, verify bool) (*Coalescer, error) {
 	if inner == nil {
 		return nil, errors.New("batch: coalescer requires an inner searcher")
 	}
 	if key == nil {
 		return nil, errors.New("batch: coalescer requires a key function")
 	}
-	c := &Coalescer{
+	return &Coalescer{
 		inner:    inner,
-		verify:   verify,
+		key:      key,
 		inflight: make(map[flightKey]*flight),
-	}
-	c.key.Store(&keyState{fn: key})
-	return c, nil
+	}, nil
 }
 
 // SetTelemetry attaches a telemetry hub: follower waits are then
@@ -139,12 +103,11 @@ func (c *Coalescer) SearchContext(ctx context.Context, q vec.Vector, k int) ([]v
 }
 
 func (c *Coalescer) search(trace *telemetry.Trace, q vec.Vector, k int) ([]vec.Scored, error) {
-	ks := c.key.Load()
-	key := flightKey{gen: ks.gen, key: ks.fn(q), k: k}
+	key := flightKey{key: c.key(q), k: k}
 
 	c.mu.Lock()
 	if f, ok := c.inflight[key]; ok {
-		if c.verify && !slices.Equal(f.q, q) {
+		if !slices.Equal(f.q, q) {
 			// Fingerprint collision between distinct embeddings: search
 			// independently, bypassing the flight.
 			c.stats.Collisions++
@@ -200,21 +163,6 @@ func (c *Coalescer) search(trace *telemetry.Trace, q vec.Vector, k int) ([]vec.S
 	out := make([]vec.Scored, len(f.res))
 	copy(out, f.res)
 	return out, nil
-}
-
-// SetKey atomically replaces the fingerprint function. Flights already
-// in progress complete under the (function, generation) pair they were
-// filed under; requests hashed by the new function carry a fresh
-// generation, so they can never join a retired draw's flight even when
-// the numeric keys coincide — cross-draw key equality carries no
-// similarity guarantee. The one cost is a missed coalescing opportunity
-// for requests straddling the swap. Used to keep CoalesceLSH duplicate
-// detection in step with a re-drawn shard partitioner.
-func (c *Coalescer) SetKey(key KeyFunc) {
-	if key == nil {
-		return
-	}
-	c.key.Store(&keyState{fn: key, gen: c.genCtr.Add(1)})
 }
 
 // Stats returns a snapshot of the cumulative counters.

@@ -3,7 +3,6 @@ package batch_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -98,7 +97,7 @@ func TestCoalescerStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			key := g % unique
-			q := vec.Vector{float32(key), float32(g)}
+			q := vec.Vector{float32(key), 0}
 			res, err := co.Search(q, k)
 			results[g], errs[g] = res, err
 			if err == nil && len(res) > 0 {
@@ -160,7 +159,7 @@ func TestCoalescerErrorFanOut(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, errs[g] = co.Search(vec.Vector{1, float32(g)}, 3)
+			_, errs[g] = co.Search(vec.Vector{1, 0}, 3)
 		}(g)
 	}
 	waitForStats(t, co, 1, followers)
@@ -231,13 +230,13 @@ func TestCoalescerDistinctK(t *testing.T) {
 	}
 }
 
-// TestVerifiedCoalescerCollision pins the exact-mode safety contract: two
+// TestVerifiedCoalescerCollision pins the coalescer's safety contract: two
 // distinct embeddings whose fingerprints collide must NOT share a flight
 // — each searches the database itself, so a hash collision can never
 // serve (and let the retriever cache) another query's documents.
 func TestVerifiedCoalescerCollision(t *testing.T) {
 	searcher := newGatedSearcher()
-	co, err := batch.NewVerifiedCoalescer(searcher, keyByFirstElement)
+	co, err := batch.NewCoalescer(searcher, keyByFirstElement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +284,6 @@ func TestVerifiedCoalescerCollision(t *testing.T) {
 
 // Ensure the example fingerprint type assumptions hold.
 var _ batch.KeyFunc = keyByFirstElement
-
-func ExampleCoalesceStats_Rate() {
-	s := batch.CoalesceStats{Leads: 25, Coalesced: 75}
-	fmt.Printf("%.2f\n", s.Rate())
-	// Output: 0.75
-}
 
 // TestCoalescerFollowerSpanLink pins the trace attribution contract: a
 // sampled follower's coalesce_wait span must carry the leader's trace ID

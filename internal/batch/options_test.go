@@ -1,7 +1,6 @@
 package batch_test
 
 import (
-	"strings"
 	"testing"
 
 	"proximity/internal/batch"
@@ -18,24 +17,6 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := batch.New(nil, batch.Options{}); err == nil {
 		t.Error("New(nil db) should fail")
-	}
-	if _, err := batch.New(ix, batch.Options{Coalesce: batch.CoalesceMode(99)}); err == nil {
-		t.Error("unknown coalesce mode should fail")
-	}
-}
-
-func TestCoalesceModeString(t *testing.T) {
-	cases := map[batch.CoalesceMode]string{
-		batch.CoalesceExact: "exact",
-		batch.CoalesceLSH:   "lsh",
-	}
-	for mode, want := range cases {
-		if got := mode.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(mode), got, want)
-		}
-	}
-	if got := batch.CoalesceMode(42).String(); !strings.Contains(got, "42") {
-		t.Errorf("unknown mode string %q should carry the value", got)
 	}
 }
 

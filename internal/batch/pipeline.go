@@ -7,50 +7,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"proximity/internal/lsh"
 	"proximity/internal/shard"
 	"proximity/internal/telemetry"
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
 )
 
-// CoalesceMode selects how in-flight duplicate misses are detected.
-type CoalesceMode int
-
-const (
-	// CoalesceExact deduplicates byte-identical embeddings (FNV-1a
-	// fingerprint, shared with the shard router). The default.
-	CoalesceExact CoalesceMode = iota + 1
-	// CoalesceLSH deduplicates embeddings with equal random-hyperplane
-	// signatures: near-identical rephrasings share one search, the same
-	// locality argument as Proximity-LSH itself. Followers receive the
-	// leader's documents, so this trades a little exactness on the miss
-	// path for fewer index traversals — sound for the same reason the
-	// approximate cache is.
-	CoalesceLSH
-)
-
-// String implements fmt.Stringer.
-func (m CoalesceMode) String() string {
-	switch m {
-	case CoalesceExact:
-		return "exact"
-	case CoalesceLSH:
-		return "lsh"
-	default:
-		return fmt.Sprintf("coalesce(%d)", int(m))
-	}
-}
-
 // Options configures a Pipeline.
 type Options struct {
-	// Coalesce selects duplicate detection. Defaults to CoalesceExact.
-	Coalesce CoalesceMode
-	// SignatureBits is the hyperplane count under CoalesceLSH. Defaults
-	// to shard.DefaultSignatureBits, capped at lsh.MaxBits.
-	SignatureBits int
-	// Seed drives the CoalesceLSH hyperplane draw.
-	Seed uint64
 	// Telemetry, when non-nil, receives per-stage observations from the
 	// pipeline: coalesce_wait (follower flight waits) and db_search (one
 	// observation per database search a leader or a fingerprint
@@ -65,7 +29,7 @@ type Stats struct {
 	// Coalesced is the subset served from another request's flight.
 	Coalesced int64
 	// Collisions counts fingerprint collisions between distinct
-	// embeddings (exact mode only); such requests search independently.
+	// embeddings; such requests search independently.
 	Collisions int64
 	// Errors counts database searches that failed. Followers of a failed
 	// flight receive its error but searched nothing, so they are not
@@ -81,11 +45,11 @@ func (s Stats) CoalesceRate() float64 {
 	return 0
 }
 
-// Pipeline is the miss path's singleflight front: a Coalescer, exact or
-// LSH-keyed, directly over a vector database. It satisfies vectordb.DB
-// and core.Searcher, so it drops into core.CachedRetriever either as the
-// database itself or as the miss-path Searcher option. Safe for
-// concurrent use.
+// Pipeline is the miss path's singleflight front: a Coalescer over
+// byte-identical embeddings, directly over a vector database. It
+// satisfies vectordb.DB and core.Searcher, so it drops into
+// core.CachedRetriever either as the database itself or as the
+// miss-path Searcher option. Safe for concurrent use.
 type Pipeline struct {
 	db     vectordb.DB
 	co     *Coalescer
@@ -101,43 +65,8 @@ func New(db vectordb.DB, opts Options) (*Pipeline, error) {
 	if db == nil {
 		return nil, fmt.Errorf("batch: pipeline requires a database")
 	}
-	if opts.Coalesce == 0 {
-		opts.Coalesce = CoalesceExact
-	}
 	p := &Pipeline{db: db, opts: opts}
-
-	var key KeyFunc
-	verified := false
-	switch opts.Coalesce {
-	case CoalesceExact:
-		// The fingerprint promises byte-identical dedup, so flights are
-		// joined only after verifying embedding equality — a 32-bit
-		// hash collision must not serve (and then cache) another
-		// query's documents.
-		key = shard.FingerprintOf
-		verified = true
-	case CoalesceLSH:
-		bits := opts.SignatureBits
-		if bits == 0 {
-			bits = shard.DefaultSignatureBits
-		}
-		if bits > lsh.MaxBits {
-			bits = lsh.MaxBits
-		}
-		hasher, err := lsh.NewHasher(db.Dim(), bits, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		p.opts.SignatureBits = bits // resolved width, for Reseed
-		key = hasher.Hash
-	default:
-		return nil, fmt.Errorf("batch: unknown coalesce mode %d", int(opts.Coalesce))
-	}
-	newCo := NewCoalescer
-	if verified {
-		newCo = NewVerifiedCoalescer
-	}
-	co, err := newCo(searcherFunc(p.search), key)
+	co, err := NewCoalescer(searcherFunc(p.search), shard.FingerprintOf)
 	if err != nil {
 		return nil, err
 	}
@@ -180,25 +109,6 @@ func (p *Pipeline) Search(q vec.Vector, k int) ([]vec.Scored, error) {
 // leader. Implements core.ContextSearcher.
 func (p *Pipeline) SearchContext(ctx context.Context, q vec.Vector, k int) ([]vec.Scored, error) {
 	return p.co.SearchContext(ctx, q, k)
-}
-
-// Reseed re-draws the CoalesceLSH duplicate-detection hyperplanes from
-// seed. When a re-drawn shard partitioner changes which queries share a
-// signature, a pipeline coalescing by the old draw would dedup a
-// different notion of "near-identical" than the cache routes by; the
-// rebalance actuator calls this (via its OnReseed hook) so both draws
-// stay in step. Under CoalesceExact it is a no-op: byte fingerprints are
-// content hashes, seed-independent.
-func (p *Pipeline) Reseed(seed uint64) error {
-	if p.opts.Coalesce != CoalesceLSH {
-		return nil
-	}
-	hasher, err := lsh.NewHasher(p.db.Dim(), p.opts.SignatureBits, seed)
-	if err != nil {
-		return err
-	}
-	p.co.SetKey(hasher.Hash)
-	return nil
 }
 
 // Dim implements vectordb.DB.

@@ -34,11 +34,16 @@ func buildIVF(t *testing.T, n, dim int, seed uint64) *vectordb.IVFIndex {
 
 // TestPipelineMatchesDirectSearch replays a query stream through the
 // pipeline under concurrency and checks every result against a direct
-// db.Search — the pipeline must be an invisible performance layer.
+// db.Search — the pipeline must be an invisible performance layer. The
+// database is held until every request is in flight, so each duplicate
+// overlaps its leader. The stream also carries 3·q for some queries: a
+// scaled copy shares every origin-hyperplane signature with q but lies
+// far from it, so it must search on its own rather than join q's flight.
 func TestPipelineMatchesDirectSearch(t *testing.T) {
 	ix := buildIVF(t, 120, 8, 3)
 	counting := vectordb.NewInstrumented(ix, nil)
-	pipe, err := batch.New(counting, batch.Options{})
+	gate := &gatedDB{DB: counting, release: make(chan struct{})}
+	pipe, err := batch.New(gate, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,19 +58,33 @@ func TestPipelineMatchesDirectSearch(t *testing.T) {
 			queries[i] = vec.RandomGaussian(rng, 8)
 		}
 	}
+	for i := 0; i < n; i += 4 { // never a duplicate, so never scaled twice
+		queries = append(queries, vec.Scale(vec.Clone(queries[i]), 3))
+	}
+	distinct := make(map[string]bool)
+	for _, q := range queries {
+		distinct[fmt.Sprint(q)] = true
+	}
+	duplicates := int64(len(queries) - len(distinct))
 
-	results := make([][]vec.Scored, n)
-	errs := make([]error, n)
+	results := make([][]vec.Scored, len(queries))
+	errs := make([]error, len(queries))
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range queries {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			results[i], errs[i] = pipe.Search(queries[i], 5)
 		}(i)
 	}
+	deadline := time.Now().Add(10 * time.Second)
+	for pipe.Stats().Searches != int64(len(queries)) && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(gate.release)
 	wg.Wait()
 
+	scaledDiffers := false
 	for i := range results {
 		if errs[i] != nil {
 			t.Fatalf("query %d: %v", i, errs[i])
@@ -77,11 +96,20 @@ func TestPipelineMatchesDirectSearch(t *testing.T) {
 		if !reflect.DeepEqual(results[i], want) {
 			t.Errorf("query %d: pipeline %v, direct %v", i, results[i], want)
 		}
+		if i >= n && !reflect.DeepEqual(results[i], results[(i-n)*4]) {
+			scaledDiffers = true
+		}
+	}
+	if !scaledDiffers {
+		t.Fatal("every 3·q has q's results; the stream cannot tell a wrongly shared flight")
 	}
 
 	st := pipe.Stats()
-	if st.Searches != n {
-		t.Errorf("Searches = %d, want %d", st.Searches, n)
+	if st.Searches != int64(len(queries)) {
+		t.Errorf("Searches = %d, want %d", st.Searches, len(queries))
+	}
+	if st.Coalesced != duplicates {
+		t.Errorf("Coalesced = %d, want the %d byte-identical duplicates", st.Coalesced, duplicates)
 	}
 	if calls := int64(counting.Calls()); st.Searches != st.Coalesced+calls {
 		t.Errorf("counter mismatch: searches=%d coalesced=%d database calls=%d",
@@ -139,60 +167,60 @@ func TestPipelineThroughRetriever(t *testing.T) {
 	if st := pipe.Stats(); st.Searches == 0 {
 		t.Error("pipeline saw no miss traffic")
 	}
-}
 
-// TestPipelineLSHCoalescing checks that near-identical concurrent misses
-// share one index search under CoalesceLSH.
-func TestPipelineLSHCoalescing(t *testing.T) {
-	ix := buildIVF(t, 60, 8, 11)
-	counting := vectordb.NewInstrumented(ix, nil)
-	gate := &gatedDB{DB: counting, release: make(chan struct{})}
-	pipe, err := batch.New(gate, batch.Options{
-		Coalesce: batch.CoalesceLSH,
-		Seed:     5,
-	})
+	// Overlapping misses on q and 3·q (one origin-hyperplane signature,
+	// far more than τ apart): each must be served, and cached under its
+	// own key, with its own documents.
+	gate := &gatedDB{DB: ix, release: make(chan struct{})}
+	gated, err := batch.New(gate, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	base := vec.RandomGaussian(vec.NewRand(77), 8)
-	near := vec.Clone(base)
-	near[0] += 1e-6 // byte-distinct, signature-identical w.h.p.
-
-	const pairs = 16
-	var wg sync.WaitGroup
-	for i := 0; i < pairs; i++ {
-		for _, q := range []vec.Vector{base, near} {
-			wg.Add(1)
-			go func(q vec.Vector) {
-				defer wg.Done()
-				if _, err := pipe.Search(q, 3); err != nil {
-					t.Error(err)
-				}
-			}(q)
-		}
+	cache := newCache()
+	r, err := core.NewCachedRetriever(cache, ix, core.RetrieverOptions{K: 3, Searcher: gated})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Hold the database until every request has entered the pipeline,
-	// so the requests overlap in flight however fast the index is.
+	q := vec.RandomGaussian(vec.NewRand(41), 8)
+	pair := []vec.Vector{q, vec.Scale(vec.Clone(q), 3)}
+	if d := vec.L2(pair[0], pair[1]); d <= 0.5 {
+		t.Fatalf("q and 3·q are %.2f apart, within τ", d)
+	}
+	served := make([][]int, len(pair))
+	var wg sync.WaitGroup
+	for i, q := range pair {
+		wg.Add(1)
+		go func(i int, q vec.Vector) {
+			defer wg.Done()
+			res, err := r.Retrieve(q)
+			if err != nil {
+				t.Error(err)
+			}
+			served[i] = res.Docs
+		}(i, q)
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for pipe.Stats().Searches != 2*pairs && time.Now().Before(deadline) {
+	for gated.Stats().Searches != int64(len(pair)) && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	close(gate.release)
 	wg.Wait()
-
-	st := pipe.Stats()
-	if st.Searches != 2*pairs {
-		t.Fatalf("Searches = %d, want %d", st.Searches, 2*pairs)
+	var own [2][]int
+	for i, q := range pair {
+		scored, err := ix.Search(q, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own[i] = vec.IDs(scored)
+		if !reflect.DeepEqual(served[i], own[i]) {
+			t.Errorf("query %d served %v, its own search %v", i, served[i], own[i])
+		}
+		if docs, ok := cache.Get(q); !ok || !reflect.DeepEqual(docs, own[i]) {
+			t.Errorf("query %d: cache.Get = (%v, %v), want its own %v", i, docs, ok, own[i])
+		}
 	}
-	// Concurrency makes the exact coalesce count scheduling-dependent,
-	// but byte-distinct near-duplicates can only coalesce via the LSH
-	// signature, so any coalescing at all proves the mode works.
-	if st.Coalesced == 0 {
-		t.Error("no LSH coalescing observed across 32 near-identical concurrent misses")
-	}
-	if got := int64(counting.Calls()); got != st.Searches-st.Coalesced {
-		t.Errorf("database calls = %d, uncoalesced searches = %d (should match)", got, st.Searches-st.Coalesced)
+	if reflect.DeepEqual(own[0], own[1]) {
+		t.Fatal("q and 3·q have the same documents; the check cannot tell them apart")
 	}
 }
 

@@ -29,11 +29,6 @@ type ShardTargetOptions struct {
 	// migrate. Defaults to DefaultMinGain; pass a negative value for an
 	// explicit zero bar.
 	MinGain float64
-	// OnReseed, when set, is invoked after every committed migration
-	// with the new seed. The facade uses it to keep a CoalesceLSH batch
-	// pipeline's duplicate-detection signatures in step with the
-	// re-drawn partitioner (see batch.Pipeline.Reseed).
-	OnReseed func(seed uint64)
 }
 
 func (o *ShardTargetOptions) fillDefaults() {
@@ -132,9 +127,6 @@ func (t *ShardTarget) Rebalance(Sample) (Outcome, error) {
 	m, err := t.cache.Reseed(bestSeed)
 	if err != nil {
 		return Outcome{}, err
-	}
-	if t.opts.OnReseed != nil {
-		t.opts.OnReseed(bestSeed)
 	}
 	return Outcome{
 		Acted:  true,

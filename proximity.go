@@ -60,12 +60,13 @@
 // # Miss coalescing
 //
 // Under concurrent traffic every cache miss still pays a full database
-// search, and overlapping misses for the same (or a near-identical) query
-// race duplicate searches. NewBatchPipeline puts per-fingerprint
-// singleflight in front of the database: duplicate in-flight misses
-// share one search, and each follower gets a copy of the leader's
-// result. It does not batch distinct misses: a batch of database
-// searches shares no computation, so gathering one only adds its wait.
+// search, and overlapping misses for the same query race duplicate
+// searches. NewBatchPipeline puts per-fingerprint singleflight in front
+// of the database: byte-identical in-flight misses share one search,
+// and each follower gets a copy of the leader's result. A near-identical
+// query reuses a result only through the cache, which checks τ. The
+// pipeline does not batch distinct misses: a batch of database searches
+// shares no computation, so gathering one only adds its wait.
 // Plug it into a retriever through the Searcher option:
 //
 //	pipe, _ := proximity.NewBatchPipeline(db, proximity.BatchOptions{})
@@ -453,8 +454,6 @@ type (
 	BatchOptions = batch.Options
 	// BatchStats are cumulative pipeline counters.
 	BatchStats = batch.Stats
-	// CoalesceMode selects duplicate-miss detection.
-	CoalesceMode = batch.CoalesceMode
 	// IVFIndex is the inverted-file ANN index.
 	IVFIndex = vectordb.IVFIndex
 	// IVFConfig parameterizes IVF construction.
@@ -519,16 +518,6 @@ const (
 	// FingerprintShards routes by a byte hash: perfectly uniform
 	// spread, but only exact repeats collide.
 	FingerprintShards = shard.Fingerprint
-)
-
-// Duplicate-miss coalescing modes.
-const (
-	// CoalesceExact deduplicates byte-identical in-flight misses (the
-	// default).
-	CoalesceExact = batch.CoalesceExact
-	// CoalesceLSH deduplicates misses with equal LSH signatures, so
-	// near-identical rephrasings share one search.
-	CoalesceLSH = batch.CoalesceLSH
 )
 
 // Load-generation traffic modes.
@@ -675,11 +664,8 @@ type AdaptiveShardedCache struct {
 // NewAdaptiveShardedCache attaches an adaptive rebalancing loop to a
 // sharded cache (built with NewShardedFlatCache, NewShardedLSHCache, or
 // NewShardedCache; LSH-signature routing required — fingerprint routing
-// has no signature to re-draw). When the cache's miss path runs through
-// a BatchPipeline in CoalesceLSH mode, pass it via
-// ShardRebalanceOptions.OnReseed (wired to its Reseed method) so
-// duplicate detection follows the re-drawn signature. The controller is
-// already started; call Close to stop it.
+// has no signature to re-draw). The controller is already started; call
+// Close to stop it.
 func NewAdaptiveShardedCache(cache *ShardedCache, policy RebalanceOptions, target ShardRebalanceOptions) (*AdaptiveShardedCache, error) {
 	t, err := rebalance.NewShardTarget(cache, target)
 	if err != nil {
