@@ -380,9 +380,8 @@ func run(args []string) error {
 	}
 	if *snapPath != "" {
 		n := cache.Len()
-		// Every local cache enumerates its entries; -snapshot refuses
-		// the router and -cache none above.
-		if err := core.SaveSnapshot(*snapPath, *dim, cache.(core.EntrySource)); err != nil {
+		// -snapshot refuses the router and -cache none above.
+		if err := core.SaveSnapshot(*snapPath, *dim, cache); err != nil {
 			return fmt.Errorf("saving snapshot: %w", err)
 		}
 		log.Printf("snapshot: %d cache entries written to %s", n, *snapPath)

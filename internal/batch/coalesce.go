@@ -3,6 +3,7 @@ package batch
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -21,6 +22,24 @@ type Searcher interface {
 // embeddings and k that overlap in time share one inner search; the
 // fingerprint only finds the flight to compare against.
 type KeyFunc func(q vec.Vector) uint32
+
+// Fingerprint is FNV-1a over the embedding's float bits: the KeyFunc a
+// Pipeline coalesces by, so byte-identical embeddings share a flight.
+func Fingerprint(q vec.Vector) uint32 {
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for _, f := range q {
+		bits := math.Float32bits(f)
+		for s := 0; s < 32; s += 8 {
+			h ^= (bits >> s) & 0xff
+			h *= prime32
+		}
+	}
+	return h
+}
 
 // CoalesceStats are cumulative coalescer counters.
 type CoalesceStats struct {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"proximity/internal/shard"
 	"proximity/internal/telemetry"
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
@@ -66,7 +65,7 @@ func New(db vectordb.DB, opts Options) (*Pipeline, error) {
 		return nil, fmt.Errorf("batch: pipeline requires a database")
 	}
 	p := &Pipeline{db: db, opts: opts}
-	co, err := NewCoalescer(searcherFunc(p.search), shard.FingerprintOf)
+	co, err := NewCoalescer(searcherFunc(p.search), Fingerprint)
 	if err != nil {
 		return nil, err
 	}

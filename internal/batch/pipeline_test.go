@@ -11,7 +11,6 @@ import (
 
 	"proximity/internal/batch"
 	"proximity/internal/core"
-	"proximity/internal/shard"
 	"proximity/internal/telemetry"
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
@@ -267,13 +266,13 @@ func (d *failingDB) Dim() int { return 2 }
 func (d *failingDB) Len() int { return 1 }
 
 // fingerprintCollision returns two distinct vectors whose
-// shard.FingerprintOf values are equal (the first pair a search over
+// batch.Fingerprint values are equal (the first pair a search over
 // {i, 1}, i = 0, 1, 2, ... meets), so exact-mode coalescing meets a real
 // collision.
 func fingerprintCollision(t *testing.T) (vec.Vector, vec.Vector) {
 	t.Helper()
 	a, b := vec.Vector{110909, 1}, vec.Vector{1048599, 1}
-	if shard.FingerprintOf(a) != shard.FingerprintOf(b) {
+	if batch.Fingerprint(a) != batch.Fingerprint(b) {
 		t.Fatal("the pair's fingerprints do not collide")
 	}
 	return a, b

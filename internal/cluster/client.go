@@ -35,17 +35,8 @@ const DefaultProbeCooldown = time.Second
 
 // Options configures a Client.
 type Options struct {
-	// Partition selects the routing key, mirroring the in-process
-	// partitioner: LSHSignature (the default) keeps similar queries on
-	// the same node so approximate cache hits survive distribution;
-	// Fingerprint spreads uniformly but only byte-identical repeats
-	// collide.
-	Partition shard.Partition
-	// SignatureBits is the LSHSignature hyperplane count. Defaults to
-	// shard.DefaultSignatureBits, capped at lsh.MaxBits.
-	SignatureBits int
-	// Seed drives the LSHSignature hyperplane draw, so a fixed seed
-	// reproduces the same node assignment.
+	// Seed drives the routing signature's hyperplane draw, so a fixed
+	// seed reproduces the same node assignment.
 	Seed uint64
 	// VNodes is the virtual-node count per node. Defaults to
 	// DefaultVNodes.
@@ -89,9 +80,6 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
-	if o.Partition == 0 {
-		o.Partition = shard.LSHSignature
-	}
 	if o.Replicas <= 0 {
 		o.Replicas = DefaultReplicas
 	}
@@ -142,15 +130,15 @@ type NodeStatus struct {
 var ErrClosed = errors.New("cluster: client closed")
 
 // Client routes queries across shard nodes — instances of the HTTP
-// middleware — by consistent hashing over the same routing fingerprints
-// the in-process partitioner uses. It satisfies core.Cache and
+// middleware — by consistent hashing over the same LSH signatures the
+// in-process partitioner routes by. It satisfies core.Cache and
 // core.Searcher, so it drops into core.CachedRetriever unchanged; see
 // the package documentation for the semantics of each surface. All
 // methods are safe for concurrent use.
 type Client struct {
 	opts   Options
 	dim    int
-	hasher *lsh.Hasher          // LSHSignature routing; nil under Fingerprint
+	hasher *lsh.Hasher          // the routing signature
 	tel    *telemetry.Telemetry // nil disables stage observation
 	log    *slog.Logger
 
@@ -182,31 +170,17 @@ func New(dim int, nodes []string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("cluster: dimension must be positive, got %d", dim)
 	}
 	opts.fillDefaults()
-	c := &Client{
-		opts:  opts,
-		dim:   dim,
-		nodes: make(map[string]*node, len(nodes)),
-		tel:   opts.Telemetry,
-		log:   opts.Logger,
+	hasher, err := lsh.NewHasher(dim, shard.DefaultSignatureBits, opts.Seed)
+	if err != nil {
+		return nil, err
 	}
-	switch opts.Partition {
-	case shard.LSHSignature:
-		bits := opts.SignatureBits
-		if bits == 0 {
-			bits = shard.DefaultSignatureBits
-		}
-		if bits > lsh.MaxBits {
-			bits = lsh.MaxBits
-		}
-		hasher, err := lsh.NewHasher(dim, bits, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		c.hasher = hasher
-	case shard.Fingerprint:
-		// No partitioner state needed.
-	default:
-		return nil, fmt.Errorf("cluster: unknown partition strategy %d", int(opts.Partition))
+	c := &Client{
+		opts:   opts,
+		dim:    dim,
+		hasher: hasher,
+		nodes:  make(map[string]*node, len(nodes)),
+		tel:    opts.Telemetry,
+		log:    opts.Logger,
 	}
 	ring, err := NewRing(nodes, opts.VNodes)
 	if err != nil {
@@ -254,14 +228,10 @@ func New(dim int, nodes []string, opts Options) (*Client, error) {
 // Options.Rebalance was not set.
 func (c *Client) Controller() *rebalance.Controller { return c.ctrl }
 
-// KeyOf returns the routing fingerprint of a query — the same key the
-// in-process partitioner would use. Exported for diagnostics and tests.
-func (c *Client) KeyOf(q vec.Vector) uint32 {
-	if c.hasher != nil {
-		return c.hasher.Hash(q)
-	}
-	return shard.FingerprintOf(q)
-}
+// KeyOf returns the routing key of a query: its LSH signature, the
+// same kind of key the in-process partitioner routes by. Exported for
+// diagnostics and tests.
+func (c *Client) KeyOf(q vec.Vector) uint32 { return c.hasher.Hash(q) }
 
 // RouteFor returns the replica order a query would try, for diagnostics
 // and tests.
@@ -665,6 +635,10 @@ func (c *Client) Clear() {
 		_ = n.client.Flush()
 	}
 }
+
+// Entries implements core.Cache and returns nil: the router holds no
+// lines; each node snapshots its own (proximity-server -snapshot).
+func (c *Client) Entries() []core.Entry { return nil }
 
 // Close drains every node submitter, closes the connections to every
 // node and fails subsequent operations with ErrClosed.

@@ -11,7 +11,6 @@ import (
 
 	"proximity/internal/core"
 	"proximity/internal/server"
-	"proximity/internal/shard"
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
 )
@@ -113,9 +112,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(testDim, nil, Options{}); err == nil {
 		t.Error("empty node list should error")
-	}
-	if _, err := New(testDim, []string{"http://x"}, Options{Partition: shard.Partition(99)}); err == nil {
-		t.Error("unknown partition should error")
 	}
 }
 
@@ -279,6 +275,10 @@ func TestClusterCacheAdmin(t *testing.T) {
 	}
 	if got := c.Len(); got != len(qs) {
 		t.Errorf("Len = %d, want %d (one entry per unique query)", got, len(qs))
+	}
+	// The router holds no lines even while its nodes do.
+	if got := c.Entries(); got != nil {
+		t.Errorf("Entries = %d entries, want nil", len(got))
 	}
 	if c.Capacity() != 3*256 {
 		t.Errorf("Capacity = %d, want %d", c.Capacity(), 3*256)

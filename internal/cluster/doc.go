@@ -11,10 +11,9 @@
 //
 // # Ring
 //
-// Routing reuses the in-process partitioner's keys — shard.FingerprintOf
-// for exact-repeat routing, or a random-hyperplane LSH signature (the
-// default) so that near-identical rephrasings land on the same node and
-// approximate cache hits survive distribution. The key selects a node
+// Routing reuses the in-process partitioner's key, a random-hyperplane
+// LSH signature, so that near-identical rephrasings land on the same
+// node and approximate cache hits survive distribution. The key selects a node
 // through a consistent-hash ring (Ring): each node projects VNodes
 // virtual points onto a 64-bit circle, and a key belongs to the first
 // point clockwise of its position. Membership changes therefore move

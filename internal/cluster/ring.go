@@ -34,12 +34,11 @@ var (
 )
 
 // Ring is an immutable consistent-hash ring over named, weighted nodes.
-// Keys are the 32-bit routing fingerprints the in-process partitioner
-// already uses (shard.FingerprintOf or an LSH signature); each key owns
-// the arc ending at the next virtual-node point clockwise. A node's
-// virtual-node count scales with its weight, so re-weighting shifts arcs
-// between nodes without changing membership — the network-tier
-// rebalancing lever. Membership and weight changes build a new Ring
+// Keys are 32-bit LSH signatures, the routing keys the in-process
+// partitioner also uses; each key owns the arc ending at the next
+// virtual-node point clockwise. A node's virtual-node count scales with
+// its weight, so re-weighting shifts arcs between nodes without changing
+// membership — the network-tier rebalancing lever. Membership and weight changes build a new Ring
 // (WithNode/WithoutNode/WithWeights), so lookups never lock.
 type Ring struct {
 	vnodes  int
@@ -263,9 +262,9 @@ func vnodePos(node string, v int) uint64 {
 	return mix64(h.Sum64())
 }
 
-// keyPos spreads a 32-bit routing fingerprint over the 64-bit circle.
-// Fingerprints are FNV-mixed already but LSH signatures occupy only the
-// low SignatureBits, so the key is re-mixed either way.
+// keyPos spreads a 32-bit routing key over the 64-bit circle. An LSH
+// signature occupies only its low shard.DefaultSignatureBits bits, so the
+// key is re-mixed.
 func keyPos(key uint32) uint64 {
 	return mix64(uint64(key))
 }

@@ -248,26 +248,20 @@ type Cache interface {
 	Stats() Stats
 	// Clear removes all entries (counters are preserved).
 	Clear()
+	// Entries returns copies of the cached lines, in eviction order
+	// where the cache defines one, so re-inserting them in the returned
+	// order reproduces the same eviction sequence. The shard migrator
+	// and the one-file snapshot read it.
+	Entries() []Entry
 }
 
-// Entry is one cached line as seen through EntrySource: the key
+// Entry is one cached line as seen through Cache.Entries: the key
 // embedding, its documents, and its per-line match tolerance. All fields
 // are copies — holding an Entry never aliases live cache state.
 type Entry struct {
 	Key  vec.Vector
 	Docs []int
 	Tol  float32
-}
-
-// EntrySource is implemented by caches that can enumerate their contents
-// (FlatCache, LSHCache, IndexedCache and tier.TieredCache all qualify,
-// and a ShardedCache of any of them). The shard migrator depends on
-// it: re-drawing the partitioner moves entries between shards, which
-// requires reading them out of the sub-caches first. Enumeration order is
-// eviction order where the cache defines one, so re-inserting entries in
-// the returned order reproduces the same eviction sequence.
-type EntrySource interface {
-	Entries() []Entry
 }
 
 // errNilQuery guards the public entry points.

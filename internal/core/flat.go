@@ -360,7 +360,7 @@ func (c *FlatCache) clearLocked() {
 
 // Entries returns copies of the cached lines in eviction order (front,
 // i.e. next to evict, first), so re-inserting them in order reproduces
-// the same eviction sequence. Implements EntrySource; O(c·d).
+// the same eviction sequence. O(c·d).
 func (c *FlatCache) Entries() []Entry { return c.appendEntries(nil) }
 
 // appendEntries appends copies of the cached lines to out in eviction

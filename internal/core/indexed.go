@@ -137,10 +137,7 @@ type IndexedCache struct {
 	candBuf []vec.Scored
 }
 
-var (
-	_ Cache       = (*IndexedCache)(nil)
-	_ EntrySource = (*IndexedCache)(nil)
-)
+var _ Cache = (*IndexedCache)(nil)
 
 // NewIndexed creates a Proximity-INDEXED cache for dim-dimensional query
 // embeddings.
@@ -468,6 +465,5 @@ func (c *IndexedCache) Clear() {
 }
 
 // Entries returns copies of the cached lines in eviction order (front
-// first). Implements EntrySource so the shard migrator can move lines
-// between indexed sub-caches.
+// first).
 func (c *IndexedCache) Entries() []Entry { return c.flat.Entries() }

@@ -235,7 +235,7 @@ func TestIndexedChurn(t *testing.T) {
 // lookup is FLAT's scan while every Put and eviction still maintains the
 // graph.
 func TestIndexedMatchesAlgorithm1(t *testing.T) {
-	matchAlgorithm1(t, func(t testing.TB, dim int, opts Options) algorithm1Cache {
+	matchAlgorithm1(t, func(t testing.TB, dim int, opts Options) Cache {
 		c, err := NewIndexed(dim, IndexedOptions{
 			Capacity:    opts.Capacity,
 			Tolerance:   opts.Tolerance,

@@ -284,7 +284,7 @@ func (c *LSHCache) bucketStatsLocked() Stats {
 
 // Entries returns copies of the cached lines: within each bucket in
 // eviction order, with bucket order immaterial (signatures re-derive from
-// the keys). Implements EntrySource.
+// the keys).
 func (c *LSHCache) Entries() []Entry {
 	c.mu.RLock()
 	buckets := make([]*FlatCache, 0, len(c.buckets))

@@ -110,13 +110,7 @@ func sameEntries(a, b []Entry) bool {
 // TestFlatMatchesAlgorithm1 drives the oracle's op stream through a
 // FlatCache.
 func TestFlatMatchesAlgorithm1(t *testing.T) {
-	matchAlgorithm1(t, func(t testing.TB, dim int, opts Options) algorithm1Cache { return mustFlat(t, dim, opts) })
-}
-
-// algorithm1Cache is a cache the oracle's op stream can drive.
-type algorithm1Cache interface {
-	Cache
-	EntrySource
+	matchAlgorithm1(t, func(t testing.TB, dim int, opts Options) Cache { return mustFlat(t, dim, opts) })
 }
 
 // matchAlgorithm1 drives one seeded op stream through a cache from
@@ -132,7 +126,7 @@ type algorithm1Cache interface {
 // component), Clear, and WriteEntrySnapshot → replay into a fresh
 // cache; for a FlatCache also TierGet with and without Commit and
 // PeekAdmissible, which other caches see as a Get.
-func matchAlgorithm1(t *testing.T, newCache func(t testing.TB, dim int, opts Options) algorithm1Cache) {
+func matchAlgorithm1(t *testing.T, newCache func(t testing.TB, dim int, opts Options) Cache) {
 	const ops = 2000
 	for _, dim := range []int{8, 40, 768} {
 		for _, hard := range []bool{false, true} {

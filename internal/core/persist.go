@@ -133,7 +133,7 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 
 // entrySnapshot is the one serialized form of a cache's contents: the
 // entries in eviction order, without the construction options. Any
-// EntrySource can write one, and any cache can be refilled from one by
+// Cache can write one, and any cache can be refilled from one by
 // replaying PutWithTolerance. Metric records the distance the writer
 // compared keys by (1, L2); older FLAT and LSH payloads carry the field
 // too, and 0 means not recorded.
@@ -148,7 +148,7 @@ type entrySnapshot struct {
 
 // WriteEntrySnapshot serializes src's entries (in src's enumeration
 // order, which is eviction order where the source defines one) to w.
-func WriteEntrySnapshot(w io.Writer, dim int, src EntrySource) error {
+func WriteEntrySnapshot(w io.Writer, dim int, src Cache) error {
 	snap := entrySnapshot{Version: snapshotVersion, Dim: dim, Metric: int(vec.L2Distance)}
 	for _, e := range src.Entries() {
 		snap.Keys = append(snap.Keys, e.Key)
@@ -206,9 +206,9 @@ func ReadEntrySnapshot(r io.Reader) (dim int, entries []Entry, err error) {
 
 // SaveSnapshot writes src's entries to path as one entry snapshot,
 // crash-safely through WriteFileAtomic: a crash mid-write leaves the
-// previous snapshot intact. A sharded cache is one EntrySource, so it
-// saves as one file too.
-func SaveSnapshot(path string, dim int, src EntrySource) error {
+// previous snapshot intact. A sharded cache enumerates all its shards,
+// so it saves as one file too.
+func SaveSnapshot(path string, dim int, src Cache) error {
 	return WriteFileAtomic(path, func(w io.Writer) error {
 		return WriteEntrySnapshot(w, dim, src)
 	})

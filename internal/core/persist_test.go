@@ -19,7 +19,7 @@ import (
 
 // saveAndLoad writes src's entries to a file through SaveSnapshot and
 // replays them into dst through LoadSnapshot, returning the replay count.
-func saveAndLoad(t *testing.T, dim int, src EntrySource, dst Cache) int {
+func saveAndLoad(t *testing.T, dim int, src, dst Cache) int {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cache.snap")
 	if err := SaveSnapshot(path, dim, src); err != nil {
@@ -421,12 +421,8 @@ func TestEntrySnapshotRoundTripVariants(t *testing.T) {
 			keys := genKeys(101, 40) // overfill to exercise eviction order
 			orig := tc.make()
 			fill(orig, rng, keys)
-			src, ok := orig.(EntrySource)
-			if !ok {
-				t.Fatalf("%T does not enumerate entries", orig)
-			}
 			var buf bytes.Buffer
-			if err := WriteEntrySnapshot(&buf, dim, src); err != nil {
+			if err := WriteEntrySnapshot(&buf, dim, orig); err != nil {
 				t.Fatal(err)
 			}
 			gotDim, entries, err := ReadEntrySnapshot(&buf)
@@ -440,7 +436,7 @@ func TestEntrySnapshotRoundTripVariants(t *testing.T) {
 			for _, e := range entries {
 				fresh.PutWithTolerance(e.Key, e.Docs, e.Tol)
 			}
-			sameEntries(t, src.Entries(), fresh.(EntrySource).Entries(), tc.ordered)
+			sameEntries(t, orig.Entries(), fresh.Entries(), tc.ordered)
 			if orig.Len() != fresh.Len() {
 				t.Fatalf("Len %d vs %d", orig.Len(), fresh.Len())
 			}

@@ -40,12 +40,10 @@ func (h TierHit) Commit() {
 }
 
 // TierCache is the contract a cache variant must satisfy to serve as
-// the hot tier of a tier.TieredCache: the plain Cache surface, entry
-// enumeration (demotion-order handoff and snapshots), and the two-phase
-// lookup. FlatCache and LSHCache qualify.
+// the hot tier of a tier.TieredCache: the plain Cache surface (its
+// Entries are the demotion-order handoff) and the two-phase lookup. FlatCache and LSHCache qualify.
 type TierCache interface {
 	Cache
-	EntrySource
 	// TierGet returns the closest admissible entry without counting a
 	// hit/miss or refreshing recency (distance computations are still
 	// charged). The returned documents are a copy.

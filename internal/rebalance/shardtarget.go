@@ -63,15 +63,10 @@ var (
 	_ Actuator = (*ShardTarget)(nil)
 )
 
-// NewShardTarget wires a re-draw actuator over the cache. Only
-// LSH-signature routing is re-drawable; fingerprint-partitioned caches
-// are rejected up front (shard.ErrFingerprintPartition).
+// NewShardTarget wires a re-draw actuator over the cache.
 func NewShardTarget(cache *shard.ShardedCache, opts ShardTargetOptions) (*ShardTarget, error) {
 	if cache == nil {
 		return nil, fmt.Errorf("rebalance: a sharded cache is required")
-	}
-	if cache.Partition() != shard.LSHSignature {
-		return nil, shard.ErrFingerprintPartition
 	}
 	opts.fillDefaults()
 	t := &ShardTarget{cache: cache, opts: opts}

@@ -1,7 +1,6 @@
 package rebalance
 
 import (
-	"errors"
 	"testing"
 
 	"proximity/internal/core"
@@ -61,19 +60,6 @@ func skewedCache(t *testing.T) *shard.ShardedCache {
 func TestNewShardTargetValidation(t *testing.T) {
 	if _, err := NewShardTarget(nil, ShardTargetOptions{}); err == nil {
 		t.Error("nil cache should fail")
-	}
-	fp, err := shard.New(testDim, shard.Options{
-		Shards:    2,
-		Partition: shard.Fingerprint,
-		New: func(int) (core.Cache, error) {
-			return core.NewFlat(testDim, core.Options{Capacity: 8, Tolerance: 1})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewShardTarget(fp, ShardTargetOptions{}); !errors.Is(err, shard.ErrFingerprintPartition) {
-		t.Errorf("fingerprint target error = %v, want ErrFingerprintPartition", err)
 	}
 }
 

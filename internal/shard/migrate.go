@@ -11,24 +11,11 @@ import (
 	"proximity/internal/vec"
 )
 
-// Typed migration failures, so callers (the rebalance controller, the
-// server's admin endpoint) can distinguish "cannot ever rebalance this
-// cache" from "try again later".
-var (
-	// ErrFingerprintPartition reports a Reseed/PreviewSeed on a
-	// fingerprint-routed cache: byte-hash routing has no hyperplanes to
-	// re-draw, and its spread is already uniform.
-	ErrFingerprintPartition = errors.New("shard: fingerprint partitioning has no signature to re-draw")
-	// ErrMigrationInProgress reports a Reseed overlapping another
-	// migration or a Clear; at most one structural operation runs at a
-	// time.
-	ErrMigrationInProgress = errors.New("shard: a migration or clear is already in progress")
-	// ErrNotMigratable reports a factory whose sub-cache cannot
-	// enumerate its entries (it does not implement core.EntrySource), so
-	// neither a re-draw nor a snapshot could carry its contents over. New
-	// refuses such a factory.
-	ErrNotMigratable = errors.New("shard: sub-cache does not support entry enumeration")
-)
+// ErrMigrationInProgress reports a Reseed overlapping another migration
+// or a Clear; at most one structural operation runs at a time, so a
+// caller (the rebalance controller, the server's admin endpoint) can
+// try again later.
+var ErrMigrationInProgress = errors.New("shard: a migration or clear is already in progress")
 
 // Migration summarizes one completed signature re-draw.
 type Migration struct {
@@ -75,9 +62,6 @@ func (c *ShardedCache) PreviewSeed(seed uint64) (float64, error) {
 // candidate count, taken under the serving locks); concurrent writers
 // skew the prediction by at most the in-flight traffic.
 func (c *ShardedCache) PreviewSeeds(seeds []uint64) ([]float64, error) {
-	if c.part != LSHSignature {
-		return nil, ErrFingerprintPartition
-	}
 	cands := make([]*lsh.Hasher, len(seeds))
 	for i, seed := range seeds {
 		h, err := lsh.NewHasher(c.dim, c.bits, seed)
@@ -142,13 +126,8 @@ func (s *slot) keys() []vec.Vector {
 // entries crowding into a fuller target shard are genuine displacements
 // and stay counted).
 //
-// Only LSH-signature routing is re-drawable (ErrFingerprintPartition
-// otherwise), and at most one migration runs at a time
-// (ErrMigrationInProgress).
+// At most one migration runs at a time (ErrMigrationInProgress).
 func (c *ShardedCache) Reseed(seed uint64) (Migration, error) {
-	if c.part != LSHSignature {
-		return Migration{}, ErrFingerprintPartition
-	}
 	if !c.migrateMu.TryLock() {
 		return Migration{}, ErrMigrationInProgress
 	}
@@ -161,7 +140,7 @@ func (c *ShardedCache) Reseed(seed uint64) (Migration, error) {
 	// replacement was installed; the others — all of them when a build
 	// fails — are closed on return (a fresh tiered cache already holds
 	// an open warm file).
-	fresh := make([]subCache, len(c.slots))
+	fresh := make([]core.Cache, len(c.slots))
 	swapped := make([]bool, len(c.slots))
 	defer func() {
 		for i, used := range swapped {

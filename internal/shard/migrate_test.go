@@ -204,46 +204,15 @@ func TestReseedCountersConserved(t *testing.T) {
 	}
 }
 
-// TestReseedTypedErrors covers the failure contract: fingerprint routing
-// has nothing to re-draw, only one migration may run at a time, and a
-// sub-cache that cannot enumerate its entries is refused up front.
+// TestReseedTypedErrors covers the failure contract: only one migration
+// may run at a time.
 func TestReseedTypedErrors(t *testing.T) {
-	fp, err := New(testDim, Options{
-		Shards:    4,
-		Partition: Fingerprint,
-		New: func(int) (core.Cache, error) {
-			return core.NewFlat(testDim, core.Options{Capacity: 8, Tolerance: 1})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fp.Reseed(1); !errors.Is(err, ErrFingerprintPartition) {
-		t.Errorf("fingerprint Reseed error = %v, want ErrFingerprintPartition", err)
-	}
-	if _, err := fp.PreviewSeed(1); !errors.Is(err, ErrFingerprintPartition) {
-		t.Errorf("fingerprint PreviewSeed error = %v, want ErrFingerprintPartition", err)
-	}
-
 	c := newCoarseShards(t, 2, 64, 1)
 	c.migrateMu.Lock() // simulate an in-flight migration (or Clear)
 	if _, err := c.Reseed(2); !errors.Is(err, ErrMigrationInProgress) {
 		t.Errorf("overlapping Reseed error = %v, want ErrMigrationInProgress", err)
 	}
 	c.migrateMu.Unlock()
-
-	// A factory whose sub-cache cannot enumerate entries is refused at
-	// construction: such a cache could be neither re-drawn nor
-	// snapshotted.
-	if _, err := New(testDim, Options{
-		Shards: 2,
-		Seed:   3,
-		New: func(int) (core.Cache, error) {
-			return opaqueCache{}, nil
-		},
-	}); !errors.Is(err, ErrNotMigratable) {
-		t.Errorf("opaque New error = %v, want ErrNotMigratable", err)
-	}
 }
 
 // TestReseedFactoryFailurePreflight: a factory that breaks after
@@ -309,17 +278,6 @@ func TestClearWinsOverMigration(t *testing.T) {
 		}
 	}
 }
-
-// opaqueCache is a core.Cache without EntrySource.
-type opaqueCache struct{}
-
-func (opaqueCache) Get(vec.Vector) ([]int, bool)                { return nil, false }
-func (opaqueCache) Put(vec.Vector, []int)                       {}
-func (opaqueCache) PutWithTolerance(vec.Vector, []int, float32) {}
-func (opaqueCache) Len() int                                    { return 0 }
-func (opaqueCache) Capacity() int                               { return 1 }
-func (opaqueCache) Stats() core.Stats                           { return core.Stats{} }
-func (opaqueCache) Clear()                                      {}
 
 // TestNoStrandedEntries guards the no-stranding invariant behind the
 // route-then-lock revalidation in slotFor: a Put that resolved its

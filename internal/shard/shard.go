@@ -5,27 +5,25 @@
 // serving-oriented RAG caches (RAGCache, Cache-Craft) show that lock
 // contention, not mean lookup cost, dominates tail latency at scale.
 //
-// Keys are routed to shards by either an LSH signature (the default:
-// similar queries collide on the same shard with high probability, so
-// approximate hits survive partitioning) or a byte fingerprint (exact
-// repeats only, but perfectly uniform spread). Each shard is any
-// core.Cache — FLAT or LSH — built by a per-shard factory, and the whole
-// structure satisfies core.Cache, making ShardedCache a drop-in for
+// Keys are routed to shards by an LSH signature: queries within the
+// cache tolerance collide on the same shard with high probability, so
+// approximate hits survive partitioning. Each shard is any core.Cache —
+// FLAT, LSH, indexed or tiered — built by a per-shard factory, and the
+// whole structure satisfies core.Cache, making ShardedCache a drop-in for
 // core.CachedRetriever.
 //
 // A skewed query stream can still concentrate signatures on a few shards
-// (the eviction-pressure report's Imbalance makes this visible). Under
-// LSH-signature routing the partitioner is re-drawable at runtime:
-// Reseed re-draws the hyperplanes and migrates entries shard-by-shard
-// without a stop-the-world lock, and PreviewSeed predicts a candidate
-// seed's imbalance before committing to a migration. See migrate.go and
-// internal/rebalance for the controller that closes the loop.
+// (the eviction-pressure report's Imbalance makes this visible). The
+// partitioner is re-drawable at runtime: Reseed re-draws the hyperplanes
+// and migrates entries shard-by-shard without a stop-the-world lock, and
+// PreviewSeed predicts a candidate seed's imbalance before committing to
+// a migration. See migrate.go and internal/rebalance for the controller
+// that closes the loop.
 package shard
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -36,52 +34,11 @@ import (
 	"proximity/internal/vec"
 )
 
-// Partition selects the key-to-shard routing strategy.
-type Partition int
-
-const (
-	// LSHSignature routes by a random-hyperplane signature reduced
-	// modulo the shard count. Queries within the cache tolerance share
-	// a signature with high probability, so approximate hits survive
-	// sharding — the same locality argument as Proximity-LSH itself
-	// (§3.2). This is the default.
-	LSHSignature Partition = iota + 1
-	// Fingerprint routes by an FNV-1a hash of the embedding bytes.
-	// Spread across shards is uniform regardless of embedding
-	// geometry, but only byte-identical repeats land on the same
-	// shard, so approximate matches across rephrasings are lost.
-	Fingerprint
-)
-
-// String implements fmt.Stringer.
-func (p Partition) String() string {
-	switch p {
-	case LSHSignature:
-		return "lsh"
-	case Fingerprint:
-		return "fingerprint"
-	default:
-		return fmt.Sprintf("partition(%d)", int(p))
-	}
-}
-
-// ParsePartition converts a string into a Partition.
-func ParsePartition(s string) (Partition, error) {
-	switch s {
-	case "lsh":
-		return LSHSignature, nil
-	case "fingerprint":
-		return Fingerprint, nil
-	default:
-		return 0, fmt.Errorf("shard: unknown partition strategy %q", s)
-	}
-}
-
 // Factory builds the sub-cache for one shard index. Factories let any
-// core.Cache variant that also implements core.EntrySource back a shard
-// (New refuses others with ErrNotMigratable); the helpers in this
-// package cover the FLAT, LSH, indexed and tiered cases. The factory is retained for the lifetime of the
-// ShardedCache: a re-draw migration (Reseed) rebuilds shards through it.
+// core.Cache variant back a shard; the helpers in this package cover the
+// FLAT, LSH, indexed and tiered cases. The factory is retained for the
+// lifetime of the ShardedCache: a re-draw migration (Reseed) rebuilds
+// shards through it.
 type Factory func(shard int) (core.Cache, error)
 
 // DefaultSignatureBits is the partitioner's hyperplane count when
@@ -94,10 +51,7 @@ type Options struct {
 	// Shards is the number of independently-locked partitions.
 	// Defaults to runtime.GOMAXPROCS(0).
 	Shards int
-	// Partition is the routing strategy. Defaults to LSHSignature.
-	Partition Partition
-	// SignatureBits is the hyperplane count of the LSHSignature
-	// partitioner (ignored by Fingerprint). Defaults to
+	// SignatureBits is the partitioner's hyperplane count. Defaults to
 	// DefaultSignatureBits, capped at lsh.MaxBits.
 	SignatureBits int
 	// Seed drives the partitioner's hyperplane draw, so a fixed seed
@@ -115,21 +69,13 @@ type Options struct {
 // blocks one shard at a time — never the world.
 type slot struct {
 	mu    sync.RWMutex
-	cache subCache
+	cache core.Cache
 	// base folds in the counters of retired sub-cache generations —
 	// their index and tier blocks included, gauges zeroed — and the
 	// corrections that keep migration re-inserts out of the Puts totals;
 	// a slot's externally visible counters are always base +
 	// cache.Stats().
 	base core.Stats
-}
-
-// subCache is what a slot holds: a cache that also enumerates its
-// entries, which Reseed's migration and Entries (the one-file snapshot)
-// read. build checks it once per sub-cache.
-type subCache interface {
-	core.Cache
-	core.EntrySource
 }
 
 // statsLocked returns the slot's externally visible counters; the caller
@@ -146,13 +92,12 @@ func (s *slot) statsLocked() core.Stats {
 // are safe for concurrent use; distinct shards never contend.
 type ShardedCache struct {
 	slots   []slot
-	part    Partition
 	factory Factory
 	dim     int
-	bits    int // LSHSignature hyperplane count; 0 under Fingerprint
+	bits    int // the partitioner's hyperplane count
 
-	// hasher is the LSHSignature partitioner (nil under Fingerprint).
-	// It is swapped atomically by Reseed, so routing reads never lock.
+	// hasher is the partitioner. It is swapped atomically by Reseed, so
+	// routing reads never lock.
 	hasher atomic.Pointer[lsh.Hasher]
 	seed   atomic.Uint64
 	// migrateMu serializes the structural operations — Reseed and
@@ -185,36 +130,25 @@ func New(dim int, opts Options) (*ShardedCache, error) {
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if opts.Partition == 0 {
-		opts.Partition = LSHSignature
+	bits := opts.SignatureBits
+	if bits == 0 {
+		bits = DefaultSignatureBits
+	}
+	if bits > lsh.MaxBits {
+		bits = lsh.MaxBits
+	}
+	hasher, err := lsh.NewHasher(dim, bits, opts.Seed)
+	if err != nil {
+		return nil, err
 	}
 	c := &ShardedCache{
 		slots:   make([]slot, n),
-		part:    opts.Partition,
 		factory: opts.New,
 		dim:     dim,
+		bits:    bits,
 	}
-	switch opts.Partition {
-	case LSHSignature:
-		bits := opts.SignatureBits
-		if bits == 0 {
-			bits = DefaultSignatureBits
-		}
-		if bits > lsh.MaxBits {
-			bits = lsh.MaxBits
-		}
-		hasher, err := lsh.NewHasher(dim, bits, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		c.bits = bits
-		c.hasher.Store(hasher)
-		c.seed.Store(opts.Seed)
-	case Fingerprint:
-		// No partitioner state needed.
-	default:
-		return nil, fmt.Errorf("shard: unknown partition strategy %d", int(opts.Partition))
-	}
+	c.hasher.Store(hasher)
+	c.seed.Store(opts.Seed)
 	for i := range c.slots {
 		sub, err := c.build(i)
 		if err != nil {
@@ -226,10 +160,8 @@ func New(dim int, opts Options) (*ShardedCache, error) {
 }
 
 // build makes shard i's sub-cache through the factory, for New and for
-// Reseed's rebuild. A sub-cache that cannot enumerate its entries could
-// be neither migrated nor snapshotted, so it is refused here with
-// ErrNotMigratable.
-func (c *ShardedCache) build(i int) (subCache, error) {
+// Reseed's rebuild.
+func (c *ShardedCache) build(i int) (core.Cache, error) {
 	sub, err := c.factory(i)
 	if err != nil {
 		return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
@@ -237,11 +169,22 @@ func (c *ShardedCache) build(i int) (subCache, error) {
 	if sub == nil {
 		return nil, fmt.Errorf("shard: factory returned nil cache for shard %d", i)
 	}
-	src, ok := sub.(subCache)
-	if !ok {
-		return nil, fmt.Errorf("shard %d: %w (%T)", i, ErrNotMigratable, sub)
+	return sub, nil
+}
+
+// split resolves a shard count (≤ 0 means runtime.GOMAXPROCS(0)) and
+// divides a total capacity evenly across it, rounded up, so the shards
+// together hold at least the total.
+func split(shards, total int) (n, per int) {
+	n = shards
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	return src, nil
+	per = total / n
+	if total%n != 0 {
+		per++
+	}
+	return n, per
 }
 
 // NewFlat creates a ShardedCache of FLAT sub-caches. The configured
@@ -251,14 +194,7 @@ func (c *ShardedCache) build(i int) (subCache, error) {
 func NewFlat(dim, shards int, opts core.Options, seed uint64) (*ShardedCache, error) {
 	// Resolve the shard count once so the per-shard capacity split and
 	// the built partition count can never diverge.
-	n := shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	per := opts.Capacity / n
-	if opts.Capacity%n != 0 {
-		per++
-	}
+	n, per := split(shards, opts.Capacity)
 	sub := opts
 	sub.Capacity = per
 	return New(dim, Options{
@@ -274,14 +210,7 @@ func NewFlat(dim, shards int, opts core.Options, seed uint64) (*ShardedCache, er
 // own layer-assignment seed (seed + 1 + shard index); the partitioner
 // uses seed directly.
 func NewIndexed(dim, shards int, opts core.IndexedOptions, seed uint64) (*ShardedCache, error) {
-	n := shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	per := opts.Capacity / n
-	if opts.Capacity%n != 0 {
-		per++
-	}
+	n, per := split(shards, opts.Capacity)
 	return New(dim, Options{
 		Shards: n,
 		Seed:   seed,
@@ -301,18 +230,8 @@ func NewIndexed(dim, shards int, opts core.IndexedOptions, seed uint64) (*Sharde
 // seed. Reseed's retired generations release their warm record files on
 // swap.
 func NewTiered(dim, shards int, opts tier.Options, seed uint64) (*ShardedCache, error) {
-	n := shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	splitUp := func(total int) int {
-		per := total / n
-		if total%n != 0 {
-			per++
-		}
-		return per
-	}
-	hot, warm := splitUp(opts.HotCapacity), splitUp(opts.WarmCapacity)
+	n, hot := split(shards, opts.HotCapacity)
+	_, warm := split(n, opts.WarmCapacity)
 	return New(dim, Options{
 		Shards: n,
 		Seed:   seed,
@@ -346,12 +265,7 @@ func NewLSH(dim, shards int, opts core.LSHOptions) (*ShardedCache, error) {
 // fixed partitioner seed (Reseed re-draws it); exported for diagnostics
 // and tests.
 func (c *ShardedCache) ShardFor(q vec.Vector) int {
-	switch c.part {
-	case Fingerprint:
-		return int(FingerprintOf(q) % uint32(len(c.slots)))
-	default:
-		return shardIndex(c.hasher.Load().Hash(q), len(c.slots))
-	}
+	return shardIndex(c.hasher.Load().Hash(q), len(c.slots))
 }
 
 // shardIndex reduces an LSH signature to a shard index. The signature
@@ -381,29 +295,6 @@ func mix32(x uint32) uint32 {
 // the first Reseed).
 func (c *ShardedCache) Seed() uint64 { return c.seed.Load() }
 
-// SignatureBits returns the partitioner's hyperplane count (0 under
-// Fingerprint routing).
-func (c *ShardedCache) SignatureBits() int { return c.bits }
-
-// FingerprintOf is FNV-1a over the embedding's float bits — the exact-
-// match routing key. Shared with the batch pipeline (internal/batch),
-// which uses it to detect byte-identical in-flight duplicates.
-func FingerprintOf(q vec.Vector) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for _, f := range q {
-		bits := math.Float32bits(f)
-		for s := 0; s < 32; s += 8 {
-			h ^= (bits >> s) & 0xff
-			h *= prime32
-		}
-	}
-	return h
-}
-
 // slotFor routes the query and returns its slot with the shared lock
 // HELD (the caller unlocks). Routing is re-validated after the lock is
 // acquired: a Reseed landing between the hash and the lock would
@@ -414,12 +305,6 @@ func FingerprintOf(q vec.Vector) uint32 {
 // carry the operation's effect along; if it changed, re-route under the
 // new draw (in practice at most one retry per migration).
 func (c *ShardedCache) slotFor(q vec.Vector) *slot {
-	n := uint32(len(c.slots))
-	if c.part == Fingerprint {
-		s := &c.slots[FingerprintOf(q)%n]
-		s.mu.RLock()
-		return s
-	}
 	for {
 		h := c.hasher.Load()
 		s := &c.slots[shardIndex(h.Hash(q), len(c.slots))]
@@ -495,9 +380,6 @@ func (c *ShardedCache) Capacity() int {
 // NumShards returns the partition count.
 func (c *ShardedCache) NumShards() int { return len(c.slots) }
 
-// Partition returns the routing strategy.
-func (c *ShardedCache) Partition() Partition { return c.part }
-
 // Shard returns the i-th sub-cache, for diagnostics and tests. A
 // migration may retire the returned instance at any time; counters read
 // directly from it miss the slot baseline, so use Stats().Shards for
@@ -530,16 +412,14 @@ func (c *ShardedCache) Stats() core.Stats {
 		s.mu.RUnlock()
 		agg.Merge(st)
 	}
-	if c.part == LSHSignature {
-		agg.HashOps += (agg.Hits + agg.Misses + agg.Puts) * int64(c.bits)
-	}
+	agg.HashOps += (agg.Hits + agg.Misses + agg.Puts) * int64(c.bits)
 	return agg
 }
 
 // Entries enumerates the combined contents of all shards (per-shard
-// eviction order, shard order by index). Implements core.EntrySource, so
-// a sharded cache snapshots as one file through core.SaveSnapshot;
-// replaying it routes each entry through the live partitioner.
+// eviction order, shard order by index), so a sharded cache snapshots as
+// one file through core.SaveSnapshot; replaying it routes each entry
+// through the live partitioner.
 func (c *ShardedCache) Entries() []core.Entry {
 	var out []core.Entry
 	for i := range c.slots {

@@ -75,11 +75,10 @@ type Options struct {
 }
 
 // TieredCache composes a hot core cache over a warm file-backed store.
-// It implements core.Cache, core.EntrySource, core.TierStatser, and
-// io.Closer. All operations serialize on one mutex: the hot tier's own
-// locks are uncontended below it, and the demotion hook (which fires
-// under the hot tier's lock) only ever appends to a buffer owned by the
-// same mutex.
+// It implements core.Cache, core.TierStatser, and io.Closer. All
+// operations serialize on one mutex: the hot tier's own locks are
+// uncontended below it, and the demotion hook (which fires under the hot
+// tier's lock) only ever appends to a buffer owned by the same mutex.
 type TieredCache struct {
 	dim  int
 	opts Options
@@ -100,7 +99,6 @@ type TieredCache struct {
 
 var (
 	_ core.Cache       = (*TieredCache)(nil)
-	_ core.EntrySource = (*TieredCache)(nil)
 	_ core.TierStatser = (*TieredCache)(nil)
 )
 
@@ -314,8 +312,7 @@ func (t *TieredCache) TierStats() core.TierStats { return *t.Stats().Tier }
 
 // Entries returns the combined contents in eviction order: warm (oldest)
 // first, then hot — re-inserting them in order through an empty cache of
-// capacity ≥ H+W reproduces contents and eviction sequence. Implements
-// core.EntrySource.
+// capacity ≥ H+W reproduces contents and eviction sequence.
 func (t *TieredCache) Entries() []core.Entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()

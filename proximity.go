@@ -81,8 +81,9 @@
 // Sharding within one process caps the cache tier at one machine's
 // cores. NewClusterCache routes queries across shard NODES — instances
 // of the HTTP middleware, each owning a slice of the keyspace — by
-// consistent hashing over the same fingerprints the in-process
-// partitioner uses. The client satisfies Cache (and Searcher), so it
+// consistent hashing over the same LSH signatures the in-process
+// partitioner routes by, so a near-duplicate query reaches the node that
+// holds its key. The client satisfies Cache (and Searcher), so it
 // drops into NewRetriever unchanged; queries bound for the same node
 // coalesce into batched HTTP calls, a failing node is retried on the
 // next ring replica, and when every replica is down the wrapping
@@ -375,10 +376,6 @@ type (
 	Policy = core.Policy
 	// Stats are cumulative cache counters.
 	Stats = core.Stats
-	// EntrySource is a cache that enumerates its (key, documents, τ)
-	// lines in eviction order — every cache variant here. SaveSnapshot
-	// writes one.
-	EntrySource = core.EntrySource
 	// IndexedCache is the graph-indexed cache variant (HNSW lookup,
 	// quantized traversal, exact re-rank).
 	IndexedCache = core.IndexedCache
@@ -425,8 +422,6 @@ type (
 	ShardedCache = shard.ShardedCache
 	// ShardOptions configures a generic ShardedCache.
 	ShardOptions = shard.Options
-	// ShardPartition selects the key-to-shard routing strategy.
-	ShardPartition = shard.Partition
 	// PressureReport is the per-shard occupancy/eviction summary.
 	PressureReport = shard.PressureReport
 
@@ -508,16 +503,6 @@ const (
 	FIFO = core.FIFO
 	// LRU evicts the least recently used entry.
 	LRU = core.LRU
-)
-
-// Shard partition strategies.
-const (
-	// LSHShards routes by LSH signature: similar queries land on the
-	// same shard, preserving approximate hits (the default).
-	LSHShards = shard.LSHSignature
-	// FingerprintShards routes by a byte hash: perfectly uniform
-	// spread, but only exact repeats collide.
-	FingerprintShards = shard.Fingerprint
 )
 
 // Load-generation traffic modes.
@@ -614,7 +599,7 @@ func NewRetriever(cache Cache, db DB, opts RetrieverOptions) (*Retriever, error)
 // SaveSnapshot writes cache's entries to path as one snapshot file, in
 // eviction order, crash-safely (temp file and rename). Every cache
 // variant — sharded and tiered included — saves the same format.
-func SaveSnapshot(path string, dim int, cache EntrySource) error {
+func SaveSnapshot(path string, dim int, cache Cache) error {
 	return core.SaveSnapshot(path, dim, cache)
 }
 
@@ -628,10 +613,8 @@ func LoadSnapshot(path string, dim int, cache Cache) (int, error) {
 	return core.LoadSnapshot(path, dim, cache)
 }
 
-// NewShardedCache creates a hash-partitioned cache from an explicit
-// per-shard factory. Any Cache variant here may back a shard; a
-// sub-cache that does not enumerate its entries (EntrySource) is refused,
-// since it could be neither rebalanced nor snapshotted.
+// NewShardedCache creates an LSH-signature-partitioned cache from an
+// explicit per-shard factory. Any Cache variant here may back a shard.
 func NewShardedCache(dim int, opts ShardOptions) (*ShardedCache, error) {
 	return shard.New(dim, opts)
 }
@@ -663,9 +646,8 @@ type AdaptiveShardedCache struct {
 
 // NewAdaptiveShardedCache attaches an adaptive rebalancing loop to a
 // sharded cache (built with NewShardedFlatCache, NewShardedLSHCache, or
-// NewShardedCache; LSH-signature routing required — fingerprint routing
-// has no signature to re-draw). The controller is already started; call
-// Close to stop it.
+// NewShardedCache). The controller is already started; call Close to
+// stop it.
 func NewAdaptiveShardedCache(cache *ShardedCache, policy RebalanceOptions, target ShardRebalanceOptions) (*AdaptiveShardedCache, error) {
 	t, err := rebalance.NewShardTarget(cache, target)
 	if err != nil {
@@ -699,7 +681,7 @@ func NewBatchPipeline(db DB, opts BatchOptions) (*BatchPipeline, error) {
 
 // NewClusterCache routes queries across shard nodes — instances of the
 // HTTP middleware at the given base URLs — by consistent hashing over
-// the same routing fingerprints the in-process partitioner uses. The
+// the same LSH signatures the in-process partitioner routes by. The
 // result satisfies Cache and Searcher, so it drops into NewRetriever
 // unchanged; call Close when done to drain the per-node batch
 // submitters.

@@ -153,11 +153,7 @@ func TestSnapshotRestorePath(t *testing.T) {
 		n    = 150 // more than any capacity below: the caches evict
 		last = 50
 	)
-	type snapCache interface {
-		Cache
-		EntrySource
-	}
-	must := func(c snapCache, err error) snapCache {
+	must := func(c Cache, err error) Cache {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
@@ -169,21 +165,21 @@ func TestSnapshotRestorePath(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		make func() snapCache
+		make func() Cache
 	}{
-		{"flat", func() snapCache {
+		{"flat", func() Cache {
 			return must(NewFlatCache(dim, Options{Capacity: 100, Tolerance: 1, Policy: LRU}))
 		}},
-		{"lsh", func() snapCache {
+		{"lsh", func() Cache {
 			return must(NewLSHCache(dim, LSHOptions{Bits: 4, BucketCapacity: 8, Tolerance: 1, Policy: LRU, Seed: 3}))
 		}},
-		{"indexed", func() snapCache {
+		{"indexed", func() Cache {
 			return must(NewIndexedCache(dim, IndexedOptions{Capacity: 100, Tolerance: 1, Policy: LRU, Seed: 3}))
 		}},
-		{"sharded-flat", func() snapCache {
+		{"sharded-flat", func() Cache {
 			return must(NewShardedFlatCache(dim, 2, Options{Capacity: 100, Tolerance: 1, Policy: LRU}, 7))
 		}},
-		{"tiered", func() snapCache {
+		{"tiered", func() Cache {
 			return must(NewTieredCache(dim, TieredOptions{
 				HotCapacity: 20, WarmCapacity: 80, Tolerance: 1, Policy: LRU, Dir: t.TempDir(),
 			}))
@@ -438,20 +434,5 @@ func TestPublicAdaptiveShardedCache(t *testing.T) {
 	}
 	if cache.Len() != 1 {
 		t.Error("Close must stop the controller, not clear the cache")
-	}
-
-	// Fingerprint-partitioned caches have no signature to re-draw.
-	fp, err := NewShardedCache(dim, ShardOptions{
-		Shards:    2,
-		Partition: FingerprintShards,
-		New: func(int) (Cache, error) {
-			return NewFlatCache(dim, Options{Capacity: 8, Tolerance: 1})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewAdaptiveShardedCache(fp, RebalanceOptions{}, ShardRebalanceOptions{}); err == nil {
-		t.Error("fingerprint partitioning should be rejected")
 	}
 }
