@@ -77,7 +77,7 @@ func (z *zeroDB) Vector(id int) (vec.Vector, error) {
 }
 
 // fig11Repeats is how many times each Fig. 11 cell is timed per seed.
-const fig11Repeats = 3
+const fig11Repeats = 5
 
 // Fig11LookupParams runs both grids. Cells run sequentially: wall-clock
 // microbenchmarks must not share the CPU.
@@ -100,21 +100,55 @@ func (s *Suite) Fig11LookupParams() (*Fig11Result, error) {
 		LSHUS:  newGrid(len(lshBits), len(taus)),
 	}
 
-	measure := func(spec CacheSpec) (float64, error) {
-		var mean stats.Welford
-		for _, seed := range s.seeds() {
-			w, err := s.zipfWorkload(seed)
-			if err != nil {
-				return 0, err
-			}
-			// Host noise only ever inflates a wall-clock mean, so each
-			// cell is timed fig11Repeats times on a fresh cache and the
-			// minimum kept.
-			best := math.Inf(1)
-			for rep := 0; rep < fig11Repeats; rep++ {
-				cache, err := s.newCache(spec, seed)
+	// Each (cell, seed) pair is timed fig11Repeats times on a fresh cache
+	// and the minimum kept: host noise only ever inflates a wall-clock
+	// mean. The repeats are taken in rounds over the whole grid, so a
+	// burst of noise lasting a few cells cannot cover every repeat of
+	// the same cell.
+	type cell struct {
+		spec CacheSpec
+		out  *float64
+	}
+	var cells []cell
+	for ci, c := range caps {
+		for ti, tau := range taus {
+			cells = append(cells, cell{CacheSpec{
+				Kind:      "flat",
+				Capacity:  c,
+				Tolerance: float32(tau),
+				Policy:    core.LRU,
+			}, &res.FlatUS[ci][ti]})
+		}
+	}
+	for bi, bitsN := range lshBits {
+		for ti, tau := range taus {
+			cells = append(cells, cell{CacheSpec{
+				Kind:           "lsh",
+				Bits:           bitsN,
+				BucketCapacity: core.DefaultBucketCapacity,
+				Tolerance:      float32(tau),
+				Policy:         core.LRU,
+			}, &res.LSHUS[bi][ti]})
+		}
+	}
+	seeds := s.seeds()
+	best := make([][]float64, len(cells))
+	for i := range best {
+		best[i] = make([]float64, len(seeds))
+		for j := range best[i] {
+			best[i][j] = math.Inf(1)
+		}
+	}
+	for rep := 0; rep < fig11Repeats; rep++ {
+		for i, cl := range cells {
+			for j, seed := range seeds {
+				w, err := s.zipfWorkload(seed)
 				if err != nil {
-					return 0, err
+					return nil, err
+				}
+				cache, err := s.newCache(cl.spec, seed)
+				if err != nil {
+					return nil, err
 				}
 				run, err := s.run(runSpec{
 					bench:      full,
@@ -127,43 +161,18 @@ func (s *Suite) Fig11LookupParams() (*Fig11Result, error) {
 					answerSeed: seed,
 				})
 				if err != nil {
-					return 0, fmt.Errorf("experiments: fig11 cell %+v: %w", spec, err)
+					return nil, fmt.Errorf("experiments: fig11 cell %+v: %w", cl.spec, err)
 				}
-				best = min(best, float64(run.MeanCacheLookup())/float64(time.Microsecond))
+				best[i][j] = min(best[i][j], float64(run.MeanCacheLookup())/float64(time.Microsecond))
 			}
-			mean.Add(best)
-		}
-		return mean.Mean(), nil
-	}
-
-	for ci, c := range caps {
-		for ti, tau := range taus {
-			us, err := measure(CacheSpec{
-				Kind:      "flat",
-				Capacity:  c,
-				Tolerance: float32(tau),
-				Policy:    core.LRU,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res.FlatUS[ci][ti] = us
 		}
 	}
-	for bi, bitsN := range lshBits {
-		for ti, tau := range taus {
-			us, err := measure(CacheSpec{
-				Kind:           "lsh",
-				Bits:           bitsN,
-				BucketCapacity: core.DefaultBucketCapacity,
-				Tolerance:      float32(tau),
-				Policy:         core.LRU,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res.LSHUS[bi][ti] = us
+	for i, cl := range cells {
+		var mean stats.Welford
+		for _, v := range best[i] {
+			mean.Add(v)
 		}
+		*cl.out = mean.Mean()
 	}
 	return res, nil
 }

@@ -325,56 +325,58 @@ func TestPressureReport(t *testing.T) {
 // Run with -race: the test's assertion is the absence of data races plus
 // counter conservation afterwards.
 func TestConcurrentStress(t *testing.T) {
-	c, err := New(testDim, Options{
-		Shards: 8,
-		Seed:   23,
-		New: func(int) (core.Cache, error) {
-			return core.NewFlat(testDim, core.Options{
-				Capacity: 32, Tolerance: 1, Policy: core.LRU,
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		goroutines = 16
-		opsPerG    = 300
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := vec.NewRand(uint64(100 + g))
-			for i := 0; i < opsPerG; i++ {
-				q := vec.Scale(vec.RandomUnit(rng, testDim), 10)
-				switch i % 4 {
-				case 0:
-					c.Put(q, []int{g, i})
-				case 1:
-					c.PutWithTolerance(q, []int{g, i}, 0.5)
-				case 2:
-					c.Get(q)
-				default:
-					c.Get(q)
-					c.Report()
+	t.Run("lsh", func(t *testing.T) {
+		c, err := New(testDim, Options{
+			Shards: 8,
+			Seed:   23,
+			New: func(int) (core.Cache, error) {
+				return core.NewFlat(testDim, core.Options{
+					Capacity: 32, Tolerance: 1, Policy: core.LRU,
+				})
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const (
+			goroutines = 16
+			opsPerG    = 300
+		)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := vec.NewRand(uint64(100 + g))
+				for i := 0; i < opsPerG; i++ {
+					q := vec.Scale(vec.RandomUnit(rng, testDim), 10)
+					switch i % 4 {
+					case 0:
+						c.Put(q, []int{g, i})
+					case 1:
+						c.PutWithTolerance(q, []int{g, i}, 0.5)
+					case 2:
+						c.Get(q)
+					default:
+						c.Get(q)
+						c.Report()
+					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := c.Stats()
-	wantPuts := int64(goroutines * opsPerG / 2)
-	if st.Puts != wantPuts {
-		t.Errorf("Puts = %d, want %d", st.Puts, wantPuts)
-	}
-	if got := int64(c.Len()); got != st.Puts-st.Evictions {
-		t.Errorf("Len %d != Puts-Evictions %d", got, st.Puts-st.Evictions)
-	}
-	if c.Len() > c.Capacity() {
-		t.Errorf("Len %d exceeds capacity %d", c.Len(), c.Capacity())
-	}
+			}(g)
+		}
+		wg.Wait()
+		st := c.Stats()
+		wantPuts := int64(goroutines * opsPerG / 2)
+		if st.Puts != wantPuts {
+			t.Errorf("Puts = %d, want %d", st.Puts, wantPuts)
+		}
+		if got := int64(c.Len()); got != st.Puts-st.Evictions {
+			t.Errorf("Len %d != Puts-Evictions %d", got, st.Puts-st.Evictions)
+		}
+		if c.Len() > c.Capacity() {
+			t.Errorf("Len %d exceeds capacity %d", c.Len(), c.Capacity())
+		}
+	})
 }
 
 // TestShardedLSH exercises the LSH-backed shard factory.
