@@ -429,55 +429,6 @@ func BenchmarkShardedCache(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexedCache measures a single lookup in the graph-indexed
-// cache against the flat scan at an occupancy past the crossover
-// (n=8192, d=128), where the graph path engages. ReportAllocs documents
-// the zero-alloc steady state of the pooled search scratch.
-func BenchmarkIndexedCache(b *testing.B) {
-	const (
-		dim = 128
-		n   = 8192
-	)
-	fill := func(c core.Cache) {
-		r := vec.NewRand(21)
-		for i := 0; i < n; i++ {
-			c.Put(vec.Scale(vec.RandomGaussian(r, dim), 2), []int{i})
-		}
-	}
-	// Query within τ of a cached key: both variants take the full
-	// hit path (scan or descend, re-rank, admit).
-	rng := vec.NewRand(21)
-	q := vec.Clone(vec.Scale(vec.RandomGaussian(rng, dim), 2))
-	q[0] += 0.1
-
-	b.Run("flat-8192", func(b *testing.B) {
-		cache, err := core.NewFlat(dim, core.Options{Capacity: n, Tolerance: 0.5, Policy: core.LRU})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fill(cache)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cache.Get(q)
-		}
-	})
-	b.Run("indexed-8192", func(b *testing.B) {
-		cache, err := core.NewIndexed(dim, core.IndexedOptions{
-			Capacity: n, Tolerance: 0.5, Policy: core.LRU, Seed: 22,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fill(cache)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cache.Get(q)
-		}
-	})
-}
-
 var (
 	missPathOnce sync.Once
 	missPathDBs  []vectordb.DB

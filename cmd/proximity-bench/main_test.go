@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -89,61 +86,8 @@ func TestParseEntryCounts(t *testing.T) {
 	}
 
 	// A bad value is reported under the flag that carried it.
-	for _, tc := range []struct{ experiment, flag string }{
-		{"annindex", "entries"},
-		{"annindex", "ann-ef"},
-		{"churn", "churn-mults"},
-		{"tiered", "tier-ratios"},
-	} {
-		err := run([]string{"-experiment", tc.experiment, "-" + tc.flag, "0"})
-		if err == nil {
-			t.Errorf("-%s 0 should error", tc.flag)
-			continue
-		}
-		if msg := err.Error(); !strings.Contains(msg, "-"+tc.flag+" ") ||
-			(tc.flag != "entries" && strings.Contains(msg, "-entries")) {
-			t.Errorf("-%s 0: error %q should name -%s only", tc.flag, msg, tc.flag)
-		}
-	}
-}
-
-// TestRunANNIndexWritesJSON: the annindex experiment must emit a
-// well-formed BENCH_*.json with the full three-way comparison.
-func TestRunANNIndexWritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping CLI smoke test in -short mode")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_annindex.json")
-	err := run([]string{
-		"-experiment", "annindex",
-		"-entries", "2000", "-ann-queries", "60", "-bench-out", out,
-	})
-	if err != nil {
-		t.Fatalf("annindex run failed: %v", err)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Dim    int `json:"dim"`
-		Points []struct {
-			Entries int `json:"entries"`
-			Flat    struct {
-				HitRate float64 `json:"hitRate"`
-			} `json:"flat"`
-			Indexed struct {
-				HitRate float64 `json:"hitRate"`
-			} `json:"indexed"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatalf("BENCH json is malformed: %v", err)
-	}
-	if len(res.Points) != 1 || res.Points[0].Entries != 2000 {
-		t.Fatalf("unexpected points: %+v", res.Points)
-	}
-	if res.Points[0].Flat.HitRate == 0 || res.Points[0].Indexed.HitRate == 0 {
-		t.Errorf("hit rates missing: %+v", res.Points[0])
+	err = run([]string{"-experiment", "tiered", "-tier-ratios", "0"})
+	if err == nil || !strings.Contains(err.Error(), "-tier-ratios ") {
+		t.Errorf("-tier-ratios 0: error %v should name -tier-ratios", err)
 	}
 }

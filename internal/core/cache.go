@@ -10,20 +10,16 @@
 // of a cosine database (§3.1) the cache takes unit-normalized embeddings,
 // where 1 − cos(a, b) = ‖a − b‖²/2, and τ = √(2·τ_cos).
 //
-// Three of the four cache variants live here, the first two from §3 of
-// the paper:
+// Two of the three cache variants live here, both from §3 of the paper:
 //
 //   - FlatCache (Proximity-FLAT): a single pool scanned linearly on every
 //     lookup — exact with respect to the cached set, but O(c·d) per query.
 //   - LSHCache (Proximity-LSH): 2^L lazily-allocated buckets selected by a
 //     random-hyperplane signature, each a small fixed-capacity flat pool —
 //     O((L+b)·d) per query, independent of total capacity.
-//   - IndexedCache (Proximity-INDEXED): a FlatCache whose lookup, from
-//     a crossover size up, is an HNSW graph over its slots; below that
-//     size a lookup is FLAT's own head scan.
 //
-// The fourth, internal/tier's TieredCache, puts one of these as a small
-// hot tier over a file-backed warm tier. All four support FIFO and LRU
+// The third, internal/tier's TieredCache, puts one of these as a small
+// hot tier over a file-backed warm tier. All three support FIFO and LRU
 // eviction and the re-ranking factor ρ (§3.3.4) via CachedRetriever. All
 // cache types are safe for concurrent use.
 package core
@@ -34,6 +30,7 @@ import (
 	"math"
 
 	"proximity/internal/vec"
+	"proximity/internal/vectordb"
 )
 
 // Policy selects the eviction strategy applied when a cache (or an LSH
@@ -132,12 +129,10 @@ type Stats struct {
 	DistComps int64
 	HashOps   int64 // LSH hyperplane projections (LSHCache only)
 
-	// Index describes the graph behind an IndexedCache and Tier the
-	// tiers of a tier.TieredCache. A nil block means the cache has no
-	// graph or no tiers; a sharded cache always fills both, zero-valued
-	// where no shard has one.
-	Index *IndexStats
-	Tier  *TierStats
+	// Tier describes the tiers of a tier.TieredCache. A nil block means
+	// the cache has no tiers; a sharded cache always fills it,
+	// zero-valued where no shard has one.
+	Tier *TierStats
 	// Shards holds one row per shard of a sharded cache, in shard order;
 	// nil for a cache that is not sharded.
 	Shards []ShardStats
@@ -162,10 +157,10 @@ func (s ShardStats) Occupancy() float64 {
 	return 0
 }
 
-// Merge adds o's counters into s, and o's Index and Tier blocks into s's
-// (a block s lacks starts from zero). Merge never writes through a block
-// pointer: each merged block is a fresh copy, so merging into a copy of
-// a Stats leaves the original's blocks, and o's, as they were. Merge
+// Merge adds o's counters into s, and o's Tier block into s's (a block
+// s lacks starts from zero). Merge never writes through a block pointer:
+// the merged block is a fresh copy, so merging into a copy of a Stats
+// leaves the original's block, and o's, as they were. Merge
 // leaves s.Shards as it is and ignores o's: the rows describe the shards
 // of one cache, and the sub-caches a sharded cache merges carry none.
 func (s *Stats) Merge(o Stats) {
@@ -175,14 +170,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Evictions += o.Evictions
 	s.DistComps += o.DistComps
 	s.HashOps += o.HashOps
-	if o.Index != nil {
-		var idx IndexStats
-		if s.Index != nil {
-			idx = *s.Index
-		}
-		idx.Merge(*o.Index)
-		s.Index = &idx
-	}
 	if o.Tier != nil {
 		var ts TierStats
 		if s.Tier != nil {
@@ -193,16 +180,11 @@ func (s *Stats) Merge(o Stats) {
 	}
 }
 
-// Counters returns a copy of s with its blocks' gauges zeroed: what is
-// still true of a cache once it has been replaced. A shard folds a
+// Counters returns a copy of s with its Tier block's gauges zeroed: what
+// is still true of a cache once it has been replaced. A shard folds a
 // retired sub-cache into its baseline this way; the gauges (entries,
-// slots, bytes) belong to the replacement.
+// capacities, bytes) belong to the replacement.
 func (s Stats) Counters() Stats {
-	if s.Index != nil {
-		idx := *s.Index
-		idx.Nodes, idx.Slots, idx.Tombstones, idx.PendingRepair = 0, 0, 0, 0
-		s.Index = &idx
-	}
 	if s.Tier != nil {
 		ts := *s.Tier
 		ts.HotEntries, ts.HotCapacity, ts.WarmEntries, ts.WarmCapacity, ts.WarmBytes = 0, 0, 0, 0, 0
@@ -222,8 +204,8 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// Cache is the approximate key-value store interface shared by the four
-// variants (FLAT, LSH, Indexed and Tiered), by the sharded cache that
+// Cache is the approximate key-value store interface shared by the three
+// variants (FLAT, LSH and Tiered), by the sharded cache that
 // partitions any of them, and by the cluster client. Implementations are
 // safe for concurrent use.
 type Cache interface {
@@ -244,7 +226,7 @@ type Cache interface {
 	// the theoretical maximum 2^L·b).
 	Capacity() int
 	// Stats returns one snapshot of the cumulative counters, with the
-	// index and tier blocks the cache has.
+	// tier block when the cache has one.
 	Stats() Stats
 	// Clear removes all entries (counters are preserved).
 	Clear()
@@ -254,6 +236,19 @@ type Cache interface {
 	// and the one-file snapshot read it.
 	Entries() []Entry
 }
+
+// Searcher abstracts the miss-path nearest-neighbor search, the database
+// side of Algorithm 1. vectordb.DB satisfies it, as does the batch
+// pipeline's coalesced entry point.
+type Searcher interface {
+	Search(q vec.Vector, k int) ([]vec.Scored, error)
+}
+
+// The check also makes cache.go, the first file of the package, import
+// vectordb, so the linker places vectordb's scan right after vec's
+// kernels. Placed after telemetry instead, the same FlatIndex scan ran
+// about 20 % slower in the ./bench binary.
+var _ Searcher = vectordb.DB(nil)
 
 // Entry is one cached line as seen through Cache.Entries: the key
 // embedding, its documents, and its per-line match tolerance. All fields

@@ -107,26 +107,19 @@ func sameEntries(a, b []Entry) bool {
 	})
 }
 
-// TestFlatMatchesAlgorithm1 drives the oracle's op stream through a
-// FlatCache.
-func TestFlatMatchesAlgorithm1(t *testing.T) {
-	matchAlgorithm1(t, func(t testing.TB, dim int, opts Options) Cache { return mustFlat(t, dim, opts) })
-}
-
-// matchAlgorithm1 drives one seeded op stream through a cache from
-// newCache and the oracle, on both test geometries, at a width below
+// TestFlatMatchesAlgorithm1 drives one seeded op stream through a
+// FlatCache and the oracle, on both test geometries, at a width below
 // vec.HeadLen (no heads), one with a tail past its strides, and the
 // benchmark's, at capacity 16 (two whole blocks of eight heads) and 19
 // (a full cache ends in a partial block of three), and requires
-// them to agree after every op: served docs, Stats (the Index block
-// apart) and Entries, and for a FlatCache reported distances to the bit
-// and the OnEvict stream. The stream mixes Put and PutWithTolerance
-// (tolerance 0 and lines that admit a chosen query exactly, duplicate
-// keys for exact ties), Get, bad input (wrong length, or a NaN or ±Inf
-// component), Clear, and WriteEntrySnapshot → replay into a fresh
-// cache; for a FlatCache also TierGet with and without Commit and
-// PeekAdmissible, which other caches see as a Get.
-func matchAlgorithm1(t *testing.T, newCache func(t testing.TB, dim int, opts Options) Cache) {
+// them to agree after every op: served docs, reported distances to the
+// bit, Stats, Entries and the OnEvict stream. The stream mixes Put and
+// PutWithTolerance (tolerance 0 and lines that admit a chosen query
+// exactly, duplicate keys for exact ties), Get, TierGet with and
+// without Commit, PeekAdmissible, bad input (wrong length, or a NaN or
+// ±Inf component), Clear, and
+// WriteEntrySnapshot → replay into a fresh NewFlat.
+func TestFlatMatchesAlgorithm1(t *testing.T) {
 	const ops = 2000
 	for _, dim := range []int{8, 40, 768} {
 		for _, hard := range []bool{false, true} {
@@ -145,21 +138,18 @@ func matchAlgorithm1(t *testing.T, newCache func(t testing.TB, dim int, opts Opt
 						o := &flatOracle{dim: dim, capacity: capacity, lru: policy == LRU}
 						var evicted []Entry
 						onEvict := func(e Entry) { evicted = append(evicted, e) }
-						opts := Options{Capacity: capacity, Tolerance: g.tau, Policy: policy, OnEvict: onEvict}
-						c := newCache(t, dim, opts)
+						c := mustFlat(t, dim, Options{Capacity: capacity, Tolerance: g.tau, Policy: policy, OnEvict: onEvict})
 
 						checked := 0 // victims already compared
 						check := func(op int, what string) {
 							t.Helper()
-							got := c.Stats()
-							got.Index = nil // a graph's own counters, which Algorithm 1 has none of
-							if !reflect.DeepEqual(got, o.stats) {
+							if got := c.Stats(); !reflect.DeepEqual(got, o.stats) {
 								t.Fatalf("op %d (%s): Stats %+v, oracle %+v", op, what, got, o.stats)
 							}
 							if c.Len() != len(o.lines) || !sameEntries(c.Entries(), o.entries()) {
 								t.Fatalf("op %d (%s): Entries differ from the oracle's (%d vs %d lines)", op, what, c.Len(), len(o.lines))
 							}
-							if _, ok := c.(*FlatCache); ok && (len(evicted) != len(o.evicted) || !sameEntries(evicted[checked:], o.evicted[checked:])) {
+							if len(evicted) != len(o.evicted) || !sameEntries(evicted[checked:], o.evicted[checked:]) {
 								t.Fatalf("op %d (%s): OnEvict saw %d victims, the oracle %d, or other ones", op, what, len(evicted), len(o.evicted))
 							}
 							checked = len(evicted)
@@ -240,25 +230,11 @@ func matchAlgorithm1(t *testing.T, newCache func(t testing.TB, dim int, opts Opt
 								} else {
 									misses++
 								}
-							case r < 33:
-								q := query()
-								f, isFlat := c.(*FlatCache)
-								if !isFlat {
-									what = "Get in place of TierGet or PeekAdmissible"
-									get(op, q)
-									break
-								}
-								if r >= 30 {
-									what = "PeekAdmissible"
-									_, d, found := o.lookup(q)
-									if got, ok := f.PeekAdmissible(q); ok != found || math.Float32bits(got) != math.Float32bits(d) {
-										t.Fatalf("op %d: PeekAdmissible = %v, %v; oracle %v, %v", op, got, ok, d, found)
-									}
-									break
-								}
+							case r < 30:
 								what = "TierGet"
+								q := query()
 								i, d, found := o.lookup(q)
-								h, ok := f.TierGet(q)
+								h, ok := c.TierGet(q)
 								if ok != found || found && (!slices.Equal(h.Docs, o.lines[i].Docs) || math.Float32bits(h.Dist) != math.Float32bits(d)) {
 									t.Fatalf("op %d: TierGet = %v at %v, %v; oracle %v at %v", op, h.Docs, h.Dist, ok, found, d)
 								}
@@ -267,6 +243,13 @@ func matchAlgorithm1(t *testing.T, newCache func(t testing.TB, dim int, opts Opt
 									h.Commit()
 									o.serve(i)
 									commits++
+								}
+							case r < 33:
+								what = "PeekAdmissible"
+								q := query()
+								_, d, found := o.lookup(q)
+								if got, ok := c.PeekAdmissible(q); ok != found || math.Float32bits(got) != math.Float32bits(d) {
+									t.Fatalf("op %d: PeekAdmissible = %v, %v; oracle %v, %v", op, got, ok, d, found)
 								}
 							case r < 36:
 								what = "bad input"
@@ -281,16 +264,12 @@ func matchAlgorithm1(t *testing.T, newCache func(t testing.TB, dim int, opts Opt
 								}
 								put(bad, g.tau)
 								get(op, bad)
-								f, isFlat := c.(*FlatCache)
-								if !isFlat {
-									break
-								}
 								// A full-width query is scanned, and charged, as any other.
-								if _, ok := f.TierGet(bad); ok {
+								if _, ok := c.TierGet(bad); ok {
 									t.Fatalf("op %d: TierGet of a bad %d-float query hit in a %d-float cache", op, len(bad), dim)
 								}
 								o.lookup(bad)
-								if _, ok := f.PeekAdmissible(bad); ok {
+								if _, ok := c.PeekAdmissible(bad); ok {
 									t.Fatalf("op %d: PeekAdmissible of a bad %d-float query hit in a %d-float cache", op, len(bad), dim)
 								}
 								o.lookup(bad)
@@ -299,7 +278,7 @@ func matchAlgorithm1(t *testing.T, newCache func(t testing.TB, dim int, opts Opt
 								c.Clear()
 								o.lines = nil
 							case r < 38:
-								what = "WriteEntrySnapshot, replay into a fresh cache"
+								what = "WriteEntrySnapshot, replay into NewFlat"
 								var buf bytes.Buffer
 								if err := WriteEntrySnapshot(&buf, dim, c); err != nil {
 									t.Fatal(err)
@@ -308,7 +287,7 @@ func matchAlgorithm1(t *testing.T, newCache func(t testing.TB, dim int, opts Opt
 								if err != nil {
 									t.Fatal(err)
 								}
-								c = newCache(t, dim, opts)
+								c = mustFlat(t, dim, Options{Capacity: capacity, Tolerance: g.tau, Policy: policy, OnEvict: onEvict})
 								for _, e := range restored {
 									c.PutWithTolerance(e.Key, e.Docs, e.Tol)
 								}
@@ -325,9 +304,9 @@ func matchAlgorithm1(t *testing.T, newCache func(t testing.TB, dim int, opts Opt
 							}
 							check(op, what)
 						}
-						if _, isFlat := c.(*FlatCache); hits == 0 || misses == 0 || isFlat && commits == 0 || len(o.evicted) == 0 {
+						if hits == 0 || misses == 0 || commits == 0 || len(evicted) == 0 {
 							t.Fatalf("stream exercised too little: %d hits, %d misses, %d commits, %d evictions",
-								hits, misses, commits, len(o.evicted))
+								hits, misses, commits, len(evicted))
 						}
 					})
 				}

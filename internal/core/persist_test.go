@@ -407,13 +407,6 @@ func TestEntrySnapshotRoundTripVariants(t *testing.T) {
 		{"lsh", func() Cache {
 			return mustLSH(t, dim, LSHOptions{Bits: 3, BucketCapacity: 4, Tolerance: tol, Seed: 5})
 		}, false},
-		{"indexed", func() Cache {
-			c, err := NewIndexed(dim, IndexedOptions{Capacity: cap, Tolerance: tol, Policy: LRU, Seed: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

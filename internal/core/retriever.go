@@ -11,12 +11,6 @@ import (
 	"proximity/internal/vectordb"
 )
 
-// Searcher abstracts the miss-path nearest-neighbor search. vectordb.DB
-// satisfies it, as does the batch pipeline's coalesced entry point.
-type Searcher interface {
-	Search(q vec.Vector, k int) ([]vec.Scored, error)
-}
-
 // ContextCache is an optional extension of Cache for implementations
 // that want the request context — the cluster client threads trace
 // propagation through it. RetrieveContext detects it by type assertion;

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
-	"strings"
 	"testing"
 
 	"proximity/internal/vec"
@@ -178,58 +176,5 @@ func TestNewCacheSpecValidation(t *testing.T) {
 	c, err = s.newCache(CacheSpec{Kind: "lsh", Bits: 4, BucketCapacity: 8, Tolerance: 1}, 1)
 	if err != nil || c == nil {
 		t.Errorf("lsh spec failed: %v", err)
-	}
-}
-
-// TestChurnExperimentShape runs the churn A/B at tiny parameters and
-// checks the result's shape and the directional claims the benchmark
-// exists to make.
-func TestChurnExperimentShape(t *testing.T) {
-	res, err := Churn(ChurnOptions{Capacity: 150, Dim: 8, Mults: []int{1, 4}, Queries: 100, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(res.Points))
-	}
-	for i, p := range res.Points {
-		for _, v := range []ChurnVariant{p.Unrepaired, p.Repaired, p.Maintained, p.Fresh} {
-			if v.SelfRecall <= 0 || v.SelfRecall > 1 {
-				t.Fatalf("point %d variant %s: self-recall %v out of range", i, v.Name, v.SelfRecall)
-			}
-			if v.PutMeanMicros <= 0 {
-				t.Fatalf("point %d variant %s: no put latency recorded", i, v.Name)
-			}
-		}
-	}
-	churned := res.Points[1]
-	if churned.Puts != 4*150 {
-		t.Fatalf("puts = %d, want 600", churned.Puts)
-	}
-	if churned.Repaired.SeveredInEdges == 0 || churned.Maintained.RepairPasses == 0 {
-		t.Fatalf("repair machinery idle under churn: %+v", churned)
-	}
-	if churned.Unrepaired.SeveredInEdges != 0 {
-		t.Fatalf("unrepaired variant severed edges: %+v", churned.Unrepaired)
-	}
-	if churned.SelfRecallVsFresh <= 0 || churned.UnrepairedVsFresh <= 0 {
-		t.Fatalf("headline ratios missing: %+v", churned)
-	}
-	if res.Render() == "" {
-		t.Fatal("empty render")
-	}
-	var buf strings.Builder
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(buf.String()), &decoded); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if _, ok := decoded["points"]; !ok {
-		t.Fatal("artifact missing points")
-	}
-	if _, err := Churn(ChurnOptions{Mults: []int{0}}); err == nil {
-		t.Fatal("mult 0 should error")
 	}
 }

@@ -279,3 +279,38 @@ func TestDeterministicBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchIntoReusesBuffer verifies the zero-alloc entry point appends
+// into the caller's buffer and matches SearchEf.
+func TestSearchIntoReusesBuffer(t *testing.T) {
+	ix, _ := New(8, vec.L2Distance, Config{Seed: 8})
+	rng := vec.NewRand(17)
+	for i := 0; i < 300; i++ {
+		if err := ix.Add(vec.RandomGaussian(rng, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]vec.Scored, 0, 16)
+	for i := 0; i < 20; i++ {
+		q := vec.RandomGaussian(rng, 8)
+		want, err := ix.SearchEf(q, 5, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ix.SearchInto(buf[:0], q, 5, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d results, want %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("query %d item %d: %+v vs %+v", i, j, got[j], want[j])
+			}
+		}
+		if cap(buf) >= 5 && len(got) > 0 && &got[0] != &buf[:1][0] {
+			t.Fatal("SearchInto did not reuse the provided buffer")
+		}
+	}
+}

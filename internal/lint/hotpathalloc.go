@@ -7,8 +7,8 @@ import (
 
 // HotPathAlloc flags allocating constructs inside functions annotated
 // //proximity:hotpath. The annotated set (hnsw.SearchInto, the cache
-// Get/TierGet paths, the tiered lookup) is what BENCH_annindex and
-// BENCH_tiered's latency numbers rest on: one stray fmt call or boxed
+// Get/TierGet paths, the tiered lookup) is what the repo benchmark's
+// and BENCH_tiered's latency numbers rest on: one stray fmt call or boxed
 // argument turns a zero-alloc steady state into per-query GC pressure
 // that only shows up at p99 under load.
 //

@@ -6,8 +6,8 @@
 // escape-analysis change) still fails CI.
 //
 // Budgets: hnsw.SearchInto and vec.Heads.Next are allocation-free in
-// steady state; FlatCache.Get, IndexedCache.Get, and the tiered hot-hit
-// and FIFO warm-hit lookups are allowed exactly their one documented
+// steady state; FlatCache.Get and the tiered hot-hit and FIFO warm-hit
+// lookups are allowed exactly their one documented
 // caller-owned docs copy, as is an evicting FlatCache.Put (its copy of
 // the caller's docs); an LRU warm hit three (the docs copy and the hot
 // tier's copies of the promoted key and docs); FlatIndex.Search — the
@@ -115,31 +115,6 @@ func TestFlatPutBudget(t *testing.T) {
 	})
 	if s := c.Stats(); s.Evictions < 200 {
 		t.Errorf("%d evictions: the budgeted Puts did not all evict", s.Evictions)
-	}
-}
-
-// TestIndexedGetBudget pins both lookup regimes: the sub-crossover
-// exact scan and the graph beam search.
-func TestIndexedGetBudget(t *testing.T) {
-	for name, crossover := range map[string]int{"scan": 1 << 20, "graph": 4} {
-		t.Run(name, func(t *testing.T) {
-			c, err := core.NewIndexed(dim, core.IndexedOptions{
-				Capacity: 64, Tolerance: 10, Policy: core.LRU,
-				Crossover: crossover, Seed: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 32; i++ {
-				c.Put(testVec(i), []int{i, i + 1})
-			}
-			q := testVec(5)
-			checkBudget(t, "IndexedCache.Get/"+name, 1, func() {
-				if _, ok := c.Get(q); !ok {
-					t.Fatal("expected a hit")
-				}
-			})
-		})
 	}
 }
 

@@ -134,20 +134,16 @@ func (neverEnding) Read(p []byte) (int, error) { return len(p), nil }
 func cacheShapes(t *testing.T, dim int) map[string]func() (core.Cache, error) {
 	flat := core.Options{Capacity: 8, Tolerance: 1, Policy: core.LRU}
 	lsh := core.LSHOptions{Bits: 3, BucketCapacity: 4, Tolerance: 1, Seed: 1}
-	indexed := core.IndexedOptions{Capacity: 8, Tolerance: 1, Crossover: 2, Seed: 1,
-		Maintenance: &core.MaintenanceOptions{Every: 2}}
 	tiered := func() tier.Options {
 		return tier.Options{HotCapacity: 2, WarmCapacity: 6, Tolerance: 1, Dir: t.TempDir()}
 	}
 	return map[string]func() (core.Cache, error){
-		"flat":            func() (core.Cache, error) { return core.NewFlat(dim, flat) },
-		"lsh":             func() (core.Cache, error) { return core.NewLSH(dim, lsh) },
-		"indexed":         func() (core.Cache, error) { return core.NewIndexed(dim, indexed) },
-		"tiered":          func() (core.Cache, error) { return tier.New(dim, tiered()) },
-		"sharded-flat":    func() (core.Cache, error) { return shard.NewFlat(dim, 2, flat, 1) },
-		"sharded-lsh":     func() (core.Cache, error) { return shard.NewLSH(dim, 2, lsh) },
-		"sharded-indexed": func() (core.Cache, error) { return shard.NewIndexed(dim, 2, indexed, 1) },
-		"sharded-tiered":  func() (core.Cache, error) { return shard.NewTiered(dim, 2, tiered(), 1) },
+		"flat":           func() (core.Cache, error) { return core.NewFlat(dim, flat) },
+		"lsh":            func() (core.Cache, error) { return core.NewLSH(dim, lsh) },
+		"tiered":         func() (core.Cache, error) { return tier.New(dim, tiered()) },
+		"sharded-flat":   func() (core.Cache, error) { return shard.NewFlat(dim, 2, flat, 1) },
+		"sharded-lsh":    func() (core.Cache, error) { return shard.NewLSH(dim, 2, lsh) },
+		"sharded-tiered": func() (core.Cache, error) { return shard.NewTiered(dim, 2, tiered(), 1) },
 	}
 }
 

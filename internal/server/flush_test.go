@@ -10,22 +10,14 @@ import (
 )
 
 // cacheCounters is every cumulative counter a cache reports, by name:
-// core.Stats, plus the index and tier counters where the cache has them.
-// Gauges (entry counts, slots, tombstones, bytes) are left out — a Clear
-// is supposed to move those.
+// core.Stats, plus the tier counters where the cache has them. Gauges
+// (entry counts, capacities, bytes) are left out — a Clear is supposed
+// to move those.
 func cacheCounters(c core.Cache) map[string]int64 {
 	st := c.Stats()
 	out := map[string]int64{
 		"hits": st.Hits, "misses": st.Misses, "puts": st.Puts,
 		"evictions": st.Evictions, "distComps": st.DistComps, "hashOps": st.HashOps,
-	}
-	if s := st.Index; s != nil {
-		out["index.graphHops"], out["index.searches"] = s.GraphHops, s.Searches
-		out["index.reranks"], out["index.bruteScans"] = s.Reranks, s.BruteScans
-		out["index.reusedSlots"], out["index.severedInEdges"] = s.ReusedSlots, s.SeveredInEdges
-		out["index.reroutedInEdges"], out["index.droppedInRefs"] = s.ReroutedInEdges, s.DroppedInRefs
-		out["index.repairPasses"], out["index.repairedNodes"] = s.RepairPasses, s.RepairedNodes
-		out["index.repairNanos"] = s.RepairNanos
 	}
 	if s := st.Tier; s != nil {
 		out["tier.hotHits"], out["tier.warmHits"] = s.HotHits, s.WarmHits
@@ -66,9 +58,9 @@ func promCounters(t *testing.T, exposition string) map[string]float64 {
 // Cache.Clear, and across POST /v1/flush as Prometheus sees it on
 // /metrics, no cumulative counter of any cache shape may fall, with the
 // misses going straight to the database or through a batch pipeline —
-// LSHCache used to drop its buckets' counters with the buckets,
-// IndexedCache its graph's with the graph, and the flush used to zero
-// the pipeline's, and a scraper saw each as a counter reset.
+// LSHCache used to drop its buckets' counters with the buckets, and the
+// flush used to zero the pipeline's, and a scraper saw each as a counter
+// reset.
 func TestCountersSurviveFlush(t *testing.T) {
 	const dim = 16
 	for shape, newCache := range cacheShapes(t, dim) {
@@ -78,17 +70,17 @@ func TestCountersSurviveFlush(t *testing.T) {
 				name += "+pipeline"
 			}
 			t.Run(name, func(t *testing.T) {
-				countersSurviveFlush(t, dim, shape, newCache, pipeline)
+				countersSurviveFlush(t, dim, newCache, pipeline)
 			})
 		}
 	}
 }
 
-func countersSurviveFlush(t *testing.T, dim int, shape string, newCache func() (core.Cache, error), pipeline bool) {
+func countersSurviveFlush(t *testing.T, dim int, newCache func() (core.Cache, error), pipeline bool) {
 	ts, cache, docs := serveCache(t, dim, 40, newCache, pipeline)
 	client := NewClient(ts.URL)
-	// Misses, fills and evictions well past capacity (for the graph:
-	// slot reuse and repair), then hits on the latest entries.
+	// Misses, fills and evictions well past capacity, then hits on the
+	// latest entries.
 	traffic := func() {
 		for _, q := range append(append([][]float32{}, docs...), docs[36:]...) {
 			if _, err := client.Retrieve(q); err != nil {
@@ -106,9 +98,6 @@ func countersSurviveFlush(t *testing.T, dim int, shape string, newCache func() (
 	traffic()
 	before := cacheCounters(cache)
 	must := []string{"hits", "misses", "puts", "evictions", "distComps"}
-	if strings.Contains(shape, "indexed") {
-		must = append(must, "index.graphHops", "index.searches", "index.reusedSlots", "index.repairPasses")
-	}
 	for _, counter := range must {
 		if before[counter] == 0 {
 			t.Errorf("%s is 0 before the flush: the traffic does not exercise it", counter)

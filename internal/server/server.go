@@ -158,25 +158,6 @@ func (s *Server) registerMetrics() {
 			func() float64 { return float64(scraped().entries) })
 		reg.GaugeFunc(telemetry.MetricCacheCapacity, "Configured cache capacity.",
 			func() float64 { return float64(scraped().capacity) })
-		if snap.stats.Index != nil {
-			index := func() *core.IndexStats { return scraped().stats.Index }
-			reg.CounterFunc(telemetry.MetricIndexGraphHopsTotal, "Graph-index traversal hops.",
-				func() float64 { return float64(index().GraphHops) })
-			reg.CounterFunc(telemetry.MetricIndexReranksTotal, "Exact re-rank passes after graph traversal.",
-				func() float64 { return float64(index().Reranks) })
-			reg.GaugeFunc(telemetry.MetricIndexTombstones, "Tombstoned (deleted, not yet reused) graph slots.",
-				func() float64 { return float64(index().Tombstones) })
-			reg.CounterFunc(telemetry.MetricIndexReusedSlotsTotal, "Evicted graph slots recycled for new entries.",
-				func() float64 { return float64(index().ReusedSlots) })
-			reg.CounterFunc(telemetry.MetricIndexSeveredInEdgesTotal, "Stale incoming edges cut at slot reuse.",
-				func() float64 { return float64(index().SeveredInEdges) })
-			reg.CounterFunc(telemetry.MetricIndexRepairPassesTotal, "Incremental graph-maintenance passes.",
-				func() float64 { return float64(index().RepairPasses) })
-			reg.CounterFunc(telemetry.MetricIndexRepairedNodesTotal, "Degraded neighborhoods re-linked by maintenance.",
-				func() float64 { return float64(index().RepairedNodes) })
-			reg.GaugeFunc(telemetry.MetricIndexRepairPending, "Graph nodes queued for repair.",
-				func() float64 { return float64(index().PendingRepair) })
-		}
 		if snap.stats.Tier != nil {
 			tiers := func() *core.TierStats { return scraped().stats.Tier }
 			reg.GaugeFunc(telemetry.MetricTierHotEntries, "Resident hot-tier entries.",
@@ -345,11 +326,6 @@ type StatsResponse struct {
 	// a controller is configured.
 	Rebalance *RebalanceStats `json:"rebalance,omitempty"`
 
-	// Index holds graph-index counters (node/tombstone counts, traversal
-	// hops, exact re-ranks, churn repair), present only when the cache is
-	// backed by a graph index (core.IndexedCache, possibly sharded).
-	Index *core.IndexStats `json:"index,omitempty"`
-
 	// Tiers holds the hot/warm tier breakdown (per-tier occupancy, hit
 	// split, promotion/demotion traffic), present only when the cache is
 	// tiered (tier.TieredCache, possibly sharded).
@@ -412,9 +388,8 @@ type statsSnapshotter interface {
 // reads from the cache: each number is read once per request, not once
 // per series that shows it.
 type cacheSnapshot struct {
-	// stats.Index and stats.Tier are nil unless the cache has them. A
-	// sharded cache has both, all zeros where no shard is indexed or
-	// tiered, and its Shards rows.
+	// stats.Tier is nil unless the cache has tiers. A sharded cache has
+	// it, all zeros where no shard is tiered, and its Shards rows.
 	stats             core.Stats
 	entries, capacity int
 }
@@ -766,11 +741,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if snap := readCache(s.cfg.Retriever.Cache(), true); snap != nil {
 		resp.Hits, resp.Misses, resp.Evictions = snap.stats.Hits, snap.stats.Misses, snap.stats.Evictions
 		resp.HitRate, resp.Entries, resp.Capacity = snap.stats.HitRate(), snap.entries, snap.capacity
-		// A sharded FLAT or LSH cache reports index and tier blocks that
-		// no shard fills: the response leaves out a block of zeros.
-		if idx := snap.stats.Index; idx != nil && *idx != (core.IndexStats{}) {
-			resp.Index = idx
-		}
+		// A sharded FLAT or LSH cache reports a tier block that no shard
+		// fills: the response leaves out a block of zeros.
 		if ts := snap.stats.Tier; ts != nil && *ts != (core.TierStats{}) {
 			resp.Tiers = ts
 		}

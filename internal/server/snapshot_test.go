@@ -28,8 +28,8 @@ func (c *countingCache) reads() [3]int64 {
 
 // TestOneCacheReadPerRequest: one /metrics scrape and one /v1/stats
 // request each read the cache once — one Stats, Len and Capacity — on
-// every cache shape, so that the numbers one response shows, the index
-// and tier blocks included, come from one pass over the cache.
+// every cache shape, so that the numbers one response shows, the tier
+// block included, come from one pass over the cache.
 func TestOneCacheReadPerRequest(t *testing.T) {
 	const dim = 16
 	for name, newCache := range cacheShapes(t, dim) {

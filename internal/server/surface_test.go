@@ -28,11 +28,10 @@ var leLabel = regexp.MustCompile(`,?le="[^"]*"`)
 // surface is what an operator sees of one server after a fixed stream of
 // traffic: the /v1/stats document, and the /metrics series.
 type surface struct {
-	// Stats is the /v1/stats body without index.repairNanos, a wall-clock
-	// total.
+	// Stats is the /v1/stats body.
 	Stats map[string]any `json:"stats"`
 	// Series is every /metrics series as name{labels}, sorted, with the
-	// histogram le label folded away. Cache, index, tier and batch series
+	// histogram le label folded away. Cache, tier and batch series
 	// carry their value too; runtime and latency values vary by run.
 	Series []string `json:"series"`
 }
@@ -160,9 +159,6 @@ func readSurface(t *testing.T, dim int, newCache func() (core.Cache, error), pip
 	if err := json.NewDecoder(resp.Body).Decode(&out.Stats); err != nil {
 		t.Fatal(err)
 	}
-	if index, ok := out.Stats["index"].(map[string]any); ok {
-		delete(index, "repairNanos")
-	}
 
 	exposition, err := client.Metrics()
 	if err != nil {
@@ -176,7 +172,7 @@ func readSurface(t *testing.T, dim int, newCache func() (core.Cache, error), pip
 		i := strings.LastIndexByte(line, ' ')
 		series, value := leLabel.ReplaceAllString(line[:i], ""), line[i+1:]
 		series = strings.TrimSuffix(series, "{}")
-		for _, family := range []string{"proximity_cache_", "proximity_index_", "proximity_tier_", "proximity_batch_"} {
+		for _, family := range []string{"proximity_cache_", "proximity_tier_", "proximity_batch_"} {
 			if strings.HasPrefix(series, family) {
 				series += " " + value
 			}

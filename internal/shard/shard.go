@@ -8,7 +8,7 @@
 // Keys are routed to shards by an LSH signature: queries within the
 // cache tolerance collide on the same shard with high probability, so
 // approximate hits survive partitioning. Each shard is any core.Cache —
-// FLAT, LSH, indexed or tiered — built by a per-shard factory, and the
+// FLAT, LSH or tiered — built by a per-shard factory, and the
 // whole structure satisfies core.Cache, making ShardedCache a drop-in for
 // core.CachedRetriever.
 //
@@ -36,7 +36,7 @@ import (
 
 // Factory builds the sub-cache for one shard index. Factories let any
 // core.Cache variant back a shard; the helpers in this package cover the
-// FLAT, LSH, indexed and tiered cases. The factory is retained for the
+// FLAT, LSH and tiered cases. The factory is retained for the
 // lifetime of the ShardedCache: a re-draw migration (Reseed) rebuilds
 // shards through it.
 type Factory func(shard int) (core.Cache, error)
@@ -71,7 +71,7 @@ type slot struct {
 	mu    sync.RWMutex
 	cache core.Cache
 	// base folds in the counters of retired sub-cache generations —
-	// their index and tier blocks included, gauges zeroed — and the
+	// their tier blocks included, gauges zeroed — and the
 	// corrections that keep migration re-inserts out of the Puts totals;
 	// a slot's externally visible counters are always base +
 	// cache.Stats().
@@ -201,25 +201,6 @@ func NewFlat(dim, shards int, opts core.Options, seed uint64) (*ShardedCache, er
 		Shards: n,
 		Seed:   seed,
 		New:    func(int) (core.Cache, error) { return core.NewFlat(dim, sub) },
-	})
-}
-
-// NewIndexed creates a ShardedCache of graph-indexed sub-caches
-// (core.IndexedCache). Like NewFlat, the configured capacity is the TOTAL
-// across shards (split evenly, rounded up). Each shard's graph draws its
-// own layer-assignment seed (seed + 1 + shard index); the partitioner
-// uses seed directly.
-func NewIndexed(dim, shards int, opts core.IndexedOptions, seed uint64) (*ShardedCache, error) {
-	n, per := split(shards, opts.Capacity)
-	return New(dim, Options{
-		Shards: n,
-		Seed:   seed,
-		New: func(i int) (core.Cache, error) {
-			sub := opts
-			sub.Capacity = per
-			sub.Seed = seed + 1 + uint64(i)
-			return core.NewIndexed(dim, sub)
-		},
 	})
 }
 
@@ -392,17 +373,16 @@ func (c *ShardedCache) Shard(i int) core.Cache {
 }
 
 // Stats aggregates counters across shards in one pass, one sub-cache
-// Stats() per shard, so each shard's part of the snapshot — its index
-// and tier blocks and its Shards row included — is read at one instant.
-// Both blocks are always present, zero-valued where no shard has them.
+// Stats() per shard, so each shard's part of the snapshot — its tier
+// block and its Shards row included — is read at one instant. The tier
+// block is always present, zero-valued where no shard has one.
 // HashOps includes both the partitioner's routing projections and any
 // hashing the sub-caches do; the routing share is derived from the
 // operation counts (every Get and Put hashes once) rather than tracked
 // on the hot path, so lookups on distinct shards share no mutable state
 // at all.
 func (c *ShardedCache) Stats() core.Stats {
-	agg := core.Stats{Index: &core.IndexStats{}, Tier: &core.TierStats{},
-		Shards: make([]core.ShardStats, len(c.slots))}
+	agg := core.Stats{Tier: &core.TierStats{}, Shards: make([]core.ShardStats, len(c.slots))}
 	for i := range c.slots {
 		s := &c.slots[i]
 		s.mu.RLock()

@@ -19,19 +19,16 @@ func TestWrongLengthInput(t *testing.T) {
 	const dim = 16
 	flat := core.Options{Capacity: 8, Tolerance: 1, Policy: core.LRU}
 	lsh := core.LSHOptions{Bits: 3, BucketCapacity: 4, Tolerance: 1, Seed: 1}
-	indexed := core.IndexedOptions{Capacity: 8, Tolerance: 1, Crossover: 2, Seed: 1}
 	tiered := func() tier.Options {
 		return tier.Options{HotCapacity: 2, WarmCapacity: 6, Tolerance: 1, Dir: t.TempDir()}
 	}
 	shapes := map[string]func() (core.Cache, error){
-		"flat":            func() (core.Cache, error) { return core.NewFlat(dim, flat) },
-		"lsh":             func() (core.Cache, error) { return core.NewLSH(dim, lsh) },
-		"indexed":         func() (core.Cache, error) { return core.NewIndexed(dim, indexed) },
-		"tiered":          func() (core.Cache, error) { return tier.New(dim, tiered()) },
-		"sharded-flat":    func() (core.Cache, error) { return NewFlat(dim, 2, flat, 1) },
-		"sharded-lsh":     func() (core.Cache, error) { return NewLSH(dim, 2, lsh) },
-		"sharded-indexed": func() (core.Cache, error) { return NewIndexed(dim, 2, indexed, 1) },
-		"sharded-tiered":  func() (core.Cache, error) { return NewTiered(dim, 2, tiered(), 1) },
+		"flat":           func() (core.Cache, error) { return core.NewFlat(dim, flat) },
+		"lsh":            func() (core.Cache, error) { return core.NewLSH(dim, lsh) },
+		"tiered":         func() (core.Cache, error) { return tier.New(dim, tiered()) },
+		"sharded-flat":   func() (core.Cache, error) { return NewFlat(dim, 2, flat, 1) },
+		"sharded-lsh":    func() (core.Cache, error) { return NewLSH(dim, 2, lsh) },
+		"sharded-tiered": func() (core.Cache, error) { return NewTiered(dim, 2, tiered(), 1) },
 	}
 	for name, newCache := range shapes {
 		t.Run(name, func(t *testing.T) {
@@ -69,7 +66,7 @@ func TestWrongLengthInput(t *testing.T) {
 				t.Errorf("Len %d → %d", len0, got)
 			}
 			if st := c.Stats(); !reflect.DeepEqual(st, st0) {
-				t.Errorf("Stats moved:\n%+v %+v %+v\n→\n%+v %+v %+v", st0, st0.Index, st0.Tier, st, st.Index, st.Tier)
+				t.Errorf("Stats moved:\n%+v %+v\n→\n%+v %+v", st0, st0.Tier, st, st.Tier)
 			}
 		})
 	}
@@ -110,8 +107,8 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		st := c.Stats()
-		if st.Index == nil || st.Tier == nil {
-			t.Fatalf("snapshot %d: Index %v, Tier %v; a sharded cache fills both", i, st.Index, st.Tier)
+		if st.Tier == nil {
+			t.Fatalf("snapshot %d: no Tier block; a sharded cache always fills it", i)
 		}
 		if st.Hits != st.Tier.HotHits+st.Tier.WarmHits {
 			t.Fatalf("snapshot %d: Hits %d != HotHits %d + WarmHits %d", i, st.Hits, st.Tier.HotHits, st.Tier.WarmHits)

@@ -24,16 +24,6 @@ const (
 	MetricCacheEntries        = "proximity_cache_entries"
 	MetricCacheCapacity       = "proximity_cache_capacity"
 
-	// Graph-index traversal and maintenance (core.IndexedCache).
-	MetricIndexGraphHopsTotal      = "proximity_index_graph_hops_total"
-	MetricIndexReranksTotal        = "proximity_index_reranks_total"
-	MetricIndexTombstones          = "proximity_index_tombstones"
-	MetricIndexReusedSlotsTotal    = "proximity_index_reused_slots_total"
-	MetricIndexSeveredInEdgesTotal = "proximity_index_severed_in_edges_total"
-	MetricIndexRepairPassesTotal   = "proximity_index_repair_passes_total"
-	MetricIndexRepairedNodesTotal  = "proximity_index_repaired_nodes_total"
-	MetricIndexRepairPending       = "proximity_index_repair_pending"
-
 	// Tier occupancy and traffic (tier.TieredCache).
 	MetricTierHotEntries        = "proximity_tier_hot_entries"
 	MetricTierHotCapacity       = "proximity_tier_hot_capacity"

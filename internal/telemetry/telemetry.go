@@ -20,7 +20,6 @@ const (
 	StageCoalesceWait                // follower blocked on an in-flight duplicate
 	StageDBSearch                    // vector DB search
 	StageNodeRPC                     // HTTP round trip to a cluster shard node
-	StageGraphRepair                 // incremental HNSW maintenance pass (hnsw.Repair)
 	StageTierWarmLookup              // warm-tier directory probe + vector reads (internal/tier)
 	StageTierPromote                 // warm hit re-inserted into the hot tier
 	StageTierDemote                  // hot-tier eviction absorbed into the warm tier
@@ -34,7 +33,6 @@ var stageNames = [numStages]string{
 	"coalesce_wait",
 	"db_search",
 	"node_rpc",
-	"graph_repair",
 	"tier_warm_lookup",
 	"tier_promote",
 	"tier_demote",

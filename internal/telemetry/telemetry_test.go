@@ -9,7 +9,7 @@ import (
 )
 
 func TestStageNames(t *testing.T) {
-	want := []string{"cache_lookup", "cache_fill", "coalesce_wait", "db_search", "node_rpc", "graph_repair", "tier_warm_lookup", "tier_promote", "tier_demote"}
+	want := []string{"cache_lookup", "cache_fill", "coalesce_wait", "db_search", "node_rpc", "tier_warm_lookup", "tier_promote", "tier_demote"}
 	if int(numStages) != len(want) {
 		t.Fatalf("%d stages, want %d", numStages, len(want))
 	}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -160,6 +161,37 @@ func TestSpanCodec(t *testing.T) {
 	if _, err := UnmarshalSpans("{broken"); err == nil {
 		t.Fatal("malformed span header should error")
 	}
+}
+
+// FuzzUnmarshalSpans feeds arbitrary TraceSpanHeader values — bytes a
+// peer node chose — to UnmarshalSpans. It must not panic; every stage it
+// decodes must print one of the known labels (an unknown or retired one
+// decodes as cache_lookup); and re-encoding what it decoded must decode
+// to the same spans. Its seeds are the committed corpus under
+// testdata/fuzz/FuzzUnmarshalSpans.
+func FuzzUnmarshalSpans(f *testing.F) {
+	f.Fuzz(func(t *testing.T, header string) {
+		spans, err := UnmarshalSpans(header)
+		if err != nil {
+			return
+		}
+		for i, sp := range spans {
+			if !slices.Contains(stageNames[:], sp.Stage.String()) {
+				t.Fatalf("span %d: stage %d prints %q, not a known label", i, sp.Stage, sp.Stage)
+			}
+		}
+		again, err := MarshalSpans(spans)
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", spans, err)
+		}
+		back, err := UnmarshalSpans(again)
+		if err != nil {
+			t.Fatalf("decoding the re-encoded %q: %v", again, err)
+		}
+		if !slices.Equal(back, spans) {
+			t.Fatalf("round trip through %q:\n%+v\nwant\n%+v", again, back, spans)
+		}
+	})
 }
 
 func TestAddSpansGraft(t *testing.T) {

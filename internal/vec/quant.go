@@ -12,8 +12,8 @@ import "math"
 //
 // Quantized distances are approximations and are used only to RANK
 // candidates; tolerance τ admission must re-rank the survivors with the
-// exact float32 kernel (see core.IndexedCache), keeping cache semantics
-// bit-identical to the flat scan.
+// exact float32 kernel, keeping cache semantics bit-identical to the
+// flat scan.
 type Quantized struct {
 	// Codes are the per-dimension int8 codes, in [-127, 127].
 	Codes []int8

@@ -128,7 +128,7 @@ func (h maxHeap) replaceRoot(it Scored) {
 // while keeping the backing array, so a pooled buffer makes repeated
 // top-k selection allocation-free except for the returned result slice
 // (and even that is avoidable via AppendResult). The flat and IVF
-// indexes and the indexed cache's re-rank all select through this type.
+// indexes select through this type.
 type TopKBuffer struct {
 	h maxHeap
 	k int

@@ -21,12 +21,12 @@
 //	// result.Docs feed the LLM prompt; result.Hit tells whether the
 //	// database was bypassed.
 //
-// Four cache variants are provided: the FLAT cache scans all entries
+// Three cache variants are provided: the FLAT cache scans all entries
 // (exact, O(c·d) per lookup), the LSH cache scans one random-hyperplane
-// bucket (O((L+b)·d), independent of capacity), the INDEXED cache walks
-// an HNSW graph over its keys, and the TIERED cache puts a small
-// in-memory tier over a file-backed one; "Choosing a cache variant"
-// below compares them. See the examples directory for complete programs.
+// bucket (O((L+b)·d), independent of capacity), and the TIERED cache
+// puts a small in-memory tier over a file-backed one; "Choosing a cache
+// variant" below compares them. See the examples directory for complete
+// programs.
 //
 // # Serving at scale: sharding and load generation
 //
@@ -155,42 +155,15 @@
 // deployment shape, and `proximity-bench -experiment rebalance` for the
 // static-vs-adaptive A/B on a skewed workload.
 //
-// # Graph-indexed cache lookup
-//
-// The cache's own similarity search is itself a nearest-neighbor
-// problem, and at large capacities the flat scan becomes the hot path's
-// hot path. NewIndexedCache routes lookups through an HNSW graph over
-// the cached keys — int8 scalar-quantized traversal to rank candidates,
-// exact float32 re-ranking to decide τ admission, so hits and misses
-// match the flat scan's semantics while lookup cost grows ~log(c)
-// instead of linearly:
-//
-//	cache, _ := proximity.NewIndexedCache(768, proximity.IndexedOptions{
-//		Capacity: 1_000_000, Tolerance: 5, Policy: proximity.LRU,
-//	})
-//	retriever, _ := proximity.NewRetriever(cache, db, proximity.RetrieverOptions{K: 4})
-//
-// Choosing a cache variant:
+// # Choosing a cache variant
 //
 //   - FLAT: exact and allocation-light; the right default below a few
-//     thousand entries, where a scan beats every index's fixed
-//     overhead (below IndexedOptions.Crossover lines, default 128,
-//     INDEXED's lookup is this same scan). The scan stops each key's
-//     distance as soon as it provably exceeds τ, so its cost tracks how
-//     crowded the keys are around τ rather than c·d: on
-//     BenchmarkIndexedCache's spread-out keys (d=128) the scan's
-//     break-even against the graph moved from about 1k to about 8k
-//     entries. The Crossover default stays at 128 — a floor that holds
-//     for key sets crowded within a few τ, where the scan saves several
-//     times less; raise it when the keys are spread.
+//     thousand entries. The scan stops each key's distance as soon as it
+//     provably exceeds τ, so its cost tracks how crowded the keys are
+//     around τ rather than c·d.
 //   - LSH: constant-time lookups at any capacity, but hit quality
 //     depends on bucket geometry — near-τ pairs can land in different
 //     buckets, and fixed-capacity buckets evict under skew.
-//   - INDEXED: sublinear lookups with near-flat hit quality (recall is
-//     tunable via IndexedOptions.EfSearch); graph upkeep makes Puts
-//     ~10-50x costlier than FLAT's, so it fits read-heavy caches of
-//     10k+ entries — the regime the paper's middleware serves.
-//     NewShardedIndexedCache composes it with sharding for concurrency.
 //   - TIERED: a small hot tier at in-memory speed over a much larger
 //     memory-mapped warm tier — total admission semantics bit-identical
 //     to one FLAT cache of the combined capacity, at a fraction of the
@@ -200,31 +173,6 @@
 //     ~10% of a FLAT cache the hot tier's size (BENCH_tiered.json);
 //     deep hits pay the warm scan, so size the hot tier to the
 //     traffic's head.
-//
-// Under sustained churn (evictions recycling graph slots), the indexed
-// cache repairs stale incoming edges at reuse time automatically, and
-// IndexedOptions.Maintenance opts into an incremental background repair
-// pass that re-links degraded neighborhoods as churn pressure builds:
-//
-//	cache, _ := proximity.NewIndexedCache(768, proximity.IndexedOptions{
-//		Capacity: 1_000_000, Tolerance: 5,
-//		Maintenance: &proximity.MaintenanceOptions{},
-//	})
-//
-// The zero value schedules a repair pass every Every=64 reused slots,
-// re-linking up to Budget=16 queued nodes per pass (each pass runs
-// inline under the cache lock, so Budget bounds the pause an unlucky
-// Put absorbs). Every eviction frees a slot that the next insert reuses,
-// so reuse is the one churn signal the cache needs. With maintenance on,
-// post-churn self-recall stays within 2% of a freshly rebuilt graph even
-// after churning 5x the capacity (see the committed BENCH_churn.json),
-// at a few percent of Put throughput. Workloads that churn the whole
-// cache many times over between lookups amortize the graph poorly
-// regardless — prefer FLAT (or LSH at scale) when writes dominate reads.
-//
-// `proximity-bench -experiment annindex` measures the three variants
-// head-to-head, `-experiment churn` measures recall decay and repair
-// under eviction churn, and both write BENCH_*.json files.
 //
 // # Tiered cache hierarchy
 //
@@ -290,8 +238,8 @@
 // The HTTP middleware then serves:
 //
 //   - GET /metrics — Prometheus text exposition (0.0.4): cache
-//     hit/miss/eviction counters, graph-index and batch-pipeline
-//     counters, occupancy gauges, runtime gauges, and
+//     hit/miss/eviction counters, tier and batch-pipeline counters,
+//     occupancy gauges, runtime gauges, and
 //     one proximity_stage_latency_seconds histogram per stage.
 //   - GET /v1/traces — the most recent sampled traces as JSON, each a
 //     span timeline attributing one request's latency to stages.
@@ -376,16 +324,6 @@ type (
 	Policy = core.Policy
 	// Stats are cumulative cache counters.
 	Stats = core.Stats
-	// IndexedCache is the graph-indexed cache variant (HNSW lookup,
-	// quantized traversal, exact re-rank).
-	IndexedCache = core.IndexedCache
-	// IndexedOptions configures an IndexedCache.
-	IndexedOptions = core.IndexedOptions
-	// MaintenanceOptions tunes the indexed cache's background graph
-	// repair (IndexedOptions.Maintenance).
-	MaintenanceOptions = core.MaintenanceOptions
-	// IndexStats describe the graph behind an indexed cache.
-	IndexStats = core.IndexStats
 	// TieredCache is the hot/warm/cold cache hierarchy (in-memory hot
 	// tier, memory-mapped warm tier, snapshot cold tier).
 	TieredCache = tier.TieredCache
@@ -548,23 +486,6 @@ func NewFlatCache(dim int, opts Options) (*core.FlatCache, error) {
 // constant-time lookups).
 func NewLSHCache(dim int, opts LSHOptions) (*core.LSHCache, error) {
 	return core.NewLSH(dim, opts)
-}
-
-// NewIndexedCache creates a Proximity-INDEXED cache: lookups served by
-// an HNSW graph over the cached keys with int8-quantized traversal and
-// exact re-ranking; below the crossover size a lookup is the FLAT
-// cache's own scan. Admission semantics match the FLAT cache; see the
-// package doc for variant guidance.
-func NewIndexedCache(dim int, opts IndexedOptions) (*IndexedCache, error) {
-	return core.NewIndexed(dim, opts)
-}
-
-// NewShardedIndexedCache partitions an INDEXED cache across `shards`
-// independently-locked sub-caches (0 = one per CPU). The configured
-// capacity is the total across shards; seed fixes the shard routing and
-// derives each shard's graph seed.
-func NewShardedIndexedCache(dim, shards int, opts IndexedOptions, seed uint64) (*ShardedCache, error) {
-	return shard.NewIndexed(dim, shards, opts, seed)
 }
 
 // NewTieredCache creates a hot/warm/cold cache hierarchy: an in-memory

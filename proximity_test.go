@@ -173,9 +173,6 @@ func TestSnapshotRestorePath(t *testing.T) {
 		{"lsh", func() Cache {
 			return must(NewLSHCache(dim, LSHOptions{Bits: 4, BucketCapacity: 8, Tolerance: 1, Policy: LRU, Seed: 3}))
 		}},
-		{"indexed", func() Cache {
-			return must(NewIndexedCache(dim, IndexedOptions{Capacity: 100, Tolerance: 1, Policy: LRU, Seed: 3}))
-		}},
 		{"sharded-flat", func() Cache {
 			return must(NewShardedFlatCache(dim, 2, Options{Capacity: 100, Tolerance: 1, Policy: LRU}, 7))
 		}},
