@@ -260,6 +260,9 @@ func BenchmarkVecKernels(b *testing.B) {
 // key's distance after. tiered-40+960-warm-hit asks the same of a FIFO
 // tiered cache of the same 1 000 keys, where that key is warm: the hot
 // tier misses, and the warm scan streams its heads and reads the record.
+// tiered-40+960-promote cycles an LRU tiered cache through its warm
+// keys, so every lookup also promotes its entry and demotes the hot
+// front.
 func BenchmarkCacheGet(b *testing.B) {
 	const (
 		dim = 768
@@ -314,6 +317,32 @@ func BenchmarkCacheGet(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cache.Get(near)
+		}
+	})
+	b.Run("tiered-40+960-promote", func(b *testing.B) {
+		const hot = 40
+		cache, err := tier.New(dim, tier.Options{
+			HotCapacity: hot, WarmCapacity: n - hot, Tolerance: 1, Policy: core.LRU, Dir: b.TempDir(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cache.Close()
+		fill(cache)
+		// The fill leaves keys[:n-hot] warm. Cycling through them asks
+		// for each again only after n-hot-1 other promotions, by when it
+		// has been demoted again, so every lookup is a promoting warm hit.
+		b.ReportAllocs()
+		b.ResetTimer()
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			if _, ok := cache.Get(keys[i%(n-hot)]); ok {
+				hits++
+			}
+		}
+		b.StopTimer()
+		if st := cache.TierStats(); hits != b.N || st.Promotions != int64(hits) {
+			b.Fatalf("%d hits in %d lookups with %d promotions, want every lookup a promoting hit", hits, b.N, st.Promotions)
 		}
 	})
 	b.Run("lsh-1000", func(b *testing.B) {

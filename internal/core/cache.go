@@ -89,7 +89,9 @@ type Options struct {
 	// are an ownership transfer of the victim's own slices (never
 	// aliased by the cache afterwards), so the hook may retain them
 	// without copying. The hook runs under the cache's lock: it must
-	// not call back into the cache.
+	// not call back into the cache. A hook that copies the key out may
+	// later hand its buffer back through TierCache.Recycle; doing so is
+	// optional.
 	OnEvict func(Entry)
 }
 

@@ -42,7 +42,7 @@ type FlatCache struct {
 	slots       []flatSlot
 	stamps      []uint32   // slot i's insertion stamp, so a TierHit can tell its line still holds the slot
 	front, back int32      // ends of the eviction order: front is next to evict
-	spare       vec.Vector // the last victim's key, when no OnEvict took it
+	spare       vec.Vector // the last victim's key, or a Recycled one, for the next Put to reuse
 	stamp       uint32     // the last insertion stamp handed out; wrapping needs 2³² Puts before a Commit
 	stats       Stats
 	// distComps is accounted atomically (not under mu) so read-only
@@ -270,6 +270,18 @@ func (c *FlatCache) evictLocked() {
 		c.opts.OnEvict(Entry{Key: victim.key, Docs: victim.docs, Tol: tol})
 	} else {
 		c.spare = victim.key
+	}
+}
+
+// Recycle keeps key as the spare the next Put copies its key into,
+// when the cache holds none and key can hold a whole key (see
+// TierCache). A tiered cache hands back each demoted key once the warm
+// tier has copied it, so promotions and evicting Puts allocate no key.
+func (c *FlatCache) Recycle(key vec.Vector) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.spare == nil && cap(key) >= c.dim {
+		c.spare = key
 	}
 }
 

@@ -185,6 +185,11 @@ func (c *LSHCache) TierGet(q vec.Vector) (TierHit, bool) {
 	return b.TierGet(q)
 }
 
+// Recycle drops key: the next Put's bucket is not known until it
+// hashes, and a spare per bucket would cost more than the allocation
+// it saves (see TierCache).
+func (c *LSHCache) Recycle(vec.Vector) {}
+
 // Put hashes the query and inserts into its bucket under the cache-wide
 // tolerance, allocating the bucket on first use.
 func (c *LSHCache) Put(q vec.Vector, docs []int) {

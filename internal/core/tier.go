@@ -41,13 +41,22 @@ func (h TierHit) Commit() {
 
 // TierCache is the contract a cache variant must satisfy to serve as
 // the hot tier of a tier.TieredCache: the plain Cache surface (its
-// Entries are the demotion-order handoff) and the two-phase lookup. FlatCache and LSHCache qualify.
+// Entries are the demotion-order handoff), the two-phase lookup, and
+// the hand-back of a demoted key's buffer. FlatCache and LSHCache
+// qualify.
 type TierCache interface {
 	Cache
 	// TierGet returns the closest admissible entry without counting a
 	// hit/miss or refreshing recency (distance computations are still
 	// charged). The returned documents are a copy.
 	TierGet(q vec.Vector) (TierHit, bool)
+	// Recycle hands back a key buffer that OnEvict gave away, once the
+	// receiver has copied the key out and keeps no reference to it, so
+	// the next evicting Put can reuse it instead of allocating a key.
+	// The cache may keep or drop it; the caller must not touch it
+	// afterwards. FlatCache keeps it when it holds no spare and the
+	// buffer fits a key; LSHCache drops it.
+	Recycle(key vec.Vector)
 }
 
 // TierStats describes a tiered cache's per-tier occupancy and traffic,

@@ -30,6 +30,23 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// checkFig10Shape asserts Fig. 10's shape on one per-lookup cost, in
+// unit, of a FLAT and an LSH cache at each size.
+func checkFig10Shape(t *testing.T, unit string, sizes []int, flat, lsh []float64) {
+	t.Helper()
+	last := len(sizes) - 1
+	if flat[last] < 5*flat[0] {
+		t.Errorf("FLAT lookup should scale with n: %.2f %s at n=%d vs %.2f %s at n=%d",
+			flat[0], unit, sizes[0], flat[last], unit, sizes[last])
+	}
+	if lsh[last] > 20*lsh[0]+5 {
+		t.Errorf("LSH lookup should stay near-constant: %.2f → %.2f %s", lsh[0], lsh[last], unit)
+	}
+	if flat[last] < 2*lsh[last] {
+		t.Errorf("at n=%d FLAT (%.2f %s) should dwarf LSH (%.2f %s)", sizes[last], flat[last], unit, lsh[last], unit)
+	}
+}
+
 // TestSuiteShapes runs every figure harness on the Quick configuration
 // and asserts the qualitative shapes the paper reports. One suite is
 // shared so benchmarks build once.
@@ -217,21 +234,15 @@ func TestSuiteShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nSizes := len(r.Sizes)
 		// FLAT lookup grows strongly with n; LSH stays within a small
-		// factor across two orders of magnitude.
-		if r.FlatUS[nSizes-1] < 5*r.FlatUS[0] {
-			t.Errorf("FLAT lookup should scale with n: %.2fµs at n=%d vs %.2fµs at n=%d",
-				r.FlatUS[0], r.Sizes[0], r.FlatUS[nSizes-1], r.Sizes[nSizes-1])
-		}
-		if r.LSHUS[nSizes-1] > 20*r.LSHUS[0]+5 {
-			t.Errorf("LSH lookup should stay near-constant: %.2fµs → %.2fµs",
-				r.LSHUS[0], r.LSHUS[nSizes-1])
-		}
-		// At the largest size, FLAT must be clearly slower than LSH.
-		if r.FlatUS[nSizes-1] < 2*r.LSHUS[nSizes-1] {
-			t.Errorf("at n=%d FLAT (%.2fµs) should dwarf LSH (%.2fµs)",
-				r.Sizes[nSizes-1], r.FlatUS[nSizes-1], r.LSHUS[nSizes-1])
+		// factor across two orders of magnitude; at the largest size FLAT
+		// is clearly dearer than LSH. The operation counts show it in
+		// every build.
+		checkFig10Shape(t, "ops/lookup", r.Sizes, r.FlatOps, r.LSHOps)
+		// The race detector slows LSH's Go hashing but not FLAT's
+		// assembly scan, so the wall-clock shape holds only without it.
+		if !raceEnabled {
+			checkFig10Shape(t, "µs", r.Sizes, r.FlatUS, r.LSHUS)
 		}
 		if !strings.Contains(r.Render(), "Figure 10") {
 			t.Error("render output incomplete")

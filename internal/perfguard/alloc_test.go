@@ -9,8 +9,10 @@
 // steady state; FlatCache.Get and the tiered hot-hit and FIFO warm-hit
 // lookups are allowed exactly their one documented
 // caller-owned docs copy, as is an evicting FlatCache.Put (its copy of
-// the caller's docs); an LRU warm hit three (the docs copy and the hot
-// tier's copies of the promoted key and docs); FlatIndex.Search — the
+// the caller's docs) and an evicting tiered Put (the hot tier's copy of
+// the caller's docs; the key reuses the buffer the last demotion handed
+// back); an LRU warm hit two (the docs copy and the hot tier's copy of
+// the promoted docs); FlatIndex.Search — the
 // miss path — its result slice; server.DecodeF32 — every HTTP
 // request — the embedding it returns; and one loopback
 // server.Client.Retrieve hit, both ends of the connection counted,
@@ -144,14 +146,15 @@ func TestTierHotHitBudget(t *testing.T) {
 // TestTierWarmHitBudget pins the tiered lookup's warm-hit path, on keys
 // the hot tier cannot admit. A FIFO warm hit is served in place: the docs
 // copy is its only allocation — the warm scan reads records in place. An
-// LRU warm hit also promotes the entry: the hot tier copies its key and
-// docs straight out of the warm slot, with no intermediate clone, and
-// the demoted hot entry moves into the warm tier without allocating.
+// LRU warm hit also promotes the entry: the hot tier copies its docs
+// straight out of the warm slot, with no intermediate clone, and its key
+// into the buffer the last demotion handed back; the demoted hot entry
+// moves into the warm tier without allocating.
 func TestTierWarmHitBudget(t *testing.T) {
 	for _, c := range []struct {
 		policy core.Policy
 		budget float64
-	}{{core.FIFO, 1}, {core.LRU, 3}} {
+	}{{core.FIFO, 1}, {core.LRU, 2}} {
 		t.Run(c.policy.String(), func(t *testing.T) {
 			const hot, n = 4, 32
 			tc, err := tier.New(dim, tier.Options{
@@ -182,6 +185,38 @@ func TestTierWarmHitBudget(t *testing.T) {
 				t.Errorf("%d hot and %d warm hits: the budgeted lookups were not all warm", st.HotHits, st.WarmHits)
 			}
 		})
+	}
+}
+
+// TestTierPutBudget pins a tiered Put that evicts from a full hot tier
+// into a full warm tier: the hot tier's copy of the caller's docs is its
+// only allocation. The new key goes into the buffer the previous
+// demotion handed back, and the demoted entry's key is copied into the
+// warm record file, whose full tier discards its oldest entry in place.
+func TestTierPutBudget(t *testing.T) {
+	const hot, warm = 4, 16
+	tc, err := tier.New(dim, tier.Options{
+		HotCapacity: hot, WarmCapacity: warm, Tolerance: 1,
+		Policy: core.LRU, Dir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	keys := make([]vec.Vector, 2*(hot+warm))
+	for i := range keys {
+		keys[i] = testVec(i)
+		keys[i][0] += float32(10 * i)
+		tc.Put(keys[i], []int{i, i + 1})
+	}
+	docs := []int{1, 2}
+	i := 0
+	checkBudget(t, "TieredCache.Put (demoting, warm full)", 1, func() {
+		tc.Put(keys[i%len(keys)], docs)
+		i++
+	})
+	if st := tc.TierStats(); st.WarmEntries != warm || st.WarmDiscards < 200 {
+		t.Errorf("%d warm entries and %d discards: the budgeted Puts did not all demote into a full warm tier", st.WarmEntries, st.WarmDiscards)
 	}
 }
 

@@ -23,6 +23,12 @@
 // older than every hot entry, demotion moves the hot front onto the warm
 // back, and a full warm tier discards its front — the globally oldest
 // entry, exactly the one the equivalent flat cache would evict.
+//
+// Moving an entry between tiers allocates no key: the hot tier's OnEvict
+// hands its victim's key over, the warm tier copies it into its record
+// file, and core.TierCache's Recycle hands the buffer back for the hot
+// tier's next insert. In steady state a promotion and an evicting Put
+// reuse one buffer. The tier reads the clock only for Options.Telemetry.
 package tier
 
 import (
@@ -70,7 +76,8 @@ type Options struct {
 	// callers that set it still compile.
 	Seed uint64
 	// Telemetry, when set, records tier_warm_lookup / tier_promote /
-	// tier_demote stage latencies.
+	// tier_demote stage latencies. The tier reads the clock only when
+	// it is set.
 	Telemetry *telemetry.StageSet
 }
 
@@ -184,9 +191,9 @@ func (t *TieredCache) Get(q vec.Vector) ([]int, bool) {
 	if hotOK {
 		bound = hit.Dist
 	}
-	start := time.Now()
+	start := t.now()
 	s, _ := t.warm.lookup(q, bound)
-	t.telem.Observe(telemetry.StageTierWarmLookup, time.Since(start))
+	t.observe(telemetry.StageTierWarmLookup, start)
 	if s >= 0 {
 		t.warmHits++
 		//proximity:allow hotpathalloc warm-hit docs copy; the warm path already paid a file read
@@ -212,28 +219,46 @@ func (t *TieredCache) Get(q vec.Vector) ([]int, bool) {
 // combined order, so the swap preserves it exactly as a flat LRU's
 // MoveToBack would.
 func (t *TieredCache) promoteLocked(s int) {
-	start := time.Now()
+	start := t.now()
 	t.hot.PutWithTolerance(t.warm.slotView(s), t.warm.lines[s].docs, t.warm.tols[s])
 	t.warm.remove(s)
 	t.drainPendingLocked()
 	t.promotions++
-	t.telem.Observe(telemetry.StageTierPromote, time.Since(start))
+	t.observe(telemetry.StageTierPromote, start)
 }
 
 // drainPendingLocked absorbs buffered hot-tier evictions into the warm
 // tier. A full warm tier discards its oldest entry — the tiered cache's
-// true eviction.
+// true eviction. The warm tier copies each key into its record file, so
+// the key's buffer goes back to the hot tier for its next evicting Put.
 func (t *TieredCache) drainPendingLocked() {
 	for i, e := range t.pending {
-		start := time.Now()
+		start := t.now()
 		if t.warm.insert(e) {
 			t.discards++
 		}
 		t.demotions++
 		t.pending[i] = core.Entry{}
-		t.telem.Observe(telemetry.StageTierDemote, time.Since(start))
+		t.hot.Recycle(e.Key)
+		t.observe(telemetry.StageTierDemote, start)
 	}
 	t.pending = t.pending[:0]
+}
+
+// now reads the clock for a stage timing, or returns the zero Time when
+// no telemetry is wired: the stage histograms are its only reader.
+func (t *TieredCache) now() time.Time {
+	if t.telem == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observe records the time since start, taken by now, under stage.
+func (t *TieredCache) observe(stage telemetry.Stage, start time.Time) {
+	if t.telem != nil {
+		t.telem.Observe(stage, time.Since(start))
+	}
 }
 
 // Put caches the pair under the cache-wide tolerance.

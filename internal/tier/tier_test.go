@@ -7,10 +7,12 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"proximity/internal/core"
+	"proximity/internal/telemetry"
 	"proximity/internal/vec"
 )
 
@@ -579,5 +581,83 @@ func TestWarmPruningEngages(t *testing.T) {
 	if scannedPerLookup > float64(W)/4 {
 		t.Fatalf("pruning ineffective: %.1f of %d warm vectors read per lookup (pruned %d)",
 			scannedPerLookup, W, st.WarmPruned)
+	}
+}
+
+// TestTieredTelemetryRecordsEveryStage runs one mixed LRU stream — hot
+// hits, warm hits, misses and Puts that demote into a full warm tier —
+// through a cache with stage telemetry and through one without. The
+// tier reads the clock only for the telemetry, so the first must record
+// every warm lookup, promotion and demotion, and the two must end with
+// the same counters and contents.
+func TestTieredTelemetryRecordsEveryStage(t *testing.T) {
+	const (
+		dim = 16
+		H   = 8
+		W   = 32
+		tol = 1.5
+	)
+	run := func(telem *telemetry.StageSet) (tc *TieredCache, gets int64) {
+		tc = mustTiered(t, dim, Options{
+			HotCapacity: H, WarmCapacity: W, Tolerance: tol, Policy: core.LRU, Telemetry: telem,
+		})
+		rng := vec.NewRand(23)
+		var keys []vec.Vector
+		for i := 0; i < 3000; i++ {
+			switch r := rng.Float64(); {
+			case r < 0.5 && len(keys) > 0:
+				// A near-duplicate of one of the last H+W+8 keys: hot,
+				// warm, or already discarded.
+				base := keys[len(keys)-1-rng.IntN(min(len(keys), H+W+8))]
+				d := vec.RandomGaussian(rng, dim)
+				tc.Get(vec.Add(base, vec.Scale(d, tol*0.3/vec.Norm(d))))
+				gets++
+			case r < 0.65:
+				tc.Get(vec.Scale(vec.RandomGaussian(rng, dim), 2))
+				gets++
+			default:
+				k := vec.Scale(vec.RandomGaussian(rng, dim), 2)
+				tc.Put(k, []int{i})
+				keys = append(keys, k)
+			}
+		}
+		return tc, gets
+	}
+
+	telem := telemetry.NewStageSet(nil)
+	timed, gets := run(telem)
+	st := timed.TierStats()
+	if st.HotHits == 0 || st.WarmHits == 0 || timed.Stats().Misses == 0 || st.WarmDiscards == 0 {
+		t.Fatalf("stream did not mix hot hits, warm hits, misses and discarding Puts: %+v", st)
+	}
+	for _, c := range []struct {
+		stage telemetry.Stage
+		want  int64
+	}{
+		{telemetry.StageTierWarmLookup, gets},
+		{telemetry.StageTierPromote, st.Promotions},
+		{telemetry.StageTierDemote, st.Demotions},
+	} {
+		if got := telem.Histogram(c.stage).Count(); got != c.want {
+			t.Errorf("%v: %d observations, want %d", c.stage, got, c.want)
+		}
+	}
+
+	untimed, _ := run(nil)
+	if got := untimed.TierStats(); got != st {
+		t.Errorf("TierStats without telemetry %+v, with %+v", got, st)
+	}
+	if got, want := untimed.Stats(), timed.Stats(); got.Hits != want.Hits || got.Misses != want.Misses ||
+		got.Puts != want.Puts || got.Evictions != want.Evictions || got.DistComps != want.DistComps {
+		t.Errorf("Stats without telemetry %+v, with %+v", got, want)
+	}
+	got, want := untimed.Entries(), timed.Entries()
+	if len(got) != len(want) {
+		t.Fatalf("Entries: %d without telemetry, %d with", len(got), len(want))
+	}
+	for i := range got {
+		if !vec.Equal(got[i].Key, want[i].Key) || got[i].Tol != want[i].Tol || !slices.Equal(got[i].Docs, want[i].Docs) {
+			t.Fatalf("entry %d differs without telemetry", i)
+		}
 	}
 }
