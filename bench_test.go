@@ -356,6 +356,49 @@ func BenchmarkCacheGet(b *testing.B) {
 			cache.Get(q)
 		}
 	})
+	b.Run("sharded-lsh-hit", func(b *testing.B) {
+		// The zipf_lsh_http workload's cache, in process: two LSH shards
+		// of 2^5 buckets × 20 lines, τ = 1.3 × the expected distance
+		// between two queries around one centre, one key around each of
+		// n Gaussian centres. Each query is a fresh draw around a centre
+		// whose key the cache still holds, so every lookup hits.
+		const sigma = 0.03
+		tau := float32(1.3 * sigma * math.Sqrt(2*dim))
+		cache, err := shard.NewLSH(dim, 2, core.LSHOptions{
+			Bits: 5, BucketCapacity: 20, Tolerance: tau, Policy: core.LRU, Seed: 5,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := vec.NewRand(6)
+		centres := make([]vec.Vector, n)
+		for i := range centres {
+			centres[i] = vec.RandomGaussian(r, dim)
+			cache.Put(vec.GaussianAround(r, centres[i], sigma), []int{i})
+		}
+		var queries []vec.Vector
+		for _, c := range centres {
+			q := vec.GaussianAround(r, c, sigma)
+			if _, ok := cache.Get(q); ok {
+				queries = append(queries, q)
+			}
+		}
+		if len(queries) < n/2 {
+			b.Fatalf("%d of %d near-duplicate queries hit, want at least half", len(queries), n)
+		}
+		before := cache.Stats()
+		b.ResetTimer()
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			if _, ok := cache.Get(queries[i%len(queries)]); ok {
+				hits++
+			}
+		}
+		b.StopTimer()
+		after := cache.Stats()
+		b.ReportMetric(float64(hits)/float64(b.N), "hitrate")
+		b.ReportMetric(float64(after.HashOps-before.HashOps)/float64(b.N), "hashops/op")
+	})
 }
 
 // BenchmarkServerRoundTrip measures the HTTP rung of the request path:

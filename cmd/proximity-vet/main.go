@@ -1,6 +1,6 @@
 // Command proximity-vet runs the repo's static-analysis suite
-// (internal/lint) over the named package patterns and exits non-zero
-// on findings. CI runs it next to go vet:
+// (internal/lint, seven analyzers) over the named package patterns and
+// exits non-zero on findings. CI runs it next to go vet:
 //
 //	go run ./cmd/proximity-vet ./...
 //
@@ -9,7 +9,13 @@
 //	-analyzers a,b   run only the named analyzers (default: all)
 //	-list            print the suite and exit
 //
-// Findings print as file:line:col: analyzer: message. Suppress an
+// Findings print as file:line:col: analyzer: message, and only for the
+// packages the patterns name. unusedapi still counts uses from every
+// package of the module, so
+//
+//	go run ./cmd/proximity-vet -analyzers unusedapi ./internal/vec
+//
+// reports the vec names that nothing in the module uses. Suppress an
 // intentional finding with //proximity:allow <analyzer> <reason> on or
 // directly above the flagged line; mark zero-alloc functions with
 // //proximity:hotpath in their doc comment.
@@ -54,15 +60,17 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	total := 0
-	for _, pkg := range pkgs {
-		for _, f := range lint.Run(pkg, analyzers) {
-			fmt.Println(f)
-			total++
-		}
+	module, err := lint.LoadModule(".")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
-	if total > 0 {
-		fmt.Fprintf(os.Stderr, "proximity-vet: %d finding(s) in %d package(s)\n", total, len(pkgs))
+	findings := lint.Run(pkgs, module, analyzers)
+	for _, f := range findings {
+		fmt.Println(f)
+	}
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "proximity-vet: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
 		return 1
 	}
 	return 0

@@ -31,3 +31,12 @@ func TestRunBadPattern(t *testing.T) {
 		t.Fatalf("run(bogus pattern) = %d, want 2", code)
 	}
 }
+
+// TestRunUnusedAPIOnePackage: a pattern naming one package still counts
+// uses from the whole module, so vec's exported names, used elsewhere,
+// are clean.
+func TestRunUnusedAPIOnePackage(t *testing.T) {
+	if code := run([]string{"-analyzers", "unusedapi", "proximity/internal/vec"}); code != 0 {
+		t.Fatalf("run(-analyzers unusedapi internal/vec) = %d, want 0", code)
+	}
+}

@@ -3,8 +3,8 @@ package batch
 import "time"
 
 // Clock abstracts the collector's flush timer so tests can drive timeout
-// semantics deterministically (see the fake clock in
-// internal/experiments/clock.go); production code uses SystemClock.
+// semantics deterministically (see fakeClock in flush_test.go);
+// production code uses SystemClock.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time

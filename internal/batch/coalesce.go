@@ -190,11 +190,3 @@ func (c *Coalescer) Stats() CoalesceStats {
 	defer c.mu.Unlock()
 	return c.stats
 }
-
-// Inflight returns the number of searches currently in flight, for
-// diagnostics and tests.
-func (c *Coalescer) Inflight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.inflight)
-}

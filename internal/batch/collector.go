@@ -178,13 +178,6 @@ func (c *Collector[Req, Res]) Stats() QueueStats {
 	return c.stats
 }
 
-// Pending returns the current batch occupancy, for diagnostics and tests.
-func (c *Collector[Req, Res]) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
-}
-
 // take removes the pending batch and invalidates its timer, counting the
 // flush in the same critical section as the caller's trigger counter so
 // Stats snapshots always see the trigger breakdown sum to Flushes.

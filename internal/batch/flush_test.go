@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"proximity/internal/batch"
-	"proximity/internal/experiments"
 )
 
 // double serves a batch by doubling each request.
@@ -63,7 +62,7 @@ func TestQueueFlushSemantics(t *testing.T) {
 			if tc.fail {
 				flush = func(reqs []int) []batch.Outcome[int] { return batch.FanError[int](len(reqs), errBackend) }
 			}
-			clock := experiments.NewFakeClock()
+			clock := newFakeClock()
 			c, err := batch.NewCollector(flush, batch.QueueOptions{
 				MaxBatch: tc.maxBatch,
 				Timeout:  time.Millisecond,
@@ -131,7 +130,7 @@ func TestQueueFlushSemantics(t *testing.T) {
 // handling: a size-flushed batch's stale timer must not flush the next
 // batch early, and the next batch's own timer must still work.
 func TestQueueSequentialBatchesKeepTimersStraight(t *testing.T) {
-	clock := experiments.NewFakeClock()
+	clock := newFakeClock()
 	c, err := batch.NewCollector(double, batch.QueueOptions{
 		MaxBatch: 2,
 		Timeout:  time.Millisecond,
@@ -170,5 +169,78 @@ func TestQueueSequentialBatchesKeepTimersStraight(t *testing.T) {
 	st := c.Stats()
 	if st.SizeFlushes != 1 || st.TimeoutFlushes != 1 || st.Flushes != 2 {
 		t.Errorf("stats = %+v, want 1 size flush and 1 timeout flush", st)
+	}
+}
+
+// fakeClock is a manually-advanced batch.Clock. Timers
+// created with After fire when Advance moves the clock past their
+// deadline, so tests of timeout-driven code (the batch collector's flush
+// timer) are deterministic: no sleeps, no scheduler races.
+type fakeClock struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	now    time.Time
+	timers []fakeTimer
+}
+
+type fakeTimer struct {
+	at time.Time
+	ch chan time.Time
+}
+
+// newFakeClock creates a fake clock at an arbitrary fixed epoch.
+func newFakeClock() *fakeClock {
+	c := &fakeClock{now: time.Unix(1_000_000, 0)}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
+// Now returns the fake current time.
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// After returns a channel that fires once the clock has been advanced by
+// at least d. A non-positive d fires immediately.
+func (c *fakeClock) After(d time.Duration) <-chan time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ch := make(chan time.Time, 1)
+	if d <= 0 {
+		ch <- c.now
+		return ch
+	}
+	c.timers = append(c.timers, fakeTimer{at: c.now.Add(d), ch: ch})
+	c.cond.Broadcast()
+	return ch
+}
+
+// Advance moves the clock forward, firing every timer whose deadline has
+// been reached.
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	remaining := c.timers[:0]
+	for _, t := range c.timers {
+		if !t.at.After(c.now) {
+			t.ch <- c.now
+		} else {
+			remaining = append(remaining, t)
+		}
+	}
+	c.timers = remaining
+}
+
+// BlockUntil waits until at least n timers are pending — the
+// synchronization point tests use to know timeout-driven code has armed
+// its timer before Advance fires it.
+func (c *fakeClock) BlockUntil(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.timers) < n {
+		c.cond.Wait()
 	}
 }

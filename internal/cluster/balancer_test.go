@@ -46,7 +46,7 @@ func TestBalancerShiftsWeightOffHotNode(t *testing.T) {
 	if out.Before < 1.5 {
 		t.Errorf("outcome Before = %v, want the observed skew", out.Before)
 	}
-	w := c.Weights()
+	w := c.Ring().weightMap()
 	if w[hot] >= w[cold] {
 		t.Errorf("hot node %s weight %v not below cold node %s weight %v", hot, w[hot], cold, w[cold])
 	}
@@ -90,7 +90,7 @@ func TestBalancerAbsorbsCounterReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Acted {
-		for _, w := range c.Weights() {
+		for _, w := range c.Ring().weightMap() {
 			if w > 4 {
 				t.Fatalf("counter reset produced an extreme weight %v: %s", w, out.Detail)
 			}

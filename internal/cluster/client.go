@@ -233,14 +233,6 @@ func (c *Client) Controller() *rebalance.Controller { return c.ctrl }
 // diagnostics and tests.
 func (c *Client) KeyOf(q vec.Vector) uint32 { return c.hasher.Hash(q) }
 
-// RouteFor returns the replica order a query would try, for diagnostics
-// and tests.
-func (c *Client) RouteFor(q vec.Vector) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring.Lookup(c.KeyOf(q))
-}
-
 // Retrieve routes the query to its ring owner and returns that node's
 // retrieval. A retryable failure (transport error or 5xx — a sick node)
 // sidelines the node and walks to the next distinct ring replica, up to
@@ -449,57 +441,12 @@ func (c *Client) SearchContext(ctx context.Context, q vec.Vector, k int) ([]vec.
 	return scored, nil
 }
 
-// AddNode joins a node to the ring. Keys whose arcs it takes over start
-// routing to it immediately; the expected share is 1/(N+1) of the
-// keyspace, so existing nodes keep most of their warm entries.
-func (c *Client) AddNode(base string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	ring, err := c.ring.WithNode(base)
-	if err != nil {
-		return err
-	}
-	n, err := newNode(base, c.opts)
-	if err != nil {
-		return err
-	}
-	c.ring = ring
-	c.nodes[base] = n
-	return nil
-}
-
-// RemoveNode leaves a node from the ring, draining its submitter and
-// closing the router's connections to it.
-// Requests in flight on the removed node fail over to the ring's
-// remaining replicas through the normal retry path.
-func (c *Client) RemoveNode(base string) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	ring, err := c.ring.WithoutNode(base)
-	if err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	n := c.nodes[base]
-	c.ring = ring
-	delete(c.nodes, base)
-	c.mu.Unlock()
-	return n.close()
-}
-
 // Rebalance swaps the ring for a re-weighted one over the same
 // membership: a node's virtual-node count scales with its weight, so
 // lowering an overloaded node's weight moves arcs — and the keys on
 // them — to its neighbors without any node joining or leaving. Keys
 // whose owner changes are served by a cold replica until its cache
-// warms: a transient hit-rate dip, never an outage, exactly like a
-// membership change. Weights merge over the current ones (see
+// warms: a transient hit-rate dip, never an outage. Weights merge over the current ones (see
 // Ring.WithWeights); validation errors leave routing untouched.
 func (c *Client) Rebalance(weights map[string]float64) error {
 	c.mu.Lock()
@@ -517,26 +464,12 @@ func (c *Client) Rebalance(weights map[string]float64) error {
 	return nil
 }
 
-// Weights returns the current per-node ring weights.
-func (c *Client) Weights() map[string]float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring.Weights()
-}
-
-// Ring returns the current ring (immutable; a Rebalance or membership
-// change installs a new one).
+// Ring returns the current ring (immutable; a Rebalance installs a new
+// one).
 func (c *Client) Ring() *Ring {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.ring
-}
-
-// Nodes returns the current ring membership, sorted.
-func (c *Client) Nodes() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring.Nodes()
 }
 
 // RouterStats returns the client-side routing counters.

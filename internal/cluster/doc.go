@@ -16,12 +16,13 @@
 // node and approximate cache hits survive distribution. The key selects a node
 // through a consistent-hash ring (Ring): each node projects VNodes
 // virtual points onto a 64-bit circle, and a key belongs to the first
-// point clockwise of its position. Membership changes therefore move
-// only the arcs adjacent to the joining or leaving node — expected 1/N
-// of the keyspace — so the surviving nodes keep their warm cache
-// entries, where a modulo partitioner would reshuffle nearly everything.
-// Rings are immutable values; the Client swaps in a rebuilt ring under a
-// brief write lock on AddNode/RemoveNode and lookups never block.
+// point clockwise of its position. A node joining a ring of N therefore
+// takes over only the arcs adjacent to its points — expected 1/(N+1) of
+// the keyspace — so the other nodes keep their warm cache entries, where
+// a modulo partitioner would reshuffle nearly everything; re-weighting
+// (Client.Rebalance) moves arcs the same way. Rings are immutable values;
+// the Client swaps in a rebuilt ring under a brief write lock and lookups
+// never block.
 //
 // # Replica retry and health
 //

@@ -25,21 +25,16 @@ const (
 	MaxWeight = 16.0
 )
 
-// Typed membership errors. WithoutNode returns ErrLastNode (never an
-// empty ring, whose Primary/Lookup would panic); constructors return
-// ErrEmptyRing for an empty node list.
-var (
-	ErrEmptyRing = errors.New("cluster: ring requires at least one node")
-	ErrLastNode  = errors.New("cluster: cannot remove the last node from the ring")
-)
+// ErrEmptyRing is the constructors' error for an empty node list.
+var ErrEmptyRing = errors.New("cluster: ring requires at least one node")
 
 // Ring is an immutable consistent-hash ring over named, weighted nodes.
 // Keys are 32-bit LSH signatures, the routing keys the in-process
 // partitioner also uses; each key owns the arc ending at the next
 // virtual-node point clockwise. A node's virtual-node count scales with
 // its weight, so re-weighting shifts arcs between nodes without changing
-// membership — the network-tier rebalancing lever. Membership and weight changes build a new Ring
-// (WithNode/WithoutNode/WithWeights), so lookups never lock.
+// membership — the network-tier rebalancing lever. A weight change builds a
+// new Ring (WithWeights), so lookups never lock.
 type Ring struct {
 	vnodes  int
 	nodes   []string  // sorted distinct node IDs
@@ -144,33 +139,6 @@ func (r *Ring) weightMap() map[string]float64 {
 	return m
 }
 
-// WithNode returns a new ring with the node added at weight 1; existing
-// weights are preserved.
-func (r *Ring) WithNode(node string) (*Ring, error) {
-	return NewWeightedRing(append(append([]string(nil), r.nodes...), node), r.weightMap(), r.vnodes)
-}
-
-// WithoutNode returns a new ring with the node removed, preserving the
-// survivors' weights. Removing the last node returns ErrLastNode — never
-// an empty ring.
-func (r *Ring) WithoutNode(node string) (*Ring, error) {
-	rest := make([]string, 0, len(r.nodes))
-	weights := r.weightMap()
-	delete(weights, node)
-	for _, n := range r.nodes {
-		if n != node {
-			rest = append(rest, n)
-		}
-	}
-	if len(rest) == len(r.nodes) {
-		return nil, fmt.Errorf("cluster: node %q not in ring", node)
-	}
-	if len(rest) == 0 {
-		return nil, fmt.Errorf("cluster: removing %q: %w", node, ErrLastNode)
-	}
-	return NewWeightedRing(rest, weights, r.vnodes)
-}
-
 // WithWeights returns a re-weighted ring over the same membership. Nodes
 // absent from the map keep their current weight; see NewWeightedRing for
 // validation.
@@ -186,9 +154,6 @@ func (r *Ring) WithWeights(weights map[string]float64) (*Ring, error) {
 func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
 }
-
-// Weights returns the per-node weights.
-func (r *Ring) Weights() map[string]float64 { return r.weightMap() }
 
 // Weight returns one node's weight (ok=false for a non-member).
 func (r *Ring) Weight(node string) (float64, bool) {
@@ -212,15 +177,6 @@ func (r *Ring) VNodesFor(node string) int {
 
 // Len returns the number of real nodes.
 func (r *Ring) Len() int { return len(r.nodes) }
-
-// VNodes returns the virtual-node count per unit of weight.
-func (r *Ring) VNodes() int { return r.vnodes }
-
-// Primary returns the node that owns the key: the owner of the first
-// virtual node at or clockwise of the key's position.
-func (r *Ring) Primary(key uint32) string {
-	return r.nodes[r.points[r.start(key)].node]
-}
 
 // Lookup returns every node in replica order for the key: the primary
 // first, then each distinct node encountered walking the ring clockwise.

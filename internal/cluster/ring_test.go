@@ -130,3 +130,9 @@ func TestRingMinimalMovement(t *testing.T) {
 		t.Error("removing an unknown node should error")
 	}
 }
+
+// Primary returns the node that owns the key: the owner of the first
+// virtual node at or clockwise of the key's position.
+func (r *Ring) Primary(key uint32) string {
+	return r.nodes[r.points[r.start(key)].node]
+}

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
+	"strconv"
+	"strings"
 	"testing"
 
 	"proximity/internal/telemetry"
@@ -74,7 +77,7 @@ func TestClusterTracePropagation(t *testing.T) {
 	if len(recent) != 1 || recent[0].ID != id {
 		t.Fatalf("ring = %+v, want one record under trace %#x", recent, id)
 	}
-	if n := tel.StageSnapshot()[telemetry.StageNodeRPC].N; n != 1 {
+	if n := stageCount(t, tel.Registry, telemetry.StageNodeRPC); n != 1 {
 		t.Errorf("node_rpc histogram observations = %d, want 1", n)
 	}
 }
@@ -90,7 +93,7 @@ func TestClusterTraceSurvivesRetry(t *testing.T) {
 	})
 	q := queries(1, 11)[0]
 
-	owner := c.RouteFor(q)[0]
+	owner := c.Ring().Lookup(c.KeyOf(q))[0]
 	for _, n := range nodes {
 		if n.base == owner {
 			_ = n.stop()
@@ -139,7 +142,27 @@ func TestClusterTraceSurvivesRetry(t *testing.T) {
 	if len(recent) != 1 || recent[0].ID != id {
 		t.Fatalf("ring = %+v, want the retried trace under one ID %#x", recent, id)
 	}
-	if n := tel.StageSnapshot()[telemetry.StageNodeRPC].N; n != 2 {
+	if n := stageCount(t, tel.Registry, telemetry.StageNodeRPC); n != 2 {
 		t.Errorf("node_rpc histogram observations = %d, want 2", n)
 	}
+}
+
+// stageCount reads stage's observation count from reg's Prometheus
+// exposition, where the stage histograms are published.
+func stageCount(t *testing.T, reg *telemetry.Registry, stage telemetry.Stage) int64 {
+	t.Helper()
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	series := fmt.Sprintf("%s_count{stage=%q} ", telemetry.MetricStageLatencySeconds, stage)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("the exposition has no %s series", series)
+	return 0
 }

@@ -114,7 +114,7 @@ func TestClientRebalance(t *testing.T) {
 	if err := c.Rebalance(map[string]float64{"http://a": 0.25}); err != nil {
 		t.Fatal(err)
 	}
-	if w := c.Weights()["http://a"]; w != 0.25 {
+	if w := c.Ring().weightMap()["http://a"]; w != 0.25 {
 		t.Errorf("weight after Rebalance = %v, want 0.25", w)
 	}
 	if got := c.RouterStats().Rebalances; got != 1 {

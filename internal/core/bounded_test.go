@@ -164,7 +164,7 @@ type geometry struct {
 // below the distance to any other centre.
 func benchGeometry(rng *rand.Rand, dim, centres, perCentre int) geometry {
 	const sigmaQ, sigmaD = 0.03, 0.11
-	g := geometry{name: "bench", tau: float32(1.3 * vec.ExpectedPairwiseL2(sigmaQ, dim))}
+	g := geometry{name: "bench", tau: float32(1.3 * (sigmaQ * math.Sqrt(2*float64(dim))))}
 	for c := 0; c < centres; c++ {
 		centre := vec.RandomGaussian(rng, dim)
 		for i := 0; i < perCentre; i++ {
@@ -195,7 +195,7 @@ func hardGeometry(t testing.TB, rng *rand.Rand, dim, centres, perCentre int) geo
 	for c := range cs {
 		cs[c] = vec.Clone(topic)
 		vec.AXPY(cs[c], spread, vec.RandomUnit(rng, dim))
-		vec.Normalize(cs[c])
+		unit(cs[c])
 	}
 	for c, centre := range cs {
 		nearest := float32(math.Inf(1))
@@ -208,13 +208,16 @@ func hardGeometry(t testing.TB, rng *rand.Rand, dim, centres, perCentre int) geo
 			t.Fatalf("hard geometry: centre %d's nearest foreign centre is %.3f away, above 3τ = %.3f", c, nearest, 3*g.tau)
 		}
 		for i := 0; i < perCentre; i++ {
-			g.corpus = append(g.corpus, vec.Normalize(vec.GaussianAround(rng, centre, sigmaD)))
-			g.keys = append(g.keys, vec.Normalize(vec.GaussianAround(rng, centre, sigmaQ)))
+			g.corpus = append(g.corpus, unit(vec.GaussianAround(rng, centre, sigmaD)))
+			g.keys = append(g.keys, unit(vec.GaussianAround(rng, centre, sigmaQ)))
 		}
-		g.queries = append(g.queries, vec.Normalize(vec.GaussianAround(rng, centre, sigmaQ)))
+		g.queries = append(g.queries, unit(vec.GaussianAround(rng, centre, sigmaQ)))
 	}
 	return g
 }
+
+// unit scales v in place to unit norm and returns it.
+func unit(v vec.Vector) vec.Vector { return vec.Scale(v, 1/vec.Norm(v)) }
 
 // TestDimensionsTouched measures what the benchmark's geometry hides:
 // the mean number of dimensions the early-abandoning kernel reads per
@@ -320,7 +323,10 @@ func TestDimensionsTouched(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			brute := vec.TopKByDistance(q, g.corpus, k, vec.L2)
+			var exact vec.TopKBuffer
+			exact.Reset(k)
+			exact.PushDistances(q, g.corpus, vec.L2)
+			brute := exact.Result()
 			if !slices.Equal(found, brute) || !slices.Equal(top.Result(), brute) {
 				t.Fatalf("%s query %d: Search %v, replay %v, brute force %v", g.name, qi, found, top.Result(), brute)
 			}

@@ -14,12 +14,12 @@ func TestLSHProbesValidation(t *testing.T) {
 		t.Error("negative probes should error")
 	}
 	c := mustLSH(t, 8, LSHOptions{Bits: 4, Tolerance: 1})
-	if c.Probes() != 1 {
-		t.Errorf("default probes = %d, want 1", c.Probes())
+	if c.probes != 1 {
+		t.Errorf("default probes = %d, want 1", c.probes)
 	}
 	capped := mustLSH(t, 8, LSHOptions{Bits: 4, Tolerance: 1, Probes: 100})
-	if capped.Probes() != 5 { // base bucket + one flip per bit
-		t.Errorf("probes should cap at Bits+1, got %d", capped.Probes())
+	if capped.probes != 5 { // base bucket + one flip per bit
+		t.Errorf("probes should cap at Bits+1, got %d", capped.probes)
 	}
 }
 

@@ -319,12 +319,6 @@ func (c *FlatCache) Len() int {
 // Capacity returns the configured capacity c.
 func (c *FlatCache) Capacity() int { return c.opts.Capacity }
 
-// Tolerance returns the configured similarity threshold τ.
-func (c *FlatCache) Tolerance() float32 { return c.opts.Tolerance }
-
-// Policy returns the eviction policy.
-func (c *FlatCache) Policy() Policy { return c.opts.Policy }
-
 // Stats returns a snapshot of the counters.
 func (c *FlatCache) Stats() Stats {
 	c.mu.RLock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -42,11 +43,11 @@ func TestNewFlatValidation(t *testing.T) {
 
 func TestFlatDefaults(t *testing.T) {
 	c := mustFlat(t, 2, Options{Capacity: 3})
-	if c.Policy() != FIFO {
-		t.Errorf("default policy = %v, want fifo", c.Policy())
+	if c.opts.Policy != FIFO {
+		t.Errorf("default policy = %v, want fifo", c.opts.Policy)
 	}
-	if c.Tolerance() != 0 {
-		t.Errorf("default tolerance = %v", c.Tolerance())
+	if c.opts.Tolerance != 0 {
+		t.Errorf("default tolerance = %v", c.opts.Tolerance)
 	}
 	if c.Capacity() != 3 {
 		t.Errorf("Capacity = %d", c.Capacity())
@@ -379,15 +380,21 @@ func TestFlatHeadsStayWithinBlocks(t *testing.T) {
 				c.Clear()
 			}
 			c.Put(vec.RandomGaussian(rng, vec.HeadLen), []int{i})
-			if b := c.heads.Blocks(); b > maxBlocks || b*vec.BlockRows < c.Len() {
+			if b := headBlocks(&c.heads); b > maxBlocks || b*vec.BlockRows < c.Len() {
 				t.Fatalf("capacity %d, %d lines: %d head blocks, want at least %d and at most %d",
 					capacity, c.Len(), b, (c.Len()+vec.BlockRows-1)/vec.BlockRows, maxBlocks)
 			}
 		}
-		if b := c.heads.Blocks(); b != maxBlocks {
+		if b := headBlocks(&c.heads); b != maxBlocks {
 			t.Fatalf("capacity %d full: %d head blocks, want %d", capacity, b, maxBlocks)
 		}
 	}
+}
+
+// headBlocks is how many blocks h's storage holds. The storage is vec's
+// own, so the test reads its length through reflection.
+func headBlocks(h *vec.Heads) int {
+	return reflect.ValueOf(h).Elem().FieldByName("data").Len() / (vec.HeadLen * vec.BlockRows)
 }
 
 // Property: every hit returns the value of a key within tolerance — the

@@ -246,20 +246,8 @@ func (c *LSHCache) BucketsUsed() int {
 	return len(c.buckets)
 }
 
-// BucketCapacity returns the per-bucket entry limit b.
-func (c *LSHCache) BucketCapacity() int { return c.bucket.Capacity }
-
 // Bits returns the signature width L.
 func (c *LSHCache) Bits() int { return c.hasher.Bits() }
-
-// Probes returns the number of buckets examined per lookup.
-func (c *LSHCache) Probes() int { return c.probes }
-
-// Tolerance returns the similarity threshold τ.
-func (c *LSHCache) Tolerance() float32 { return c.bucket.Tolerance }
-
-// Policy returns the per-bucket eviction policy.
-func (c *LSHCache) Policy() Policy { return c.bucket.Policy }
 
 // RelativeOccupancy returns Len()/Capacity(), the Fig. 9(a) metric.
 func (c *LSHCache) RelativeOccupancy() float64 {

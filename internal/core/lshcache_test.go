@@ -43,8 +43,8 @@ func TestNewLSHValidation(t *testing.T) {
 
 func TestLSHDefaults(t *testing.T) {
 	c := mustLSH(t, 8, LSHOptions{Bits: 6, Tolerance: 1})
-	if c.BucketCapacity() != DefaultBucketCapacity {
-		t.Errorf("default bucket capacity = %d, want %d", c.BucketCapacity(), DefaultBucketCapacity)
+	if c.bucket.Capacity != DefaultBucketCapacity {
+		t.Errorf("default bucket capacity = %d, want %d", c.bucket.Capacity, DefaultBucketCapacity)
 	}
 	if c.Bits() != 6 {
 		t.Errorf("Bits = %d", c.Bits())
@@ -52,7 +52,7 @@ func TestLSHDefaults(t *testing.T) {
 	if c.Capacity() != (1<<6)*DefaultBucketCapacity {
 		t.Errorf("Capacity = %d", c.Capacity())
 	}
-	if c.Policy() != FIFO || c.Tolerance() != 1 {
+	if c.bucket.Policy != FIFO || c.bucket.Tolerance != 1 {
 		t.Error("defaults wrong")
 	}
 }

@@ -277,6 +277,3 @@ func (r *CachedRetriever) Telemetry() *telemetry.Telemetry { return r.opts.Telem
 
 // K returns the configured result count.
 func (r *CachedRetriever) K() int { return r.opts.K }
-
-// Rerank returns the configured over-fetch factor ρ.
-func (r *CachedRetriever) Rerank() int { return r.opts.Rerank }

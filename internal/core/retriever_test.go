@@ -115,7 +115,7 @@ func TestRetrieveSimulatedLatency(t *testing.T) {
 	cache := mustFlat(t, 1, Options{Capacity: 4, Tolerance: 0.5})
 	r, err := NewCachedRetriever(cache, db, RetrieverOptions{
 		K:       1,
-		Latency: vectordb.FixedLatency(80 * time.Millisecond),
+		Latency: fixedLatency(80 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestRetrieverAccessors(t *testing.T) {
 	if r.Cache() != Cache(cache) || r.DB() != vectordb.DB(db) {
 		t.Error("accessors should return wired components")
 	}
-	if r.K() != 2 || r.Rerank() != 2 {
+	if r.K() != 2 || r.opts.Rerank != 2 {
 		t.Error("K/Rerank accessors wrong")
 	}
 }
@@ -285,3 +285,8 @@ func TestRetrieveWithLSHCache(t *testing.T) {
 		}
 	}
 }
+
+// fixedLatency is a LatencyModel with one constant service time.
+type fixedLatency time.Duration
+
+func (f fixedLatency) Lookup() time.Duration { return time.Duration(f) }

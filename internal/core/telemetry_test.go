@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"proximity/internal/telemetry"
@@ -56,13 +59,12 @@ func TestRetrieveContextStagesAndSpans(t *testing.T) {
 		t.Fatalf("hit trace spans = %v, want one cache_lookup", spans)
 	}
 
-	snap := tel.StageSnapshot()
-	if snap[telemetry.StageCacheLookup].N != 2 {
-		t.Errorf("cache_lookup observations = %d, want 2", snap[telemetry.StageCacheLookup].N)
+	if n := stageCount(t, tel.Registry, telemetry.StageCacheLookup); n != 2 {
+		t.Errorf("cache_lookup observations = %d, want 2", n)
 	}
-	if snap[telemetry.StageDBSearch].N != 1 || snap[telemetry.StageCacheFill].N != 1 {
-		t.Errorf("db_search/cache_fill = %d/%d, want 1/1",
-			snap[telemetry.StageDBSearch].N, snap[telemetry.StageCacheFill].N)
+	searches, fill := stageCount(t, tel.Registry, telemetry.StageDBSearch), stageCount(t, tel.Registry, telemetry.StageCacheFill)
+	if searches != 1 || fill != 1 {
+		t.Errorf("db_search/cache_fill = %d/%d, want 1/1", searches, fill)
 	}
 
 	// The ring served the two finished traces, newest first.
@@ -95,4 +97,24 @@ func TestRetrieveUntracedUnchanged(t *testing.T) {
 	if !res.Hit {
 		t.Fatal("expected a hit")
 	}
+}
+
+// stageCount reads stage's observation count from reg's Prometheus
+// exposition, where the stage histograms are published.
+func stageCount(t *testing.T, reg *telemetry.Registry, stage telemetry.Stage) int64 {
+	t.Helper()
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	series := fmt.Sprintf("%s_count{stage=%q} ", telemetry.MetricStageLatencySeconds, stage)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("the exposition has no %s series", series)
+	return 0
 }

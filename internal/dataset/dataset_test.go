@@ -97,7 +97,10 @@ func TestGoldPassagesAreNearest(t *testing.T) {
 		misranked := 0
 		for _, q := range b.Questions {
 			qv := enc.Embed(q.Text)
-			res := vec.TopKByDistance(qv, b.Corpus.Embeddings, len(q.Gold), vec.L2)
+			var top vec.TopKBuffer
+			top.Reset(len(q.Gold))
+			top.PushDistances(qv, b.Corpus.Embeddings, vec.L2)
+			res := top.Result()
 			gold := make(map[int]struct{}, len(q.Gold))
 			for _, g := range q.Gold {
 				gold[g] = struct{}{}

@@ -69,8 +69,7 @@ type Corpus struct {
 	Embeddings []vec.Vector // parallel to Docs
 	Topics     []Topic
 
-	embedder  embed.Embedder
-	topicDocs [][]int // topic ID -> doc IDs
+	embedder embed.Embedder
 }
 
 // Generate builds a topic-clustered corpus using words from the lexicon
@@ -86,7 +85,6 @@ func Generate(cfg Config, lex *Lexicon, e embed.Embedder) (*Corpus, error) {
 		Embeddings: make([]vec.Vector, 0, cfg.NumTopics*cfg.DocsPerTopic),
 		Topics:     make([]Topic, cfg.NumTopics),
 		embedder:   e,
-		topicDocs:  make([][]int, cfg.NumTopics),
 	}
 	for t := 0; t < cfg.NumTopics; t++ {
 		c.Topics[t] = Topic{
@@ -102,12 +100,6 @@ func Generate(cfg Config, lex *Lexicon, e embed.Embedder) (*Corpus, error) {
 		}
 	}
 	return c, nil
-}
-
-// NewEmpty creates a corpus with no documents, for callers that build
-// content entirely through Append (e.g. the TripClick document side).
-func NewEmpty(e embed.Embedder) *Corpus {
-	return &Corpus{embedder: e}
 }
 
 // Append embeds and adds a passage, returning its document ID. topic may
@@ -127,12 +119,6 @@ func (c *Corpus) appendDoc(text string, topic int) int {
 	id := len(c.Docs)
 	c.Docs = append(c.Docs, Document{ID: id, Text: text, Topic: topic})
 	c.Embeddings = append(c.Embeddings, c.embedder.Embed(text))
-	if topic >= 0 {
-		for len(c.topicDocs) <= topic {
-			c.topicDocs = append(c.topicDocs, nil)
-		}
-		c.topicDocs[topic] = append(c.topicDocs[topic], id)
-	}
 	return id
 }
 
@@ -144,15 +130,6 @@ func (c *Corpus) Dim() int { return c.embedder.Dim() }
 
 // Embedder returns the encoder shared by documents and queries.
 func (c *Corpus) Embedder() embed.Embedder { return c.embedder }
-
-// TopicDocs returns the IDs of all passages belonging to a topic. The
-// returned slice is owned by the corpus; callers must not modify it.
-func (c *Corpus) TopicDocs(topic int) []int {
-	if topic < 0 || topic >= len(c.topicDocs) {
-		return nil
-	}
-	return c.topicDocs[topic]
-}
 
 // Vector returns the embedding of document id. It implements the
 // vectordb.VectorSource contract used by cache re-ranking.

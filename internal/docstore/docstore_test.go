@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,8 +19,8 @@ func TestLexiconUniqueness(t *testing.T) {
 		}
 		seen[w] = struct{}{}
 	}
-	if lex.Generated() != 5000 {
-		t.Errorf("Generated = %d, want 5000", lex.Generated())
+	if len(lex.used) != 5000 {
+		t.Errorf("%d words recorded, want 5000", len(lex.used))
 	}
 }
 
@@ -63,8 +64,8 @@ func TestSentenceAndJoin(t *testing.T) {
 	if got := Sentence(nil); got != "" {
 		t.Errorf("Sentence(nil) = %q", got)
 	}
-	if got := JoinWords([]string{"a", "b"}); got != "a b" {
-		t.Errorf("JoinWords = %q", got)
+	if got := Sentence([]string{"a", "b", "c"}); got != "A b c." {
+		t.Errorf("Sentence joins words with single spaces: got %q", got)
 	}
 }
 
@@ -107,22 +108,17 @@ func TestGenerateShape(t *testing.T) {
 	if c.Dim() != 128 {
 		t.Errorf("Dim = %d", c.Dim())
 	}
-	for tid := 0; tid < 5; tid++ {
-		docs := c.TopicDocs(tid)
-		if len(docs) != 10 {
-			t.Errorf("topic %d has %d docs", tid, len(docs))
+	perTopic := make([]int, 5)
+	for id, d := range c.Docs {
+		if d.ID != id || d.Topic < 0 || d.Topic >= 5 {
+			t.Fatalf("doc %d: ID %d, topic %d", id, d.ID, d.Topic)
 		}
-		for _, id := range docs {
-			if c.Docs[id].Topic != tid {
-				t.Errorf("doc %d topic mismatch", id)
-			}
+		perTopic[d.Topic]++
+	}
+	for tid, n := range perTopic {
+		if n != 10 {
+			t.Errorf("topic %d has %d docs", tid, n)
 		}
-	}
-	if got := c.TopicDocs(-1); got != nil {
-		t.Error("TopicDocs(-1) should be nil")
-	}
-	if got := c.TopicDocs(99); got != nil {
-		t.Error("TopicDocs(out of range) should be nil")
 	}
 }
 
@@ -193,9 +189,8 @@ func TestAppend(t *testing.T) {
 	if c.Len() != n+1 {
 		t.Errorf("Len = %d", c.Len())
 	}
-	docs := c.TopicDocs(1)
-	if docs[len(docs)-1] != id {
-		t.Error("appended doc missing from topic listing")
+	if c.Docs[id].Topic != 1 {
+		t.Errorf("appended doc has topic %d, want 1", c.Docs[id].Topic)
 	}
 
 	topicless, err := c.Append("floating passage", -1)
@@ -214,8 +209,10 @@ func TestAppend(t *testing.T) {
 	}
 }
 
+// TestNewEmptyAndVector: a corpus built empty and filled only through
+// Append serves its embeddings through Vector.
 func TestNewEmptyAndVector(t *testing.T) {
-	c := NewEmpty(testEmbedder())
+	c := &Corpus{embedder: testEmbedder()}
 	if c.Len() != 0 {
 		t.Fatal("empty corpus should have no docs")
 	}
@@ -227,7 +224,7 @@ func TestNewEmptyAndVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.Equal(v, c.Embedder().Embed("hello world")) {
+	if !slices.Equal(v, c.Embedder().Embed("hello world")) {
 		t.Error("stored embedding must match the encoder output")
 	}
 	if _, err := c.Vector(-1); err == nil {
@@ -254,7 +251,7 @@ func TestGenerateDeterminism(t *testing.T) {
 		if a.Docs[i].Text != b.Docs[i].Text {
 			t.Fatalf("doc %d text differs", i)
 		}
-		if !vec.Equal(a.Embeddings[i], b.Embeddings[i]) {
+		if !slices.Equal(a.Embeddings[i], b.Embeddings[i]) {
 			t.Fatalf("doc %d embedding differs", i)
 		}
 	}

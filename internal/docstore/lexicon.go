@@ -76,12 +76,6 @@ func (l *Lexicon) SynonymGroup(n int) []string {
 	return l.Words(n)
 }
 
-// Generated reports how many unique words have been produced.
-func (l *Lexicon) Generated() int { return len(l.used) }
-
-// JoinWords renders tokens as a space-separated phrase.
-func JoinWords(words []string) string { return strings.Join(words, " ") }
-
 // Sentence renders tokens as a capitalized, period-terminated sentence for
 // more natural-looking passages.
 func Sentence(words []string) string {

@@ -51,10 +51,8 @@ type Option interface {
 }
 
 type options struct {
-	name       string
-	thesaurus  *Thesaurus
-	stopwords  map[string]struct{}
-	stopWeight float32
+	name      string
+	thesaurus *Thesaurus
 }
 
 type nameOption string
@@ -72,36 +70,14 @@ func (t thesaurusOption) apply(o *options) { o.thesaurus = t.t }
 // embedding vector.
 func WithThesaurus(t *Thesaurus) Option { return thesaurusOption{t: t} }
 
-type stopwordsOption []string
-
-func (s stopwordsOption) apply(o *options) {
-	for _, w := range s {
-		o.stopwords[strings.ToLower(w)] = struct{}{}
-	}
-}
-
-// WithStopwords adds low-weight tokens on top of the built-in English
-// stopword list.
-func WithStopwords(words ...string) Option { return stopwordsOption(words) }
-
-type stopWeightOption float32
-
-func (w stopWeightOption) apply(o *options) { o.stopWeight = float32(w) }
-
-// WithStopWeight sets the weight applied to stopword tokens (default
-// 0.25). Content tokens always weigh 1.
-func WithStopWeight(w float32) Option { return stopWeightOption(w) }
-
 // TokenHash is the deterministic token-hash encoder. Each canonical token
 // deterministically maps to a unit vector; a text embeds as the weighted
 // sum of its token vectors. It is safe for concurrent use.
 type TokenHash struct {
-	dim        int
-	seed       uint64
-	name       string
-	thesaurus  *Thesaurus
-	stopwords  map[string]struct{}
-	stopWeight float32
+	dim       int
+	seed      uint64
+	name      string
+	thesaurus *Thesaurus
 
 	mu    sync.RWMutex
 	cache map[string]vec.Vector // canonical token -> unit vector
@@ -112,29 +88,20 @@ var _ Embedder = (*TokenHash)(nil)
 // NewTokenHash creates a token-hash encoder of the given dimensionality.
 // Two encoders built with the same dim, seed, and thesaurus produce
 // identical embeddings. The paper's encoders are 768-dimensional; use
-// Dim768 for fidelity.
+// dataset.Dim768 for fidelity.
 func NewTokenHash(dim int, seed uint64, opts ...Option) *TokenHash {
-	o := options{
-		name:       "tokenhash",
-		stopwords:  defaultStopwords(),
-		stopWeight: 0.25,
-	}
+	o := options{name: "tokenhash"}
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
 	return &TokenHash{
-		dim:        dim,
-		seed:       seed,
-		name:       o.name,
-		thesaurus:  o.thesaurus,
-		stopwords:  o.stopwords,
-		stopWeight: o.stopWeight,
-		cache:      make(map[string]vec.Vector),
+		dim:       dim,
+		seed:      seed,
+		name:      o.name,
+		thesaurus: o.thesaurus,
+		cache:     make(map[string]vec.Vector),
 	}
 }
-
-// Dim768 is the dimensionality of the paper's MedCPT and DPR encoders.
-const Dim768 = 768
 
 // Dim returns the embedding dimensionality.
 func (e *TokenHash) Dim() int { return e.dim }
@@ -152,8 +119,8 @@ func (e *TokenHash) Embed(text string) vec.Vector {
 			canonical = e.thesaurus.Canonical(tok)
 		}
 		w := float32(1)
-		if _, stop := e.stopwords[canonical]; stop {
-			w = e.stopWeight
+		if _, stop := stopwords[canonical]; stop {
+			w = stopWeight
 		}
 		vec.AXPY(out, w, e.tokenVector(canonical))
 	}
@@ -210,10 +177,13 @@ func Tokenize(text string) []string {
 	return tokens
 }
 
-// defaultStopwords returns the built-in low-weight token set. Filler words
-// are what the workload rephraser perturbs, so they carry reduced weight —
-// the mechanism by which rephrasings stay close in embedding space.
-func defaultStopwords() map[string]struct{} {
+// stopWeight is a stopword token's weight; content tokens weigh 1.
+const stopWeight = 0.25
+
+// stopwords is the low-weight token set. Filler words are what the
+// workload rephraser perturbs, so they carry reduced weight — the
+// mechanism by which rephrasings stay close in embedding space.
+var stopwords = func() map[string]struct{} {
 	words := []string{
 		"a", "an", "the", "is", "are", "was", "were", "be", "been",
 		"do", "does", "did", "what", "which", "who", "whom", "whose",
@@ -231,4 +201,4 @@ func defaultStopwords() map[string]struct{} {
 		out[w] = struct{}{}
 	}
 	return out
-}
+}()

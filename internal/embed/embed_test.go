@@ -2,6 +2,8 @@ package embed
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -41,15 +43,15 @@ func TestEmbedDeterministic(t *testing.T) {
 	e := NewTokenHash(64, 42)
 	a := e.Embed("aspirin reduces cardiovascular risk")
 	b := e.Embed("aspirin reduces cardiovascular risk")
-	if !vec.Equal(a, b) {
+	if !slices.Equal(a, b) {
 		t.Error("same text must embed identically")
 	}
 	e2 := NewTokenHash(64, 42)
-	if !vec.Equal(a, e2.Embed("aspirin reduces cardiovascular risk")) {
+	if !slices.Equal(a, e2.Embed("aspirin reduces cardiovascular risk")) {
 		t.Error("a fresh encoder with the same seed must agree")
 	}
 	e3 := NewTokenHash(64, 43)
-	if vec.Equal(a, e3.Embed("aspirin reduces cardiovascular risk")) {
+	if slices.Equal(a, e3.Embed("aspirin reduces cardiovascular risk")) {
 		t.Error("a different seed should produce different embeddings")
 	}
 }
@@ -113,28 +115,42 @@ func TestStopwordsCarryLowWeight(t *testing.T) {
 	}
 }
 
+// TestStopWeightOption: embeddings are unnormalized sums of unit token
+// vectors, so a stopword moves an embedding by exactly the stop weight
+// and a content token by 1.
 func TestStopWeightOption(t *testing.T) {
-	heavy := NewTokenHash(64, 3, WithStopWeight(1))
-	light := NewTokenHash(64, 3, WithStopWeight(0.05))
-	base := "aspirin dosage"
-	noisy := "please tell me about the aspirin dosage"
-	if dh, dl := vec.L2(heavy.Embed(base), heavy.Embed(noisy)), vec.L2(light.Embed(base), light.Embed(noisy)); dh <= dl {
-		t.Errorf("higher stop weight should mean larger drift: heavy=%v light=%v", dh, dl)
+	e := NewTokenHash(64, 3)
+	base := e.Embed("aspirin dosage")
+	for _, tc := range []struct {
+		text string
+		want float64
+	}{
+		{"the aspirin dosage", stopWeight},
+		{"zzz aspirin dosage", 1},
+	} {
+		if d := float64(vec.L2(base, e.Embed(tc.text))); math.Abs(d-tc.want) > 1e-5 {
+			t.Errorf("L2(%q, %q) = %v, want %v", "aspirin dosage", tc.text, d, tc.want)
+		}
 	}
 }
 
+// TestWithStopwords: every word on the stopword list, in any case,
+// carries less weight than an unknown content token.
 func TestWithStopwords(t *testing.T) {
-	e := NewTokenHash(64, 3, WithStopwords("foobar"))
+	e := NewTokenHash(64, 3)
 	base := e.Embed("aspirin dosage")
-	noisy := e.Embed("foobar aspirin dosage")
-	other := e.Embed("zzz aspirin dosage")
-	if vec.L2(base, noisy) >= vec.L2(base, other) {
-		t.Error("custom stopword should carry less weight than an unknown content token")
+	other := vec.L2(base, e.Embed("zzz aspirin dosage"))
+	for w := range stopwords {
+		for _, form := range []string{w, strings.ToUpper(w)} {
+			if d := vec.L2(base, e.Embed(form+" aspirin dosage")); d >= other {
+				t.Errorf("stopword %q moved the embedding %v, an unknown content token %v", form, d, other)
+			}
+		}
 	}
 }
 
 func TestUnrelatedTextsAreFar(t *testing.T) {
-	e := NewTokenHash(Dim768, 5)
+	e := NewTokenHash(768, 5)
 	a := e.Embed("aspirin dosage myocardial infarction prevention guidelines evidence")
 	b := e.Embed("quantum chromodynamics lattice gauge simulation convergence theory")
 	// Each text has ~6 content tokens of unit norm; near-orthogonal sums
@@ -170,7 +186,7 @@ func TestEmbedConcurrentSafe(t *testing.T) {
 	wg.Wait()
 	for g := 1; g < 8; g++ {
 		for i := range texts {
-			if !vec.Equal(results[0][i], results[g][i]) {
+			if !slices.Equal(results[0][i], results[g][i]) {
 				t.Fatalf("goroutine %d produced different embedding for %q", g, texts[i])
 			}
 		}

@@ -269,7 +269,7 @@ func TestSuiteShapes(t *testing.T) {
 		for bi := range r.Bits {
 			all = append(all, r.LSHUS[bi]...)
 		}
-		med, err := stats.Median(all)
+		med, err := stats.Percentile(all, 50)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"proximity/internal/core"
 	"proximity/internal/vec"
@@ -124,3 +125,6 @@ func (r *OpCountResult) Render() string {
 		r.Reduction, r.SpeedupWal)
 	return b.String()
 }
+
+// nowNanos returns a monotonic nanosecond timestamp for micro-timing.
+func nowNanos() int64 { return time.Now().UnixNano() }

@@ -47,9 +47,6 @@ func NewSuite(cfg Config) (*Suite, error) {
 	}, nil
 }
 
-// Config returns the suite configuration.
-func (s *Suite) Config() Config { return s.cfg }
-
 // MMLU returns the MMLU benchmark and its HNSW index (the paper serves
 // wiki_dpr with FAISS-HNSW, §4.2.1).
 func (s *Suite) MMLU() (*dataset.Benchmark, vectordb.DB, error) {

@@ -116,9 +116,6 @@ func (ix *Index) Dim() int { return ix.dim }
 // Len returns the number of indexed vectors.
 func (ix *Index) Len() int { return len(ix.vectors) }
 
-// Metric returns the distance metric.
-func (ix *Index) Metric() vec.Metric { return ix.metric }
-
 // Vector returns the stored vector for an ID.
 func (ix *Index) Vector(id int) (vec.Vector, error) {
 	if id < 0 || id >= len(ix.vectors) {

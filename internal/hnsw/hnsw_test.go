@@ -2,6 +2,7 @@ package hnsw
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestExactOnTinyData(t *testing.T) {
 	if res[0].ID != 1 || res[1].ID != 0 {
 		t.Errorf("Search = %+v, want ids [1 0]", res)
 	}
-	if ix.Len() != 5 || ix.Dim() != 2 || ix.Metric() != vec.L2Distance {
+	if ix.Len() != 5 || ix.Dim() != 2 || ix.metric != vec.L2Distance {
 		t.Error("accessors wrong")
 	}
 }
@@ -90,7 +91,7 @@ func TestVectorAccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, err := ix.Vector(0)
-	if err != nil || !vec.Equal(v, vec.Vector{3, 4}) {
+	if err != nil || !slices.Equal(v, vec.Vector{3, 4}) {
 		t.Errorf("Vector(0) = %v, %v", v, err)
 	}
 	if _, err := ix.Vector(1); err == nil {

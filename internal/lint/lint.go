@@ -1,9 +1,10 @@
-// Package lint is the repo's static-analysis suite: six analyzers that
-// encode invariants the benchmarks and crash-safety guarantees rest on
-// — zero-alloc hot paths, no blocking work under cache locks, one
-// telemetry name vocabulary, crash-safe artifact writes, context
-// threading, and drained HTTP response bodies. The cmd/proximity-vet
-// driver runs the suite over ./... and fails CI on findings.
+// Package lint is the repo's static-analysis suite: seven analyzers
+// that encode invariants the benchmarks and crash-safety guarantees
+// rest on — zero-alloc hot paths, no blocking work under cache locks,
+// one telemetry name vocabulary, crash-safe artifact writes, context
+// threading, drained HTTP response bodies, and exported API that some
+// non-test code uses. The cmd/proximity-vet driver runs the suite over
+// ./... and fails CI on findings.
 //
 // Two comment directives steer the analyzers:
 //
@@ -16,7 +17,8 @@
 //	    placed on (or on the line above) a flagged line, suppresses
 //	    that analyzer's finding there. The reason is free text but by
 //	    convention always present — an allow without a why does not
-//	    survive review.
+//	    survive review. An unusedapi allow names the open ROADMAP item
+//	    that will use the name ("item 21").
 //
 // The suite is deliberately stdlib-only (go/ast + go/types + a source
 // importer, packages enumerated via `go list -json`), preserving the
@@ -28,8 +30,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Finding is one analyzer report at a source position.
@@ -62,6 +66,7 @@ type Pass struct {
 
 	dirs     *directives
 	findings *[]Finding
+	uses     func() *uses
 }
 
 // Reportf records a finding at pos.
@@ -82,6 +87,7 @@ func Analyzers() []*Analyzer {
 		AtomicWrite,
 		CtxFlow,
 		BodyDrain,
+		UnusedAPI,
 	}
 }
 
@@ -107,27 +113,34 @@ func ByName(csv string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Run executes analyzers over pkg, applies //proximity:allow
-// suppressions, and returns the surviving findings sorted by position.
-func Run(pkg *Package, analyzers []*Analyzer) []Finding {
-	dirs := parseDirectives(pkg.Fset, pkg.Files)
-	var findings []Finding
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			dirs:     dirs,
-			findings: &findings,
+// Run executes analyzers over each package of pkgs, applies
+// //proximity:allow suppressions, and returns the surviving findings
+// sorted by position. module lists the packages whose non-test files
+// count as users of an exported name (unusedapi); pkgs always count, so
+// a nil module treats pkgs as the whole program.
+func Run(pkgs, module []*Package, analyzers []*Analyzer) []Finding {
+	users := sync.OnceValue(func() *uses { return collectUses(slices.Concat(module, pkgs)) })
+	var kept []Finding
+	for _, pkg := range pkgs {
+		dirs := parseDirectives(pkg.Fset, pkg.Files)
+		var findings []Finding
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				Info:     pkg.Info,
+				dirs:     dirs,
+				findings: &findings,
+				uses:     users,
+			}
+			a.Run(pass)
 		}
-		a.Run(pass)
-	}
-	kept := findings[:0]
-	for _, f := range findings {
-		if !dirs.allowed(f.Analyzer, f.Pos) {
-			kept = append(kept, f)
+		for _, f := range findings {
+			if !dirs.allowed(f.Analyzer, f.Pos) {
+				kept = append(kept, f)
+			}
 		}
 	}
 	sort.Slice(kept, func(i, j int) bool {

@@ -3,16 +3,10 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
-
-// fixtureImport builds the synthetic import path for an analyzer's
-// golden package. The proximity/internal/ prefix matters: path-scoped
-// analyzers (atomicwrite) key off it.
-func fixtureImport(name string) string {
-	return "proximity/internal/lint/testdata/" + name + "/a"
-}
 
 // TestGolden runs every analyzer over its golden fixture: each // want
 // must be matched by a finding on its line, and every finding must be
@@ -21,10 +15,10 @@ func fixtureImport(name string) string {
 func TestGolden(t *testing.T) {
 	for _, a := range Analyzers() {
 		t.Run(a.Name, func(t *testing.T) {
-			dir := filepath.Join("testdata", a.Name, "a")
-			problems, err := CheckGolden(a, dir, fixtureImport(a.Name))
+			pkg, users := loadFixtures(t, a.Name)
+			problems, err := checkGolden(a, pkg, users)
 			if err != nil {
-				t.Fatalf("CheckGolden(%s): %v", a.Name, err)
+				t.Fatalf("checkGolden(%s): %v", a.Name, err)
 			}
 			for _, p := range problems {
 				t.Error(p)
@@ -35,8 +29,8 @@ func TestGolden(t *testing.T) {
 
 func TestAnalyzersSuite(t *testing.T) {
 	all := Analyzers()
-	if len(all) != 6 {
-		t.Fatalf("suite has %d analyzers, want 6", len(all))
+	if len(all) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, a := range all {
@@ -68,11 +62,8 @@ func TestByName(t *testing.T) {
 }
 
 func TestFindingString(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "atomicwrite", "a"), fixtureImport("atomicwrite"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := Run(pkg, []*Analyzer{AtomicWrite})
+	pkg, _ := loadFixtures(t, "atomicwrite")
+	findings := Run([]*Package{pkg}, nil, []*Analyzer{AtomicWrite})
 	if len(findings) == 0 {
 		t.Fatal("no findings in atomicwrite fixture")
 	}
@@ -80,10 +71,10 @@ func TestFindingString(t *testing.T) {
 	if !strings.Contains(s, "a.go:") || !strings.Contains(s, ": atomicwrite: ") {
 		t.Errorf("Finding.String() = %q, want file:line:col: analyzer: message form", s)
 	}
-	if !FindingAt(findings, "a.go", findings[0].Pos.Line) {
+	if !findingAt(findings, "a.go", findings[0].Pos.Line) {
 		t.Error("FindingAt misses a reported line")
 	}
-	if FindingAt(findings, "a.go", 99999) {
+	if findingAt(findings, "a.go", 99999) {
 		t.Error("FindingAt reports a finding on an empty line")
 	}
 }
@@ -115,7 +106,7 @@ func f(path string) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(pkg, []*Analyzer{AtomicWrite})
+	findings := Run([]*Package{pkg}, nil, []*Analyzer{AtomicWrite})
 	if len(findings) != 1 {
 		t.Fatalf("got %d findings, want 1 (WriteFile allowed, Create not): %v", len(findings), findings)
 	}
@@ -131,14 +122,15 @@ func TestPathScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if findings := Run(pkg, []*Analyzer{AtomicWrite}); len(findings) != 0 {
+	if findings := Run([]*Package{pkg}, nil, []*Analyzer{AtomicWrite}); len(findings) != 0 {
 		t.Fatalf("atomicwrite fired on example/demo: %v", findings)
 	}
 }
 
 // TestLoadPackages exercises the go list driver end to end on a real
 // module package, and asserts the tree invariant the suite exists for:
-// internal/telemetry itself is finding-free.
+// internal/telemetry itself is finding-free, its exported API used by
+// the module's non-test code included.
 func TestLoadPackages(t *testing.T) {
 	pkgs, err := LoadPackages(".", "proximity/internal/telemetry")
 	if err != nil {
@@ -147,8 +139,22 @@ func TestLoadPackages(t *testing.T) {
 	if len(pkgs) != 1 || pkgs[0].Path != "proximity/internal/telemetry" {
 		t.Fatalf("LoadPackages = %v, want the one telemetry package", pkgs)
 	}
-	if findings := Run(pkgs[0], Analyzers()); len(findings) != 0 {
+	module, err := LoadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(module, pkgs[0]) {
+		t.Fatal("LoadModule loaded internal/telemetry a second time, want the loader's copy reused")
+	}
+	if findings := Run(pkgs, module, Analyzers()); len(findings) != 0 {
 		t.Fatalf("internal/telemetry has findings: %v", findings)
+	}
+}
+
+func TestLoadModuleOutsideModule(t *testing.T) {
+	t.Setenv("GO111MODULE", "on")
+	if _, err := LoadModule(t.TempDir()); err == nil {
+		t.Fatal("LoadModule outside any module succeeded, want error")
 	}
 }
 
@@ -186,7 +192,11 @@ func TestCheckGoldenBadWant(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CheckGolden(BodyDrain, dir, "p"); err == nil {
+	pkg, err := LoadDir(dir, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkGolden(BodyDrain, pkg, nil); err == nil {
 		t.Fatal("CheckGolden accepted a bad want regexp, want error")
 	}
 }
@@ -208,7 +218,11 @@ var x = 1 // want "never reported"
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	problems, err := CheckGolden(AtomicWrite, dir, "proximity/internal/scratchfixture")
+	pkg, err := LoadDir(dir, "proximity/internal/scratchfixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems, err := checkGolden(AtomicWrite, pkg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

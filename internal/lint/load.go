@@ -10,9 +10,11 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -29,16 +31,18 @@ type Package struct {
 // in the process, so the (expensive) from-source typechecking of stdlib
 // and intra-module dependencies happens once, not once per package.
 type loader struct {
-	mu  sync.Mutex
-	fs  *token.FileSet
-	imp types.ImporterFrom
+	mu   sync.Mutex
+	fs   *token.FileSet
+	imp  types.ImporterFrom
+	pkgs map[string]*Package // by directory and files, so a second load is free
 }
 
 var shared = func() *loader {
 	fs := token.NewFileSet()
 	return &loader{
-		fs:  fs,
-		imp: importer.ForCompiler(fs, "source", nil).(types.ImporterFrom),
+		fs:   fs,
+		imp:  importer.ForCompiler(fs, "source", nil).(types.ImporterFrom),
+		pkgs: make(map[string]*Package),
 	}
 }()
 
@@ -48,6 +52,10 @@ var shared = func() *loader {
 func (l *loader) check(importPath, dir string, filenames []string) (*Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	memo := importPath + "\x00" + dir + "\x00" + strings.Join(filenames, "\x00")
+	if pkg, ok := l.pkgs[memo]; ok {
+		return pkg, nil
+	}
 	files := make([]*ast.File, 0, len(filenames))
 	for _, name := range filenames {
 		f, err := parser.ParseFile(l.fs, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -70,7 +78,8 @@ func (l *loader) check(importPath, dir string, filenames []string) (*Package, er
 		//proximity:allow lockdiscipline cold error path; the loader lock is coarse by design (shared FileSet and importer)
 		return nil, fmt.Errorf("lint: typecheck %s: %w", importPath, err)
 	}
-	return &Package{Path: importPath, Fset: l.fs, Files: files, Types: pkg, Info: info}, nil
+	l.pkgs[memo] = &Package{Path: importPath, Fset: l.fs, Files: files, Types: pkg, Info: info}
+	return l.pkgs[memo], nil
 }
 
 // listedPackage is the subset of `go list -json` output the loader uses.
@@ -122,22 +131,17 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and typechecks every .go file in dir as one package
-// under the given import path. Used for testdata fixture packages,
-// which `go list` deliberately cannot see; the import path is synthetic
-// and chosen by the caller (path-scoped analyzers key off it).
-func LoadDir(dir, importPath string) (*Package, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
+// LoadModule loads every package of the module that contains dir — the
+// pattern ./... run at the module root — whatever subdirectory dir is.
+// These are the packages whose non-test files count as users for
+// unusedapi.
+func LoadModule(dir string) ([]*Package, error) {
+	cmd := exec.Command("go", "env", "GOMOD")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	gomod := strings.TrimSpace(string(out))
+	if err != nil || gomod == "" || gomod == os.DevNull {
+		return nil, fmt.Errorf("lint: %s is not inside a module (go env GOMOD: %q, %v)", dir, gomod, err)
 	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("lint: no .go files in %s", dir)
-	}
-	sort.Strings(matches)
-	names := make([]string, len(matches))
-	for i, m := range matches {
-		names[i] = filepath.Base(m)
-	}
-	return shared.check(importPath, dir, names)
+	return LoadPackages(filepath.Dir(gomod), "./...")
 }

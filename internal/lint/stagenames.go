@@ -27,9 +27,7 @@ var StageNames = &Analyzer{
 
 // registrationMethods take a series name as their first argument.
 var registrationMethods = map[string]bool{
-	"Counter": true, "CounterFunc": true, "CounterLabeled": true,
-	"Gauge": true, "GaugeFunc": true, "GaugeLabeled": true,
-	"Histogram": true, "HistogramLabeled": true,
+	"CounterFunc": true, "GaugeFunc": true, "HistogramLabeled": true,
 }
 
 func runStageNames(p *Pass) {

@@ -113,9 +113,6 @@ func NewAnswerer(profile Profile, seed uint64) (*Answerer, error) {
 	return &Answerer{profile: profile, seed: seed}, nil
 }
 
-// Profile returns the configured probability profile.
-func (a *Answerer) Profile() Profile { return a.profile }
-
 // Question is the minimal view of a benchmark question the simulator
 // needs.
 type Question struct {
@@ -161,12 +158,6 @@ func Classify(q Question, docs []int, docTopic func(int) int) ContextQuality {
 func (a *Answerer) Correct(q Question, docs []int, docTopic func(int) int) bool {
 	p := a.probability(Classify(q, docs, docTopic))
 	return a.difficulty(q.ID) < p
-}
-
-// CorrectWithQuality is Correct for callers that already classified the
-// context (e.g. ablations probing each quality band).
-func (a *Answerer) CorrectWithQuality(q Question, quality ContextQuality) bool {
-	return a.difficulty(q.ID) < a.probability(quality)
 }
 
 func (a *Answerer) probability(quality ContextQuality) float64 {

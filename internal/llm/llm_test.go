@@ -74,7 +74,7 @@ func TestNewAnswererValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Profile().Name != "llama3.1-medrag" {
+	if a.profile.Name != "llama3.1-medrag" {
 		t.Error("profile accessor wrong")
 	}
 }
@@ -282,4 +282,10 @@ func TestParaphraseSwapsRespectTokenCount(t *testing.T) {
 	if r.Paraphrase("", 0, 2) == "" {
 		t.Error("paraphrase of empty text should still emit the unique prefix")
 	}
+}
+
+// CorrectWithQuality is Correct for a context already classified, so a
+// test can probe each quality band.
+func (a *Answerer) CorrectWithQuality(q Question, quality ContextQuality) bool {
+	return a.difficulty(q.ID) < a.probability(quality)
 }

@@ -100,18 +100,6 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode converts a string into a Mode.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "closed":
-		return ClosedLoop, nil
-	case "open":
-		return OpenLoop, nil
-	default:
-		return 0, fmt.Errorf("loadgen: unknown mode %q", s)
-	}
-}
-
 // Options configures a run.
 type Options struct {
 	// Mode is the traffic discipline. Defaults to ClosedLoop.

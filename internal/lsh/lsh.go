@@ -53,8 +53,8 @@ func (h *Hasher) NumBuckets() int { return 1 << len(h.planes) }
 // Hash returns the signature h(q) = (q·r₁ ≥ 0, …, q·r_L ≥ 0) packed into a
 // uint32, bit i set when q·rᵢ ≥ 0. The cost is O(L·d), matching the
 // paper's lookup cost analysis. Hash panics on a dimension mismatch, which
-// indicates a programming error (mixing embedders); use CheckedHash at
-// trust boundaries.
+// indicates a programming error (mixing embedders); input from outside
+// the process is length-checked where it enters.
 func (h *Hasher) Hash(q vec.Vector) uint32 {
 	if len(q) != h.dim {
 		panic(fmt.Sprintf("lsh: vector dim %d, hasher dim %d", len(q), h.dim))
@@ -66,27 +66,6 @@ func (h *Hasher) Hash(q vec.Vector) uint32 {
 		}
 	}
 	return sig
-}
-
-// CheckedHash is the error-returning variant of Hash.
-func (h *Hasher) CheckedHash(q vec.Vector) (uint32, error) {
-	if len(q) != h.dim {
-		return 0, fmt.Errorf("lsh: vector dim %d, hasher dim %d: %w", len(q), h.dim, vec.ErrDimensionMismatch)
-	}
-	return h.Hash(q), nil
-}
-
-// HammingDistance counts differing signature bits; it approximates the
-// angle between the hashed vectors and is exposed for diagnostics and
-// multi-probe extensions.
-func HammingDistance(a, b uint32) int {
-	x := a ^ b
-	count := 0
-	for x != 0 {
-		x &= x - 1
-		count++
-	}
-	return count
 }
 
 // ProbeSequence returns the signature followed by its single-bit

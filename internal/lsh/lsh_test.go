@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -88,20 +89,6 @@ func TestHashPanicsOnDimMismatch(t *testing.T) {
 	h.Hash(vec.Vector{1, 2})
 }
 
-func TestCheckedHash(t *testing.T) {
-	h, _ := NewHasher(4, 4, 1)
-	if _, err := h.CheckedHash(vec.Vector{1}); err == nil {
-		t.Error("dim mismatch should error")
-	}
-	sig, err := h.CheckedHash(vec.Vector{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig != h.Hash(vec.Vector{1, 2, 3, 4}) {
-		t.Error("CheckedHash disagrees with Hash")
-	}
-}
-
 // Property: the signature is invariant under positive scaling — hyperplane
 // sides depend only on direction. This is why the LSH cache buckets
 // semantically-similar queries together regardless of embedding magnitude.
@@ -174,24 +161,6 @@ func TestLocality(t *testing.T) {
 	}
 }
 
-func TestHammingDistance(t *testing.T) {
-	tests := []struct {
-		a, b uint32
-		want int
-	}{
-		{0, 0, 0},
-		{0b1010, 0b1010, 0},
-		{0b1010, 0b0101, 4},
-		{0b1, 0b0, 1},
-		{0xffffffff, 0, 32},
-	}
-	for _, tt := range tests {
-		if got := HammingDistance(tt.a, tt.b); got != tt.want {
-			t.Errorf("HammingDistance(%b, %b) = %d, want %d", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
 func TestProbeSequence(t *testing.T) {
 	h, err := NewHasher(8, 4, 3)
 	if err != nil {
@@ -208,7 +177,7 @@ func TestProbeSequence(t *testing.T) {
 	}
 	seen := map[uint32]bool{base: true}
 	for _, p := range probes[1:] {
-		if HammingDistance(base, p) != 1 {
+		if bits.OnesCount32(base^p) != 1 {
 			t.Errorf("probe %b is not at Hamming distance 1 from %b", p, base)
 		}
 		if seen[p] {

@@ -75,12 +75,6 @@ func (r *Run) RecordRecall(recall float64) {
 	r.recallN++
 }
 
-// Queries returns the number of retrievals recorded.
-func (r *Run) Queries() int { return r.queries }
-
-// Hits returns the number of cache hits.
-func (r *Run) Hits() int { return r.hits }
-
 // DBCalls returns the number of database lookups (misses).
 func (r *Run) DBCalls() int { return r.dbCalls }
 
@@ -116,9 +110,6 @@ func (r *Run) MeanRetrieval() time.Duration { return r.retrievalTime.Mean() }
 // Fig. 10/11 quantity.
 func (r *Run) MeanCacheLookup() time.Duration { return r.cacheTime.Mean() }
 
-// RetrievalP99 returns the 99th percentile retrieval latency.
-func (r *Run) RetrievalP99() time.Duration { return r.retrievalTime.Percentile(99) }
-
 // String summarizes the run.
 func (r *Run) String() string {
 	return fmt.Sprintf("%s: queries=%d hit=%.1f%% acc=%.1f%% recall=%.1f%% retr=%v",
@@ -132,8 +123,6 @@ type Aggregate struct {
 	accuracy  stats.Welford
 	recall    stats.Welford
 	retrieval stats.Welford // nanoseconds
-	cache     stats.Welford // nanoseconds
-	dbCalls   stats.Welford
 }
 
 // Add folds one run into the aggregate.
@@ -142,12 +131,7 @@ func (a *Aggregate) Add(r *Run) {
 	a.accuracy.Add(r.Accuracy())
 	a.recall.Add(r.MeanRecall())
 	a.retrieval.Add(float64(r.MeanRetrieval()))
-	a.cache.Add(float64(r.MeanCacheLookup()))
-	a.dbCalls.Add(float64(r.DBCalls()))
 }
-
-// Runs returns how many runs were aggregated.
-func (a *Aggregate) Runs() int { return a.hitRate.N() }
 
 // HitRate returns the mean hit rate across runs.
 func (a *Aggregate) HitRate() float64 { return a.hitRate.Mean() }
@@ -162,14 +146,3 @@ func (a *Aggregate) Recall() float64 { return a.recall.Mean() }
 func (a *Aggregate) MeanRetrieval() time.Duration {
 	return time.Duration(a.retrieval.Mean())
 }
-
-// MeanCacheLookup returns the mean cache-lookup time across runs.
-func (a *Aggregate) MeanCacheLookup() time.Duration {
-	return time.Duration(a.cache.Mean())
-}
-
-// DBCalls returns the mean database call count across runs.
-func (a *Aggregate) DBCalls() float64 { return a.dbCalls.Mean() }
-
-// AccuracyStddev returns the across-seed accuracy standard deviation.
-func (a *Aggregate) AccuracyStddev() float64 { return a.accuracy.Stddev() }

@@ -184,9 +184,6 @@ func New(src Source, act Actuator, opts Options) (*Controller, error) {
 	}, nil
 }
 
-// Options returns the resolved configuration.
-func (c *Controller) Options() Options { return c.opts }
-
 // Start launches the sampling loop. Idempotent; returns ErrClosed after
 // Close.
 func (c *Controller) Start() error {

@@ -74,9 +74,6 @@ func NewShardTarget(cache *shard.ShardedCache, opts ShardTargetOptions) (*ShardT
 	return t, nil
 }
 
-// Cache returns the wrapped sharded cache.
-func (t *ShardTarget) Cache() *shard.ShardedCache { return t.cache }
-
 // Sample implements Source from the pressure report.
 func (t *ShardTarget) Sample() Sample {
 	r := t.cache.Report()

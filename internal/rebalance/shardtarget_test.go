@@ -88,7 +88,7 @@ func TestShardTargetImprovesSkew(t *testing.T) {
 	if got := cache.Report().Imbalance; got != out.After {
 		t.Errorf("reported imbalance %v != outcome %v", got, out.After)
 	}
-	if target.Cache() != cache {
+	if target.cache != cache {
 		t.Error("Cache() accessor mismatch")
 	}
 }

@@ -130,11 +130,6 @@ func Millis(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
 }
 
-// Micros formats a duration in microseconds with two decimals.
-func Micros(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d)/float64(time.Microsecond))
-}
-
 // DensityArt renders a count grid as ASCII art with a logarithmic shade
 // ramp — the terminal rendering of Fig. 3.
 func DensityArt(grid [][]int) string {

@@ -64,9 +64,6 @@ func TestFormatters(t *testing.T) {
 	if got := Millis(4800 * time.Millisecond); got != "4800.00" {
 		t.Errorf("Millis = %q", got)
 	}
-	if got := Micros(4800 * time.Nanosecond); got != "4.80" {
-		t.Errorf("Micros = %q", got)
-	}
 }
 
 func TestDensityArt(t *testing.T) {

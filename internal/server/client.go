@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"strconv"
 	"sync"
 	"time"
 
@@ -41,8 +40,9 @@ const maxIdleConns = http.DefaultMaxIdleConnsPerHost
 //   - A call on a reused connection that fails before any reply byte
 //     arrives — the server closed the idle connection under it — is sent
 //     once more on a fresh dial, unless the failure was the deadline.
-//     RebalanceNow is the exception: repeating it is not a no-op, so it
-//     always dials a connection of its own and is never sent twice.
+//     A request marked once is the exception: repeating it is not a
+//     no-op, so it always dials a connection of its own and is never
+//     sent twice.
 //
 // A Client is safe for concurrent use. Close closes the idle
 // connections.
@@ -145,31 +145,6 @@ func (c *Client) RetrieveTraced(embedding []float32, traceID uint64) (RetrieveRe
 	return out, spans, err
 }
 
-// Traces fetches up to n recent sampled traces (n <= 0: all buffered).
-func (c *Client) Traces(n int) ([]telemetry.TraceRecord, error) {
-	query := ""
-	if n > 0 {
-		query = "n=" + strconv.Itoa(n)
-	}
-	var out TracesResponse
-	err := c.get("/v1/traces", query, &out)
-	return out.Traces, err
-}
-
-// Health fetches the build-info health check.
-func (c *Client) Health() (HealthResponse, error) {
-	var out HealthResponse
-	err := c.get("/v1/healthz", "", &out)
-	return out, err
-}
-
-// Metrics fetches the raw Prometheus text exposition.
-func (c *Client) Metrics() (string, error) {
-	var out string
-	err := c.get("/metrics", "", &out)
-	return out, err
-}
-
 // RetrieveBatch fetches documents for several embeddings in one call; the
 // results are parallel to embeddings. A failure of any element fails the
 // whole batch. The embeddings travel as one ContentTypeF32 body; a batch
@@ -210,16 +185,6 @@ func (c *Client) Flush() error {
 	_, err := c.call(&request{method: http.MethodPost, path: "/v1/flush",
 		contentType: "application/json", want: http.StatusNoContent}, nil)
 	return err
-}
-
-// RebalanceNow triggers one manual rebalance action on the middleware
-// (501 StatusError when the server has no controller configured). It is
-// never sent twice: see Client.
-func (c *Client) RebalanceNow() (RebalanceResponse, error) {
-	var out RebalanceResponse
-	_, err := c.call(&request{method: http.MethodPost, path: "/v1/rebalance",
-		contentType: "application/json", body: []byte("{}"), once: true}, &out)
-	return out, err
 }
 
 // Healthy reports whether the middleware answers its health check.

@@ -242,20 +242,13 @@ func NewLSH(dim, shards int, opts core.LSHOptions) (*ShardedCache, error) {
 	})
 }
 
-// ShardFor returns the shard index a query routes to. Deterministic for a
-// fixed partitioner seed (Reseed re-draws it); exported for diagnostics
-// and tests.
-func (c *ShardedCache) ShardFor(q vec.Vector) int {
-	return shardIndex(c.hasher.Load().Hash(q), len(c.slots))
-}
-
 // shardIndex reduces an LSH signature to a shard index. The signature
 // MUST be avalanche-mixed before the modulo: a raw `sig % n` with a
 // power-of-two shard count keeps only the low log2(n) bits, i.e. the
 // signs of the first few hyperplanes — every other hyperplane (and most
 // of a re-draw's entropy) would be dead weight, exactly the low-bit
 // pathology the cluster ring's keyPos already corrects for. Shared by
-// routing (ShardFor), migration (Reseed), and prediction (PreviewSeed),
+// routing (slotFor), migration (Reseed), and prediction (PreviewSeed),
 // which must agree bit-for-bit.
 func shardIndex(sig uint32, n int) int {
 	return int(mix32(sig) % uint32(n))
@@ -356,20 +349,6 @@ func (c *ShardedCache) Capacity() int {
 		s.mu.RUnlock()
 	}
 	return total
-}
-
-// NumShards returns the partition count.
-func (c *ShardedCache) NumShards() int { return len(c.slots) }
-
-// Shard returns the i-th sub-cache, for diagnostics and tests. A
-// migration may retire the returned instance at any time; counters read
-// directly from it miss the slot baseline, so use Stats().Shards for
-// accounting.
-func (c *ShardedCache) Shard(i int) core.Cache {
-	s := &c.slots[i]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.cache
 }
 
 // Stats aggregates counters across shards in one pass, one sub-cache

@@ -58,14 +58,14 @@ func TestNewValidation(t *testing.T) {
 
 func TestDefaultsAndAccessors(t *testing.T) {
 	c := newFlatShards(t, 4, 40)
-	if got := c.NumShards(); got != 4 {
+	if got := len(c.slots); got != 4 {
 		t.Fatalf("NumShards = %d, want 4", got)
 	}
 	// Total capacity covers the requested 40 (split evenly).
 	if got := c.Capacity(); got < 40 {
 		t.Errorf("Capacity = %d, want >= 40", got)
 	}
-	for i := 0; i < c.NumShards(); i++ {
+	for i := 0; i < len(c.slots); i++ {
 		if c.Shard(i) == nil {
 			t.Fatalf("Shard(%d) is nil", i)
 		}
@@ -75,8 +75,8 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumShards() < 1 {
-		t.Errorf("default shard count = %d, want >= 1", d.NumShards())
+	if len(d.slots) < 1 {
+		t.Errorf("default shard count = %d, want >= 1", len(d.slots))
 	}
 }
 
@@ -397,4 +397,20 @@ func TestShardedLSH(t *testing.T) {
 	if c.Capacity() != 4*(1<<4)*core.DefaultBucketCapacity {
 		t.Errorf("Capacity = %d, want full per-shard bucket geometry", c.Capacity())
 	}
+}
+
+// ShardFor returns the shard index a query routes to: deterministic for
+// a fixed partitioner seed (Reseed re-draws it).
+func (c *ShardedCache) ShardFor(q vec.Vector) int {
+	return shardIndex(c.hasher.Load().Hash(q), len(c.slots))
+}
+
+// Shard returns the i-th sub-cache. A migration may retire the returned
+// instance at any time; counters read directly from it miss the slot
+// baseline.
+func (c *ShardedCache) Shard(i int) core.Cache {
+	s := &c.slots[i]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.cache
 }

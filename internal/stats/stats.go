@@ -38,9 +38,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean (0 with no samples).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -50,21 +47,6 @@ func (w *Welford) Variance() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Mean(), nil
 }
 
 // Percentile returns the p-th percentile (0..100) of xs using linear
@@ -100,9 +82,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median is a convenience wrapper for the 50th percentile.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
 // LatencyRecorder accumulates durations and reports summary statistics.
 // The evaluation reports retrieval latency means (Fig. 6c, 7d) and the
 // cache-lookup distributions (Fig. 10, 11) through this type.
@@ -115,9 +94,6 @@ func (r *LatencyRecorder) Record(d time.Duration) {
 	r.samples = append(r.samples, d)
 }
 
-// N returns the number of recorded samples.
-func (r *LatencyRecorder) N() int { return len(r.samples) }
-
 // Mean returns the mean latency, or 0 with no samples.
 func (r *LatencyRecorder) Mean() time.Duration {
 	if len(r.samples) == 0 {
@@ -128,16 +104,6 @@ func (r *LatencyRecorder) Mean() time.Duration {
 		sum += s
 	}
 	return sum / time.Duration(len(r.samples))
-}
-
-// Merge appends other's samples into r — combining per-worker recorders
-// into one distribution after a run. Exact (no binning): percentiles of
-// the merged recorder equal percentiles over the concatenated samples.
-func (r *LatencyRecorder) Merge(other *LatencyRecorder) {
-	if other == nil {
-		return
-	}
-	r.samples = append(r.samples, other.samples...)
 }
 
 // Percentile returns the p-th percentile latency, or 0 with no samples.
@@ -168,15 +134,6 @@ func (r *LatencyRecorder) Max() time.Duration {
 		}
 	}
 	return m
-}
-
-// Total returns the sum of all recorded latencies.
-func (r *LatencyRecorder) Total() time.Duration {
-	var sum time.Duration
-	for _, s := range r.samples {
-		sum += s
-	}
-	return sum
 }
 
 // LinearFit fits y = intercept + slope*x by ordinary least squares.

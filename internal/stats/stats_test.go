@@ -291,3 +291,48 @@ func TestLatencyRecorderMerge(t *testing.T) {
 		t.Error("merged summary stats diverge from concatenated")
 	}
 }
+
+// The summaries below have no caller outside the tests; each reduces to
+// the package's Welford, Percentile or LatencyRecorder state.
+
+// N returns the number of observations.
+func (w *Welford) N() int { return w.n }
+
+// Stddev returns the sample standard deviation.
+func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
+
+// Mean returns the arithmetic mean of xs.
+func Mean(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	var w Welford
+	for _, x := range xs {
+		w.Add(x)
+	}
+	return w.Mean(), nil
+}
+
+// Median is the 50th percentile.
+func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
+
+// N returns the number of recorded samples.
+func (r *LatencyRecorder) N() int { return len(r.samples) }
+
+// Merge appends other's samples into r: percentiles of the merged
+// recorder equal percentiles over the concatenated samples.
+func (r *LatencyRecorder) Merge(other *LatencyRecorder) {
+	if other == nil {
+		return
+	}
+	r.samples = append(r.samples, other.samples...)
+}
+
+// Total returns the sum of all recorded latencies.
+func (r *LatencyRecorder) Total() time.Duration {
+	var sum time.Duration
+	for _, s := range r.samples {
+		sum += s
+	}
+	return sum
+}

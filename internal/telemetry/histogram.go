@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,7 @@ import (
 // the worst-case relative quantile error is 2^-subBits ≈ 12.5%. With 40
 // octaves (1ns up to ~73 minutes) the whole layout is 320 buckets — 2.5KB
 // of atomics per histogram, cheap enough to hold one per stage per
-// process and merge across shards and nodes.
+// process.
 const (
 	subBits    = 3
 	subBuckets = 1 << subBits
@@ -48,7 +47,7 @@ func bucketOf(ns int64) int {
 }
 
 // bucketUpper returns the exclusive upper bound (ns) of bucket idx — the
-// inverse of bucketOf, used for quantile interpolation and exposition.
+// inverse of bucketOf, used for exposition.
 func bucketUpper(idx int) int64 {
 	if idx < subBuckets {
 		return int64(idx) + 1
@@ -60,8 +59,7 @@ func bucketUpper(idx int) int64 {
 
 // LatencyHistogram is a lock-free streaming histogram of durations:
 // Observe is a pair of atomic adds, safe for any number of concurrent
-// writers, and snapshots/merges/quantiles read the buckets without
-// stopping writers. The zero value is NOT ready; use NewLatencyHistogram.
+// writers, and snapshots read the buckets without stopping writers. The zero value is NOT ready; use NewLatencyHistogram.
 type LatencyHistogram struct {
 	buckets [numBuckets]atomic.Int64
 	count   atomic.Int64
@@ -82,49 +80,8 @@ func (h *LatencyHistogram) Observe(d time.Duration) {
 	h.sum.Add(ns)
 }
 
-// Count returns the number of observations.
-func (h *LatencyHistogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the total of all observations.
-func (h *LatencyHistogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// Mean returns the mean observation, or 0 with none.
-func (h *LatencyHistogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
-// Merge folds other's counts into h — the cross-shard / cross-node
-// aggregation path. Both histograms share one fixed bucket layout, so the
-// merge is a plain per-bucket sum; other may keep receiving observations
-// concurrently (the merge then reflects some consistent-enough interleaving,
-// the usual monitoring contract).
-func (h *LatencyHistogram) Merge(other *LatencyHistogram) {
-	if other == nil {
-		return
-	}
-	for i := range other.buckets {
-		if n := other.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-}
-
-// Quantile estimates the q-th quantile (0..1) by walking the cumulative
-// bucket counts and interpolating linearly within the target bucket. The
-// relative error is bounded by the bucket width, 2^-subBits ≈ 12.5%.
-// Returns 0 with no observations.
-func (h *LatencyHistogram) Quantile(q float64) time.Duration {
-	return h.Snapshot().Quantile(q)
-}
-
 // HistogramSnapshot is a plain (non-atomic) copy of a histogram's state,
-// used for deltas (before/after a load run) and quantile math.
+// the view exposition renders.
 type HistogramSnapshot struct {
 	Buckets [numBuckets]int64
 	N       int64
@@ -142,51 +99,4 @@ func (h *LatencyHistogram) Snapshot() HistogramSnapshot {
 	s.N = h.count.Load()
 	s.SumNs = h.sum.Load()
 	return s
-}
-
-// Mean returns the snapshot's mean observation.
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.N == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNs / s.N)
-}
-
-// Quantile estimates the q-th quantile (0..1) of the snapshot.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.N == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Rank of the target observation (1-based, nearest-rank on the
-	// cumulative counts; interpolation below recovers sub-bucket
-	// resolution).
-	rank := int64(math.Ceil(q * float64(s.N)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			lo := int64(0)
-			if i > 0 {
-				lo = bucketUpper(i - 1)
-			}
-			hi := bucketUpper(i)
-			// Linear interpolation within the bucket by the rank's
-			// position among the bucket's occupants.
-			frac := float64(rank-cum) / float64(c)
-			return time.Duration(float64(lo) + frac*float64(hi-lo))
-		}
-		cum += c
-	}
-	return time.Duration(bucketUpper(numBuckets - 1))
 }

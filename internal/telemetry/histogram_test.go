@@ -185,3 +185,82 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		}
 	})
 }
+
+// The readers below have no caller outside the tests, which use them to
+// check the bucket layout that WritePrometheus exposes.
+
+// Count returns the number of observations.
+func (h *LatencyHistogram) Count() int64 { return h.count.Load() }
+
+// Sum returns the total of all observations.
+func (h *LatencyHistogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
+
+// Mean returns the mean observation, or 0 with none.
+func (h *LatencyHistogram) Mean() time.Duration { return h.Snapshot().Mean() }
+
+// Merge folds other's counts into h: both histograms share one fixed
+// bucket layout, so the merge is a plain per-bucket sum.
+func (h *LatencyHistogram) Merge(other *LatencyHistogram) {
+	if other == nil {
+		return
+	}
+	for i := range other.buckets {
+		if n := other.buckets[i].Load(); n != 0 {
+			h.buckets[i].Add(n)
+		}
+	}
+	h.count.Add(other.count.Load())
+	h.sum.Add(other.sum.Load())
+}
+
+// Quantile estimates the q-th quantile (0..1) of the histogram.
+func (h *LatencyHistogram) Quantile(q float64) time.Duration {
+	return h.Snapshot().Quantile(q)
+}
+
+// Mean returns the snapshot's mean observation.
+func (s HistogramSnapshot) Mean() time.Duration {
+	if s.N == 0 {
+		return 0
+	}
+	return time.Duration(s.SumNs / s.N)
+}
+
+// Quantile estimates the q-th quantile (0..1) of the snapshot.
+func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+	if s.N == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	// Rank of the target observation (1-based, nearest-rank on the
+	// cumulative counts; interpolation below recovers sub-bucket
+	// resolution).
+	rank := int64(math.Ceil(q * float64(s.N)))
+	if rank < 1 {
+		rank = 1
+	}
+	var cum int64
+	for i, c := range s.Buckets {
+		if c == 0 {
+			continue
+		}
+		if cum+c >= rank {
+			lo := int64(0)
+			if i > 0 {
+				lo = bucketUpper(i - 1)
+			}
+			hi := bucketUpper(i)
+			// Linear interpolation within the bucket by the rank's
+			// position among the bucket's occupants.
+			frac := float64(rank-cum) / float64(c)
+			return time.Duration(float64(lo) + frac*float64(hi-lo))
+		}
+		cum += c
+	}
+	return time.Duration(bucketUpper(numBuckets - 1))
+}

@@ -4,51 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing metric (hits, misses, flushes).
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (negative deltas are ignored: counters only go up).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down (queue depth, entries).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // metricKind tags a registered series for exposition.
 type metricKind int
@@ -67,16 +25,15 @@ type series struct {
 	kind   metricKind
 	help   string
 
-	counter *Counter
-	gauge   *Gauge
-	hist    *LatencyHistogram
-	fn      func() float64 // CounterFunc / GaugeFunc source
+	hist *LatencyHistogram
+	fn   func() float64 // CounterFunc / GaugeFunc source
 }
 
 // Registry holds the process's metric series and renders them in the
 // Prometheus text exposition format. Registration is cheap and happens at
-// wiring time; the observation hot paths touch only the returned Counter /
-// Gauge / LatencyHistogram values, never the registry lock.
+// wiring time; counters and gauges are read from their sources at scrape
+// time, and the observation hot paths touch only the returned
+// LatencyHistogram values, never the registry lock.
 type Registry struct {
 	mu     sync.Mutex
 	series []*series
@@ -102,53 +59,16 @@ func (r *Registry) register(s *series) {
 	r.series = append(r.series, s)
 }
 
-// Counter registers (or returns a new) counter series.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&series{name: name, kind: kindCounter, help: help, counter: c})
-	return c
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — the bridge for counters owned elsewhere (cache hit/miss totals).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&series{name: name, kind: kindCounter, help: help, fn: fn})
 }
 
-// Gauge registers (or returns a new) gauge series.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&series{name: name, kind: kindGauge, help: help, gauge: g})
-	return g
-}
-
 // GaugeFunc registers a gauge read from fn at scrape time (queue depth,
 // goroutine count, heap bytes).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&series{name: name, kind: kindGauge, help: help, fn: fn})
-}
-
-// GaugeLabeled is GaugeFunc with one fixed label pair.
-func (r *Registry) GaugeLabeled(name, help, label, value string, fn func() float64) {
-	r.register(&series{
-		name: name, kind: kindGauge, help: help, fn: fn,
-		labels: fmt.Sprintf("%s=%q", label, value),
-	})
-}
-
-// CounterLabeled is CounterFunc with one fixed label pair.
-func (r *Registry) CounterLabeled(name, help, label, value string, fn func() float64) {
-	r.register(&series{
-		name: name, kind: kindCounter, help: help, fn: fn,
-		labels: fmt.Sprintf("%s=%q", label, value),
-	})
-}
-
-// Histogram registers (or returns a new) histogram series.
-func (r *Registry) Histogram(name, help string) *LatencyHistogram {
-	h := NewLatencyHistogram()
-	r.register(&series{name: name, kind: kindHistogram, help: help, hist: h})
-	return h
 }
 
 // HistogramLabeled registers a histogram with one fixed label pair —
@@ -208,16 +128,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		for _, s := range group {
 			switch s.kind {
 			case kindCounter, kindGauge:
-				v := 0.0
-				switch {
-				case s.fn != nil:
-					v = s.fn()
-				case s.counter != nil:
-					v = float64(s.counter.Value())
-				case s.gauge != nil:
-					v = s.gauge.Value()
-				}
-				fmt.Fprintf(w, "%s%s %s\n", s.name, renderLabels(s.labels), fmtFloat(v))
+				fmt.Fprintf(w, "%s%s %s\n", s.name, renderLabels(s.labels), fmtFloat(s.fn()))
 			case kindHistogram:
 				writePromHistogram(w, s)
 			}
@@ -265,21 +176,4 @@ func fmtFloat(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// Families returns the registered family names, sorted — a test and
-// diagnostics helper.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[string]bool)
-	var out []string
-	for _, s := range r.series {
-		if !seen[s.name] {
-			seen[s.name] = true
-			out = append(out, s.name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,7 +1,11 @@
 package telemetry
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -121,4 +125,93 @@ func TestFmtFloat(t *testing.T) {
 			t.Errorf("fmtFloat(%v) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// The series kinds below have no caller outside the tests. Counter and
+// Gauge publish through CounterFunc and GaugeFunc, the labeled forms and
+// the unlabeled histogram through the registry's one register path.
+
+// Counter is a monotonically increasing metric.
+type Counter struct{ v atomic.Int64 }
+
+// Inc adds one.
+func (c *Counter) Inc() { c.v.Add(1) }
+
+// Add adds n (negative deltas are ignored: counters only go up).
+func (c *Counter) Add(n int64) {
+	if n > 0 {
+		c.v.Add(n)
+	}
+}
+
+// Value returns the current count.
+func (c *Counter) Value() int64 { return c.v.Load() }
+
+// Gauge is a metric that can go up and down.
+type Gauge struct{ bits atomic.Uint64 }
+
+// Set replaces the gauge value.
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+
+// Add adjusts the gauge by delta.
+func (g *Gauge) Add(delta float64) {
+	for {
+		old := g.bits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + delta)
+		if g.bits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// Value returns the current gauge value.
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+
+// Counter registers a new counter series.
+func (r *Registry) Counter(name, help string) *Counter {
+	c := &Counter{}
+	r.CounterFunc(name, help, func() float64 { return float64(c.Value()) })
+	return c
+}
+
+// Gauge registers a new gauge series.
+func (r *Registry) Gauge(name, help string) *Gauge {
+	g := &Gauge{}
+	r.GaugeFunc(name, help, g.Value)
+	return g
+}
+
+// GaugeLabeled is GaugeFunc with one fixed label pair.
+func (r *Registry) GaugeLabeled(name, help, label, value string, fn func() float64) {
+	r.register(&series{name: name, kind: kindGauge, help: help, fn: fn,
+		labels: fmt.Sprintf("%s=%q", label, value)})
+}
+
+// CounterLabeled is CounterFunc with one fixed label pair.
+func (r *Registry) CounterLabeled(name, help, label, value string, fn func() float64) {
+	r.register(&series{name: name, kind: kindCounter, help: help, fn: fn,
+		labels: fmt.Sprintf("%s=%q", label, value)})
+}
+
+// Histogram registers a new unlabeled histogram series.
+func (r *Registry) Histogram(name, help string) *LatencyHistogram {
+	h := NewLatencyHistogram()
+	r.register(&series{name: name, kind: kindHistogram, help: help, hist: h})
+	return h
+}
+
+// Families returns the registered family names, sorted.
+func (r *Registry) Families() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seen := make(map[string]bool)
+	var out []string
+	for _, s := range r.series {
+		if !seen[s.name] {
+			seen[s.name] = true
+			out = append(out, s.name)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -100,39 +100,6 @@ func (s *StageSet) Observe(stage Stage, d time.Duration) {
 	s.hists[stage].Observe(d)
 }
 
-// Histogram returns the histogram for stage (nil on a nil set).
-func (s *StageSet) Histogram(stage Stage) *LatencyHistogram {
-	if s == nil || int(stage) >= len(s.hists) {
-		return nil
-	}
-	return s.hists[stage]
-}
-
-// Merge folds other's per-stage counts into s.
-func (s *StageSet) Merge(other *StageSet) {
-	if s == nil || other == nil {
-		return
-	}
-	for i := range s.hists {
-		s.hists[i].Merge(other.hists[i])
-	}
-}
-
-// StageSnapshot captures every stage's histogram at one instant.
-type StageSnapshot [numStages]HistogramSnapshot
-
-// Snapshot copies all stage histograms.
-func (s *StageSet) Snapshot() StageSnapshot {
-	var out StageSnapshot
-	if s == nil {
-		return out
-	}
-	for i := range s.hists {
-		out[i] = s.hists[i].Snapshot()
-	}
-	return out
-}
-
 // Options configures a Telemetry hub.
 type Options struct {
 	// SampleEvery traces 1 in this many requests; <= 0 disables tracing.
@@ -174,12 +141,4 @@ func (t *Telemetry) StartTrace(ctx context.Context) (context.Context, *Trace) {
 		return ctx, nil
 	}
 	return t.Tracer.Start(ctx)
-}
-
-// StageSnapshot copies the per-stage histograms (zero on nil).
-func (t *Telemetry) StageSnapshot() StageSnapshot {
-	if t == nil {
-		return StageSnapshot{}
-	}
-	return t.Stages.Snapshot()
 }

@@ -194,9 +194,9 @@ func ParseTraceID(s string) (uint64, bool) {
 // Tracer samples 1 in every SampleEvery requests into pooled Traces and
 // keeps the most recent completed ones in a fixed ring. SampleEvery <= 0
 // disables sampling entirely: Start returns nil and the request path
-// costs one atomic load.
+// costs one field read.
 type Tracer struct {
-	sampleEvery atomic.Int64
+	sampleEvery int64
 	seq         atomic.Uint64 // request counter for sampling
 	nextID      atomic.Uint64 // trace ID allocator
 
@@ -215,18 +215,9 @@ func NewTracer(sampleEvery, ringSize int) *Tracer {
 	if ringSize <= 0 {
 		ringSize = 64
 	}
-	t := &Tracer{ring: make([]TraceRecord, ringSize)}
-	t.sampleEvery.Store(int64(sampleEvery))
+	t := &Tracer{sampleEvery: int64(sampleEvery), ring: make([]TraceRecord, ringSize)}
 	t.pool.New = func() any { return &Trace{spans: make([]Span, 0, 8)} }
 	return t
-}
-
-// SetSampleEvery changes the sampling rate at runtime (<= 0 disables).
-func (tr *Tracer) SetSampleEvery(n int) {
-	if tr == nil {
-		return
-	}
-	tr.sampleEvery.Store(int64(n))
 }
 
 // Start decides whether this request is sampled. If so it returns a
@@ -236,7 +227,7 @@ func (tr *Tracer) Start(ctx context.Context) (context.Context, *Trace) {
 	if tr == nil {
 		return ctx, nil
 	}
-	every := tr.sampleEvery.Load()
+	every := tr.sampleEvery
 	if every <= 0 {
 		return ctx, nil
 	}

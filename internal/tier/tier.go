@@ -292,12 +292,6 @@ func (t *TieredCache) Capacity() int {
 	return t.opts.HotCapacity + t.opts.WarmCapacity
 }
 
-// Tolerance returns the cache-wide similarity threshold τ.
-func (t *TieredCache) Tolerance() float32 { return t.opts.Tolerance }
-
-// Policy returns the eviction policy.
-func (t *TieredCache) Policy() core.Policy { return t.opts.Policy }
-
 // Stats assembles combined counters so the tiered cache reads like the
 // single cache it emulates: hits from either tier count as hits, only
 // warm discards count as evictions (demotions are internal movement),

@@ -7,7 +7,9 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -69,7 +71,7 @@ func compareState(t *testing.T, tc *TieredCache, ref *core.FlatCache) {
 		t.Fatalf("Entries: tiered %d, flat %d", len(got), len(want))
 	}
 	for i := range got {
-		if !vec.Equal(got[i].Key, want[i].Key) || got[i].Tol != want[i].Tol {
+		if !slices.Equal(got[i].Key, want[i].Key) || got[i].Tol != want[i].Tol {
 			t.Fatalf("entry %d diverged: tiered tol %v, flat tol %v", i, got[i].Tol, want[i].Tol)
 		}
 		if len(got[i].Docs) != len(want[i].Docs) {
@@ -177,7 +179,8 @@ func TestTieredEquivalenceCrowded(t *testing.T) {
 				centre := vec.RandomUnit(rng, dim)
 				sigma := float32(spread / math.Sqrt(2*dim))
 				runEquivalence(t, tc, ref, dim, ops, tol, rng, func() vec.Vector {
-					return vec.Normalize(vec.GaussianAround(rng, centre, sigma))
+					g := vec.GaussianAround(rng, centre, sigma)
+					return vec.Scale(g, 1/vec.Norm(g))
 				})
 				st := tc.TierStats()
 				if st.WarmHits == 0 || st.WarmScanned < 2*st.WarmPruned {
@@ -257,7 +260,7 @@ func TestTieredPromotionLRU(t *testing.T) {
 	}
 	// a is hot again; b demoted.
 	entries := tc.Entries()
-	if len(entries) != 2 || !vec.Equal(entries[1].Key, a) || !vec.Equal(entries[0].Key, b) {
+	if len(entries) != 2 || !slices.Equal(entries[1].Key, a) || !slices.Equal(entries[0].Key, b) {
 		t.Fatalf("order after promotion: %+v", entries)
 	}
 	// Combined counters read like a single cache: 1 hit, 2 puts, 0 evictions.
@@ -283,7 +286,7 @@ func TestTieredFIFONoPromotion(t *testing.T) {
 	}
 	after := tc.Entries()
 	for i := range before {
-		if !vec.Equal(before[i].Key, after[i].Key) {
+		if !slices.Equal(before[i].Key, after[i].Key) {
 			t.Fatal("FIFO warm hit reordered entries")
 		}
 	}
@@ -345,7 +348,7 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored %d entries (%d replayed), want %d", len(after), n, len(before))
 	}
 	for i := range before {
-		if !vec.Equal(before[i].Key, after[i].Key) || before[i].Tol != after[i].Tol {
+		if !slices.Equal(before[i].Key, after[i].Key) || before[i].Tol != after[i].Tol {
 			t.Fatalf("entry %d diverged after restart", i)
 		}
 	}
@@ -462,9 +465,9 @@ func TestWarmSlotReuse(t *testing.T) {
 				if w.insert(e) {
 					discards++
 				}
-				if w.len() > capacity || cap(w.tols) > capacity || cap(w.lines) > capacity || w.heads.Blocks() > maxBlocks {
+				if w.len() > capacity || cap(w.tols) > capacity || cap(w.lines) > capacity || headBlocks(&w.heads) > maxBlocks {
 					t.Fatalf("insert %d: %d slots (capacity %d/%d, %d head blocks) despite capacity %d (%d blocks)",
-						i, w.len(), cap(w.tols), cap(w.lines), w.heads.Blocks(), capacity, maxBlocks)
+						i, w.len(), cap(w.tols), cap(w.lines), headBlocks(&w.heads), capacity, maxBlocks)
 				}
 			}
 			want = want[len(want)-capacity:]
@@ -498,14 +501,25 @@ func checkWarm(t *testing.T, w *warmStore, want []core.Entry) {
 		t.Fatalf("%d entries, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if !vec.Equal(got[i].Key, want[i].Key) || got[i].Tol != want[i].Tol || got[i].Docs[0] != want[i].Docs[0] {
+		if !slices.Equal(got[i].Key, want[i].Key) || got[i].Tol != want[i].Tol || got[i].Docs[0] != want[i].Docs[0] {
 			t.Fatalf("entry %d: docs %v tol %v, want docs %v tol %v", i, got[i].Docs, got[i].Tol, want[i].Docs, want[i].Tol)
 		}
 		s, d := w.lookup(want[i].Key, float32(math.Inf(1)))
-		if s < 0 || d != 0 || w.heads.Row(s) != [vec.HeadLen]float32(want[i].Key) {
+		if s < 0 || d != 0 {
 			t.Fatalf("entry %d: lookup of its own key gave slot %d at %v", i, s, d)
 		}
+		// At limit 0 the head test passes slot s only if its head is
+		// the key's first HeadLen floats.
+		if next := w.heads.Next(&vec.HeadCursor{}, want[i].Key, make([]float32, w.len()), s, 0); next != s {
+			t.Fatalf("entry %d: slot %d's head differs from its key (head test passes slot %d)", i, s, next)
+		}
 	}
+}
+
+// headBlocks is how many blocks h's storage holds. The storage is vec's
+// own, so the test reads its length through reflection.
+func headBlocks(h *vec.Heads) int {
+	return reflect.ValueOf(h).Elem().FieldByName("data").Len() / (vec.HeadLen * vec.BlockRows)
 }
 
 // A NaN τ is refused at construction, and a NaN per-line tolerance is
@@ -624,8 +638,8 @@ func TestTieredTelemetryRecordsEveryStage(t *testing.T) {
 		return tc, gets
 	}
 
-	telem := telemetry.NewStageSet(nil)
-	timed, gets := run(telem)
+	reg := telemetry.NewRegistry()
+	timed, gets := run(telemetry.NewStageSet(reg))
 	st := timed.TierStats()
 	if st.HotHits == 0 || st.WarmHits == 0 || timed.Stats().Misses == 0 || st.WarmDiscards == 0 {
 		t.Fatalf("stream did not mix hot hits, warm hits, misses and discarding Puts: %+v", st)
@@ -638,7 +652,7 @@ func TestTieredTelemetryRecordsEveryStage(t *testing.T) {
 		{telemetry.StageTierPromote, st.Promotions},
 		{telemetry.StageTierDemote, st.Demotions},
 	} {
-		if got := telem.Histogram(c.stage).Count(); got != c.want {
+		if got := stageCount(t, reg, c.stage); got != c.want {
 			t.Errorf("%v: %d observations, want %d", c.stage, got, c.want)
 		}
 	}
@@ -656,8 +670,28 @@ func TestTieredTelemetryRecordsEveryStage(t *testing.T) {
 		t.Fatalf("Entries: %d without telemetry, %d with", len(got), len(want))
 	}
 	for i := range got {
-		if !vec.Equal(got[i].Key, want[i].Key) || got[i].Tol != want[i].Tol || !slices.Equal(got[i].Docs, want[i].Docs) {
+		if !slices.Equal(got[i].Key, want[i].Key) || got[i].Tol != want[i].Tol || !slices.Equal(got[i].Docs, want[i].Docs) {
 			t.Fatalf("entry %d differs without telemetry", i)
 		}
 	}
+}
+
+// stageCount reads stage's observation count from reg's Prometheus
+// exposition, where the stage histograms are published.
+func stageCount(t *testing.T, reg *telemetry.Registry, stage telemetry.Stage) int64 {
+	t.Helper()
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	series := fmt.Sprintf("%s_count{stage=%q} ", telemetry.MetricStageLatencySeconds, stage)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("the exposition has no %s series", series)
+	return 0
 }

@@ -14,7 +14,6 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
-	"time"
 
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
@@ -31,9 +30,6 @@ type Config struct {
 	Alpha float32
 	// Seed drives the random initial graph.
 	Seed uint64
-	// ReadLatency is the simulated SSD latency charged per expanded
-	// node by SimulatedLatency. Default 100µs (one 4K read on NVMe).
-	ReadLatency time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -45,9 +41,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Alpha == 0 {
 		c.Alpha = 1.2
-	}
-	if c.ReadLatency == 0 {
-		c.ReadLatency = 100 * time.Microsecond
 	}
 }
 
@@ -315,25 +308,11 @@ func (ix *Index) SearchWithStats(q vec.Vector, k int) ([]vec.Scored, SearchStats
 	return vec.TopK(pool, k), stats, nil
 }
 
-// SimulatedLatency converts search stats into a modeled SSD service time.
-func (ix *Index) SimulatedLatency(stats SearchStats) time.Duration {
-	return time.Duration(stats.NodesExpanded) * ix.cfg.ReadLatency
-}
-
 // Dim returns the indexed dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
 
 // Len returns the number of indexed vectors.
 func (ix *Index) Len() int { return len(ix.vectors) }
-
-// Metric returns the distance metric.
-func (ix *Index) Metric() vec.Metric { return ix.metric }
-
-// Medoid returns the beam-search entry point.
-func (ix *Index) Medoid() int { return ix.medoid }
-
-// Degree returns the out-degree of node id (diagnostics).
-func (ix *Index) Degree(id int) int { return len(ix.adj[id]) }
 
 // Vector returns the stored vector for an ID.
 func (ix *Index) Vector(id int) (vec.Vector, error) {

@@ -255,3 +255,18 @@ func TestSquaredBoundMonotone(t *testing.T) {
 		}
 	}
 }
+
+// Row returns row i's head.
+func (h *Heads) Row(i int) [HeadLen]float32 {
+	var out [HeadLen]float32
+	if h.maxBlocks != 0 {
+		s := h.data[i/BlockRows*blockLen+i%BlockRows:]
+		for k := range out {
+			out[k] = s[k*BlockRows]
+		}
+	}
+	return out
+}
+
+// Blocks reports how many blocks the storage holds.
+func (h *Heads) Blocks() int { return len(h.data) / blockLen }

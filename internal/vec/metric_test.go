@@ -1,6 +1,9 @@
 package vec
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestMetricString(t *testing.T) {
 	tests := []struct {
@@ -54,11 +57,11 @@ func TestRandomUnitHasUnitNorm(t *testing.T) {
 func TestNewRandDeterminism(t *testing.T) {
 	a := RandomGaussian(NewRand(42), 16)
 	b := RandomGaussian(NewRand(42), 16)
-	if !Equal(a, b) {
+	if !slices.Equal(a, b) {
 		t.Error("same seed must generate identical vectors")
 	}
 	c := RandomGaussian(NewRand(43), 16)
-	if Equal(a, c) {
+	if slices.Equal(a, c) {
 		t.Error("different seeds should generate different vectors")
 	}
 }

@@ -5,6 +5,24 @@ import (
 	"testing"
 )
 
+// Dequantize reconstructs the approximate float32 vector .
+func (s *Quantized) Dequantize() Vector {
+	out := make(Vector, len(s.Codes))
+	for i, c := range s.Codes {
+		out[i] = s.Scale * float32(c)
+	}
+	return out
+}
+
+// MaxL2Error bounds the Euclidean distance between the original vector
+// and its dequantized reconstruction: each component errs by at most
+// Scale/2 (round-to-nearest), so ‖v − v̂‖₂ ≤ (Scale/2)·√d. Asymmetric
+// kernels perturb distances by at most this much on the stored side,
+// which is the candidate-retention margin exact re-ranking relies on.
+func (s *Quantized) MaxL2Error() float32 {
+	return s.Scale / 2 * float32(math.Sqrt(float64(len(s.Codes))))
+}
+
 // TestQuantizeRoundTrip bounds the per-component and Euclidean
 // reconstruction error of the int8 encoding.
 func TestQuantizeRoundTrip(t *testing.T) {
@@ -146,5 +164,89 @@ func TestTopKBufferAppendResult(t *testing.T) {
 	}
 	if &out[0] != &scratch[:1][0] {
 		t.Fatal("AppendResult did not reuse the provided backing array")
+	}
+}
+
+// The asymmetric kernel below has no caller outside the tests; it checks
+// Quantize's Scale and Norm against the exact metrics.
+
+// DotF32I8 is the asymmetric inner-product kernel: a float32 query
+// against int8 codes, without dequantizing. The 4-way unrolled loop
+// mirrors Dot; the stored side streams one byte per dimension, so the
+// kernel is memory-bound at a quarter of the float32 bandwidth.
+func DotF32I8(a Vector, codes []int8) float32 {
+	if len(a) != len(codes) {
+		panic("vec: DotF32I8 dimension mismatch")
+	}
+	var s0, s1, s2, s3 float32
+	i := 0
+	cc := codes[:len(a)]
+	for ; i+4 <= len(a); i += 4 {
+		s0 += a[i] * float32(cc[i])
+		s1 += a[i+1] * float32(cc[i+1])
+		s2 += a[i+2] * float32(cc[i+2])
+		s3 += a[i+3] * float32(cc[i+3])
+	}
+	for ; i < len(a); i++ {
+		s0 += a[i] * float32(cc[i])
+	}
+	return s0 + s1 + s2 + s3
+}
+
+// PreparedQuery is a query readied for asymmetric quantized distance
+// evaluation: the metric kernel is resolved once and the query's norms
+// are precomputed once, instead of per candidate. One PreparedQuery
+// serves every candidate of a lookup, so preparation cost (O(d))
+// amortizes across the whole scan or graph traversal.
+type PreparedQuery struct {
+	metric Metric
+	q      Vector
+	norm   float32
+	sq     float32 // squared norm
+}
+
+// Prepare readies q for repeated Dist calls under the metric.
+func (m Metric) Prepare(q Vector) PreparedQuery {
+	sq := Dot(q, q)
+	return PreparedQuery{
+		metric: m,
+		q:      q,
+		norm:   float32(math.Sqrt(float64(sq))),
+		sq:     sq,
+	}
+}
+
+// Dist returns the approximate distance between the prepared query and a
+// quantized stored vector, under the same smaller-is-closer convention as
+// the exact kernels. Only the stored side is quantized (asymmetric): the
+// query keeps full precision, so the error is bounded by the stored
+// vector's reconstruction error alone.
+func (p *PreparedQuery) Dist(s *Quantized) float32 {
+	dot := s.Scale * DotF32I8(p.q, s.Codes)
+	switch p.metric {
+	case L2Distance:
+		// ‖q−v̂‖² = ‖q‖² − 2⟨q,v̂⟩ + ‖v̂‖², clamped against float
+		// cancellation for near-identical vectors.
+		d := p.sq - 2*dot + s.Norm*s.Norm
+		if d < 0 {
+			d = 0
+		}
+		return float32(math.Sqrt(float64(d)))
+	case CosineDistance:
+		if p.norm == 0 || s.Norm == 0 {
+			return 1
+		}
+		sim := dot / (p.norm * s.Norm)
+		if sim > 1 {
+			sim = 1
+		} else if sim < -1 {
+			sim = -1
+		}
+		return 1 - sim
+	case InnerProduct:
+		return -dot
+	default:
+		// Metric validity is established at cache/index construction.
+		panic("vec: PreparedQuery with unknown metric")
 	}
 }

@@ -1,9 +1,6 @@
 package vec
 
-import (
-	"math"
-	"math/rand/v2"
-)
+import "math/rand/v2"
 
 // NewRand returns a deterministic PRNG for the given seed. All randomness
 // in the reproduction flows through explicitly seeded generators so every
@@ -41,11 +38,4 @@ func GaussianAround(rng *rand.Rand, center Vector, sigma float32) Vector {
 		v[i] = center[i] + sigma*float32(rng.NormFloat64())
 	}
 	return v
-}
-
-// ExpectedPairwiseL2 returns the expected Euclidean distance between two
-// independent N(0, sigma^2 I_d) perturbations, i.e. sigma*sqrt(2d) to first
-// order. Tests use it to sanity-check the synthetic embedding geometry.
-func ExpectedPairwiseL2(sigma float64, d int) float64 {
-	return sigma * math.Sqrt(2*float64(d))
 }

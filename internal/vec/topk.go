@@ -42,21 +42,6 @@ func TopK(items []Scored, k int) []Scored {
 	return out
 }
 
-// TopKByDistance scores every candidate vector against the query with the
-// given distance function and returns the k closest. IDs are the candidate
-// indices. This is the brute-force NNS kernel used by the flat index;
-// hot-path callers that issue many queries should reuse a TopKBuffer
-// instead (see FlatIndex.Search), which this function wraps.
-func TopKByDistance(query Vector, candidates []Vector, k int, dist DistanceFunc) []Scored {
-	if k <= 0 || len(candidates) == 0 {
-		return nil
-	}
-	var b TopKBuffer
-	b.Reset(k)
-	b.PushDistances(query, candidates, dist)
-	return b.Result()
-}
-
 // less orders scored items ascending by distance then ID.
 func less(a, b Scored) bool {
 	if a.Dist != b.Dist {
@@ -123,7 +108,7 @@ func (h maxHeap) replaceRoot(it Scored) {
 // Because the ordering is a total order, the result is independent of
 // push order and therefore exactly matches the one-shot TopK selection.
 //
-// Unlike TopK/TopKByDistance, which build a fresh heap per call, a
+// Unlike TopK, which builds a fresh heap per call, a
 // TopKBuffer is reusable scratch: Reset rewinds it for the next query
 // while keeping the backing array, so a pooled buffer makes repeated
 // top-k selection allocation-free except for the returned result slice

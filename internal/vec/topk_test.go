@@ -89,6 +89,19 @@ func TestTopKMatchesSortReference(t *testing.T) {
 	}
 }
 
+// TopKByDistance scores every candidate vector against the query with the
+// given distance function and returns the k closest through one
+// TopKBuffer. IDs are the candidate indices.
+func TopKByDistance(query Vector, candidates []Vector, k int, dist DistanceFunc) []Scored {
+	if k <= 0 || len(candidates) == 0 {
+		return nil
+	}
+	var b TopKBuffer
+	b.Reset(k)
+	b.PushDistances(query, candidates, dist)
+	return b.Result()
+}
+
 func TestTopKByDistance(t *testing.T) {
 	query := Vector{0, 0}
 	candidates := []Vector{

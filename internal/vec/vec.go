@@ -41,8 +41,8 @@ type Vector = []float32
 var ErrDimensionMismatch = errors.New("vec: dimension mismatch")
 
 // L2Squared returns the squared Euclidean distance between a and b.
-// It panics if the lengths differ; use CheckedL2Squared at trust
-// boundaries. This is the hot kernel of the Proximity cache: a FLAT cache
+// It panics if the lengths differ; input from outside the process is
+// length-checked where it enters. This is the hot kernel of the Proximity cache: a FLAT cache
 // lookup calls it once per cached entry.
 func L2Squared(a, b Vector) float32 {
 	if len(a) != len(b) {
@@ -231,15 +231,6 @@ func L2Bounded(a, b Vector, maxDist float32) (dist float32, ok bool) {
 	return float32(math.Sqrt(float64(sum))), true
 }
 
-// CheckedL2 is the error-returning variant of L2 for inputs that cross a
-// trust boundary (e.g. the HTTP middleware).
-func CheckedL2(a, b Vector) (float32, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(a), len(b))
-	}
-	return L2(a, b), nil
-}
-
 // Dot returns the inner product of a and b.
 func Dot(a, b Vector) float32 {
 	if len(a) != len(b) {
@@ -318,33 +309,10 @@ func Scale(v Vector, alpha float32) Vector {
 	return v
 }
 
-// Normalize scales v in place to unit norm and returns v. A zero vector is
-// returned unchanged.
-func Normalize(v Vector) Vector {
-	n := Norm(v)
-	if n == 0 {
-		return v
-	}
-	return Scale(v, 1/n)
-}
-
 // Clone returns a copy of v. Cache and index code clones at ownership
 // boundaries so callers may reuse their buffers.
 func Clone(v Vector) Vector {
 	out := make(Vector, len(v))
 	copy(out, v)
 	return out
-}
-
-// Equal reports whether a and b are identical element-wise.
-func Equal(a, b Vector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

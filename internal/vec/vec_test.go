@@ -2,7 +2,9 @@ package vec
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -126,19 +128,19 @@ func TestCosine(t *testing.T) {
 func TestAddScaleNormalizeClone(t *testing.T) {
 	a := Vector{1, 2}
 	b := Vector{3, 4}
-	if got := Add(a, b); !Equal(got, Vector{4, 6}) {
+	if got := Add(a, b); !slices.Equal(got, Vector{4, 6}) {
 		t.Errorf("Add = %v", got)
 	}
 	v := Vector{2, 0}
-	if got := Scale(v, 2); !Equal(got, Vector{4, 0}) {
+	if got := Scale(v, 2); !slices.Equal(got, Vector{4, 0}) {
 		t.Errorf("Scale = %v", got)
 	}
 	n := Normalize(Vector{0, 3})
-	if !Equal(n, Vector{0, 1}) {
+	if !slices.Equal(n, Vector{0, 1}) {
 		t.Errorf("Normalize = %v", n)
 	}
 	z := Normalize(Vector{0, 0})
-	if !Equal(z, Vector{0, 0}) {
+	if !slices.Equal(z, Vector{0, 0}) {
 		t.Errorf("Normalize zero = %v, want unchanged", z)
 	}
 	orig := Vector{1, 2, 3}
@@ -152,20 +154,8 @@ func TestAddScaleNormalizeClone(t *testing.T) {
 func TestAXPY(t *testing.T) {
 	dst := Vector{1, 1, 1}
 	AXPY(dst, 2, Vector{1, 2, 3})
-	if !Equal(dst, Vector{3, 5, 7}) {
+	if !slices.Equal(dst, Vector{3, 5, 7}) {
 		t.Errorf("AXPY = %v", dst)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	if Equal(Vector{1}, Vector{1, 2}) {
-		t.Error("Equal on different lengths should be false")
-	}
-	if !Equal(nil, nil) {
-		t.Error("Equal(nil, nil) should be true")
-	}
-	if Equal(Vector{1, 2}, Vector{1, 3}) {
-		t.Error("Equal on different values should be false")
 	}
 }
 
@@ -241,4 +231,23 @@ func TestFinite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// CheckedL2 is L2 with a dimension check instead of a panic; only tests
+// call it.
+func CheckedL2(a, b Vector) (float32, error) {
+	if len(a) != len(b) {
+		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(a), len(b))
+	}
+	return L2(a, b), nil
+}
+
+// Normalize scales v to unit length in place and returns it; the zero
+// vector is returned unchanged. Only tests call it.
+func Normalize(v Vector) Vector {
+	n := Norm(v)
+	if n == 0 {
+		return v
+	}
+	return Scale(v, 1/n)
 }

@@ -186,15 +186,6 @@ func (ix *IVFIndex) Dim() int { return ix.dim }
 // Len returns the number of indexed vectors.
 func (ix *IVFIndex) Len() int { return len(ix.vectors) }
 
-// Metric returns the distance metric.
-func (ix *IVFIndex) Metric() vec.Metric { return ix.metric }
-
-// NList returns the number of coarse centroids.
-func (ix *IVFIndex) NList() int { return len(ix.centroid) }
-
-// NProbe returns the default probe count.
-func (ix *IVFIndex) NProbe() int { return ix.nprobe }
-
 // Vector returns the stored vector for an ID.
 func (ix *IVFIndex) Vector(id int) (vec.Vector, error) {
 	if id < 0 || id >= len(ix.vectors) {

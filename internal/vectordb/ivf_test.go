@@ -3,6 +3,7 @@ package vectordb
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"proximity/internal/vec"
@@ -31,13 +32,13 @@ func TestIVFDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NList() != 10 { // √100
-		t.Errorf("NList = %d, want 10", ix.NList())
+	if len(ix.centroid) != 10 { // √100
+		t.Errorf("nlist = %d, want 10", len(ix.centroid))
 	}
-	if ix.NProbe() < 1 {
-		t.Errorf("NProbe = %d", ix.NProbe())
+	if ix.nprobe < 1 {
+		t.Errorf("nprobe = %d", ix.nprobe)
 	}
-	if ix.Dim() != 8 || ix.Len() != 100 || ix.Metric() != vec.L2Distance {
+	if ix.Dim() != 8 || ix.Len() != 100 || ix.metric != vec.L2Distance {
 		t.Error("accessors wrong")
 	}
 }
@@ -149,7 +150,7 @@ func TestIVFVectorAccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, err := ix.Vector(3)
-	if err != nil || !vec.Equal(v, vectors[3]) {
+	if err != nil || !slices.Equal(v, vectors[3]) {
 		t.Errorf("Vector(3) = %v, %v", v, err)
 	}
 	if _, err := ix.Vector(-1); err == nil {

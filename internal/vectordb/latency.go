@@ -23,12 +23,6 @@ type LatencyModel interface {
 	Lookup() time.Duration
 }
 
-// FixedLatency returns a constant duration per lookup.
-type FixedLatency time.Duration
-
-// Lookup implements LatencyModel.
-func (f FixedLatency) Lookup() time.Duration { return time.Duration(f) }
-
 // JitteredLatency draws deterministic, seeded service times in
 // [Mean·(1-Spread), Mean·(1+Spread)], reproducing the run-to-run variance
 // visible in the paper's latency rows without real nondeterminism.
@@ -70,10 +64,6 @@ const (
 	// PubMedFlatMean is the paper's MedRAG retrieval latency without
 	// caching (FAISS-Flat over 23.9M PubMed passages).
 	PubMedFlatMean = 4800 * time.Millisecond
-	// TripClickDiskANNMean approximates a DiskANN lookup with indices
-	// partially on disk (§4.3.4 notes DiskANN increases retrieval
-	// latency further; we model a disk-bound graph search).
-	TripClickDiskANNMean = 150 * time.Millisecond
 )
 
 // WikiDPRHNSWLatency returns the MMLU-calibrated model.
@@ -93,91 +83,3 @@ func PubMedFlatLatency(seed uint64) LatencyModel {
 	}
 	return m
 }
-
-// TripClickDiskANNLatency returns the TripClick-calibrated model.
-func TripClickDiskANNLatency(seed uint64) LatencyModel {
-	m, err := NewJitteredLatency(TripClickDiskANNMean, 0.15, seed)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Instrumented wraps a DB, counting calls and accumulating the simulated
-// service time of each lookup on a virtual clock. The RAG pipeline reads
-// Calls() for the paper's "database calls" reduction numbers and
-// SimulatedTime() for the latency columns.
-type Instrumented struct {
-	db    DB
-	model LatencyModel
-
-	mu       sync.Mutex
-	calls    int
-	simTotal time.Duration
-	lastSim  time.Duration
-}
-
-var _ DB = (*Instrumented)(nil)
-
-// NewInstrumented wraps db with call counting; model may be nil, in which
-// case lookups contribute zero simulated time.
-func NewInstrumented(db DB, model LatencyModel) *Instrumented {
-	return &Instrumented{db: db, model: model}
-}
-
-// Search delegates to the wrapped index, recording the call.
-func (i *Instrumented) Search(q vec.Vector, k int) ([]vec.Scored, error) {
-	res, err := i.db.Search(q, k)
-	if err != nil {
-		return nil, err
-	}
-	var sim time.Duration
-	if i.model != nil {
-		sim = i.model.Lookup()
-	}
-	i.mu.Lock()
-	i.calls++
-	i.simTotal += sim
-	i.lastSim = sim
-	i.mu.Unlock()
-	return res, err
-}
-
-// Dim returns the wrapped index dimensionality.
-func (i *Instrumented) Dim() int { return i.db.Dim() }
-
-// Len returns the wrapped index size.
-func (i *Instrumented) Len() int { return i.db.Len() }
-
-// Calls returns the number of Search calls that reached the database.
-func (i *Instrumented) Calls() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.calls
-}
-
-// SimulatedTime returns the accumulated simulated service time.
-func (i *Instrumented) SimulatedTime() time.Duration {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.simTotal
-}
-
-// LastLookupTime returns the simulated time of the most recent lookup.
-func (i *Instrumented) LastLookupTime() time.Duration {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.lastSim
-}
-
-// Reset zeroes the counters.
-func (i *Instrumented) Reset() {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.calls = 0
-	i.simTotal = 0
-	i.lastSim = 0
-}
-
-// Unwrap returns the underlying DB (e.g. to reach a VectorSource).
-func (i *Instrumented) Unwrap() DB { return i.db }

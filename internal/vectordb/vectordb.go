@@ -46,16 +46,6 @@ type VectorSource interface {
 	Vector(id int) (vec.Vector, error)
 }
 
-// RetrieveDocumentIndices adapts any DB to the paper's index-only call
-// signature (Algorithm 1, line 6).
-func RetrieveDocumentIndices(db DB, q vec.Vector, k int) ([]int, error) {
-	res, err := db.Search(q, k)
-	if err != nil {
-		return nil, err
-	}
-	return vec.IDs(res), nil
-}
-
 // FlatIndex is an exact nearest-neighbor index over an in-memory vector
 // set — the stand-in for FAISS-Flat, which the paper uses to serve the
 // 23.9M-passage PubMed corpus for MedRAG (§4.2.1). Search cost is
@@ -226,9 +216,6 @@ func (f *FlatIndex) Dim() int { return f.dim }
 
 // Len returns the number of indexed vectors.
 func (f *FlatIndex) Len() int { return len(f.vectors) }
-
-// Metric returns the index's distance metric.
-func (f *FlatIndex) Metric() vec.Metric { return f.metric }
 
 // Vector returns the stored vector for a document ID.
 func (f *FlatIndex) Vector(id int) (vec.Vector, error) {

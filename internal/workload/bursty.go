@@ -43,6 +43,8 @@ func (c *BurstyConfig) fillDefaults() {
 // Bursty builds the temporally-local workload: each burst picks a fresh
 // working set of questions (sliding over the question list) and draws
 // queries Zipf-skewed from it, each occurrence uniquely rephrased.
+//
+//proximity:allow unusedapi item 3 sweeps the quality frontier on bursty streams
 func Bursty(b *dataset.Benchmark, cfg BurstyConfig) (Workload, error) {
 	cfg.fillDefaults()
 	if cfg.Total <= 0 {

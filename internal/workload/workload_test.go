@@ -1,10 +1,10 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"proximity/internal/dataset"
-	"proximity/internal/vec"
 )
 
 func testBench(t *testing.T) *dataset.Benchmark {
@@ -47,7 +47,7 @@ func TestUniformVariants(t *testing.T) {
 	// Embeddings must match the benchmark encoder.
 	enc := b.Embedder()
 	for _, q := range w.Queries[:5] {
-		if !vec.Equal(q.Embedding, enc.Embed(q.Text)) {
+		if !slices.Equal(q.Embedding, enc.Embed(q.Text)) {
 			t.Fatal("embedding does not match encoder output")
 		}
 	}
@@ -158,7 +158,7 @@ func TestFromTripClick(t *testing.T) {
 	byQuestion := make(map[int]Query)
 	for _, q := range w.Queries {
 		if prev, ok := byQuestion[q.Question]; ok {
-			if prev.Text != q.Text || !vec.Equal(prev.Embedding, q.Embedding) {
+			if prev.Text != q.Text || !slices.Equal(prev.Embedding, q.Embedding) {
 				t.Fatal("tripclick repeats must be exact")
 			}
 		} else {

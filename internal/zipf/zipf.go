@@ -46,24 +46,10 @@ func NewSampler(rng *rand.Rand, n int, s float64) (*Sampler, error) {
 	return &Sampler{rng: rng, cdf: cdf}, nil
 }
 
-// N returns the number of ranks.
-func (s *Sampler) N() int { return len(s.cdf) }
-
-// Next draws one rank in [0, N()).
+// Next draws one rank in [0, n).
 func (s *Sampler) Next() int {
 	u := s.rng.Float64()
 	return sort.SearchFloat64s(s.cdf, u)
-}
-
-// Probability returns P(rank = r).
-func (s *Sampler) Probability(r int) float64 {
-	if r < 0 || r >= len(s.cdf) {
-		return 0
-	}
-	if r == 0 {
-		return s.cdf[0]
-	}
-	return s.cdf[r] - s.cdf[r-1]
 }
 
 // RankFrequency converts a multiset of item identifiers into the

@@ -187,3 +187,14 @@ func TestSamplerDeterminism(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Probability returns P(rank = r).
+func (s *Sampler) Probability(r int) float64 {
+	if r < 0 || r >= len(s.cdf) {
+		return 0
+	}
+	if r == 0 {
+		return s.cdf[0]
+	}
+	return s.cdf[r] - s.cdf[r-1]
+}

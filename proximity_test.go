@@ -85,7 +85,7 @@ func TestCosineRecipe(t *testing.T) {
 	for i := range cs {
 		cs[i] = vec.RandomUnit(rng, dim)
 		for j := 0; j < docsPerCentre; j++ {
-			if err := db.Add(vec.Normalize(vec.GaussianAround(rng, cs[i], 0.05))); err != nil {
+			if err := db.Add(unit(vec.GaussianAround(rng, cs[i], 0.05))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -101,7 +101,7 @@ func TestCosineRecipe(t *testing.T) {
 	var model []line // oldest first
 	hits, near, differ := 0, 0, 0
 	for i := 0; i < queries; i++ {
-		q := vec.Normalize(vec.GaussianAround(rng, cs[rng.IntN(centres)], float32(0.01+0.03*rng.Float64())))
+		q := unit(vec.GaussianAround(rng, cs[rng.IntN(centres)], float32(0.01+0.03*rng.Float64())))
 		best, bestDist, close := -1, float32(0), false
 		for j, l := range model {
 			d := vec.Cosine(q, l.key)
@@ -296,8 +296,8 @@ func TestPublicShardingAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", cache.NumShards())
+	if len(cache.Stats().Shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(cache.Stats().Shards))
 	}
 	retr, err := NewRetriever(cache, db, RetrieverOptions{K: 1})
 	if err != nil {
@@ -349,8 +349,8 @@ func TestPublicShardingAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lshCache.NumShards() != 2 {
-		t.Errorf("LSH NumShards = %d, want 2", lshCache.NumShards())
+	if len(lshCache.Stats().Shards) != 2 {
+		t.Errorf("LSH: %d shards, want 2", len(lshCache.Stats().Shards))
 	}
 }
 
@@ -433,3 +433,7 @@ func TestPublicAdaptiveShardedCache(t *testing.T) {
 		t.Error("Close must stop the controller, not clear the cache")
 	}
 }
+
+// unit scales v in place to unit length, as a cosine caller does, and
+// returns it.
+func unit(v vec.Vector) vec.Vector { return vec.Scale(v, 1/vec.Norm(v)) }
