@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"proximity/internal/batch"
+	"proximity/internal/cluster"
 	"proximity/internal/core"
 	"proximity/internal/experiments"
 	"proximity/internal/hnsw"
@@ -419,12 +420,33 @@ func BenchmarkServerRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache, err := core.NewFlat(dim, core.Options{Capacity: n, Tolerance: 1, Policy: core.LRU})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cache, base := benchNode(b, db, dim, n)
 	for i, k := range keys {
 		cache.Put(k, []int{i})
+	}
+	client := server.NewClient(base)
+	defer client.Close()
+	near := vec.GaussianAround(vec.NewRand(2), keys[n/2], 0.02) // ≈ 0.55 away
+	if resp, err := client.Retrieve(near); err != nil || !resp.Hit {
+		b.Fatalf("hit = %v, err %v; want a hit", resp.Hit, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Retrieve(near); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchNode serves a FLAT cache of the given capacity (τ = 1, LRU) in
+// front of db, K = 1, on a loopback port until the benchmark ends. It
+// returns the cache, for warming, and the node's base URL.
+func benchNode(b *testing.B, db vectordb.DB, dim, capacity int) (*core.FlatCache, string) {
+	b.Helper()
+	cache, err := core.NewFlat(dim, core.Options{Capacity: capacity, Tolerance: 1, Policy: core.LRU})
+	if err != nil {
+		b.Fatal(err)
 	}
 	retr, err := core.NewCachedRetriever(cache, db, core.RetrieverOptions{K: 1})
 	if err != nil {
@@ -438,19 +460,67 @@ func BenchmarkServerRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer stop()
-	client := server.NewClient("http://" + addr)
-	defer client.Close()
-	near := vec.GaussianAround(vec.NewRand(2), keys[n/2], 0.02) // ≈ 0.55 away
-	if resp, err := client.Retrieve(near); err != nil || !resp.Hit {
-		b.Fatalf("hit = %v, err %v; want a hit", resp.Hit, err)
+	b.Cleanup(func() { _ = stop() })
+	return cache, "http://" + addr
+}
+
+// BenchmarkClusterRetrieve measures the cluster hop, the rung above
+// BenchmarkServerRoundTrip: one cluster.Client.Retrieve per op, routed
+// through the per-node batch submitters to two loopback nodes (server.New
+// over a FLAT cache each, d = 768). Every op is a remote hit on one of
+// 256 warmed queries. seq issues one call at a time; parN is
+// b.RunParallel at SetParallelism(N), N·GOMAXPROCS concurrent callers,
+// whose queries to one node share a /v1/retrieve/batch call when they
+// arrive during one.
+func BenchmarkClusterRetrieve(b *testing.B) {
+	const (
+		dim   = 768
+		n     = 256
+		nodes = 2
+	)
+	r := vec.NewRand(4)
+	qs := make([]vec.Vector, n)
+	for i := range qs {
+		qs[i] = vec.Scale(vec.RandomUnit(r, dim), 10)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Retrieve(near); err != nil {
+	db, err := vectordb.NewFlatFromVectors(qs, vec.L2Distance)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bases := make([]string, nodes)
+	for i := range bases {
+		_, bases[i] = benchNode(b, db, dim, n)
+	}
+	c, err := cluster.New(dim, bases, cluster.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	for _, q := range qs { // each owner caches the queries it owns
+		if _, _, err := c.Retrieve(q); err != nil {
 			b.Fatal(err)
 		}
+	}
+	hit := func(b *testing.B, i uint64) {
+		if _, hit, err := c.Retrieve(qs[i%n]); err != nil || !hit {
+			b.Errorf("query %d: hit = %v, err %v; want a remote hit", i%n, hit, err)
+		}
+	}
+	b.Run("seq", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			hit(b, uint64(i))
+		}
+	})
+	for _, p := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("par%d", p), func(b *testing.B) {
+			var next atomic.Uint64
+			b.SetParallelism(p)
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					hit(b, next.Add(1))
+				}
+			})
+		})
 	}
 }
 

@@ -3,11 +3,12 @@
 // The program spins three loopback shard nodes — each a full Proximity
 // middleware with its own cache slice over a shared corpus — and routes
 // a Zipf-skewed query stream across them by consistent hashing, through
-// the per-node batch submitters. It then kills one node mid-stream and
-// replays the same queries: the ring retries the dead node's traffic on
-// the next replica, so throughput degrades but not a single query
-// fails, and the wrapping retriever would fall back to its local
-// database even if every node died.
+// the per-node batch submitters (group commit: queries that arrive
+// while a call to their node is in flight share its next call). It then
+// kills one node mid-stream and replays the same queries: the ring
+// retries the dead node's traffic on the next replica, so throughput
+// degrades but not a single query fails, and the wrapping retriever
+// would fall back to its local database even if every node died.
 //
 // Run with: go run ./examples/cluster
 package main
@@ -103,8 +104,8 @@ func run() error {
 
 	replay := func(label string) error {
 		before := cc.RouterStats()
-		// A small worker pool: concurrent queries bound for the same
-		// node gather in its batch submitter and share HTTP calls.
+		// A small worker pool: queries bound for a node while a call
+		// to it is in flight share its next batched HTTP call.
 		const workers = 16
 		jobs := make(chan vec.Vector)
 		results := make(chan error)
@@ -133,7 +134,7 @@ func run() error {
 			label, queries, failed, rs.Served-before.Served, rs.RemoteHits-before.RemoteHits,
 			rs.Retried-before.Retried, rs.Failed-before.Failed)
 		for i, ns := range cc.Status() {
-			fmt.Printf("  node %d %-24s healthy=%-5v hits=%-5d misses=%-5d entries=%d | submitter: %d flushes, mean batch %.2f\n",
+			fmt.Printf("  node %d %-24s healthy=%-5v hits=%-5d misses=%-5d entries=%d | %d batched calls, mean batch %.2f\n",
 				i, ns.Node, ns.Healthy, ns.Remote.Hits, ns.Remote.Misses,
 				ns.Remote.Entries, ns.Submit.Flushes, ns.Submit.MeanBatch())
 		}

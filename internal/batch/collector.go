@@ -3,7 +3,6 @@ package batch
 import (
 	"errors"
 	"sync"
-	"time"
 )
 
 // ErrClosed is returned by Do calls issued after Close.
@@ -12,56 +11,25 @@ var ErrClosed = errors.New("batch: queue closed")
 // errNilFlush guards NewCollector.
 var errNilFlush = errors.New("batch: collector requires a flush function")
 
-// DefaultMaxBatch is the flush size when QueueOptions.MaxBatch is zero.
-const DefaultMaxBatch = 16
-
-// DefaultTimeout is the flush deadline when QueueOptions.Timeout is zero:
-// long enough for a concurrent burst to gather, short enough to be
-// invisible next to a remote retrieval.
-const DefaultTimeout = 200 * time.Microsecond
-
 // QueueOptions configures a Collector.
 type QueueOptions struct {
-	// MaxBatch flushes the pending batch as soon as it reaches this
-	// size. Defaults to DefaultMaxBatch.
+	// MaxBatch caps the requests one flush carries; 0 means no cap.
 	MaxBatch int
-	// Timeout flushes whatever has gathered once this much time has
-	// passed since the first request of the batch arrived. Defaults to
-	// DefaultTimeout.
-	Timeout time.Duration
-	// Clock supplies the flush timer. Defaults to SystemClock.
-	Clock Clock
-}
-
-func (o *QueueOptions) fillDefaults() {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = DefaultTimeout
-	}
-	if o.Clock == nil {
-		o.Clock = SystemClock{}
-	}
 }
 
 // QueueStats are cumulative collector counters.
 type QueueStats struct {
 	// Enqueued is the number of Do calls accepted.
 	Enqueued int64
-	// Flushes is the number of batch flushes issued.
+	// Flushes is the number of FlushFunc calls made.
 	Flushes int64
-	// SizeFlushes counts flushes triggered by reaching MaxBatch.
-	SizeFlushes int64
-	// TimeoutFlushes counts flushes triggered by the batch timer.
-	TimeoutFlushes int64
-	// DrainFlushes counts flushes forced by Close.
-	DrainFlushes int64
 	// Errors counts Do calls that returned an error outcome.
 	Errors int64
 }
 
-// MeanBatch returns the average flush size, or 0 before any flush.
+// MeanBatch returns accepted Do calls per flush, or 0 before any flush.
+// Calls failed behind an all-error flush, without a flush of their own,
+// count toward it.
 func (s QueueStats) MeanBatch() float64 {
 	if s.Flushes == 0 {
 		return 0
@@ -78,95 +46,98 @@ type Outcome[Res any] struct {
 }
 
 // FlushFunc serves one gathered batch, returning outcomes parallel to
-// reqs. It is called outside the collector's lock, possibly from several
-// goroutines at once (a size-triggered flush can overlap a timer flush of
-// the next batch), so it must be safe for concurrent use. If the returned
-// slice is shorter than reqs, the missing waiters fail with ErrClosed;
-// extra entries are ignored.
+// reqs. A Collector never runs two of its flushes at once. If the
+// returned slice is shorter than reqs, the missing waiters fail with
+// ErrClosed; extra entries are ignored.
 type FlushFunc[Req, Res any] func(reqs []Req) []Outcome[Res]
 
-// Collector is a generic gather/flush engine: concurrent Do calls gather
-// until the batch reaches MaxBatch or Timeout elapses after its first
-// request, then the whole batch is handed to one FlushFunc call. The
-// cluster router (internal/cluster) specializes it to per-node batched
-// HTTP retrievals. All methods are safe for concurrent use.
+// Collector is group commit without a timer. A Do that finds no flush in
+// flight flushes its request at once, as a batch of one. Do calls that
+// arrive while a flush is in flight queue; when it returns, the first of
+// them leads the next flush, which carries everything queued (up to
+// MaxBatch). A batch therefore holds what arrived during one flush, and
+// a lone caller waits on nothing but its own call. If every outcome of a
+// flush is an error, the calls queued behind it get that error without
+// another call, so none waits behind more than one failed flush.
+//
+// The collector starts no goroutine: each flush runs on the goroutine of
+// the Do that leads it. The cluster router (internal/cluster) puts one
+// in front of each node's batched HTTP retrieval. All methods are safe
+// for concurrent use.
 type Collector[Req, Res any] struct {
-	flushFn FlushFunc[Req, Res]
-	opts    QueueOptions
+	flushFn  FlushFunc[Req, Res]
+	maxBatch int
 
-	mu      sync.Mutex
-	pending []collectorWaiter[Req, Res]
-	gen     uint64 // bumped on every flush; stale timers check it
-	closed  bool
-	stats   QueueStats
+	mu     sync.Mutex
+	idle   sync.Cond // broadcast when the flight chain ends
+	busy   bool      // a flush is in flight
+	queue  []collectorWaiter[Req, Res]
+	closed bool
+	stats  QueueStats
 }
 
-// collectorWaiter is one pending Do call.
+// collectorWaiter is one Do call. A queued one receives on ch either its
+// outcome or the batch it is to lead.
 type collectorWaiter[Req, Res any] struct {
 	req Req
-	ch  chan Outcome[Res]
+	ch  chan collectorMsg[Req, Res]
 }
 
-// NewCollector creates a collector that serves gathered batches through
-// flush.
+// collectorMsg answers a queued waiter: lead, when non-nil, is the next
+// batch to flush, the receiver first; otherwise out is its outcome.
+type collectorMsg[Req, Res any] struct {
+	out  Outcome[Res]
+	lead []collectorWaiter[Req, Res]
+}
+
+// NewCollector creates a collector that serves batches through flush.
 func NewCollector[Req, Res any](flush FlushFunc[Req, Res], opts QueueOptions) (*Collector[Req, Res], error) {
 	if flush == nil {
 		return nil, errNilFlush
 	}
-	opts.fillDefaults()
-	return &Collector[Req, Res]{flushFn: flush, opts: opts}, nil
+	c := &Collector[Req, Res]{flushFn: flush, maxBatch: opts.MaxBatch}
+	c.idle.L = &c.mu
+	return c, nil
 }
 
-// Do enqueues the request and blocks until its batch is flushed,
+// Do submits the request and blocks until a flush has served it,
 // returning this request's share of the batch outcome.
 func (c *Collector[Req, Res]) Do(req Req) (Res, error) {
-	ch := make(chan Outcome[Res], 1)
-	w := collectorWaiter[Req, Res]{req: req, ch: ch}
-
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		var zero Res
 		return zero, ErrClosed
 	}
-	c.pending = append(c.pending, w)
 	c.stats.Enqueued++
-	switch {
-	case len(c.pending) >= c.opts.MaxBatch:
-		ws := c.take()
-		c.stats.SizeFlushes++
+	var batch []collectorWaiter[Req, Res]
+	if c.busy {
+		w := collectorWaiter[Req, Res]{req: req, ch: make(chan collectorMsg[Req, Res], 1)}
+		c.queue = append(c.queue, w)
 		c.mu.Unlock()
-		c.flush(ws)
-	case len(c.pending) == 1:
-		// First request of a fresh batch: arm its flush timer.
-		gen := c.gen
-		timer := c.opts.Clock.After(c.opts.Timeout)
+		m := <-w.ch
+		if m.lead == nil {
+			return m.out.Res, m.out.Err
+		}
+		batch = m.lead
+	} else {
+		c.busy = true
+		c.stats.Flushes++
 		c.mu.Unlock()
-		go c.awaitTimer(gen, timer)
-	default:
-		c.mu.Unlock()
+		batch = []collectorWaiter[Req, Res]{{req: req}}
 	}
-
-	out := <-ch
+	out := c.flush(batch)
 	return out.Res, out.Err
 }
 
-// Close drains the pending batch and rejects subsequent Do calls with
-// ErrClosed. Waiters of the drained batch receive their results.
+// Close rejects subsequent Do calls with ErrClosed and returns once the
+// calls already accepted have been served.
 func (c *Collector[Req, Res]) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
+	defer c.mu.Unlock()
 	c.closed = true
-	ws := c.take()
-	if len(ws) > 0 {
-		c.stats.DrainFlushes++
-	}
-	c.mu.Unlock()
-	if len(ws) > 0 {
-		c.flush(ws)
+	for c.busy {
+		c.idle.Wait()
 	}
 	return nil
 }
@@ -178,47 +149,20 @@ func (c *Collector[Req, Res]) Stats() QueueStats {
 	return c.stats
 }
 
-// take removes the pending batch and invalidates its timer, counting the
-// flush in the same critical section as the caller's trigger counter so
-// Stats snapshots always see the trigger breakdown sum to Flushes.
-// Callers hold c.mu.
-func (c *Collector[Req, Res]) take() []collectorWaiter[Req, Res] {
-	ws := c.pending
-	c.pending = nil
-	c.gen++
-	if len(ws) > 0 {
-		c.stats.Flushes++
-	}
-	return ws
-}
-
-// awaitTimer flushes the batch of generation gen when its timer fires; if
-// that batch already flushed (by size or drain), the generation moved on
-// and the timer is stale.
-func (c *Collector[Req, Res]) awaitTimer(gen uint64, timer <-chan time.Time) {
-	<-timer
-	c.mu.Lock()
-	if c.gen != gen || len(c.pending) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	ws := c.take()
-	c.stats.TimeoutFlushes++
-	c.mu.Unlock()
-	c.flush(ws)
-}
-
-// flush hands one gathered batch to the FlushFunc and fans each outcome
-// out to its waiter, counting errors.
-func (c *Collector[Req, Res]) flush(ws []collectorWaiter[Req, Res]) {
-	reqs := make([]Req, len(ws))
-	for i, w := range ws {
+// flush serves batch, whose first waiter is the calling leader, with one
+// FlushFunc call and answers the others. It then passes the flight on to
+// the first queued call, or, after an all-error flush, fails the queue
+// with that error and ends the chain. It returns the leader's outcome.
+func (c *Collector[Req, Res]) flush(batch []collectorWaiter[Req, Res]) Outcome[Res] {
+	reqs := make([]Req, len(batch))
+	for i, w := range batch {
 		reqs[i] = w.req
 	}
 	outs := c.flushFn(reqs)
 
+	var own Outcome[Res]
 	var errs int64
-	for i, w := range ws {
+	for i, w := range batch {
 		out := Outcome[Res]{Err: ErrClosed}
 		if i < len(outs) {
 			out = outs[i]
@@ -226,13 +170,39 @@ func (c *Collector[Req, Res]) flush(ws []collectorWaiter[Req, Res]) {
 		if out.Err != nil {
 			errs++
 		}
-		w.ch <- out
+		if i == 0 {
+			own = out
+		} else {
+			w.ch <- collectorMsg[Req, Res]{out: out}
+		}
 	}
-	if errs > 0 {
-		c.mu.Lock()
-		c.stats.Errors += errs
-		c.mu.Unlock()
+
+	c.mu.Lock()
+	var failed, next []collectorWaiter[Req, Res]
+	if errs == int64(len(batch)) {
+		failed, c.queue = c.queue, nil
+		errs += int64(len(failed))
 	}
+	c.stats.Errors += errs
+	if n := len(c.queue); n == 0 {
+		c.busy = false
+		c.idle.Broadcast()
+	} else {
+		if c.maxBatch > 0 && n > c.maxBatch {
+			n = c.maxBatch
+		}
+		next, c.queue = c.queue[:n:n], c.queue[n:]
+		c.stats.Flushes++
+	}
+	c.mu.Unlock()
+
+	for _, w := range failed {
+		w.ch <- collectorMsg[Req, Res]{out: Outcome[Res]{Err: own.Err}}
+	}
+	if next != nil {
+		next[0].ch <- collectorMsg[Req, Res]{lead: next}
+	}
+	return own
 }
 
 // FanError is the FlushFunc helper for all-or-nothing backends: it

@@ -1,86 +1,96 @@
-package batch
+package batch_test
 
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
+
+	"proximity/internal/batch"
 )
 
-// echoFlush doubles each request, failing requests equal to poison.
-func echoFlush(poison int) FlushFunc[int, int] {
-	return func(reqs []int) []Outcome[int] {
-		outs := make([]Outcome[int], len(reqs))
-		for i, r := range reqs {
-			if r == poison {
-				outs[i] = Outcome[int]{Err: errors.New("poisoned")}
-				continue
-			}
-			outs[i] = Outcome[int]{Res: 2 * r}
-		}
-		return outs
-	}
-}
-
+// TestCollectorSizeFlush: under many concurrent callers every request
+// is served its own result, no flush carries more than MaxBatch, and no
+// two flushes of one collector overlap.
 func TestCollectorSizeFlush(t *testing.T) {
-	c, err := NewCollector(echoFlush(-1), QueueOptions{MaxBatch: 4, Timeout: time.Hour})
+	const maxBatch = 3
+	var inFlight, overlaps, oversized atomic.Int64
+	c, err := batch.NewCollector(func(reqs []int) []batch.Outcome[int] {
+		if inFlight.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		defer inFlight.Add(-1)
+		if len(reqs) > maxBatch {
+			oversized.Add(1)
+		}
+		return double(reqs)
+	}, batch.QueueOptions{MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
+	const goroutines, rounds = 16, 20
 	var wg sync.WaitGroup
-	results := make([]int, 4)
-	for i := 0; i < 4; i++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(g int) {
 			defer wg.Done()
-			res, err := c.Do(i)
-			if err != nil {
-				t.Errorf("Do(%d): %v", i, err)
-				return
+			for i := 0; i < rounds; i++ {
+				req := g*rounds + i
+				if res, err := c.Do(req); err != nil || res != 2*req {
+					t.Errorf("Do(%d) = %d, %v; want %d, nil", req, res, err, 2*req)
+				}
 			}
-			results[i] = res
-		}(i)
+		}(g)
 	}
 	wg.Wait()
-	for i, r := range results {
-		if r != 2*i {
-			t.Errorf("Do(%d) = %d, want %d", i, r, 2*i)
-		}
+	if overlaps.Load() != 0 || oversized.Load() != 0 {
+		t.Errorf("%d overlapping flushes, %d over MaxBatch %d", overlaps.Load(), oversized.Load(), maxBatch)
 	}
 	st := c.Stats()
-	if st.Enqueued != 4 || st.SizeFlushes != 1 || st.Flushes != 1 {
-		t.Errorf("stats = %+v, want 4 enqueued in 1 size flush", st)
+	if st.Enqueued != goroutines*rounds || st.Flushes < goroutines*rounds/maxBatch || st.Errors != 0 {
+		t.Errorf("stats = %+v, want %d enqueued in at least %d flushes", st, goroutines*rounds, goroutines*rounds/maxBatch)
 	}
 }
 
 // TestCollectorPartialFailure: one request's error must not fail its
-// batch-mates — the per-outcome contract the cluster submitter's
+// batch-mate — the per-outcome contract the cluster submitter's
 // replica-retry depends on.
 func TestCollectorPartialFailure(t *testing.T) {
-	c, err := NewCollector(echoFlush(1), QueueOptions{MaxBatch: 2, Timeout: time.Hour})
+	h := newHeldFlush(poisoned(1))
+	c, err := batch.NewCollector(h.flush, batch.QueueOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	vals := make([]int, 2)
-	for i := 0; i < 2; i++ {
+	errs := make([]error, 3)
+	vals := make([]int, 3)
+	do := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			vals[i], errs[i] = c.Do(i)
-		}(i)
+		}()
 	}
+	do(2) // holds the flight while 0 and 1 queue behind it
+	<-h.calls
+	do(0)
+	do(1)
+	waitPending(t, c, 2)
+	h.release <- struct{}{}
+	if b := <-h.calls; len(b) != 2 {
+		t.Fatalf("queued batch has %d requests, want 2", len(b))
+	}
+	h.release <- struct{}{}
 	wg.Wait()
 	if errs[0] != nil || vals[0] != 0 {
 		t.Errorf("request 0: val %d err %v, want 0, nil", vals[0], errs[0])
 	}
-	if errs[1] == nil {
-		t.Error("poisoned request 1 should fail")
+	if !errors.Is(errs[1], errPoisoned) {
+		t.Errorf("poisoned request 1: err %v, want %v", errs[1], errPoisoned)
 	}
 	if st := c.Stats(); st.Errors != 1 {
 		t.Errorf("errors = %d, want 1", st.Errors)
@@ -90,26 +100,26 @@ func TestCollectorPartialFailure(t *testing.T) {
 // TestCollectorShortFlushResult: a misbehaving FlushFunc that returns too
 // few outcomes fails the unmatched waiters instead of hanging them.
 func TestCollectorShortFlushResult(t *testing.T) {
-	short := func(reqs []int) []Outcome[int] { return nil }
-	c, err := NewCollector(short, QueueOptions{MaxBatch: 1, Timeout: time.Hour})
+	short := func(reqs []int) []batch.Outcome[int] { return nil }
+	c, err := batch.NewCollector(short, batch.QueueOptions{MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Do(1); !errors.Is(err, ErrClosed) {
+	if _, err := c.Do(1); !errors.Is(err, batch.ErrClosed) {
 		t.Errorf("short flush result: got %v, want ErrClosed", err)
 	}
 }
 
 func TestCollectorClosed(t *testing.T) {
-	c, err := NewCollector(echoFlush(-1), QueueOptions{})
+	c, err := batch.NewCollector(double, batch.QueueOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Do(1); !errors.Is(err, ErrClosed) {
+	if _, err := c.Do(1); !errors.Is(err, batch.ErrClosed) {
 		t.Errorf("Do after Close: got %v, want ErrClosed", err)
 	}
 	if err := c.Close(); err != nil {
@@ -118,7 +128,7 @@ func TestCollectorClosed(t *testing.T) {
 }
 
 func TestNewCollectorValidation(t *testing.T) {
-	if _, err := NewCollector[int, int](nil, QueueOptions{}); err == nil {
+	if _, err := batch.NewCollector[int, int](nil, batch.QueueOptions{}); err == nil {
 		t.Error("nil flush func should error")
 	}
 }

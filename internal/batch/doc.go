@@ -14,8 +14,10 @@
 // option (or anywhere a vectordb.DB is expected), and counts what it
 // does for the server's stats.
 //
-// Collector is a separate, generic gather/flush engine that the cluster
-// router uses to send each node one batched HTTP request per burst. The
-// miss path does not batch: a batch of database searches shares no
-// computation, so gathering one only adds its wait.
+// Collector is a separate, generic group-commit engine that the cluster
+// router puts in front of each node: with no call in flight a request
+// goes out at once, and the requests that arrive during a call share
+// the next one. No timer holds a request back. The miss path does not
+// batch: a batch of database searches shares no computation, so
+// gathering one only adds its wait.
 package batch

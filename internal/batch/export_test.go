@@ -7,9 +7,9 @@ func (c *Coalescer) Inflight() int {
 	return len(c.inflight)
 }
 
-// Pending returns the current batch occupancy.
+// Pending returns the number of calls queued behind the flight.
 func (c *Collector[Req, Res]) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending)
+	return len(c.queue)
 }

@@ -2,6 +2,7 @@ package batch_test
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,43 @@ func double(reqs []int) []batch.Outcome[int] {
 	return outs
 }
 
-// waitPending polls until the collector holds n pending requests.
+// poisoned serves like double but fails the request equal to poison.
+func poisoned(poison int) batch.FlushFunc[int, int] {
+	return func(reqs []int) []batch.Outcome[int] {
+		outs := double(reqs)
+		for i, r := range reqs {
+			if r == poison {
+				outs[i] = batch.Outcome[int]{Err: errPoisoned}
+			}
+		}
+		return outs
+	}
+}
+
+var errPoisoned = errors.New("poisoned")
+
+// heldFlush is a FlushFunc that announces each call's batch on calls and
+// then blocks until the test sends on release, so a test decides when a
+// flight lands and what queues behind it.
+type heldFlush struct {
+	calls   chan []int
+	release chan struct{}
+	serve   batch.FlushFunc[int, int]
+}
+
+func newHeldFlush(serve batch.FlushFunc[int, int]) *heldFlush {
+	// calls is buffered past any test's flush count, so a flush never
+	// waits to announce itself.
+	return &heldFlush{calls: make(chan []int, 64), release: make(chan struct{}), serve: serve}
+}
+
+func (h *heldFlush) flush(reqs []int) []batch.Outcome[int] {
+	h.calls <- append([]int(nil), reqs...)
+	<-h.release
+	return h.serve(reqs)
+}
+
+// waitPending polls until the collector holds n queued requests.
 func waitPending(t *testing.T, c *batch.Collector[int, int], n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -31,93 +68,104 @@ func waitPending(t *testing.T, c *batch.Collector[int, int], n int) {
 	t.Fatalf("collector never reached %d pending (have %d)", n, c.Pending())
 }
 
-// TestQueueFlushSemantics drives every collector flush trigger
-// deterministically on the fake clock: size flushes need no time to
-// pass, timeout flushes fire only when the clock is advanced, Close
-// drains what gathered, and an all-or-nothing backend error (FanError)
-// reaches every waiter of the flush.
+// TestQueueFlushSemantics drives the group-commit protocol with a held
+// FlushFunc, so no case depends on timing: a lone Do flushes at once,
+// the calls queued during a flight share the next flush (capped at
+// MaxBatch), Close serves the calls already queued, a partial failure
+// stays with its request, and an all-error flight fails the queue
+// behind it without another call.
 func TestQueueFlushSemantics(t *testing.T) {
 	errBackend := errors.New("backend down")
+	fail := func(reqs []int) []batch.Outcome[int] { return batch.FanError[int](len(reqs), errBackend) }
 	cases := []struct {
 		name     string
 		maxBatch int
-		requests int
-		action   string // "", "advance", or "close"
-		fail     bool
+		queued   int // Do calls issued while the first flush is held
+		serve    batch.FlushFunc[int, int]
+		close    bool
 
-		wantFlushes int64
-		wantSize    int64
-		wantTimeout int64
-		wantDrain   int64
+		wantSizes []int // batch size of each FlushFunc call, in order
+		wantErr   map[int]error
 	}{
-		{name: "flush on size", maxBatch: 4, requests: 4, wantFlushes: 1, wantSize: 1},
-		{name: "flush on timeout", maxBatch: 16, requests: 2, action: "advance", wantFlushes: 1, wantTimeout: 1},
-		{name: "timeout flush of a single straggler", maxBatch: 16, requests: 1, action: "advance", wantFlushes: 1, wantTimeout: 1},
-		{name: "drain on close", maxBatch: 16, requests: 3, action: "close", wantFlushes: 1, wantDrain: 1},
-		{name: "error fan-out to all waiters", maxBatch: 3, requests: 3, fail: true, wantFlushes: 1, wantSize: 1},
+		{name: "lone call flushes at once", serve: double, wantSizes: []int{1}},
+		{name: "flush on size", maxBatch: 2, queued: 5, serve: double, wantSizes: []int{1, 2, 2, 1}},
+		{name: "queued calls share one flush", queued: 6, serve: double, wantSizes: []int{1, 6}},
+		{name: "drain on close", queued: 3, serve: double, close: true, wantSizes: []int{1, 3}},
+		{name: "partial failure stays per request", maxBatch: 2, queued: 4, serve: poisoned(3),
+			wantSizes: []int{1, 2, 2}, wantErr: map[int]error{3: errPoisoned}},
+		{name: "error fan-out to all waiters", queued: 3, serve: fail,
+			wantSizes: []int{1}, wantErr: map[int]error{1: errBackend, 2: errBackend, 3: errBackend, 4: errBackend}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			flush := double
-			if tc.fail {
-				flush = func(reqs []int) []batch.Outcome[int] { return batch.FanError[int](len(reqs), errBackend) }
-			}
-			clock := newFakeClock()
-			c, err := batch.NewCollector(flush, batch.QueueOptions{
-				MaxBatch: tc.maxBatch,
-				Timeout:  time.Millisecond,
-				Clock:    clock,
-			})
+			h := newHeldFlush(tc.serve)
+			c, err := batch.NewCollector(h.flush, batch.QueueOptions{MaxBatch: tc.maxBatch})
 			if err != nil {
 				t.Fatal(err)
 			}
-			results := make([]int, tc.requests)
-			errs := make([]error, tc.requests)
+			n := tc.queued + 1
+			results := make([]int, n)
+			errs := make([]error, n)
 			var wg sync.WaitGroup
-			for i := 0; i < tc.requests; i++ {
+			do := func(i int) {
 				wg.Add(1)
-				go func(i int) {
+				go func() {
 					defer wg.Done()
 					results[i], errs[i] = c.Do(i + 1)
-				}(i)
+				}()
 			}
-			switch tc.action {
-			case "advance":
-				waitPending(t, c, tc.requests)
-				clock.BlockUntil(1)
-				clock.Advance(time.Millisecond)
-			case "close":
-				waitPending(t, c, tc.requests)
-				if err := c.Close(); err != nil {
-					t.Fatal(err)
+			done := make(chan struct{})
+
+			do(0)
+			sizes := []int{len(<-h.calls)} // flushed with nothing else arriving
+			for i := 1; i < n; i++ {
+				do(i)
+			}
+			waitPending(t, c, tc.queued)
+			go func() {
+				wg.Wait()
+				close(done)
+			}()
+			closed := make(chan error, 1)
+			if tc.close {
+				go func() { closed <- c.Close() }()
+			}
+			// Land each flight; the next one, if any, announces itself
+			// before any caller can return.
+			for landed := false; !landed; {
+				h.release <- struct{}{}
+				select {
+				case b := <-h.calls:
+					sizes = append(sizes, len(b))
+				case <-done:
+					landed = true
 				}
 			}
-			wg.Wait()
 
+			if !reflect.DeepEqual(sizes, tc.wantSizes) {
+				t.Errorf("flush sizes = %v, want %v", sizes, tc.wantSizes)
+			}
 			for i := range results {
-				if tc.fail {
-					if !errors.Is(errs[i], errBackend) {
-						t.Errorf("request %d error = %v, want %v", i, errs[i], errBackend)
+				req := i + 1
+				if want := tc.wantErr[req]; want != nil {
+					if !errors.Is(errs[i], want) {
+						t.Errorf("request %d error = %v, want %v", req, errs[i], want)
 					}
 					continue
 				}
-				if errs[i] != nil || results[i] != 2*(i+1) {
-					t.Errorf("request %d = %d, %v; want %d, nil", i, results[i], errs[i], 2*(i+1))
+				if errs[i] != nil || results[i] != 2*req {
+					t.Errorf("request %d = %d, %v; want %d, nil", req, results[i], errs[i], 2*req)
 				}
 			}
 			st := c.Stats()
-			if st.Enqueued != int64(tc.requests) {
-				t.Errorf("Enqueued = %d, want %d", st.Enqueued, tc.requests)
+			want := batch.QueueStats{Enqueued: int64(n), Flushes: int64(len(tc.wantSizes)), Errors: int64(len(tc.wantErr))}
+			if st != want {
+				t.Errorf("stats = %+v, want %+v", st, want)
 			}
-			if st.Flushes != tc.wantFlushes || st.SizeFlushes != tc.wantSize ||
-				st.TimeoutFlushes != tc.wantTimeout || st.DrainFlushes != tc.wantDrain {
-				t.Errorf("flush stats = %+v, want flushes=%d size=%d timeout=%d drain=%d",
-					st, tc.wantFlushes, tc.wantSize, tc.wantTimeout, tc.wantDrain)
-			}
-			if tc.fail && st.Errors != int64(tc.requests) {
-				t.Errorf("Errors = %d, want %d", st.Errors, tc.requests)
-			}
-			if tc.action == "close" {
+			if tc.close {
+				if err := <-closed; err != nil {
+					t.Fatal(err)
+				}
 				if _, err := c.Do(1); !errors.Is(err, batch.ErrClosed) {
 					t.Errorf("Do after Close = %v, want ErrClosed", err)
 				}
@@ -126,121 +174,43 @@ func TestQueueFlushSemantics(t *testing.T) {
 	}
 }
 
-// TestQueueSequentialBatchesKeepTimersStraight exercises generation
-// handling: a size-flushed batch's stale timer must not flush the next
-// batch early, and the next batch's own timer must still work.
+// TestQueueSequentialBatchesKeepTimersStraight: once a flight chain
+// ends, the collector is idle again — the next Do flushes at once as a
+// batch of one, after a chain that succeeded and after one that failed.
 func TestQueueSequentialBatchesKeepTimersStraight(t *testing.T) {
-	clock := newFakeClock()
-	c, err := batch.NewCollector(double, batch.QueueOptions{
-		MaxBatch: 2,
-		Timeout:  time.Millisecond,
-		Clock:    clock,
+	fails := true
+	h := newHeldFlush(func(reqs []int) []batch.Outcome[int] {
+		if fails {
+			return batch.FanError[int](len(reqs), errPoisoned)
+		}
+		return double(reqs)
 	})
+	c, err := batch.NewCollector(h.flush, batch.QueueOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	do := func() chan error {
+	lone := func() error {
 		done := make(chan error, 1)
 		go func() {
 			_, err := c.Do(1)
 			done <- err
 		}()
-		return done
+		if b := <-h.calls; len(b) != 1 {
+			t.Fatalf("an idle collector flushed a batch of %d, want 1", len(b))
+		}
+		h.release <- struct{}{}
+		return <-done
 	}
-
-	// Batch 1 flushes by size; its timer (generation 0) is now stale.
-	d1, d2 := do(), do()
-	if err := <-d1; err != nil {
-		t.Fatal(err)
+	if err := lone(); !errors.Is(err, errPoisoned) {
+		t.Fatalf("failed chain: got %v, want %v", err, errPoisoned)
 	}
-	if err := <-d2; err != nil {
-		t.Fatal(err)
-	}
-
-	// Batch 2 gathers one request. Firing the stale timer must not
-	// flush it...
-	d3 := do()
-	waitPending(t, c, 1)
-	clock.BlockUntil(2) // stale timer + batch 2's timer
-	clock.Advance(time.Millisecond)
-	if err := <-d3; err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.SizeFlushes != 1 || st.TimeoutFlushes != 1 || st.Flushes != 2 {
-		t.Errorf("stats = %+v, want 1 size flush and 1 timeout flush", st)
-	}
-}
-
-// fakeClock is a manually-advanced batch.Clock. Timers
-// created with After fire when Advance moves the clock past their
-// deadline, so tests of timeout-driven code (the batch collector's flush
-// timer) are deterministic: no sleeps, no scheduler races.
-type fakeClock struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	now    time.Time
-	timers []fakeTimer
-}
-
-type fakeTimer struct {
-	at time.Time
-	ch chan time.Time
-}
-
-// newFakeClock creates a fake clock at an arbitrary fixed epoch.
-func newFakeClock() *fakeClock {
-	c := &fakeClock{now: time.Unix(1_000_000, 0)}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-// Now returns the fake current time.
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// After returns a channel that fires once the clock has been advanced by
-// at least d. A non-positive d fires immediately.
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- c.now
-		return ch
-	}
-	c.timers = append(c.timers, fakeTimer{at: c.now.Add(d), ch: ch})
-	c.cond.Broadcast()
-	return ch
-}
-
-// Advance moves the clock forward, firing every timer whose deadline has
-// been reached.
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	remaining := c.timers[:0]
-	for _, t := range c.timers {
-		if !t.at.After(c.now) {
-			t.ch <- c.now
-		} else {
-			remaining = append(remaining, t)
+	fails = false // the flush above has returned; the next reads it
+	for i := 0; i < 2; i++ {
+		if err := lone(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	c.timers = remaining
-}
-
-// BlockUntil waits until at least n timers are pending — the
-// synchronization point tests use to know timeout-driven code has armed
-// its timer before Advance fires it.
-func (c *fakeClock) BlockUntil(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.timers) < n {
-		c.cond.Wait()
+	if st := c.Stats(); st.Flushes != 3 || st.Enqueued != 3 || st.Errors != 1 {
+		t.Errorf("stats = %+v, want 3 flushes of one, 1 error", st)
 	}
 }

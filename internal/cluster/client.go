@@ -24,11 +24,6 @@ import (
 // Options.Replicas is zero: the ring owner plus one backup.
 const DefaultReplicas = 2
 
-// DefaultBatchTimeout is the per-node submitter flush deadline when
-// Options.BatchTimeout is zero. Wider than batch.DefaultTimeout because
-// the cost being amortized is an HTTP round trip.
-const DefaultBatchTimeout = time.Millisecond
-
 // DefaultProbeCooldown is how long a node marked down stays sidelined
 // before one routing caller re-probes its /healthz.
 const DefaultProbeCooldown = time.Second
@@ -45,18 +40,9 @@ type Options struct {
 	// before failing. Defaults to DefaultReplicas, capped at the node
 	// count.
 	Replicas int
-	// MaxBatch is the per-node submitter flush size. Defaults to
-	// batch.DefaultMaxBatch.
-	MaxBatch int
-	// BatchTimeout is the per-node submitter flush deadline. Defaults
-	// to DefaultBatchTimeout.
-	BatchTimeout time.Duration
 	// ProbeCooldown is how long a down node stays sidelined between
 	// health re-probes. Defaults to DefaultProbeCooldown.
 	ProbeCooldown time.Duration
-	// Clock supplies the submitter flush timers. Defaults to
-	// batch.SystemClock.
-	Clock batch.Clock
 	// Rebalance, when non-nil, starts an adaptive ring re-weighting
 	// controller over this client: per-node lookup imbalance beyond the
 	// policy's threshold (sustained for its window) shifts hash arcs
@@ -82,9 +68,6 @@ type Options struct {
 func (o *Options) fillDefaults() {
 	if o.Replicas <= 0 {
 		o.Replicas = DefaultReplicas
-	}
-	if o.BatchTimeout <= 0 {
-		o.BatchTimeout = DefaultBatchTimeout
 	}
 	if o.ProbeCooldown <= 0 {
 		o.ProbeCooldown = DefaultProbeCooldown
@@ -128,6 +111,9 @@ type NodeStatus struct {
 
 // ErrClosed is returned by operations on a closed Client.
 var ErrClosed = errors.New("cluster: client closed")
+
+// errNonFinite is returned for a query with a NaN or ±Inf component.
+var errNonFinite = errors.New("cluster: query has a NaN or infinite component")
 
 // Client routes queries across shard nodes — instances of the HTTP
 // middleware — by consistent hashing over the same LSH signatures the
@@ -187,17 +173,15 @@ func New(dim int, nodes []string, opts Options) (*Client, error) {
 		return nil, err
 	}
 	c.ring = ring
-	// Submitters own flush timers and keep-alive connections from the
-	// moment they are built; every later constructor failure must close
-	// what already started or an embedding process leaks one goroutine
-	// per node per failed New.
+	// Nodes own keep-alive connections from the moment they are built;
+	// every later constructor failure must close what already started.
 	closeNodes := func() {
 		for _, n := range c.nodes {
 			_ = n.close()
 		}
 	}
 	for _, base := range ring.Nodes() {
-		n, err := newNode(base, opts)
+		n, err := newNode(base)
 		if err != nil {
 			closeNodes()
 			return nil, err
@@ -265,6 +249,11 @@ func (c *Client) retrieve(trace *telemetry.Trace, q vec.Vector) (docs []int, hit
 		return nil, false, fmt.Errorf("cluster: query dim %d, cluster dim %d: %w",
 			len(q), c.dim, vec.ErrDimensionMismatch)
 	}
+	// A node refuses a NaN or ±Inf component with a 400 for the whole
+	// batch that carries it, which would fail every query sharing it.
+	if !vec.Finite(q) {
+		return nil, false, errNonFinite
+	}
 
 	c.mu.RLock()
 	if c.closed {
@@ -324,11 +313,12 @@ func (c *Client) retrieve(trace *telemetry.Trace, q vec.Vector) (docs []int, hit
 }
 
 // attempt issues one node call. Untraced queries ride the node's batch
-// submitter (amortizing the HTTP round trip); traced ones go direct so
-// the node's span timeline attaches to exactly this request.
+// submitter (queries that arrive while a call is in flight share the
+// next one); traced ones go direct so the node's span timeline attaches
+// to exactly this request.
 func (c *Client) attempt(trace *telemetry.Trace, n *node, q vec.Vector) (server.BatchItem, error) {
 	if trace == nil {
-		return n.do(q)
+		return n.sub.Do(q)
 	}
 	finish := trace.StartSpanNode(telemetry.StageNodeRPC, n.base)
 	start := time.Now()
@@ -573,8 +563,9 @@ func (c *Client) Clear() {
 // lines; each node snapshots its own (proximity-server -snapshot).
 func (c *Client) Entries() []core.Entry { return nil }
 
-// Close drains every node submitter, closes the connections to every
-// node and fails subsequent operations with ErrClosed.
+// Close waits for every node submitter's accepted calls, closes the
+// connections to every node and fails subsequent operations with
+// ErrClosed.
 func (c *Client) Close() error {
 	// Stop the adaptive loop FIRST, while the client is still open: an
 	// in-flight tick completes against a working client (no spurious

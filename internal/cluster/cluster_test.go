@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -222,9 +223,11 @@ func TestClusterGetFallsBackOnTotalFailure(t *testing.T) {
 
 // TestClusterBadInputNotRetried: a 4xx reply must surface immediately
 // instead of burning retries — every replica would reject the same
-// input. The wrong-dimension case is caught client-side; server-side
-// 4xx handling is exercised through the status classification tests in
-// internal/server.
+// input. The wrong-dimension and non-finite cases are caught
+// client-side; server-side 4xx handling is exercised through the status
+// classification tests in internal/server. A non-finite query sent
+// alongside valid ones fails alone: the node would refuse the whole
+// batch that carried it.
 func TestClusterBadInputNotRetried(t *testing.T) {
 	c, _, _ := startCluster(t, 2, Options{Seed: 7})
 	if _, _, err := c.Retrieve(vec.Vector{1, 2, 3}); !errors.Is(err, vec.ErrDimensionMismatch) {
@@ -233,8 +236,43 @@ func TestClusterBadInputNotRetried(t *testing.T) {
 	if _, _, err := c.Retrieve(nil); err == nil {
 		t.Fatal("nil query should error")
 	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		q := queries(1, 15)[0]
+		q[3] = bad
+		if _, _, err := c.Retrieve(q); !errors.Is(err, errNonFinite) {
+			t.Fatalf("query with a %v component: got %v, want %v", bad, err, errNonFinite)
+		}
+	}
 	if rs := c.RouterStats(); rs.Served != 0 || rs.Failed != 0 {
 		t.Errorf("rejected input should not touch routing counters: %+v", rs)
+	}
+
+	one, _, _ := startCluster(t, 1, Options{Seed: 7})
+	qs := queries(8, 16)
+	qs[0][5] = float32(math.NaN())
+	start := make(chan struct{})
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func(i int, q vec.Vector) {
+			defer wg.Done()
+			<-start
+			_, _, errs[i] = one.Retrieve(q)
+		}(i, q)
+	}
+	close(start)
+	wg.Wait()
+	if !errors.Is(errs[0], errNonFinite) {
+		t.Errorf("NaN query: got %v, want %v", errs[0], errNonFinite)
+	}
+	for i, err := range errs[1:] {
+		if err != nil {
+			t.Errorf("valid query %d sent beside a NaN query failed: %v", i+1, err)
+		}
+	}
+	if rs := one.RouterStats(); rs.Served != int64(len(qs)-1) || rs.Failed != 0 {
+		t.Errorf("router stats = %+v, want %d served, 0 failed", rs, len(qs)-1)
 	}
 }
 
@@ -312,11 +350,7 @@ func TestClusterCacheAdmin(t *testing.T) {
 // node gather into shared /v1/retrieve/batch calls — strictly fewer
 // flushes than queries.
 func TestClusterSubmitterCoalesces(t *testing.T) {
-	c, _, _ := startCluster(t, 1, Options{
-		Seed:         7,
-		MaxBatch:     8,
-		BatchTimeout: 5 * time.Millisecond,
-	})
+	c, _, _ := startCluster(t, 1, Options{Seed: 7})
 	qs := queries(64, 8)
 	errs := make(chan error, len(qs))
 	for _, q := range qs {

@@ -41,13 +41,20 @@
 //
 // # Per-node batch submitters
 //
-// Queries bound for the same node coalesce: each node sits behind a
-// batch.Collector (a generic gather/flush engine), which gathers
-// concurrent requests for up to MaxBatch/BatchTimeout and flushes them
-// as ONE /v1/retrieve/batch call. This amortizes the HTTP round trip,
-// which the requests of one batch do share, and it composes with the
-// node-side pipeline: the node serves a batch's elements concurrently,
-// so duplicates in one burst reach its coalescer together.
+// Each node sits behind a batch.Collector doing group commit, with no
+// timer: a query that finds no call to its node in flight goes out at
+// once, as a batch of one, and the queries that arrive while a call is
+// in flight share the next /v1/retrieve/batch call (at most
+// server.MaxBatchElements, what the node accepts). A lone client thus
+// pays one round trip per query, and under load the batch grows with
+// the arrival rate, amortizing the HTTP round trip its requests share.
+// It composes with the node-side pipeline: the node serves a batch's
+// elements concurrently, so duplicates in one burst reach its coalescer
+// together. When a call to a node fails outright, the queries queued
+// behind it fail with it and retry on their next replica, so none waits
+// behind more than one failed call to a node. The router refuses a
+// query with a NaN or ±Inf component before routing it, since the
+// node would refuse the whole batch that carried it.
 //
 // # Wire format
 //

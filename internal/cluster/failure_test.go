@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,9 +17,7 @@ import (
 // killed node degrades throughput but produces zero failed queries".
 func TestClusterNodeDownMidBatch(t *testing.T) {
 	c, nodes, _ := startCluster(t, 3, Options{
-		Seed:         7,
-		MaxBatch:     8,
-		BatchTimeout: 2 * time.Millisecond,
+		Seed: 7,
 		// A long cooldown so the killed node stays sidelined for the
 		// whole test once discovered.
 		ProbeCooldown: time.Minute,
@@ -142,14 +142,10 @@ func TestClusterNodeRecovery(t *testing.T) {
 
 // TestClusterSubmitterStress: many goroutines hammering every surface of
 // the per-node submitters at once — routed retrievals, stats snapshots,
-// cache admin — to let -race shake out interleavings in the gather/flush
-// machinery.
+// cache admin — to let -race shake out interleavings in the submitters'
+// hand-off from one flight to the next.
 func TestClusterSubmitterStress(t *testing.T) {
-	c, _, _ := startCluster(t, 2, Options{
-		Seed:         7,
-		MaxBatch:     4,
-		BatchTimeout: 500 * time.Microsecond,
-	})
+	c, _, _ := startCluster(t, 2, Options{Seed: 7})
 	qs := queries(16, 14)
 	const goroutines = 32
 	var wg sync.WaitGroup
@@ -185,11 +181,7 @@ func TestClusterSubmitterStress(t *testing.T) {
 // TestClusterRebalanceUnderLoad: membership churn (join/leave) while
 // queries are in flight neither fails queries nor races (-race).
 func TestClusterRebalanceUnderLoad(t *testing.T) {
-	c, _, db := startCluster(t, 3, Options{
-		Seed:         7,
-		MaxBatch:     4,
-		BatchTimeout: time.Millisecond,
-	})
+	c, _, db := startCluster(t, 3, Options{Seed: 7})
 	extra := startNode(t, db)
 	qs := queries(48, 13)
 
@@ -236,5 +228,85 @@ func TestClusterRebalanceUnderLoad(t *testing.T) {
 
 	if failures.Load() != 0 {
 		t.Errorf("%d Gets missed during rebalance; churn must not drop queries", failures.Load())
+	}
+}
+
+// TestClusterQueueFailsOverBehindHungCall: a node whose handler hangs
+// holds one batched call; the queries that queue behind it must not
+// send a second call to that node. When the test closes the node's
+// connections, the held call fails, every query queued behind it fails
+// over with it, and the replica serves them all.
+func TestClusterQueueFailsOverBehindHungCall(t *testing.T) {
+	db := newCorpus(t, 64, 1)
+	var hits atomic.Int64
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	victim := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		select {
+		case entered <- struct{}{}:
+		default: // a second call: counted, and released with the first
+		}
+		<-release
+	}))
+	defer victim.Close()
+	replica := startNode(t, db)
+
+	c, err := New(testDim, []string{victim.URL, replica.base}, Options{Seed: 7, ProbeCooldown: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var qs []vec.Vector
+	for _, q := range queries(256, 17) {
+		if c.RouteFor(q)[0] == victim.URL {
+			qs = append(qs, q)
+		}
+		if len(qs) == 8 {
+			break
+		}
+	}
+	if len(qs) < 8 {
+		t.Fatalf("only %d of 256 queries route to the victim first", len(qs))
+	}
+
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	retrieve := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = c.Retrieve(qs[i])
+		}()
+	}
+	retrieve(0)
+	<-entered
+	for i := 1; i < len(qs); i++ {
+		retrieve(i)
+	}
+	sub := c.nodes[victim.URL].sub
+	for deadline := time.Now().Add(10 * time.Second); sub.Stats().Enqueued < int64(len(qs)); {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d queries reached the victim's submitter", sub.Stats().Enqueued, len(qs))
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	victim.CloseClientConnections()
+	close(release)
+	wg.Wait()
+
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("query %d failed despite a live replica: %v", i, err)
+		}
+	}
+	if got := hits.Load(); got != 1 {
+		t.Errorf("the victim saw %d requests, want 1", got)
+	}
+	if st := sub.Stats(); st.Flushes != 1 || st.Errors != int64(len(qs)) {
+		t.Errorf("victim submitter stats = %+v, want 1 flush and %d errors", st, len(qs))
+	}
+	if rs := c.RouterStats(); rs.Served != int64(len(qs)) || rs.Retried != int64(len(qs)) || rs.Failed != 0 {
+		t.Errorf("router stats = %+v, want all %d served by the replica", rs, len(qs))
 	}
 }

@@ -52,7 +52,7 @@ func (c *Client) AddNode(base string) error {
 	if err != nil {
 		return err
 	}
-	n, err := newNode(base, c.opts)
+	n, err := newNode(base)
 	if err != nil {
 		return err
 	}

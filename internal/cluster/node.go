@@ -15,9 +15,9 @@ import (
 const adminTimeout = 2 * time.Second
 
 // node is one shard node as seen from a Client: the HTTP middleware
-// behind a batch submitter (so concurrent queries bound for the same node
-// coalesce into one /v1/retrieve/batch call) plus the health state the
-// replica-retry path maintains.
+// behind a batch submitter (so queries bound for the same node while a
+// call to it is in flight share the next /v1/retrieve/batch call) plus
+// the health state the replica-retry path maintains.
 type node struct {
 	base   string
 	client *server.Client // data path
@@ -31,25 +31,16 @@ type node struct {
 	lastProbe time.Time
 }
 
-// newNode wires the submitter for one shard node.
-func newNode(base string, opts Options) (*node, error) {
+// newNode wires the submitter for one shard node. A batch never exceeds
+// what the node's batch endpoint accepts.
+func newNode(base string) (*node, error) {
 	n := &node{
 		base:    base,
 		client:  server.NewClient(base),
 		admin:   server.NewClientWithTimeout(base, adminTimeout),
 		healthy: true,
 	}
-	// The node rejects oversized batches outright, so never gather more
-	// than it will accept.
-	maxBatch := opts.MaxBatch
-	if maxBatch > server.MaxBatchElements {
-		maxBatch = server.MaxBatchElements
-	}
-	sub, err := batch.NewCollector(n.flush, batch.QueueOptions{
-		MaxBatch: maxBatch,
-		Timeout:  opts.BatchTimeout,
-		Clock:    opts.Clock,
-	})
+	sub, err := batch.NewCollector(n.flush, batch.QueueOptions{MaxBatch: server.MaxBatchElements})
 	if err != nil {
 		return nil, err
 	}
@@ -57,20 +48,14 @@ func newNode(base string, opts Options) (*node, error) {
 	return n, nil
 }
 
-// close drains the submitter, then closes both clients' idle
-// connections (a background health probe still in flight closes its own
-// when it ends).
+// close waits for the submitter's accepted calls, then closes both
+// clients' idle connections (a background health probe still in flight
+// closes its own when it ends).
 func (n *node) close() error {
 	err := n.sub.Close()
 	_ = n.client.Close()
 	_ = n.admin.Close()
 	return err
-}
-
-// do submits one query through the node's batch submitter and blocks for
-// its share of the flushed batch.
-func (n *node) do(q vec.Vector) (server.BatchItem, error) {
-	return n.sub.Do(q)
 }
 
 // flush serves one gathered batch with a single batched-retrieve call; a

@@ -1,10 +1,10 @@
-package batch
+package rebalance
 
 import "time"
 
-// Clock abstracts the collector's flush timer so tests can drive timeout
-// semantics deterministically (see fakeClock in flush_test.go);
-// production code uses SystemClock.
+// Clock abstracts the controller's sampling timer and its window and
+// cooldown arithmetic, so tests can drive them deterministically (see
+// fakeClock in rebalance_test.go); production code uses SystemClock.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time

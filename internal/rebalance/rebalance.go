@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"proximity/internal/batch"
 )
 
 // Sample is one observation of the balance signal.
@@ -79,8 +77,8 @@ type Options struct {
 	// negative value for an explicit zero minimum.
 	MinEntries int
 	// Clock drives the sampling loop; tests inject a fake. Defaults to
-	// batch.SystemClock.
-	Clock batch.Clock
+	// SystemClock.
+	Clock Clock
 }
 
 func (o *Options) fillDefaults() {
@@ -104,7 +102,7 @@ func (o *Options) fillDefaults() {
 		o.MinEntries = 0
 	}
 	if o.Clock == nil {
-		o.Clock = batch.SystemClock{}
+		o.Clock = SystemClock{}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// fakeClock is a manually-advanced batch.Clock: Tick-driven tests set
+// fakeClock is a manually-advanced Clock: Tick-driven tests set
 // the time explicitly, so window and cooldown arithmetic is exact.
 type fakeClock struct {
 	mu  sync.Mutex

@@ -84,10 +84,12 @@
 // consistent hashing over the same LSH signatures the in-process
 // partitioner routes by, so a near-duplicate query reaches the node that
 // holds its key. The client satisfies Cache (and Searcher), so it
-// drops into NewRetriever unchanged; queries bound for the same node
-// coalesce into batched HTTP calls, a failing node is retried on the
-// next ring replica, and when every replica is down the wrapping
-// retriever falls back to its local database:
+// drops into NewRetriever unchanged; a query goes to its node at once
+// when no call to that node is in flight, and the queries that arrive
+// during a call share the next batched HTTP call (no timer holds one
+// back). A failing node is retried on the next ring replica, and when
+// every replica is down the wrapping retriever falls back to its local
+// database:
 //
 //	cc, _ := proximity.NewClusterCache(768, []string{
 //		"http://10.0.0.1:8081", "http://10.0.0.2:8081",
