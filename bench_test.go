@@ -404,50 +404,96 @@ func BenchmarkCacheGet(b *testing.B) {
 
 // BenchmarkServerRoundTrip measures the HTTP rung of the request path:
 // one server.Client.Retrieve hit per op, over a loopback connection to
-// server.New's handler in front of a warmed FLAT cache of 1 000 keys
-// (d = 768, τ = 1). Its allocations count both ends of the connection.
+// server.New's handler (d = 768, K = 1). Its allocations count both ends
+// of the connection. flat-1000 serves a warmed FLAT cache of 1 000 keys
+// (τ = 1); sharded-lsh serves the zipf_lsh_http workload's cache, as
+// BenchmarkCacheGet/sharded-lsh-hit builds and warms it, asked a fresh
+// near-duplicate of a key it holds.
 func BenchmarkServerRoundTrip(b *testing.B) {
 	const (
 		dim = 768
 		n   = 1000
 	)
-	r := vec.NewRand(3)
-	keys := make([]vec.Vector, n)
-	for i := range keys {
-		keys[i] = vec.Scale(vec.RandomUnit(r, dim), 10)
-	}
-	db, err := vectordb.NewFlatFromVectors(keys, vec.L2Distance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache, base := benchNode(b, db, dim, n)
-	for i, k := range keys {
-		cache.Put(k, []int{i})
-	}
+	b.Run("flat-1000", func(b *testing.B) {
+		r := vec.NewRand(3)
+		keys := make([]vec.Vector, n)
+		for i := range keys {
+			keys[i] = vec.Scale(vec.RandomUnit(r, dim), 10)
+		}
+		db, err := vectordb.NewFlatFromVectors(keys, vec.L2Distance)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cache, base := benchNode(b, db, dim, n)
+		for i, k := range keys {
+			cache.Put(k, []int{i})
+		}
+		roundTrips(b, base, vec.GaussianAround(vec.NewRand(2), keys[n/2], 0.02)) // ≈ 0.55 away
+	})
+	b.Run("sharded-lsh", func(b *testing.B) {
+		const sigma = 0.03
+		tau := float32(1.3 * sigma * math.Sqrt(2*dim))
+		cache, err := shard.NewLSH(dim, 2, core.LSHOptions{
+			Bits: 5, BucketCapacity: 20, Tolerance: tau, Policy: core.LRU, Seed: 5,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := vec.NewRand(6)
+		centres := make([]vec.Vector, n)
+		for i := range centres {
+			centres[i] = vec.RandomGaussian(r, dim)
+			cache.Put(vec.GaussianAround(r, centres[i], sigma), []int{i})
+		}
+		db, err := vectordb.NewFlatFromVectors(centres, vec.L2Distance)
+		if err != nil {
+			b.Fatal(err)
+		}
+		near := vec.GaussianAround(r, centres[0], sigma)
+		for i := 1; i < n; i++ {
+			if _, ok := cache.Get(near); ok {
+				break
+			}
+			near = vec.GaussianAround(r, centres[i], sigma)
+		}
+		roundTrips(b, serveNode(b, cache, db), near)
+	})
+}
+
+// roundTrips times one Client.Retrieve of q per op against the node at
+// base, after checking that q hits.
+func roundTrips(b *testing.B, base string, q vec.Vector) {
+	b.Helper()
 	client := server.NewClient(base)
 	defer client.Close()
-	near := vec.GaussianAround(vec.NewRand(2), keys[n/2], 0.02) // ≈ 0.55 away
-	if resp, err := client.Retrieve(near); err != nil || !resp.Hit {
+	if resp, err := client.Retrieve(q); err != nil || !resp.Hit {
 		b.Fatalf("hit = %v, err %v; want a hit", resp.Hit, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Retrieve(near); err != nil {
+		if _, err := client.Retrieve(q); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // benchNode serves a FLAT cache of the given capacity (τ = 1, LRU) in
-// front of db, K = 1, on a loopback port until the benchmark ends. It
-// returns the cache, for warming, and the node's base URL.
+// front of db (see serveNode). It returns the cache, for warming, and
+// the node's base URL.
 func benchNode(b *testing.B, db vectordb.DB, dim, capacity int) (*core.FlatCache, string) {
 	b.Helper()
 	cache, err := core.NewFlat(dim, core.Options{Capacity: capacity, Tolerance: 1, Policy: core.LRU})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return cache, serveNode(b, cache, db)
+}
+
+// serveNode serves cache in front of db, K = 1, on a loopback port until
+// the benchmark ends, and returns the node's base URL.
+func serveNode(b *testing.B, cache core.Cache, db vectordb.DB) string {
+	b.Helper()
 	retr, err := core.NewCachedRetriever(cache, db, core.RetrieverOptions{K: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -461,7 +507,7 @@ func benchNode(b *testing.B, db vectordb.DB, dim, capacity int) (*core.FlatCache
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = stop() })
-	return cache, "http://" + addr
+	return "http://" + addr
 }
 
 // BenchmarkClusterRetrieve measures the cluster hop, the rung above

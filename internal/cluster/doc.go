@@ -66,8 +66,11 @@
 // at most 256 vectors for a batch; anything else is a 400 dimension
 // mismatch) and refuses NaN and ±Inf components with a 400, so a router
 // bug cannot plant an unmatchable key in a node's cache; both are 4xx
-// and therefore not retried on the next replica. Replies are JSON. Nodes
-// still accept JSON requests, so a node can be probed by hand with
+// and therefore not retried on the next replica. The format is the same
+// on every host; only a little-endian router sends an embedding's own
+// memory as the body of a direct call, where other hosts convert each
+// component. Replies are JSON, byte for byte what encoding/json writes.
+// Nodes still accept JSON requests, so a node can be probed by hand with
 // either:
 //
 //	curl --data-binary @query.f32 -H 'Content-Type: application/x-proximity-f32' \

@@ -4,6 +4,13 @@
 // through the origin; the resulting L-bit sign pattern is the bucket key.
 // Vectors with a small angle collide with high probability, so each bucket
 // of the cache holds mutually similar queries.
+//
+// The L planes live in one contiguous row-major array, and Hash computes
+// all L projections in one pass over the query (on amd64 an SSE2 kernel,
+// hash_amd64.s; elsewhere vec.Dot per plane). Every projection is
+// bit-identical to vec.Dot(q, plane), so a signature does not depend on
+// the body that computed it: shard routing, LSH buckets, the cluster
+// ring and migration previews agree across builds.
 package lsh
 
 import (
@@ -19,7 +26,8 @@ const MaxBits = 30
 // Hasher computes L-bit signatures from a fixed set of random hyperplanes.
 // A Hasher is immutable after construction and safe for concurrent use.
 type Hasher struct {
-	planes []vec.Vector
+	planes []float32 // plane i is planes[i·dim : (i+1)·dim]
+	bits   int
 	dim    int
 }
 
@@ -34,38 +42,52 @@ func NewHasher(dim, bits int, seed uint64) (*Hasher, error) {
 		return nil, fmt.Errorf("lsh: bits must be in [1, %d], got %d", MaxBits, bits)
 	}
 	rng := vec.NewRand(seed)
-	planes := make([]vec.Vector, bits)
-	for i := range planes {
-		planes[i] = vec.RandomUnit(rng, dim)
+	planes := make([]float32, 0, bits*dim)
+	for range bits {
+		planes = append(planes, vec.RandomUnit(rng, dim)...)
 	}
-	return &Hasher{planes: planes, dim: dim}, nil
+	return &Hasher{planes: planes, bits: bits, dim: dim}, nil
 }
 
 // Bits returns the signature width L.
-func (h *Hasher) Bits() int { return len(h.planes) }
+func (h *Hasher) Bits() int { return h.bits }
 
 // Dim returns the expected vector dimensionality.
 func (h *Hasher) Dim() int { return h.dim }
 
 // NumBuckets returns 2^L, the theoretical number of buckets.
-func (h *Hasher) NumBuckets() int { return 1 << len(h.planes) }
+func (h *Hasher) NumBuckets() int { return 1 << h.bits }
 
 // Hash returns the signature h(q) = (q·r₁ ≥ 0, …, q·r_L ≥ 0) packed into a
 // uint32, bit i set when q·rᵢ ≥ 0. The cost is O(L·d), matching the
 // paper's lookup cost analysis. Hash panics on a dimension mismatch, which
 // indicates a programming error (mixing embedders); input from outside
 // the process is length-checked where it enters.
+//
+//proximity:hotpath
 func (h *Hasher) Hash(q vec.Vector) uint32 {
 	if len(q) != h.dim {
 		panic(fmt.Sprintf("lsh: vector dim %d, hasher dim %d", len(q), h.dim))
 	}
+	var proj [MaxBits]float32
+	h.project(proj[:h.bits], q)
 	var sig uint32
-	for i, p := range h.planes {
-		if vec.Dot(q, p) >= 0 {
+	for i, x := range proj[:h.bits] {
+		if x >= 0 {
 			sig |= 1 << uint(i)
 		}
 	}
 	return sig
+}
+
+// plane returns hyperplane i's normal.
+func (h *Hasher) plane(i int) []float32 { return h.planes[i*h.dim : (i+1)*h.dim] }
+
+// projectGeneric is project's portable body: dst[i] = vec.Dot(q, plane i).
+func (h *Hasher) projectGeneric(dst []float32, q []float32) {
+	for i := range dst {
+		dst[i] = vec.Dot(q, h.plane(i))
+	}
 }
 
 // ProbeSequence returns the signature followed by its single-bit

@@ -5,8 +5,8 @@
 // that slips past the analyzer (an allocation inside a callee, an
 // escape-analysis change) still fails CI.
 //
-// Budgets: hnsw.SearchInto and vec.Heads.Next are allocation-free in
-// steady state; FlatCache.Get and the tiered hot-hit and FIFO warm-hit
+// Budgets: hnsw.SearchInto, vec.Heads.Next and lsh.Hasher.Hash are
+// allocation-free in steady state; FlatCache.Get and the tiered hot-hit and FIFO warm-hit
 // lookups are allowed exactly their one documented
 // caller-owned docs copy, as is an evicting FlatCache.Put (its copy of
 // the caller's docs) and an evicting tiered Put (the hot tier's copy of
@@ -29,6 +29,7 @@ import (
 
 	"proximity/internal/core"
 	"proximity/internal/hnsw"
+	"proximity/internal/lsh"
 	"proximity/internal/server"
 	"proximity/internal/tier"
 	"proximity/internal/vec"
@@ -250,6 +251,20 @@ func TestNextHeadAllocFree(t *testing.T) {
 	checkBudget(t, "vec.Heads.Next", 0, scan)
 }
 
+// TestHashAllocFree pins the LSH signature every LSH lookup, shard route
+// and cluster route computes, at the benchmark's width: d = 768, L = 10,
+// all projections in one pass into a stack array.
+func TestHashAllocFree(t *testing.T) {
+	const wireDim = 768
+	h, err := lsh.NewHasher(wireDim, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := vec.RandomGaussian(vec.NewRand(2), wireDim)
+	var sig uint32
+	checkBudget(t, "lsh.Hasher.Hash", 0, func() { sig ^= h.Hash(q) })
+}
+
 // TestFlatIndexSearchBudget pins the miss path's index scan: the result
 // slice is its only allocation — the selection heaps and the L2 seeding
 // scratch, seedsPerK·k seeds wide, are pooled, and both sorts run in
@@ -293,10 +308,11 @@ func TestDecodeF32Budget(t *testing.T) {
 	})
 }
 
-// clientRetrieveBudget is what one loopback hit measured when the
-// client's round trip moved onto the calling goroutine (net/http's
-// client transport cost 112).
-const clientRetrieveBudget = 63
+// clientRetrieveBudget is what one loopback hit measured once the
+// client wrote its own request head and both ends laid out and parsed
+// the reply without encoding/json (63 before, with an http.Request and
+// encoding/json; net/http's client transport cost 112).
+const clientRetrieveBudget = 41
 
 // TestClientRetrieveBudget pins one loopback HTTP hit at the benchmark's
 // width: server.Client.Retrieve of a cached 768-d key against

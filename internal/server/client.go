@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -126,7 +127,7 @@ func (c *Client) Close() error {
 func (c *Client) Retrieve(embedding []float32) (RetrieveResponse, error) {
 	var out RetrieveResponse
 	_, err := c.call(&request{method: http.MethodPost, path: "/v1/retrieve",
-		contentType: ContentTypeF32, body: encodeF32(embedding)}, &out)
+		contentType: ContentTypeF32, body: f32Body(embedding)}, &out)
 	return out, err
 }
 
@@ -138,7 +139,7 @@ func (c *Client) Retrieve(embedding []float32) (RetrieveResponse, error) {
 func (c *Client) RetrieveTraced(embedding []float32, traceID uint64) (RetrieveResponse, []telemetry.Span, error) {
 	var out RetrieveResponse
 	hdr, err := c.call(&request{method: http.MethodPost, path: "/v1/retrieve",
-		contentType: ContentTypeF32, body: encodeF32(embedding), traceID: traceID}, &out)
+		contentType: ContentTypeF32, body: f32Body(embedding), traceID: traceID}, &out)
 	// Span decode failures are dropped, not fatal: the retrieval result
 	// matters more than its timeline.
 	spans, _ := telemetry.UnmarshalSpans(hdr)
@@ -244,7 +245,7 @@ func (c *Client) call(rq *request, out any) (string, error) {
 				return "", fmt.Errorf("client: %s: %w", rq.path, err)
 			}
 		}
-		resp, replied, err := cn.exchange(c.newRequest(rq), deadline)
+		resp, replied, err := cn.exchange(c.host, rq, deadline)
 		if err != nil {
 			_ = cn.Close()
 			if reused && !replied && !errors.Is(err, os.ErrDeadlineExceeded) {
@@ -264,25 +265,36 @@ func (c *Client) call(rq *request, out any) (string, error) {
 	}
 }
 
-// newRequest builds rq's HTTP request.
-func (c *Client) newRequest(rq *request) *http.Request {
-	req := &http.Request{
-		Method: rq.method,
-		URL:    &url.URL{Path: rq.path, RawQuery: rq.query},
-		Host:   c.host,
-		Header: make(http.Header, 2),
+// appendHead appends rq's request line and headers to b as
+// (*http.Request).Write writes them, Host and User-Agent first, then
+// Content-Length for a body or a POST, then the rest in key order.
+func appendHead(b []byte, host string, rq *request) []byte {
+	b = append(b, rq.method...)
+	b = append(b, ' ')
+	b = append(b, rq.path...)
+	if rq.query != "" {
+		b = append(b, '?')
+		b = append(b, rq.query...)
+	}
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, host...)
+	b = append(b, "\r\nUser-Agent: Go-http-client/1.1\r\n"...)
+	if len(rq.body) > 0 || rq.method == http.MethodPost {
+		b = append(b, "Content-Length: "...)
+		b = strconv.AppendInt(b, int64(len(rq.body)), 10)
+		b = append(b, "\r\n"...)
 	}
 	if rq.contentType != "" {
-		req.Header.Set("Content-Type", rq.contentType)
+		b = append(b, "Content-Type: "...)
+		b = append(b, rq.contentType...)
+		b = append(b, "\r\n"...)
 	}
 	if rq.traceID != 0 {
-		req.Header.Set(telemetry.TraceHeader, telemetry.FormatTraceID(rq.traceID))
+		b = append(b, telemetry.TraceHeader+": "...)
+		b = append(b, telemetry.FormatTraceID(rq.traceID)...)
+		b = append(b, "\r\n"...)
 	}
-	if len(rq.body) > 0 {
-		req.Body = io.NopCloser(bytes.NewReader(rq.body))
-		req.ContentLength = int64(len(rq.body))
-	}
-	return req
+	return append(b, "\r\n"...)
 }
 
 // decodeReply checks a reply's status and decodes its body into out (see
@@ -299,6 +311,9 @@ func decodeReply(rq *request, status int, body []byte, out any) error {
 			se.Msg = e.Error
 		}
 		return se
+	}
+	if r, ok := out.(*RetrieveResponse); ok && parseRetrieveReply(body, r) {
+		return nil
 	}
 	switch out := out.(type) {
 	case nil:
@@ -317,13 +332,17 @@ func decodeReply(rq *request, status int, body []byte, out any) error {
 // its call fails.
 const drainMax = 1 << 20
 
-// exchange writes req and reads its reply, the body to EOF into cn.body.
-// replied reports whether any reply byte had arrived when err occurred.
-func (cn *clientConn) exchange(req *http.Request, deadline time.Time) (resp *http.Response, replied bool, err error) {
+// exchange writes rq to host and reads its reply, the body to EOF into
+// cn.body. replied reports whether any reply byte had arrived when err
+// occurred.
+func (cn *clientConn) exchange(host string, rq *request, deadline time.Time) (resp *http.Response, replied bool, err error) {
 	if err := cn.SetDeadline(deadline); err != nil {
 		return nil, false, err
 	}
-	if err := req.Write(cn.bw); err != nil {
+	if _, err := cn.bw.Write(appendHead(cn.bw.AvailableBuffer(), host, rq)); err != nil {
+		return nil, false, err
+	}
+	if _, err := cn.bw.Write(rq.body); err != nil {
 		return nil, false, err
 	}
 	if err := cn.bw.Flush(); err != nil {
@@ -332,7 +351,9 @@ func (cn *clientConn) exchange(req *http.Request, deadline time.Time) (resp *htt
 	if _, err := cn.br.Peek(1); err != nil {
 		return nil, false, err
 	}
-	if resp, err = http.ReadResponse(cn.br, req); err != nil {
+	// A nil request reads the reply as one to a GET: every method this
+	// client sends has a body-carrying reply, as a GET's has.
+	if resp, err = http.ReadResponse(cn.br, nil); err != nil {
 		return nil, true, err
 	}
 	cn.body.Reset()

@@ -640,7 +640,23 @@ func (s *Server) retrieve(w http.ResponseWriter, r *http.Request, embedding vec.
 			resp.Texts = append(resp.Texts, text)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRetrieveReply(w, &resp)
+}
+
+// writeRetrieveReply writes resp as writeJSON(w, 200, resp) would, byte
+// for byte, laid out by appendRetrieveReply where it can.
+func writeRetrieveReply(w http.ResponseWriter, resp *RetrieveResponse) {
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
+	b, ok := appendRetrieveReply((*bp)[:0], resp)
+	if !ok {
+		writeJSON(w, http.StatusOK, *resp) // a copy: resp stays on the caller's stack
+		return
+	}
+	*bp = b
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
 }
 
 // fail writes an error response, logging server faults (5xx) through the
