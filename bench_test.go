@@ -796,7 +796,7 @@ func BenchmarkIndexSearch(b *testing.B) {
 		}
 	})
 	b.Run("hnsw", func(b *testing.B) {
-		ix, err := hnsw.New(dim, vec.L2Distance, hnsw.Config{Seed: 6})
+		ix, err := hnsw.New(dim, vec.L2Distance, 6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -811,7 +811,7 @@ func BenchmarkIndexSearch(b *testing.B) {
 		}
 	})
 	b.Run("vamana", func(b *testing.B) {
-		ix, err := vamana.Build(vectors, vec.L2Distance, vamana.Config{Seed: 7})
+		ix, err := vamana.Build(vectors, vec.L2Distance, 7)
 		if err != nil {
 			b.Fatal(err)
 		}

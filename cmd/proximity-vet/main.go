@@ -1,5 +1,5 @@
 // Command proximity-vet runs the repo's static-analysis suite
-// (internal/lint, seven analyzers) over the named package patterns and
+// (internal/lint, eight analyzers) over the named package patterns and
 // exits non-zero on findings. CI runs it next to go vet:
 //
 //	go run ./cmd/proximity-vet ./...
@@ -10,12 +10,13 @@
 //	-list            print the suite and exit
 //
 // Findings print as file:line:col: analyzer: message, and only for the
-// packages the patterns name. unusedapi still counts uses from every
-// package of the module, so
+// packages the patterns name. unusedapi and deadfield still count uses
+// from every package of the module, so
 //
 //	go run ./cmd/proximity-vet -analyzers unusedapi ./internal/vec
 //
-// reports the vec names that nothing in the module uses. Suppress an
+// reports the vec names that nothing in the module uses, and
+// -analyzers deadfield the vec fields that nothing reads. Suppress an
 // intentional finding with //proximity:allow <analyzer> <reason> on or
 // directly above the flagged line; mark zero-alloc functions with
 // //proximity:hotpath in their doc comment.

@@ -58,15 +58,9 @@ func run() error {
 	// The herd: each topic's query arrives burst times back-to-back.
 	wl := proximity.Workload{Name: "thundering-herd"}
 	for t := 0; t < topics; t++ {
-		text := fmt.Sprintf("common questions about topic-%d", t)
-		emb := enc.Embed(text)
+		emb := enc.Embed(fmt.Sprintf("common questions about topic-%d", t))
 		for o := 0; o < burst; o++ {
-			wl.Queries = append(wl.Queries, proximity.WorkloadQuery{
-				Text:       text,
-				Embedding:  emb,
-				Question:   t,
-				Occurrence: o,
-			})
+			wl.Queries = append(wl.Queries, proximity.WorkloadQuery{Embedding: emb, Question: t})
 		}
 	}
 

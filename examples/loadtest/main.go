@@ -57,12 +57,7 @@ func run() error {
 	}
 	for r := 0; r < repeats; r++ {
 		for t := 0; t < topics; t++ {
-			wl.Queries = append(wl.Queries, proximity.WorkloadQuery{
-				Text:       fmt.Sprintf("common questions about topic-%d", t),
-				Embedding:  embeds[t],
-				Question:   t,
-				Occurrence: r,
-			})
+			wl.Queries = append(wl.Queries, proximity.WorkloadQuery{Embedding: embeds[t], Question: t})
 		}
 	}
 

@@ -43,7 +43,7 @@ func run(full bool) error {
 
 	// The paper serves wiki_dpr with FAISS-HNSW; we build a real HNSW
 	// graph over the scaled corpus.
-	ix, err := hnsw.New(bench.Dim(), vec.L2Distance, hnsw.Config{Seed: 8})
+	ix, err := hnsw.New(bench.Dim(), vec.L2Distance, 8)
 	if err != nil {
 		return err
 	}

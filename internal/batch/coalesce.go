@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"proximity/internal/telemetry"
 	"proximity/internal/vec"
@@ -81,7 +80,6 @@ type flightKey struct {
 type Coalescer struct {
 	inner Searcher
 	key   KeyFunc
-	tel   *telemetry.Telemetry // optional: coalesce_wait stage observations
 
 	mu       sync.Mutex
 	inflight map[flightKey]*flight
@@ -104,10 +102,6 @@ func NewCoalescer(inner Searcher, key KeyFunc) (*Coalescer, error) {
 		inflight: make(map[flightKey]*flight),
 	}, nil
 }
-
-// SetTelemetry attaches a telemetry hub: follower waits are then
-// observed under the coalesce_wait stage. Call before serving traffic.
-func (c *Coalescer) SetTelemetry(tel *telemetry.Telemetry) { c.tel = tel }
 
 // Search performs (or joins) the deduplicated search for q.
 func (c *Coalescer) Search(q vec.Vector, k int) ([]vec.Scored, error) {
@@ -142,14 +136,7 @@ func (c *Coalescer) search(trace *telemetry.Trace, q vec.Vector, k int) ([]vec.S
 		// the leader's work, and the link keeps that search attributable
 		// from every request it served.
 		finish := trace.StartSpanLinked(telemetry.StageCoalesceWait, f.traceID)
-		var waitStart time.Time
-		if c.tel != nil {
-			waitStart = time.Now()
-		}
 		<-f.done
-		if c.tel != nil {
-			c.tel.ObserveStage(telemetry.StageCoalesceWait, time.Since(waitStart))
-		}
 		finish(f.err)
 		if f.err != nil {
 			return nil, f.err

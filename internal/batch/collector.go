@@ -23,8 +23,6 @@ type QueueStats struct {
 	Enqueued int64
 	// Flushes is the number of FlushFunc calls made.
 	Flushes int64
-	// Errors counts Do calls that returned an error outcome.
-	Errors int64
 }
 
 // MeanBatch returns accepted Do calls per flush, or 0 before any flush.
@@ -161,7 +159,7 @@ func (c *Collector[Req, Res]) flush(batch []collectorWaiter[Req, Res]) Outcome[R
 	outs := c.flushFn(reqs)
 
 	var own Outcome[Res]
-	var errs int64
+	var errs int
 	for i, w := range batch {
 		out := Outcome[Res]{Err: ErrClosed}
 		if i < len(outs) {
@@ -179,11 +177,9 @@ func (c *Collector[Req, Res]) flush(batch []collectorWaiter[Req, Res]) Outcome[R
 
 	c.mu.Lock()
 	var failed, next []collectorWaiter[Req, Res]
-	if errs == int64(len(batch)) {
+	if errs == len(batch) {
 		failed, c.queue = c.queue, nil
-		errs += int64(len(failed))
 	}
-	c.stats.Errors += errs
 	if n := len(c.queue); n == 0 {
 		c.busy = false
 		c.idle.Broadcast()

@@ -49,7 +49,7 @@ func TestCollectorSizeFlush(t *testing.T) {
 		t.Errorf("%d overlapping flushes, %d over MaxBatch %d", overlaps.Load(), oversized.Load(), maxBatch)
 	}
 	st := c.Stats()
-	if st.Enqueued != goroutines*rounds || st.Flushes < goroutines*rounds/maxBatch || st.Errors != 0 {
+	if st.Enqueued != goroutines*rounds || st.Flushes < goroutines*rounds/maxBatch {
 		t.Errorf("stats = %+v, want %d enqueued in at least %d flushes", st, goroutines*rounds, goroutines*rounds/maxBatch)
 	}
 }
@@ -91,9 +91,6 @@ func TestCollectorPartialFailure(t *testing.T) {
 	}
 	if !errors.Is(errs[1], errPoisoned) {
 		t.Errorf("poisoned request 1: err %v, want %v", errs[1], errPoisoned)
-	}
-	if st := c.Stats(); st.Errors != 1 {
-		t.Errorf("errors = %d, want 1", st.Errors)
 	}
 }
 

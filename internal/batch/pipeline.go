@@ -5,21 +5,15 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 
-	"proximity/internal/telemetry"
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
 )
 
-// Options configures a Pipeline.
-type Options struct {
-	// Telemetry, when non-nil, receives per-stage observations from the
-	// pipeline: coalesce_wait (follower flight waits) and db_search (one
-	// observation per database search a leader or a fingerprint
-	// collision makes; followers make none).
-	Telemetry *telemetry.Telemetry
-}
+// Options configures a Pipeline. It has no settings: a pipeline has
+// one mode, and it records its stages only as spans of a sampled
+// request's trace (see SearchContext).
+type Options struct{}
 
 // Stats are cumulative pipeline counters.
 type Stats struct {
@@ -27,9 +21,6 @@ type Stats struct {
 	Searches int64
 	// Coalesced is the subset served from another request's flight.
 	Coalesced int64
-	// Collisions counts fingerprint collisions between distinct
-	// embeddings; such requests search independently.
-	Collisions int64
 	// Errors counts database searches that failed. Followers of a failed
 	// flight receive its error but searched nothing, so they are not
 	// counted.
@@ -52,7 +43,6 @@ func (s Stats) CoalesceRate() float64 {
 type Pipeline struct {
 	db     vectordb.DB
 	co     *Coalescer
-	opts   Options
 	errors atomic.Int64
 }
 
@@ -60,16 +50,15 @@ var _ vectordb.DB = (*Pipeline)(nil)
 var _ Searcher = (*Pipeline)(nil)
 
 // New builds a pipeline over db.
-func New(db vectordb.DB, opts Options) (*Pipeline, error) {
+func New(db vectordb.DB, _ Options) (*Pipeline, error) {
 	if db == nil {
 		return nil, fmt.Errorf("batch: pipeline requires a database")
 	}
-	p := &Pipeline{db: db, opts: opts}
+	p := &Pipeline{db: db}
 	co, err := NewCoalescer(searcherFunc(p.search), Fingerprint)
 	if err != nil {
 		return nil, err
 	}
-	co.SetTelemetry(opts.Telemetry)
 	p.co = co
 	return p, nil
 }
@@ -80,17 +69,14 @@ type searcherFunc func(q vec.Vector, k int) ([]vec.Scored, error)
 // Search implements Searcher.
 func (f searcherFunc) Search(q vec.Vector, k int) ([]vec.Scored, error) { return f(q, k) }
 
-// search is the coalescer's inner searcher: one database search, timed
-// under db_search and counted in Errors when it fails. A leader's flight
-// is already registered when it gets here, so it yields first: on a
-// saturated host a duplicate that has arrived but not yet run would
-// otherwise reach the coalescer only after a CPU-bound search finished,
-// and search again.
+// search is the coalescer's inner searcher: one database search,
+// counted in Errors when it fails. A leader's flight is already
+// registered when it gets here, so it yields first: on a saturated host
+// a duplicate that has arrived but not yet run would otherwise reach the
+// coalescer only after a CPU-bound search finished, and search again.
 func (p *Pipeline) search(q vec.Vector, k int) ([]vec.Scored, error) {
 	runtime.Gosched()
-	start := time.Now()
 	res, err := p.db.Search(q, k)
-	p.opts.Telemetry.ObserveStage(telemetry.StageDBSearch, time.Since(start))
 	if err != nil {
 		p.errors.Add(1)
 	}
@@ -120,9 +106,8 @@ func (p *Pipeline) Len() int { return p.db.Len() }
 func (p *Pipeline) Stats() Stats {
 	cs := p.co.Stats()
 	return Stats{
-		Searches:   cs.Leads + cs.Coalesced + cs.Collisions,
-		Coalesced:  cs.Coalesced,
-		Collisions: cs.Collisions,
-		Errors:     p.errors.Load(),
+		Searches:  cs.Leads + cs.Coalesced + cs.Collisions,
+		Coalesced: cs.Coalesced,
+		Errors:    p.errors.Load(),
 	}
 }

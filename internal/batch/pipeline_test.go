@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +12,6 @@ import (
 
 	"proximity/internal/batch"
 	"proximity/internal/core"
-	"proximity/internal/telemetry"
 	"proximity/internal/vec"
 	"proximity/internal/vectordb"
 )
@@ -286,15 +283,13 @@ func fingerprintCollision(t *testing.T) (vec.Vector, vec.Vector) {
 // TestPipelineCounters pins what the counters mean over a failing
 // database: n concurrent duplicates of one query plus one fingerprint
 // collision are n+1 searches, of which only the leader's and the
-// collision's reach the database. Both fail, so Errors and the db_search
-// histogram count those two; followers receive the leader's error
-// without searching. Reset zeroes every counter, Errors included.
+// collision's reach the database. Both fail, so Errors counts those
+// two; followers receive the leader's error without searching.
 func TestPipelineCounters(t *testing.T) {
 	const n = 8
 	q, collider := fingerprintCollision(t)
 	db := &failingDB{entered: make(chan struct{}, n+1), release: make(chan struct{})}
-	tel := telemetry.New(telemetry.Options{})
-	pipe, err := batch.New(db, batch.Options{Telemetry: tel})
+	pipe, err := batch.New(db, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,14 +319,11 @@ func TestPipelineCounters(t *testing.T) {
 
 	st := pipe.Stats()
 	searched := st.Searches - st.Coalesced // leads + collisions
-	if st.Searches != n+1 || st.Coalesced != n-1 || st.Collisions != 1 || searched != 2 {
+	if st.Searches != n+1 || st.Coalesced != n-1 || searched != 2 {
 		t.Fatalf("stats = %+v, want %d searches, %d coalesced, 1 collision", st, n+1, n-1)
 	}
 	if st.Errors != searched {
 		t.Errorf("Errors = %d, want leads + collisions = %d", st.Errors, searched)
-	}
-	if got := stageCount(t, tel.Registry, telemetry.StageDBSearch); got != searched {
-		t.Errorf("db_search observations = %d, want leads + collisions = %d", got, searched)
 	}
 	if !errors.Is(errs[0], errBackend) {
 		t.Fatalf("leader error = %v, want %v", errs[0], errBackend)
@@ -376,24 +368,4 @@ func TestLeaderYieldsToDuplicates(t *testing.T) {
 	if st := pipe.Stats(); st.Coalesced == 0 {
 		t.Errorf("stats = %+v: no duplicate joined a flight in %d concurrent pairs", st, pairs)
 	}
-}
-
-// stageCount reads stage's observation count from reg's Prometheus
-// exposition, where the stage histograms are published.
-func stageCount(t *testing.T, reg *telemetry.Registry, stage telemetry.Stage) int64 {
-	t.Helper()
-	var b strings.Builder
-	reg.WritePrometheus(&b)
-	series := fmt.Sprintf("%s_count{stage=%q} ", telemetry.MetricStageLatencySeconds, stage)
-	for _, line := range strings.Split(b.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, series); ok {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return n
-		}
-	}
-	t.Fatalf("the exposition has no %s series", series)
-	return 0
 }

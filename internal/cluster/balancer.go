@@ -10,22 +10,12 @@ import (
 	"proximity/internal/rebalance"
 )
 
-// Balancer defaults.
-const (
-	// DefaultGain tempers the proportional correction: a node's weight
-	// is multiplied by (mean load / its load)^Gain. 0.5 halves the
-	// correction per step, trading convergence speed for stability —
-	// the load observed after a re-weight shifts, so a full-gain step
-	// tends to overshoot and oscillate.
-	DefaultGain = 0.5
-)
-
-// BalancerOptions tunes a Balancer.
-type BalancerOptions struct {
-	// Gain is the proportional-correction exponent in (0, 1]. Defaults
-	// to DefaultGain.
-	Gain float64
-}
+// balancerGain tempers the proportional correction: a node's weight is
+// multiplied by (mean load / its load)^balancerGain. 0.5 halves the
+// correction per step, trading convergence speed for stability — the
+// load observed after a re-weight shifts, so a full-gain step tends to
+// overshoot and oscillate.
+const balancerGain = 0.5
 
 // Balancer adapts a cluster Client to the rebalance controller: Sample
 // derives a load-imbalance signal from the per-node lookup counters the
@@ -35,8 +25,7 @@ type BalancerOptions struct {
 // signal tracks the current traffic mix rather than all history. Safe
 // for concurrent use; the controller serializes actuations itself.
 type Balancer struct {
-	c    *Client
-	opts BalancerOptions
+	c *Client
 
 	mu sync.Mutex
 	// baseline holds each node's cumulative lookup count at the last
@@ -50,17 +39,11 @@ var (
 )
 
 // NewBalancer wires a ring re-weighting actuator over the client.
-func NewBalancer(c *Client, opts BalancerOptions) (*Balancer, error) {
+func NewBalancer(c *Client) (*Balancer, error) {
 	if c == nil {
 		return nil, fmt.Errorf("cluster: balancer requires a client")
 	}
-	if opts.Gain == 0 {
-		opts.Gain = DefaultGain
-	}
-	if opts.Gain < 0 || opts.Gain > 1 {
-		return nil, fmt.Errorf("cluster: balancer gain must be in (0, 1], got %v", opts.Gain)
-	}
-	return &Balancer{c: c, opts: opts, baseline: make(map[string]int64)}, nil
+	return &Balancer{c: c, baseline: make(map[string]int64)}, nil
 }
 
 // nodeLoad is one node's slice of a load snapshot.
@@ -139,9 +122,9 @@ func (b *Balancer) Sample() rebalance.Sample {
 }
 
 // Rebalance implements rebalance.Actuator: multiply each node's ring
-// weight by (mean load / its load)^Gain — overloaded nodes shed arcs,
-// underloaded nodes absorb them — clamped to the ring's weight bounds.
-// It declines (Acted=false) when any node is unreachable (re-weighting
+// weight by (mean load / its load)^balancerGain — overloaded nodes shed
+// arcs, underloaded nodes absorb them — clamped to the ring's weight
+// bounds. It declines (Acted=false) when any node is unreachable (re-weighting
 // on partial counters would punish the node that failed to report) or
 // when the observed load carries no signal. Unlike the shard tier,
 // Outcome.After cannot be measured at action time — the new arc layout
@@ -195,7 +178,7 @@ func (b *Balancer) Rebalance(rebalance.Sample) (rebalance.Outcome, error) {
 		// A zero-load node gets the full boost the clamp allows; floor
 		// the ratio so the exponent never sees a division by zero.
 		ratio := mean / math.Max(float64(l.delta), 1)
-		raw[i] = old * math.Pow(ratio, b.opts.Gain)
+		raw[i] = old * math.Pow(ratio, balancerGain)
 		logSum += math.Log(raw[i])
 	}
 	// Renormalize by the geometric mean: only weight RATIOS route keys,

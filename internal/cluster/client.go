@@ -33,16 +33,10 @@ type Options struct {
 	// Seed drives the routing signature's hyperplane draw, so a fixed
 	// seed reproduces the same node assignment.
 	Seed uint64
-	// VNodes is the virtual-node count per node. Defaults to
-	// DefaultVNodes.
-	VNodes int
 	// Replicas is the maximum number of distinct nodes a query may try
 	// before failing. Defaults to DefaultReplicas, capped at the node
 	// count.
 	Replicas int
-	// ProbeCooldown is how long a down node stays sidelined between
-	// health re-probes. Defaults to DefaultProbeCooldown.
-	ProbeCooldown time.Duration
 	// Rebalance, when non-nil, starts an adaptive ring re-weighting
 	// controller over this client: per-node lookup imbalance beyond the
 	// policy's threshold (sustained for its window) shifts hash arcs
@@ -50,9 +44,6 @@ type Options struct {
 	// Balancer). The controller lives and dies with the Client; reach
 	// it via Controller for stats or manual triggers.
 	Rebalance *rebalance.Options
-	// BalancerGain is the adaptive controller's correction exponent
-	// (0 = DefaultGain; ignored without Rebalance).
-	BalancerGain float64
 	// Telemetry, when non-nil, receives node_rpc stage observations for
 	// every traced node call. Sampled queries (a live trace in the
 	// RetrieveContext context) bypass the per-node batch submitter and go
@@ -68,9 +59,6 @@ type Options struct {
 func (o *Options) fillDefaults() {
 	if o.Replicas <= 0 {
 		o.Replicas = DefaultReplicas
-	}
-	if o.ProbeCooldown <= 0 {
-		o.ProbeCooldown = DefaultProbeCooldown
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -90,8 +78,6 @@ type RouterStats struct {
 	// RemoteHits counts served queries the owning node answered from
 	// its cache.
 	RemoteHits int64
-	// Rebalances counts ring re-weightings applied via Rebalance.
-	Rebalances int64
 }
 
 // NodeStatus is one node's slice of a Status snapshot.
@@ -127,6 +113,8 @@ type Client struct {
 	hasher *lsh.Hasher          // the routing signature
 	tel    *telemetry.Telemetry // nil disables stage observation
 	log    *slog.Logger
+	// cooldown is DefaultProbeCooldown outside tests.
+	cooldown time.Duration
 
 	mu     sync.RWMutex
 	ring   *Ring
@@ -139,7 +127,6 @@ type Client struct {
 	retried    atomic.Int64
 	failed     atomic.Int64
 	remoteHits atomic.Int64
-	rebalances atomic.Int64
 }
 
 var (
@@ -161,14 +148,15 @@ func New(dim int, nodes []string, opts Options) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		opts:   opts,
-		dim:    dim,
-		hasher: hasher,
-		nodes:  make(map[string]*node, len(nodes)),
-		tel:    opts.Telemetry,
-		log:    opts.Logger,
+		opts:     opts,
+		dim:      dim,
+		hasher:   hasher,
+		nodes:    make(map[string]*node, len(nodes)),
+		tel:      opts.Telemetry,
+		log:      opts.Logger,
+		cooldown: DefaultProbeCooldown,
 	}
-	ring, err := NewRing(nodes, opts.VNodes)
+	ring, err := NewRing(nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +177,7 @@ func New(dim int, nodes []string, opts Options) (*Client, error) {
 		c.nodes[base] = n
 	}
 	if opts.Rebalance != nil {
-		bal, err := NewBalancer(c, BalancerOptions{Gain: opts.BalancerGain})
+		bal, err := NewBalancer(c)
 		if err != nil {
 			closeNodes()
 			return nil, err
@@ -273,7 +261,7 @@ func (c *Client) retrieve(trace *telemetry.Trace, q vec.Vector) (docs []int, hit
 	ordered := make([]*node, 0, len(cands))
 	var down []*node
 	for _, n := range cands {
-		if n.available(c.opts.ProbeCooldown) {
+		if n.available(c.cooldown) {
 			ordered = append(ordered, n)
 		} else {
 			down = append(down, n)
@@ -449,7 +437,6 @@ func (c *Client) Rebalance(weights map[string]float64) error {
 		return err
 	}
 	c.ring = ring
-	c.rebalances.Add(1)
 	c.log.Info("cluster: ring re-weighted", "nodes", len(weights))
 	return nil
 }
@@ -469,7 +456,6 @@ func (c *Client) RouterStats() RouterStats {
 		Retried:    c.retried.Load(),
 		Failed:     c.failed.Load(),
 		RemoteHits: c.remoteHits.Load(),
-		Rebalances: c.rebalances.Load(),
 	}
 }
 

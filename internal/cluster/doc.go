@@ -14,7 +14,7 @@
 // Routing reuses the in-process partitioner's key, a random-hyperplane
 // LSH signature, so that near-identical rephrasings land on the same
 // node and approximate cache hits survive distribution. The key selects a node
-// through a consistent-hash ring (Ring): each node projects VNodes
+// through a consistent-hash ring (Ring): each node projects DefaultVNodes
 // virtual points onto a 64-bit circle, and a key belongs to the first
 // point clockwise of its position. A node joining a ring of N therefore
 // takes over only the arcs adjacent to its points — expected 1/(N+1) of
@@ -33,7 +33,7 @@
 // this decision is safe) and the query retries on the next distinct
 // node, up to Replicas attempts. A 4xx reply surfaces immediately: the
 // input is malformed and every replica would reject it identically.
-// Sidelined nodes are skipped by routing until ProbeCooldown elapses,
+// Sidelined nodes are skipped by routing until DefaultProbeCooldown elapses,
 // then ONE background /healthz probe (short admin timeout, never on a
 // request path) decides whether the node rejoins — so a dead node costs
 // the cluster one failed round trip plus one async probe per cooldown,

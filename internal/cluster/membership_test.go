@@ -17,7 +17,7 @@ var ErrLastNode = errors.New("cluster: cannot remove the last node from the ring
 // WithNode returns a new ring with the node added at weight 1; existing
 // weights are preserved.
 func (r *Ring) WithNode(node string) (*Ring, error) {
-	return NewWeightedRing(append(append([]string(nil), r.nodes...), node), r.weightMap(), r.vnodes)
+	return NewWeightedRing(append(append([]string(nil), r.nodes...), node), r.weightMap())
 }
 
 // WithoutNode returns a new ring with the node removed, preserving the
@@ -37,7 +37,7 @@ func (r *Ring) WithoutNode(node string) (*Ring, error) {
 	if len(rest) == 0 {
 		return nil, fmt.Errorf("cluster: removing %q: %w", node, ErrLastNode)
 	}
-	return NewWeightedRing(rest, weights, r.vnodes)
+	return NewWeightedRing(rest, weights)
 }
 
 // AddNode joins a node to the ring. Keys whose arcs it takes over start

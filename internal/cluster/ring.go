@@ -8,12 +8,11 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per unit of weight when
-// Options.VNodes is zero. Each node owns Weight·VNodes arcs of the hash
-// circle, smoothing the load split: with ~100 vnodes the expected
-// per-node share deviates from its weight share by only a few percent,
-// and a leaving node's arcs scatter across all survivors instead of
-// dumping onto one successor.
+// DefaultVNodes is the virtual-node count per unit of weight. Each node
+// owns Weight·DefaultVNodes arcs of the hash circle, smoothing the load
+// split: with ~100 vnodes the expected per-node share deviates from its
+// weight share by only a few percent, and a leaving node's arcs scatter
+// across all survivors instead of dumping onto one successor.
 const DefaultVNodes = 100
 
 // Weight bounds. Weights outside this range stop approximating "share of
@@ -36,7 +35,6 @@ var ErrEmptyRing = errors.New("cluster: ring requires at least one node")
 // membership — the network-tier rebalancing lever. A weight change builds a
 // new Ring (WithWeights), so lookups never lock.
 type Ring struct {
-	vnodes  int
 	nodes   []string  // sorted distinct node IDs
 	weights []float64 // parallel to nodes
 	points  []ringPoint
@@ -49,28 +47,22 @@ type ringPoint struct {
 	node int // index into nodes
 }
 
-// NewRing builds a unit-weight ring over the given node IDs with vnodes
-// virtual nodes each (0 = DefaultVNodes). Node IDs must be non-empty and
+// NewRing builds a unit-weight ring over the given node IDs with
+// DefaultVNodes virtual nodes each. Node IDs must be non-empty and
 // distinct; order does not matter — the same membership always builds
 // the same ring.
-func NewRing(nodes []string, vnodes int) (*Ring, error) {
-	return NewWeightedRing(nodes, nil, vnodes)
+func NewRing(nodes []string) (*Ring, error) {
+	return NewWeightedRing(nodes, nil)
 }
 
 // NewWeightedRing is NewRing with per-node weights: a node's virtual-node
-// count is round(weight · vnodes), at least 1, so a weight-2 node owns
+// count is round(weight · DefaultVNodes), at least 1, so a weight-2 node owns
 // roughly twice the keyspace of a weight-1 node. Nodes absent from the
 // weights map get weight 1; weights must lie in [MinWeight, MaxWeight]
 // and name known nodes. A nil map is the unit-weight ring.
-func NewWeightedRing(nodes []string, weights map[string]float64, vnodes int) (*Ring, error) {
+func NewWeightedRing(nodes []string, weights map[string]float64) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, ErrEmptyRing
-	}
-	if vnodes < 0 {
-		return nil, fmt.Errorf("cluster: vnode count must be non-negative, got %d", vnodes)
-	}
-	if vnodes == 0 {
-		vnodes = DefaultVNodes
 	}
 	sorted := append([]string(nil), nodes...)
 	sort.Strings(sorted)
@@ -83,7 +75,6 @@ func NewWeightedRing(nodes []string, weights map[string]float64, vnodes int) (*R
 		}
 	}
 	r := &Ring{
-		vnodes:  vnodes,
 		nodes:   sorted,
 		weights: make([]float64, len(sorted)),
 	}
@@ -102,7 +93,7 @@ func NewWeightedRing(nodes []string, weights map[string]float64, vnodes int) (*R
 		r.weights[i] = w
 	}
 	for ni, n := range r.nodes {
-		for v := 0; v < vnodeCount(r.weights[ni], vnodes); v++ {
+		for v := 0; v < vnodeCount(r.weights[ni]); v++ {
 			r.points = append(r.points, ringPoint{pos: vnodePos(n, v), node: ni})
 		}
 	}
@@ -121,8 +112,8 @@ func NewWeightedRing(nodes []string, weights map[string]float64, vnodes int) (*R
 // vnodeCount converts a weight into a virtual-node count: proportional,
 // rounded, never zero (every member must own at least one arc or Lookup
 // could not reach it).
-func vnodeCount(weight float64, vnodes int) int {
-	n := int(weight*float64(vnodes) + 0.5)
+func vnodeCount(weight float64) int {
+	n := int(weight*DefaultVNodes + 0.5)
 	if n < 1 {
 		n = 1
 	}
@@ -147,7 +138,7 @@ func (r *Ring) WithWeights(weights map[string]float64) (*Ring, error) {
 	for n, w := range weights {
 		merged[n] = w
 	}
-	return NewWeightedRing(r.nodes, merged, r.vnodes)
+	return NewWeightedRing(r.nodes, merged)
 }
 
 // Nodes returns the ring membership, sorted.
@@ -172,7 +163,7 @@ func (r *Ring) VNodesFor(node string) int {
 	if !ok {
 		return 0
 	}
-	return vnodeCount(w, r.vnodes)
+	return vnodeCount(w)
 }
 
 // Len returns the number of real nodes.

@@ -6,26 +6,23 @@ import (
 )
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty membership should error")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Error("duplicate node should error")
 	}
-	if _, err := NewRing([]string{""}, 0); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Error("empty node ID should error")
-	}
-	if _, err := NewRing([]string{"a"}, -1); err == nil {
-		t.Error("negative vnodes should error")
 	}
 }
 
 func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
-	a, err := NewRing([]string{"n1", "n2", "n3"}, 50)
+	a, err := NewRing([]string{"n1", "n2", "n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"n3", "n1", "n2"}, 50)
+	b, err := NewRing([]string{"n3", "n1", "n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +39,7 @@ func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
 // primary first.
 func TestRingLookupCoversAllNodesDistinctly(t *testing.T) {
 	nodes := []string{"n1", "n2", "n3", "n4"}
-	r, err := NewRing(nodes, 0)
+	r, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +65,7 @@ func TestRingLookupCoversAllNodesDistinctly(t *testing.T) {
 // keyspace should stray wildly from 1/N.
 func TestRingBalance(t *testing.T) {
 	const keys = 20000
-	r, err := NewRing([]string{"n1", "n2", "n3", "n4"}, 0)
+	r, err := NewRing([]string{"n1", "n2", "n3", "n4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +86,7 @@ func TestRingBalance(t *testing.T) {
 // the property that preserves warm cache entries across rebalances.
 func TestRingMinimalMovement(t *testing.T) {
 	const keys = 20000
-	r4, err := NewRing([]string{"n1", "n2", "n3", "n4"}, 0)
+	r4, err := NewRing([]string{"n1", "n2", "n3", "n4"})
 	if err != nil {
 		t.Fatal(err)
 	}

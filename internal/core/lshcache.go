@@ -22,7 +22,6 @@ type LSHCache struct {
 	hasher *lsh.Hasher
 	bucket Options // per-bucket options; Capacity = b
 	probes int     // buckets examined per lookup (≥ 1)
-	seed   uint64  // hyperplane seed, preserved for snapshots
 
 	mu            sync.RWMutex
 	buckets       map[uint32]*FlatCache
@@ -99,7 +98,6 @@ func NewLSH(dim int, opts LSHOptions) (*LSHCache, error) {
 		hasher:  hasher,
 		bucket:  bucket,
 		probes:  probes,
-		seed:    opts.Seed,
 		buckets: make(map[uint32]*FlatCache),
 	}, nil
 }

@@ -58,9 +58,6 @@ type Benchmark struct {
 	Corpus *docstore.Corpus
 	// Questions are the canonical benchmark questions.
 	Questions []Question
-	// Thesaurus carries the synonym families registered for this
-	// benchmark's vocabulary.
-	Thesaurus *embed.Thesaurus
 	// Profile is the calibrated answer-probability profile.
 	Profile llm.Profile
 	// Style controls variant generation.
@@ -194,7 +191,6 @@ func build(c config) (*Benchmark, error) {
 	b := &Benchmark{
 		Name:      c.name,
 		Corpus:    corpus,
-		Thesaurus: th,
 		Profile:   c.profile,
 		Style:     c.style,
 		DefaultK:  c.defaultK,

@@ -292,10 +292,10 @@ func TestSubset(t *testing.T) {
 }
 
 func TestProfilesAttached(t *testing.T) {
-	if smallMMLU(t).Profile.Name != llm.MMLUProfile().Name {
+	if smallMMLU(t).Profile != llm.MMLUProfile() {
 		t.Error("MMLU profile not attached")
 	}
-	if smallMedRAG(t).Profile.Name != llm.MedRAGProfile().Name {
+	if smallMedRAG(t).Profile != llm.MedRAGProfile() {
 		t.Error("MedRAG profile not attached")
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"proximity/internal/vec"
 )
 
-// Document is one retrievable passage.
+// Document is one retrievable passage. Its ID is its index in
+// Corpus.Docs.
 type Document struct {
-	ID    int
 	Text  string
 	Topic int // index into Corpus.Topics, -1 for topic-less appends
 }
@@ -17,8 +17,6 @@ type Document struct {
 // Topic is a cluster of related passages; its keywords are the shared
 // tokens that pull the cluster together in embedding space.
 type Topic struct {
-	ID       int
-	Name     string
 	Keywords []string
 }
 
@@ -87,11 +85,10 @@ func Generate(cfg Config, lex *Lexicon, e embed.Embedder) (*Corpus, error) {
 		embedder:   e,
 	}
 	for t := 0; t < cfg.NumTopics; t++ {
-		c.Topics[t] = Topic{
-			ID:       t,
-			Name:     lex.Word(),
-			Keywords: lex.Words(cfg.KeywordsPerTopic),
-		}
+		// Draw one word and drop it: the lexicon's later words, and so
+		// every generated corpus, depend on this draw.
+		lex.Word()
+		c.Topics[t] = Topic{Keywords: lex.Words(cfg.KeywordsPerTopic)}
 		for d := 0; d < cfg.DocsPerTopic; d++ {
 			words := make([]string, 0, cfg.KeywordsPerDoc+cfg.SpecificPerDoc)
 			words = append(words, pickK(rng, c.Topics[t].Keywords, cfg.KeywordsPerDoc)...)
@@ -117,7 +114,7 @@ func (c *Corpus) Append(text string, topic int) (int, error) {
 
 func (c *Corpus) appendDoc(text string, topic int) int {
 	id := len(c.Docs)
-	c.Docs = append(c.Docs, Document{ID: id, Text: text, Topic: topic})
+	c.Docs = append(c.Docs, Document{Text: text, Topic: topic})
 	c.Embeddings = append(c.Embeddings, c.embedder.Embed(text))
 	return id
 }

@@ -110,8 +110,8 @@ func TestGenerateShape(t *testing.T) {
 	}
 	perTopic := make([]int, 5)
 	for id, d := range c.Docs {
-		if d.ID != id || d.Topic < 0 || d.Topic >= 5 {
-			t.Fatalf("doc %d: ID %d, topic %d", id, d.ID, d.Topic)
+		if d.Topic < 0 || d.Topic >= 5 {
+			t.Fatalf("doc %d: topic %d", id, d.Topic)
 		}
 		perTopic[d.Topic]++
 	}
@@ -128,7 +128,7 @@ func TestGenerateDocsContainTopicKeywords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range c.Docs {
+	for id, doc := range c.Docs {
 		kw := c.Topics[doc.Topic].Keywords
 		found := 0
 		lower := strings.ToLower(doc.Text)
@@ -138,7 +138,7 @@ func TestGenerateDocsContainTopicKeywords(t *testing.T) {
 			}
 		}
 		if found < 4 {
-			t.Errorf("doc %d contains only %d topic keywords: %q", doc.ID, found, doc.Text)
+			t.Errorf("doc %d contains only %d topic keywords: %q", id, found, doc.Text)
 		}
 	}
 }

@@ -13,8 +13,6 @@ type Config struct {
 	Dim int
 	// Seeds is the number of averaged runs (5 in the paper).
 	Seeds int
-	// BaseSeed offsets all seeds, for replaying a different draw.
-	BaseSeed uint64
 	// Parallelism bounds concurrent grid cells (0 = GOMAXPROCS).
 	Parallelism int
 

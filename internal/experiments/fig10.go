@@ -89,7 +89,7 @@ func (s *Suite) measureLSHLookup(n, lshBits int) (us, ops float64, err error) {
 		BucketCapacity: core.DefaultBucketCapacity,
 		Tolerance:      1,
 		Policy:         core.LRU,
-		Seed:           s.cfg.BaseSeed + 31,
+		Seed:           31,
 	})
 	if err != nil {
 		return 0, 0, err
@@ -103,7 +103,7 @@ func (s *Suite) measureLSHLookup(n, lshBits int) (us, ops float64, err error) {
 // the mean distance computations plus hyperplane hashes per lookup, from
 // the cache's Stats (a FLAT cache hashes nothing).
 func (s *Suite) fillAndProbe(cache core.Cache, n int) (us, ops float64, err error) {
-	rng := vec.NewRand(s.cfg.BaseSeed + 33)
+	rng := vec.NewRand(33)
 	keys := make([]vec.Vector, 0, minInt(n, 64))
 	for i := 0; i < n; i++ {
 		v := vec.Scale(vec.RandomUnit(rng, s.cfg.Dim), 10)

@@ -47,7 +47,7 @@ func (s *Suite) Fig12TripClick() (*Fig12Result, error) {
 			BucketCapacity: core.DefaultBucketCapacity,
 			Tolerance:      float32(taus[i]),
 			Policy:         core.LRU,
-			Seed:           s.cfg.BaseSeed + 41,
+			Seed:           41,
 		})
 		if err != nil {
 			return err

@@ -54,13 +54,13 @@ func (s *Suite) Fig3EmbeddingClusters() (*Fig3Result, error) {
 	if components > n-1 {
 		components = n - 1
 	}
-	reduced, err := tsne.PCA(data, components, s.cfg.BaseSeed+11)
+	reduced, err := tsne.PCA(data, components, 11)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig3 pca: %w", err)
 	}
 	pts, err := tsne.Embed(reduced, tsne.Config{
 		Iterations: s.cfg.TSNEIterations,
-		Seed:       s.cfg.BaseSeed + 12,
+		Seed:       12,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig3 tsne: %w", err)

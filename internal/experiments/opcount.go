@@ -48,12 +48,12 @@ func (s *Suite) OpCountAblation() (*OpCountResult, error) {
 		BucketCapacity: core.DefaultBucketCapacity,
 		Tolerance:      1,
 		Policy:         core.LRU,
-		Seed:           s.cfg.BaseSeed + 51,
+		Seed:           51,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rng := vec.NewRand(s.cfg.BaseSeed + 52)
+	rng := vec.NewRand(52)
 	for i := 0; i < capacity; i++ {
 		v := vec.Scale(vec.RandomUnit(rng, dim), 10)
 		flat.Put(v, []int{i})

@@ -32,10 +32,12 @@ type RebalanceABOptions struct {
 	// re-draw has room to win. (The sharded cache's own default of 10
 	// bits spreads so finely that only heavy cluster skew imbalances
 	// it.)
+	//proximity:allow deadfield item 10 deletes this experiment
 	SignatureBits int
 	// MeasureFor is the target duration of each measurement phase; the
 	// workload replays enough rounds to fill it, giving the adaptive
 	// controller time to act mid-traffic. Defaults to 700ms.
+	//proximity:allow deadfield item 10 deletes this experiment
 	MeasureFor time.Duration
 }
 
@@ -118,7 +120,7 @@ func (s *Suite) RebalanceAB(opts RebalanceABOptions) (*RebalanceABResult, error)
 		uniqueN = 1024
 	}
 	perCluster := (uniqueN + clusters - 1) / clusters
-	rng := vec.NewRand(s.cfg.BaseSeed + 6000)
+	rng := vec.NewRand(6000)
 	var uniques []vec.Vector
 	memberOf := make([][]int, clusters) // cluster -> unique indices
 	for c := 0; c < clusters; c++ {
@@ -135,11 +137,11 @@ func (s *Suite) RebalanceAB(opts RebalanceABOptions) (*RebalanceABResult, error)
 	}
 
 	// Zipf popularity ACROSS clusters, uniform within: trending topics.
-	zf, err := zipf.NewSampler(vec.NewRand(s.cfg.BaseSeed+6001), clusters, s.cfg.ZipfExponent)
+	zf, err := zipf.NewSampler(vec.NewRand(6001), clusters, s.cfg.ZipfExponent)
 	if err != nil {
 		return nil, err
 	}
-	pick := vec.NewRand(s.cfg.BaseSeed + 6002)
+	pick := vec.NewRand(6002)
 	w := workload.Workload{Name: "zipf-clusters"}
 	for i := 0; i < s.cfg.ZipfTotal; i++ {
 		members := memberOf[zf.Next()]
@@ -196,7 +198,7 @@ func (s *Suite) RebalanceAB(opts RebalanceABOptions) (*RebalanceABResult, error)
 		if _, err := loadgen.Run(target, w, loadgen.Options{
 			Mode:    loadgen.ClosedLoop,
 			Workers: opts.Concurrency,
-			Seed:    s.cfg.BaseSeed + 3000,
+			Seed:    3000,
 		}); err != nil {
 			return nil, shard.PressureReport{}, fmt.Errorf("skew round: %w", err)
 		}
@@ -235,7 +237,7 @@ func (s *Suite) RebalanceAB(opts RebalanceABOptions) (*RebalanceABResult, error)
 		rep, err := loadgen.Run(target, big, loadgen.Options{
 			Mode:    loadgen.ClosedLoop,
 			Workers: opts.Concurrency,
-			Seed:    s.cfg.BaseSeed + 3000,
+			Seed:    3000,
 		})
 		if err != nil {
 			return nil, shard.PressureReport{}, err
@@ -278,7 +280,7 @@ func (s *Suite) RebalanceAB(opts RebalanceABOptions) (*RebalanceABResult, error)
 // preview machinery: a probe cache is filled once, then each candidate
 // is scored with PreviewSeed against those contents.
 func (s *Suite) worstSeed(newCache func(uint64) (*shard.ShardedCache, error), uniques []vec.Vector, candidates int) (uint64, error) {
-	base := s.cfg.BaseSeed + 2000
+	base := uint64(2000)
 	probe, err := newCache(base)
 	if err != nil {
 		return 0, err

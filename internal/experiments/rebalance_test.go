@@ -41,11 +41,6 @@ func TestRebalanceABQuick(t *testing.T) {
 	if sa, aa := res.StaticPressure.Imbalance, res.AdaptivePressure.Imbalance; aa >= sa {
 		t.Errorf("adaptive imbalance %.2f not below static %.2f", aa, sa)
 	}
-	// LastActed, not LastOutcome: a later trigger that declines leaves
-	// After == Before by construction.
-	if acted := res.Controller.LastActed; acted.After >= acted.Before {
-		t.Errorf("migration did not improve imbalance: %+v", acted)
-	}
 	out := res.Render()
 	for _, want := range []string{
 		"adaptive shard rebalancing A/B",

@@ -60,13 +60,13 @@ func (s *Suite) MMLU() (*dataset.Benchmark, vectordb.DB, error) {
 		Topics:       s.cfg.MMLUTopics,
 		DocsPerTopic: s.cfg.MMLUDocsPerTopic,
 		Dim:          s.cfg.Dim,
-		Seed:         s.cfg.BaseSeed + 1,
+		Seed:         1,
 	})
 	if err != nil {
 		//proximity:allow lockdiscipline cold error path; the lazy-init builder holds the lock for the whole build by design
 		return nil, nil, fmt.Errorf("experiments: mmlu benchmark: %w", err)
 	}
-	ix, err := hnsw.New(s.cfg.Dim, vec.L2Distance, hnsw.Config{Seed: s.cfg.BaseSeed + 2})
+	ix, err := hnsw.New(s.cfg.Dim, vec.L2Distance, 2)
 	if err != nil {
 		//proximity:allow lockdiscipline cold error path; the lazy-init builder holds the lock for the whole build by design
 		return nil, nil, fmt.Errorf("experiments: mmlu index: %w", err)
@@ -92,7 +92,7 @@ func (s *Suite) MedRAG() (full, subset *dataset.Benchmark, db vectordb.DB, err e
 		Topics:       s.cfg.MedRAGTopics,
 		DocsPerTopic: s.cfg.MedRAGDocsPerTopic,
 		Dim:          s.cfg.Dim,
-		Seed:         s.cfg.BaseSeed + 3,
+		Seed:         3,
 	})
 	if err != nil {
 		//proximity:allow lockdiscipline cold error path; the lazy-init builder holds the lock for the whole build by design
@@ -104,7 +104,7 @@ func (s *Suite) MedRAG() (full, subset *dataset.Benchmark, db vectordb.DB, err e
 		return nil, nil, nil, fmt.Errorf("experiments: medrag index: %w", err)
 	}
 	s.medrag = bench
-	s.medragSub = bench.Subset(s.cfg.MedRAGSubset, s.cfg.BaseSeed+4)
+	s.medragSub = bench.Subset(s.cfg.MedRAGSubset, 4)
 	s.medragDB = flat
 	return s.medrag, s.medragSub, s.medragDB, nil
 }
@@ -122,15 +122,13 @@ func (s *Suite) TripClick() (*dataset.TripClickLog, *vamana.Index, error) {
 		Topics:        s.cfg.TripClickTopics,
 		DocsPerTopic:  s.cfg.TripClickDocsPerTopic,
 		Dim:           s.cfg.Dim,
-		Seed:          s.cfg.BaseSeed + 5,
+		Seed:          5,
 	})
 	if err != nil {
 		//proximity:allow lockdiscipline cold error path; the lazy-init builder holds the lock for the whole build by design
 		return nil, nil, fmt.Errorf("experiments: tripclick log: %w", err)
 	}
-	ix, err := vamana.Build(log.Bench.Corpus.Embeddings, vec.L2Distance, vamana.Config{
-		Seed: s.cfg.BaseSeed + 6,
-	})
+	ix, err := vamana.Build(log.Bench.Corpus.Embeddings, vec.L2Distance, 6)
 	if err != nil {
 		//proximity:allow lockdiscipline cold error path; the lazy-init builder holds the lock for the whole build by design
 		return nil, nil, fmt.Errorf("experiments: tripclick index: %w", err)
@@ -322,7 +320,7 @@ func (s *Suite) parallelFor(n int, fn func(i int) error) error {
 func (s *Suite) seeds() []uint64 {
 	out := make([]uint64, s.cfg.Seeds)
 	for i := range out {
-		out[i] = s.cfg.BaseSeed + 1000 + uint64(i)*7919
+		out[i] = 1000 + uint64(i)*7919
 	}
 	return out
 }

@@ -33,8 +33,10 @@ type TieredOptions struct {
 	Queries int
 	// Tolerance is the cache-wide τ (default 4; keys are scaled
 	// Gaussians of norm ≈ 2√dim, so random pairs sit far outside it).
+	//proximity:allow deadfield item 4 deletes this experiment with the tier (item 10)
 	Tolerance float32
 	// Seed drives every random draw.
+	//proximity:allow deadfield item 4 deletes this experiment with the tier (item 10)
 	Seed uint64
 }
 

@@ -23,59 +23,29 @@ import (
 	"proximity/internal/vectordb"
 )
 
-// Config parameterizes graph construction.
-type Config struct {
-	// M is the out-degree target for upper layers (layer 0 allows 2M).
-	// Default 16.
-	M int
-	// EfConstruction is the beam width used while inserting. Default 200.
-	EfConstruction int
-	// EfSearch is the default beam width for queries. Default 64;
-	// raise for higher recall, lower for faster lookups.
-	EfSearch int
-	// Seed drives the layer assignment.
-	Seed uint64
-}
-
-func (c *Config) fillDefaults() {
-	if c.M == 0 {
-		c.M = 16
-	}
-	if c.EfConstruction == 0 {
-		c.EfConstruction = 200
-	}
-	if c.EfSearch == 0 {
-		c.EfSearch = 64
-	}
-}
-
-func (c Config) validate() error {
-	if c.M < 2 {
-		return fmt.Errorf("hnsw: M must be ≥ 2, got %d", c.M)
-	}
-	if c.EfConstruction < 1 || c.EfSearch < 1 {
-		return fmt.Errorf("hnsw: ef parameters must be positive (construction=%d search=%d)",
-			c.EfConstruction, c.EfSearch)
-	}
-	return nil
-}
+// Graph parameters: m is the out-degree target of upper layers (layer 0
+// allows 2m), efConstruction the beam width of an insert, and efSearch
+// Search's beam width (SearchEf takes another).
+const (
+	m              = 16
+	efConstruction = 200
+	efSearch       = 64
+)
 
 // Index is the HNSW graph. It implements vectordb.DB and
 // vectordb.VectorSource.
 type Index struct {
-	cfg    Config
-	dim    int
-	metric vec.Metric
-	dist   vec.DistanceFunc
-	rng    interface{ Float64() float64 }
-	mult   float64 // level multiplier 1/ln(M)
+	dim  int
+	dist vec.DistanceFunc
+	rng  interface{ Float64() float64 }
+	mult float64 // level multiplier 1/ln(m)
 
 	vectors []vec.Vector
 	levels  []int // max layer per node
 
 	// Layer-0 adjacency is a dense slice (every node lives there; the
 	// beam spends almost all its time on it); upper layers are sparse
-	// maps (a 1/M^l fraction of nodes).
+	// maps (a 1/m^l fraction of nodes).
 	base  [][]int         // base[node] = neighbor ids
 	upper []map[int][]int // upper[l-1][node] = neighbor ids at layer l
 
@@ -90,23 +60,17 @@ var (
 	_ vectordb.VectorSource = (*Index)(nil)
 )
 
-// New creates an empty HNSW index.
-func New(dim int, metric vec.Metric, cfg Config) (*Index, error) {
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+// New creates an empty HNSW index; seed drives the layer assignment.
+func New(dim int, metric vec.Metric, seed uint64) (*Index, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("hnsw: dimension must be positive, got %d", dim)
 	}
 	return &Index{
-		cfg:    cfg,
-		dim:    dim,
-		metric: metric,
-		dist:   metric.Func(),
-		rng:    vec.NewRand(cfg.Seed),
-		mult:   1 / math.Log(float64(cfg.M)),
-		entry:  -1,
+		dim:   dim,
+		dist:  metric.Func(),
+		rng:   vec.NewRand(seed),
+		mult:  1 / math.Log(m),
+		entry: -1,
 	}, nil
 }
 
@@ -193,16 +157,16 @@ func (ix *Index) insert(v vec.Vector) {
 	}
 	// Beam insert from min(level, maxLevel) down to 0.
 	for l := min(level, ix.maxLevel); l >= 0; l-- {
-		candidates := ix.searchLayer(v, scr, ep, ix.cfg.EfConstruction, l)
-		m := ix.cfg.M
+		candidates := ix.searchLayer(v, scr, ep, efConstruction, l)
+		maxDegree := m
 		if l == 0 {
-			m = 2 * ix.cfg.M
+			maxDegree = 2 * m
 		}
-		selected := vec.TopK(candidates, ix.cfg.M)
+		selected := vec.TopK(candidates, m)
 		ns := vec.IDs(selected)
 		ix.setNeighbors(id, l, ns)
 		for _, n := range ns {
-			ix.linkBack(n, id, l, m)
+			ix.linkBack(n, id, l, maxDegree)
 		}
 		if len(candidates) > 0 {
 			ep = candidates[0].ID
@@ -335,10 +299,10 @@ func (ix *Index) searchLayer(q vec.Vector, s *searchScratch, ep, ef, layer int) 
 	return s.out
 }
 
-// Search returns the approximate k nearest neighbors using the default
-// EfSearch beam width.
+// Search returns the approximate k nearest neighbors using the efSearch
+// beam width.
 func (ix *Index) Search(q vec.Vector, k int) ([]vec.Scored, error) {
-	return ix.SearchEf(q, k, ix.cfg.EfSearch)
+	return ix.SearchEf(q, k, efSearch)
 }
 
 // SearchEf searches with an explicit beam width ef ≥ k for recall tuning.

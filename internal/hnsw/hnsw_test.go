@@ -14,16 +14,12 @@ func TestNewValidation(t *testing.T) {
 	tests := []struct {
 		name string
 		dim  int
-		cfg  Config
 	}{
-		{name: "zero dim", dim: 0, cfg: Config{}},
-		{name: "M too small", dim: 4, cfg: Config{M: 1}},
-		{name: "negative efSearch", dim: 4, cfg: Config{EfSearch: -1}},
-		{name: "negative efConstruction", dim: 4, cfg: Config{EfConstruction: -1}},
+		{name: "zero dim", dim: 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := New(tt.dim, vec.L2Distance, tt.cfg); err == nil {
+			if _, err := New(tt.dim, vec.L2Distance, 0); err == nil {
 				t.Error("expected error")
 			}
 		})
@@ -31,7 +27,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestEmptyAndBadQueries(t *testing.T) {
-	ix, err := New(3, vec.L2Distance, Config{})
+	ix, err := New(3, vec.L2Distance, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +49,7 @@ func TestEmptyAndBadQueries(t *testing.T) {
 }
 
 func TestSingleVector(t *testing.T) {
-	ix, _ := New(2, vec.L2Distance, Config{Seed: 1})
+	ix, _ := New(2, vec.L2Distance, 1)
 	if err := ix.Add(vec.Vector{1, 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +64,7 @@ func TestSingleVector(t *testing.T) {
 
 func TestExactOnTinyData(t *testing.T) {
 	// With few points, HNSW degenerates to exact search.
-	ix, _ := New(2, vec.L2Distance, Config{Seed: 2})
+	ix, _ := New(2, vec.L2Distance, 2)
 	pts := []vec.Vector{{0, 0}, {1, 0}, {0, 1}, {5, 5}, {-3, 2}}
 	if err := ix.Add(pts...); err != nil {
 		t.Fatal(err)
@@ -80,13 +76,13 @@ func TestExactOnTinyData(t *testing.T) {
 	if res[0].ID != 1 || res[1].ID != 0 {
 		t.Errorf("Search = %+v, want ids [1 0]", res)
 	}
-	if ix.Len() != 5 || ix.Dim() != 2 || ix.metric != vec.L2Distance {
+	if ix.Len() != 5 || ix.Dim() != 2 {
 		t.Error("accessors wrong")
 	}
 }
 
 func TestVectorAccessor(t *testing.T) {
-	ix, _ := New(2, vec.L2Distance, Config{Seed: 1})
+	ix, _ := New(2, vec.L2Distance, 1)
 	if err := ix.Add(vec.Vector{3, 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +100,7 @@ func TestVectorAccessor(t *testing.T) {
 func buildRandom(t *testing.T, n, d int, seed uint64) (*Index, *vectordb.FlatIndex) {
 	t.Helper()
 	rng := vec.NewRand(seed)
-	ix, err := New(d, vec.L2Distance, Config{Seed: seed, M: 12, EfConstruction: 100, EfSearch: 64})
+	ix, err := New(d, vec.L2Distance, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +280,7 @@ func TestDeterministicBuild(t *testing.T) {
 // TestSearchIntoReusesBuffer verifies the zero-alloc entry point appends
 // into the caller's buffer and matches SearchEf.
 func TestSearchIntoReusesBuffer(t *testing.T) {
-	ix, _ := New(8, vec.L2Distance, Config{Seed: 8})
+	ix, _ := New(8, vec.L2Distance, 8)
 	rng := vec.NewRand(17)
 	for i := 0; i < 300; i++ {
 		if err := ix.Add(vec.RandomGaussian(rng, 8)); err != nil {

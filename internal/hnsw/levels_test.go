@@ -25,7 +25,7 @@ func TestSearchEfClampsBelowK(t *testing.T) {
 // property that makes the greedy descent logarithmic.
 func TestLevelDistribution(t *testing.T) {
 	const n = 3000
-	ix, err := New(4, vec.L2Distance, Config{Seed: 23, M: 16})
+	ix, err := New(4, vec.L2Distance, 23)
 	if err != nil {
 		t.Fatal(err)
 	}

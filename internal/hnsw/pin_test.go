@@ -25,7 +25,7 @@ func TestBuildOnceGraphPinned(t *testing.T) {
 		queries = 200
 	)
 	rng := vec.NewRand(11)
-	ix, err := New(d, vec.L2Distance, Config{Seed: 12})
+	ix, err := New(d, vec.L2Distance, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

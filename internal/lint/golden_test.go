@@ -115,11 +115,18 @@ func findingAt(findings []Finding, file string, line int) bool {
 	return false
 }
 
-// LoadDir parses and typechecks every .go file in dir as one package
-// under the given import path. Used for testdata fixture packages,
-// which `go list` deliberately cannot see; the import path is synthetic
-// and chosen by the caller (path-scoped analyzers key off it).
+// LoadDir loads every .go file in dir as one package under the given
+// import path, its _test.go files parsed only, as LoadPackages does.
+// Used for testdata fixture packages, which `go list` deliberately
+// cannot see; the import path is synthetic and chosen by the caller
+// (path-scoped analyzers key off it).
 func LoadDir(dir, importPath string) (*Package, error) {
+	// The source importer finds a fixture that another imports by its
+	// absolute path; deadfield matches the two copies' positions.
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
 	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, err

@@ -1,10 +1,10 @@
-// Package lint is the repo's static-analysis suite: seven analyzers
+// Package lint is the repo's static-analysis suite: eight analyzers
 // that encode invariants the benchmarks and crash-safety guarantees
 // rest on — zero-alloc hot paths, no blocking work under cache locks,
 // one telemetry name vocabulary, crash-safe artifact writes, context
-// threading, drained HTTP response bodies, and exported API that some
-// non-test code uses. The cmd/proximity-vet driver runs the suite over
-// ./... and fails CI on findings.
+// threading, drained HTTP response bodies, and exported API, fields and
+// options that some non-test code uses. The cmd/proximity-vet driver
+// runs the suite over ./... and fails CI on findings.
 //
 // Two comment directives steer the analyzers:
 //
@@ -17,8 +17,8 @@
 //	    placed on (or on the line above) a flagged line, suppresses
 //	    that analyzer's finding there. The reason is free text but by
 //	    convention always present — an allow without a why does not
-//	    survive review. An unusedapi allow names the open ROADMAP item
-//	    that will use the name ("item 21").
+//	    survive review. An unusedapi or deadfield allow names the open
+//	    ROADMAP item that will use the name or field ("item 21").
 //
 // The suite is deliberately stdlib-only (go/ast + go/types + a source
 // importer, packages enumerated via `go list -json`), preserving the
@@ -88,6 +88,7 @@ func Analyzers() []*Analyzer {
 		CtxFlow,
 		BodyDrain,
 		UnusedAPI,
+		DeadField,
 	}
 }
 
@@ -116,8 +117,8 @@ func ByName(csv string) ([]*Analyzer, error) {
 // Run executes analyzers over each package of pkgs, applies
 // //proximity:allow suppressions, and returns the surviving findings
 // sorted by position. module lists the packages whose non-test files
-// count as users of an exported name (unusedapi); pkgs always count, so
-// a nil module treats pkgs as the whole program.
+// count as users of an exported name or field (unusedapi, deadfield);
+// pkgs always count, so a nil module treats pkgs as the whole program.
 func Run(pkgs, module []*Package, analyzers []*Analyzer) []Finding {
 	users := sync.OnceValue(func() *uses { return collectUses(slices.Concat(module, pkgs)) })
 	var kept []Finding

@@ -29,8 +29,8 @@ func TestGolden(t *testing.T) {
 
 func TestAnalyzersSuite(t *testing.T) {
 	all := Analyzers()
-	if len(all) != 7 {
-		t.Fatalf("suite has %d analyzers, want 7", len(all))
+	if len(all) != 8 {
+		t.Fatalf("suite has %d analyzers, want 8", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, a := range all {
@@ -136,7 +136,7 @@ func TestLoadPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 1 || pkgs[0].Path != "proximity/internal/telemetry" {
+	if len(pkgs) != 1 || pkgs[0].Types.Path() != "proximity/internal/telemetry" {
 		t.Fatalf("LoadPackages = %v, want the one telemetry package", pkgs)
 	}
 	module, err := LoadModule(".")

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,9 +21,11 @@ import (
 
 // Package is one parsed and typechecked package ready for analysis.
 type Package struct {
-	Path  string // import path (synthetic for testdata fixtures)
 	Fset  *token.FileSet
 	Files []*ast.File
+	// Tests are the package's _test.go files, parsed but not
+	// typechecked: deadfield reads the fields they set by name.
+	Tests []*ast.File
 	Types *types.Package
 	Info  *types.Info
 }
@@ -46,9 +49,9 @@ var shared = func() *loader {
 	}
 }()
 
-// check parses and typechecks the given files as one package rooted at
-// importPath. Type errors are hard failures: the suite only analyzes
-// trees that compile.
+// check parses the given files and typechecks the non-test ones as one
+// package rooted at importPath. Type errors are hard failures: the suite
+// only analyzes trees that compile.
 func (l *loader) check(importPath, dir string, filenames []string) (*Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -56,14 +59,18 @@ func (l *loader) check(importPath, dir string, filenames []string) (*Package, er
 	if pkg, ok := l.pkgs[memo]; ok {
 		return pkg, nil
 	}
-	files := make([]*ast.File, 0, len(filenames))
+	var files, tests []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(l.fs, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			//proximity:allow lockdiscipline cold error path; the loader lock is coarse by design (shared FileSet and importer)
 			return nil, fmt.Errorf("lint: parse %s: %w", name, err)
 		}
-		files = append(files, f)
+		if strings.HasSuffix(name, "_test.go") {
+			tests = append(tests, f)
+		} else {
+			files = append(files, f)
+		}
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -78,25 +85,28 @@ func (l *loader) check(importPath, dir string, filenames []string) (*Package, er
 		//proximity:allow lockdiscipline cold error path; the loader lock is coarse by design (shared FileSet and importer)
 		return nil, fmt.Errorf("lint: typecheck %s: %w", importPath, err)
 	}
-	l.pkgs[memo] = &Package{Path: importPath, Fset: l.fs, Files: files, Types: pkg, Info: info}
+	l.pkgs[memo] = &Package{Fset: l.fs, Files: files, Tests: tests, Types: pkg, Info: info}
 	return l.pkgs[memo], nil
 }
 
 // listedPackage is the subset of `go list -json` output the loader uses.
 type listedPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
+	ImportPath   string
+	Dir          string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
 }
 
 // LoadPackages enumerates patterns via `go list -json` run in dir and
 // returns each matched package parsed and typechecked (non-test files,
-// build-constraint filtered exactly as a build would).
+// build-constraint filtered exactly as a build would), with its test
+// files parsed.
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles"}, patterns...)
+	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -122,7 +132,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 		if len(lp.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := shared.check(lp.ImportPath, lp.Dir, lp.GoFiles)
+		pkg, err := shared.check(lp.ImportPath, lp.Dir, slices.Concat(lp.GoFiles, lp.TestGoFiles, lp.XTestGoFiles))
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +144,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 // LoadModule loads every package of the module that contains dir — the
 // pattern ./... run at the module root — whatever subdirectory dir is.
 // These are the packages whose non-test files count as users for
-// unusedapi.
+// unusedapi and deadfield.
 func LoadModule(dir string) ([]*Package, error) {
 	cmd := exec.Command("go", "env", "GOMOD")
 	cmd.Dir = dir

@@ -33,8 +33,7 @@ var UnusedAPI = &Analyzer{
 }
 
 func runUnusedAPI(p *Pass) {
-	path := p.Pkg.Path()
-	if !strings.HasPrefix(path, "internal/") && !strings.Contains(path, "/internal/") {
+	if !isInternal(p.Pkg.Path()) {
 		return
 	}
 	u := p.uses()
@@ -50,9 +49,6 @@ func runUnusedAPI(p *Pass) {
 		p.Reportf(id.Pos(), "exported %s %s is named by no non-test file in the module", what, key)
 	}
 	for _, f := range p.Files {
-		if isTestFile(p.Fset, f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -82,10 +78,6 @@ func runUnusedAPI(p *Pass) {
 			}
 		}
 	}
-}
-
-func isTestFile(fset *token.FileSet, f *ast.File) bool {
-	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
 }
 
 // objKey names a package-level object or a method independently of
@@ -134,15 +126,23 @@ func keyOf(obj types.Object) (objKey, bool) {
 }
 
 // uses is what the non-test files of a set of packages name: every
-// package-level object and method, by key, and every interface method
-// in view, by methodKey.
+// package-level object and method, by key, every interface method in
+// view, by methodKey, every struct field read or written, and the names
+// that _test.go files write (for deadfield).
 type uses struct {
 	names        map[objKey]bool
 	ifaceMethods map[string]bool
+	fields       map[token.Position]fieldUse
+	seams        map[string]bool
 }
 
 func collectUses(pkgs []*Package) *uses {
-	u := &uses{names: make(map[objKey]bool), ifaceMethods: make(map[string]bool)}
+	u := &uses{
+		names:        make(map[objKey]bool),
+		ifaceMethods: make(map[string]bool),
+		fields:       make(map[token.Position]fieldUse),
+		seams:        make(map[string]bool),
+	}
 	u.addInterface(types.Universe.Lookup("error").Type())
 	seen := make(map[string]bool)
 	var scan func(*types.Package)
@@ -174,9 +174,9 @@ func collectUses(pkgs []*Package) *uses {
 			}
 		}
 		for _, f := range pkg.Files {
-			if isTestFile(pkg.Fset, f) {
-				continue
-			}
+			// writes holds the field selectors and literal keys that
+			// the enclosing node, visited first, marks as written.
+			writes := make(map[*ast.Ident]bool)
 			var visit func(ast.Node) bool
 			visit = func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -189,13 +189,29 @@ func collectUses(pkgs []*Package) *uses {
 					}
 					return false
 				case *ast.Ident:
-					if key, ok := keyOf(pkg.Info.Uses[n]); ok {
+					obj := pkg.Info.Uses[n]
+					if key, ok := keyOf(obj); ok {
 						u.names[key] = true
 					}
+					if v, ok := obj.(*types.Var); ok && v.IsField() {
+						u.useField(pkg.Fset, v, pkg.Types.Path(), writes[n])
+					}
+				default:
+					markWrites(n, writes)
 				}
 				return true
 			}
 			ast.Inspect(f, visit)
+		}
+		for _, f := range pkg.Tests {
+			writes := make(map[*ast.Ident]bool)
+			ast.Inspect(f, func(n ast.Node) bool {
+				markWrites(n, writes)
+				return true
+			})
+			for id := range writes {
+				u.seams[id.Name] = true
+			}
 		}
 	}
 	return u

@@ -54,8 +54,6 @@ func (c ContextQuality) String() string {
 // Profile holds the per-benchmark answer probabilities. Values are
 // calibrated to the endpoints the paper reports (§4.3.1).
 type Profile struct {
-	// Name identifies the simulated model/benchmark combination.
-	Name string
 	// PGold is accuracy with gold context (paper: RAG accuracy with
 	// a perfect retriever).
 	PGold float64
@@ -86,14 +84,14 @@ func (p Profile) validate() error {
 // RAG, 48% without, and a mild penalty for wrong context (Fig. 6a top:
 // accuracy stays near the floor even at τ=10).
 func MMLUProfile() Profile {
-	return Profile{Name: "llama3.1-mmlu", PGold: 0.502, PTopic: 0.49, PNone: 0.48, PMisled: 0.47}
+	return Profile{PGold: 0.502, PTopic: 0.49, PNone: 0.48, PMisled: 0.47}
 }
 
 // MedRAGProfile matches the paper's MedRAG endpoints: 87.1% with RAG, 57%
 // without, and a collapse to ~37% when misleading passages are injected
 // (Fig. 6a bottom, τ=10).
 func MedRAGProfile() Profile {
-	return Profile{Name: "llama3.1-medrag", PGold: 0.871, PTopic: 0.78, PNone: 0.57, PMisled: 0.37}
+	return Profile{PGold: 0.871, PTopic: 0.78, PNone: 0.57, PMisled: 0.37}
 }
 
 // Answerer simulates multiple-choice answering. It is stateless and safe

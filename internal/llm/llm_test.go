@@ -74,7 +74,7 @@ func TestNewAnswererValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.profile.Name != "llama3.1-medrag" {
+	if a.profile != MedRAGProfile() {
 		t.Error("profile accessor wrong")
 	}
 }

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -20,7 +19,8 @@ import (
 const testDim = 16
 
 // syntheticWorkload builds n queries over `unique` distinct embeddings,
-// cycling so repeats can hit a cache.
+// cycling so repeats can hit a cache. Each query holds its own copy, so
+// its embedding's address identifies it.
 func syntheticWorkload(n, unique int, seed uint64) workload.Workload {
 	rng := vec.NewRand(seed)
 	base := make([]vec.Vector, unique)
@@ -30,12 +30,7 @@ func syntheticWorkload(n, unique int, seed uint64) workload.Workload {
 	queries := make([]workload.Query, n)
 	for i := range queries {
 		q := i % unique
-		queries[i] = workload.Query{
-			Text:       fmt.Sprintf("q%d", q),
-			Embedding:  base[q],
-			Question:   q,
-			Occurrence: i / unique,
-		}
+		queries[i] = workload.Query{Embedding: vec.Clone(base[q]), Question: q}
 	}
 	return workload.Workload{Name: "synthetic", Queries: queries}
 }
@@ -64,15 +59,18 @@ func newTestRetriever(t *testing.T) *core.CachedRetriever {
 	return retr
 }
 
-// countingTarget records every query index it serves.
+// countingTarget counts the queries it serves, by embedding address,
+// and the questions; a question's first query misses and its repeats
+// hit.
 type countingTarget struct {
-	mu     sync.Mutex
-	served map[int]int
-	failOn func(q workload.Query) bool
+	mu        sync.Mutex
+	served    map[*float32]int
+	questions map[int]int
+	failOn    func(q workload.Query) bool
 }
 
 func newCountingTarget() *countingTarget {
-	return &countingTarget{served: make(map[int]int)}
+	return &countingTarget{served: make(map[*float32]int), questions: make(map[int]int)}
 }
 
 func (t *countingTarget) Do(q workload.Query) (bool, error) {
@@ -80,9 +78,10 @@ func (t *countingTarget) Do(q workload.Query) (bool, error) {
 		return false, errors.New("induced failure")
 	}
 	t.mu.Lock()
-	t.served[q.Occurrence*1000+q.Question]++
-	t.mu.Unlock()
-	return q.Occurrence > 0, nil
+	defer t.mu.Unlock()
+	t.served[&q.Embedding[0]]++
+	t.questions[q.Question]++
+	return t.questions[q.Question] > 1, nil
 }
 
 func TestScheduleDeterminism(t *testing.T) {
@@ -176,16 +175,16 @@ func TestClosedLoopEveryQueryOnce(t *testing.T) {
 	target.mu.Lock()
 	defer target.mu.Unlock()
 	total := 0
-	for key, n := range target.served {
+	for _, n := range target.served {
 		if n != 1 {
-			t.Errorf("query key %d served %d times", key, n)
+			t.Errorf("a query was served %d times", n)
 		}
 		total += n
 	}
 	if total != 120 {
 		t.Errorf("served %d queries, want 120", total)
 	}
-	// Occurrence > 0 is a "hit" in the fake: 120 - 30 first occurrences.
+	// A repeat is a "hit" in the fake: 120 - 30 first occurrences.
 	if rep.Hits != 90 {
 		t.Errorf("Hits = %d, want 90", rep.Hits)
 	}

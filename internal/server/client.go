@@ -126,7 +126,7 @@ func (c *Client) Close() error {
 // as a ContentTypeF32 body.
 func (c *Client) Retrieve(embedding []float32) (RetrieveResponse, error) {
 	var out RetrieveResponse
-	_, err := c.call(&request{method: http.MethodPost, path: "/v1/retrieve",
+	_, err := c.callRetrieve(&request{method: http.MethodPost, path: "/v1/retrieve",
 		contentType: ContentTypeF32, body: f32Body(embedding)}, &out)
 	return out, err
 }
@@ -138,7 +138,7 @@ func (c *Client) Retrieve(embedding []float32) (RetrieveResponse, error) {
 // degrades to a plain Retrieve.
 func (c *Client) RetrieveTraced(embedding []float32, traceID uint64) (RetrieveResponse, []telemetry.Span, error) {
 	var out RetrieveResponse
-	hdr, err := c.call(&request{method: http.MethodPost, path: "/v1/retrieve",
+	hdr, err := c.callRetrieve(&request{method: http.MethodPost, path: "/v1/retrieve",
 		contentType: ContentTypeF32, body: f32Body(embedding), traceID: traceID}, &out)
 	// Span decode failures are dropped, not fatal: the retrieval result
 	// matters more than its timeline.
@@ -226,6 +226,29 @@ type request struct {
 // an error too (a failed attempt belongs on the timeline); only
 // RetrieveTraced decodes it.
 func (c *Client) call(rq *request, out any) (string, error) {
+	return c.roundTrip(rq, func(status int, body []byte) error {
+		return decodeReply(rq, status, body, out)
+	})
+}
+
+// callRetrieve is call for a /v1/retrieve reply. It passes out through
+// no interface, so out can stay on the caller's stack; a reply that
+// parseRetrieveReply refuses is decoded into a value of its own.
+func (c *Client) callRetrieve(rq *request, out *RetrieveResponse) (string, error) {
+	return c.roundTrip(rq, func(status int, body []byte) error {
+		if status == http.StatusOK && parseRetrieveReply(body, out) {
+			return nil
+		}
+		slow := new(RetrieveResponse)
+		err := decodeReply(rq, status, body, slow)
+		*out = *slow
+		return err
+	})
+}
+
+// roundTrip runs rq's round trip, hands the reply to decode before the
+// connection is reused, and returns the node's span header.
+func (c *Client) roundTrip(rq *request, decode func(status int, body []byte) error) (string, error) {
 	if c.baseErr != nil {
 		return "", c.baseErr
 	}
@@ -255,7 +278,7 @@ func (c *Client) call(rq *request, out any) (string, error) {
 			return "", fmt.Errorf("client: %s: %w", rq.path, err)
 		}
 		spans := resp.Header.Get(telemetry.TraceSpanHeader)
-		err = decodeReply(rq, resp.StatusCode, cn.body.Bytes(), out)
+		err = decode(resp.StatusCode, cn.body.Bytes())
 		if resp.Close {
 			_ = cn.Close()
 		} else {
@@ -311,9 +334,6 @@ func decodeReply(rq *request, status int, body []byte, out any) error {
 			se.Msg = e.Error
 		}
 		return se
-	}
-	if r, ok := out.(*RetrieveResponse); ok && parseRetrieveReply(body, r) {
-		return nil
 	}
 	switch out := out.(type) {
 	case nil:

@@ -431,19 +431,21 @@ func readCache(cache core.Cache, remote bool) *cacheSnapshot {
 }
 
 func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
-	var req RetrieveRequest
-	embedding, ok := s.readEmbeddings(w, r, 1, &req)
-	if !ok {
+	if r.Header.Get("Content-Type") == ContentTypeF32 {
+		if embedding, ok := s.readF32(w, r, 1); ok {
+			s.retrieve(w, r, embedding)
+		}
 		return
 	}
-	if embedding == nil {
-		if len(req.Embedding) == 0 {
-			httpError(w, http.StatusBadRequest, errors.New("embedding is required"))
-			return
-		}
-		embedding = req.Embedding
+	req := new(RetrieveRequest) // only a JSON body needs one
+	if !s.readJSON(w, r, 1, req) {
+		return
 	}
-	s.retrieve(w, r, embedding)
+	if len(req.Embedding) == 0 {
+		httpError(w, http.StatusBadRequest, errors.New("embedding is required"))
+		return
+	}
+	s.retrieve(w, r, req.Embedding)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -465,17 +467,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRetrieveRequest
-	flat, ok := s.readEmbeddings(w, r, MaxBatchElements, &req)
-	if !ok {
-		return
-	}
-	if flat != nil {
+	if r.Header.Get("Content-Type") == ContentTypeF32 {
+		flat, ok := s.readF32(w, r, MaxBatchElements)
+		if !ok {
+			return
+		}
 		// Full slice expressions: an append by a later stage must not run
 		// into the next element.
 		req.Embeddings = make([][]float32, len(flat)/s.dim)
 		for i := range req.Embeddings {
 			req.Embeddings[i] = flat[i*s.dim : (i+1)*s.dim : (i+1)*s.dim]
 		}
+	} else if !s.readJSON(w, r, MaxBatchElements, &req) {
+		return
 	}
 	if len(req.Embeddings) == 0 {
 		httpError(w, http.StatusBadRequest, errors.New("at least one embedding is required"))
@@ -529,36 +533,37 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// readEmbeddings decodes the body of a retrieve request in the encoding
-// its Content-Type names. A ContentTypeF32 body comes back as the flat
-// result of DecodeF32; a JSON body (application/json, no Content-Type, or
-// the form type `curl -d` sends unasked) is decoded into jsonReq and the
-// result is nil. On failure the error response is already written: 415
-// for any other Content-Type, 413 for a body over the limit, 400 for
-// the rest.
-func (s *Server) readEmbeddings(w http.ResponseWriter, r *http.Request, maxVecs int, jsonReq any) ([]float32, bool) {
-	ct := r.Header.Get("Content-Type")
-	if ct == ContentTypeF32 {
-		flat, err := DecodeF32(w, r.Body, s.dim, maxVecs)
-		if err != nil {
-			httpError(w, bodyStatus(err), err)
-		}
-		return flat, err == nil
+// readF32 decodes a ContentTypeF32 retrieve body of at most maxVecs
+// embeddings. On failure the error response is already written: 413
+// for a body over the limit, 400 for the rest.
+func (s *Server) readF32(w http.ResponseWriter, r *http.Request, maxVecs int) ([]float32, bool) {
+	flat, err := DecodeF32(w, r.Body, s.dim, maxVecs)
+	if err != nil {
+		httpError(w, bodyStatus(err), err)
 	}
-	if ct != "" {
+	return flat, err == nil
+}
+
+// readJSON decodes a retrieve body of any other Content-Type into
+// jsonReq: JSON (application/json, no Content-Type, or the form type
+// `curl -d` sends unasked). On failure the error response is already
+// written: 415 for any other Content-Type, 413 for a body over the
+// limit, 400 for the rest.
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, maxVecs int, jsonReq any) bool {
+	if ct := r.Header.Get("Content-Type"); ct != "" {
 		switch mt, _, _ := mime.ParseMediaType(ct); mt {
 		case "application/json", "application/x-www-form-urlencoded":
 		default:
 			httpError(w, http.StatusUnsupportedMediaType,
 				fmt.Errorf("content type %q: want %s or application/json", ct, ContentTypeF32))
-			return nil, false
+			return false
 		}
 	}
 	if err := decodeJSON(w, r, jsonBodyLimit(s.dim, maxVecs), jsonReq); err != nil {
 		httpError(w, bodyStatus(err), err)
-		return nil, false
+		return false
 	}
-	return nil, true
+	return true
 }
 
 // jsonBodyLimit bounds a JSON request of n embeddings: 32 bytes per

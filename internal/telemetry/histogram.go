@@ -6,60 +6,30 @@ import (
 	"time"
 )
 
-// Histogram bucket geometry. Durations are bucketed on a log scale —
-// bucket width grows with the value, so one fixed layout spans nanosecond
-// cache hits and multi-second tail stalls with bounded RELATIVE error,
-// which is what latency quantiles need (a ±12% p99 is useful; a ±4ms p99
-// over microsecond lookups is not).
-//
-// Each power-of-two octave is split into 2^subBits linear sub-buckets, so
-// the worst-case relative quantile error is 2^-subBits ≈ 12.5%. With 40
-// octaves (1ns up to ~73 minutes) the whole layout is 320 buckets — 2.5KB
-// of atomics per histogram, cheap enough to hold one per stage per
-// process.
+// Histogram bucket layout. Durations are bucketed at the bounds the
+// exposition publishes: bucket k < numBounds holds the observations in
+// (1µs·2ᵏ⁻¹, 1µs·2ᵏ] (bucket 0 everything up to 1µs), and bucket
+// numBounds those above the last bound, ≈ 8.4s. Bounds are inclusive, as
+// Prometheus' le is, so a cumulative sum of the stored buckets is
+// exactly each le series. 25 buckets are 200 B of atomics per histogram.
 const (
-	subBits    = 3
-	subBuckets = 1 << subBits
-	octaves    = 40
-	numBuckets = octaves * subBuckets
+	numBounds  = 24
+	numBuckets = numBounds + 1
 )
 
-// bucketOf maps a duration in nanoseconds to its bucket index: the top
-// subBits bits after the leading one select the linear sub-bucket within
-// the value's octave. Values beyond the last octave clamp into it, so
-// counts are never dropped.
+// bucketOf maps a duration in nanoseconds to its bucket: the smallest k
+// with ns ≤ 1000·2ᵏ, clamped to the overflow bucket.
 func bucketOf(ns int64) int {
-	if ns < subBuckets {
-		// Below subBuckets the octaves are degenerate (fewer distinct
-		// integers than sub-buckets); map tiny values one per bucket.
-		if ns < 0 {
-			ns = 0
-		}
-		return int(ns)
+	if ns <= 0 {
+		return 0
 	}
-	exp := bits.Len64(uint64(ns)) - 1 // floor(log2(ns)), exp >= subBits
-	sub := (ns >> (uint(exp) - subBits)) & (subBuckets - 1)
-	idx := (exp-subBits+1)*subBuckets + int(sub)
-	if idx >= numBuckets {
-		return numBuckets - 1
-	}
-	return idx
-}
-
-// bucketUpper returns the exclusive upper bound (ns) of bucket idx — the
-// inverse of bucketOf, used for exposition.
-func bucketUpper(idx int) int64 {
-	if idx < subBuckets {
-		return int64(idx) + 1
-	}
-	exp := idx/subBuckets + subBits - 1
-	sub := int64(idx % subBuckets)
-	return int64(1)<<uint(exp) + (sub+1)<<(uint(exp)-subBits)
+	return min(bits.Len64(uint64(ns-1)/1000), numBounds)
 }
 
 // LatencyHistogram is a lock-free streaming histogram of durations:
-// Observe is a pair of atomic adds, safe for any number of concurrent
-// writers, and snapshots read the buckets without stopping writers. The zero value is NOT ready; use NewLatencyHistogram.
+// Observe is three atomic adds, safe for any number of concurrent
+// writers, and the exposition reads the buckets without stopping
+// writers. The zero value is NOT ready; use NewLatencyHistogram.
 type LatencyHistogram struct {
 	buckets [numBuckets]atomic.Int64
 	count   atomic.Int64
@@ -71,32 +41,8 @@ func NewLatencyHistogram() *LatencyHistogram { return &LatencyHistogram{} }
 
 // Observe records one duration.
 func (h *LatencyHistogram) Observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
+	ns := max(int64(d), 0)
 	h.buckets[bucketOf(ns)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(ns)
-}
-
-// HistogramSnapshot is a plain (non-atomic) copy of a histogram's state,
-// the view exposition renders.
-type HistogramSnapshot struct {
-	Buckets [numBuckets]int64
-	N       int64
-	SumNs   int64
-}
-
-// Snapshot copies the current counters. Concurrent writers may move the
-// histogram mid-copy; the snapshot is then off by in-flight observations,
-// which is acceptable for monitoring (and exact once writers quiesce).
-func (h *LatencyHistogram) Snapshot() HistogramSnapshot {
-	var s HistogramSnapshot
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	s.N = h.count.Load()
-	s.SumNs = h.sum.Load()
-	return s
 }

@@ -1,120 +1,46 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
-// TestBucketGeometry checks that bucketOf and bucketUpper are consistent
-// inverses: every value lands in a bucket whose bounds contain it, and
-// bucket upper bounds are strictly increasing (continuous coverage).
+// TestBucketGeometry checks bucketOf against its definition, the
+// smallest k with ns ≤ 1000·2ᵏ: at, one under and one over every bound,
+// at 0 and negatives, and past the last bound.
 func TestBucketGeometry(t *testing.T) {
-	prev := int64(0)
-	for i := 0; i < numBuckets; i++ {
-		up := bucketUpper(i)
-		if up <= prev {
-			t.Fatalf("bucketUpper(%d)=%d not increasing (prev %d)", i, up, prev)
+	bound := func(k int) int64 { return int64(1000) << k }
+	want := func(ns int64) int {
+		for k := 0; k < numBounds; k++ {
+			if ns <= bound(k) {
+				return k
+			}
 		}
-		prev = up
+		return numBounds
 	}
-	// Exhaustive small values plus a log sweep of large ones.
 	check := func(ns int64) {
-		idx := bucketOf(ns)
-		lo := int64(0)
-		if idx > 0 {
-			lo = bucketUpper(idx - 1)
-		}
-		hi := bucketUpper(idx)
-		if idx < numBuckets-1 && (ns < lo || ns >= hi) {
-			t.Fatalf("bucketOf(%d)=%d but bounds [%d,%d)", ns, idx, lo, hi)
+		if got, w := bucketOf(ns), want(ns); got != w {
+			t.Fatalf("bucketOf(%d) = %d, want %d", ns, got, w)
 		}
 	}
-	for ns := int64(0); ns < 4096; ns++ {
+	for _, ns := range []int64{-5, 0, 1, math.MaxInt64} {
 		check(ns)
+	}
+	for k := 0; k < numBounds; k++ {
+		for _, ns := range []int64{bound(k) - 1, bound(k), bound(k) + 1} {
+			check(ns)
+		}
 	}
 	for ns := int64(1); ns > 0 && ns < int64(1)<<50; ns = ns*3 + 7 {
 		check(ns)
 	}
-	if got := bucketOf(-5); got != 0 {
-		t.Fatalf("negative duration bucket = %d, want 0", got)
-	}
-	if got := bucketOf(math.MaxInt64); got != numBuckets-1 {
-		t.Fatalf("overflow bucket = %d, want %d", got, numBuckets-1)
-	}
-}
-
-// TestHistogramQuantileUniform checks quantile estimates against a known
-// uniform distribution: relative error must stay within the bucket
-// width bound (2^-subBits = 12.5%).
-func TestHistogramQuantileUniform(t *testing.T) {
-	h := NewLatencyHistogram()
-	const n = 100000
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n; i++ {
-		h.Observe(time.Duration(rng.Int63n(1_000_000))) // uniform [0, 1ms)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		want := q * 1e6
-		got := float64(h.Quantile(q))
-		if rel := math.Abs(got-want) / want; rel > 0.13 {
-			t.Errorf("q=%.2f: got %.0fns want %.0fns (rel err %.3f)", q, got, want, rel)
-		}
-	}
-	if h.Count() != n {
-		t.Fatalf("count = %d, want %d", h.Count(), n)
-	}
-	mean := float64(h.Mean())
-	if math.Abs(mean-500_000)/500_000 > 0.02 {
-		t.Errorf("mean = %.0f, want ~500000", mean)
-	}
-}
-
-// TestHistogramQuantileBimodal checks a distribution with a distinct
-// tail: 90% fast ops at ~10µs, 10% slow at ~10ms. p50 must sit near the
-// fast mode and p99 near the slow mode.
-func TestHistogramQuantileBimodal(t *testing.T) {
-	h := NewLatencyHistogram()
-	for i := 0; i < 9000; i++ {
-		h.Observe(10 * time.Microsecond)
-	}
-	for i := 0; i < 1000; i++ {
-		h.Observe(10 * time.Millisecond)
-	}
-	p50 := h.Quantile(0.5)
-	if p50 < 8*time.Microsecond || p50 > 13*time.Microsecond {
-		t.Errorf("p50 = %v, want ~10µs", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 8*time.Millisecond || p99 > 13*time.Millisecond {
-		t.Errorf("p99 = %v, want ~10ms", p99)
-	}
-}
-
-// TestHistogramQuantileEdges covers the empty histogram and out-of-range
-// q values.
-func TestHistogramQuantileEdges(t *testing.T) {
-	h := NewLatencyHistogram()
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %v, want 0", got)
-	}
-	if got := h.Mean(); got != 0 {
-		t.Fatalf("empty mean = %v, want 0", got)
-	}
-	var empty HistogramSnapshot
-	if empty.Mean() != 0 || empty.Quantile(0.5) != 0 {
-		t.Fatal("empty snapshot should report zeros")
-	}
-	h.Observe(100 * time.Nanosecond)
-	lo, hi := h.Quantile(-1), h.Quantile(2)
-	if lo <= 0 || hi <= 0 {
-		t.Fatalf("clamped quantiles = %v, %v; want positive", lo, hi)
-	}
-	h.Observe(-time.Second) // clamps to 0, never panics
-	if h.Count() != 2 {
-		t.Fatalf("count after negative observe = %d, want 2", h.Count())
+	if size := unsafe.Sizeof(LatencyHistogram{}); size > 256 {
+		t.Fatalf("a histogram holds %d B of counters, want ≤ 256", size)
 	}
 }
 
@@ -134,13 +60,8 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	a.Merge(b)
 	a.Merge(nil) // no-op
-	if a.Count() != union.Count() || a.Sum() != union.Sum() {
-		t.Fatalf("merged count/sum = %d/%v, want %d/%v", a.Count(), a.Sum(), union.Count(), union.Sum())
-	}
-	for _, q := range []float64{0.5, 0.99} {
-		if got, want := a.Quantile(q), union.Quantile(q); got != want {
-			t.Errorf("q=%.2f merged %v != union %v", q, got, want)
-		}
+	if got, want := a.Snapshot(), union.Snapshot(); got != want {
+		t.Fatalf("merged snapshot = %+v, want %+v", got, want)
 	}
 }
 
@@ -164,7 +85,7 @@ func TestHistogramConcurrent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			_ = h.Snapshot().Quantile(0.99)
+			_ = h.Snapshot()
 		}
 	}()
 	wg.Wait()
@@ -175,28 +96,34 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 // BenchmarkHistogramObserve measures the hot-path cost of one
-// observation (three atomic adds plus a bit scan).
+// observation (three atomic adds plus a bit scan), on one goroutine and
+// on two sharing the histogram.
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewLatencyHistogram()
-	b.RunParallel(func(pb *testing.PB) {
-		d := 137 * time.Microsecond
-		for pb.Next() {
-			h.Observe(d)
-		}
-	})
+	for _, goroutines := range []int{1, 2} {
+		b.Run(fmt.Sprintf("goroutines=%d", goroutines), func(b *testing.B) {
+			h := NewLatencyHistogram()
+			var wg sync.WaitGroup
+			per := b.N / goroutines
+			b.ResetTimer()
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					d := 137 * time.Microsecond
+					for i := 0; i < per; i++ {
+						h.Observe(d)
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
 }
 
-// The readers below have no caller outside the tests, which use them to
-// check the bucket layout that WritePrometheus exposes.
+// The helpers below have no caller outside the tests.
 
 // Count returns the number of observations.
 func (h *LatencyHistogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the total of all observations.
-func (h *LatencyHistogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// Mean returns the mean observation, or 0 with none.
-func (h *LatencyHistogram) Mean() time.Duration { return h.Snapshot().Mean() }
 
 // Merge folds other's counts into h: both histograms share one fixed
 // bucket layout, so the merge is a plain per-bucket sum.
@@ -213,54 +140,22 @@ func (h *LatencyHistogram) Merge(other *LatencyHistogram) {
 	h.sum.Add(other.sum.Load())
 }
 
-// Quantile estimates the q-th quantile (0..1) of the histogram.
-func (h *LatencyHistogram) Quantile(q float64) time.Duration {
-	return h.Snapshot().Quantile(q)
+// HistogramSnapshot is a plain (non-atomic) copy of a histogram's state.
+type HistogramSnapshot struct {
+	Buckets [numBuckets]int64
+	N       int64
+	SumNs   int64
 }
 
-// Mean returns the snapshot's mean observation.
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.N == 0 {
-		return 0
+// Snapshot copies the current counters. Concurrent writers may move the
+// histogram mid-copy; the snapshot is then off by in-flight observations,
+// which is acceptable for monitoring (and exact once writers quiesce).
+func (h *LatencyHistogram) Snapshot() HistogramSnapshot {
+	var s HistogramSnapshot
+	for i := range h.buckets {
+		s.Buckets[i] = h.buckets[i].Load()
 	}
-	return time.Duration(s.SumNs / s.N)
-}
-
-// Quantile estimates the q-th quantile (0..1) of the snapshot.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.N == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Rank of the target observation (1-based, nearest-rank on the
-	// cumulative counts; interpolation below recovers sub-bucket
-	// resolution).
-	rank := int64(math.Ceil(q * float64(s.N)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			lo := int64(0)
-			if i > 0 {
-				lo = bucketUpper(i - 1)
-			}
-			hi := bucketUpper(i)
-			// Linear interpolation within the bucket by the rank's
-			// position among the bucket's occupants.
-			frac := float64(rank-cum) / float64(c)
-			return time.Duration(float64(lo) + frac*float64(hi-lo))
-		}
-		cum += c
-	}
-	return time.Duration(bucketUpper(numBuckets - 1))
+	s.N = h.count.Load()
+	s.SumNs = h.sum.Load()
+	return s
 }

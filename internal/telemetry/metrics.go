@@ -82,19 +82,6 @@ func (r *Registry) HistogramLabeled(name, help, label, value string) *LatencyHis
 	return h
 }
 
-// expoLe is the fixed bucket boundary list (seconds) used for histogram
-// exposition: one bound per octave from 1µs to ~8.6s plus +Inf. The
-// internal layout keeps 8 sub-buckets per octave for quantile precision;
-// exposition collapses to octaves so a scrape carries 25 series per
-// histogram instead of 320.
-var expoLe = func() []float64 {
-	out := make([]float64, 0, 24)
-	for ns := int64(1000); ns <= int64(1000)<<23; ns <<= 1 {
-		out = append(out, float64(ns)/1e9)
-	}
-	return out
-}()
-
 // WritePrometheus renders every registered series in the Prometheus text
 // exposition format (version 0.0.4), grouping series that share a family
 // name under one HELP/TYPE header.
@@ -136,23 +123,22 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
-// writePromHistogram renders one histogram series: cumulative le buckets
-// on the octave boundaries, then _sum and _count.
+// writePromHistogram renders one histogram series: the stored buckets
+// as cumulative le buckets, one per octave from 1µs to ≈ 8.4s, then
+// _sum and _count. Concurrent writers may move the histogram
+// mid-render; the series are then off by in-flight observations, which
+// is acceptable for monitoring.
 func writePromHistogram(w io.Writer, s *series) {
-	snap := s.hist.Snapshot()
 	var cum int64
-	next := 0
-	for _, le := range expoLe {
-		bound := int64(le * 1e9)
-		for next < numBuckets && bucketUpper(next) <= bound {
-			cum += snap.Buckets[next]
-			next++
-		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", s.name, renderLabels(s.labels, fmt.Sprintf("le=%q", fmtFloat(le))), cum)
+	for k := range numBounds {
+		cum += s.hist.buckets[k].Load()
+		le := fmtFloat(float64(int64(1000)<<k) / 1e9)
+		fmt.Fprintf(w, "%s_bucket%s %d\n", s.name, renderLabels(s.labels, fmt.Sprintf("le=%q", le)), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", s.name, renderLabels(s.labels, `le="+Inf"`), snap.N)
-	fmt.Fprintf(w, "%s_sum%s %s\n", s.name, renderLabels(s.labels), fmtFloat(float64(snap.SumNs)/1e9))
-	fmt.Fprintf(w, "%s_count%s %d\n", s.name, renderLabels(s.labels), snap.N)
+	n := s.hist.count.Load()
+	fmt.Fprintf(w, "%s_bucket%s %d\n", s.name, renderLabels(s.labels, `le="+Inf"`), n)
+	fmt.Fprintf(w, "%s_sum%s %s\n", s.name, renderLabels(s.labels), fmtFloat(float64(s.hist.sum.Load())/1e9))
+	fmt.Fprintf(w, "%s_count%s %d\n", s.name, renderLabels(s.labels), n)
 }
 
 // renderLabels joins non-empty label fragments into {a="b",c="d"} form.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -109,6 +110,71 @@ func TestGaugeLabeledAndHistogramUnlabeled(t *testing.T) {
 	}
 	if !strings.Contains(out, `proximity_request_seconds_bucket{le="+Inf"} 1`) {
 		t.Errorf("missing unlabeled histogram buckets\n%s", out)
+	}
+}
+
+// TestPromHistogramLeInclusive: every le line of an exposed histogram
+// counts exactly the observations ≤ its bound, and _count and _sum add
+// them all up. It observes a negative duration (counted as 0), 0, every
+// bound, one ns under and one ns over each, and a value past the last.
+func TestPromHistogramLeInclusive(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("proximity_request_seconds", "Request latency.")
+	const bounds = 24 // 1µs·2ᵏ, k = 0..23
+	obs := []time.Duration{-time.Second, 0}
+	for k := range bounds {
+		b := time.Microsecond << k
+		obs = append(obs, b-1, b, b+1)
+	}
+	obs = append(obs, time.Microsecond<<bounds)
+	for _, d := range obs {
+		h.Observe(d)
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	lines := 0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `proximity_request_seconds_bucket{le="`)
+		if !ok {
+			continue
+		}
+		le, count, ok := strings.Cut(rest, `"} `)
+		if !ok {
+			t.Fatalf("malformed bucket line %q", line)
+		}
+		bound := time.Duration(math.MaxInt64)
+		if le != "+Inf" {
+			sec, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound = time.Duration(math.Round(sec * 1e9))
+		}
+		want := 0
+		for _, d := range obs {
+			if d <= bound {
+				want++
+			}
+		}
+		if count != strconv.Itoa(want) {
+			t.Errorf("le=%q counts %s observations, want %d", le, count, want)
+		}
+		lines++
+	}
+	if lines != bounds+1 {
+		t.Fatalf("%d bucket lines, want %d", lines, bounds+1)
+	}
+	var sum time.Duration
+	for _, d := range obs {
+		sum += max(d, 0)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("proximity_request_seconds_count %d\n", len(obs)),
+		fmt.Sprintf("proximity_request_seconds_sum %s\n", fmtFloat(sum.Seconds())),
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
 	}
 }
 

@@ -74,6 +74,7 @@ type Options struct {
 	// Seed is ignored: the warm tier draws nothing at random, and an LSH
 	// hot tier takes its seed from its own LSHOptions. It is kept so
 	// callers that set it still compile.
+	//proximity:allow deadfield item 4 deletes the tier; bench's zipf_tiered sets it
 	Seed uint64
 	// Telemetry, when set, records tier_warm_lookup / tier_promote /
 	// tier_demote stage latencies. The tier reads the clock only when

@@ -8,6 +8,9 @@ import (
 	"proximity/internal/vec"
 )
 
+// learningRate is the gradient-descent step size.
+const learningRate = 200
+
 // Config parameterizes the t-SNE optimization.
 type Config struct {
 	// Perplexity targets the effective neighborhood size (default 30,
@@ -15,8 +18,6 @@ type Config struct {
 	Perplexity float64
 	// Iterations is the gradient-descent step count (default 300).
 	Iterations int
-	// LearningRate defaults to 200.
-	LearningRate float64
 	// Seed drives the initial layout.
 	Seed uint64
 }
@@ -30,9 +31,6 @@ func (c *Config) fillDefaults(n int) {
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 300
-	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 200
 	}
 }
 
@@ -133,8 +131,8 @@ func Embed(points [][]float64, cfg Config) ([][2]float64, error) {
 				gx += mult * (y[i][0] - y[j][0])
 				gy += mult * (y[i][1] - y[j][1])
 			}
-			vel[i][0] = momentum*vel[i][0] - cfg.LearningRate*4*gx
-			vel[i][1] = momentum*vel[i][1] - cfg.LearningRate*4*gy
+			vel[i][0] = momentum*vel[i][0] - learningRate*4*gx
+			vel[i][1] = momentum*vel[i][1] - learningRate*4*gy
 		}
 		for i := 0; i < n; i++ {
 			y[i][0] += vel[i][0]

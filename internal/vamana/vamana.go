@@ -6,8 +6,7 @@
 // that such disk-resident indexes make retrieval slower and caching
 // proportionally more valuable. This implementation builds the Vamana
 // graph in memory and *simulates* the SSD: every node expansion counts as
-// one disk read, and SearchWithStats reports the I/O count so a latency
-// model can convert hops into service time.
+// one disk read: beamSearch's visited list is the I/O a search pays.
 package vamana
 
 import (
@@ -19,59 +18,19 @@ import (
 	"proximity/internal/vectordb"
 )
 
-// Config parameterizes graph construction and search.
-type Config struct {
-	// R is the maximum graph out-degree. Default 32.
-	R int
-	// L is the beam width used for construction and default search.
-	// Default 64.
-	L int
-	// Alpha is the RobustPrune distance-slack factor (≥ 1). Default 1.2.
-	Alpha float32
-	// Seed drives the random initial graph.
-	Seed uint64
-}
-
-func (c *Config) fillDefaults() {
-	if c.R == 0 {
-		c.R = 32
-	}
-	if c.L == 0 {
-		c.L = 64
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 1.2
-	}
-}
-
-func (c Config) validate() error {
-	if c.R < 2 {
-		return fmt.Errorf("vamana: R must be ≥ 2, got %d", c.R)
-	}
-	if c.L < 1 {
-		return fmt.Errorf("vamana: L must be positive, got %d", c.L)
-	}
-	if c.Alpha < 1 {
-		return fmt.Errorf("vamana: alpha must be ≥ 1, got %v", c.Alpha)
-	}
-	return nil
-}
-
-// SearchStats reports the simulated I/O cost of one beam search.
-type SearchStats struct {
-	// NodesExpanded is the number of graph nodes whose adjacency lists
-	// were fetched — one simulated SSD read each.
-	NodesExpanded int
-	// DistComps is the number of distance computations performed.
-	DistComps int
-}
+// Graph parameters, DiskANN's R, L and α: the maximum out-degree, the
+// beam width of construction and search, and RobustPrune's distance
+// slack (≥ 1) in the second build pass.
+const (
+	maxDegree  = 32
+	beamWidth  = 64
+	pruneAlpha = 1.2
+)
 
 // Index is a built Vamana graph. Build it with Build; Search is safe for
 // concurrent use afterwards.
 type Index struct {
-	cfg     Config
 	dim     int
-	metric  vec.Metric
 	dist    vec.DistanceFunc
 	vectors []vec.Vector
 	adj     [][]int
@@ -86,12 +45,9 @@ var (
 // Build constructs a Vamana graph over the given vectors: start from a
 // random R-regular graph, then for each point run a beam search from the
 // medoid and RobustPrune the visited set into the point's out-edges,
-// inserting pruned back-edges as DiskANN does.
-func Build(vectors []vec.Vector, metric vec.Metric, cfg Config) (*Index, error) {
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+// inserting pruned back-edges as DiskANN does. seed drives the random
+// initial graph.
+func Build(vectors []vec.Vector, metric vec.Metric, seed uint64) (*Index, error) {
 	if len(vectors) == 0 {
 		return nil, vectordb.ErrEmptyIndex
 	}
@@ -103,20 +59,18 @@ func Build(vectors []vec.Vector, metric vec.Metric, cfg Config) (*Index, error) 
 		}
 	}
 	ix := &Index{
-		cfg:     cfg,
 		dim:     dim,
-		metric:  metric,
 		dist:    metric.Func(),
 		vectors: vectors,
 		adj:     make([][]int, len(vectors)),
 	}
 	ix.medoid = ix.findMedoid()
 
-	rng := vec.NewRand(cfg.Seed)
+	rng := vec.NewRand(seed)
 	n := len(vectors)
 	for i := range ix.adj {
 		// Random initial out-edges (skipping self).
-		degree := cfg.R
+		degree := maxDegree
 		if degree > n-1 {
 			degree = n - 1
 		}
@@ -136,10 +90,10 @@ func Build(vectors []vec.Vector, metric vec.Metric, cfg Config) (*Index, error) 
 	for pass := 0; pass < 2; pass++ {
 		alpha := float32(1)
 		if pass == 1 {
-			alpha = cfg.Alpha
+			alpha = pruneAlpha
 		}
 		for i := 0; i < n; i++ {
-			visited, _ := ix.beamSearch(vectors[i], cfg.L, nil)
+			visited, _ := ix.beamSearch(vectors[i], beamWidth)
 			ix.adj[i] = ix.robustPrune(i, visited, alpha)
 			for _, j := range ix.adj[i] {
 				ix.addEdge(j, i, alpha)
@@ -174,7 +128,7 @@ func (ix *Index) addEdge(from, to int, alpha float32) {
 		}
 	}
 	ix.adj[from] = append(ix.adj[from], to)
-	if len(ix.adj[from]) > ix.cfg.R {
+	if len(ix.adj[from]) > maxDegree {
 		cands := make([]vec.Scored, len(ix.adj[from]))
 		for i, e := range ix.adj[from] {
 			cands[i] = vec.Scored{ID: e, Dist: ix.dist(ix.vectors[from], ix.vectors[e])}
@@ -210,7 +164,7 @@ func (ix *Index) robustPrune(p int, candidates []vec.Scored, alpha float32) []in
 
 	var out []int
 	removed := make([]bool, len(pool))
-	for i := 0; i < len(pool) && len(out) < ix.cfg.R; i++ {
+	for i := 0; i < len(pool) && len(out) < maxDegree; i++ {
 		if removed[i] {
 			continue
 		}
@@ -229,13 +183,10 @@ func (ix *Index) robustPrune(p int, candidates []vec.Scored, alpha float32) []in
 }
 
 // beamSearch runs the greedy beam search from the medoid, returning all
-// visited (expanded) nodes scored by distance, sorted ascending. stats may
-// be nil.
-func (ix *Index) beamSearch(q vec.Vector, beam int, stats *SearchStats) ([]vec.Scored, []vec.Scored) {
+// visited (expanded) nodes scored by distance, sorted ascending. Each
+// visited node is one simulated SSD read of its adjacency list.
+func (ix *Index) beamSearch(q vec.Vector, beam int) ([]vec.Scored, []vec.Scored) {
 	start := vec.Scored{ID: ix.medoid, Dist: ix.dist(q, ix.vectors[ix.medoid])}
-	if stats != nil {
-		stats.DistComps++
-	}
 	frontier := &minHeap{start}
 	inFrontier := map[int]struct{}{ix.medoid: {}}
 	expanded := map[int]struct{}{}
@@ -253,9 +204,6 @@ func (ix *Index) beamSearch(q vec.Vector, beam int, stats *SearchStats) ([]vec.S
 		}
 		expanded[c.ID] = struct{}{}
 		visited = append(visited, c)
-		if stats != nil {
-			stats.NodesExpanded++ // one simulated SSD read
-		}
 		for _, n := range ix.adj[c.ID] {
 			if _, done := expanded[n]; done {
 				continue
@@ -264,9 +212,6 @@ func (ix *Index) beamSearch(q vec.Vector, beam int, stats *SearchStats) ([]vec.S
 				continue
 			}
 			d := ix.dist(q, ix.vectors[n])
-			if stats != nil {
-				stats.DistComps++
-			}
 			if best.full() && d > best.worst() {
 				continue
 			}
@@ -286,26 +231,15 @@ func (ix *Index) beamSearch(q vec.Vector, beam int, stats *SearchStats) ([]vec.S
 
 // Search returns the approximate k nearest neighbors.
 func (ix *Index) Search(q vec.Vector, k int) ([]vec.Scored, error) {
-	res, _, err := ix.SearchWithStats(q, k)
-	return res, err
-}
-
-// SearchWithStats additionally reports the simulated I/O cost.
-func (ix *Index) SearchWithStats(q vec.Vector, k int) ([]vec.Scored, SearchStats, error) {
-	var stats SearchStats
 	if k <= 0 {
-		return nil, stats, vectordb.ErrBadK
+		return nil, vectordb.ErrBadK
 	}
 	if len(q) != ix.dim {
-		return nil, stats, fmt.Errorf("vamana: query dim %d, index dim %d: %w",
+		return nil, fmt.Errorf("vamana: query dim %d, index dim %d: %w",
 			len(q), ix.dim, vec.ErrDimensionMismatch)
 	}
-	beam := ix.cfg.L
-	if beam < k {
-		beam = k
-	}
-	_, pool := ix.beamSearch(q, beam, &stats)
-	return vec.TopK(pool, k), stats, nil
+	_, pool := ix.beamSearch(q, max(beamWidth, k))
+	return vec.TopK(pool, k), nil
 }
 
 // Dim returns the indexed dimensionality.

@@ -20,21 +20,16 @@ func randomVectors(n, d int, seed uint64) []vec.Vector {
 }
 
 func TestBuildValidation(t *testing.T) {
-	vs := randomVectors(10, 4, 1)
 	tests := []struct {
 		name string
 		vs   []vec.Vector
-		cfg  Config
 	}{
-		{name: "empty", vs: nil, cfg: Config{}},
-		{name: "R too small", vs: vs, cfg: Config{R: 1}},
-		{name: "L zero", vs: vs, cfg: Config{L: -1}},
-		{name: "alpha below 1", vs: vs, cfg: Config{Alpha: 0.5}},
-		{name: "ragged dims", vs: []vec.Vector{{1, 2}, {1}}, cfg: Config{}},
+		{name: "empty", vs: nil},
+		{name: "ragged dims", vs: []vec.Vector{{1, 2}, {1}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Build(tt.vs, vec.L2Distance, tt.cfg); err == nil {
+			if _, err := Build(tt.vs, vec.L2Distance, 0); err == nil {
 				t.Error("expected error")
 			}
 		})
@@ -42,7 +37,7 @@ func TestBuildValidation(t *testing.T) {
 }
 
 func TestSearchValidation(t *testing.T) {
-	ix, err := Build(randomVectors(20, 4, 2), vec.L2Distance, Config{Seed: 2})
+	ix, err := Build(randomVectors(20, 4, 2), vec.L2Distance, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,20 +50,19 @@ func TestSearchValidation(t *testing.T) {
 }
 
 func TestDegreeBounded(t *testing.T) {
-	const r = 8
-	ix, err := Build(randomVectors(300, 8, 3), vec.L2Distance, Config{R: r, L: 32, Seed: 3})
+	ix, err := Build(randomVectors(300, 8, 3), vec.L2Distance, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < ix.Len(); i++ {
-		if d := len(ix.adj[i]); d > r {
-			t.Fatalf("node %d degree %d exceeds R=%d", i, d, r)
+		if d := len(ix.adj[i]); d > maxDegree {
+			t.Fatalf("node %d degree %d exceeds R=%d", i, d, maxDegree)
 		}
 	}
 }
 
 func TestTinyDataset(t *testing.T) {
-	ix, err := Build([]vec.Vector{{0, 0}, {1, 0}, {0, 1}}, vec.L2Distance, Config{Seed: 4})
+	ix, err := Build([]vec.Vector{{0, 0}, {1, 0}, {0, 1}}, vec.L2Distance, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +73,7 @@ func TestTinyDataset(t *testing.T) {
 	if res[0].ID != 1 {
 		t.Errorf("Search = %+v, want id 1", res)
 	}
-	if ix.Dim() != 2 || ix.Len() != 3 || ix.metric != vec.L2Distance {
+	if ix.Dim() != 2 || ix.Len() != 3 {
 		t.Error("accessors wrong")
 	}
 }
@@ -92,7 +86,7 @@ func TestRecallAgainstExact(t *testing.T) {
 		queries = 40
 	)
 	vs := randomVectors(n, d, 5)
-	ix, err := Build(vs, vec.L2Distance, Config{R: 24, L: 64, Seed: 5})
+	ix, err := Build(vs, vec.L2Distance, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,33 +126,33 @@ func TestRecallAgainstExact(t *testing.T) {
 	}
 }
 
+// TestSearchWithStats: a search's simulated I/O, the nodes its beam
+// expands, is a small fraction of the graph.
 func TestSearchWithStats(t *testing.T) {
-	ix, err := Build(randomVectors(500, 16, 7), vec.L2Distance, Config{R: 16, L: 32, Seed: 7})
+	ix, err := Build(randomVectors(1000, 16, 7), vec.L2Distance, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := vec.RandomGaussian(vec.NewRand(8), 16)
-	res, stats, err := ix.SearchWithStats(q, 5)
+	res, err := ix.Search(q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 5 {
 		t.Fatalf("got %d results", len(res))
 	}
-	if stats.NodesExpanded <= 0 {
+	visited, _ := ix.beamSearch(q, beamWidth)
+	if len(visited) == 0 {
 		t.Error("beam search should expand nodes")
 	}
-	if stats.NodesExpanded >= ix.Len()/2 {
+	if len(visited) >= ix.Len()/2 {
 		t.Errorf("beam search expanded %d of %d nodes; graph search should touch a small fraction",
-			stats.NodesExpanded, ix.Len())
-	}
-	if stats.DistComps < stats.NodesExpanded {
-		t.Error("each expansion computes at least one distance")
+			len(visited), ix.Len())
 	}
 }
 
 func TestResultsSortedAndDeduped(t *testing.T) {
-	ix, err := Build(randomVectors(400, 8, 9), vec.L2Distance, Config{Seed: 9})
+	ix, err := Build(randomVectors(400, 8, 9), vec.L2Distance, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +177,7 @@ func TestResultsSortedAndDeduped(t *testing.T) {
 
 func TestVectorAccessorAndMedoid(t *testing.T) {
 	vs := []vec.Vector{{0, 0}, {10, 10}, {0.1, 0.1}, {5, 5}}
-	ix, err := Build(vs, vec.L2Distance, Config{Seed: 11})
+	ix, err := Build(vs, vec.L2Distance, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +195,7 @@ func TestVectorAccessorAndMedoid(t *testing.T) {
 }
 
 func TestConcurrentSearch(t *testing.T) {
-	ix, err := Build(randomVectors(600, 12, 13), vec.L2Distance, Config{Seed: 13})
+	ix, err := Build(randomVectors(600, 12, 13), vec.L2Distance, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,6 @@ type Quantized struct {
 	Codes []int8
 	// Scale is the dequantization factor: v[i] ≈ Scale·Codes[i].
 	Scale float32
-	// Norm is the Euclidean norm of the dequantized vector.
-	Norm float32
 }
 
 // Quantize encodes v with symmetric max-abs scaling: scale = max|v_i|/127.
@@ -39,7 +37,6 @@ func Quantize(v Vector) Quantized {
 	}
 	q.Scale = maxAbs / 127
 	inv := 1 / q.Scale
-	var sumSq int64
 	for i, x := range v {
 		c := int32(math.RoundToEven(float64(x * inv)))
 		if c > 127 {
@@ -48,8 +45,6 @@ func Quantize(v Vector) Quantized {
 			c = -127
 		}
 		q.Codes[i] = int8(c)
-		sumSq += int64(c) * int64(c)
 	}
-	q.Norm = q.Scale * float32(math.Sqrt(float64(sumSq)))
 	return q
 }

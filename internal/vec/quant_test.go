@@ -39,17 +39,13 @@ func TestQuantizeRoundTrip(t *testing.T) {
 		if d := L2(v, back); d > q.MaxL2Error()+1e-5 {
 			t.Fatalf("trial %d: reconstruction L2 error %v exceeds bound %v", trial, d, q.MaxL2Error())
 		}
-		wantNorm := Norm(back)
-		if diff := math.Abs(float64(q.Norm - wantNorm)); diff > 1e-3*float64(wantNorm)+1e-5 {
-			t.Fatalf("trial %d: precomputed norm %v, dequantized norm %v", trial, q.Norm, wantNorm)
-		}
 	}
 }
 
 func TestQuantizeZeroVector(t *testing.T) {
 	q := Quantize(make(Vector, 8))
-	if q.Scale != 0 || q.Norm != 0 {
-		t.Fatalf("zero vector: scale=%v norm=%v, want 0/0", q.Scale, q.Norm)
+	if q.Scale != 0 {
+		t.Fatalf("zero vector: scale=%v, want 0", q.Scale)
 	}
 	for _, c := range q.Codes {
 		if c != 0 {
@@ -168,7 +164,7 @@ func TestTopKBufferAppendResult(t *testing.T) {
 }
 
 // The asymmetric kernel below has no caller outside the tests; it checks
-// Quantize's Scale and Norm against the exact metrics.
+// Quantize's Scale against the exact metrics.
 
 // DotF32I8 is the asymmetric inner-product kernel: a float32 query
 // against int8 codes, without dequantizing. The 4-way unrolled loop
@@ -223,20 +219,25 @@ func (m Metric) Prepare(q Vector) PreparedQuery {
 // vector's reconstruction error alone.
 func (p *PreparedQuery) Dist(s *Quantized) float32 {
 	dot := s.Scale * DotF32I8(p.q, s.Codes)
+	var sumSq int64
+	for _, c := range s.Codes {
+		sumSq += int64(c) * int64(c)
+	}
+	norm := s.Scale * float32(math.Sqrt(float64(sumSq))) // ‖v̂‖
 	switch p.metric {
 	case L2Distance:
 		// ‖q−v̂‖² = ‖q‖² − 2⟨q,v̂⟩ + ‖v̂‖², clamped against float
 		// cancellation for near-identical vectors.
-		d := p.sq - 2*dot + s.Norm*s.Norm
+		d := p.sq - 2*dot + norm*norm
 		if d < 0 {
 			d = 0
 		}
 		return float32(math.Sqrt(float64(d)))
 	case CosineDistance:
-		if p.norm == 0 || s.Norm == 0 {
+		if p.norm == 0 || norm == 0 {
 			return 1
 		}
-		sim := dot / (p.norm * s.Norm)
+		sim := dot / (p.norm * norm)
 		if sim > 1 {
 			sim = 1
 		} else if sim < -1 {

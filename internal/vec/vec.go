@@ -42,8 +42,10 @@ var ErrDimensionMismatch = errors.New("vec: dimension mismatch")
 
 // L2Squared returns the squared Euclidean distance between a and b.
 // It panics if the lengths differ; input from outside the process is
-// length-checked where it enters. This is the hot kernel of the Proximity cache: a FLAT cache
-// lookup calls it once per cached entry.
+// length-checked where it enters. It is the reference association that
+// L2SquaredBounded and L2SquaredHead reproduce bit for bit; a FLAT cache
+// lookup does not call it, but tests its keys through Heads.Next and
+// L2Bounded.
 func L2Squared(a, b Vector) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: L2Squared dimension mismatch: %d vs %d", len(a), len(b)))

@@ -32,6 +32,9 @@ var (
 	_ VectorSource = (*IVFIndex)(nil)
 )
 
+// kmeansIters bounds the Lloyd iterations of an IVF build.
+const kmeansIters = 15
+
 // IVFConfig parameterizes index construction.
 type IVFConfig struct {
 	// NList is the number of coarse centroids (default: √n rounded,
@@ -40,8 +43,6 @@ type IVFConfig struct {
 	// NProbe is the number of centroid lists scanned per query
 	// (default: max(1, NList/8)).
 	NProbe int
-	// KMeansIters bounds the Lloyd iterations (default 15).
-	KMeansIters int
 	// Seed drives the centroid initialization.
 	Seed uint64
 }
@@ -61,9 +62,6 @@ func (c *IVFConfig) fillDefaults(n int) {
 	}
 	if c.NProbe > c.NList {
 		c.NProbe = c.NList
-	}
-	if c.KMeansIters == 0 {
-		c.KMeansIters = 15
 	}
 }
 
@@ -91,7 +89,7 @@ func BuildIVF(vectors []vec.Vector, metric vec.Metric, cfg IVFConfig) (*IVFIndex
 		nprobe:  cfg.NProbe,
 		vectors: vectors,
 	}
-	ix.centroid = kmeans(vectors, cfg.NList, cfg.KMeansIters, cfg.Seed, ix.dist)
+	ix.centroid = kmeans(vectors, cfg.NList, kmeansIters, cfg.Seed, ix.dist)
 	ix.lists = make([][]int, len(ix.centroid))
 	for id, v := range vectors {
 		ix.lists[ix.nearestCentroid(v)] = append(ix.lists[ix.nearestCentroid(v)], id)

@@ -17,14 +17,19 @@ import (
 // working set drifts over time.
 type BurstyConfig struct {
 	// Total is the number of queries to generate.
+	//proximity:allow deadfield item 3 sweeps the cache policies over this stream
 	Total int
 	// BurstLength is how many queries share one working set.
+	//proximity:allow deadfield item 3 sweeps the cache policies over this stream
 	BurstLength int
 	// WorkingSet is how many questions are hot within a burst.
+	//proximity:allow deadfield item 3 sweeps the cache policies over this stream
 	WorkingSet int
 	// Exponent is the Zipf skew applied within the working set.
+	//proximity:allow deadfield item 3 sweeps the cache policies over this stream
 	Exponent float64
 	// Seed drives everything.
+	//proximity:allow deadfield item 3 sweeps the cache policies over this stream
 	Seed uint64
 }
 
@@ -70,12 +75,9 @@ func Bursty(b *dataset.Benchmark, cfg BurstyConfig) (Workload, error) {
 			working = perm[:cfg.WorkingSet]
 		}
 		qi := working[sampler.Next()]
-		text := b.ParaphraseText(b.Questions[qi], i)
 		queries = append(queries, Query{
-			Text:       text,
-			Embedding:  enc.Embed(text),
-			Question:   qi,
-			Occurrence: i,
+			Embedding: enc.Embed(b.ParaphraseText(b.Questions[qi], i)),
+			Question:  qi,
 		})
 	}
 	return Workload{Name: b.Name + "-bursty", Queries: queries}, nil

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"proximity/internal/core"
@@ -36,13 +37,14 @@ func TestBurstyShape(t *testing.T) {
 			t.Errorf("burst %d touched %d questions, working set is 5", burst, len(qs))
 		}
 	}
-	// Surface forms stay unique.
-	texts := make(map[string]struct{}, w.Len())
-	for _, q := range w.Queries {
-		if _, dup := texts[q.Text]; dup {
-			t.Fatalf("duplicate paraphrase %q", q.Text)
+	// Surface forms stay unique, so no two embeddings are equal.
+	seen := make(map[string]bool, w.Len())
+	for i, q := range w.Queries {
+		k := embeddingKey(q.Embedding)
+		if seen[k] {
+			t.Fatalf("query %d repeats an earlier paraphrase's embedding", i)
 		}
-		texts[q.Text] = struct{}{}
+		seen[k] = true
 	}
 }
 
@@ -57,7 +59,7 @@ func TestBurstyDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range w1.Queries {
-		if w1.Queries[i].Text != w2.Queries[i].Text {
+		if !slices.Equal(w1.Queries[i].Embedding, w2.Queries[i].Embedding) {
 			t.Fatal("same seed must generate the same stream")
 		}
 	}

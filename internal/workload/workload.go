@@ -18,17 +18,13 @@ import (
 
 // Query is one workload element.
 type Query struct {
-	// Text is the surface form issued to the pipeline.
-	Text string
-	// Embedding is the pre-computed query embedding.
+	// Embedding is the pre-computed embedding of the query's surface
+	// form.
 	Embedding vec.Vector
 	// Question is the position of the underlying question in the
 	// benchmark's Questions slice (not the Question.ID, which subsets
 	// preserve from the full set).
 	Question int
-	// Occurrence distinguishes repeats of the same question (variant
-	// index for uniform workloads, global draw index for skewed ones).
-	Occurrence int
 }
 
 // Workload is an ordered query stream.
@@ -70,12 +66,9 @@ func UniformVariants(b *dataset.Benchmark, variants int, seed uint64) (Workload,
 	queries := make([]Query, 0, len(b.Questions)*variants)
 	for qi, q := range b.Questions {
 		for v := 0; v < variants; v++ {
-			text := b.VariantText(q, v)
 			queries = append(queries, Query{
-				Text:       text,
-				Embedding:  enc.Embed(text),
-				Question:   qi,
-				Occurrence: v,
+				Embedding: enc.Embed(b.VariantText(q, v)),
+				Question:  qi,
 			})
 		}
 	}
@@ -128,12 +121,9 @@ func ZipfVariants(b *dataset.Benchmark, total int, exponent float64, seed uint64
 	enc := b.Embedder()
 	queries := make([]Query, total)
 	for i, qid := range draws {
-		text := b.ParaphraseText(b.Questions[qid], i)
 		queries[i] = Query{
-			Text:       text,
-			Embedding:  enc.Embed(text),
-			Question:   qid,
-			Occurrence: i,
+			Embedding: enc.Embed(b.ParaphraseText(b.Questions[qid], i)),
+			Question:  qid,
 		}
 	}
 	shuffle(queries, seed+1)
@@ -150,12 +140,7 @@ func FromTripClick(log *dataset.TripClickLog) Workload {
 	}
 	queries := make([]Query, len(log.Stream))
 	for i, qid := range log.Stream {
-		queries[i] = Query{
-			Text:       log.Bench.Questions[qid].Text,
-			Embedding:  embeds[qid],
-			Question:   qid,
-			Occurrence: i,
-		}
+		queries[i] = Query{Embedding: embeds[qid], Question: qid}
 	}
 	return Workload{Name: "tripclick-log", Queries: queries}
 }

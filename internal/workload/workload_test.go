@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 
@@ -33,24 +35,33 @@ func TestUniformVariants(t *testing.T) {
 	if got := w.MaxHitRate(); got != 0.75 {
 		t.Errorf("MaxHitRate = %v, want 0.75 (4 variants)", got)
 	}
-	// Each question appears exactly 4 times with distinct occurrence
-	// indices and texts.
-	type key struct{ q, v int }
-	seen := make(map[key]string)
-	for _, q := range w.Queries {
-		k := key{q.Question, q.Occurrence}
-		if _, dup := seen[k]; dup {
-			t.Fatalf("duplicate (question, variant) pair %v", k)
-		}
-		seen[k] = q.Text
-	}
-	// Embeddings must match the benchmark encoder.
+	// Each question appears exactly 4 times, once as each of its
+	// variants' encoder output.
 	enc := b.Embedder()
-	for _, q := range w.Queries[:5] {
-		if !slices.Equal(q.Embedding, enc.Embed(q.Text)) {
-			t.Fatal("embedding does not match encoder output")
+	type key struct{ q, v int }
+	seen := make(map[key]bool)
+	for _, q := range w.Queries {
+		v := slices.IndexFunc([]int{0, 1, 2, 3}, func(v int) bool {
+			return slices.Equal(q.Embedding, enc.Embed(b.VariantText(b.Questions[q.Question], v)))
+		})
+		if v < 0 {
+			t.Fatalf("question %d: embedding matches none of its variants", q.Question)
+		}
+		if k := (key{q.Question, v}); seen[k] {
+			t.Fatalf("duplicate (question, variant) pair %v", k)
+		} else {
+			seen[k] = true
 		}
 	}
+}
+
+// embeddingKey is an embedding's bits as a map key.
+func embeddingKey(v []float32) string {
+	b := make([]byte, 0, 4*len(v))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+	}
+	return string(b)
 }
 
 func TestUniformVariantsValidation(t *testing.T) {
@@ -90,7 +101,7 @@ func TestUniformVariantsDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range w1.Queries {
-		if w1.Queries[i].Text != w2.Queries[i].Text {
+		if !slices.Equal(w1.Queries[i].Embedding, w2.Queries[i].Embedding) {
 			t.Fatal("same seed must produce the same stream")
 		}
 	}
@@ -108,13 +119,15 @@ func TestZipfVariants(t *testing.T) {
 	if w.UniqueQuestions() != 30 {
 		t.Errorf("every question must appear at least once, got %d/30", w.UniqueQuestions())
 	}
-	// All surface forms unique (paper: verified unique across dataset).
-	texts := make(map[string]struct{}, w.Len())
-	for _, q := range w.Queries {
-		if _, dup := texts[q.Text]; dup {
-			t.Fatalf("duplicate paraphrase %q", q.Text)
+	// All surface forms unique (paper: verified unique across dataset),
+	// so no two embeddings are equal.
+	seen := make(map[string]bool, w.Len())
+	for i, q := range w.Queries {
+		k := embeddingKey(q.Embedding)
+		if seen[k] {
+			t.Fatalf("query %d repeats an earlier paraphrase's embedding", i)
 		}
-		texts[q.Text] = struct{}{}
+		seen[k] = true
 	}
 	// Skew: the most frequent question must dominate.
 	counts := make(map[int]int)
@@ -153,12 +166,11 @@ func TestFromTripClick(t *testing.T) {
 	if w.Len() != 400 {
 		t.Fatalf("Len = %d", w.Len())
 	}
-	// Repeats are exact: same question → same text and same embedding
-	// values.
+	// Repeats are exact: same question → same embedding values.
 	byQuestion := make(map[int]Query)
 	for _, q := range w.Queries {
 		if prev, ok := byQuestion[q.Question]; ok {
-			if prev.Text != q.Text || !slices.Equal(prev.Embedding, q.Embedding) {
+			if !slices.Equal(prev.Embedding, q.Embedding) {
 				t.Fatal("tripclick repeats must be exact")
 			}
 		} else {

@@ -70,9 +70,8 @@ func RankFrequency[T comparable](items []T) []int {
 
 // FitResult is an estimated power law fit frequency ≈ C · rank^(-s).
 type FitResult struct {
-	Exponent  float64 // the fitted s (reported positive)
-	Intercept float64 // log-space intercept, i.e. log(C)
-	R2        float64 // goodness of fit in log-log space
+	Exponent float64 // the fitted s (reported positive)
+	R2       float64 // goodness of fit in log-log space
 }
 
 // Fit estimates the Zipf exponent from a descending rank-frequency curve by
@@ -95,8 +94,7 @@ func Fit(freqs []int) (FitResult, error) {
 		return FitResult{}, fmt.Errorf("zipf fit: %w", err)
 	}
 	return FitResult{
-		Exponent:  -slope,
-		Intercept: intercept,
-		R2:        stats.RSquared(xs, ys, slope, intercept),
+		Exponent: -slope,
+		R2:       stats.RSquared(xs, ys, slope, intercept),
 	}, nil
 }

@@ -228,9 +228,9 @@
 // stack shares: lock-free per-stage latency histograms (cache lookup,
 // cache fill, coalesce wait, database search, node RPC), a pooled 1-in-N
 // request tracer, and a metrics registry. Wire one hub through
-// RetrieverOptions.Telemetry, BatchOptions.Telemetry,
-// ClusterOptions.Telemetry, and the server's Config.Telemetry and every
-// layer reports into the same place:
+// RetrieverOptions.Telemetry, ClusterOptions.Telemetry, and the
+// server's Config.Telemetry and every layer reports into the same
+// place:
 //
 //	tel := proximity.NewTelemetry(proximity.TelemetryOptions{SampleEvery: 100})
 //	retriever, _ := proximity.NewRetriever(cache, db, proximity.RetrieverOptions{

@@ -311,9 +311,7 @@ func TestPublicShardingAndLoad(t *testing.T) {
 	wl := Workload{Name: "api-test"}
 	for r := 0; r < 3; r++ {
 		for q, text := range topics {
-			wl.Queries = append(wl.Queries, WorkloadQuery{
-				Text: text, Embedding: enc.Embed(text), Question: q, Occurrence: r,
-			})
+			wl.Queries = append(wl.Queries, WorkloadQuery{Embedding: enc.Embed(text), Question: q})
 		}
 	}
 	closed, err := RunLoad(target, wl, LoadOptions{Mode: ClosedLoop, Workers: 4})
