@@ -40,3 +40,12 @@ func TestRunUnusedAPIOnePackage(t *testing.T) {
 		t.Fatalf("run(-analyzers unusedapi internal/vec) = %d, want 0", code)
 	}
 }
+
+// TestRunDeadFieldOnePackage: deadfield, like unusedapi, counts reads
+// and writes from the whole module, so vec's fields, read elsewhere, are
+// clean when only vec is named.
+func TestRunDeadFieldOnePackage(t *testing.T) {
+	if code := run([]string{"-analyzers", "deadfield", "proximity/internal/vec"}); code != 0 {
+		t.Fatalf("run(-analyzers deadfield internal/vec) = %d, want 0", code)
+	}
+}
