@@ -6,8 +6,13 @@
 package proximity_test
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -408,12 +413,29 @@ func BenchmarkCacheGet(b *testing.B) {
 // of the connection. flat-1000 serves a warmed FLAT cache of 1 000 keys
 // (τ = 1); sharded-lsh serves the zipf_lsh_http workload's cache, as
 // BenchmarkCacheGet/sharded-lsh-hit builds and warms it, asked a fresh
-// near-duplicate of a key it holds.
+// near-duplicate of a key it holds. The two floor rows under them make
+// the wire ladder: the same call answered with a fixed hit reply by a
+// raw loopback peer that parses nothing but the head's end
+// (tcp-floor), and by a net/http handler that drains the body
+// (http-fixed-reply).
 func BenchmarkServerRoundTrip(b *testing.B) {
 	const (
 		dim = 768
 		n   = 1000
 	)
+	fixed := []byte(`{"docs":[0],"hit":true,"cacheLookupMicros":2.5,"dbServiceMillis":0}` + "\n")
+	b.Run("tcp-floor", func(b *testing.B) {
+		roundTrips(b, rawPeer(b, dim, fixed), vec.RandomUnit(vec.NewRand(3), dim))
+	})
+	b.Run("http-fixed-reply", func(b *testing.B) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(fixed)
+		}))
+		b.Cleanup(ts.Close)
+		roundTrips(b, ts.URL, vec.RandomUnit(vec.NewRand(3), dim))
+	})
 	b.Run("flat-1000", func(b *testing.B) {
 		r := vec.NewRand(3)
 		keys := make([]vec.Vector, n)
@@ -476,6 +498,50 @@ func roundTrips(b *testing.B, base string, q vec.Vector) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// rawPeer answers every request on a loopback port with body behind the
+// head the server's own loop writes, reading each request up to its
+// blank line and then its 4·dim body bytes; it returns the base URL.
+func rawPeer(b *testing.B, dim int, body []byte) string {
+	b.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = ln.Close() })
+	reply := fmt.Appendf(nil, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nDate: %s\r\nContent-Length: %d\r\n\r\n%s",
+		time.Now().UTC().Format(http.TimeFormat), len(body), body)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for {
+					for {
+						line, err := br.ReadSlice('\n')
+						if err != nil {
+							return
+						}
+						if len(line) == 2 {
+							break
+						}
+					}
+					if _, err := br.Discard(4 * dim); err != nil {
+						return
+					}
+					if _, err := c.Write(reply); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String()
 }
 
 // benchNode serves a FLAT cache of the given capacity (τ = 1, LRU) in

@@ -16,7 +16,9 @@
 // miss path — its result slice; server.DecodeF32 — every HTTP
 // request — the embedding it returns; and one loopback
 // server.Client.Retrieve hit, both ends of the connection counted,
-// clientRetrieveBudget.
+// clientRetrieveBudget. The server's two strict head parsers are
+// unexported, so their zero budget is internal/server's
+// TestHeadParsersAllocFree.
 package perfguard
 
 import (
@@ -308,13 +310,14 @@ func TestDecodeF32Budget(t *testing.T) {
 	})
 }
 
-// clientRetrieveBudget is what one loopback hit measures: the client
-// writes its own request head, both ends lay out and parse the reply
-// without encoding/json, and neither the client's reply value nor the
-// handler's request value leaves the stack on an f32 hit (41 with
-// them, 63 with an http.Request and encoding/json; net/http's client
-// transport cost 112).
-const clientRetrieveBudget = 39
+// clientRetrieveBudget is what one loopback hit measures: the
+// decoded embedding, the cache's copy of the docs and the client's
+// parsed docs. The client writes its own request head and reads the
+// reply head itself, and the server's own loop serves the connection it
+// took over, so neither end runs net/http's per-request work (39 on
+// net/http's server, 63 with an http.Request and encoding/json;
+// net/http's client transport cost 112).
+const clientRetrieveBudget = 3
 
 // TestClientRetrieveBudget pins one loopback HTTP hit at the benchmark's
 // width: server.Client.Retrieve of a cached 768-d key against

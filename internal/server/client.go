@@ -268,7 +268,7 @@ func (c *Client) roundTrip(rq *request, decode func(status int, body []byte) err
 				return "", fmt.Errorf("client: %s: %w", rq.path, err)
 			}
 		}
-		resp, replied, err := cn.exchange(c.host, rq, deadline)
+		rep, replied, err := cn.exchange(c.host, rq, deadline)
 		if err != nil {
 			_ = cn.Close()
 			if reused && !replied && !errors.Is(err, os.ErrDeadlineExceeded) {
@@ -277,14 +277,13 @@ func (c *Client) roundTrip(rq *request, decode func(status int, body []byte) err
 			}
 			return "", fmt.Errorf("client: %s: %w", rq.path, err)
 		}
-		spans := resp.Header.Get(telemetry.TraceSpanHeader)
-		err = decode(resp.StatusCode, cn.body.Bytes())
-		if resp.Close {
+		err = decode(rep.status, cn.body.Bytes())
+		if rep.close {
 			_ = cn.Close()
 		} else {
 			c.release(cn)
 		}
-		return spans, err
+		return rep.spans, err
 	}
 }
 
@@ -352,39 +351,61 @@ func decodeReply(rq *request, status int, body []byte, out any) error {
 // its call fails.
 const drainMax = 1 << 20
 
+// reply is what a round trip needs of a reply's head.
+type reply struct {
+	status int
+	spans  string // the span header's value
+	close  bool   // Connection: close
+}
+
 // exchange writes rq to host and reads its reply, the body to EOF into
-// cn.body. replied reports whether any reply byte had arrived when err
-// occurred.
-func (cn *clientConn) exchange(host string, rq *request, deadline time.Time) (resp *http.Response, replied bool, err error) {
+// cn.body: a head in parseReplyHead's layout directly, any other
+// through http.ReadResponse, no byte of it consumed first. replied
+// reports whether any reply byte had arrived when err occurred.
+func (cn *clientConn) exchange(host string, rq *request, deadline time.Time) (rep reply, replied bool, err error) {
 	if err := cn.SetDeadline(deadline); err != nil {
-		return nil, false, err
+		return rep, false, err
 	}
 	if _, err := cn.bw.Write(appendHead(cn.bw.AvailableBuffer(), host, rq)); err != nil {
-		return nil, false, err
+		return rep, false, err
 	}
 	if _, err := cn.bw.Write(rq.body); err != nil {
-		return nil, false, err
+		return rep, false, err
 	}
 	if err := cn.bw.Flush(); err != nil {
-		return nil, false, err
+		return rep, false, err
 	}
 	if _, err := cn.br.Peek(1); err != nil {
-		return nil, false, err
+		return rep, false, err
 	}
-	// A nil request reads the reply as one to a GET: every method this
-	// client sends has a body-carrying reply, as a GET's has.
-	if resp, err = http.ReadResponse(cn.br, nil); err != nil {
-		return nil, true, err
+	head, err := peekHead(cn.br)
+	if err != nil {
+		return rep, true, err
 	}
 	cn.body.Reset()
-	cn.lr = io.LimitedReader{R: resp.Body, N: drainMax + 1}
+	cn.lr = io.LimitedReader{R: cn.br, N: drainMax + 1}
+	if status, length, spans, ok := parseReplyHead(head); ok {
+		rep = reply{status: status, spans: string(spans)}
+		_, _ = cn.br.Discard(len(head))
+		cn.lr.N = int64(length)
+	} else if resp, err := http.ReadResponse(cn.br, nil); err != nil {
+		// A nil request reads the reply as one to a GET: every method
+		// this client sends has a body-carrying reply, as a GET's has.
+		return rep, true, err
+	} else {
+		rep = reply{status: resp.StatusCode, spans: resp.Header.Get(telemetry.TraceSpanHeader), close: resp.Close}
+		cn.lr.R = resp.Body
+	}
 	if _, err := cn.body.ReadFrom(&cn.lr); err != nil {
-		return nil, true, err
+		return rep, true, err
 	}
 	if cn.body.Len() > drainMax {
-		return nil, true, fmt.Errorf("reply body over %d bytes", drainMax)
+		return rep, true, fmt.Errorf("reply body over %d bytes", drainMax)
 	}
-	return resp, true, nil
+	if cn.lr.R == io.Reader(cn.br) && cn.lr.N > 0 { // the parsed head's Content-Length
+		return rep, true, io.ErrUnexpectedEOF
+	}
+	return rep, true, nil
 }
 
 // dial opens a connection to the base URL's host by deadline.

@@ -3,9 +3,15 @@
 // cache intercepts queries on their way to the vector database (Fig. 4).
 // The service accepts raw text (embedded server-side) or pre-computed
 // embeddings, and reports cache statistics for operational monitoring.
+//
+// A binary retrieve skips net/http's per-request work on both ends:
+// Client writes its request head and reads the reply head itself, and
+// the server serves a keep-alive connection in a loop of its own,
+// handing anything else back to net/http unconsumed (see Server).
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,7 +75,22 @@ type Config struct {
 }
 
 // Server is the HTTP middleware. Create with New, mount via Handler, or
-// run with ListenAndServe.
+// run with Listen or ListenAndServe.
+//
+// A keep-alive connection leaves net/http once the body of a
+// ContentTypeF32 /v1/retrieve on it is read: a loop of the server's own
+// answers that request and every later one in the head layout Client
+// writes, with the reply bytes net/http would send (Date aside). It
+// takes over only an HTTP/1.1 request with a Content-Length and no
+// Connection: close or Expect, whose ResponseWriter is itself an
+// http.Hijacker (a wrapper that is not keeps the connection on
+// net/http) and whose http.ServerContextKey names the mounting
+// *http.Server. The loop keeps that server's IdleTimeout (else
+// ReadTimeout), ReadHeaderTimeout, ReadTimeout and WriteTimeout; its
+// ConnState hook and Close do not see the connection, Listen's stop
+// does. A head in any other layout, or with a body over the limit, goes
+// unconsumed with the connection to a private http.Server with the same
+// limits, which serves it from then on.
 type Server struct {
 	cfg Config
 	mux *http.ServeMux
@@ -85,6 +106,8 @@ type Server struct {
 	// Overlapping scrapes may render some series from each other's
 	// snapshot.
 	scraped atomic.Pointer[scrape]
+
+	mounts sync.Map // *http.Server → *mount, for each server Listen made
 }
 
 // New validates the config and builds the routes.
@@ -237,16 +260,23 @@ func (s *Server) ListenAndServe(addr string, ready func(boundAddr string)) error
 // Listen binds addr (use "127.0.0.1:0" for an ephemeral loopback port)
 // and serves in a background goroutine, returning the bound address and a
 // stop function. Stop closes the listener and every active connection
-// immediately — the abrupt-death shape the cluster failure tests need —
-// so a stopped node looks exactly like a crashed one to its clients.
+// immediately, taken-over and handed-back ones included — the
+// abrupt-death shape the cluster failure tests need — so a stopped node
+// looks exactly like a crashed one to its clients.
 func (s *Server) Listen(addr string) (bound string, stop func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("server: listen: %w", err)
 	}
 	srv := s.newHTTPServer()
+	m := &mount{conns: make(map[*takenConn]struct{})}
+	s.mounts.Store(srv, m)
 	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
+	return ln.Addr().String(), func() error {
+		err := srv.Close()
+		m.close()
+		return err
+	}, nil
 }
 
 // RetrieveRequest asks for the nearest documents to an embedding. It is
@@ -432,7 +462,7 @@ func readCache(cache core.Cache, remote bool) *cacheSnapshot {
 
 func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Content-Type") == ContentTypeF32 {
-		if embedding, ok := s.readF32(w, r, 1); ok {
+		if embedding, ok := s.readF32(w, r, 1); ok && !s.takeOver(w, r, embedding) {
 			s.retrieve(w, r, embedding)
 		}
 		return
@@ -603,14 +633,27 @@ func retrieveStatus(err error) int {
 }
 
 func (s *Server) retrieve(w http.ResponseWriter, r *http.Request, embedding vec.Vector) {
+	resp, spans, code, err := s.answer(r.Context(), r.Header.Get(telemetry.TraceHeader), r.URL.Path, embedding)
+	if spans != "" {
+		w.Header().Set(telemetry.TraceSpanHeader, spans)
+	}
+	if err != nil {
+		httpError(w, code, err)
+		return
+	}
+	writeRetrieveReply(w, &resp)
+}
+
+// answer runs one retrieval and returns resp, or err with its status
+// (logging a server fault), and the span header's value, "" for none.
+func (s *Server) answer(ctx context.Context, traceHdr, path string, embedding vec.Vector) (resp RetrieveResponse, spans string, code int, err error) {
 	// Trace admission: a request arriving with the propagation header is
 	// part of a trace some upstream router already sampled — record
 	// under its ID and return this node's spans in the response header.
 	// Otherwise this node makes its own sampling decision.
-	ctx := r.Context()
 	var trace *telemetry.Trace
 	foreign := false
-	if id, ok := telemetry.ParseTraceID(r.Header.Get(telemetry.TraceHeader)); ok {
+	if id, ok := telemetry.ParseTraceID(traceHdr); ok {
 		ctx, trace = s.tel.Tracer.StartForeign(ctx, id)
 		foreign = trace != nil
 	} else {
@@ -619,33 +662,36 @@ func (s *Server) retrieve(w http.ResponseWriter, r *http.Request, embedding vec.
 
 	res, err := s.cfg.Retriever.RetrieveContext(ctx, embedding)
 	if foreign {
-		if enc, mErr := telemetry.MarshalSpans(trace.Spans()); mErr == nil && enc != "" {
-			w.Header().Set(telemetry.TraceSpanHeader, enc)
+		if enc, mErr := telemetry.MarshalSpans(trace.Spans()); mErr == nil {
+			spans = enc
 		}
 	}
 	trace.Finish()
-	if err != nil {
-		s.fail(w, r.URL.Path, retrieveStatus(err), err)
-		return
+	if code = http.StatusOK; err != nil {
+		code = retrieveStatus(err)
+	} else {
+		resp = RetrieveResponse{
+			Docs:        res.Docs,
+			Hit:         res.Hit,
+			CacheMicros: float64(res.CacheLookup) / float64(time.Microsecond),
+			DBMillis:    float64(res.DBTime) / float64(time.Millisecond),
+		}
 	}
-	resp := RetrieveResponse{
-		Docs:        res.Docs,
-		Hit:         res.Hit,
-		CacheMicros: float64(res.CacheLookup) / float64(time.Microsecond),
-		DBMillis:    float64(res.DBTime) / float64(time.Millisecond),
-	}
-	if s.cfg.Docs != nil {
+	if err == nil && s.cfg.Docs != nil {
 		resp.Texts = make([]string, 0, len(res.Docs))
 		for _, id := range res.Docs {
-			text, err := s.cfg.Docs.Text(id)
-			if err != nil {
-				s.fail(w, r.URL.Path, http.StatusInternalServerError, fmt.Errorf("resolve doc %d: %w", id, err))
-				return
+			text, tErr := s.cfg.Docs.Text(id)
+			if tErr != nil {
+				code, err = http.StatusInternalServerError, fmt.Errorf("resolve doc %d: %w", id, tErr)
+				break
 			}
 			resp.Texts = append(resp.Texts, text)
 		}
 	}
-	writeRetrieveReply(w, &resp)
+	if code >= 500 {
+		s.log.ErrorContext(ctx, "request failed", "path", path, "status", code, "err", err)
+	}
+	return resp, spans, code, err
 }
 
 // writeRetrieveReply writes resp as writeJSON(w, 200, resp) would, byte
