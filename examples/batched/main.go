@@ -93,7 +93,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pipe, err := proximity.NewBatchPipeline(db, proximity.BatchOptions{})
+	pipe, err := proximity.NewBatchPipeline(db)
 	if err != nil {
 		return err
 	}
@@ -121,7 +121,7 @@ func run() error {
 	fmt.Print(direct.Render())
 
 	fmt.Printf("=== coalesced miss path (open loop @ %.0f qps) ===\n", open.QPS)
-	pipe, err = proximity.NewBatchPipeline(db, proximity.BatchOptions{})
+	pipe, err = proximity.NewBatchPipeline(db)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := batch.NewCoalescer(ix, nil); err == nil {
 		t.Error("NewCoalescer(nil key) should fail")
 	}
-	if _, err := batch.New(nil, batch.Options{}); err == nil {
+	if _, err := batch.New(nil); err == nil {
 		t.Error("New(nil db) should fail")
 	}
 }

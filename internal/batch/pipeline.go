@@ -10,11 +10,6 @@ import (
 	"proximity/internal/vectordb"
 )
 
-// Options configures a Pipeline. It has no settings: a pipeline has
-// one mode, and it records its stages only as spans of a sampled
-// request's trace (see SearchContext).
-type Options struct{}
-
 // Stats are cumulative pipeline counters.
 type Stats struct {
 	// Searches is the number of Search calls into the pipeline.
@@ -50,7 +45,7 @@ var _ vectordb.DB = (*Pipeline)(nil)
 var _ Searcher = (*Pipeline)(nil)
 
 // New builds a pipeline over db.
-func New(db vectordb.DB, _ Options) (*Pipeline, error) {
+func New(db vectordb.DB) (*Pipeline, error) {
 	if db == nil {
 		return nil, fmt.Errorf("batch: pipeline requires a database")
 	}

@@ -41,7 +41,7 @@ func buildIVF(t *testing.T, n, dim int, seed uint64) *vectordb.IVFIndex {
 func TestPipelineMatchesDirectSearch(t *testing.T) {
 	ix := buildIVF(t, 120, 8, 3)
 	gate := &gatedDB{DB: ix, release: make(chan struct{})}
-	pipe, err := batch.New(gate, batch.Options{})
+	pipe, err := batch.New(gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPipelineMatchesDirectSearch(t *testing.T) {
 // unbatched retriever query-for-query, hits and misses alike.
 func TestPipelineThroughRetriever(t *testing.T) {
 	ix := buildIVF(t, 80, 8, 7)
-	pipe, err := batch.New(ix, batch.Options{})
+	pipe, err := batch.New(ix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPipelineThroughRetriever(t *testing.T) {
 	// far more than τ apart): each must be served, and cached under its
 	// own key, with its own documents.
 	gate := &gatedDB{DB: ix, release: make(chan struct{})}
-	gated, err := batch.New(gate, batch.Options{})
+	gated, err := batch.New(gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPipelineThroughRetriever(t *testing.T) {
 // TestPipelineIsADB pins the vectordb.DB passthrough surface.
 func TestPipelineIsADB(t *testing.T) {
 	ix := buildIVF(t, 50, 8, 17)
-	pipe, err := batch.New(ix, batch.Options{})
+	pipe, err := batch.New(ix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestPipelineCounters(t *testing.T) {
 	const n = 8
 	q, collider := fingerprintCollision(t)
 	db := &failingDB{entered: make(chan struct{}, n+1), release: make(chan struct{})}
-	pipe, err := batch.New(db, batch.Options{})
+	pipe, err := batch.New(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestPipelineCounters(t *testing.T) {
 func TestLeaderYieldsToDuplicates(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ix := buildIVF(t, 60, 8, 19)
-	pipe, err := batch.New(ix, batch.Options{})
+	pipe, err := batch.New(ix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,29 +222,30 @@ func unit(v vec.Vector) vec.Vector { return vec.Scale(v, 1/vec.Norm(v)) }
 // TestDimensionsTouched measures what the benchmark's geometry hides:
 // the mean number of dimensions the early-abandoning kernel reads per
 // cached key (FlatCache's scan) and per index vector (FlatIndex.Search's
-// seeded scan), on the bench geometry and on a crowded unit-norm one.
-// The scans are replayed here with dimsTouched beside each kernel call;
-// the replay is held to the real code's answer, and that answer to an
-// unbounded brute force, so the numbers logged describe exact scans.
-// Every float the index scan reads counts, in both passes and in the
-// seeds it finishes.
+// head-ranked scan), on the bench geometry and on a crowded unit-norm
+// one. The scans are replayed here with dimsTouched beside each kernel
+// call; the replay is held to the real code's answer, and that answer
+// to an unbounded brute force, so the numbers logged describe exact
+// scans. Every float the index scan reads counts: the heads of pass 1,
+// the retained rows it finishes (heads again) and, on the queries that
+// need it, the second walk's.
 func TestDimensionsTouched(t *testing.T) {
 	const (
 		dim       = 768
 		centres   = 48
 		perCentre = 6
 		k         = 4
-		seedsPerK = 4 // vectordb's
+		keepPerK  = 64 // vectordb's
 	)
 	rng := vec.NewRand(23)
 	for _, c := range []struct {
 		g geometry
-		// What the index scan seeded on a 32-float prefix read per
-		// vector here, not even counting the k seeds it finished.
+		// What the two-walk index scan before this one read per vector
+		// here (47.7 and 386.8): the one walk must not read more.
 		maxVecDims float64
 	}{
-		{benchGeometry(rng, dim, centres, perCentre), 64},
-		{hardGeometry(t, rng, dim, centres, perCentre), 437},
+		{benchGeometry(rng, dim, centres, perCentre), 48},
+		{hardGeometry(t, rng, dim, centres, perCentre), 387},
 	} {
 		g := c.g
 		cache := mustFlat(t, dim, Options{Capacity: len(g.keys), Tolerance: g.tau})
@@ -256,7 +257,7 @@ func TestDimensionsTouched(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		var keyDims, vecDims, hits int
+		var keyDims, vecDims, hits, walks int
 		for qi, q := range g.queries {
 			// FlatCache.scanAdmissible, replayed.
 			best, bestDist := -1, float32(0)
@@ -286,37 +287,49 @@ func TestDimensionsTouched(t *testing.T) {
 			}
 
 			// FlatIndex.scanL2, replayed: pass 1 reads every head and
-			// finishes the seedsPerK·k smallest under the k-th best so
-			// far; pass 2 reads every other row's head again and, where
+			// retains the keepPerK·k smallest, which are finished in
+			// (head, ID) order under the k-th best so far until a head
+			// exceeds its bound. Only if a row was dropped and the
+			// largest head retained is within the final bound does a
+			// second walk read every other row's head again and, where
 			// the head alone does not exceed the k-th best so far,
 			// whatever vec.L2Bounded reads past it.
-			var seed, top vec.TopKBuffer
-			seed.Reset(seedsPerK * k)
+			heads := make([]vec.Scored, len(g.corpus))
 			for id, v := range g.corpus {
-				seed.Push(id, vec.L2SquaredHead(q, v))
+				heads[id] = vec.Scored{ID: id, Dist: vec.L2SquaredHead(q, v)}
 				vecDims += vec.HeadLen
 			}
+			retained := vec.TopK(heads, keepPerK*k)
+			var top vec.TopKBuffer
 			top.Reset(k)
-			isSeed := make(map[int]bool)
-			for _, s := range seed.Result() {
-				v := g.corpus[s.ID]
+			for _, r := range retained {
+				if r.Dist > vec.SquaredBound(top.Worst()) {
+					break
+				}
+				v := g.corpus[r.ID]
 				vecDims += dimsTouched(q, v, top.Worst())
 				if d, ok := vec.L2Bounded(q, v, top.Worst()); ok {
-					top.Push(s.ID, d)
+					top.Push(r.ID, d)
 				}
-				isSeed[s.ID] = true
 			}
-			for id, v := range g.corpus {
-				if isSeed[id] {
-					continue
+			if cutoff := retained[len(retained)-1].Dist; len(retained) < len(g.corpus) && cutoff <= vec.SquaredBound(top.Worst()) {
+				walks++
+				isRetained := make(map[int]bool)
+				for _, r := range retained {
+					isRetained[r.ID] = true
 				}
-				vecDims += vec.HeadLen
-				if vec.L2SquaredHead(q, v) > vec.SquaredBound(top.Worst()) {
-					continue
-				}
-				vecDims += dimsTouched(q, v, top.Worst()) - vec.HeadLen
-				if d, ok := vec.L2Bounded(q, v, top.Worst()); ok {
-					top.Push(id, d)
+				for id, v := range g.corpus {
+					if isRetained[id] {
+						continue
+					}
+					vecDims += vec.HeadLen
+					if vec.L2SquaredHead(q, v) > vec.SquaredBound(top.Worst()) {
+						continue
+					}
+					vecDims += dimsTouched(q, v, top.Worst()) - vec.HeadLen
+					if d, ok := vec.L2Bounded(q, v, top.Worst()); ok {
+						top.Push(id, d)
+					}
 				}
 			}
 			found, err := index.Search(q, k)
@@ -336,8 +349,8 @@ func TestDimensionsTouched(t *testing.T) {
 		}
 		perKey := float64(keyDims) / float64(len(g.queries)*len(g.keys))
 		perVec := float64(vecDims) / float64(len(g.queries)*len(g.corpus))
-		t.Logf("%s geometry (dim %d, τ %.3f, %d keys, %d vectors, k %d): %.1f dims per cached key, %.1f dims per index vector (of which %d in the seeding pass's heads)",
-			g.name, dim, g.tau, len(g.keys), len(g.corpus), k, perKey, perVec, vec.HeadLen)
+		t.Logf("%s geometry (dim %d, τ %.3f, %d keys, %d vectors, k %d): %.1f dims per cached key, %.1f dims per index vector (of which %d in pass 1's heads), second walk on %d of %d queries",
+			g.name, dim, g.tau, len(g.keys), len(g.corpus), k, perKey, perVec, vec.HeadLen, walks, len(g.queries))
 		// The unbounded kernel reads dim per key; a scan that read as
 		// much has lost its bound. The index scan is also held to
 		// maxVecDims, so a faster benchmark is not bought with more work

@@ -268,16 +268,18 @@ func TestHashAllocFree(t *testing.T) {
 }
 
 // TestFlatIndexSearchBudget pins the miss path's index scan: the result
-// slice is its only allocation — the selection heaps and the L2 seeding
-// scratch, seedsPerK·k seeds wide, are pooled, and both sorts run in
-// place. The vectors span at least vec.HeadLen floats and the corpus
-// more than seedsPerK·k rows, so the seeding pass runs.
+// slice is its only allocation — the selection heap and the rows an L2
+// scan retains, at most 2·keepPerK·k of them, are pooled, and the
+// selection and sorts run in place. The vectors span at least
+// vec.HeadLen floats and the corpus more than 2·keepPerK·k rows
+// (keepPerK = 64), so the head-ranked pass runs and cuts what it
+// retains.
 func TestFlatIndexSearchBudget(t *testing.T) {
 	ix, err := vectordb.NewFlatIndex(dim, vec.L2Distance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 256; i++ {
+	for i := 0; i < 2048; i++ {
 		if err := ix.Add(testVec(i)); err != nil {
 			t.Fatal(err)
 		}

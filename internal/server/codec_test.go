@@ -173,7 +173,7 @@ func serveCache(t *testing.T, dim, n int, newCache func() (core.Cache, error), p
 	}
 	opts := core.RetrieverOptions{K: 2}
 	if pipeline {
-		pipe, err := batch.New(db, batch.Options{})
+		pipe, err := batch.New(db)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,7 +127,7 @@ func readSurface(t *testing.T, dim int, newCache func() (core.Cache, error), pip
 	}
 	opts := core.RetrieverOptions{K: 2}
 	if pipeline {
-		pipe, err := batch.New(db, batch.Options{})
+		pipe, err := batch.New(db)
 		if err != nil {
 			t.Fatal(err)
 		}

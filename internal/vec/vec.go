@@ -21,9 +21,14 @@
 // bit-identical to the scalar ones. The other is Finite, the caches'
 // check on every key they store. Both stream contiguous memory, so
 // their cost is the arithmetic. Scans over scattered rows, as the
-// vector database's are, wait on memory instead, and a SIMD kernel
-// measured there gained nothing; they stay scalar. See
-// BenchmarkVecKernels in the repository root for the measured gaps.
+// vector database's are, wait on memory instead: a SIMD kernel measured
+// there gained nothing, so they stay scalar, and what they save is
+// walks. The flat index's L2 scan walks its rows once, keeping the rows
+// with the smallest L2SquaredHead and finishing only those; a second
+// walk follows only when the largest head kept is within the bound the
+// kept rows proved, as on crowded geometry. See BenchmarkVecKernels
+// and BenchmarkIndexSearch in the repository root for the measured
+// gaps.
 package vec
 
 import (

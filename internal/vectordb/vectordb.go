@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -61,13 +62,23 @@ type FlatIndex struct {
 // flatScratch is one search's working memory, O(k) and pooled.
 type flatScratch struct {
 	top   vec.TopKBuffer // the result selection
-	seed  vec.TopKBuffer // the seedsPerK·k smallest heads (L2 seeding)
-	seeds []vec.Scored   // seed's contents, read back and then put in ID order
+	heads []rowHead      // the rows an L2 scan retains, at most 2·keepPerK·k
 }
 
-// seedsPerK is how many rows per requested neighbour the seeding pass of
-// an L2 search finishes to prove its bound.
-const seedsPerK = 4
+// rowHead is a row an L2 scan retained, with its head
+// (vec.L2SquaredHead): 8 bytes, so 2·keepPerK·k of them take 4 KB at
+// k = 4.
+type rowHead struct {
+	ID   int32
+	Head float32
+}
+
+// keepPerK is how many rows per requested neighbour an L2 scan's first
+// pass retains: enough that on clustered rows the largest head kept
+// lies beyond the bound the nearest ones prove, so the second walk is
+// rare (internal/core's TestDimensionsTouched logs how rare), and few
+// enough that the retained rows fit in 4 KB at k = 4.
+const keepPerK = 64
 
 var (
 	_ DB           = (*FlatIndex)(nil)
@@ -153,50 +164,95 @@ func (f *FlatIndex) search(q vec.Vector, k int, s *flatScratch) []vec.Scored {
 }
 
 // scanL2 fills s.top with q's k nearest vectors, abandoning each
-// distance once it provably exceeds the k-th best known. A scan that
-// learns that bound only from what it has pushed finishes almost every
-// vector until it happens upon q's neighbourhood, so the bound is seeded
-// first, and both passes read one cache line per row — the scan waits on
-// memory, not arithmetic. Pass 1 keeps the seedsPerK·k rows with the
-// smallest heads (vec.L2SquaredHead) and finishes only those, so s.top
-// holds the k nearest seeds and its k-th distance bounds pass 2 from its
-// first row. Pass 2 visits every other row, skips it when its head alone
-// exceeds the bound — exactly when vec.L2Bounded would abandon it at its
-// first check — and hands the rest to vec.L2Bounded. The seeds are a
-// guess and exactness does not depend on them: every row is offered
-// once, under the k-th best known, and each one kept is pushed with its
-// exact distance. Below HeadLen dimensions, or when every row is wanted,
-// there is no head to seed on and no row to skip, and the scan is one
-// bounded loop.
+// distance once it provably exceeds the k-th best known. The rows are
+// scattered allocations, so a walk over them waits on memory, and the
+// scan walks the corpus once: a bound learnt only from what has been
+// pushed would stay loose until the walk happened upon q's
+// neighbourhood, so the walk ranks rows on their heads
+// (vec.L2SquaredHead, one cache line each) and finishes nothing.
+//
+// Pass 1 retains every row whose head is below a running cutoff, as a
+// rowHead in s.heads. Whenever 2·keep rows are retained, keepSmallest
+// cuts them to the keep smallest heads and lowers the cutoff to the
+// largest head kept, so every row the pass drops has a head at or above
+// the final cutoff. The retained rows are then finished in (head, ID)
+// order under the k-th best so far, and the scan stops at the first
+// head above its bound: that row and every later one would be abandoned
+// at vec.L2Bounded's first check. A dropped row would be skipped on its
+// head for the same reason unless the cutoff is at or below the final
+// bound; only then — crowded geometry, or fewer than k finite distances
+// among the retained rows — does a second walk visit the rows not
+// retained, skip each whose head exceeds the bound, and hand the rest
+// to vec.L2Bounded.
+//
+// Exactness does not depend on which rows are retained: every row is
+// either proved beyond the k-th best distance or pushed with its exact
+// distance, and for distances that are not NaN the (distance, ID) order
+// makes the result independent of push order. NaN has no place in that
+// order, so a NaN head ends pass 1 and the scan pushes every row in ID
+// order instead, as vec.TopK would. Below HeadLen dimensions, or when
+// every row is wanted, there is no head to rank on or no row to skip,
+// and past int32 row IDs no rowHead to hold one; the scan is then that
+// same bounded loop.
 //
 //proximity:hotpath
 func (f *FlatIndex) scanL2(q vec.Vector, k int, s *flatScratch) {
-	if f.dim < vec.HeadLen || k >= len(f.vectors) {
-		for id, v := range f.vectors {
-			if d, ok := vec.L2Bounded(q, v, s.top.Worst()); ok {
-				s.top.Push(id, d)
-			}
-		}
+	n := len(f.vectors)
+	if f.dim < vec.HeadLen || k >= n || n > math.MaxInt32 {
+		f.scanBounded(q, s)
 		return
 	}
-	s.seed.Reset(seedsPerK * k)
-	for id, v := range f.vectors {
-		s.seed.Push(id, vec.L2SquaredHead(q, v))
+	keep := n // every row, when keepPerK·k would be more
+	if k <= n/keepPerK {
+		keep = keepPerK * k
 	}
-	// Nearest heads first, so the bound tightens as early as it can.
-	s.seeds = s.seed.AppendResult(s.seeds[:0])
-	for _, seed := range s.seeds {
-		if d, ok := vec.L2Bounded(q, f.vectors[seed.ID], s.top.Worst()); ok {
-			s.top.Push(seed.ID, d)
+	heads := s.heads[:0]
+	cutoff := float32(math.Inf(1))
+	for id, v := range f.vectors {
+		h := vec.L2SquaredHead(q, v)
+		if h >= cutoff {
+			continue
+		}
+		if h != h { // NaN
+			f.scanBounded(q, s)
+			return
+		}
+		heads = append(heads, rowHead{ID: int32(id), Head: h})
+		if len(heads) == 2*keep {
+			cutoff = keepSmallest(heads, keep)
+			heads = heads[:keep]
 		}
 	}
-	slices.SortFunc(s.seeds, func(a, b vec.Scored) int { return cmp.Compare(a.ID, b.ID) })
+	if len(heads) > keep {
+		cutoff = keepSmallest(heads, keep)
+		heads = heads[:keep]
+	}
+	s.heads = heads
 
+	// Nearest heads first, so the bound tightens as early as it can.
+	slices.SortFunc(heads, func(a, b rowHead) int {
+		return cmp.Or(cmp.Compare(a.Head, b.Head), cmp.Compare(a.ID, b.ID))
+	})
 	maxDist := s.top.Worst()
 	headBound := vec.SquaredBound(maxDist)
-	next := 0 // the first seed not yet passed, in ID order
+	for _, r := range heads {
+		if r.Head > headBound {
+			break
+		}
+		if d, ok := vec.L2Bounded(q, f.vectors[r.ID], maxDist); ok {
+			s.top.Push(int(r.ID), d)
+			maxDist = s.top.Worst()
+			headBound = vec.SquaredBound(maxDist)
+		}
+	}
+	if len(heads) == n || cutoff > headBound {
+		return
+	}
+
+	slices.SortFunc(heads, func(a, b rowHead) int { return cmp.Compare(a.ID, b.ID) })
+	next := 0 // the first retained row not yet passed, in ID order
 	for id, v := range f.vectors {
-		if next < len(s.seeds) && s.seeds[next].ID == id {
+		if next < len(heads) && int(heads[next].ID) == id {
 			next++
 			continue
 		}
@@ -209,6 +265,49 @@ func (f *FlatIndex) scanL2(q vec.Vector, k int, s *flatScratch) {
 			headBound = vec.SquaredBound(maxDist)
 		}
 	}
+}
+
+// scanBounded fills s.top in one walk in ID order, abandoning each
+// distance once it provably exceeds the k-th best known.
+func (f *FlatIndex) scanBounded(q vec.Vector, s *flatScratch) {
+	for id, v := range f.vectors {
+		if d, ok := vec.L2Bounded(q, v, s.top.Worst()); ok {
+			s.top.Push(id, d)
+		}
+	}
+}
+
+// keepSmallest reorders r so that r[:m] holds m of its smallest heads
+// and returns the largest of them; no head in r[m:] is smaller. It is
+// Hoare's selection, linear on average, and needs 0 < m ≤ len(r) and
+// no NaN head.
+func keepSmallest(r []rowHead, m int) float32 {
+	lo, hi := 0, len(r)-1
+	for lo < hi {
+		pivot := r[int(uint(lo+hi)>>1)].Head
+		i, j := lo, hi
+		for i <= j {
+			for r[i].Head < pivot {
+				i++
+			}
+			for pivot < r[j].Head {
+				j--
+			}
+			if i <= j {
+				r[i], r[j] = r[j], r[i]
+				i++
+				j--
+			}
+		}
+		// r[lo:j+1] ≤ pivot ≤ r[i:hi+1], and r[j+1:i] = pivot.
+		if j < m-1 {
+			lo = i
+		}
+		if m-1 < i {
+			hi = j
+		}
+	}
+	return r[m-1].Head
 }
 
 // Dim returns the indexed dimensionality.

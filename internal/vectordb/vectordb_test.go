@@ -3,6 +3,7 @@ package vectordb
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"testing"
@@ -177,11 +178,12 @@ func sameRanking(a, b []vec.Scored) bool {
 }
 
 // TestL2ScansMatchBruteForce holds every early-abandoning L2 scan —
-// Search with its head-seeded bound and head skips, and an IVF index
+// Search with its head-ranked bound and head skips, and an IVF index
 // probing all of its cells — to the reference ranking: same
 // IDs, same distance bits, same order. Dimensions run below, at and
-// above vec.HeadLen; k runs from 1 past the corpus size, and one corpus
-// has fewer rows than the seeding pass would keep. Corpora include
+// above vec.HeadLen; k runs from 1 past the corpus size. The corpora
+// are at most 200 rows, so Search's first pass drops few rows or none
+// (TestFlatScanOnLargeCorpora covers corpora it cuts). Corpora include
 // duplicated vectors and one whose every vector is exactly as far from
 // the query as every other (and whose heads tie too), where any abandon
 // on "not strictly farther" or any lost (distance, ID) tie-break shows.
@@ -205,7 +207,6 @@ func TestL2ScansMatchBruteForce(t *testing.T) {
 		}
 		for name, corpus := range map[string][]vec.Vector{
 			"random": random, "duplicated": duplicated, "equidistant": equidistant,
-			"fewer than seedsPerK·k": random[:seedsPerK*4-1],
 		} {
 			n := len(corpus)
 			flat, err := NewFlatFromVectors(corpus, vec.L2Distance)
@@ -240,6 +241,204 @@ func TestL2ScansMatchBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pushedInIDOrder is the brute force for corpora holding special
+// values: every distance finished with vec.L2 and offered to a
+// vec.TopKBuffer in ID order, as vec.TopK offers its items. Without a
+// NaN distance the order of the offers cannot change the answer; with
+// one, vec.TopK's answer is this order's.
+func pushedInIDOrder(q vec.Vector, corpus []vec.Vector, k int) []vec.Scored {
+	var top vec.TopKBuffer
+	top.Reset(k)
+	top.PushDistances(q, corpus, vec.L2)
+	return top.Result()
+}
+
+// clustered returns perCentre rows at σ 0.11 around each of centres
+// N(0, I) centres, the repository benchmark's shape, each row its own
+// allocation, and one query at σ 0.03 around every centre.
+func clustered(rng *rand.Rand, dim, centres, perCentre int) (corpus, queries []vec.Vector) {
+	for c := 0; c < centres; c++ {
+		centre := vec.RandomGaussian(rng, dim)
+		for i := 0; i < perCentre; i++ {
+			corpus = append(corpus, vec.GaussianAround(rng, centre, 0.11))
+		}
+		queries = append(queries, vec.GaussianAround(rng, centre, 0.03))
+	}
+	return corpus, queries
+}
+
+// TestFlatScanOnLargeCorpora holds Search to the brute force, bit for
+// bit, on corpora of more than twice the rows its first pass retains at
+// every k tried, so that the pass cuts its retained rows and drops the
+// rest. Clustered rows shaped like the repository benchmark's let the
+// retained rows prove the bound and skip the second walk. Duplicated
+// and equidistant rows tie at the cutoff and under the bound, so the
+// second walk runs and must win every (distance, ID) tie against the
+// rows already finished. Rows with ±Inf and subnormal components drop
+// out of pass 1 or finish at +Inf and 0, and rows or queries with a NaN
+// in the head make the scan push every row in ID order. NaN sits in
+// heads only: a NaN past the head leaves the ranking to push order, in
+// the brute force as in any scan that skips rows.
+func TestFlatScanOnLargeCorpora(t *testing.T) {
+	const dim = 40
+	rng := vec.NewRand(11)
+	corpus, queries := clustered(rng, dim, 150, 8)
+	queries = append(queries[:12], vec.RandomGaussian(rng, dim), make(vec.Vector, dim))
+
+	var distinct, duplicated []vec.Vector
+	for i := 0; i < 20; i++ {
+		distinct = append(distinct, vec.RandomGaussian(rng, dim))
+	}
+	for i := 0; i < 1200; i++ {
+		duplicated = append(duplicated, distinct[rng.IntN(len(distinct))])
+	}
+	var equidistant []vec.Vector
+	for rep := 0; rep < 15; rep++ { // ±3 along every axis: all 3 from the origin, exactly
+		for i := 0; i < dim; i++ {
+			for _, r := range []float32{3, -3} {
+				v := make(vec.Vector, dim)
+				v[i] = r
+				equidistant = append(equidistant, v)
+			}
+		}
+	}
+
+	subnormal := float32(math.SmallestNonzeroFloat32)
+	inf := float32(math.Inf(1))
+	special := func(nan bool) []vec.Vector {
+		out := make([]vec.Vector, len(corpus))
+		for id, v := range corpus {
+			v = slices.Clone(v)
+			switch id % 6 {
+			case 1:
+				v[rng.IntN(dim)] = inf
+			case 2:
+				v[rng.IntN(dim)] = -inf
+			case 3:
+				for i := range v {
+					v[i] = subnormal * float32(rng.IntN(5)-2)
+				}
+			case 4:
+				v[rng.IntN(dim)] = math.MaxFloat32
+			case 5:
+				if nan && id%12 == 5 {
+					v[rng.IntN(vec.HeadLen)] = float32(math.NaN())
+				}
+			}
+			out[id] = v
+		}
+		return out
+	}
+	nanHead := slices.Clone(queries[0])
+	nanHead[3] = float32(math.NaN())
+	infHead := slices.Clone(queries[1])
+	infHead[5] = inf
+	tiny := make(vec.Vector, dim)
+	tiny[dim-1] = subnormal
+
+	for _, c := range []struct {
+		name    string
+		corpus  []vec.Vector
+		queries []vec.Vector
+	}{
+		{"clustered", corpus, queries},
+		{"duplicated", duplicated, []vec.Vector{distinct[3], vec.GaussianAround(rng, distinct[7], 0.5), vec.RandomGaussian(rng, dim)}},
+		{"equidistant", equidistant, []vec.Vector{make(vec.Vector, dim), equidistant[2*dim-1], vec.RandomGaussian(rng, dim)}},
+		{"±Inf and subnormal", special(false), append(slices.Clone(queries[:4]), tiny, make(vec.Vector, dim), nanHead, infHead)},
+		{"NaN heads", special(true), append(slices.Clone(queries[:4]), tiny, nanHead)},
+	} {
+		flat, err := NewFlatFromVectors(c.corpus, vec.L2Distance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 4, 7} {
+			if len(c.corpus) <= 2*keepPerK*k {
+				t.Fatalf("%s: %d rows do not exceed the %d pass 1 retains at k %d", c.name, len(c.corpus), 2*keepPerK*k, k)
+			}
+			for qi, q := range c.queries {
+				got, err := flat.Search(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := pushedInIDOrder(q, c.corpus, k); !sameRanking(got, want) {
+					t.Fatalf("%s corpus, k %d, query %d:\n got %v\nwant %v", c.name, k, qi, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzFlatSearch holds Search to the brute force on corpora the input
+// shapes: up to 2 048 rows of 1–40 dimensions, k 1–20, rows clustered
+// as tightly as the crowding byte says and optionally snapped to a
+// coarse grid so that heads and distances tie, and special values —
+// ±Inf, the largest float and subnormals anywhere, NaN in heads — in
+// rows and in the query's head.
+func FuzzFlatSearch(f *testing.F) {
+	f.Add(uint64(1), uint16(1500), uint8(39), uint8(3), uint8(0), uint8(0))
+	f.Add(uint64(2), uint16(2000), uint8(39), uint8(19), uint8(0x83), uint8(0))
+	f.Add(uint64(3), uint16(1100), uint8(20), uint8(3), uint8(0x40), uint8(7))
+	f.Add(uint64(4), uint16(900), uint8(8), uint8(0), uint8(0xc1), uint8(0x93))
+	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, dims, kk, crowd, specials uint8) {
+		n := 1 + int(rows)%2048
+		dim := 1 + int(dims)%40
+		k := 1 + int(kk)%20
+		rng := vec.NewRand(seed)
+
+		// crowd: low 6 bits the number of centres less one, the next bit
+		// the spread around them (0.01 or 1), the top bit the grid.
+		centres := make([]vec.Vector, 1+int(crowd&0x3f))
+		for i := range centres {
+			centres[i] = vec.RandomGaussian(rng, dim)
+		}
+		sigma := float32(1)
+		if crowd&0x40 != 0 {
+			sigma = 0.01
+		}
+		snap := func(v vec.Vector) vec.Vector {
+			if crowd&0x80 != 0 {
+				for i := range v {
+					v[i] = float32(math.Round(float64(v[i]) * 2))
+				}
+			}
+			return v
+		}
+		heads := min(dim, vec.HeadLen) // where a NaN may go
+		values := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32,
+			math.SmallestNonzeroFloat32, float32(math.NaN())}
+		every := int(specials & 0x0f) // 0: no special rows
+		corpus := make([]vec.Vector, n)
+		for id := range corpus {
+			v := snap(vec.GaussianAround(rng, centres[rng.IntN(len(centres))], sigma))
+			if every > 0 && id%every == 0 {
+				x := values[rng.IntN(len(values))]
+				if x != x {
+					v[rng.IntN(heads)] = x
+				} else {
+					v[rng.IntN(dim)] = x
+				}
+			}
+			corpus[id] = v
+		}
+		q := snap(vec.GaussianAround(rng, centres[rng.IntN(len(centres))], sigma/3))
+		if specials&0x10 != 0 {
+			q[rng.IntN(heads)] = values[int(specials>>5)%len(values)]
+		}
+
+		flat, err := NewFlatFromVectors(corpus, vec.L2Distance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := flat.Search(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := pushedInIDOrder(q, corpus, k); !sameRanking(got, want) {
+			t.Fatalf("n %d, dim %d, k %d:\n got %v\nwant %v", n, dim, k, got, want)
+		}
+	})
 }
 
 func TestFixedLatency(t *testing.T) {

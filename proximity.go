@@ -69,7 +69,7 @@
 // shares no computation, so gathering one only adds its wait.
 // Plug it into a retriever through the Searcher option:
 //
-//	pipe, _ := proximity.NewBatchPipeline(db, proximity.BatchOptions{})
+//	pipe, _ := proximity.NewBatchPipeline(db)
 //	retriever, _ := proximity.NewRetriever(cache, db, proximity.RetrieverOptions{
 //		K: 4, Searcher: pipe,
 //	})
@@ -385,8 +385,6 @@ type (
 	Searcher = core.Searcher
 	// BatchPipeline is the miss-coalescing search path.
 	BatchPipeline = batch.Pipeline
-	// BatchOptions configures a BatchPipeline.
-	BatchOptions = batch.Options
 	// BatchStats are cumulative pipeline counters.
 	BatchStats = batch.Stats
 	// IVFIndex is the inverted-file ANN index.
@@ -598,8 +596,8 @@ func (a *AdaptiveShardedCache) Close() error { return a.ctrl.Close() }
 // database: concurrent duplicate misses share one search. Wire it into
 // NewRetriever through RetrieverOptions.Searcher (it also satisfies DB
 // directly).
-func NewBatchPipeline(db DB, opts BatchOptions) (*BatchPipeline, error) {
-	return batch.New(db, opts)
+func NewBatchPipeline(db DB) (*BatchPipeline, error) {
+	return batch.New(db)
 }
 
 // NewClusterCache routes queries across shard nodes — instances of the

@@ -367,7 +367,7 @@ func TestPublicBatchPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pipe, err := NewBatchPipeline(db, BatchOptions{})
+	pipe, err := NewBatchPipeline(db)
 	if err != nil {
 		t.Fatal(err)
 	}
