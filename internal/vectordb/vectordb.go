@@ -75,9 +75,10 @@ type rowHead struct {
 
 // keepPerK is how many rows per requested neighbour an L2 scan's first
 // pass retains: enough that on clustered rows the largest head kept
-// lies beyond the bound the nearest ones prove, so the second walk is
-// rare (internal/core's TestDimensionsTouched logs how rare), and few
-// enough that the retained rows fit in 4 KB at k = 4.
+// usually lies beyond the bound the nearest ones prove, so the second
+// walk is rare (about 9 % of the repository benchmark's misses take it;
+// internal/core's TestDimensionsTouched logs it on smaller corpora), and
+// few enough that the retained rows fit in 4 KB at k = 4.
 const keepPerK = 64
 
 var (
@@ -112,13 +113,19 @@ func NewFlatFromVectors(vectors []vec.Vector, metric vec.Metric) (*FlatIndex, er
 }
 
 // Add appends vectors to the index; IDs are assigned densely in insertion
-// order. The index stores the given slices directly; callers must not
-// mutate them afterwards.
+// order. It refuses every vector if one has a NaN or ±Inf component, as
+// the caches refuse such keys: no distance to it ranks, and a NaN in a
+// row's head would leave Search's first pass no order to cut by. The
+// index stores the given slices directly; callers must not mutate them
+// afterwards.
 func (f *FlatIndex) Add(vectors ...vec.Vector) error {
 	for i, v := range vectors {
 		if len(v) != f.dim {
 			return fmt.Errorf("vectordb: vector %d has dim %d, index dim %d: %w",
 				i, len(v), f.dim, vec.ErrDimensionMismatch)
+		}
+		if !vec.Finite(v) {
+			return fmt.Errorf("vectordb: vector %d has a NaN or ±Inf component", i)
 		}
 	}
 	f.vectors = append(f.vectors, vectors...)
@@ -189,11 +196,13 @@ func (f *FlatIndex) search(q vec.Vector, k int, s *flatScratch) []vec.Scored {
 // either proved beyond the k-th best distance or pushed with its exact
 // distance, and for distances that are not NaN the (distance, ID) order
 // makes the result independent of push order. NaN has no place in that
-// order, so a NaN head ends pass 1 and the scan pushes every row in ID
-// order instead, as vec.TopK would. Below HeadLen dimensions, or when
-// every row is wanted, there is no head to rank on or no row to skip,
-// and past int32 row IDs no rowHead to hold one; the scan is then that
-// same bounded loop.
+// order. Add refuses rows that are not finite, so a head is NaN only
+// when the query's head holds a NaN, and then every head is: the first
+// row's ends pass 1, and the scan pushes every row in ID order instead,
+// as vec.TopK would. Below HeadLen dimensions, or when every row is
+// wanted, there is no head to rank on or no row to skip, and past int32
+// row IDs no rowHead to hold one; the scan is then that same bounded
+// loop.
 //
 //proximity:hotpath
 func (f *FlatIndex) scanL2(q vec.Vector, k int, s *flatScratch) {
@@ -213,7 +222,7 @@ func (f *FlatIndex) scanL2(q vec.Vector, k int, s *flatScratch) {
 		if h >= cutoff {
 			continue
 		}
-		if h != h { // NaN
+		if h != h { // NaN: the query's head holds one, so row 0's head does
 			f.scanBounded(q, s)
 			return
 		}
@@ -280,7 +289,8 @@ func (f *FlatIndex) scanBounded(q vec.Vector, s *flatScratch) {
 // keepSmallest reorders r so that r[:m] holds m of its smallest heads
 // and returns the largest of them; no head in r[m:] is smaller. It is
 // Hoare's selection, linear on average, and needs 0 < m ≤ len(r) and
-// no NaN head.
+// no NaN head. Sorting r by (head, ID) at every cut instead made
+// BenchmarkIndexSearch/flat-20k twice as slow (2-vCPU amd64, go1.24).
 func keepSmallest(r []rowHead, m int) float32 {
 	lo, hi := 0, len(r)-1
 	for lo < hi {

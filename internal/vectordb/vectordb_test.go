@@ -30,6 +30,11 @@ func TestFlatIndexAddValidation(t *testing.T) {
 	if err := f.Add(vec.Vector{1, 2}); !errors.Is(err, vec.ErrDimensionMismatch) {
 		t.Errorf("Add wrong dim error = %v", err)
 	}
+	for _, x := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		if err := f.Add(vec.Vector{1, 2, 3}, vec.Vector{4, x, 6}); err == nil {
+			t.Errorf("Add accepted a vector holding %v", x)
+		}
+	}
 	if f.Len() != 0 {
 		t.Error("failed Add must not insert")
 	}
@@ -183,7 +188,9 @@ func sameRanking(a, b []vec.Scored) bool {
 // IDs, same distance bits, same order. Dimensions run below, at and
 // above vec.HeadLen; k runs from 1 past the corpus size. The corpora
 // are at most 200 rows, so Search's first pass drops few rows or none
-// (TestFlatScanOnLargeCorpora covers corpora it cuts). Corpora include
+// (TestFlatScanOnLargeCorpora covers corpora it cuts), and the smallest,
+// 15 rows, retains every row at every k and gives IVF fewer rows than
+// it can use in each of its lists. Corpora include
 // duplicated vectors and one whose every vector is exactly as far from
 // the query as every other (and whose heads tie too), where any abandon
 // on "not strictly farther" or any lost (distance, ID) tie-break shows.
@@ -207,6 +214,7 @@ func TestL2ScansMatchBruteForce(t *testing.T) {
 		}
 		for name, corpus := range map[string][]vec.Vector{
 			"random": random, "duplicated": duplicated, "equidistant": equidistant,
+			"small": random[:15],
 		} {
 			n := len(corpus)
 			flat, err := NewFlatFromVectors(corpus, vec.L2Distance)
@@ -243,11 +251,11 @@ func TestL2ScansMatchBruteForce(t *testing.T) {
 	}
 }
 
-// pushedInIDOrder is the brute force for corpora holding special
-// values: every distance finished with vec.L2 and offered to a
-// vec.TopKBuffer in ID order, as vec.TopK offers its items. Without a
-// NaN distance the order of the offers cannot change the answer; with
-// one, vec.TopK's answer is this order's.
+// pushedInIDOrder is the brute force for special values: every
+// distance finished with vec.L2 and offered to a vec.TopKBuffer in ID
+// order, as vec.TopK offers its items. Without a NaN distance the order
+// of the offers cannot change the answer; with one (a NaN in the
+// query), vec.TopK's answer is this order's.
 func pushedInIDOrder(q vec.Vector, corpus []vec.Vector, k int) []vec.Scored {
 	var top vec.TopKBuffer
 	top.Reset(k)
@@ -276,11 +284,13 @@ func clustered(rng *rand.Rand, dim, centres, perCentre int) (corpus, queries []v
 // retained rows prove the bound and skip the second walk. Duplicated
 // and equidistant rows tie at the cutoff and under the bound, so the
 // second walk runs and must win every (distance, ID) tie against the
-// rows already finished. Rows with ±Inf and subnormal components drop
-// out of pass 1 or finish at +Inf and 0, and rows or queries with a NaN
-// in the head make the scan push every row in ID order. NaN sits in
-// heads only: a NaN past the head leaves the ranking to push order, in
-// the brute force as in any scan that skips rows.
+// rows already finished. Rows with ±MaxFloat32 components overflow to
+// +Inf heads and distances, which drop out of pass 1, and subnormal rows
+// finish at 0. Add refuses NaN and ±Inf, so those go in the queries: a
+// ±Inf query puts every head at +Inf, and a NaN in the query's head
+// makes the scan push every row in ID order. NaN sits in heads only: a
+// NaN past the head leaves the ranking to push order, in the brute force
+// as in any scan that skips rows.
 func TestFlatScanOnLargeCorpora(t *testing.T) {
 	const dim = 40
 	rng := vec.NewRand(11)
@@ -306,37 +316,30 @@ func TestFlatScanOnLargeCorpora(t *testing.T) {
 	}
 
 	subnormal := float32(math.SmallestNonzeroFloat32)
-	inf := float32(math.Inf(1))
-	special := func(nan bool) []vec.Vector {
-		out := make([]vec.Vector, len(corpus))
-		for id, v := range corpus {
-			v = slices.Clone(v)
-			switch id % 6 {
-			case 1:
-				v[rng.IntN(dim)] = inf
-			case 2:
-				v[rng.IntN(dim)] = -inf
-			case 3:
-				for i := range v {
-					v[i] = subnormal * float32(rng.IntN(5)-2)
-				}
-			case 4:
-				v[rng.IntN(dim)] = math.MaxFloat32
-			case 5:
-				if nan && id%12 == 5 {
-					v[rng.IntN(vec.HeadLen)] = float32(math.NaN())
-				}
+	special := make([]vec.Vector, len(corpus))
+	for id, v := range corpus {
+		v = slices.Clone(v)
+		switch id % 4 {
+		case 1:
+			v[rng.IntN(dim)] = math.MaxFloat32
+		case 2:
+			v[rng.IntN(vec.HeadLen)] = -math.MaxFloat32
+		case 3:
+			for i := range v {
+				v[i] = subnormal * float32(rng.IntN(5)-2)
 			}
-			out[id] = v
 		}
-		return out
+		special[id] = v
 	}
-	nanHead := slices.Clone(queries[0])
-	nanHead[3] = float32(math.NaN())
-	infHead := slices.Clone(queries[1])
-	infHead[5] = inf
-	tiny := make(vec.Vector, dim)
-	tiny[dim-1] = subnormal
+	withHead := func(q vec.Vector, i int, x float32) vec.Vector {
+		q = slices.Clone(q)
+		q[i] = x
+		return q
+	}
+	tiny := withHead(make(vec.Vector, dim), dim-1, subnormal)
+	specialQueries := append(slices.Clone(queries[:4]), tiny, make(vec.Vector, dim),
+		withHead(queries[0], 3, float32(math.NaN())), withHead(queries[1], 5, float32(math.Inf(1))),
+		withHead(queries[2], 0, float32(math.Inf(-1))), withHead(queries[3], 9, math.MaxFloat32))
 
 	for _, c := range []struct {
 		name    string
@@ -346,8 +349,7 @@ func TestFlatScanOnLargeCorpora(t *testing.T) {
 		{"clustered", corpus, queries},
 		{"duplicated", duplicated, []vec.Vector{distinct[3], vec.GaussianAround(rng, distinct[7], 0.5), vec.RandomGaussian(rng, dim)}},
 		{"equidistant", equidistant, []vec.Vector{make(vec.Vector, dim), equidistant[2*dim-1], vec.RandomGaussian(rng, dim)}},
-		{"±Inf and subnormal", special(false), append(slices.Clone(queries[:4]), tiny, make(vec.Vector, dim), nanHead, infHead)},
-		{"NaN heads", special(true), append(slices.Clone(queries[:4]), tiny, nanHead)},
+		{"largest and subnormal", special, specialQueries},
 	} {
 		flat, err := NewFlatFromVectors(c.corpus, vec.L2Distance)
 		if err != nil {
@@ -373,9 +375,9 @@ func TestFlatScanOnLargeCorpora(t *testing.T) {
 // FuzzFlatSearch holds Search to the brute force on corpora the input
 // shapes: up to 2 048 rows of 1–40 dimensions, k 1–20, rows clustered
 // as tightly as the crowding byte says and optionally snapped to a
-// coarse grid so that heads and distances tie, and special values —
-// ±Inf, the largest float and subnormals anywhere, NaN in heads — in
-// rows and in the query's head.
+// coarse grid so that heads and distances tie, and special values: the
+// largest float of either sign and subnormals in rows, and those, ±Inf
+// or NaN in the query's head (Add refuses rows holding NaN or ±Inf).
 func FuzzFlatSearch(f *testing.F) {
 	f.Add(uint64(1), uint16(1500), uint8(39), uint8(3), uint8(0), uint8(0))
 	f.Add(uint64(2), uint16(2000), uint8(39), uint8(19), uint8(0x83), uint8(0))
@@ -405,26 +407,22 @@ func FuzzFlatSearch(f *testing.F) {
 			}
 			return v
 		}
-		heads := min(dim, vec.HeadLen) // where a NaN may go
-		values := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32,
-			math.SmallestNonzeroFloat32, float32(math.NaN())}
+		// The first three values are finite, for rows; the query may hold
+		// any of them in its head.
+		values := []float32{math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32,
+			float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
 		every := int(specials & 0x0f) // 0: no special rows
 		corpus := make([]vec.Vector, n)
 		for id := range corpus {
 			v := snap(vec.GaussianAround(rng, centres[rng.IntN(len(centres))], sigma))
 			if every > 0 && id%every == 0 {
-				x := values[rng.IntN(len(values))]
-				if x != x {
-					v[rng.IntN(heads)] = x
-				} else {
-					v[rng.IntN(dim)] = x
-				}
+				v[rng.IntN(dim)] = values[rng.IntN(3)]
 			}
 			corpus[id] = v
 		}
 		q := snap(vec.GaussianAround(rng, centres[rng.IntN(len(centres))], sigma/3))
 		if specials&0x10 != 0 {
-			q[rng.IntN(heads)] = values[int(specials>>5)%len(values)]
+			q[rng.IntN(min(dim, vec.HeadLen))] = values[int(specials>>5)%len(values)]
 		}
 
 		flat, err := NewFlatFromVectors(corpus, vec.L2Distance)
