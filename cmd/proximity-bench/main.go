@@ -3,8 +3,6 @@
 // Usage:
 //
 //	proximity-bench [-quick] [-seeds N] [-experiment LIST]
-//	proximity-bench -experiment rebalance [-shards N] [-concurrency K]
-//	    [-rebalance-threshold T]
 //	proximity-bench -experiment overhead [-overhead-iters N]
 //	    [-overhead-rounds R] [-bench-out PATH]
 //	proximity-bench -experiment tiered [-tier-hot N] [-tier-ratios R1,R2]
@@ -12,17 +10,10 @@
 //
 // where LIST is a comma-separated subset of
 // fig2,fig3,fig6-mmlu,fig6-medrag,fig7,fig8,fig9,fig10,fig11,fig12,opcount,
-// rebalance,overhead,tiered or "all" (default: every figure; rebalance,
-// overhead and tiered run only when named).
+// overhead,tiered or "all" (default: every figure; overhead and tiered
+// run only when named).
 // Results print to stdout; redirect to a file to keep them. The -quick
 // flag switches to the CI-sized configuration.
-//
-// The rebalance experiment A/B-tests adaptive shard rebalancing: the
-// same Zipf-skewed stream against the same sharded cache starting from
-// an adversarially imbalanced partitioner draw, once static and once
-// with the rebalance controller re-drawing the partitioner mid-traffic,
-// reporting p95/p99, post-skew imbalance, and migration safety (zero
-// failed queries).
 //
 // The overhead experiment measures the telemetry layer's cost on the
 // cached-hit path three ways — no hub, hub with sampling off (the
@@ -90,9 +81,6 @@ func run(args []string) error {
 		parallel    = fs.Int("parallel", 0, "override grid-cell parallelism")
 		which       = fs.String("experiment", "all", "comma-separated figures to run, or 'all'")
 		list        = fs.Bool("list", false, "list available experiments and exit")
-		shards      = fs.Int("shards", 0, "rebalance: cache shard count (0 = one per CPU)")
-		concurrency = fs.Int("concurrency", 0, "rebalance: closed-loop workers (0 = one per CPU)")
-		rebThresh   = fs.Float64("rebalance-threshold", 0, "rebalance: controller imbalance trigger (0 = default)")
 		benchOut    = fs.String("bench-out", "", "output path for the machine-readable JSON result (overhead defaults to BENCH_telemetry.json, tiered to BENCH_tiered.json)")
 		ovIters     = fs.Int("overhead-iters", 0, "overhead: cached-hit retrievals per timed round (0 = default)")
 		ovRounds    = fs.Int("overhead-rounds", 0, "overhead: timed rounds per configuration (0 = default)")
@@ -122,13 +110,6 @@ func run(args []string) error {
 		}
 		fmt.Printf("wrote %s\n", out)
 		return res, nil
-	}})
-	available = append(available, figure{"rebalance", func(s *experiments.Suite) (renderer, error) {
-		return s.RebalanceAB(experiments.RebalanceABOptions{
-			Shards:      *shards,
-			Concurrency: *concurrency,
-			Threshold:   *rebThresh,
-		})
 	}})
 	available = append(available, figure{"tiered", func(s *experiments.Suite) (renderer, error) {
 		ratios, err := parseEntryCounts("tier-ratios", *tierRatios)
@@ -221,8 +202,8 @@ func writeBenchJSON(path string, res interface{ WriteJSON(io.Writer) error }) er
 }
 
 // selectFigures resolves the -experiment list against the available set.
-// "all" covers every paper figure; the other experiments (rebalance,
-// overhead, tiered) run only when named, since their
+// "all" covers every paper figure; the other experiments (overhead,
+// tiered) run only when named, since their
 // runtime depends on their own flags rather than the suite.
 func selectFigures(which string, available []figure) ([]figure, error) {
 	if which == "all" {

@@ -7,7 +7,7 @@ import (
 
 func TestSelectFigures(t *testing.T) {
 	available := append([]figure{}, figures...)
-	available = append(available, figure{name: "rebalance"})
+	available = append(available, figure{name: "overhead"})
 
 	all, err := selectFigures("all", available)
 	if err != nil {
@@ -17,8 +17,8 @@ func TestSelectFigures(t *testing.T) {
 		t.Errorf("all selected %d figures, want %d", len(all), len(figures))
 	}
 	for _, f := range all {
-		if f.name == "rebalance" {
-			t.Error("'all' should not include rebalance")
+		if f.name == "overhead" {
+			t.Error("'all' should not include overhead")
 		}
 	}
 
@@ -30,12 +30,12 @@ func TestSelectFigures(t *testing.T) {
 		t.Errorf("selection = %v", some)
 	}
 
-	rb, err := selectFigures("rebalance", available)
+	ov, err := selectFigures("overhead", available)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rb) != 1 || rb[0].name != "rebalance" {
-		t.Errorf("rebalance selection = %v", rb)
+	if len(ov) != 1 || ov[0].name != "overhead" {
+		t.Errorf("overhead selection = %v", ov)
 	}
 
 	if _, err := selectFigures("fig99", available); err == nil {
@@ -55,6 +55,9 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-experiment", "loadtest"}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("loadtest is not an experiment: err = %v, want unknown experiment", err)
+	}
+	if err := run([]string{"-experiment", "rebalance"}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("rebalance is not an experiment: err = %v, want unknown experiment", err)
 	}
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag should error")

@@ -8,7 +8,7 @@
 //	proximity-server [-addr :8080] [-cache lsh|flat|none] [-tau 5]
 //	                 [-capacity 200] [-bits 8] [-policy lru|fifo]
 //	                 [-topics 20] [-docs-per-topic 20] [-dim 768]
-//	                 [-shards N] [-rebalance-threshold T]
+//	                 [-shards N]
 //	                 [-tier-warm N] [-tier-dir PATH] [-snapshot PATH]
 //	                 [-trace-sample N] [-pprof] [-log-level info]
 //	proximity-server -node [-addr :8081] ...
@@ -37,16 +37,17 @@
 // -log-level gates the structured request/routing logs; -pprof opts the
 // process into the net/http/pprof handlers.
 //
-// # Adaptive rebalancing
+// # Sharding and adaptive rebalancing
 //
-// With -shards N the cache is partitioned across N independently-locked
-// shards, and -rebalance-threshold T (> 1) starts the adaptive
-// controller: when the shard imbalance reported by /v1/stats stays above
-// T for a sustained window, the partitioner is re-drawn and entries
-// migrate shard-by-shard without pausing service. In router mode
-// (-peers), the same flag instead re-weights ring virtual nodes to shift
-// hash arcs off overloaded shard nodes. /v1/rebalance triggers one
-// action manually; the stats payload carries the controller counters.
+// With -shards N the local cache is partitioned across N
+// independently-locked shards; the partition is fixed at startup, and
+// /v1/stats reports its per-shard occupancy and imbalance. In router
+// mode (-peers), -rebalance-threshold T (> 1) starts the adaptive
+// controller: when the nodes' lookup imbalance stays above T for a
+// sustained window, it re-weights ring virtual nodes to shift hash arcs
+// off overloaded shard nodes. The flag needs -peers. /v1/rebalance
+// triggers one action manually; the stats payload carries the
+// controller counters.
 //
 // # Tiered cache and warm restart
 //
@@ -134,7 +135,7 @@ func run(args []string) error {
 		replicas  = fs.Int("replicas", cluster.DefaultReplicas, "router: distinct nodes tried per query before local fallback")
 		shards    = fs.Int("shards", 0, "partition the cache across N independently-locked shards (0 = unsharded)")
 		rebThresh = fs.Float64("rebalance-threshold", 0,
-			"adaptive rebalancing: act when imbalance stays above this (> 1; 0 = off; needs -shards or -peers)")
+			"router: re-weight the ring when node imbalance stays above this (> 1; 0 = off; needs -peers)")
 		tierWarm = fs.Int("tier-warm", 0,
 			"layer a memory-mapped warm tier of N entries under the hot cache (0 = single tier)")
 		tierDir  = fs.String("tier-dir", "", "directory for warm-tier record files (default: system temp)")
@@ -161,6 +162,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *rebThresh != 0 && *rebThresh <= 1 {
+		return fmt.Errorf("-rebalance-threshold must exceed 1.0 (perfect balance), got %v", *rebThresh)
+	}
+	if *rebThresh != 0 && *peers == "" {
+		return fmt.Errorf("-rebalance-threshold needs -peers: it re-weights the router's ring, and a local cache's shards are fixed")
+	}
 
 	log.Printf("generating synthetic biomedical corpus (%d topics × %d passages + %d questions)...",
 		*topics, *docsPer, *questions)
@@ -179,9 +186,6 @@ func run(args []string) error {
 		return err
 	}
 
-	if *rebThresh != 0 && *rebThresh <= 1 {
-		return fmt.Errorf("-rebalance-threshold must exceed 1.0 (perfect balance), got %v", *rebThresh)
-	}
 	// Reject flag combinations that would otherwise be silently ignored.
 	if *shards > 0 && *peers != "" {
 		return fmt.Errorf("-shards applies to the local cache; router mode already shards across the -peers nodes")
@@ -243,65 +247,38 @@ func run(args []string) error {
 			rebalancer = ctrl
 		}
 		*cacheKind = fmt.Sprintf("cluster(%d nodes)", len(bases))
-	case *cacheKind == "none":
-		if *rebThresh > 0 {
-			return fmt.Errorf("-rebalance-threshold needs a cache (-cache none has nothing to balance)")
-		}
+	case *cacheKind == "none": // every query goes to the database
 	case *tierWarm > 0 && *shards > 0:
 		if *cacheKind != "flat" && *cacheKind != "lsh" {
 			return fmt.Errorf("unknown cache kind %q", *cacheKind)
 		}
-		var sc *shard.ShardedCache
-		sc, err = shard.NewTiered(*dim, *shards, topts, *seed)
-		cache = sc
-		if err == nil && *rebThresh > 0 {
-			rebalancer, err = startShardController(sc, *rebThresh)
-		}
+		cache, err = shard.NewTiered(*dim, *shards, topts, *seed)
 	case *tierWarm > 0:
-		if *rebThresh > 0 {
-			return fmt.Errorf("-rebalance-threshold needs -shards (an unsharded cache has nothing to rebalance)")
-		}
 		if *cacheKind != "flat" && *cacheKind != "lsh" {
 			return fmt.Errorf("unknown cache kind %q", *cacheKind)
 		}
 		cache, err = tier.New(*dim, topts)
 	case *cacheKind == "flat" && *shards > 0:
-		var sc *shard.ShardedCache
-		sc, err = shard.NewFlat(*dim, *shards, core.Options{
+		cache, err = shard.NewFlat(*dim, *shards, core.Options{
 			Capacity:  *capacity,
 			Tolerance: float32(*tau),
 			Policy:    policy,
 		}, *seed)
-		cache = sc
-		if err == nil && *rebThresh > 0 {
-			rebalancer, err = startShardController(sc, *rebThresh)
-		}
 	case *cacheKind == "lsh" && *shards > 0:
-		var sc *shard.ShardedCache
-		sc, err = shard.NewLSH(*dim, *shards, core.LSHOptions{
+		cache, err = shard.NewLSH(*dim, *shards, core.LSHOptions{
 			Bits:           *bitsL,
 			BucketCapacity: *bucket,
 			Tolerance:      float32(*tau),
 			Policy:         policy,
 			Seed:           *seed,
 		})
-		cache = sc
-		if err == nil && *rebThresh > 0 {
-			rebalancer, err = startShardController(sc, *rebThresh)
-		}
 	case *cacheKind == "flat":
-		if *rebThresh > 0 {
-			return fmt.Errorf("-rebalance-threshold needs -shards (an unsharded cache has nothing to rebalance)")
-		}
 		cache, err = core.NewFlat(*dim, core.Options{
 			Capacity:  *capacity,
 			Tolerance: float32(*tau),
 			Policy:    policy,
 		})
 	case *cacheKind == "lsh":
-		if *rebThresh > 0 {
-			return fmt.Errorf("-rebalance-threshold needs -shards (an unsharded cache has nothing to rebalance)")
-		}
 		cache, err = core.NewLSH(*dim, core.LSHOptions{
 			Bits:           *bitsL,
 			BucketCapacity: *bucket,
@@ -407,23 +384,6 @@ func parseLogLevel(s string) (slog.Level, error) {
 	default:
 		return 0, fmt.Errorf("unknown log level %q (want debug, info, warn, or error)", s)
 	}
-}
-
-// startShardController wires and starts the adaptive re-draw loop over
-// an in-process sharded cache.
-func startShardController(sc *shard.ShardedCache, threshold float64) (*rebalance.Controller, error) {
-	target, err := rebalance.NewShardTarget(sc, rebalance.ShardTargetOptions{})
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := rebalance.New(target, target, rebalance.Options{Threshold: threshold})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctrl.Start(); err != nil {
-		return nil, err
-	}
-	return ctrl, nil
 }
 
 // corpusDocs adapts the benchmark corpus to the server's Documents

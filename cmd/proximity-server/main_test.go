@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"proximity/internal/dataset"
@@ -36,5 +37,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("unknown flag should error")
+	}
+	// A threshold re-weights the router's ring; a local cache, sharded
+	// or not, has nothing it acts on.
+	small := []string{"-dim", "16", "-topics", "2", "-docs-per-topic", "2", "-questions", "2"}
+	for _, flags := range [][]string{
+		{"-shards", "2", "-rebalance-threshold", "1.5"},
+		{"-cache", "lsh", "-rebalance-threshold", "1.5"},
+	} {
+		if err := run(append(flags, small...)); err == nil || !strings.Contains(err.Error(), "-peers") {
+			t.Errorf("%v: error %v should name -peers", flags, err)
+		}
 	}
 }

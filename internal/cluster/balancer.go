@@ -126,8 +126,8 @@ func (b *Balancer) Sample() rebalance.Sample {
 // arcs, underloaded nodes absorb them — clamped to the ring's weight
 // bounds. It declines (Acted=false) when any node is unreachable (re-weighting
 // on partial counters would punish the node that failed to report) or
-// when the observed load carries no signal. Unlike the shard tier,
-// Outcome.After cannot be measured at action time — the new arc layout
+// when the observed load carries no signal. Outcome.After cannot be
+// measured at action time — the new arc layout
 // only shows in future traffic — so it is a PREDICTION (each node's
 // observed load scaled by its surviving keyspace share) and the Detail
 // string labels it as such.

@@ -125,6 +125,12 @@ func TestBalancerDeclinesOnUnreachableNode(t *testing.T) {
 	}
 }
 
+// quietClock is a rebalance.Clock whose sampling timer never fires.
+type quietClock struct{}
+
+func (quietClock) Now() time.Time                       { return time.Now() }
+func (quietClock) After(time.Duration) <-chan time.Time { return nil }
+
 // TestClusterRebalanceOption: the Options.Rebalance wiring starts a
 // controller that lives and dies with the client.
 func TestClusterRebalanceOption(t *testing.T) {
@@ -132,7 +138,7 @@ func TestClusterRebalanceOption(t *testing.T) {
 		Seed: 1,
 		Rebalance: &rebalance.Options{
 			Threshold: 1.2,
-			Interval:  time.Hour, // policy loop stays quiet; we trigger manually
+			Clock:     quietClock{}, // policy loop stays quiet; we trigger manually
 		},
 	})
 	ctrl := c.Controller()

@@ -141,7 +141,7 @@ type Stats struct {
 }
 
 // ShardStats is one shard's row of a sharded cache's Stats: its
-// occupancy and counters, read under the same lock at one instant.
+// counters, read from one Stats call on the shard, and its occupancy.
 type ShardStats struct {
 	Entries   int
 	Capacity  int
@@ -180,19 +180,6 @@ func (s *Stats) Merge(o Stats) {
 		ts.Merge(*o.Tier)
 		s.Tier = &ts
 	}
-}
-
-// Counters returns a copy of s with its Tier block's gauges zeroed: what
-// is still true of a cache once it has been replaced. A shard folds a
-// retired sub-cache into its baseline this way; the gauges (entries,
-// capacities, bytes) belong to the replacement.
-func (s Stats) Counters() Stats {
-	if s.Tier != nil {
-		ts := *s.Tier
-		ts.HotEntries, ts.HotCapacity, ts.WarmEntries, ts.WarmCapacity, ts.WarmBytes = 0, 0, 0, 0, 0
-		s.Tier = &ts
-	}
-	return s
 }
 
 // Lookups returns the total number of Get calls.
@@ -234,8 +221,8 @@ type Cache interface {
 	Clear()
 	// Entries returns copies of the cached lines, in eviction order
 	// where the cache defines one, so re-inserting them in the returned
-	// order reproduces the same eviction sequence. The shard migrator
-	// and the one-file snapshot read it.
+	// order reproduces the same eviction sequence. The one-file
+	// snapshot reads it.
 	Entries() []Entry
 }
 

@@ -9,8 +9,8 @@
 // all L projections in one pass over the query (on amd64 an SSE2 kernel,
 // hash_amd64.s; elsewhere vec.Dot per plane). Every projection is
 // bit-identical to vec.Dot(q, plane), so a signature does not depend on
-// the body that computed it: shard routing, LSH buckets, the cluster
-// ring and migration previews agree across builds.
+// the body that computed it: shard routing, LSH buckets and the cluster
+// ring agree across builds.
 package lsh
 
 import (

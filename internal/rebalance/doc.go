@@ -1,55 +1,40 @@
-// Package rebalance closes the loop between the eviction-pressure report
-// and the knobs that can act on it: it watches a load-imbalance signal
-// and, when the imbalance stays above a threshold for a sustained window,
-// triggers a corrective action.
+// Package rebalance closes the loop between a load-imbalance signal and
+// the knob that can act on it: it watches the signal and, when the
+// imbalance stays above a threshold for a sustained window, triggers a
+// corrective action.
 //
 // # Why a controller
 //
-// PR 2 built the sensor: shard.PressureReport.Imbalance exposes how
-// unevenly the partitioner spreads keys (max shard entries over mean).
-// A Zipf-skewed query stream — the paper's serving workload, and the
+// A cluster router consistent-hashes each query to its owning node, and
+// a Zipf-skewed query stream — the paper's serving workload, and the
 // regime RAGCache (arXiv:2404.12457) identifies as the scale bottleneck —
-// concentrates LSH signatures on a few shards, so one hot shard's lock
-// and evictions dominate tail latency while cold shards idle. The
-// ROADMAP's open item was to act on the signal; this package is the
-// actuator loop.
+// can concentrate lookups on the nodes whose hash arcs hold the hot
+// keys, so one node's queue dominates tail latency while others idle.
 //
 // # Design
 //
 // The controller is deliberately dumb and generic: it samples a Source
 // (imbalance + entry count) on an interval, requires the breach to be
-// sustained (one hot burst must not trigger a migration), respects a
+// sustained (one hot burst must not trigger a rebalance), respects a
 // cooldown after every attempt (a rebalance that did not help must not
 // retry in a tight loop), and delegates the correction to an Actuator.
-// Two actuators exist:
+// The one actuator is cluster.Balancer (internal/cluster): it derives
+// per-node load shares from the cluster's aggregated hit/miss stats and
+// shifts consistent-hash arcs off overloaded nodes by re-weighting their
+// virtual-node counts (cluster.Client.Rebalance). If a node is
+// unreachable or no load was observed, it declines (Outcome.Acted=false)
+// and the cooldown prevents thrashing. The controller never blocks the
+// serving path: sampling reads counters, and the action is a ring swap.
 //
-//   - ShardTarget (this package) re-draws the in-process partitioner:
-//     it auditions candidate hyperplane seeds with
-//     shard.ShardedCache.PreviewSeed — predicting each candidate's
-//     imbalance against the live contents — and commits the best one via
-//     Reseed, which migrates entries shard-by-shard without a
-//     stop-the-world lock. If no candidate beats the current draw by
-//     MinGain, it declines (Outcome.Acted=false) and the cooldown
-//     prevents thrashing.
-//
-//   - cluster.Balancer (internal/cluster) acts at the network tier: it
-//     derives per-node load shares from the cluster's aggregated
-//     hit/miss stats and shifts consistent-hash arcs off overloaded
-//     nodes by re-weighting their virtual-node counts
-//     (cluster.Client.Rebalance).
-//
-// Both plug into the same Controller, so the middleware runs one policy
-// ("sustained imbalance above T → rebalance, then hold off") at either
-// tier. The controller never blocks the serving path: sampling reads
-// counters, and the actuator's migration is shard-at-a-time (in-process)
-// or a ring swap (cluster).
+// An in-process sharded cache (internal/shard) has no actuator: its
+// partition is fixed at construction, because on the repository
+// benchmark's stream its imbalance never reached the default threshold
+// and forced re-draws of its partitioner only cost hit rate.
 //
 // # Safety
 //
-// Everything the actuators do is loss-bounded: an in-process re-draw can
-// only cause transient misses while entries re-home (never a wrong
-// answer — the cache is approximate by construction), and a ring
-// re-weight only changes which node serves a key next. Zero failed
-// queries during migration is a test invariant (see shard's concurrent
-// migration tests and the bench harness's rebalance experiment).
+// A ring re-weight only changes which node serves a key next: it can
+// cause transient misses while the moved arcs warm up on their new
+// owners, never a wrong answer — the cache is approximate by
+// construction.
 package rebalance

@@ -10,7 +10,7 @@ import (
 // Sample is one observation of the balance signal.
 type Sample struct {
 	// Imbalance is max load over mean load (1.0 = perfectly even; the
-	// shard tier uses entry counts, the cluster tier lookup shares).
+	// cluster tier uses lookup shares).
 	Imbalance float64
 	// Entries is the total entry count behind the signal, so the
 	// controller can ignore imbalance over a nearly-empty cache.
@@ -26,7 +26,7 @@ type Source interface {
 // Outcome reports one actuator invocation.
 type Outcome struct {
 	// Acted reports whether the actuator changed anything; false means
-	// it declined (e.g. no candidate seed beat the current draw).
+	// it declined (e.g. a node was unreachable, or no load was observed).
 	Acted bool
 	// Before and After are the imbalance on either side of the action
 	// (After == Before when not Acted).
@@ -49,10 +49,17 @@ type Actuator interface {
 // Defaults for Options zero values.
 const (
 	DefaultThreshold  = 1.5
-	DefaultInterval   = 500 * time.Millisecond
 	DefaultWindow     = 2 * time.Second
-	DefaultCooldown   = 10 * time.Second
 	DefaultMinEntries = 64
+)
+
+const (
+	// interval is the sampling period.
+	interval = 500 * time.Millisecond
+	// cooldown is the hold-off after every actuator invocation
+	// (successful, declined, or failed), preventing thrash when a
+	// rebalance cannot help.
+	cooldown = 10 * time.Second
 )
 
 // Options tunes a Controller.
@@ -61,17 +68,11 @@ type Options struct {
 	// breach. Defaults to DefaultThreshold; must exceed 1 (an imbalance
 	// of 1.0 is perfect balance).
 	Threshold float64
-	// Interval is the sampling period. Defaults to DefaultInterval.
-	Interval time.Duration
 	// Window is how long the breach must be sustained before the
-	// actuator fires — one hot burst must not trigger a migration.
+	// actuator fires — one hot burst must not trigger a rebalance.
 	// 0 means act on the first breach. Defaults to DefaultWindow; pass
 	// a negative value for an explicit zero window.
 	Window time.Duration
-	// Cooldown is the hold-off after every actuator invocation
-	// (successful, declined, or failed), preventing thrash when a
-	// rebalance cannot help. Defaults to DefaultCooldown.
-	Cooldown time.Duration
 	// MinEntries gates actions on cache size: imbalance over a handful
 	// of entries is noise. Defaults to DefaultMinEntries; pass a
 	// negative value for an explicit zero minimum.
@@ -85,16 +86,10 @@ func (o *Options) fillDefaults() {
 	if o.Threshold == 0 {
 		o.Threshold = DefaultThreshold
 	}
-	if o.Interval <= 0 {
-		o.Interval = DefaultInterval
-	}
 	if o.Window == 0 {
 		o.Window = DefaultWindow
 	} else if o.Window < 0 {
 		o.Window = 0
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = DefaultCooldown
 	}
 	if o.MinEntries == 0 {
 		o.MinEntries = DefaultMinEntries
@@ -136,10 +131,10 @@ var ErrClosed = errors.New("rebalance: controller closed")
 // admin endpoint maps the two to 409 vs 500).
 var ErrBusy = errors.New("rebalance: an action is already in progress")
 
-// Controller runs the watch-and-act loop: Sample every Interval, and
+// Controller runs the watch-and-act loop: Sample every interval, and
 // when Imbalance stays above Threshold for Window (with at least
 // MinEntries behind it), invoke the Actuator, then hold off for
-// Cooldown. Create with New, start the loop with Start, stop it with
+// cooldown. Create with New, start the loop with Start, stop it with
 // Close; TriggerNow bypasses the policy for the admin endpoint.
 type Controller struct {
 	src  Source
@@ -201,7 +196,7 @@ func (c *Controller) loop() {
 		select {
 		case <-c.stop:
 			return
-		case <-c.opts.Clock.After(c.opts.Interval):
+		case <-c.opts.Clock.After(interval):
 			c.Tick()
 		}
 	}
@@ -259,14 +254,14 @@ func (c *Controller) Tick() {
 	c.stats.Triggers++
 	c.mu.Unlock()
 
-	// The actuator runs outside the lock: a migration takes real time
-	// and Stats/TriggerNow must not block behind it.
+	// The actuator runs outside the lock: it polls every node, which
+	// takes real time, and Stats/TriggerNow must not block behind it.
 	out, err := c.act.Rebalance(sample)
 
 	c.mu.Lock()
 	c.actBusy = false
 	c.breachSince = time.Time{}
-	c.holdUntil = c.opts.Clock.Now().Add(c.opts.Cooldown)
+	c.holdUntil = c.opts.Clock.Now().Add(cooldown)
 	c.recordLocked(out, err)
 	c.mu.Unlock()
 }
@@ -296,7 +291,7 @@ func (c *Controller) TriggerNow() (Outcome, error) {
 	c.mu.Lock()
 	c.actBusy = false
 	c.breachSince = time.Time{}
-	c.holdUntil = c.opts.Clock.Now().Add(c.opts.Cooldown)
+	c.holdUntil = c.opts.Clock.Now().Add(cooldown)
 	c.recordLocked(out, err)
 	c.mu.Unlock()
 	return out, err

@@ -107,9 +107,7 @@ func TestSustainedBreachTriggers(t *testing.T) {
 	act := &fakeActuator{out: Outcome{Acted: true, Before: 2, After: 1.1, Moved: 5}}
 	c := newTestController(t, clk, src, act, Options{
 		Threshold:  1.5,
-		Interval:   time.Second,
 		Window:     3 * time.Second,
-		Cooldown:   time.Minute,
 		MinEntries: 10,
 	})
 
@@ -158,7 +156,6 @@ func TestBreachMustBeContinuous(t *testing.T) {
 	act := &fakeActuator{out: Outcome{Acted: true}}
 	c := newTestController(t, clk, src, act, Options{
 		Threshold:  1.5,
-		Interval:   time.Second,
 		Window:     2 * time.Second,
 		MinEntries: -1,
 	})
@@ -183,7 +180,6 @@ func TestMinEntriesGate(t *testing.T) {
 	act := &fakeActuator{out: Outcome{Acted: true}}
 	c := newTestController(t, clk, src, act, Options{
 		Threshold:  1.5,
-		Interval:   time.Second,
 		Window:     -1, // act on first breach
 		MinEntries: 50,
 	})
@@ -210,9 +206,7 @@ func TestDeclinedAndFailedAccounting(t *testing.T) {
 	act := &fakeActuator{out: Outcome{Acted: false, Detail: "nothing better"}}
 	c := newTestController(t, clk, src, act, Options{
 		Threshold:  1.5,
-		Interval:   time.Second,
 		Window:     -1,
-		Cooldown:   time.Millisecond,
 		MinEntries: -1,
 	})
 	src.set(2.0, 100)
@@ -228,7 +222,7 @@ func TestDeclinedAndFailedAccounting(t *testing.T) {
 	act.mu.Lock()
 	act.err = errors.New("boom")
 	act.mu.Unlock()
-	clk.advance(time.Second)
+	clk.advance(cooldown)
 	c.Tick()
 	st = c.Stats()
 	if st.Failures != 1 {
@@ -247,9 +241,7 @@ func TestTriggerNow(t *testing.T) {
 	act := &fakeActuator{out: Outcome{Acted: true, Before: 1.1, After: 1.0}}
 	c := newTestController(t, clk, src, act, Options{
 		Threshold: 1.5,
-		Interval:  time.Second,
 		Window:    -1,
-		Cooldown:  time.Minute,
 	})
 	src.set(1.0, 0) // in balance, empty: the policy would never fire
 	out, err := c.TriggerNow()
@@ -292,15 +284,14 @@ func TestClosedController(t *testing.T) {
 }
 
 // TestStartedLoopFires: the real goroutine loop samples and acts (system
-// clock, tiny interval — a smoke test for the wiring the fake-clock
-// tests bypass).
+// clock, one sampling interval — a smoke test for the wiring the
+// fake-clock tests bypass).
 func TestStartedLoopFires(t *testing.T) {
 	src := &fakeSource{}
 	act := &fakeActuator{out: Outcome{Acted: true}}
 	src.set(3.0, 1000)
 	c, err := New(src, act, Options{
 		Threshold:  1.5,
-		Interval:   time.Millisecond,
 		Window:     -1,
 		MinEntries: -1,
 	})

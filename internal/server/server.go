@@ -855,12 +855,11 @@ func (s *Server) handleRebalance(w http.ResponseWriter, _ *http.Request) {
 	out, err := s.cfg.Rebalancer.TriggerNow()
 	if err != nil {
 		// Only a genuine collision with another in-flight action is a
-		// retryable 409; an actuator failure (factory error mid-rebuild,
-		// hasher construction) is an internal fault — the same
-		// 4xx-vs-5xx split the retrieve path draws, and a runbook must
-		// not retry a 500 blindly against a possibly half-migrated cache.
+		// retryable 409; an actuator failure is an internal fault — the
+		// same 4xx-vs-5xx split the retrieve path draws, so a runbook
+		// does not retry a 500 blindly.
 		code := http.StatusInternalServerError
-		if errors.Is(err, rebalance.ErrBusy) || errors.Is(err, shard.ErrMigrationInProgress) {
+		if errors.Is(err, rebalance.ErrBusy) {
 			code = http.StatusConflict
 		}
 		s.fail(w, "/v1/rebalance", code, err)

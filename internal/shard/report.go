@@ -30,12 +30,11 @@ type PressureReport struct {
 	Imbalance float64
 }
 
-// imbalanceOf is the Imbalance definition shared by Pressure and
-// PreviewSeed: max shard entries over mean shard entries, pinned to the
-// perfectly-balanced 1.0 when there are no entries to spread or no
-// alternative shard to spread them to. Threshold comparisons in the
-// rebalance controller rely on the pinning — a NaN here would make every
-// comparison false and silently disable rebalancing.
+// imbalanceOf is Pressure's Imbalance: max shard entries over mean shard
+// entries, pinned to the perfectly-balanced 1.0 when there are no entries
+// to spread or no alternative shard to spread them to. Threshold
+// comparisons on the reported value (the server's shard_imbalance)
+// rely on the pinning — a NaN here would make every comparison false.
 func imbalanceOf(maxEntries, totalEntries, shards int) float64 {
 	if totalEntries == 0 || shards <= 1 {
 		return 1
@@ -46,7 +45,6 @@ func imbalanceOf(maxEntries, totalEntries, shards int) float64 {
 // Report derives the pressure summary from one Stats() snapshot: each
 // shard's row is read at one instant, and cross-shard skew under
 // concurrent writes is bounded by one in-flight operation per shard.
-// Counters include generations retired by re-draw migrations.
 func (c *ShardedCache) Report() PressureReport { return Pressure(c.Stats().Shards) }
 
 // Pressure summarizes the Shards rows of one Stats() snapshot.

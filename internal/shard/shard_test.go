@@ -58,14 +58,14 @@ func TestNewValidation(t *testing.T) {
 
 func TestDefaultsAndAccessors(t *testing.T) {
 	c := newFlatShards(t, 4, 40)
-	if got := len(c.slots); got != 4 {
+	if got := len(c.shards); got != 4 {
 		t.Fatalf("NumShards = %d, want 4", got)
 	}
 	// Total capacity covers the requested 40 (split evenly).
 	if got := c.Capacity(); got < 40 {
 		t.Errorf("Capacity = %d, want >= 40", got)
 	}
-	for i := 0; i < len(c.slots); i++ {
+	for i := 0; i < len(c.shards); i++ {
 		if c.Shard(i) == nil {
 			t.Fatalf("Shard(%d) is nil", i)
 		}
@@ -75,8 +75,8 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.slots) < 1 {
-		t.Errorf("default shard count = %d, want >= 1", len(d.slots))
+	if len(d.shards) < 1 {
+		t.Errorf("default shard count = %d, want >= 1", len(d.shards))
 	}
 }
 
@@ -285,6 +285,34 @@ func TestNilQuery(t *testing.T) {
 	}
 }
 
+// TestImbalanceEdgeCases: the pressure report's Imbalance must be a
+// defined 1.0 — never NaN or Inf — for empty and single-shard caches,
+// or every threshold comparison on it would be false.
+func TestImbalanceEdgeCases(t *testing.T) {
+	one := []vec.Vector{vec.RandomGaussian(vec.NewRand(1), testDim)}
+	cases := []struct {
+		name   string
+		shards int
+		keys   []vec.Vector
+		want   float64
+	}{
+		{"all shards empty", 4, nil, 1},
+		{"single shard empty", 1, nil, 1},
+		{"single shard with entries", 1, one, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newFlatShards(t, tc.shards, 16)
+			for i, k := range tc.keys {
+				c.Put(k, []int{i})
+			}
+			if got := c.Report().Imbalance; got != tc.want {
+				t.Errorf("Imbalance = %v, want %v (must be defined, not NaN/Inf)", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestPressureReport(t *testing.T) {
 	c := newFlatShards(t, 4, 8) // 2 entries per shard: force evictions
 	rng := vec.NewRand(19)
@@ -399,18 +427,11 @@ func TestShardedLSH(t *testing.T) {
 	}
 }
 
-// ShardFor returns the shard index a query routes to: deterministic for
-// a fixed partitioner seed (Reseed re-draws it).
+// ShardFor returns the shard index a query routes to: fixed for the
+// cache's lifetime by its partitioner seed.
 func (c *ShardedCache) ShardFor(q vec.Vector) int {
-	return shardIndex(c.hasher.Load().Hash(q), len(c.slots))
+	return shardIndex(c.hasher.Hash(q), len(c.shards))
 }
 
-// Shard returns the i-th sub-cache. A migration may retire the returned
-// instance at any time; counters read directly from it miss the slot
-// baseline.
-func (c *ShardedCache) Shard(i int) core.Cache {
-	s := &c.slots[i]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.cache
-}
+// Shard returns the i-th sub-cache.
+func (c *ShardedCache) Shard(i int) core.Cache { return c.shards[i] }

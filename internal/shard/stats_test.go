@@ -3,6 +3,7 @@ package shard
 import (
 	"io"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -106,6 +107,9 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 2000; i++ {
+		// Yield between snapshots, so that the writers run even when
+		// this goroutine holds the only processor the host gives it.
+		runtime.Gosched()
 		st := c.Stats()
 		if st.Tier == nil {
 			t.Fatalf("snapshot %d: no Tier block; a sharded cache always fills it", i)

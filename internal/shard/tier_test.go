@@ -131,53 +131,3 @@ func TestTieredShardsLoadSnapshotMissingFile(t *testing.T) {
 		t.Fatalf("Len = %d", c.Len())
 	}
 }
-
-// Reseed with tiered sub-caches: entries survive the re-draw, tier
-// counters fold into the baseline, and retired warm files are released.
-// Capacity is ample — deliveries into a full not-yet-swept shard displace
-// genuinely (documented Reseed behavior), which is not what's under test.
-func TestTieredShardsReseed(t *testing.T) {
-	c := newTieredShards(t, 4, 80, 720)
-	rng := vec.NewRand(7)
-	var keys []vec.Vector
-	for i := 0; i < 200; i++ {
-		k := vec.Scale(vec.RandomGaussian(rng, testDim), 2)
-		c.Put(k, []int{i})
-		keys = append(keys, k)
-	}
-	lenBefore := c.Len()
-	putsBefore := c.Stats().Puts
-	demosBefore := c.Stats().Tier.Demotions
-	if demosBefore == 0 {
-		t.Fatal("expected demotions before reseed")
-	}
-	m, err := c.Reseed(999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Moved == 0 {
-		t.Fatal("re-draw moved nothing")
-	}
-	if c.Len() != lenBefore {
-		t.Fatalf("Len after reseed = %d, want %d", c.Len(), lenBefore)
-	}
-	// Migration re-inserts are not client traffic.
-	if got := c.Stats().Puts; got != putsBefore {
-		t.Fatalf("Puts after reseed = %d, want %d", got, putsBefore)
-	}
-	// Cumulative tier counters survive the generation swap (re-homing
-	// causes fresh demotions on top of the folded baseline).
-	if got := c.Stats().Tier.Demotions; got < demosBefore {
-		t.Fatalf("Demotions after reseed = %d, want >= %d", got, demosBefore)
-	}
-	// Entries still reachable by exact repeat.
-	hits := 0
-	for i := 0; i < 100; i++ {
-		if _, ok := c.Get(keys[len(keys)-1-i]); ok {
-			hits++
-		}
-	}
-	if hits < 90 {
-		t.Fatalf("post-reseed hits = %d/100", hits)
-	}
-}

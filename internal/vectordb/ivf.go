@@ -114,6 +114,7 @@ func (ix *IVFIndex) Search(q vec.Vector, k int) ([]vec.Scored, error) {
 }
 
 // SearchProbe searches with an explicit probe count for recall tuning.
+// It refuses a query holding a NaN or ±Inf component.
 func (ix *IVFIndex) SearchProbe(q vec.Vector, k, nprobe int) ([]vec.Scored, error) {
 	if k <= 0 {
 		return nil, ErrBadK
@@ -121,6 +122,9 @@ func (ix *IVFIndex) SearchProbe(q vec.Vector, k, nprobe int) ([]vec.Scored, erro
 	if len(q) != ix.dim {
 		return nil, fmt.Errorf("vectordb: ivf query dim %d, index dim %d: %w",
 			len(q), ix.dim, vec.ErrDimensionMismatch)
+	}
+	if !vec.Finite(q) {
+		return nil, errNonFiniteQuery
 	}
 	b, ok := ix.topk.Get().(*vec.TopKBuffer)
 	if !ok {

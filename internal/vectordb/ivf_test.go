@@ -2,6 +2,7 @@ package vectordb
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -68,6 +69,11 @@ func TestIVFSearchValidation(t *testing.T) {
 	}
 	if _, err := ix.Search(vec.Vector{0}, 1); !errors.Is(err, vec.ErrDimensionMismatch) {
 		t.Errorf("dim mismatch error = %v", err)
+	}
+	for _, x := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		if _, err := ix.SearchProbe(vec.Vector{0, 0, x, 0}, 3, 4); !errors.Is(err, errNonFiniteQuery) {
+			t.Errorf("query holding %v: error = %v, want %v", x, err, errNonFiniteQuery)
+		}
 	}
 }
 

@@ -23,6 +23,10 @@ var (
 	ErrEmptyIndex = errors.New("vectordb: index is empty")
 	// ErrBadK is returned when k is not positive.
 	ErrBadK = errors.New("vectordb: k must be positive")
+	// errNonFiniteQuery refuses a query holding a NaN or ±Inf
+	// component: no distance to it has a place in the (distance, ID)
+	// order, so no top-k of it is defined.
+	errNonFiniteQuery = errors.New("vectordb: query has a NaN or ±Inf component")
 )
 
 // DB is the search interface the paper assumes of the underlying vector
@@ -132,7 +136,8 @@ func (f *FlatIndex) Add(vectors ...vec.Vector) error {
 	return nil
 }
 
-// Search returns the k exact nearest neighbors, closest first.
+// Search returns the k exact nearest neighbors, closest first. It
+// refuses a query holding a NaN or ±Inf component.
 func (f *FlatIndex) Search(q vec.Vector, k int) ([]vec.Scored, error) {
 	if k <= 0 {
 		return nil, ErrBadK
@@ -143,6 +148,9 @@ func (f *FlatIndex) Search(q vec.Vector, k int) ([]vec.Scored, error) {
 	if len(q) != f.dim {
 		return nil, fmt.Errorf("vectordb: query dim %d, index dim %d: %w",
 			len(q), f.dim, vec.ErrDimensionMismatch)
+	}
+	if !vec.Finite(q) {
+		return nil, errNonFiniteQuery
 	}
 	s := f.getScratch()
 	out := f.search(q, k, s)
@@ -194,15 +202,12 @@ func (f *FlatIndex) search(q vec.Vector, k int, s *flatScratch) []vec.Scored {
 //
 // Exactness does not depend on which rows are retained: every row is
 // either proved beyond the k-th best distance or pushed with its exact
-// distance, and for distances that are not NaN the (distance, ID) order
-// makes the result independent of push order. NaN has no place in that
-// order. Add refuses rows that are not finite, so a head is NaN only
-// when the query's head holds a NaN, and then every head is: the first
-// row's ends pass 1, and the scan pushes every row in ID order instead,
-// as vec.TopK would. Below HeadLen dimensions, or when every row is
-// wanted, there is no head to rank on or no row to skip, and past int32
-// row IDs no rowHead to hold one; the scan is then that same bounded
-// loop.
+// distance, and the (distance, ID) order makes the result independent
+// of push order. Add refuses rows and Search refuses queries that are
+// not finite, so no head or distance is NaN. Below HeadLen dimensions,
+// or when every row is wanted, there is no head to rank on or no row to
+// skip, and past int32 row IDs no rowHead to hold one; the scan is then
+// one bounded loop in ID order.
 //
 //proximity:hotpath
 func (f *FlatIndex) scanL2(q vec.Vector, k int, s *flatScratch) {
@@ -221,10 +226,6 @@ func (f *FlatIndex) scanL2(q vec.Vector, k int, s *flatScratch) {
 		h := vec.L2SquaredHead(q, v)
 		if h >= cutoff {
 			continue
-		}
-		if h != h { // NaN: the query's head holds one, so row 0's head does
-			f.scanBounded(q, s)
-			return
 		}
 		heads = append(heads, rowHead{ID: int32(id), Head: h})
 		if len(heads) == 2*keep {

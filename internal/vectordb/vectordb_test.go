@@ -64,6 +64,11 @@ func TestFlatIndexSearch(t *testing.T) {
 	if _, err := f.Search(vec.Vector{0}, 1); !errors.Is(err, vec.ErrDimensionMismatch) {
 		t.Errorf("dim mismatch error = %v", err)
 	}
+	for _, x := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		if _, err := f.Search(vec.Vector{x, 0}, 2); !errors.Is(err, errNonFiniteQuery) {
+			t.Errorf("query holding %v: error = %v, want %v", x, err, errNonFiniteQuery)
+		}
+	}
 	res, err := f.Search(vec.Vector{0, 0}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -253,9 +258,9 @@ func TestL2ScansMatchBruteForce(t *testing.T) {
 
 // pushedInIDOrder is the brute force for special values: every
 // distance finished with vec.L2 and offered to a vec.TopKBuffer in ID
-// order, as vec.TopK offers its items. Without a NaN distance the order
-// of the offers cannot change the answer; with one (a NaN in the
-// query), vec.TopK's answer is this order's.
+// order, as vec.TopK offers its items. No distance is NaN (rows and
+// queries are finite), so the order of the offers cannot change the
+// answer.
 func pushedInIDOrder(q vec.Vector, corpus []vec.Vector, k int) []vec.Scored {
 	var top vec.TopKBuffer
 	top.Reset(k)
@@ -286,11 +291,8 @@ func clustered(rng *rand.Rand, dim, centres, perCentre int) (corpus, queries []v
 // second walk runs and must win every (distance, ID) tie against the
 // rows already finished. Rows with ±MaxFloat32 components overflow to
 // +Inf heads and distances, which drop out of pass 1, and subnormal rows
-// finish at 0. Add refuses NaN and ±Inf, so those go in the queries: a
-// ±Inf query puts every head at +Inf, and a NaN in the query's head
-// makes the scan push every row in ID order. NaN sits in heads only: a
-// NaN past the head leaves the ranking to push order, in the brute force
-// as in any scan that skips rows.
+// finish at 0; queries hold those values too. Add refuses rows holding
+// NaN or ±Inf, and Search must refuse such queries.
 func TestFlatScanOnLargeCorpora(t *testing.T) {
 	const dim = 40
 	rng := vec.NewRand(11)
@@ -338,8 +340,10 @@ func TestFlatScanOnLargeCorpora(t *testing.T) {
 	}
 	tiny := withHead(make(vec.Vector, dim), dim-1, subnormal)
 	specialQueries := append(slices.Clone(queries[:4]), tiny, make(vec.Vector, dim),
-		withHead(queries[0], 3, float32(math.NaN())), withHead(queries[1], 5, float32(math.Inf(1))),
-		withHead(queries[2], 0, float32(math.Inf(-1))), withHead(queries[3], 9, math.MaxFloat32))
+		withHead(queries[3], 9, math.MaxFloat32), withHead(queries[2], 0, -math.MaxFloat32))
+	// A NaN or ±Inf in the query's head is refused, not ranked.
+	refused := []vec.Vector{withHead(queries[0], 3, float32(math.NaN())),
+		withHead(queries[1], 5, float32(math.Inf(1))), withHead(queries[2], 0, float32(math.Inf(-1)))}
 
 	for _, c := range []struct {
 		name    string
@@ -368,6 +372,11 @@ func TestFlatScanOnLargeCorpora(t *testing.T) {
 					t.Fatalf("%s corpus, k %d, query %d:\n got %v\nwant %v", c.name, k, qi, got, want)
 				}
 			}
+			for qi, q := range refused {
+				if got, err := flat.Search(q, k); !errors.Is(err, errNonFiniteQuery) {
+					t.Fatalf("%s corpus, k %d, refused query %d: got %v, %v; want %v", c.name, k, qi, got, err, errNonFiniteQuery)
+				}
+			}
 		}
 	}
 }
@@ -376,8 +385,9 @@ func TestFlatScanOnLargeCorpora(t *testing.T) {
 // shapes: up to 2 048 rows of 1–40 dimensions, k 1–20, rows clustered
 // as tightly as the crowding byte says and optionally snapped to a
 // coarse grid so that heads and distances tie, and special values: the
-// largest float of either sign and subnormals in rows, and those, ±Inf
-// or NaN in the query's head (Add refuses rows holding NaN or ±Inf).
+// largest float of either sign and subnormals in rows and the query's
+// head, and ±Inf or NaN in the query's head, which Search must refuse
+// (Add refuses rows holding NaN or ±Inf).
 func FuzzFlatSearch(f *testing.F) {
 	f.Add(uint64(1), uint16(1500), uint8(39), uint8(3), uint8(0), uint8(0))
 	f.Add(uint64(2), uint16(2000), uint8(39), uint8(19), uint8(0x83), uint8(0))
@@ -408,7 +418,7 @@ func FuzzFlatSearch(f *testing.F) {
 			return v
 		}
 		// The first three values are finite, for rows; the query may hold
-		// any of them in its head.
+		// any of them in its head, and is refused with the last three.
 		values := []float32{math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32,
 			float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
 		every := int(specials & 0x0f) // 0: no special rows
@@ -430,6 +440,12 @@ func FuzzFlatSearch(f *testing.F) {
 			t.Fatal(err)
 		}
 		got, err := flat.Search(q, k)
+		if !vec.Finite(q) {
+			if !errors.Is(err, errNonFiniteQuery) {
+				t.Fatalf("n %d, dim %d, k %d, query head holding a NaN or ±Inf: got %v, %v; want %v", n, dim, k, got, err, errNonFiniteQuery)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

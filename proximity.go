@@ -129,33 +129,27 @@
 //		http://127.0.0.1:8080/v1/retrieve
 //	curl -d '{"embedding":[0.12,-0.5,...]}' http://127.0.0.1:8080/v1/retrieve
 //
-// # Adaptive shard rebalancing
+// # Cluster rebalancing
 //
-// A skewed (Zipf-like) query stream can concentrate LSH signatures on a
-// few shards, so one hot shard's lock and scan length dominate tail
-// latency while cold shards idle — visible as PressureReport.Imbalance.
-// NewAdaptiveShardedCache closes the loop: a controller watches the
-// report and, when the imbalance stays above a threshold for a sustained
-// window, re-draws the partitioner to the best of several auditioned
-// candidate seeds and migrates entries shard-by-shard with no
-// stop-the-world lock (transient misses are the only cost — never a
-// failed or wrong answer):
+// A skewed (Zipf-like) query stream can concentrate lookups on the
+// cluster nodes whose hash arcs hold the hot keys. Setting
+// ClusterOptions.Rebalance starts a controller that watches each node's
+// share of the lookups and, when the imbalance stays above a threshold
+// for a sustained window, re-weights the ring's virtual nodes to shift
+// arcs off the overloaded nodes (transient misses while the moved arcs
+// warm up are the only cost — never a failed or wrong answer):
 //
-//	base, _ := proximity.NewShardedFlatCache(768, 8, proximity.Options{
-//		Capacity: 8192, Tolerance: 5, Policy: proximity.LRU,
-//	}, 1)
-//	cache, _ := proximity.NewAdaptiveShardedCache(base,
-//		proximity.RebalanceOptions{}, proximity.ShardRebalanceOptions{})
-//	defer cache.Close()
-//	retriever, _ := proximity.NewRetriever(cache, db, proximity.RetrieverOptions{K: 4})
+//	cc, _ := proximity.NewClusterCache(768, nodes, proximity.ClusterOptions{
+//		Rebalance: &proximity.RebalanceOptions{Threshold: 1.5},
+//	})
+//	defer cc.Close()
 //
-// The distributed tier gets the same policy at the network level:
-// ClusterOptions.Rebalance re-weights ring virtual nodes to shift hash
-// arcs off overloaded nodes. See internal/rebalance for the design note,
-// examples/rebalance for a complete program, `proximity-server
-// -rebalance-threshold` (plus the /v1/rebalance admin endpoint) for the
-// deployment shape, and `proximity-bench -experiment rebalance` for the
-// static-vs-adaptive A/B on a skewed workload.
+// An in-process sharded cache keeps the partition it was built with:
+// on the repository benchmark's stream its PressureReport.Imbalance
+// stayed below the default threshold, and re-drawing its partitioner
+// only cost hit rate. See internal/rebalance for the design note and
+// `proximity-server -peers ... -rebalance-threshold` (plus the
+// /v1/rebalance admin endpoint) for the deployment shape.
 //
 // # Choosing a cache variant
 //
@@ -208,8 +202,8 @@
 //	defer cache.Close()
 //
 // NewShardedTieredCache partitions the hierarchy across
-// independently-locked shards (per-shard warm files, Reseed-safe; one
-// snapshot file for the whole cache). The Tier block of a tiered
+// independently-locked shards (per-shard warm files; one snapshot file
+// for the whole cache). The Tier block of a tiered
 // cache's Stats (sharded or not; rendered as the server's /v1/stats
 // tiers block and the proximity_tier_* Prometheus series) reports
 // per-tier occupancy and the demotion/promotion/discard flows, read in
@@ -360,8 +354,6 @@ type (
 	// ShardedCache hash-partitions keys across independently-locked
 	// sub-caches for concurrent serving.
 	ShardedCache = shard.ShardedCache
-	// ShardOptions configures a generic ShardedCache.
-	ShardOptions = shard.Options
 	// PressureReport is the per-shard occupancy/eviction summary.
 	PressureReport = shard.PressureReport
 
@@ -405,20 +397,15 @@ type (
 	ClusterRouterStats = cluster.RouterStats
 
 	// RebalanceOptions is the adaptive rebalance controller policy:
-	// threshold, sustained window, cooldown, sampling interval.
+	// threshold, sustained window and minimum entry count.
 	RebalanceOptions = rebalance.Options
 	// RebalanceController is the watch-and-act loop behind adaptive
-	// rebalancing (shared by the shard and cluster tiers).
+	// cluster rebalancing.
 	RebalanceController = rebalance.Controller
 	// RebalanceStats are the controller's cumulative counters.
 	RebalanceStats = rebalance.Stats
 	// RebalanceOutcome reports one rebalance action.
 	RebalanceOutcome = rebalance.Outcome
-	// ShardRebalanceOptions tunes the in-process re-draw actuator
-	// (candidate seed count, minimum predicted gain).
-	ShardRebalanceOptions = rebalance.ShardTargetOptions
-	// ShardMigration summarizes one partitioner re-draw migration.
-	ShardMigration = shard.Migration
 
 	// Telemetry is the shared observability hub: per-stage latency
 	// histograms, the request tracer, and the metrics registry.
@@ -534,12 +521,6 @@ func LoadSnapshot(path string, dim int, cache Cache) (int, error) {
 	return core.LoadSnapshot(path, dim, cache)
 }
 
-// NewShardedCache creates an LSH-signature-partitioned cache from an
-// explicit per-shard factory. Any Cache variant here may back a shard.
-func NewShardedCache(dim int, opts ShardOptions) (*ShardedCache, error) {
-	return shard.New(dim, opts)
-}
-
 // NewShardedFlatCache partitions a FLAT cache across `shards`
 // independently-locked sub-caches (0 = one per CPU). The configured
 // capacity is the total across shards, so the result is a drop-in for a
@@ -554,43 +535,6 @@ func NewShardedFlatCache(dim, shards int, opts Options, seed uint64) (*ShardedCa
 func NewShardedLSHCache(dim, shards int, opts LSHOptions) (*ShardedCache, error) {
 	return shard.NewLSH(dim, shards, opts)
 }
-
-// AdaptiveShardedCache is a ShardedCache coupled to a running rebalance
-// controller: sustained shard imbalance triggers a partitioner re-draw
-// that migrates entries shard-by-shard. It exposes the full ShardedCache
-// surface (and therefore Cache); Close stops the controller (the cache
-// itself remains usable).
-type AdaptiveShardedCache struct {
-	*ShardedCache
-	ctrl *rebalance.Controller
-}
-
-// NewAdaptiveShardedCache attaches an adaptive rebalancing loop to a
-// sharded cache (built with NewShardedFlatCache, NewShardedLSHCache, or
-// NewShardedCache). The controller is already started; call Close to
-// stop it.
-func NewAdaptiveShardedCache(cache *ShardedCache, policy RebalanceOptions, target ShardRebalanceOptions) (*AdaptiveShardedCache, error) {
-	t, err := rebalance.NewShardTarget(cache, target)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := rebalance.New(t, t, policy)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctrl.Start(); err != nil {
-		return nil, err
-	}
-	return &AdaptiveShardedCache{ShardedCache: cache, ctrl: ctrl}, nil
-}
-
-// Controller returns the running rebalance controller (stats, manual
-// triggers).
-func (a *AdaptiveShardedCache) Controller() *RebalanceController { return a.ctrl }
-
-// Close stops the rebalance controller. The underlying cache stays
-// usable; only the adaptive loop ends.
-func (a *AdaptiveShardedCache) Close() error { return a.ctrl.Close() }
 
 // NewBatchPipeline creates the miss-coalescing search path over a
 // database: concurrent duplicate misses share one search. Wire it into

@@ -391,47 +391,6 @@ func TestPublicBatchPipeline(t *testing.T) {
 	}
 }
 
-// TestPublicAdaptiveShardedCache exercises the adaptive facade: the
-// wrapper keeps the full Cache surface, the controller is reachable for
-// manual triggers, and Close stops only the loop.
-func TestPublicAdaptiveShardedCache(t *testing.T) {
-	const dim = 32
-	base, err := NewShardedFlatCache(dim, 4, Options{
-		Capacity: 64, Tolerance: 1, Policy: LRU,
-	}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := NewAdaptiveShardedCache(base, RebalanceOptions{
-		Threshold: 1.5,
-	}, ShardRebalanceOptions{Candidates: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c Cache = cache // the wrapper is still a Cache
-	c.Put(Vector{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
-		17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32}, []int{1})
-	if cache.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", cache.Len())
-	}
-	if cache.Controller() == nil {
-		t.Fatal("Controller() is nil")
-	}
-	out, err := cache.Controller().TriggerNow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Acted {
-		t.Errorf("a one-entry cache should decline: %+v", out)
-	}
-	if err := cache.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() != 1 {
-		t.Error("Close must stop the controller, not clear the cache")
-	}
-}
-
 // unit scales v in place to unit length, as a cosine caller does, and
 // returns it.
 func unit(v vec.Vector) vec.Vector { return vec.Scale(v, 1/vec.Norm(v)) }
